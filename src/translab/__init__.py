@@ -55,6 +55,7 @@ from .extremal import (
     level_profile,
     level_schedule,
     profile,
+    profile_many,
 )
 from .funcrep import (
     SampledFunction,

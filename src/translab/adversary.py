@@ -18,17 +18,21 @@ Three constructions for scalar 1-Lipschitz targets f on [0,1]:
   so each subinterval carries at most one zero and the distance stays
   below eps/4 + 2e-12; subintervals containing a peak end up zero-free.
 
-``iterate_improvement`` chains peak finding and re-interpolation down a
-geometric budget ladder eps0/4**k and reports the achieved zero counts
-for comparison with the contradiction envelope
+``iterate_improvement`` repeats the re-interpolation down a geometric
+budget ladder eps0/4**k and reports the achieved zero counts for
+comparison with the contradiction envelope
 (1 - 7 C^2/36)**k * 4**k / eps0.
+
+Every construction calls f on 1-D float arrays of points, so f must
+broadcast the way numpy functions do (``np.sin``, not ``math.sin``); a
+callable returning a constant is broadcast to the array's shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .funcrep import SampledFunction, count_zero_components, nudge_knot_zeros
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
+SCAN_BLOCK_POINTS = 2**15  # scan points per call of f
 
 
 @dataclass(frozen=True)
@@ -66,16 +71,40 @@ def _partition(eps: float, C: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, k0 + 1)
 
 
-def _scan_interval(f: Callable, a: float, b: float, step: float) -> tuple[float, float]:
-    """Sampled (max |f|, argmax) over [a, b] including both endpoints."""
-    xs = np.arange(a, b, step)
-    xs = np.append(xs, b)
-    best_x, best_v = a, -1.0
-    for x in xs:
-        v = abs(float(f(x)))
-        if v > best_v:
-            best_x, best_v = float(x), v
-    return best_v, best_x
+def _values(f: Callable, xs: np.ndarray) -> np.ndarray:
+    """f on a 1-D float array, broadcast to its shape (constant callables included)."""
+    return np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+
+
+def _scan(f: Callable, cuts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled max |f| and its first argmax on each interval [cuts[k], cuts[k+1]].
+
+    Interval k is sampled at np.arange(a, b, step) followed by b, built
+    the way numpy's arange builds it (a + i * ((a + step) - a)).  f is
+    called once per block of whole intervals, about SCAN_BLOCK_POINTS
+    points each, so memory stays flat however fine the step.  NaN values
+    are never maxima; an interval with no finite value reports -1 at a.
+    """
+    a, b = cuts[:-1], cuts[1:]
+    counts = np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1
+    delta = (a + step) - a
+    ends = np.cumsum(counts)
+    peak, arg = np.empty(len(a)), np.empty(len(a))
+    lo = 0
+    while lo < len(a):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + SCAN_BLOCK_POINTS, side="right")))
+        cnt = counts[lo:hi]
+        first = ends[lo:hi] - cnt - base  # block offset of each interval's first point
+        owner = np.repeat(np.arange(hi - lo), cnt)
+        xs = a[lo:hi][owner] + (np.arange(len(owner)) - first[owner]) * delta[lo:hi][owner]
+        xs[first + cnt - 1] = b[lo:hi]
+        vs = np.fmax(np.abs(_values(f, xs)), -1.0)
+        peak[lo:hi] = np.maximum.reduceat(vs, first)
+        hit = np.where(vs == peak[lo:hi][owner], np.arange(len(vs)), len(vs))
+        arg[lo:hi] = xs[np.minimum.reduceat(hit, first)]
+        lo = hi
+    return peak, arg
 
 
 def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
@@ -85,38 +114,38 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     safety margin of half the scan step, so a lifted interval truly
     satisfies max |f| <= eps/2 whenever f is 1-Lipschitz; borderline
     intervals fall through to the piecewise-linear branch, which is
-    within eps regardless.
+    within eps regardless.  Candidate breakpoints are laid out interval
+    by interval; one that does not lie strictly right of every earlier
+    candidate (a duplicate or a collapsed ramp) is dropped, so the first
+    value at a point wins.
     """
     _check_budget(eps, C)
     cuts = _partition(eps, C)
     step = eps / SCAN_STEP_DIVISOR
     margin = step / 2.0
+    peak, _ = _scan(f, cuts, step)
+    lifted = peak <= eps / 2.0 - margin
+    fc = _values(f, cuts)
+    a, b, fa, fb = cuts[:-1], cuts[1:], fc[:-1], fc[1:]
+    half = np.full(len(a), eps / 2.0)
     k1 = math.ceil(3.0 / C)
-    xs: list[float] = []
-    vs: list[float] = []
-
-    def emit(x: float, v: float) -> None:
-        if xs and x <= xs[-1]:
-            return  # duplicate or collapsed breakpoint; first value wins
-        xs.append(x)
-        vs.append(v)
-
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        peak, _ = _scan_interval(f, a, b, step)
-        fa, fb = float(f(a)), float(f(b))
-        if peak <= eps / 2.0 - margin:
-            ramp_up_end = a - fa + eps / 2.0
-            ramp_down_start = b + fb - eps / 2.0
-            emit(a, fa)
-            emit(ramp_up_end, eps / 2.0)
-            emit(ramp_down_start, eps / 2.0)
-            emit(b, fb)
-        else:
-            for x in np.linspace(a, b, k1 + 1):
-                emit(float(x), float(f(x)))
-    if xs[-1] != 1.0:
-        emit(1.0, float(f(1.0)))
-    return SampledFunction(grid=(np.asarray(xs),), values=np.asarray(vs)[:, None])
+    width = max(4, k1 + 1)
+    xs, vs = np.zeros((len(a), width)), np.zeros((len(a), width))
+    used = np.zeros((len(a), width), dtype=bool)
+    # lifted intervals: two unit-slope ramps onto the plateau eps/2
+    xs[lifted, :4] = np.stack([a, a - fa + half, b + fb - half, b], axis=1)[lifted]
+    vs[lifted, :4] = np.stack([fa, half, half, fb], axis=1)[lifted]
+    used[lifted, :4] = True
+    # the others: f interpolated on k1 equal subintervals
+    rest = ~lifted
+    mesh = np.linspace(a[rest], b[rest], k1 + 1, axis=1)
+    xs[rest, : k1 + 1] = mesh
+    vs[rest, : k1 + 1] = _values(f, mesh.ravel()).reshape(mesh.shape)
+    used[rest, : k1 + 1] = True
+    xs, vs = xs[used], vs[used]
+    earlier = np.concatenate(([-np.inf], np.maximum.accumulate(xs)[:-1]))
+    keep = xs > earlier
+    return SampledFunction(grid=(xs[keep],), values=vs[keep][:, None])
 
 
 def find_separated_peaks(f: Callable, eps: float, C: float) -> PeakSet:
@@ -128,35 +157,31 @@ def find_separated_peaks(f: Callable, eps: float, C: float) -> PeakSet:
     hypothesis; that is reported, not an error.
     """
     _check_budget(eps, C)
-    cuts = _partition(eps, C)
-    step = eps / SCAN_STEP_DIVISOR
+    peak, arg = _scan(f, _partition(eps, C), eps / SCAN_STEP_DIVISOR)
     separation = 2.0 * eps / C
+    high = peak > eps / 2.0
     points: list[float] = []
     values: list[float] = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        peak, arg = _scan_interval(f, a, b, step)
-        if peak > eps / 2.0:
-            if not points or arg - points[-1] >= separation:
-                points.append(arg)
-                values.append(peak)
+    for value, x in zip(peak[high].tolist(), arg[high].tolist()):
+        if not points or x - points[-1] >= separation:
+            points.append(x)
+            values.append(value)
     return PeakSet(points=tuple(points), values=tuple(values), separation=separation)
 
 
-def refine_interpolant(f: Callable, eps: float, peaks: Optional[PeakSet] = None) -> SampledFunction:
+def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     """Piecewise-linear interpolant of f on the mesh of ceil(4/eps) cells.
 
     Knot zeros are nudged to +1e-12 so each cell carries at most one
     zero; for 1-Lipschitz f the result stays within eps/4 + 2e-12 of f.
-    The optional peak set does not alter the construction; it is the
-    reference against which the caller compares the zero count with
-    ceil(4/eps) - len(peaks).
+    A caller comparing with the peak count checks the zero count
+    against ceil(4/eps) - len(find_separated_peaks(f, eps, C)).
     """
     if eps <= 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
     k = math.ceil(4.0 / eps)
     knots = np.linspace(0.0, 1.0, k + 1)
-    vals = np.array([float(f(x)) for x in knots])
-    g = SampledFunction(grid=(knots,), values=vals[:, None])
+    g = SampledFunction(grid=(knots,), values=_values(f, knots)[:, None])
     return nudge_knot_zeros(g, NUDGE_ETA)
 
 
@@ -170,9 +195,9 @@ def iterate_improvement(
 ) -> list[tuple[float, int]]:
     """Drive the budget ladder eps0/4**k, k = 1..rounds.
 
-    Round k finds peaks and re-interpolates at scale eps0/4**(k-1);
-    the interpolant lies within eps0/4**k of f, so its zero count is an
-    achieved value at that budget.  Returns (budget, count) pairs.
+    Round k re-interpolates at scale eps0/4**(k-1); the interpolant
+    lies within eps0/4**k of f, so its zero count is an achieved value
+    at that budget.  Returns (budget, count) pairs.
     """
     if rounds < 1:
         raise DomainError(f"need rounds >= 1, got {rounds}")
@@ -180,7 +205,6 @@ def iterate_improvement(
     out: list[tuple[float, int]] = []
     scale = eps0
     for k in range(1, rounds + 1):
-        find_separated_peaks(f, scale, C)
         g = refine_interpolant(f, scale)
         count = count_zero_components(g).component_count
         out.append((eps0 / 4.0**k, count))

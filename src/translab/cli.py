@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .adversary import (
-    find_separated_peaks,
     flatten_perturbation,
     improvement_envelope,
     iterate_improvement,
@@ -134,7 +133,7 @@ def _cmd_perturb(args) -> int:
         sampled = SampledFunction.load(args.func)
         if sampled.d != 1 or sampled.m != 1:
             raise TranslabError("perturb needs a scalar function on [0,1]")
-        f = lambda s: float(sampled(np.array([s]))[0])
+        f = lambda s: sampled.evaluate_many(np.reshape(s, (-1, 1)))[:, 0]
     else:
         f = _extremal_from_args(args).as_scalar()
     if args.mode in ("flatten", "refine") and not args.out:
@@ -142,7 +141,7 @@ def _cmd_perturb(args) -> int:
     if args.mode == "flatten":
         h = flatten_perturbation(f, args.eps, args.C)
     elif args.mode == "refine":
-        h = refine_interpolant(f, args.eps, find_separated_peaks(f, args.eps, args.C))
+        h = refine_interpolant(f, args.eps)
     else:
         rows = iterate_improvement(f, args.eps, args.C, args.rounds)
         print("k eps zero_count envelope")

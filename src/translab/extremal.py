@@ -11,12 +11,23 @@ so each level's train fills its slot exactly (2**(n*n) bumps of support
 symmetrically, and repeats negated over the second half of its support;
 its extrema sit at odd multiples of scale_n with values +-beta(scale_n)/2.
 
-All schedule quantities are dyadic rationals and the point locator works
-in exact arithmetic (integer shifts for dyadic inputs, which every float
-is; ``fractions.Fraction`` otherwise), so bump-corner evaluation is
-exact: there is no truncation error, only the float rounding of beta
-itself.  Levels beyond ``MAX_LEVEL`` are unreachable at double-precision
-sweep scales and evaluate to 0 with a ``ResolutionWarning``.
+Bump-corner evaluation is exact: there is no truncation error, only the
+float rounding of beta itself.  ``profile_many``, the array kernel,
+locates a point in float arithmetic that never rounds:
+
+* every s < 1/2 lies on level 1; for s >= 1/2 the difference 1 - s is
+  exact (Sterbenz lemma), and its binary exponent is the level;
+* the offset s - start_n is exact by the same lemma (start_n <= s <
+  2*start_n once n >= 2, and start_1 = 0);
+* the offset within the bump, fmod(offset, 4*scale_n), is exact (fmod
+  never rounds, and the period is an exact power of two), and so are
+  the mirror differences 4*scale_n - t and 2*scale_n - t, each taken on
+  the half of the period where Sterbenz applies.
+
+The scalar ``profile`` does the same reduction one float at a time and
+reduces ``fractions.Fraction`` inputs in exact rational arithmetic.
+Levels beyond ``MAX_LEVEL`` are unreachable at double-precision sweep
+scales and evaluate to 0 with a ``ResolutionWarning``.
 
 The d-dimensional extremal map applies the profile coordinatewise to the
 first q domain coordinates, scaled by 1/sqrt(q), and prepends p zero
@@ -89,81 +100,94 @@ def bump(beta: ModulusSpec, n: int, t) -> float:
     return _bump_at(beta, level_schedule(n).scale, Fraction(t))
 
 
-def _dyadic_float(numer: int, ebits: int) -> float:
-    """numer / 2**ebits as a float, exact whenever representable."""
-    if numer == 0:
-        return 0.0
-    shift = (numer & -numer).bit_length() - 1
-    numer >>= shift
-    ebits -= shift
-    if numer.bit_length() <= 53 and -1020 < ebits < 1020:
-        return math.ldexp(numer, -ebits)
-    return float(Fraction(numer, 1 << ebits)) if ebits >= 0 else float(numer << -ebits)
+def profile(beta: ModulusSpec, s) -> float:
+    """The scalar multi-scale profile at s in [0, 1], evaluated exactly.
 
-
-def _profile_dyadic(beta: ModulusSpec, num: int, e: int) -> float:
-    """Profile at s = num / 2**e in [0, 1), via integer arithmetic only.
-
-    Every float is such a dyadic, so this is the hot path; the level
-    locator, the bump index, and the bump offset are all exact shifts.
+    Locates the unique level containing s, reduces to the bump offset,
+    and evaluates a single bump; level supports are disjoint so no
+    truncation of the level sum occurs.  A ``Fraction`` is reduced in
+    exact rational arithmetic; any other number is taken as a float and
+    reduced the way ``profile_many`` reduces each point, which is exact
+    for the same reasons.
     """
-    den = 1 << e
-    ubits = den - num  # numerator of 1 - s over 2**e
+    if isinstance(s, Fraction):
+        return _profile_rational(beta, s)
+    s = float(s)
+    if not (0.0 <= s <= 1.0):
+        raise DomainError(f"profile argument must lie in [0, 1], got {s}")
     n = 1
-    while (ubits << n) <= den:
+    if s >= 0.5:
+        mant, exp = math.frexp(1.0 - s)
+        n = 1 - exp + (mant == 0.5)
+    if n > MAX_LEVEL:
+        warnings.warn(
+            f"point {s} lies beyond level {MAX_LEVEL}; returning 0", ResolutionWarning, stacklevel=2
+        )
+        return 0.0
+    scale = math.ldexp(1.0, -(n * n + n + 2))
+    t = math.fmod(s - (1.0 - math.ldexp(1.0, 1 - n)), 4.0 * scale)
+    sign = 1.0
+    if t > 2.0 * scale:
+        t, sign = 4.0 * scale - t, -1.0
+    return sign * beta(t if t < scale else 2.0 * scale - t) / 2.0
+
+
+def _profile_rational(beta: ModulusSpec, s: Fraction) -> float:
+    if s < 0 or s > 1:
+        raise DomainError(f"profile argument must lie in [0, 1], got {s}")
+    if s == 1:
+        return 0.0
+    n = 1
+    while 1 - s <= Fraction(1, 2**n):
         n += 1
         if n > MAX_LEVEL:
             warnings.warn(
-                f"point {_dyadic_float(num, e)} lies beyond level {MAX_LEVEL}; returning 0",
+                f"point {float(s)} lies beyond level {MAX_LEVEL}; returning 0",
                 ResolutionWarning,
                 stacklevel=3,
             )
             return 0.0
-    # s sits in level n's slot, which forces e >= n - 1
-    sbits = n * n + n + 2  # scale = 2**-sbits
-    off_num = num - den + (den >> (n - 1))  # offset = s - start over 2**e
-    k = (off_num << (sbits - 2)) >> e  # bump index within the train
-    t_num = (off_num << (sbits - 2)) - (k << e)  # bump offset over 2**dt
-    dt = e + sbits - 2
-    sign = 1.0
-    if (t_num << 1) > den:  # t > 2*scale: mirror into the rising half
-        t_num = den - t_num
-        sign = -1.0
-    if (t_num << 2) < den:  # t < scale: rising branch beta(t)/2
-        return sign * beta(_dyadic_float(t_num, dt)) / 2.0
-    return sign * beta(_dyadic_float((den >> 1) - t_num, dt)) / 2.0
-
-
-def profile(beta: ModulusSpec, s) -> float:
-    """The scalar multi-scale profile at s in [0, 1], evaluated exactly.
-
-    Locates the unique level containing s, reduces to the bump offset in
-    exact dyadic arithmetic, and evaluates a single bump; level supports
-    are disjoint so no truncation of the level sum occurs.
-    """
-    num, den = s.as_integer_ratio() if not isinstance(s, int) else (s, 1)
-    if num < 0 or num > den:
-        raise DomainError(f"profile argument must lie in [0, 1], got {s}")
-    if num == den:
-        return 0.0
-    if den & (den - 1) == 0:
-        return _profile_dyadic(beta, num, den.bit_length() - 1)
-    # non-dyadic rational input: locate the level in exact arithmetic
-    sf = Fraction(num, den)
-    n = 1
-    while 1 - sf <= Fraction(1, 2**n):
-        n += 1
-        if n > MAX_LEVEL:
-            warnings.warn(
-                f"point {float(sf)} lies beyond level {MAX_LEVEL}; returning 0",
-                ResolutionWarning,
-                stacklevel=2,
-            )
-            return 0.0
     lev = level_schedule(n)
-    offset = sf - lev.start
+    offset = s - lev.start
     k = offset // (4 * lev.scale)
     return _bump_at(beta, lev.scale, offset - 4 * k * lev.scale)
+
+
+def profile_many(beta: ModulusSpec, s) -> np.ndarray:
+    """``profile`` elementwise on a float array (or scalar) in [0, 1].
+
+    Returns an array of the input's shape (a numpy scalar for 0-d input).
+    Every step but beta is exact (see the module docstring), so the
+    result equals ``profile`` bit for bit whenever ``beta.many`` and
+    ``beta`` agree: table moduli and power moduli with alpha = 1.  For
+    alpha < 1 numpy's power and Python's may differ in the last ulp, and
+    so may the two profiles.  Points beyond ``MAX_LEVEL`` evaluate to 0
+    with one ``ResolutionWarning`` per call.
+    """
+    s = np.asarray(s, dtype=float)
+    outside = ~((s >= 0.0) & (s <= 1.0))
+    if np.any(outside):
+        raise DomainError(f"profile argument must lie in [0, 1], got {s[outside].flat[0]}")
+    # 1 - s = mant * 2**exp with mant in [1/2, 1): level 1 - exp, one
+    # deeper when 1 - s is a power of two (the slot's right end).
+    mant, exp = np.frexp(1.0 - s)
+    n = np.where(s < 0.5, 1, 1 - exp + (mant == 0.5))
+    deep = n > MAX_LEVEL
+    if np.any(deep):
+        warnings.warn(
+            f"{np.count_nonzero(deep)} points lie beyond level {MAX_LEVEL}, "
+            f"the first at {s[deep].flat[0]}; returning 0",
+            ResolutionWarning,
+            stacklevel=2,
+        )
+    n = np.where(deep, 1, n)  # placeholder level, masked out below
+    scale = np.ldexp(1.0, -(n * n + n + 2))
+    t = np.fmod(s - (1.0 - np.ldexp(1.0, 1 - n)), 4.0 * scale)  # offset within the bump
+    falling = t > 2.0 * scale  # the negated second half, mirrored onto the first
+    t = np.where(falling, 4.0 * scale - t, t)
+    t = np.where(t < scale, t, 2.0 * scale - t)
+    out = np.where(deep, 0.0, np.where(falling, -1.0, 1.0) * beta.many(t) / 2.0)
+    return out[()]  # unwraps 0-d input, a no-op view otherwise
 
 
 def level_profile(beta: ModulusSpec, n: int, s) -> float:
@@ -172,9 +196,7 @@ def level_profile(beta: ModulusSpec, n: int, s) -> float:
     sf = Fraction(s)
     if sf < lev.start or sf >= lev.start + lev.width:
         return 0.0
-    offset = sf - lev.start
-    k = offset // (4 * lev.scale)
-    return _bump_at(beta, lev.scale, offset - 4 * k * lev.scale)
+    return _profile_rational(beta, sf)
 
 
 @dataclass(frozen=True)
@@ -216,11 +238,11 @@ class ExtremalFunction:
         return out
 
     def as_scalar(self):
-        """The active profile as a plain scalar callable (d = q = 1 maps)."""
+        """The active profile as a callable on floats and float arrays (d = q = 1 maps)."""
         if self.q != 1 or self.p != 0 or self.d != 1:
             raise DomainError("as_scalar needs d = q = 1 and p = 0")
         beta = self.beta
-        return lambda s: profile(beta, s)
+        return lambda s: profile_many(beta, s)
 
     def sample(self, step: float) -> SampledFunction:
         """Sample onto the uniform grid of the given step (1/step integral).
@@ -233,7 +255,7 @@ class ExtremalFunction:
             raise DomainError(f"step must divide 1 exactly, got {step}")
         knots = np.linspace(0.0, 1.0, count + 1)
         root = math.sqrt(self.q)
-        line = np.array([profile(self.beta, s) for s in knots]) / root
+        line = profile_many(self.beta, knots) / root
         lens = (len(knots),) * self.d
         vals = np.zeros(lens + (self.m,))
         for i in range(self.q):

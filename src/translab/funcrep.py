@@ -192,28 +192,24 @@ def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
     Works segment by segment from the knot values: a segment contributes
     its whole extent when both endpoint values vanish, an endpoint when
     exactly one vanishes, and one interior crossing on a strict sign
-    change.  Touching pieces merge into a single component.
+    change.  Touching pieces merge into a single component: a piece
+    opens a new one exactly when it starts right of every earlier end.
     """
     x, v = _require_scalar_1d(h, "count_zero_components")
-    pieces: list[tuple[float, float]] = []
-    for k in range(len(x) - 1):
-        v0, v1 = v[k], v[k + 1]
-        if v0 == 0.0 and v1 == 0.0:
-            pieces.append((float(x[k]), float(x[k + 1])))
-        elif v0 == 0.0:
-            pieces.append((float(x[k]), float(x[k])))
-        elif v1 == 0.0:
-            pieces.append((float(x[k + 1]), float(x[k + 1])))
-        elif (v0 > 0.0) != (v1 > 0.0):
-            root = float(x[k] + (x[k + 1] - x[k]) * v0 / (v0 - v1))
-            pieces.append((root, root))
-    merged: list[list[float]] = []
-    for start, end in pieces:
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    comps = tuple((a, b) for a, b in merged)
+    x0, x1, v0, v1 = x[:-1], x[1:], v[:-1], v[1:]
+    z0, z1 = v0 == 0.0, v1 == 0.0
+    cross = ~z0 & ~z1 & ((v0 > 0.0) != (v1 > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = x0 + (x1 - x0) * v0 / (v0 - v1)
+    start = np.where(z0, x0, np.where(z1, x1, root))
+    end = np.where(z1, x1, np.where(z0, x0, root))
+    piece = z0 | z1 | cross
+    start, end = start[piece], end[piece]
+    reach = np.maximum.accumulate(end)  # equals the open component's end
+    opens = np.ones(len(start), dtype=bool)
+    opens[1:] = start[1:] > reach[:-1]
+    closes = np.roll(opens, -1)  # the last piece of each component
+    comps = tuple(zip(start[opens].tolist(), reach[closes].tolist()))
     flat = any(b > a for a, b in comps)
     return ZeroSetSummary(component_count=len(comps), has_flat_zero_interval=flat, components=comps)
 

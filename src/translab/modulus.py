@@ -86,11 +86,29 @@ class ModulusSpec:
             if s == 0.0:
                 return 0.0
             return self.lam * s ** self.alpha
+        return float(np.interp(s, *self._table_nodes()))
+
+    def many(self, s: np.ndarray) -> np.ndarray:
+        """beta elementwise on a float array.
+
+        Table moduli and alpha = 1 agree with ``beta(s)`` bit for bit;
+        for alpha < 1 numpy's power may differ from Python's in the last
+        ulp.
+        """
+        s = np.asarray(s, dtype=float)
+        if np.any(s < 0.0):
+            raise DomainError(f"modulus argument must be nonnegative, got {s[s < 0.0].flat[0]}")
+        if self.kind == "power":
+            return np.where(s == 0.0, 0.0, self.lam * s**self.alpha)  # +0.0 at -0.0, as __call__
+        return np.interp(s, *self._table_nodes())
+
+    def _table_nodes(self) -> tuple[list[float], list[float]]:
+        """Interpolation nodes of a table modulus, with (0, 0) prepended if absent."""
         deltas = [0.0] + [d for d, _ in self.breakpoints]
         values = [0.0] + [v for _, v in self.breakpoints]
         if self.breakpoints[0][0] == 0.0:
             deltas, values = deltas[1:], values[1:]
-        return float(np.interp(s, deltas, values))
+        return deltas, values
 
     @property
     def saturation(self) -> float:

@@ -14,10 +14,12 @@ from translab import (
     flatten_perturbation,
     improvement_envelope,
     iterate_improvement,
+    profile,
     refine_interpolant,
     sup_distance,
     theory_upper_curve,
 )
+from translab import adversary
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
@@ -32,6 +34,86 @@ def distance_to(f, h):
         grid=h.grid, values=np.array([float(f(x)) for x in h.grid[0]])[:, None]
     )
     return sup_distance(h, ref)
+
+
+def wave(s):
+    return np.sin(2.0 * math.pi * 8.0 * s) / 4.0
+
+
+def scan_point_by_point(f, a, b, step):
+    """Reference interval scan: sampled (max |f|, first argmax), one point at a time."""
+    best_x, best_v = a, -1.0
+    for x in np.append(np.arange(a, b, step), b):
+        v = abs(float(f(x)))
+        if v > best_v:
+            best_x, best_v = float(x), v
+    return best_v, best_x
+
+
+def flatten_point_by_point(f, eps, C):
+    """Reference flatten: breakpoints emitted one by one, the first value at a point wins."""
+    cuts = np.linspace(0.0, 1.0, math.ceil(C / (3.0 * eps)) + 1)
+    step = eps / 64.0
+    xs, vs = [], []
+
+    def emit(x, v):
+        if not xs or x > xs[-1]:
+            xs.append(x)
+            vs.append(v)
+
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        peak, _ = scan_point_by_point(f, a, b, step)
+        fa, fb = float(f(a)), float(f(b))
+        if peak <= eps / 2.0 - step / 2.0:
+            for x, v in ((a, fa), (a - fa + eps / 2.0, eps / 2.0), (b + fb - eps / 2.0, eps / 2.0), (b, fb)):
+                emit(x, v)
+        else:
+            for x in np.linspace(a, b, math.ceil(3.0 / C) + 1):
+                emit(float(x), float(f(x)))
+    return np.array(xs), np.array(vs)
+
+
+def peaks_point_by_point(f, eps, C):
+    cuts = np.linspace(0.0, 1.0, math.ceil(C / (3.0 * eps)) + 1)
+    points, values = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        peak, arg = scan_point_by_point(f, a, b, eps / 64.0)
+        if peak > eps / 2.0 and (not points or arg - points[-1] >= 2.0 * eps / C):
+            points.append(arg)
+            values.append(peak)
+    return tuple(points), tuple(values)
+
+
+class TestBlockedScans:
+    """The array scans reproduce the point-by-point constructions exactly."""
+
+    # (array callable, the same function one point at a time)
+    TARGETS = {
+        "extremal": (scalar_extremal(), lambda s: profile(IDENTITY, s)),
+        "zero": (lambda s: 0.0, lambda s: 0.0),
+        "wave": (wave, wave),
+    }
+
+    @pytest.mark.parametrize("block", [7, 2**15])
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    @pytest.mark.parametrize("j,C", [(6, 1.0), (7, 0.25), (8, 1.0)])
+    def test_flatten_and_peaks(self, monkeypatch, block, target, j, C):
+        monkeypatch.setattr(adversary, "SCAN_BLOCK_POINTS", block)
+        (f, f_point), eps = self.TARGETS[target], 2.0**-j
+        h = flatten_perturbation(f, eps, C)
+        xs, vs = flatten_point_by_point(f_point, eps, C)
+        assert np.array_equal(h.grid[0], xs) and np.array_equal(h.values[:, 0], vs)
+        peaks = find_separated_peaks(f, eps, C)
+        assert (peaks.points, peaks.values) == peaks_point_by_point(f_point, eps, C)
+
+
+def test_scan_points_follow_arange():
+    # a + step rounds here, so numpy's arange steps by (a + step) - a, not step
+    cuts, step = np.array([0.0, 0.5 - 2.0**-54, 0.75, 1.0]), 2.0**-10
+    seen = []
+    adversary._scan(lambda xs: seen.append(xs.copy()) or xs, cuts, step)
+    want = [np.append(np.arange(a, b, step), b) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert np.array_equal(np.concatenate(seen), np.concatenate(want))
 
 
 class TestFlatten:
@@ -101,7 +183,7 @@ class TestPeaks:
         assert len(peaks) == 0
 
     def test_oscillation_peaks(self):
-        f = lambda s: math.sin(2.0 * math.pi * 8.0 * s) / 4.0
+        f = lambda s: np.sin(2.0 * math.pi * 8.0 * s) / 4.0
         eps, C = 2.0**-6, 0.5
         peaks = find_separated_peaks(f, eps, C)
         assert len(peaks) >= 8
@@ -148,7 +230,7 @@ class TestRefine:
         eps, C = 2.0**-7, 0.25
         f = scalar_extremal()
         peaks = find_separated_peaks(f, eps, C)
-        g = refine_interpolant(f, eps, peaks)
+        g = refine_interpolant(f, eps)
         k_eps = math.ceil(4.0 / eps)
         assert count_zero_components(g).component_count <= k_eps - len(peaks)
 
@@ -156,7 +238,7 @@ class TestRefine:
         eps, C = 2.0**-7, 0.25
         f = scalar_extremal()
         peaks = find_separated_peaks(f, eps, C)
-        g = refine_interpolant(f, eps, peaks)
+        g = refine_interpolant(f, eps)
         comps = count_zero_components(g).components
         k_eps = math.ceil(4.0 / eps)
         mesh = 1.0 / k_eps

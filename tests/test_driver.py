@@ -1,5 +1,7 @@
+import csv
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +73,17 @@ class TestSweep:
         through = sweep(replace(BASE, j_max=9), chart=identity_chart(1))
         strip = lambda rs: [replace(r, wall_ms=0) for r in rs]
         assert strip(flat) == strip(through)
+
+    def test_adversary_sweep_matches_reference_csv(self, tmp_path):
+        # the paper's central sweep, pinned cell for cell (wall_ms aside)
+        cfg = replace(BASE, j_max=14, adversary=True, C=1.0)
+        records = sweep(cfg)
+        assert [r.adversary_ub for r in records] == [18, 30, 36, 36, 36, 36, 209, 592, 1060]
+        path = tmp_path / "sweep.csv"
+        write_csv(records, path)
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_adv_ref.csv"
+        without_wall = lambda p: [row[:-1] for row in csv.reader(p.read_text().splitlines())]
+        assert without_wall(path) == without_wall(reference)
 
     def test_chart_with_adversary_rejected(self):
         from translab import identity_chart

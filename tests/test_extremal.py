@@ -1,8 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from translab import (
     DomainError,
@@ -14,7 +17,9 @@ from translab import (
     level_schedule,
     minimal_modulus,
     profile,
+    profile_many,
 )
+from translab.extremal import MAX_LEVEL
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
@@ -144,6 +149,87 @@ class TestProfile:
         assert profile(IDENTITY, corner) == float(lev.scale) / 2.0
 
 
+def scalar_profiles(beta, xs):
+    """The scalar profile point by point, deep-level warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        return np.array([profile(beta, x) for x in xs])
+
+
+def kernel_profiles(beta, xs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        return profile_many(beta, np.asarray(xs, dtype=float))
+
+
+# Points on every level: s = 1 - u * 2**-k with u in [1/2, 1] sits on level
+# k + 1 or k + 2, so k in [0, 40] reaches past MAX_LEVEL; plain floats in
+# [0, 1] cover level 1 and the subnormals.
+level_points = st.one_of(
+    st.builds(lambda u, k: 1.0 - math.ldexp(u, -k), st.floats(0.5, 1.0), st.integers(0, 40)),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestProfileKernel:
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    @given(xs=st.lists(level_points, min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_scalar_profile(self, lam, xs):
+        beta = ModulusSpec.power(lam, 1.0)
+        got, want = kernel_profiles(beta, xs), scalar_profiles(beta, xs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(xs=st.lists(level_points, min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_within_one_ulp_for_alpha_below_one(self, xs):
+        beta = ModulusSpec.power(2.0, 0.5)
+        got, want = kernel_profiles(beta, xs), scalar_profiles(beta, xs)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_level_edges(self):
+        edges = [0.0, 0.5 - 2.0**-54, 0.5, 1.0, 0.0625, 0.5 + 2.0**-8, -0.0]
+        got = profile_many(IDENTITY, np.array(edges))
+        assert np.array_equal(got.view(np.uint64), scalar_profiles(IDENTITY, edges).view(np.uint64))
+        assert got[0] == 0.0 and got[3] == 0.0
+        assert got[4] == 0.03125 and got[5] == 2.0**-9
+
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_slot_ends_and_deep_levels(self, k):
+        # 1 - 2**-k is the left end of level k + 1, a bump zero
+        s = 1.0 - 2.0**-k
+        if k + 1 > MAX_LEVEL:
+            with pytest.warns(ResolutionWarning):
+                assert profile_many(IDENTITY, np.array([s]))[0] == 0.0
+        else:
+            assert profile_many(IDENTITY, np.array([s]))[0] == profile(IDENTITY, s) == 0.0
+
+    def test_deep_points_are_zero_among_regular_ones(self):
+        xs = np.array([0.0625, 1.0 - 2.0**-40, 0.5 + 2.0**-8])
+        with pytest.warns(ResolutionWarning, match="1 points"):
+            got = profile_many(IDENTITY, xs)
+        assert list(got) == [0.03125, 0.0, 2.0**-9]
+
+    def test_zero_dimensional_input(self):
+        got = profile_many(IDENTITY, 0.0625)
+        assert np.ndim(got) == 0 and got == 0.03125
+        assert profile_many(IDENTITY, np.float64(0.5 + 2.0**-8)) == 2.0**-9
+
+    def test_shape_is_kept(self):
+        xs = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        got = profile_many(IDENTITY, xs)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), scalar_profiles(IDENTITY, xs.ravel()))
+
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            profile_many(IDENTITY, np.array([0.5, 1.01]))
+        with pytest.raises(DomainError):
+            profile_many(IDENTITY, np.array([-0.01]))
+        with pytest.raises(DomainError):
+            profile_many(IDENTITY, np.array([math.nan]))
+
+
 class TestExtremalFunction:
     def test_scalar_case(self):
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
@@ -179,6 +265,7 @@ class TestExtremalFunction:
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
         f = F.as_scalar()
         assert f(0.0625) == 0.03125
+        assert list(f(np.array([0.0625, 0.5 + 2.0**-8]))) == [0.03125, 2.0**-9]
         with pytest.raises(DomainError):
             ExtremalFunction(beta=IDENTITY, d=2, q=2).as_scalar()
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from translab import (
@@ -13,6 +13,7 @@ from translab import (
     nudge_knot_zeros,
     sup_distance,
 )
+from translab.funcrep import ZeroSetSummary
 
 
 def line(knots, values):
@@ -161,6 +162,73 @@ class TestZeroComponents:
             signs = np.sign(vals)
             crossings = int(np.sum(signs[:-1] * signs[1:] < 0))
             assert summary.component_count == crossings
+
+
+def zero_components_by_segment(h):
+    """Reference zero counter: one segment at a time, merging as it goes."""
+    x, v = h.grid[0], h.values[:, 0]
+    pieces = []
+    for k in range(len(x) - 1):
+        v0, v1 = v[k], v[k + 1]
+        if v0 == 0.0 and v1 == 0.0:
+            pieces.append((float(x[k]), float(x[k + 1])))
+        elif v0 == 0.0:
+            pieces.append((float(x[k]), float(x[k])))
+        elif v1 == 0.0:
+            pieces.append((float(x[k + 1]), float(x[k + 1])))
+        elif (v0 > 0.0) != (v1 > 0.0):
+            root = float(x[k] + (x[k + 1] - x[k]) * v0 / (v0 - v1))
+            pieces.append((root, root))
+    merged = []
+    for start, end in pieces:
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    comps = tuple((a, b) for a, b in merged)
+    flat = any(b > a for a, b in comps)
+    return ZeroSetSummary(component_count=len(comps), has_flat_zero_interval=flat, components=comps)
+
+
+# Knot values lean on exact zeros (knot zeros, touching pieces, flat zero
+# runs) and on the smallest subnormals, whose roots round onto knots.
+knot_values = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, -5e-324, 1.0, -1.0]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def piecewise_linear(draw, values=knot_values):
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=30))
+    knots = np.unique(np.array([0.0, 1.0] + inner))
+    return line(knots, draw(st.lists(values, min_size=len(knots), max_size=len(knots))))
+
+
+class TestZeroComponentsOracle:
+    @given(h=piecewise_linear())
+    @example(h=line([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.0, 0.0, -1.0, 0.0]))
+    @example(h=line([0.0, 0.5, 0.5 + 2.0**-53, 1.0], [-1.0, 5e-324, -5e-324, 1.0]))
+    @example(h=line([0.0, 1.0], [0.0, 0.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_segment_loop(self, h):
+        assert count_zero_components(h) == zero_components_by_segment(h)
+
+    @given(h=piecewise_linear(values=st.floats(2.0**-1074, 1.0)))
+    @settings(max_examples=50, deadline=None)
+    def test_no_zeros(self, h):
+        summary = count_zero_components(h)
+        assert summary == zero_components_by_segment(h)
+        assert summary.component_count == 0 and summary.components == ()
+
+    def test_extremal_refinement(self):
+        from translab import ExtremalFunction, ModulusSpec, refine_interpolant
+
+        f = ExtremalFunction(beta=ModulusSpec.power(1.0, 1.0), d=1, q=1).as_scalar()
+        for j in (6, 9, 12):
+            g = refine_interpolant(f, 2.0**-j)
+            assert count_zero_components(g) == zero_components_by_segment(g)
 
 
 class TestNudge:

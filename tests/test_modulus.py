@@ -37,6 +37,27 @@ class TestEval:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             ModulusSpec.power(1.0, 1.0)(-0.1)
+        with pytest.raises(DomainError):
+            ModulusSpec.power(1.0, 1.0).many(np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            ModulusSpec.power(1.0, 1.0),
+            ModulusSpec.power(3.0, 1.0),
+            ModulusSpec.table([(0.5, 0.25), (1.0, 0.5)]),
+            ModulusSpec.table([(0.0, 0.0), (0.1, 0.3), (2.0, 0.7)]),
+        ],
+    )
+    def test_many_matches_scalar_calls(self, beta):
+        xs = np.concatenate([[0.0, 0.5, 1.0, 3.0], np.random.default_rng(5).uniform(0.0, 2.0, 200)])
+        assert np.array_equal(beta.many(xs), [beta(x) for x in xs])
+
+    def test_many_within_one_ulp_for_alpha_below_one(self):
+        beta = ModulusSpec.power(3.0, 0.5)
+        xs = np.random.default_rng(6).uniform(0.0, 1.0, 2000)
+        want = np.array([beta(x) for x in xs])
+        assert np.all(np.abs(beta.many(xs) - want) <= np.spacing(want))
 
     def test_table_interpolates_from_origin(self):
         beta = ModulusSpec.table([(0.5, 1.0)])
