@@ -32,6 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .adversary import SCAN_BLOCK_POINTS
 from .chart import Chart, gamma_w, pullback_perturbation
 from .errors import DomainError, EnumerationCapError
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
@@ -70,8 +71,7 @@ def cube_at(n: int, index: Sequence[int]) -> Cube:
     return Cube(n=n, index=idx, scale=lev.scale, lo=lo, hi=hi)
 
 
-def enumerate_cubes(n: int, q: int) -> Iterator[Cube]:
-    """All level-n cubes in lexicographic index order (2**(q*n*n) of them)."""
+def _check_cap(n: int, q: int) -> None:
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
     bits = q * n * n
@@ -80,6 +80,11 @@ def enumerate_cubes(n: int, q: int) -> Iterator[Cube]:
             f"level {n} at q={q} would enumerate 2**{bits} cubes, "
             f"beyond the 2**{ENUMERATION_CAP_BITS} cap"
         )
+
+
+def enumerate_cubes(n: int, q: int) -> Iterator[Cube]:
+    """All level-n cubes in lexicographic index order (2**(q*n*n) of them)."""
+    _check_cap(n, q)
     lev = level_schedule(n)
     for idx in itertools.product(range(lev.bump_count), repeat=q):
         yield cube_at(n, idx)
@@ -110,51 +115,84 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     return n
 
 
+def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
+    """Face-lattice points of the level-n cubes numbered ``ranks``, one row each.
+
+    A cube's number is its rank in ``enumerate_cubes`` order.  Per cube,
+    rows run axis by axis, lo face before hi face, free coordinates in
+    lexicographic order.  Coordinate j is start + (16 i_j + 4 + k) scale/4,
+    a dyadic of at most n*n + n + 4 bits, so it is exactly
+    float(lo_j + k scale/4) at every level under the enumeration cap.
+    """
+    last = FACE_LATTICE_POINTS - 1
+    free = list(itertools.product(range(FACE_LATTICE_POINTS), repeat=q - 1))
+    offsets = np.array([c[:axis] + (k,) + c[axis:] for axis in range(q) for k in (0, last) for c in free])
+    lev = level_schedule(n)
+    index = np.stack(np.unravel_index(ranks, (lev.bump_count,) * q), axis=-1)
+    steps = 16 * index[:, None, :] + 4 + offsets
+    return float(lev.start) + steps.reshape(-1, q) * (_half_scale(n) / 2.0)
+
+
+def _evaluate_rows(h: Callable, pts: np.ndarray) -> np.ndarray:
+    """h at every row of pts as an (N, m) array: one ``h.evaluate_many`` call, else one call per row."""
+    many = getattr(h, "evaluate_many", None)
+    if many is not None:
+        return np.asarray(many(pts), dtype=float)
+    return np.array([np.asarray(h(row), dtype=float) for row in pts])
+
+
+def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(), p: int = 0) -> np.ndarray:
+    """The ``miranda_verify`` verdict of each level-n cube numbered ``ranks``.
+
+    h sees the face-lattice points (z appended) in blocks of whole cubes,
+    at most SCAN_BLOCK_POINTS points each unless one cube has more.  A
+    cube passes when every active value is finite and clears the slack,
+    and on each active axis sign * side is one constant over both faces
+    (side +1 on lo, -1 on hi).
+    """
+    slack = beta(_half_scale(n) / 2.0 * max(1.0, math.sqrt(q - 1) / 2.0))
+    tail = np.asarray(z, dtype=float).ravel()
+    per_cube = 2 * q * FACE_LATTICE_POINTS ** (q - 1)
+    step = max(1, SCAN_BLOCK_POINTS // per_cube)
+    side = np.array([1.0, -1.0])[:, None]
+    verdicts = np.empty(len(ranks), dtype=bool)
+    for lo in range(0, len(ranks), step):
+        block = ranks[lo : lo + step]
+        active = _face_points(n, q, block)
+        vals = _evaluate_rows(h, np.hstack([active, np.tile(tail, (len(active), 1))]))
+        vals = vals.reshape(len(block), q, 2, -1, vals.shape[-1])
+        v = np.stack([vals[:, axis, :, :, p + axis] for axis in range(q)], axis=1)
+        oriented = np.sign(v) * side
+        clear = np.isfinite(v) & (np.abs(v) > slack)
+        consistent = oriented == oriented[:, :, :1, :1]
+        verdicts[lo : lo + step] = (clear & consistent).all(axis=(1, 2, 3))
+    return verdicts
+
+
 def miranda_verify(
     h: Callable,
     beta: ModulusSpec,
     cube: Cube,
     z: Sequence[float] = (),
     p: int = 0,
-    eps: Optional[float] = None,
 ) -> bool:
     """Poincare-Miranda sign test for the active block of h on a cube.
 
     For each active axis i the component p+i must hold one strict sign
     on the whole face y_i = lo_i and the opposite strict sign on
-    y_i = hi_i (the orientation may differ per axis).  Faces are
-    scanned on a lattice of step scale/4 and a sign only counts when
-    |value| exceeds beta(scale/4), the slack that freezes the sign
-    across a lattice cell for any admissible evaluator.  ``eps`` is the
-    caller's claimed sup-distance from the extremal map; the test
-    itself does not consume it.  True implies the active block has a
-    zero inside the cube under that claim.
+    y_i = hi_i, the orientation free per axis (Kulpa, Amer. Math.
+    Monthly 104, 1997).  h is evaluated at every point of a face lattice
+    of step scale/4, with no early exit: one ``evaluate_many`` call when
+    h has it, else one call per point.  A sign counts only when the value
+    is finite and exceeds the slack beta(scale/4 * max(1, sqrt(q-1)/2));
+    a face point lies within (scale/8) sqrt(q-1) of the lattice, so the
+    slack freezes the sign across a lattice cell for any evaluator
+    admitting beta.  NaN or infinite values reject the cube.  True
+    implies the active block has a zero inside the cube for such an h.
     """
-    q = cube.q
-    slack = beta(float(cube.scale / 4))
-    tail = [float(c) for c in np.asarray(z, dtype=float).ravel()]
-    lattices = [
-        [float(cube.lo[j] + k * cube.scale / 4) for k in range(FACE_LATTICE_POINTS)]
-        for j in range(q)
-    ]
-    for axis in range(q):
-        free = [j for j in range(q) if j != axis]
-        orientation = 0.0
-        for coord, side in ((cube.lo[axis], 1.0), (cube.hi[axis], -1.0)):
-            for combo in itertools.product(*(lattices[j] for j in free)):
-                y = [0.0] * q
-                y[axis] = float(coord)
-                for j, val in zip(free, combo):
-                    y[j] = val
-                value = float(np.asarray(h(np.array(y + tail)))[p + axis])
-                if abs(value) <= slack:
-                    return False
-                sign = 1.0 if value > 0.0 else -1.0
-                if orientation == 0.0:
-                    orientation = sign * side
-                if sign != orientation * side:
-                    return False
-    return True
+    bump_count = level_schedule(cube.n).bump_count
+    rank = np.ravel_multi_index(cube.index, (bump_count,) * cube.q)
+    return bool(_miranda_verdicts(h, beta, cube.n, cube.q, np.array([rank]), z, p)[0])
 
 
 @dataclass(frozen=True)
@@ -237,9 +275,14 @@ def certify(
 
     Theoretical mode (no ``h``): every cube of every level n <= n0 is
     verified by construction and the counts are arithmetic.  Empirical
-    mode runs ``miranda_verify`` on each cube, at the midpoint slice of
-    the free coordinates by default or on a ``z_grid``-per-axis lattice
-    of slices; a cube counts only when all checked slices pass.
+    mode applies the ``miranda_verify`` test to all cubes of a level at
+    once, at the midpoint slice of the free coordinates by default or on
+    a ``z_grid``-per-axis lattice of slices; a cube counts only when all
+    slices pass, and each slice revisits only the cubes still passing.
+    Every face-lattice point of a visited cube is evaluated (no early
+    exit), in blocks through ``h.evaluate_many`` when h has it, and a NaN
+    or infinite value rejects the cube.  Every level up to n0 is checked
+    against the enumeration cap before h is first called.
 
     With a chart, the budget inflates by lam2/lam1 before depth
     resolution, perturbations are pulled back through the chart, and
@@ -267,6 +310,9 @@ def certify(
 
     n0 = resolve_depth(beta, q, eps_flat) if rectangle_ok else 0
     slices = _z_slices(d - q, z_grid)
+    if evaluator is not None:
+        for n in range(1, n0 + 1):
+            _check_cap(n, q)
     levels = []
     certified = 0
     for n in range(1, n0 + 1):
@@ -274,11 +320,10 @@ def certify(
         if evaluator is None:
             verified = total
         else:
-            verified = sum(
-                1
-                for cube in enumerate_cubes(n, q)
-                if all(miranda_verify(evaluator, beta, cube, z, p=p, eps=eps_flat) for z in slices)
-            )
+            alive = np.arange(total)
+            for z in slices:
+                alive = alive[_miranda_verdicts(evaluator, beta, n, q, alive, z, p)]
+            verified = len(alive)
         certified += verified
         levels.append(LevelCount(n=n, verified=verified, total=total))
 

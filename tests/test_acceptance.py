@@ -88,7 +88,7 @@ def test_criterion_3_empirical_soundness():
     for _ in range(100):
         h = base.with_values(base.values + rng.uniform(-amp, amp, size=base.values.shape))
         assert sup_distance(h, base) <= eps
-        assert all(miranda_verify(h, IDENTITY, cube, (), p=0, eps=eps) for cube in cubes)
+        assert all(miranda_verify(h, IDENTITY, cube, (), p=0) for cube in cubes)
         assert count_zero_components(h).component_count >= 2
         passes += 1
     assert passes == 100
@@ -188,7 +188,7 @@ def test_criterion_10_miranda_oracle_equivalence():
     for _ in range(20):
         h = base.with_values(base.values + rng.uniform(-amp, amp, size=base.values.shape))
         for cube in cubes:
-            if not miranda_verify(h, IDENTITY, cube, (), p=0, eps=amp):
+            if not miranda_verify(h, IDENTITY, cube, (), p=0):
                 continue
             total_passing += 1
             xs = np.linspace(float(cube.lo[0]), float(cube.hi[0]), 65)

@@ -1,8 +1,14 @@
+import functools
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from translab import certifier
 from translab import (
     DomainError,
     EnumerationCapError,
@@ -12,12 +18,54 @@ from translab import (
     cube_at,
     enumerate_cubes,
     holder_lower_bound,
+    level_schedule,
     miranda_verify,
     resolve_depth,
     theory_lower_bound,
 )
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
+
+
+def oracle_face_points(cube):
+    """Face-lattice points of a cube in exact Fraction arithmetic, kernel order."""
+    q = cube.q
+    lattice = [[cube.lo[j] + k * cube.scale / 4 for k in range(9)] for j in range(q)]
+    for axis in range(q):
+        free = [lattice[j] for j in range(q) if j != axis]
+        for coord in (cube.lo[axis], cube.hi[axis]):
+            for combo in itertools.product(*free):
+                yield [float(c) for c in combo[:axis] + (coord,) + combo[axis:]]
+
+
+def oracle_verify(h, beta, cube, z=(), p=0):
+    """The per-point face loop the level kernel replaced, kept as the reference.
+
+    Exact Fraction lattice, slack beta(scale/4), one call of h per point,
+    early exit on the first failure; it reads a NaN value as a negative sign.
+    """
+    q = cube.q
+    slack = beta(float(cube.scale / 4))
+    tail = [float(c) for c in np.asarray(z, dtype=float).ravel()]
+    lattices = [[float(cube.lo[j] + k * cube.scale / 4) for k in range(9)] for j in range(q)]
+    for axis in range(q):
+        free = [j for j in range(q) if j != axis]
+        orientation = 0.0
+        for coord, side in ((cube.lo[axis], 1.0), (cube.hi[axis], -1.0)):
+            for combo in itertools.product(*(lattices[j] for j in free)):
+                y = [0.0] * q
+                y[axis] = float(coord)
+                for j, val in zip(free, combo):
+                    y[j] = val
+                value = float(np.asarray(h(np.array(y + tail)))[p + axis])
+                if abs(value) <= slack:
+                    return False
+                sign = 1.0 if value > 0.0 else -1.0
+                if orientation == 0.0:
+                    orientation = sign * side
+                if sign != orientation * side:
+                    return False
+    return True
 
 
 class TestResolveDepth:
@@ -94,14 +142,14 @@ class TestMiranda:
     def test_extremal_itself_passes(self):
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
         for cube in enumerate_cubes(1, 1):
-            assert miranda_verify(F, IDENTITY, cube, (), p=0, eps=2.0**-7)
+            assert miranda_verify(F, IDENTITY, cube, (), p=0)
 
     def test_shifted_extremal_passes(self):
         # face values 2**-5 -+ 2**-7 keep their signs above the slack 2**-6
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
         shifted = lambda x: F(x) + 2.0**-7
         cube = next(enumerate_cubes(1, 1))
-        assert miranda_verify(shifted, IDENTITY, cube, (), p=0, eps=2.0**-7)
+        assert miranda_verify(shifted, IDENTITY, cube, (), p=0)
 
     def test_zero_function_fails(self):
         cube = next(enumerate_cubes(1, 1))
@@ -151,6 +199,146 @@ class TestMiranda:
                     vals = h.evaluate_many(xs[:, None])[:, 0]
                     assert vals.min() < 0.0 < vals.max()
 
+
+@functools.lru_cache(maxsize=None)
+def _sampled(d, q, p):
+    """The extremal map sampled fine enough for level-1 (and, in d = 1, level-2) faces."""
+    return ExtremalFunction(beta=IDENTITY, d=d, q=q, p=p).sample({1: 2.0**-9, 2: 2.0**-6, 3: 2.0**-5}[d])
+
+
+@st.composite
+def miranda_cases(draw):
+    """A noisy, sign-flipped, partly zeroed sample of F, a level, a z-slice and a calling style."""
+    q = draw(st.sampled_from([1, 2]))
+    p = draw(st.integers(0, 2))
+    d = q + draw(st.integers(0, 1))
+    n = draw(st.sampled_from([1, 2])) if d == 1 else 1
+    base = _sampled(d, q, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amp = draw(st.sampled_from([0.0, 2.0**-9, 2.0**-7, 2.0**-6, 2.0**-5]))
+    values = base.values + rng.uniform(-amp, amp, size=base.values.shape)
+    values = values * np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=p + q, max_size=p + q)))
+    if draw(st.booleans()):
+        comp = draw(st.integers(0, p + q - 1))
+        a = draw(st.floats(0.0, 1.0))
+        knots = base.grid[0]
+        values[(knots >= a) & (knots <= a + draw(st.floats(0.0, 0.25))), ..., comp] = 0.0
+    h = base.with_values(values)
+    if draw(st.booleans()):
+        h = lambda x, h=h: h(x)  # hides evaluate_many: one call per point
+    z = tuple(draw(st.lists(st.floats(0.01, 0.99), min_size=d - q, max_size=d - q)))
+    return h, n, q, z, p
+
+
+class TestMirandaKernel:
+    @pytest.mark.parametrize("q,levels", [(1, (1, 2, 3)), (2, (1, 2))])
+    def test_face_points_match_fraction_lattice(self, q, levels):
+        for n in levels:
+            cubes = list(enumerate_cubes(n, q))
+            got = certifier._face_points(n, q, np.arange(len(cubes)))
+            want = np.array([pt for cube in cubes for pt in oracle_face_points(cube)])
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @given(case=miranda_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_oracle(self, case):
+        h, n, q, z, p = case
+        cubes = list(enumerate_cubes(n, q))
+        want = [oracle_verify(h, IDENTITY, cube, z, p) for cube in cubes]
+        ranks = np.arange(len(cubes))
+        assert certifier._miranda_verdicts(h, IDENTITY, n, q, ranks, z, p).tolist() == want
+        assert [miranda_verify(h, IDENTITY, cube, z, p) for cube in cubes] == want
+        with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", 7):
+            assert certifier._miranda_verdicts(h, IDENTITY, n, q, ranks, z, p).tolist() == want
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_face_value_rejects(self, bad):
+        # F except one non-finite value on the hi face of the first cube;
+        # the old loop read it as a negative sign and accepted the cube
+        F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
+        cube = next(enumerate_cubes(1, 1))
+        hi = float(cube.hi[0])
+        h = lambda x: np.array([bad]) if x[0] == hi else F(x)
+        assert oracle_verify(h, IDENTITY, cube)
+        assert not miranda_verify(h, IDENTITY, cube)
+        cert = certify(F, 2.0**-7, h=h)
+        assert cert.per_level_counts[0].verified == 1
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_every_lattice_point_is_evaluated(self, q):
+        # the zero function fails at the first point, and is still
+        # evaluated at all 2q * 9**(q-1) face-lattice points
+        calls = []
+        h = lambda x: calls.append(x) or np.zeros(q)
+        cube = next(enumerate_cubes(1, q))
+        assert not miranda_verify(h, IDENTITY, cube)
+        assert len(calls) == 2 * q * 9 ** (q - 1)
+
+    def test_evaluate_many_is_used_when_present(self):
+        base = ExtremalFunction(beta=IDENTITY, d=2, q=2).sample(2.0**-6)
+        batches = []
+
+        class Batched:
+            def evaluate_many(self, pts):
+                batches.append(len(pts))
+                return base.evaluate_many(pts)
+
+            def __call__(self, x):
+                pytest.fail("single-point call on an evaluator with evaluate_many")
+
+        assert miranda_verify(Batched(), IDENTITY, next(enumerate_cubes(1, 2)))
+        assert batches == [36]
+
+    def test_slack_covers_face_cells_at_q6(self):
+        # Component 0 is kappa * t(y_0) * (D - rho), rho the distance of
+        # (y_1..y_5) to the face lattice, t = +1 on the lo face and -1 on
+        # the hi face; it admits beta(s) = s on the cube (gradient norm
+        # <= 0.985).  At every lattice point |value| = kappa*D clears the
+        # old slack beta(scale/4), yet it changes sign at a face-cell
+        # centre, where rho = (scale/8) sqrt(5) > D: the face holds a zero.
+        cube = next(enumerate_cubes(1, 6))
+        scale = float(cube.scale)
+        step = scale / 4
+        lo = np.array([float(c) for c in cube.lo])
+        kappa, D = 0.95, 0.017
+
+        class FaceZero:
+            def evaluate_many(self, pts):
+                rel = (pts - lo) / step
+                rho = step * np.sqrt(((rel - np.round(rel))[:, 1:] ** 2).sum(axis=1))
+                t = (lo + scale - pts) / scale
+                out = 0.5 * scale * t
+                out[:, 0] = kappa * t[:, 0] * (D - rho)
+                return out
+
+        h = FaceZero()
+        old_slack = IDENTITY(step)
+        assert kappa * D > old_slack
+        assert scale / 8 * math.sqrt(5) > D
+        pts = certifier._face_points(1, 6, np.array([0]))
+        vals = h.evaluate_many(pts)
+        axis0 = slice(0, 2 * 9**5)
+        lo_face = slice(0, 9**5)
+        assert np.all(np.abs(vals[axis0, 0]) > old_slack)
+        assert np.all(vals[lo_face, 0] > 0.0)
+        centre = lo + step * np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0.5])
+        assert h.evaluate_many(centre[None, :])[0, 0] < 0.0
+        assert not miranda_verify(h, IDENTITY, cube)
+
+    def test_slack_unchanged_up_to_q5(self):
+        # sqrt(q-1)/2 <= 1 keeps the slack at beta(scale/4) bit for bit
+        for q in (1, 2, 3, 4, 5):
+            seen = []
+            beta = lambda s: seen.append(s) or 1.0
+            certifier._miranda_verdicts(lambda x: np.ones(q), beta, 1, q, np.array([], dtype=int))
+            assert seen == [2.0**-6]
+
+
+
+@functools.lru_cache(maxsize=None)
+def _noisy_q2_base():
+    return ExtremalFunction(beta=IDENTITY, d=2, q=2).sample(2.0**-10)
 
 class TestCertify:
     def test_theoretical_level_one(self):
@@ -235,6 +423,60 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(F, 0.0)
 
+    def test_z_grid_matches_oracle_over_slices(self):
+        # different cubes fail on different slices; a cube counts only
+        # when it passes on all of them
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
+        base = F.sample(2.0**-9)
+        values = base.values.copy()
+        x, y = np.meshgrid(*base.grid, indexing="ij")
+        values[(x < 0.25) & (np.abs(y - 1 / 6) < 0.05), 0] = 0.0
+        values[(x > 0.55) & (x < 0.6) & (np.abs(y - 0.5) < 0.05), 0] = 0.0
+        h = base.with_values(values)
+        eps = 2.0**-12
+        cert = certify(F, eps, h=h, z_grid=3)
+        slices = [(1 / 6,), (0.5,), (5 / 6,)]
+        want = [
+            sum(all(oracle_verify(h, IDENTITY, cube, z) for z in slices) for cube in enumerate_cubes(n, 1))
+            for n in (1, 2)
+        ]
+        assert [c.verified for c in cert.per_level_counts] == want
+        assert 0 < want[0] < 2 and 0 < want[1] < 16
+
+    def test_cap_preflight_starts_no_work(self):
+        F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
+
+        def never(x):
+            pytest.fail("evaluator called before the enumeration cap check")
+
+        assert certify(F, 2.0**-35).n0 == 5  # theoretical mode has no cap
+        with pytest.raises(EnumerationCapError, match=r"level 5 at q=1 would enumerate 2\*\*25 cubes"):
+            certify(F, 2.0**-35, h=never)
+        F2 = ExtremalFunction(beta=IDENTITY, d=2, q=2)
+        with pytest.raises(EnumerationCapError, match=r"level 4 at q=2 would enumerate 2\*\*32 cubes"):
+            certify(F2, 2.0**-28, h=never)
+
+    @pytest.mark.parametrize("zeroed", [(), (3,), (0, 9), (1, 5, 15)])
+    def test_noisy_q2_counts_pinned(self, zeroed):
+        # a noisy 2-D sample at eps = 2**-12 (n0 = 2); component 0 vanishes
+        # on each zeroed level-2 bump, so the 16 cubes whose first
+        # coordinate lies on that bump fail, and no other cube does
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=2)
+        eps = 2.0**-12
+        base = _noisy_q2_base()
+        values = base.values + np.random.default_rng(len(zeroed)).uniform(-eps, eps, base.values.shape)
+        lev = level_schedule(2)
+        knots = base.grid[0]
+        for i in zeroed:
+            a = float(lev.start + 4 * i * lev.scale)
+            values[(knots >= a) & (knots <= a + float(4 * lev.scale)), :, 0] = 0.0
+        h = base.with_values(values)
+        want = [(1, 4, 4), (2, 256 - 16 * len(zeroed), 256)]
+        cert = certify(F, eps, h=h)
+        assert [(c.n, c.verified, c.total) for c in cert.per_level_counts] == want
+        with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", 7):
+            assert certify(F, eps, h=h) == cert
+
 
 class TestTheoryBounds:
     def test_spot_value(self):
@@ -308,5 +550,5 @@ class TestEmpiricalGuarantee:
         for _ in range(100):
             h = base.with_values(base.values + rng.uniform(-amp, amp, size=base.values.shape))
             assert sup_distance(h, base) <= eps
-            assert all(miranda_verify(h, IDENTITY, cube, (), p=0, eps=eps) for cube in cubes)
+            assert all(miranda_verify(h, IDENTITY, cube, (), p=0) for cube in cubes)
             assert count_zero_components(h).component_count >= 2
