@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -48,21 +48,26 @@ class Cube:
 
     n: int
     index: tuple[int, ...]
-    scale: Fraction
-    lo: tuple[Fraction, ...]
-    hi: tuple[Fraction, ...]
+    scale: float
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
 
     @property
     def q(self) -> int:
         return len(self.index)
 
     @property
-    def center(self) -> tuple[Fraction, ...]:
+    def center(self) -> tuple[float, ...]:
         return tuple(a + self.scale for a in self.lo)
 
 
 def cube_at(n: int, index: Sequence[int]) -> Cube:
     lev = level_schedule(n)
+    # the face lattice steps by scale/4 = 2**-(n*n+n+4); past level 6 those
+    # coordinates are not doubles and a cube's faces would round together
+    bits = n * n + n + 4
+    if bits > sys.float_info.mant_dig:
+        raise DomainError(f"level {n} face lattice needs {bits}-bit coordinates, more than a double holds")
     idx = tuple(int(i) for i in index)
     if any(not (0 <= i < lev.bump_count) for i in idx):
         raise DomainError(f"cube index {idx} out of range for level {n}")
@@ -90,11 +95,6 @@ def enumerate_cubes(n: int, q: int) -> Iterator[Cube]:
         yield cube_at(n, idx)
 
 
-def _half_scale(n: int) -> float:
-    """scale_n / 2 as an exact float (exponent stays in double range)."""
-    return math.ldexp(1.0, -(n * n + n + 3))
-
-
 def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     """Deepest level n0 whose budget band contains eps.
 
@@ -107,10 +107,10 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     if eps <= 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
     root = 2.0 * math.sqrt(q)
-    if eps > beta(_half_scale(1)) / root:
+    if eps > beta(level_schedule(1).scale / 2.0) / root:
         return 0
     n = 1
-    while n < MAX_LEVEL and eps < beta(_half_scale(n + 1)) / root:
+    while n < MAX_LEVEL and eps < beta(level_schedule(n + 1).scale / 2.0) / root:
         n += 1
     return n
 
@@ -121,8 +121,8 @@ def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
     A cube's number is its rank in ``enumerate_cubes`` order.  Per cube,
     rows run axis by axis, lo face before hi face, free coordinates in
     lexicographic order.  Coordinate j is start + (16 i_j + 4 + k) scale/4,
-    a dyadic of at most n*n + n + 4 bits, so it is exactly
-    float(lo_j + k scale/4) at every level under the enumeration cap.
+    a dyadic of at most n*n + n + 4 bits, so it is exactly lo_j + k scale/4
+    at every level under the enumeration cap.
     """
     last = FACE_LATTICE_POINTS - 1
     free = list(itertools.product(range(FACE_LATTICE_POINTS), repeat=q - 1))
@@ -130,7 +130,7 @@ def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
     lev = level_schedule(n)
     index = np.stack(np.unravel_index(ranks, (lev.bump_count,) * q), axis=-1)
     steps = 16 * index[:, None, :] + 4 + offsets
-    return float(lev.start) + steps.reshape(-1, q) * (_half_scale(n) / 2.0)
+    return lev.start + steps.reshape(-1, q) * (lev.scale / 4.0)
 
 
 def _evaluate_rows(h: Callable, pts: np.ndarray) -> np.ndarray:
@@ -150,7 +150,7 @@ def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(
     and on each active axis sign * side is one constant over both faces
     (side +1 on lo, -1 on hi).
     """
-    slack = beta(_half_scale(n) / 2.0 * max(1.0, math.sqrt(q - 1) / 2.0))
+    slack = beta(level_schedule(n).scale / 4.0 * max(1.0, math.sqrt(q - 1) / 2.0))
     tail = np.asarray(z, dtype=float).ravel()
     per_cube = 2 * q * FACE_LATTICE_POINTS ** (q - 1)
     step = max(1, SCAN_BLOCK_POINTS // per_cube)
@@ -258,8 +258,6 @@ def holder_lower_bound(lam: float, alpha: float, eps: float, m: int, p: int, gam
 def _z_slices(free_dims: int, z_grid: int) -> list[tuple[float, ...]]:
     if free_dims == 0:
         return [()]
-    if z_grid < 1:
-        raise DomainError(f"z-grid must be >= 1, got {z_grid}")
     axis = [(k + 0.5) / z_grid for k in range(z_grid)]
     return [tuple(c) for c in itertools.product(axis, repeat=free_dims)]
 
@@ -293,6 +291,8 @@ def certify(
     """
     if eps <= 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
+    if z_grid < 1:
+        raise DomainError(f"z-grid must be >= 1, got {z_grid}")
     beta, q, p, d = f.beta, f.q, f.p, f.d
     m = f.m
     rectangle_ok = True

@@ -24,10 +24,14 @@ locates a point in float arithmetic that never rounds:
   the mirror differences 4*scale_n - t and 2*scale_n - t, each taken on
   the half of the period where Sterbenz applies.
 
-The scalar ``profile`` does the same reduction one float at a time and
-reduces ``fractions.Fraction`` inputs in exact rational arithmetic.
-Levels beyond ``MAX_LEVEL`` are unreachable at double-precision sweep
-scales and evaluate to 0 with a ``ResolutionWarning``.
+The scalar ``profile`` does the same reduction one float at a time.
+Every level start and scale is an exact double, so doubles are the only
+number type here; a number that is not exactly a double is refused, not
+rounded.  From level 7 on the bump period 4*scale_n = 2**(-n*n - n) is
+finer than the spacing 2**-53 of doubles in [1/2, 1), so every double
+on such a level is a multiple of the period past start_n, a bump zero:
+the profile is exactly 0 at every double beyond level 6.  Levels beyond
+``MAX_LEVEL`` evaluate to 0 with a ``ResolutionWarning``.
 
 The d-dimensional extremal map applies the profile coordinatewise to the
 first q domain coordinates, scaled by 1/sqrt(q), and prepends p zero
@@ -39,7 +43,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,40 +59,43 @@ class ResolutionWarning(UserWarning):
 
 @dataclass(frozen=True)
 class LevelSchedule:
-    """Dyadic layout of one bump-train level."""
+    """Dyadic layout of one bump-train level, every length an exact double."""
 
     n: int
-    start: Fraction       # left end of the level's slot, 1 - 2**(1-n)
-    scale: Fraction       # bump quarter-width, 2**(-n*n-n-2)
+    start: float          # left end of the level's slot, 1 - 2**(1-n)
+    scale: float          # bump quarter-width, 2**(-n*n-n-2)
     bump_count: int       # 2**(n*n)
-    width: Fraction       # slot width, bump_count * 4 * scale = 2**(-n)
+    width: float          # slot width, bump_count * 4 * scale = 2**(-n)
 
 
 def level_schedule(n: int) -> LevelSchedule:
     if not (1 <= n <= MAX_LEVEL):
         raise DomainError(f"level must lie in [1, {MAX_LEVEL}], got {n}")
-    start = 1 - Fraction(1, 2 ** (n - 1))
-    scale = Fraction(1, 2 ** (n * n + n + 2))
     return LevelSchedule(
         n=n,
-        start=start,
-        scale=scale,
+        start=1.0 - math.ldexp(1.0, 1 - n),
+        scale=math.ldexp(1.0, -(n * n + n + 2)),
         bump_count=2 ** (n * n),
-        width=Fraction(1, 2**n),
+        width=math.ldexp(1.0, -n),
     )
 
 
-def _bump_at(beta: ModulusSpec, scale: Fraction, t: Fraction) -> float:
+def _as_double(s, what: str) -> float:
+    """s as a float, refusing numbers that a double cannot hold exactly."""
+    x = float(s)
+    if x != s and x == x:
+        raise DomainError(f"{what} {s!r} is not exactly a double")
+    return x
+
+
+def _bump_at(beta: ModulusSpec, scale: float, t: float) -> float:
     """One bump of quarter-width ``scale`` evaluated at offset t."""
-    if t < 0 or t > 4 * scale:
+    if t < 0.0 or t > 4.0 * scale:
         return 0.0
     sign = 1.0
-    if t > 2 * scale:
-        t = 4 * scale - t
-        sign = -1.0
-    if t < scale:
-        return sign * beta(float(t)) / 2.0
-    return sign * beta(float(2 * scale - t)) / 2.0
+    if t > 2.0 * scale:
+        t, sign = 4.0 * scale - t, -1.0
+    return sign * beta(t if t < scale else 2.0 * scale - t) / 2.0
 
 
 def bump(beta: ModulusSpec, n: int, t) -> float:
@@ -97,7 +103,7 @@ def bump(beta: ModulusSpec, n: int, t) -> float:
 
     Zero outside [0, 4*scale_n]; continuous everywhere.
     """
-    return _bump_at(beta, level_schedule(n).scale, Fraction(t))
+    return _bump_at(beta, level_schedule(n).scale, _as_double(t, "bump offset"))
 
 
 def profile(beta: ModulusSpec, s) -> float:
@@ -105,14 +111,11 @@ def profile(beta: ModulusSpec, s) -> float:
 
     Locates the unique level containing s, reduces to the bump offset,
     and evaluates a single bump; level supports are disjoint so no
-    truncation of the level sum occurs.  A ``Fraction`` is reduced in
-    exact rational arithmetic; any other number is taken as a float and
-    reduced the way ``profile_many`` reduces each point, which is exact
-    for the same reasons.
+    truncation of the level sum occurs.  The reduction is the one
+    ``profile_many`` makes per point, exact for the same reasons; s
+    must be exactly a double.
     """
-    if isinstance(s, Fraction):
-        return _profile_rational(beta, s)
-    s = float(s)
+    s = _as_double(s, "profile argument")
     if not (0.0 <= s <= 1.0):
         raise DomainError(f"profile argument must lie in [0, 1], got {s}")
     n = 1
@@ -125,32 +128,7 @@ def profile(beta: ModulusSpec, s) -> float:
         )
         return 0.0
     scale = math.ldexp(1.0, -(n * n + n + 2))
-    t = math.fmod(s - (1.0 - math.ldexp(1.0, 1 - n)), 4.0 * scale)
-    sign = 1.0
-    if t > 2.0 * scale:
-        t, sign = 4.0 * scale - t, -1.0
-    return sign * beta(t if t < scale else 2.0 * scale - t) / 2.0
-
-
-def _profile_rational(beta: ModulusSpec, s: Fraction) -> float:
-    if s < 0 or s > 1:
-        raise DomainError(f"profile argument must lie in [0, 1], got {s}")
-    if s == 1:
-        return 0.0
-    n = 1
-    while 1 - s <= Fraction(1, 2**n):
-        n += 1
-        if n > MAX_LEVEL:
-            warnings.warn(
-                f"point {float(s)} lies beyond level {MAX_LEVEL}; returning 0",
-                ResolutionWarning,
-                stacklevel=3,
-            )
-            return 0.0
-    lev = level_schedule(n)
-    offset = s - lev.start
-    k = offset // (4 * lev.scale)
-    return _bump_at(beta, lev.scale, offset - 4 * k * lev.scale)
+    return _bump_at(beta, scale, math.fmod(s - (1.0 - math.ldexp(1.0, 1 - n)), 4.0 * scale))
 
 
 def profile_many(beta: ModulusSpec, s) -> np.ndarray:
@@ -193,10 +171,9 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
 def level_profile(beta: ModulusSpec, n: int, s) -> float:
     """The level-n train alone: equals ``profile`` on the level's slot, 0 off it."""
     lev = level_schedule(n)
-    sf = Fraction(s)
-    if sf < lev.start or sf >= lev.start + lev.width:
+    if not (lev.start <= s < lev.start + lev.width):
         return 0.0
-    return _profile_rational(beta, sf)
+    return profile(beta, s)
 
 
 @dataclass(frozen=True)

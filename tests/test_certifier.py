@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ IDENTITY = ModulusSpec.power(1.0, 1.0)
 def oracle_face_points(cube):
     """Face-lattice points of a cube in exact Fraction arithmetic, kernel order."""
     q = cube.q
-    lattice = [[cube.lo[j] + k * cube.scale / 4 for k in range(9)] for j in range(q)]
+    lattice = [[Fraction(cube.lo[j]) + k * Fraction(cube.scale) / 4 for k in range(9)] for j in range(q)]
     for axis in range(q):
         free = [lattice[j] for j in range(q) if j != axis]
         for coord in (cube.lo[axis], cube.hi[axis]):
@@ -47,7 +48,7 @@ def oracle_verify(h, beta, cube, z=(), p=0):
     q = cube.q
     slack = beta(float(cube.scale / 4))
     tail = [float(c) for c in np.asarray(z, dtype=float).ravel()]
-    lattices = [[float(cube.lo[j] + k * cube.scale / 4) for k in range(9)] for j in range(q)]
+    lattices = [[float(Fraction(cube.lo[j]) + k * Fraction(cube.scale) / 4) for k in range(9)] for j in range(q)]
     for axis in range(q):
         free = [j for j in range(q) if j != axis]
         orientation = 0.0
@@ -136,6 +137,17 @@ class TestCubes:
     def test_cube_at_validation(self):
         with pytest.raises(DomainError):
             cube_at(1, (2,))
+
+    def test_face_lattice_must_be_doubles(self):
+        # level 6 needs 46-bit lattice coordinates; level 7 needs 60, and
+        # its faces would round onto one another
+        cube = cube_at(6, (12345,))
+        assert cube.hi[0] - cube.lo[0] == 2 * cube.scale > 0
+        assert Fraction(cube.lo[0]) == Fraction(1) - Fraction(1, 2**5) + (4 * 12345 + 1) * Fraction(1, 2**44)
+        with pytest.raises(DomainError, match="level 7 face lattice"):
+            cube_at(7, (0,))
+        with pytest.raises(DomainError, match="level 7 face lattice"):
+            cube_at(7, (12345,))
 
 
 class TestMiranda:
@@ -422,6 +434,17 @@ class TestCertify:
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
         with pytest.raises(DomainError):
             certify(F, 0.0)
+
+    @pytest.mark.parametrize("d,q", [(1, 1), (2, 2), (2, 1)])
+    def test_z_grid_validated_before_any_work(self, d, q):
+        F = ExtremalFunction(beta=IDENTITY, d=d, q=q)
+
+        def never(x):
+            pytest.fail("evaluator called before z_grid was checked")
+
+        for h in (None, never):
+            with pytest.raises(DomainError, match="z-grid must be >= 1, got 0"):
+                certify(F, 2.0**-7, h=h, z_grid=0)
 
     def test_z_grid_matches_oracle_over_slices(self):
         # different cubes fail on different slices; a cube counts only

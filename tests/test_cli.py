@@ -100,6 +100,15 @@ class TestCertifyCommand:
         assert code == 0
         assert "n0=1" in out
 
+    @pytest.mark.parametrize("d,m", [("1", "1"), ("2", "1")])
+    def test_zero_z_grid_is_clean_error(self, capsys, d, m):
+        code, out, err = run(capsys, "certify", "--alpha", "1", "--lambda", "1",
+                             "--d", d, "--m", m, "--p", "0", "--eps", "0.0078125",
+                             "--z-grid", "0")
+        assert code == 2
+        assert out == ""
+        assert "z-grid must be >= 1" in err
+
     def test_unknown_chart_is_clean_error(self, capsys):
         code, _, err = run(capsys, "certify", "--alpha", "1", "--lambda", "1",
                            "--d", "1", "--m", "1", "--p", "0", "--eps", "0.0078125",

@@ -24,9 +24,31 @@ from translab.extremal import MAX_LEVEL
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
 
+def rational_profile(beta, s):
+    """The profile reduced in exact rational arithmetic, kept as the reference.
+
+    Only the final beta call rounds; points beyond MAX_LEVEL give 0.
+    """
+    s = Fraction(s)
+    if s == 1:
+        return 0.0
+    n = 1
+    while 1 - s <= Fraction(1, 2**n):
+        n += 1
+        if n > MAX_LEVEL:
+            return 0.0
+    scale = Fraction(1, 2 ** (n * n + n + 2))
+    t = (s - (1 - Fraction(1, 2 ** (n - 1)))) % (4 * scale)
+    sign = 1.0
+    if t > 2 * scale:
+        t, sign = 4 * scale - t, -1.0
+    return sign * beta(float(t if t < scale else 2 * scale - t)) / 2.0
+
+
 class TestLevelSchedule:
     def test_level_one(self):
         lev = level_schedule(1)
+        assert all(type(x) is float for x in (lev.start, lev.scale, lev.width))
         assert lev.scale == Fraction(1, 16)
         assert lev.bump_count == 2
         assert lev.start == 0
@@ -142,11 +164,24 @@ class TestProfile:
                     assert left == pytest.approx(-right, abs=1e-15)
 
     def test_exactness_at_deep_levels(self):
-        # level 7 has scale 2**-58, below double-precision ulp(1); the
-        # Fraction locator must still land corners exactly
+        # level 7 has scale 2**-58, finer than the doubles near 1: the
+        # rational oracle lands the corner exactly, and profile refuses
+        # the corner because it is not a double
         lev = level_schedule(7)
-        corner = lev.start + lev.scale
-        assert profile(IDENTITY, corner) == float(lev.scale) / 2.0
+        corner = Fraction(lev.start) + Fraction(lev.scale)
+        assert rational_profile(IDENTITY, corner) == lev.scale / 2.0
+        with pytest.raises(DomainError, match="not exactly a double"):
+            profile(IDENTITY, corner)
+
+    def test_non_doubles_are_refused(self):
+        third = Fraction(1, 3)
+        with pytest.raises(DomainError, match="not exactly a double"):
+            profile(IDENTITY, third)
+        with pytest.raises(DomainError, match="not exactly a double"):
+            bump(IDENTITY, 1, third / 16)
+        with pytest.raises(DomainError, match="not exactly a double"):
+            level_profile(IDENTITY, 1, third)
+        assert profile(IDENTITY, Fraction(1, 16)) == 0.03125
 
 
 def scalar_profiles(beta, xs):
@@ -172,6 +207,17 @@ level_points = st.one_of(
 
 
 class TestProfileKernel:
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    @given(xs=st.lists(level_points, min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_rational_oracle(self, lam, xs):
+        beta = ModulusSpec.power(lam, 1.0)
+        want = np.array([rational_profile(beta, x) for x in xs])
+        for got in (scalar_profiles(beta, xs), kernel_profiles(beta, xs)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # levels 7 and deeper start at 1 - 2**-6; every double there is a bump zero
+        assert np.all(want[np.array(xs) >= 1.0 - 2.0**-6] == 0.0)
+
     @pytest.mark.parametrize("lam", [1.0, 3.0])
     @given(xs=st.lists(level_points, min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)

@@ -100,6 +100,37 @@ class TestSupDistance:
         assert sup_distance(h1, h3) <= sup_distance(h1, h2) + sup_distance(h2, h3) + 1e-12
 
 
+@st.composite
+def grid_pairs(draw):
+    """Two grid functions on [0,1]^d, d in {2, 3}, with different knots."""
+    d = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 2))
+
+    def function():
+        axes = [
+            np.array([0.0, *sorted(draw(st.sets(st.floats(0.01, 0.99), max_size=3))), 1.0])
+            for _ in range(d)
+        ]
+        shape = tuple(len(k) for k in axes) + (m,)
+        values = draw(st.lists(st.floats(-5, 5), min_size=math.prod(shape), max_size=math.prod(shape)))
+        return SampledFunction(grid=tuple(axes), values=np.reshape(values, shape))
+
+    return function(), function(), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSupDistanceExact:
+    @given(case=grid_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_max_over_merged_knots_bounds_dense_samples(self, case):
+        h1, h2, seed = case
+        dist = sup_distance(h1, h2)
+        knots_diff = h1.refine(h2.grid).values - h2.refine(h1.grid).values
+        assert dist == np.sqrt((knots_diff**2).sum(-1)).max()
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(2000, h1.d))
+        dense = np.sqrt(((h1.evaluate_many(pts) - h2.evaluate_many(pts)) ** 2).sum(-1))
+        assert dense.max() <= dist + 1e-12
+
+
 class TestZeroComponents:
     def test_single_sign_change(self):
         summary = count_zero_components(line([0.0, 1.0], [-0.5, 0.5]))
@@ -317,6 +348,24 @@ class TestFileFormat:
 
 
 class TestFromCallable:
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_one_call_per_knot_tuple(self, m):
+        grid = [np.linspace(0.0, 1.0, 3), np.array([0.0, 0.25, 1.0])]
+        calls = []
+
+        def fn(x):
+            calls.append(tuple(x))
+            return np.array([x[0], x[1]])
+
+        h = SampledFunction.from_callable(fn, grid, m=m)
+        assert sorted(calls) == [(a, b) for a in grid[0] for b in grid[1]]
+        assert h.values.shape == (3, 3, 2)
+        assert np.array_equal(h.values[..., 1], np.broadcast_to(grid[1], (3, 3)))
+
+    def test_scalar_values_broadcast_to_m(self):
+        h = SampledFunction.from_callable(lambda x: 2.0 * x[0], [np.linspace(0.0, 1.0, 3)], m=2)
+        assert h.values.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+
     def test_sampling(self):
         knots = np.linspace(0.0, 1.0, 5)
         h = SampledFunction.from_callable(lambda x: np.array([x[0] ** 2]), [knots])
