@@ -36,6 +36,7 @@ from .adversary import SCAN_BLOCK_POINTS
 from .chart import Chart, gamma_w, pullback_perturbation
 from .errors import DomainError, EnumerationCapError
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
+from .funcrep import evaluate_rows
 from .modulus import ModulusSpec
 
 ENUMERATION_CAP_BITS = 24  # at most 2**24 cubes per level
@@ -133,14 +134,6 @@ def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
     return lev.start + steps.reshape(-1, q) * (lev.scale / 4.0)
 
 
-def _evaluate_rows(h: Callable, pts: np.ndarray) -> np.ndarray:
-    """h at every row of pts as an (N, m) array: one ``h.evaluate_many`` call, else one call per row."""
-    many = getattr(h, "evaluate_many", None)
-    if many is not None:
-        return np.asarray(many(pts), dtype=float)
-    return np.array([np.asarray(h(row), dtype=float) for row in pts])
-
-
 def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(), p: int = 0) -> np.ndarray:
     """The ``miranda_verify`` verdict of each level-n cube numbered ``ranks``.
 
@@ -159,7 +152,7 @@ def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(
     for lo in range(0, len(ranks), step):
         block = ranks[lo : lo + step]
         active = _face_points(n, q, block)
-        vals = _evaluate_rows(h, np.hstack([active, np.tile(tail, (len(active), 1))]))
+        vals = evaluate_rows(h, np.hstack([active, np.tile(tail, (len(active), 1))]))
         vals = vals.reshape(len(block), q, 2, -1, vals.shape[-1])
         v = np.stack([vals[:, axis, :, :, p + axis] for axis in range(q)], axis=1)
         oriented = np.sign(v) * side
@@ -284,10 +277,13 @@ def certify(
 
     With a chart, the budget inflates by lam2/lam1 before depth
     resolution, perturbations are pulled back through the chart, and
-    the envelope uses the chart distortion gamma_W.  When the flat
-    target has a rectangle block (p >= 1) the reduction also needs
-    eps <= r0, so larger budgets give a vacuous certificate; without a
-    chart the rectangle half-width is treated as unbounded.
+    the envelope uses the chart distortion gamma_W.  The pulled-back
+    evaluator batches too: one range check and one chart map call per
+    block, and h sees one ``evaluate_many`` call per block when it has
+    that method.  When the flat target has a rectangle block (p >= 1)
+    the reduction also needs eps <= r0, so larger budgets give a
+    vacuous certificate; without a chart the rectangle half-width is
+    treated as unbounded.
     """
     if eps <= 0.0:
         raise DomainError(f"budget must be positive, got {eps}")

@@ -32,14 +32,27 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, RangeEscapeError
+from .funcrep import evaluate_rows
 
 
-def _everywhere(_) -> bool:
-    return True
+def _everywhere(y) -> np.ndarray:
+    return np.ones(np.shape(y)[:-1], dtype=bool)
 
 
 @dataclass(frozen=True)
 class Chart:
+    """A chart and its Lipschitz constants.
+
+    ``phi``, ``phi_inv``, ``in_domain`` and ``in_image`` take an array of
+    shape (..., m), read coordinate i as ``y[..., i]``, and act on each
+    row alone: a point of shape (m,) and a block of rows of shape (N, m)
+    go through the same formula, and row k of the block comes out bit
+    for bit as the point would.  The maps return arrays of the input's
+    shape, the membership tests a bool for a point and a bool mask of
+    shape (N,) for a block.  User-built charts must follow the same
+    contract, since the batched transport and pullback rely on it.
+    """
+
     name: str
     m: int
     phi: Callable[[np.ndarray], np.ndarray]
@@ -47,8 +60,8 @@ class Chart:
     lam1: float
     lam2: float
     r0: float = 1.0
-    in_domain: Callable[[np.ndarray], bool] = field(default=_everywhere)
-    in_image: Callable[[np.ndarray], bool] = field(default=_everywhere)
+    in_domain: Callable[[np.ndarray], np.ndarray] = field(default=_everywhere)
+    in_image: Callable[[np.ndarray], np.ndarray] = field(default=_everywhere)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.lam1 <= self.lam2 < math.inf):
@@ -65,12 +78,18 @@ def identity_chart(m: int, r0: float = 1.0) -> Chart:
     return Chart(
         name="identity",
         m=m,
-        phi=lambda y: np.asarray(y, dtype=float).copy(),
-        phi_inv=lambda w: np.asarray(w, dtype=float).copy(),
+        phi=lambda y: np.array(y, dtype=float),
+        phi_inv=lambda w: np.array(w, dtype=float),
         lam1=1.0,
         lam2=1.0,
         r0=r0,
     )
+
+
+def _rows_times(mat: np.ndarray, y) -> np.ndarray:
+    """mat @ y for each row y[..., :]; unlike ``@``, it rounds a row alike in every block size."""
+    y = np.asarray(y, dtype=float)
+    return sum(mat[:, j] * y[..., j, None] for j in range(mat.shape[1]))
 
 
 def affine_chart(A, b=None, r0: float = 1.0) -> Chart:
@@ -89,8 +108,8 @@ def affine_chart(A, b=None, r0: float = 1.0) -> Chart:
     return Chart(
         name="affine",
         m=m,
-        phi=lambda y: mat @ np.asarray(y, dtype=float) + off,
-        phi_inv=lambda w: inv @ (np.asarray(w, dtype=float) - off),
+        phi=lambda y: _rows_times(mat, y) + off,
+        phi_inv=lambda w: _rows_times(inv, np.asarray(w, dtype=float) - off),
         lam1=float(svals[-1]),
         lam2=float(svals[0]),
         r0=r0,
@@ -117,23 +136,23 @@ def polar_demo_chart(rho: float = 2.0, radius: float = 1.0, r0: float = 1.0) -> 
 
     def phi(y):
         y = np.asarray(y, dtype=float)
-        r = math.hypot(y[0], y[1])
-        return np.array([radius * math.atan2(y[1], y[0]), r - radius])
+        u = radius * np.arctan2(y[..., 1], y[..., 0])
+        return np.stack([u, np.hypot(y[..., 0], y[..., 1]) - radius], axis=-1)
 
     def phi_inv(w):
         w = np.asarray(w, dtype=float)
-        r = radius + w[1]
-        theta = w[0] / radius
-        return np.array([r * math.cos(theta), r * math.sin(theta)])
+        r = radius + w[..., 1]
+        theta = w[..., 0] / radius
+        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
-    def in_domain(y) -> bool:
+    def in_domain(y):
         y = np.asarray(y, dtype=float)
-        r = math.hypot(y[0], y[1])
-        return radius / rho < r < radius * rho and y[0] > 0.0
+        r = np.hypot(y[..., 0], y[..., 1])
+        return (radius / rho < r) & (r < radius * rho) & (y[..., 0] > 0.0)
 
-    def in_image(w) -> bool:
+    def in_image(w):
         w = np.asarray(w, dtype=float)
-        return abs(w[0]) < u_max and v_lo < w[1] < v_hi
+        return (np.abs(w[..., 0]) < u_max) & (v_lo < w[..., 1]) & (w[..., 1] < v_hi)
 
     return Chart(
         name="polar-demo",
@@ -155,19 +174,40 @@ def gamma_w(chart: Chart, m: int, p: int) -> float:
     return 2.0 * math.sqrt(m - p) * chart.lam2 / chart.lam1
 
 
+def _escape(what: str, val: np.ndarray, x, region: str) -> RangeEscapeError:
+    point = tuple(np.ravel(x).tolist())
+    return RangeEscapeError(f"{what} = {tuple(val.tolist())} escapes the chart {region} at x = {point}")
+
+
+def _require(inside, vals: np.ndarray, pts, what: str, region: str) -> None:
+    """Raise at the first row of vals, the values at the rows of pts, that the mask ``inside`` rejects."""
+    bad = np.flatnonzero(~np.asarray(inside, dtype=bool))
+    if len(bad):
+        raise _escape(what, vals[bad[0]], pts[bad[0]], region)
+
+
 def transport_function(chart: Chart, g: Callable) -> Callable:
     """Carry a flat-model map into the chart: x -> phi^{-1}(lam1 * g(x)).
 
     The result admits the same modulus of continuity as g.  Evaluation
-    raises if lam1 * g(x) leaves the chart image.
+    raises if lam1 * g(x) leaves the chart image.  Its ``evaluate_many``
+    maps an (N, d) block of points, equal bit for bit to the points one
+    by one: g on every row (one ``g.evaluate_many`` call when g has it),
+    one range check naming the first escaping row, one ``phi_inv`` call.
     """
 
     def f(x):
         w = chart.lam1 * np.asarray(g(x), dtype=float)
         if not chart.in_image(w):
-            raise RangeEscapeError(f"lam1*g(x) = {tuple(w)} escapes the chart image at x = {x}")
+            raise _escape("lam1*g(x)", w, x, "image")
         return chart.phi_inv(w)
 
+    def evaluate_many(pts):
+        w = chart.lam1 * evaluate_rows(g, pts)
+        _require(chart.in_image(w), w, pts, "lam1*g(x)", "image")
+        return chart.phi_inv(w)
+
+    f.evaluate_many = evaluate_many
     return f
 
 
@@ -175,15 +215,23 @@ def pullback_perturbation(chart: Chart, h: Callable) -> tuple[Callable, float]:
     """Flatten a perturbation: x -> phi(h(x))/lam1, plus the budget factor.
 
     If h stays within eps of the transported map, the returned function
-    stays within factor*eps of the flat model, factor = lam2/lam1.
+    stays within factor*eps of the flat model, factor = lam2/lam1.  The
+    function has an ``evaluate_many`` built as ``transport_function``'s
+    is, with h, the chart domain and ``phi``.
     """
 
     def flat(x):
         y = np.asarray(h(x), dtype=float)
         if not chart.in_domain(y):
-            raise RangeEscapeError(f"h(x) = {tuple(y)} escapes the chart domain at x = {x}")
+            raise _escape("h(x)", y, x, "domain")
         return chart.phi(y) / chart.lam1
 
+    def evaluate_many(pts):
+        y = evaluate_rows(h, pts)
+        _require(chart.in_domain(y), y, pts, "h(x)", "domain")
+        return chart.phi(y) / chart.lam1
+
+    flat.evaluate_many = evaluate_many
     return flat, chart.distortion
 
 

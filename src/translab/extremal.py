@@ -88,6 +88,15 @@ def _as_double(s, what: str) -> float:
     return x
 
 
+def _as_doubles(s, what: str) -> np.ndarray:
+    """``_as_double`` for arrays, checking element by element only the
+    dtypes that can hold a non-double (objects, long doubles)."""
+    s = np.asarray(s)
+    if s.dtype.kind not in "biuf" or s.dtype.itemsize > 8:
+        return np.array([_as_double(v, what) for v in s.flat]).reshape(s.shape)
+    return np.asarray(s, dtype=float)
+
+
 def _bump_at(beta: ModulusSpec, scale: float, t: float) -> float:
     """One bump of quarter-width ``scale`` evaluated at offset t."""
     if t < 0.0 or t > 4.0 * scale:
@@ -140,9 +149,10 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     ``beta`` agree: table moduli and power moduli with alpha = 1.  For
     alpha < 1 numpy's power and Python's may differ in the last ulp, and
     so may the two profiles.  Points beyond ``MAX_LEVEL`` evaluate to 0
-    with one ``ResolutionWarning`` per call.
+    with one ``ResolutionWarning`` per call.  Like ``profile`` it refuses
+    a number that is not exactly a double.
     """
-    s = np.asarray(s, dtype=float)
+    s = _as_doubles(s, "profile argument")
     outside = ~((s >= 0.0) & (s <= 1.0))
     if np.any(outside):
         raise DomainError(f"profile argument must lie in [0, 1], got {s[outside].flat[0]}")
@@ -203,16 +213,16 @@ class ExtremalFunction:
         return self.p + self.q
 
     def __call__(self, x) -> np.ndarray:
-        pt = np.atleast_1d(np.asarray(x, dtype=float))
+        pt = _as_doubles(x, "coordinate")
+        if pt.ndim == 0:  # a bare number, a point when d = 1
+            pt = pt.reshape(1)
         if pt.shape != (self.d,):
             raise DomainError(f"expected a point in [0,1]^{self.d}, got shape {pt.shape}")
-        if np.any(pt < 0.0) or np.any(pt > 1.0):
-            raise DomainError(f"point {tuple(pt)} outside [0,1]^{self.d}")
+        coords = pt.tolist()
+        if not all(0.0 <= c <= 1.0 for c in coords):  # NaN fails too, in any coordinate
+            raise DomainError(f"point {tuple(coords)} outside [0,1]^{self.d}")
         root = math.sqrt(self.q)
-        out = np.zeros(self.m)
-        for i in range(self.q):
-            out[self.p + i] = profile(self.beta, pt[i]) / root
-        return out
+        return np.array([0.0] * self.p + [profile(self.beta, c) / root for c in coords[: self.q]])
 
     def as_scalar(self):
         """The active profile as a callable on floats and float arrays (d = q = 1 maps)."""

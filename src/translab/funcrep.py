@@ -5,7 +5,8 @@ array of R^m values at every knot tuple; evaluation is multilinear
 interpolation, exact at knots.  The module provides the operations the
 rest of the package builds on: exact sup-distance in every dimension,
 connected-component counting of the zero set of scalar functions on
-[0,1], and knot-zero nudging.
+[0,1], knot-zero nudging, and ``evaluate_rows``, the one place that
+tells an evaluator with ``evaluate_many`` from a per-point callable.
 
 Plain-text file format: a header line ``d m`` followed by one line per
 knot tuple, ``x1 ... xd v1 ... vm``, sorted lexicographically by knots.
@@ -36,6 +37,14 @@ def _as_grid(grid: Iterable[Sequence[float]]) -> tuple[np.ndarray, ...]:
         k.setflags(write=False)
         axes.append(k)
     return tuple(axes)
+
+
+def evaluate_rows(h: Callable, pts: np.ndarray) -> np.ndarray:
+    """h at every row of pts as an (N, m) array: one ``h.evaluate_many`` call, else one call per row."""
+    many = getattr(h, "evaluate_many", None)
+    if many is not None:
+        return np.asarray(many(pts), dtype=float)
+    return np.array([np.asarray(h(row), dtype=float) for row in pts])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,11 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from translab import certifier
 from translab import (
     DomainError,
     ExtremalFunction,
@@ -14,6 +17,7 @@ from translab import (
     count_zero_components,
     gamma_w,
     identity_chart,
+    level_schedule,
     membership_rectangle,
     polar_demo_chart,
     pullback_perturbation,
@@ -235,3 +239,174 @@ class TestCertifyThroughChart:
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
         with pytest.raises(DomainError):
             certify(F, 2.0**-7, chart=identity_chart(2))
+
+
+BUILTIN_CHARTS = {
+    "identity": identity_chart(2, r0=0.5),
+    "affine": affine_chart([[1.3, 0.7], [-0.2, 0.9]], b=[0.1, -0.3], r0=0.5),  # lam1 != lam2
+    "polar": polar_demo_chart(r0=0.5),
+}
+PADDED = ExtremalFunction(beta=IDENTITY, d=2, q=1, p=1)
+NOISE_FREQ = np.array([[13.0, 41.0], [7.5, 60.0]])
+NOISE_PHASE = np.array([0.3, 2.0])
+
+
+def noisy_model(eps, zeroed=(), level=3):
+    """The padded extremal map plus noise of size eps, active component 0 on the zeroed level bumps."""
+    lev = level_schedule(level)
+
+    def g(x):
+        v = PADDED(x) + eps * np.sin(NOISE_FREQ @ x + NOISE_PHASE)
+        if math.floor((x[0] - lev.start) / (4 * lev.scale)) in zeroed:
+            v[1] = 0.0
+        return v
+
+    return g
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def in_blocks(fn, pts, size):
+    return np.concatenate([fn(pts[i : i + size]) for i in range(0, len(pts), size)])
+
+
+class TestBatchedChartPath:
+    PTS = np.random.default_rng(31).uniform(0.0, 1.0, size=(4096, 2))
+
+    @pytest.mark.parametrize("name", BUILTIN_CHARTS)
+    def test_chart_maps_act_row_by_row(self, name):
+        chart = BUILTIN_CHARTS[name]
+        # rows in and out of the domain and image, so both mask values occur
+        rows = np.random.default_rng(37).uniform(-2.5, 2.5, size=(4096, 2))
+        for fn in (chart.phi, chart.phi_inv, chart.in_domain, chart.in_image):
+            single = np.array([fn(y) for y in rows])
+            for size in (1, 7, 4096):
+                assert same_bits(in_blocks(fn, rows, size), single)
+        for test in (chart.in_domain, chart.in_image):
+            assert test(rows).shape == (4096,) and test(rows).dtype == bool
+        if name == "polar":
+            assert 0 < chart.in_domain(rows).sum() < 4096 and 0 < chart.in_image(rows).sum() < 4096
+
+    @pytest.mark.parametrize("name", BUILTIN_CHARTS)
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    def test_evaluate_many_equals_stacked_points(self, name, size):
+        chart = BUILTIN_CHARTS[name]
+        f = transport_function(chart, noisy_model(2.0**-12, zeroed=(5, 77)))
+        flat, _ = pullback_perturbation(chart, f)
+        pts = self.PTS
+        assert same_bits(in_blocks(f.evaluate_many, pts, size), [f(x) for x in pts])
+        assert same_bits(in_blocks(flat.evaluate_many, pts, size), [flat(x) for x in pts])
+
+    @pytest.mark.parametrize("name", BUILTIN_CHARTS)
+    def test_certify_blocks_equal_stacked_points(self, name):
+        # every block certify hands the pulled-back evaluator, at 7 points
+        # per block, evaluates bit for bit as its points one by one
+        chart = BUILTIN_CHARTS[name]
+        h = transport_function(chart, noisy_model(2.0**-19 / chart.distortion, zeroed=(5, 77, 300, 511)))
+        real, blocks = certifier.evaluate_rows, []
+
+        def checked(ev, pts):
+            got = real(ev, pts)
+            blocks.append(len(pts))
+            assert same_bits(got, [ev(x) for x in pts])
+            return got
+
+        with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", 7), \
+                mock.patch.object(certifier, "evaluate_rows", checked):
+            cert = certify(PADDED, 2.0**-19, h=h, chart=chart, z_grid=3)
+        assert max(blocks) == 6  # three q = 1 cubes of two face points
+        assert cert == certify(PADDED, 2.0**-19, h=h, chart=chart, z_grid=3)
+
+    def test_transport_escape_names_the_point(self):
+        chart = BUILTIN_CHARTS["polar"]
+        pts = self.PTS[:32]
+        g = lambda x: np.array([100.0, 0.0]) if x[0] == pts[5, 0] else PADDED(x)
+        f = transport_function(chart, g)
+        f.evaluate_many(pts[:5])
+        msg = re.escape(f"lam1*g(x) = (50.0, 0.0) escapes the chart image at x = {tuple(pts[5].tolist())}")
+        with pytest.raises(RangeEscapeError, match=msg):
+            f.evaluate_many(pts)
+        with pytest.raises(RangeEscapeError, match=msg):
+            f(pts[5])
+
+    def test_pullback_escape_names_the_point(self):
+        chart = BUILTIN_CHARTS["polar"]
+        pts = self.PTS[:32]
+        h = lambda x: np.array([-1.0, 0.5]) if x[0] in (pts[9, 0], pts[20, 0]) else np.array([1.0, 0.0])
+        flat, _ = pullback_perturbation(chart, h)
+        flat.evaluate_many(pts[:9])
+        msg = re.escape(f"h(x) = (-1.0, 0.5) escapes the chart domain at x = {tuple(pts[9].tolist())}")
+        with pytest.raises(RangeEscapeError, match=msg):
+            flat.evaluate_many(pts)
+        with pytest.raises(RangeEscapeError, match=msg):
+            flat(pts[9])
+
+    def test_batched_escape_through_both_layers(self):
+        # a transported value outside the image stops the batched pullback too
+        chart = BUILTIN_CHARTS["polar"]
+        g = lambda x: np.array([0.0, 5.0]) if x[0] == self.PTS[3, 0] else PADDED(x)
+        flat, _ = pullback_perturbation(chart, transport_function(chart, g))
+        with pytest.raises(RangeEscapeError, match=re.escape(f"at x = {tuple(self.PTS[3].tolist())}")):
+            flat.evaluate_many(self.PTS[:8])
+
+
+# per-level (n, verified, total) of certify through each built-in chart,
+# pinned from the per-point chart path
+NOISY_COUNTS = ((1, 2, 2), (2, 16, 16), (3, 508, 512))
+SAMPLED_COUNTS = ((1, 2, 2), (2, 14, 16))
+
+
+def counts(cert):
+    return tuple((c.n, c.verified, c.total) for c in cert.per_level_counts)
+
+
+class TestBatchedCertifyThroughCharts:
+    @pytest.mark.parametrize("name", BUILTIN_CHARTS)
+    def test_noisy_model_counts(self, name):
+        chart = BUILTIN_CHARTS[name]
+        h = transport_function(chart, noisy_model(2.0**-19 / chart.distortion, zeroed=(5, 77, 300, 511)))
+        cert = certify(PADDED, 2.0**-19, h=h, chart=chart, z_grid=3)
+        assert counts(cert) == NOISY_COUNTS
+        assert (cert.n0, cert.certified_count, cert.paper_bound, cert.mode) == (3, 526, 512, "empirical")
+        assert cert.envelope_ok and not cert.vacuous
+
+    @staticmethod
+    def sampled(chart):
+        """The transported padded map, level-2 bumps 3 and 9 zeroed, sampled on a 4097 x 3 grid."""
+        lev = level_schedule(2)
+
+        def g(x):
+            v = PADDED(x)
+            if math.floor((x[0] - lev.start) / (4 * lev.scale)) in (3, 9):
+                v[1] = 0.0
+            return v
+
+        grid = (np.linspace(0.0, 1.0, 2**12 + 1), np.linspace(0.0, 1.0, 3))
+        return SampledFunction.from_callable(transport_function(chart, g), grid)
+
+    @pytest.mark.parametrize("name", BUILTIN_CHARTS)
+    def test_sampled_h_is_only_batched(self, name):
+        chart = BUILTIN_CHARTS[name]
+        base, batches = self.sampled(chart), []
+
+        class Batched:
+            def evaluate_many(self, pts):
+                batches.append(len(pts))
+                return base.evaluate_many(pts)
+
+            def __call__(self, x):
+                pytest.fail("single-point call on an evaluator with evaluate_many")
+
+        cert = certify(PADDED, 2.0**-15, h=Batched(), chart=chart, z_grid=2)
+        assert counts(cert) == SAMPLED_COUNTS
+        assert cert.certified_count == 16 and cert.envelope_ok
+        # levels 1 and 2, two slices each; the second level-2 slice skips the 2 rejected cubes
+        assert batches == [4, 4, 32, 28]
+        assert cert == certify(PADDED, 2.0**-15, h=base, chart=chart, z_grid=2)
+        batches.clear()
+        with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", 7):
+            assert certify(PADDED, 2.0**-15, h=Batched(), chart=chart, z_grid=2) == cert
+        assert batches == [4, 4] + [6] * 5 + [2] + [6] * 4 + [4]

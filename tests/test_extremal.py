@@ -267,6 +267,21 @@ class TestProfileKernel:
         assert got.shape == (3, 4)
         assert np.array_equal(got.ravel(), scalar_profiles(IDENTITY, xs.ravel()))
 
+    def test_non_doubles_are_refused(self):
+        # as in profile: a number a double cannot hold is refused, not rounded
+        lev = level_schedule(7)
+        corner = Fraction(lev.start) + Fraction(lev.scale)
+        for bad in (Fraction(1, 3), [Fraction(1, 3)], corner, [0.25, corner],
+                    np.array([0.0625, Fraction(1, 3)], dtype=object)):
+            with pytest.raises(DomainError, match="not exactly a double"):
+                profile_many(IDENTITY, bad)
+        exact = np.array([Fraction(1, 16), 0.5 + 2.0**-8], dtype=object)
+        assert list(profile_many(IDENTITY, exact)) == [0.03125, 2.0**-9]
+        assert profile_many(IDENTITY, Fraction(1, 16)) == profile(IDENTITY, Fraction(1, 16))
+        if np.finfo(np.longdouble).nmant > 52:  # a long double wider than a double
+            with pytest.raises(DomainError, match="not exactly a double"):
+                profile_many(IDENTITY, np.array([np.longdouble(1) / 3]))
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             profile_many(IDENTITY, np.array([0.5, 1.01]))
@@ -306,6 +321,48 @@ class TestExtremalFunction:
             F([1.2])
         with pytest.raises(DomainError):
             F([0.1, 0.2])
+
+    @pytest.mark.parametrize("d,q,p", [(1, 1, 0), (2, 1, 1), (3, 2, 0), (3, 1, 2)])
+    def test_nan_in_any_coordinate_is_refused(self, d, q, p):
+        F = ExtremalFunction(beta=IDENTITY, d=d, q=q, p=p)
+        for i in range(d):
+            x = [0.5] * d
+            x[i] = math.nan
+            with pytest.raises(DomainError, match="outside"):
+                F(x)
+            x[i] = -math.inf
+            with pytest.raises(DomainError, match="outside"):
+                F(np.array(x))
+
+    @given(x=st.lists(level_points, min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_point_call_matches_profile(self, x):
+        F = ExtremalFunction(beta=IDENTITY, d=3, q=2, p=1)
+        want = np.concatenate([[0.0], scalar_profiles(IDENTITY, x[:2]) / math.sqrt(2.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            got = F(np.array(x))
+            assert np.array_equal(F(x), got) and np.array_equal(F(tuple(x)), got)
+        assert got.shape == (3,) and got.dtype == float
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_non_double_coordinates_are_refused(self):
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1, p=1)
+        for i in range(2):
+            x = [0.5, 0.5]
+            x[i] = Fraction(1, 3)
+            with pytest.raises(DomainError, match="not exactly a double"):
+                F(x)
+        assert F([Fraction(1, 16), 0.5]).tolist() == [0.0, 0.03125]
+
+    def test_point_shape(self):
+        F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
+        assert F(0.0625).tolist() == F([0.0625]).tolist() == [0.03125]
+        for bad in ([[0.0625]], [], [0.1, 0.2]):
+            with pytest.raises(DomainError, match="expected a point"):
+                F(bad)
+        with pytest.raises(DomainError, match="expected a point"):
+            ExtremalFunction(beta=IDENTITY, d=2, q=1)(0.5)
 
     def test_as_scalar(self):
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
