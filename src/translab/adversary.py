@@ -25,7 +25,9 @@ comparison with the contradiction envelope
 
 Every construction calls f on 1-D float arrays of points, so f must
 broadcast the way numpy functions do (``np.sin``, not ``math.sin``); a
-callable returning a constant is broadcast to the array's shape.
+callable returning a constant is broadcast to the array's shape.  f
+must also give the same value at a point whichever array holds it:
+flatten classifies intervals by the partition-point values it reuses.
 """
 
 from __future__ import annotations
@@ -76,16 +78,16 @@ def _values(f: Callable, xs: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
 
 
-def _scan(f: Callable, cuts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled max |f| and its first argmax on each interval [cuts[k], cuts[k+1]].
+def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled max |f| and its first argmax on each interval [a[k], b[k]].
 
-    Interval k is sampled at np.arange(a, b, step) followed by b, built
-    the way numpy's arange builds it (a + i * ((a + step) - a)).  f is
+    Interval k is sampled at np.arange(a[k], b[k], step) followed by
+    b[k], built the way numpy's arange builds it (a + i * ((a + step) - a)),
+    so its first and last samples are exactly a[k] and b[k].  f is
     called once per block of whole intervals, about SCAN_BLOCK_POINTS
     points each, so memory stays flat however fine the step.  NaN values
-    are never maxima; an interval with no finite value reports -1 at a.
+    are never maxima; an interval with no finite value reports -1 at a[k].
     """
-    a, b = cuts[:-1], cuts[1:]
     counts = np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1
     delta = (a + step) - a
     ends = np.cumsum(counts)
@@ -114,19 +116,23 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     safety margin of half the scan step, so a lifted interval truly
     satisfies max |f| <= eps/2 whenever f is 1-Lipschitz; borderline
     intervals fall through to the piecewise-linear branch, which is
-    within eps regardless.  Candidate breakpoints are laid out interval
-    by interval; one that does not lie strictly right of every earlier
-    candidate (a duplicate or a collapsed ramp) is dropped, so the first
-    value at a point wins.
+    within eps regardless.  An interval with a partition endpoint above
+    the threshold is classified without an interior scan: the endpoints
+    are the scan's first and last samples, so the verdict is the same.
+    Candidate breakpoints are laid out interval by interval; one that
+    does not lie strictly right of every earlier candidate (a duplicate,
+    a collapsed ramp or a NaN ramp) is dropped, so the first value at a
+    point wins.
     """
     _check_budget(eps, C)
     cuts = _partition(eps, C)
     step = eps / SCAN_STEP_DIVISOR
-    margin = step / 2.0
-    peak, _ = _scan(f, cuts, step)
-    lifted = peak <= eps / 2.0 - margin
+    thr = eps / 2.0 - step / 2.0
     fc = _values(f, cuts)
     a, b, fa, fb = cuts[:-1], cuts[1:], fc[:-1], fc[1:]
+    low = np.fmax(np.abs(fc), -1.0) <= thr  # NaN endpoints stay candidates, as in the scan
+    lifted = low[:-1] & low[1:]
+    lifted[lifted] = _scan(f, a[lifted], b[lifted], step)[0] <= thr
     half = np.full(len(a), eps / 2.0)
     k1 = math.ceil(3.0 / C)
     width = max(4, k1 + 1)
@@ -143,7 +149,7 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     vs[rest, : k1 + 1] = _values(f, mesh.ravel()).reshape(mesh.shape)
     used[rest, : k1 + 1] = True
     xs, vs = xs[used], vs[used]
-    earlier = np.concatenate(([-np.inf], np.maximum.accumulate(xs)[:-1]))
+    earlier = np.concatenate(([-np.inf], np.fmax.accumulate(xs)[:-1]))
     keep = xs > earlier
     return SampledFunction(grid=(xs[keep],), values=vs[keep][:, None])
 
@@ -157,7 +163,8 @@ def find_separated_peaks(f: Callable, eps: float, C: float) -> PeakSet:
     hypothesis; that is reported, not an error.
     """
     _check_budget(eps, C)
-    peak, arg = _scan(f, _partition(eps, C), eps / SCAN_STEP_DIVISOR)
+    cuts = _partition(eps, C)
+    peak, arg = _scan(f, cuts[:-1], cuts[1:], eps / SCAN_STEP_DIVISOR)
     separation = 2.0 * eps / C
     high = peak > eps / 2.0
     points: list[float] = []

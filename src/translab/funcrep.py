@@ -93,9 +93,10 @@ class SampledFunction:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ShapeError(f"expected points of shape (N, {self.d}), got {pts.shape}")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            bad = pts[np.any((pts < 0.0) | (pts > 1.0), axis=1)][0]
-            raise DomainError(f"point {tuple(bad)} outside [0,1]^{self.d}")
+        inside = (pts >= 0.0) & (pts <= 1.0)  # NaN fails both comparisons
+        if not inside.all():
+            row = int(np.argmin(inside.all(axis=1)))
+            raise DomainError(f"point {tuple(pts[row].tolist())} (row {row}) outside [0,1]^{self.d}")
         n = len(pts)
         cell = []
         frac = []

@@ -84,6 +84,58 @@ def peaks_point_by_point(f, eps, C):
     return tuple(points), tuple(values)
 
 
+PARTITIONS = [(6, 1.0), (7, 0.25), (8, 1.0)]  # (j, C) of the oracle comparisons
+
+
+def partition_cuts(j, C):
+    return np.linspace(0.0, 1.0, math.ceil(C / (3.0 * 2.0**-j)) + 1)
+
+
+def lift_threshold(eps):
+    return eps / 2.0 - eps / 128.0
+
+
+def at_points(table):
+    """Array callable equal to table[x] at the listed points and zero elsewhere."""
+    keys = np.array(sorted(table))
+    vals = np.array([table[k] for k in keys])
+
+    def f(s):
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(keys, s), 0, len(keys) - 1)
+        return np.where(keys[i] == s, vals[i], 0.0)
+
+    return f
+
+
+def interior_spikes(s):
+    """Tents of height 1/4 centred in one interval of each partition, clear of its cuts."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    for j, C in PARTITIONS:
+        cuts = partition_cuts(j, C)
+        centre, width = (cuts[5] + cuts[6]) / 2.0, (cuts[1] - cuts[0]) / 4.0
+        out = out + np.maximum(0.0, 0.25 * (1.0 - np.abs(s - centre) / width))
+    return out
+
+
+def nan_at_cuts():
+    """NaN at every third partition point of each partition, so some NaN-ended intervals lift."""
+    return at_points({x: np.nan for j, C in PARTITIONS for x in partition_cuts(j, C)[::3]})
+
+
+def threshold_at_cuts():
+    """|f| equal to the lift threshold at the partition points, alternating in sign; zero elsewhere.
+
+    A point shared by several partitions takes the finest partition's threshold.
+    """
+    table = {}
+    for j, C in sorted(PARTITIONS):
+        for k, x in enumerate(partition_cuts(j, C)):
+            table[x] = (-1.0) ** k * lift_threshold(2.0**-j)
+    return at_points(table)
+
+
 class TestBlockedScans:
     """The array scans reproduce the point-by-point constructions exactly."""
 
@@ -92,26 +144,63 @@ class TestBlockedScans:
         "extremal": (scalar_extremal(), lambda s: profile(IDENTITY, s)),
         "zero": (lambda s: 0.0, lambda s: 0.0),
         "wave": (wave, wave),
+        "interior_spike": (interior_spikes, interior_spikes),
+        "nan_cuts": (nan_at_cuts(), nan_at_cuts()),
+        "threshold_cuts": (threshold_at_cuts(), threshold_at_cuts()),
     }
 
     @pytest.mark.parametrize("block", [7, 2**15])
     @pytest.mark.parametrize("target", sorted(TARGETS))
-    @pytest.mark.parametrize("j,C", [(6, 1.0), (7, 0.25), (8, 1.0)])
+    @pytest.mark.parametrize("j,C", PARTITIONS)
     def test_flatten_and_peaks(self, monkeypatch, block, target, j, C):
         monkeypatch.setattr(adversary, "SCAN_BLOCK_POINTS", block)
         (f, f_point), eps = self.TARGETS[target], 2.0**-j
         h = flatten_perturbation(f, eps, C)
         xs, vs = flatten_point_by_point(f_point, eps, C)
-        assert np.array_equal(h.grid[0], xs) and np.array_equal(h.values[:, 0], vs)
+        # bit for bit, so NaN values compare equal and -0.0 differs from 0.0
+        assert np.array_equal(h.grid[0].view(np.int64), xs.view(np.int64))
+        assert np.array_equal(h.values[:, 0].view(np.int64), vs.view(np.int64))
         peaks = find_separated_peaks(f, eps, C)
         assert (peaks.points, peaks.values) == peaks_point_by_point(f_point, eps, C)
+
+
+class TestScanPruning:
+    """Flatten scans only the intervals whose endpoint values can still lift."""
+
+    def test_points_seen_at_j10(self):
+        # the full 64/eps scan of every interval showed F 67 377 points here
+        f, seen = scalar_extremal(), []
+        flatten_perturbation(lambda xs: seen.append(len(xs)) or f(xs), 2.0**-10, 1.0)
+        assert sum(seen) == 17776
+
+    @pytest.mark.parametrize("block", [7, 2**15])
+    @pytest.mark.parametrize("target", ["extremal", "interior_spike"])
+    def test_no_scan_inside_rejected_intervals(self, monkeypatch, block, target):
+        monkeypatch.setattr(adversary, "SCAN_BLOCK_POINTS", block)
+        f, j, C = TestBlockedScans.TARGETS[target][0], 8, 1.0
+        eps = 2.0**-j
+        blocks, scan = [], adversary._scan
+
+        def recording_scan(g, a, b, step):
+            return scan(lambda xs: blocks.append(xs.copy()) or g(xs), a, b, step)
+
+        monkeypatch.setattr(adversary, "_scan", recording_scan)
+        flatten_perturbation(f, eps, C)
+        cuts = partition_cuts(j, C)
+        fc = np.fmax(np.abs(f(cuts)), -1.0)
+        rejected = np.maximum(fc[:-1], fc[1:]) > lift_threshold(eps)
+        assert blocks and rejected.any()
+        pts = np.concatenate(blocks)
+        k = np.searchsorted(cuts, pts)  # pts[i] in (cuts[k-1], cuts[k]]
+        interior = cuts[k] != pts
+        assert not rejected[k[interior] - 1].any()
 
 
 def test_scan_points_follow_arange():
     # a + step rounds here, so numpy's arange steps by (a + step) - a, not step
     cuts, step = np.array([0.0, 0.5 - 2.0**-54, 0.75, 1.0]), 2.0**-10
     seen = []
-    adversary._scan(lambda xs: seen.append(xs.copy()) or xs, cuts, step)
+    adversary._scan(lambda xs: seen.append(xs.copy()) or xs, cuts[:-1], cuts[1:], step)
     want = [np.append(np.arange(a, b, step), b) for a, b in zip(cuts[:-1], cuts[1:])]
     assert np.array_equal(np.concatenate(seen), np.concatenate(want))
 

@@ -42,6 +42,23 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             h([-0.1])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nan_points_refused(self, d):
+        knots = np.linspace(0.0, 1.0, 5)
+        h = SampledFunction(grid=(knots,) * d, values=np.zeros((5,) * d + (1,)))
+        for axis in range(d):
+            pts = np.full((3, d), 0.5)
+            pts[1, axis] = np.nan
+            with pytest.raises(DomainError, match=r"\(row 1\) outside"):
+                h.evaluate_many(pts)
+            with pytest.raises(DomainError, match="outside"):
+                h(pts[1])
+
+    def test_first_bad_row_is_named(self):
+        h = line([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(DomainError, match=r"^point \(1\.5,\) \(row 2\) outside"):
+            h.evaluate_many(np.array([[0.5], [1.0], [1.5], [np.nan]]))
+
     def test_bilinear(self):
         knots = np.array([0.0, 1.0])
         vals = np.array([[[0.0], [1.0]], [[2.0], [3.0]]])  # f(x,y) = 2x + y
