@@ -33,7 +33,6 @@ from .chart import (
     affine_chart,
     gamma_w,
     identity_chart,
-    membership_rectangle,
     polar_demo_chart,
     pullback_perturbation,
     transport_function,
@@ -52,7 +51,6 @@ from .extremal import (
     LevelSchedule,
     ResolutionWarning,
     bump,
-    level_profile,
     level_schedule,
     profile,
     profile_many,
@@ -64,6 +62,6 @@ from .funcrep import (
     nudge_knot_zeros,
     sup_distance,
 )
-from .modulus import AxiomReport, ModulusSpec, check_modulus_axioms, minimal_modulus
+from .modulus import AxiomReport, ModulusSpec, check_modulus_axioms
 
 __version__ = "0.1.0"

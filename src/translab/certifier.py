@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .adversary import SCAN_BLOCK_POINTS
-from .chart import Chart, gamma_w, pullback_perturbation
+from .chart import Chart, gamma_w, identity_chart, pullback_perturbation
 from .errors import DomainError, EnumerationCapError
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
 from .funcrep import evaluate_rows
@@ -105,7 +105,7 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     even level 1 fails, i.e. the budget is too large and the
     certificate is vacuous.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
     root = 2.0 * math.sqrt(q)
     if eps > beta(level_schedule(1).scale / 2.0) / root:
@@ -121,17 +121,17 @@ def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
 
     A cube's number is its rank in ``enumerate_cubes`` order.  Per cube,
     rows run axis by axis, lo face before hi face, free coordinates in
-    lexicographic order.  Coordinate j is start + (16 i_j + 4 + k) scale/4,
-    a dyadic of at most n*n + n + 4 bits, so it is exactly lo_j + k scale/4
-    at every level under the enumeration cap.
+    lexicographic order.  Coordinate j is lo_j + k scale/4, lo_j as in
+    ``cube_at``: a dyadic of at most n*n + n + 4 bits, so each step of
+    the sum is exact at every level under the enumeration cap.
     """
     last = FACE_LATTICE_POINTS - 1
     free = list(itertools.product(range(FACE_LATTICE_POINTS), repeat=q - 1))
     offsets = np.array([c[:axis] + (k,) + c[axis:] for axis in range(q) for k in (0, last) for c in free])
     lev = level_schedule(n)
     index = np.stack(np.unravel_index(ranks, (lev.bump_count,) * q), axis=-1)
-    steps = 16 * index[:, None, :] + 4 + offsets
-    return lev.start + steps.reshape(-1, q) * (lev.scale / 4.0)
+    lo = lev.start + (4 * index + 1) * lev.scale
+    return (lo[:, None, :] + offsets * (lev.scale / 4.0)).reshape(-1, q)
 
 
 def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(), p: int = 0) -> np.ndarray:
@@ -216,7 +216,7 @@ def theory_lower_bound(beta: ModulusSpec, eps: float, m: int, p: int, gamma: flo
     Returns 0.0 (vacuous) when the inverse modulus saturates to +inf,
     which happens for bounded moduli once gamma*eps reaches sup beta.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
     if not (0 <= p < m):
         raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
@@ -238,7 +238,7 @@ def holder_lower_bound(lam: float, alpha: float, eps: float, m: int, p: int, gam
         raise DomainError(f"need alpha in (0, 1], got {alpha}")
     if lam <= 0.0:
         raise DomainError(f"need lam > 0, got {lam}")
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
     if not (0 <= p < m):
         raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
@@ -282,27 +282,23 @@ def certify(
     block, and h sees one ``evaluate_many`` call per block when it has
     that method.  When the flat target has a rectangle block (p >= 1)
     the reduction also needs eps <= r0, so larger budgets give a
-    vacuous certificate; without a chart the rectangle half-width is
-    treated as unbounded.
+    vacuous certificate.  No chart means ``identity_chart(m, r0=inf)``:
+    factor 1, gamma_W = 2 sqrt(q), an unbounded rectangle half-width.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
     if z_grid < 1:
         raise DomainError(f"z-grid must be >= 1, got {z_grid}")
     beta, q, p, d = f.beta, f.q, f.p, f.d
     m = f.m
-    rectangle_ok = True
-    if chart is not None:
-        if chart.m != m:
-            raise DomainError(f"chart dimension {chart.m} does not match map codomain {m}")
-        gamma = gamma_w(chart, m, p)
-        eps_flat = chart.distortion * eps
-        evaluator = pullback_perturbation(chart, h)[0] if h is not None else None
-        rectangle_ok = p == 0 or eps <= chart.r0
-    else:
-        gamma = 2.0 * math.sqrt(q)
-        eps_flat = eps
-        evaluator = h
+    if chart is None:
+        chart = identity_chart(m, r0=math.inf)
+    if chart.m != m:
+        raise DomainError(f"chart dimension {chart.m} does not match map codomain {m}")
+    gamma = gamma_w(chart, m, p)
+    eps_flat = chart.distortion * eps
+    evaluator = pullback_perturbation(chart, h)[0] if h is not None else None
+    rectangle_ok = p == 0 or eps <= chart.r0
 
     n0 = resolve_depth(beta, q, eps_flat) if rectangle_ok else 0
     slices = _z_slices(d - q, z_grid)

@@ -174,41 +174,42 @@ def gamma_w(chart: Chart, m: int, p: int) -> float:
     return 2.0 * math.sqrt(m - p) * chart.lam2 / chart.lam1
 
 
-def _escape(what: str, val: np.ndarray, x, region: str) -> RangeEscapeError:
-    point = tuple(np.ravel(x).tolist())
-    return RangeEscapeError(f"{what} = {tuple(val.tolist())} escapes the chart {region} at x = {point}")
-
-
 def _require(inside, vals: np.ndarray, pts, what: str, region: str) -> None:
     """Raise at the first row of vals, the values at the rows of pts, that the mask ``inside`` rejects."""
     bad = np.flatnonzero(~np.asarray(inside, dtype=bool))
     if len(bad):
-        raise _escape(what, vals[bad[0]], pts[bad[0]], region)
+        value = tuple(vals[bad[0]].tolist())
+        point = tuple(np.ravel(pts[bad[0]]).tolist())
+        raise RangeEscapeError(f"{what} = {value} escapes the chart {region} at x = {point}")
+
+
+def _block_map(evaluate_many: Callable) -> Callable:
+    """A map whose point call is row 0 of ``evaluate_many`` on the block x.reshape(1, -1)."""
+
+    def f(x):
+        return evaluate_many(np.reshape(x, (1, -1)))[0]
+
+    f.evaluate_many = evaluate_many
+    return f
 
 
 def transport_function(chart: Chart, g: Callable) -> Callable:
     """Carry a flat-model map into the chart: x -> phi^{-1}(lam1 * g(x)).
 
-    The result admits the same modulus of continuity as g.  Evaluation
-    raises if lam1 * g(x) leaves the chart image.  Its ``evaluate_many``
-    maps an (N, d) block of points, equal bit for bit to the points one
-    by one: g on every row (one ``g.evaluate_many`` call when g has it),
-    one range check naming the first escaping row, one ``phi_inv`` call.
+    The result admits the same modulus of continuity as g.  Its
+    ``evaluate_many`` maps an (N, d) block of points: g on every row
+    (one ``g.evaluate_many`` call when g has it), one range check that
+    raises ``RangeEscapeError`` at the first row with lam1 * g(x)
+    outside the chart image, one ``phi_inv`` call.  A point call is the
+    one-row block, so it equals the rows of any block bit for bit.
     """
-
-    def f(x):
-        w = chart.lam1 * np.asarray(g(x), dtype=float)
-        if not chart.in_image(w):
-            raise _escape("lam1*g(x)", w, x, "image")
-        return chart.phi_inv(w)
 
     def evaluate_many(pts):
         w = chart.lam1 * evaluate_rows(g, pts)
         _require(chart.in_image(w), w, pts, "lam1*g(x)", "image")
         return chart.phi_inv(w)
 
-    f.evaluate_many = evaluate_many
-    return f
+    return _block_map(evaluate_many)
 
 
 def pullback_perturbation(chart: Chart, h: Callable) -> tuple[Callable, float]:
@@ -216,32 +217,13 @@ def pullback_perturbation(chart: Chart, h: Callable) -> tuple[Callable, float]:
 
     If h stays within eps of the transported map, the returned function
     stays within factor*eps of the flat model, factor = lam2/lam1.  The
-    function has an ``evaluate_many`` built as ``transport_function``'s
-    is, with h, the chart domain and ``phi``.
+    function is built as ``transport_function``'s is, with h, the chart
+    domain and ``phi``: a block map whose point call is a one-row block.
     """
-
-    def flat(x):
-        y = np.asarray(h(x), dtype=float)
-        if not chart.in_domain(y):
-            raise _escape("h(x)", y, x, "domain")
-        return chart.phi(y) / chart.lam1
 
     def evaluate_many(pts):
         y = evaluate_rows(h, pts)
         _require(chart.in_domain(y), y, pts, "h(x)", "domain")
         return chart.phi(y) / chart.lam1
 
-    flat.evaluate_many = evaluate_many
-    return flat, chart.distortion
-
-
-def membership_rectangle(v, r0: float, p: int) -> bool:
-    """Is v inside the flat target [-r0, r0]^p x {0}^(m-p)?
-
-    The trailing block is tested for exact zero; the leading block for
-    |v_i| <= r0.
-    """
-    vec = np.atleast_1d(np.asarray(v, dtype=float))
-    if p < 0 or p > len(vec):
-        raise DomainError(f"need 0 <= p <= m, got p={p}, m={len(vec)}")
-    return bool(np.all(np.abs(vec[:p]) <= r0) and np.all(vec[p:] == 0.0))
+    return _block_map(evaluate_many), chart.distortion

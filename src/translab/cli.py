@@ -32,6 +32,8 @@ from .driver import parse_config, sweep, write_csv
 def _modulus_from_args(args) -> ModulusSpec:
     if args.kind == "power":
         return ModulusSpec.power(args.lam, args.alpha)
+    if args.file is None:
+        raise TranslabError("--kind table needs --file")
     with open(args.file) as fh:
         pts = []
         for line in fh:
@@ -70,13 +72,13 @@ def _cmd_modulus(args) -> int:
     elif args.invert is not None:
         print(f"{beta.inverse(args.invert):.17g}")
     elif args.check is not None:
+        if not 0.0 < args.check < np.inf:
+            raise TranslabError(f"--check grid step must be finite and > 0, got {args.check}")
         grid = np.arange(0.0, 1.0 + args.check / 2.0, args.check)
         report = check_modulus_axioms(beta, grid)
         print(f"monotone={str(report.monotone).lower()}")
         print(f"subadditive={str(report.subadditive).lower()}")
         print(f"vanishes_at_zero={str(report.vanishes_at_zero).lower()}")
-    else:
-        raise TranslabError("one of --eval, --invert, --check is required")
     return 0
 
 

@@ -6,8 +6,8 @@ the adversary constructions to get an achieved upper count, evaluates
 the theoretical upper curve, and emits one CSV row per budget.  The
 dyadic grid keeps depth resolution exact at band edges.
 
-Configuration is a plain-text key=value file; unknown keys are errors.
-Recognized keys: alpha, lambda, d, m, p, j_min, j_max, adversary, C, cw.
+Configuration is a plain-text key=value file; unknown or repeated keys
+are errors.  Keys: alpha, lambda, d, m, p, j_min, j_max, adversary, C, cw.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ class SweepConfig:
             raise ConfigError(f"C must lie in (0, 1], got {self.C}")
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _CONFIG_KEYS = {
     "alpha": ("alpha", float),
     "lambda": ("lam", float),
@@ -68,7 +69,7 @@ _CONFIG_KEYS = {
     "p": ("p", int),
     "j_min": ("j_min", int),
     "j_max": ("j_max", int),
-    "adversary": ("adversary", lambda s: s.strip().lower() in ("1", "true", "yes")),
+    "adversary": ("adversary", lambda s: _BOOLEANS[s.lower()]),
     "c": ("C", float),
     "cw": ("cw", float),
 }
@@ -88,9 +89,11 @@ def parse_config(text: str) -> SweepConfig:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         field, cast = _CONFIG_KEYS[key]
+        if field in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
         try:
             seen[field] = cast(value.strip())
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     required = ("alpha", "lam", "d", "m", "p", "j_min", "j_max")
     missing = [f for f in required if f not in seen]

@@ -178,14 +178,6 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     return out[()]  # unwraps 0-d input, a no-op view otherwise
 
 
-def level_profile(beta: ModulusSpec, n: int, s) -> float:
-    """The level-n train alone: equals ``profile`` on the level's slot, 0 off it."""
-    lev = level_schedule(n)
-    if not (lev.start <= s < lev.start + lev.width):
-        return 0.0
-    return profile(beta, s)
-
-
 @dataclass(frozen=True)
 class ExtremalFunction:
     """The product extremal map [0,1]^d -> R^(p+q).

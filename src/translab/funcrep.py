@@ -202,8 +202,12 @@ def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
     exactly one vanishes, and one interior crossing on a strict sign
     change.  Touching pieces merge into a single component: a piece
     opens a new one exactly when it starts right of every earlier end.
+    A NaN or infinite knot value is refused, naming the first one.
     """
     x, v = _require_scalar_1d(h, "count_zero_components")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if len(bad):
+        raise DomainError(f"count_zero_components needs finite values, got {v[bad[0]]} at knot {x[bad[0]]}")
     x0, x1, v0, v1 = x[:-1], x[1:], v[:-1], v[1:]
     z0, z1 = v0 == 0.0, v1 == 0.0
     cross = ~z0 & ~z1 & ((v0 > 0.0) != (v1 > 0.0))

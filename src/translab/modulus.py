@@ -27,14 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .funcrep import SampledFunction
 
 AXIOM_TOL = 1e-12
 INVERSE_REL_TOL = 1e-12
@@ -174,30 +171,3 @@ def check_modulus_axioms(beta: ModulusSpec, grid: Sequence[float]) -> AxiomRepor
             break
     vanishes = beta(0.0) <= AXIOM_TOL
     return AxiomReport(monotone=monotone, subadditive=subadditive, vanishes_at_zero=vanishes)
-
-
-def minimal_modulus(h: "SampledFunction", delta: float) -> float:
-    """Largest oscillation of h over grid-point pairs at distance <= delta.
-
-    Exact for the piecewise-multilinear interpolant restricted to knot
-    pairs; in d >= 2 this is a lower estimate of the true minimal
-    modulus, since interior extrema are not scanned.
-    """
-    delta = float(delta)
-    diam = math.sqrt(h.d)
-    if not (0.0 <= delta <= diam):
-        raise DomainError(f"delta must lie in [0, {diam}], got {delta}")
-    pts = h.knot_points()
-    vals = h.values.reshape(-1, h.m)
-    best = 0.0
-    # Chunked O(N^2) pair scan; test grids stay small enough for this.
-    chunk = 512
-    for i0 in range(0, len(pts), chunk):
-        p = pts[i0 : i0 + chunk]
-        v = vals[i0 : i0 + chunk]
-        dist = np.sqrt(((p[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-        osc = np.sqrt(((v[:, None, :] - vals[None, :, :]) ** 2).sum(-1))
-        mask = dist <= delta
-        if mask.any():
-            best = max(best, float(osc[mask].max()))
-    return best

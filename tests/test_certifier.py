@@ -19,6 +19,7 @@ from translab import (
     cube_at,
     enumerate_cubes,
     holder_lower_bound,
+    identity_chart,
     level_schedule,
     miranda_verify,
     resolve_depth,
@@ -101,6 +102,8 @@ class TestResolveDepth:
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             resolve_depth(IDENTITY, 1, 0.0)
+        with pytest.raises(DomainError, match="got nan"):
+            resolve_depth(IDENTITY, 1, math.nan)
 
 
 class TestCubes:
@@ -434,6 +437,11 @@ class TestCertify:
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
         with pytest.raises(DomainError):
             certify(F, 0.0)
+        # NaN fails every band comparison; it is refused on every path, not resolved to a depth
+        padded = ExtremalFunction(beta=IDENTITY, d=1, q=1, p=1)
+        for fn, chart in ((F, None), (padded, None), (padded, identity_chart(2))):
+            with pytest.raises(DomainError, match="budget must be positive, got nan"):
+                certify(fn, math.nan, chart=chart)
 
     @pytest.mark.parametrize("d,q", [(1, 1), (2, 2), (2, 1)])
     def test_z_grid_validated_before_any_work(self, d, q):
@@ -527,6 +535,8 @@ class TestTheoryBounds:
         with pytest.raises(DomainError):
             theory_lower_bound(IDENTITY, -1.0, 1, 0, 2.0)
         with pytest.raises(DomainError):
+            theory_lower_bound(IDENTITY, math.nan, 1, 0, 2.0)
+        with pytest.raises(DomainError):
             theory_lower_bound(IDENTITY, 0.5, 1, 1, 2.0)
 
     def test_holder_closed_form_consistency(self):
@@ -549,6 +559,8 @@ class TestTheoryBounds:
             holder_lower_bound(1.0, 1.5, 0.1, 1, 0, 2.0)
         with pytest.raises(DomainError):
             holder_lower_bound(0.0, 1.0, 0.1, 1, 0, 2.0)
+        with pytest.raises(DomainError):
+            holder_lower_bound(1.0, 1.0, math.nan, 1, 0, 2.0)
 
     def test_envelope_below_certified_on_dyadic_grid(self):
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)

@@ -18,7 +18,6 @@ from translab import (
     gamma_w,
     identity_chart,
     level_schedule,
-    membership_rectangle,
     polar_demo_chart,
     pullback_perturbation,
     transport_function,
@@ -157,23 +156,10 @@ class TestPullback:
             assert np.abs(flat([s]) - F([s])).max() < 1e-12
 
 
-class TestMembership:
-    def test_inside(self):
-        assert membership_rectangle([0.1, 0.0], 1.0, 1)
-
-    def test_first_block_escape(self):
-        assert not membership_rectangle([2.0, 0.0], 1.0, 1)
-
-    def test_trailing_block_nonzero(self):
-        assert not membership_rectangle([0.1, 1e-3], 1.0, 1)
-
-    def test_pure_zero_target(self):
-        assert membership_rectangle([0.0], 1.0, 0)
-        assert not membership_rectangle([1e-12], 1.0, 0)
-
-    def test_p_validation(self):
-        with pytest.raises(DomainError):
-            membership_rectangle([0.0], 1.0, 3)
+def in_flat_target(v, r0, p):
+    """Is v in the flat target [-r0, r0]^p x {0}^(m-p)?"""
+    v = np.asarray(v, dtype=float)
+    return bool(np.all(np.abs(v[:p]) <= r0) and np.all(v[p:] == 0.0))
 
 
 class TestReductionToActiveBlock:
@@ -196,12 +182,12 @@ class TestReductionToActiveBlock:
         for lo, hi in summary.components:
             x = 0.5 * (lo + hi)
             v = h([x])
-            assert membership_rectangle([v[0], 0.0], r0, 1)
+            assert in_flat_target([v[0], 0.0], r0, 1)
         # points with a nonzero active value are not members
         for x in (0.03, 0.2, 0.9):
             v = h([x])
             if v[1] != 0.0:
-                assert not membership_rectangle(v, r0, 1)
+                assert not in_flat_target(v, r0, 1)
 
 
 class TestCertifyThroughChart:

@@ -41,6 +41,17 @@ class TestModulusCommand:
         assert code == 0
         assert float(out) == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    def test_check_needs_positive_step(self, capsys, step):
+        code, out, err = run(capsys, "modulus", "--kind", "power", "--check", step)
+        assert code == 2 and out == ""
+        assert "error: --check grid step must be finite and > 0" in err
+
+    def test_table_needs_file(self, capsys):
+        code, out, err = run(capsys, "modulus", "--kind", "table", "--eval", "0.5")
+        assert code == 2 and out == ""
+        assert "error: --kind table needs --file" in err
+
 
 class TestBuildAndEval:
     def test_round_trip(self, capsys, tmp_path):

@@ -114,6 +114,10 @@ class TestCSV:
             read_csv(path)
 
 
+# seven required keys on lines 1-7
+BASE_TEXT = "alpha=1\nlambda=1\nd=1\nm=1\np=0\nj_min=6\nj_max=8\n"
+
+
 class TestConfig:
     def test_parse_and_defaults(self):
         cfg = parse_config(
@@ -149,6 +153,23 @@ class TestConfig:
     def test_bad_value_reported_with_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("alpha=abc\n")
+
+    @pytest.mark.parametrize("word,flag", [("TRUE", True), ("Yes", True), ("1", True),
+                                           ("false", False), ("NO", False), ("0", False)])
+    def test_adversary_words(self, word, flag):
+        cfg = parse_config(f"{BASE_TEXT}adversary = {word}\n")
+        assert cfg.adversary is flag
+
+    @pytest.mark.parametrize("word", ["ture", "on", "", "2", "true false"])
+    def test_adversary_typo_is_error(self, word):
+        with pytest.raises(ConfigError, match=r"line 8: bad value for 'adversary'"):
+            parse_config(f"{BASE_TEXT}adversary = {word}\n")
+
+    def test_repeated_key_names_second_line(self):
+        with pytest.raises(ConfigError, match=r"line 9: key 'alpha' given twice"):
+            parse_config(f"{BASE_TEXT}\nalpha=0.5\n")
+        with pytest.raises(ConfigError, match=r"line 9: key 'c' given twice"):
+            parse_config(f"{BASE_TEXT}C=0.5\nc=0.25\n")
 
 
 class TestFitSlope:

@@ -13,9 +13,7 @@ from translab import (
     ModulusSpec,
     ResolutionWarning,
     bump,
-    level_profile,
     level_schedule,
-    minimal_modulus,
     profile,
     profile_many,
 )
@@ -143,13 +141,15 @@ class TestProfile:
                 assert profile(IDENTITY, base + 3 * lev.scale) == -peak
 
     def test_matches_single_level_on_slot(self):
+        # on its slot the profile is the level-n train alone: one level-n
+        # bump at the offset within its period, taken in exact rationals
         rng = np.random.default_rng(11)
         for n in (1, 2, 3):
             lev = level_schedule(n)
             lo, hi = float(lev.start), float(lev.start + lev.width)
             for s in rng.uniform(lo, hi, size=50):
-                assert profile(IDENTITY, s) == level_profile(IDENTITY, n, s)
-            assert level_profile(IDENTITY, n, (lo + hi) / 2 + float(lev.width)) == 0.0
+                t = (Fraction(s) - Fraction(lev.start)) % (4 * Fraction(lev.scale))
+                assert profile(IDENTITY, s) == bump(IDENTITY, n, t)
 
     def test_odd_symmetry_within_period(self):
         rng = np.random.default_rng(13)
@@ -179,8 +179,6 @@ class TestProfile:
             profile(IDENTITY, third)
         with pytest.raises(DomainError, match="not exactly a double"):
             bump(IDENTITY, 1, third / 16)
-        with pytest.raises(DomainError, match="not exactly a double"):
-            level_profile(IDENTITY, 1, third)
         assert profile(IDENTITY, Fraction(1, 16)) == 0.03125
 
 
@@ -392,6 +390,13 @@ class TestExtremalFunction:
             assert osc <= beta(float(np.linalg.norm(x - y))) + 1e-12
 
 
+def knot_pair_oscillation(h, delta):
+    """Largest |h(x) - h(y)| over knot pairs x, y at distance <= delta, by brute force."""
+    x, v = h.knot_points(), h.values.reshape(-1, h.m)
+    near = np.linalg.norm(x[:, None] - x[None], axis=-1) <= delta
+    return float(np.linalg.norm(v[:, None] - v[None], axis=-1)[near].max())
+
+
 class TestSampling:
     def test_exact_at_knots(self):
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
@@ -403,7 +408,7 @@ class TestSampling:
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
         h = F.sample(2.0**-6)
         for delta in (0.1, 0.25, 0.5):
-            assert minimal_modulus(h, delta) <= IDENTITY(delta) + 1e-12
+            assert knot_pair_oscillation(h, delta) <= IDENTITY(delta) + 1e-12
 
     def test_2d_product_structure(self):
         F = ExtremalFunction(beta=IDENTITY, d=2, q=2)

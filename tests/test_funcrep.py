@@ -197,6 +197,13 @@ class TestZeroComponents:
         with pytest.raises(ShapeError):
             count_zero_components(hvec)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_refused(self, bad):
+        # refused, naming the first non-finite knot, rather than counted as a (nan, nan) component
+        h = line([0.0, 0.25, 0.5, 0.75, 1.0], [-1.0, 1.0, bad, math.nan, 1.0])
+        with pytest.raises(DomainError, match=rf"got {bad} at knot 0.5$"):
+            count_zero_components(h)
+
     def test_against_dense_sign_scan(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from translab import (
     DomainError,
     ModulusSpec,
-    SampledFunction,
     check_modulus_axioms,
-    minimal_modulus,
 )
 
 
@@ -163,42 +161,3 @@ class TestInverse:
                 lhs = beta.inverse(s1 + s2)
                 rhs = beta.inverse(s1) + beta.inverse(s2)
                 assert lhs >= rhs - 1e-12
-
-
-class TestMinimalModulus:
-    def _line(self, fn, k=64):
-        knots = np.linspace(0.0, 1.0, k + 1)
-        return SampledFunction(grid=(knots,), values=np.array([fn(x) for x in knots])[:, None])
-
-    def test_linear_function(self):
-        h = self._line(lambda x: x)
-        assert minimal_modulus(h, 0.5) == pytest.approx(0.5, abs=1e-15)
-
-    def test_constant_function(self):
-        h = self._line(lambda x: 3.0)
-        assert minimal_modulus(h, 0.7) == 0.0
-
-    def test_tent_function(self):
-        # brute-force over all grid pairs gives exactly 0.25 at delta = 0.25
-        h = self._line(lambda x: abs(x - 0.5))
-        assert minimal_modulus(h, 0.25) == pytest.approx(0.25, abs=1e-15)
-
-    def test_monotone_in_delta(self):
-        h = self._line(lambda x: math.sin(7.0 * x))
-        deltas = np.linspace(0.0, 1.0, 21)
-        vals = [minimal_modulus(h, d) for d in deltas]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_delta_out_of_range(self):
-        h = self._line(lambda x: x)
-        with pytest.raises(DomainError):
-            minimal_modulus(h, -0.1)
-        with pytest.raises(DomainError):
-            minimal_modulus(h, 1.5)
-
-    def test_vector_valued(self):
-        knots = np.linspace(0.0, 1.0, 9)
-        vals = np.stack([knots, 1.0 - knots], axis=-1)
-        h = SampledFunction(grid=(knots,), values=vals)
-        # |h(x) - h(y)| = sqrt(2) |x - y|
-        assert minimal_modulus(h, 0.5) == pytest.approx(math.sqrt(2.0) * 0.5, rel=1e-12)
