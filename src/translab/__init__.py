@@ -8,8 +8,6 @@ empirical counts with the theoretical envelopes.
 """
 
 from .adversary import (
-    PeakSet,
-    find_separated_peaks,
     flatten_perturbation,
     improvement_envelope,
     iterate_improvement,

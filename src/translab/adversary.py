@@ -1,6 +1,6 @@
 """Upper-bound perturbations that remove zeros at bounded sup-norm cost.
 
-Three constructions for scalar 1-Lipschitz targets f on [0,1]:
+Two constructions for scalar 1-Lipschitz targets f on [0,1]:
 
 * ``flatten_perturbation`` partitions [0,1] into ceil(C/(3 eps)) equal
   intervals (lengths land in [2 eps/C, 3 eps/C]), lifts each interval
@@ -9,14 +9,11 @@ Three constructions for scalar 1-Lipschitz targets f on [0,1]:
   piecewise-linearly on ceil(3/C) subintervals.  The result stays
   within eps of f and carries at most 2 zeros per lifted interval.
 
-* ``find_separated_peaks`` collects argmax points of |f| on the
-  intervals whose sampled maximum exceeds eps/2 and greedily thins them
-  to pairwise separation 2 eps/C.
-
 * ``refine_interpolant`` interpolates f on the uniform mesh of
   ceil(4/eps) subintervals (mesh <= eps/4) and nudges knot zeros away,
   so each subinterval carries at most one zero and the distance stays
-  below eps/4 + 2e-12; subintervals containing a peak end up zero-free.
+  below eps/4 + 2e-12; a subinterval holding a point where |f| > eps/2
+  ends up zero-free.
 
 ``iterate_improvement`` repeats the re-interpolation down a geometric
 budget ladder eps0/4**k and reports the achieved zero counts for
@@ -28,12 +25,13 @@ broadcast the way numpy functions do (``np.sin``, not ``math.sin``); a
 callable returning a constant is broadcast to the array's shape.  f
 must also give the same value at a point whichever array holds it:
 flatten classifies intervals by the partition-point values it reuses.
+f must be finite: a NaN or infinite value is refused with
+``DomainError``, naming the first point that gave it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,22 +44,8 @@ SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
 SCAN_BLOCK_POINTS = 2**15  # scan points per call of f
 
 
-@dataclass(frozen=True)
-class PeakSet:
-    """Separated points where |f| provably exceeds eps/2."""
-
-    points: tuple[float, ...]
-    values: tuple[float, ...]
-    separation: float
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def _check_budget(eps: float, C: float) -> None:
-    # eps <= C/6 keeps the partition lengths inside [2 eps/C, 3 eps/C];
-    # the cardinality guarantee of the peak count additionally needs
-    # eps <= C**2/12, which is reported rather than enforced.
+    # eps <= C/6 keeps the partition lengths inside [2 eps/C, 3 eps/C]
     if not (0.0 < C <= 1.0):
         raise DomainError(f"need C in (0, 1], got {C}")
     if not (0.0 < eps <= C / 6.0):
@@ -74,24 +58,30 @@ def _partition(eps: float, C: float) -> np.ndarray:
 
 
 def _values(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """f on a 1-D float array, broadcast to its shape (constant callables included)."""
-    return np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    """f on a 1-D float array, broadcast to its shape (constant callables included).
+
+    A NaN or infinite value is refused, naming the first point that gave it.
+    """
+    vs = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    if not np.isfinite(vs).all():
+        i = int(np.argmin(np.isfinite(vs)))
+        raise DomainError(f"target must be finite, got {vs[i]} at {xs[i]}")
+    return vs
 
 
-def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled max |f| and its first argmax on each interval [a[k], b[k]].
+def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
+    """Sampled max |f| on each interval [a[k], b[k]].
 
     Interval k is sampled at np.arange(a[k], b[k], step) followed by
     b[k], built the way numpy's arange builds it (a + i * ((a + step) - a)),
     so its first and last samples are exactly a[k] and b[k].  f is
     called once per block of whole intervals, about SCAN_BLOCK_POINTS
-    points each, so memory stays flat however fine the step.  NaN values
-    are never maxima; an interval with no finite value reports -1 at a[k].
+    points each, so memory stays flat however fine the step.
     """
     counts = np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1
     delta = (a + step) - a
     ends = np.cumsum(counts)
-    peak, arg = np.empty(len(a)), np.empty(len(a))
+    peak = np.empty(len(a))
     lo = 0
     while lo < len(a):
         base = ends[lo - 1] if lo else 0
@@ -101,12 +91,9 @@ def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.nd
         owner = np.repeat(np.arange(hi - lo), cnt)
         xs = a[lo:hi][owner] + (np.arange(len(owner)) - first[owner]) * delta[lo:hi][owner]
         xs[first + cnt - 1] = b[lo:hi]
-        vs = np.fmax(np.abs(_values(f, xs)), -1.0)
-        peak[lo:hi] = np.maximum.reduceat(vs, first)
-        hit = np.where(vs == peak[lo:hi][owner], np.arange(len(vs)), len(vs))
-        arg[lo:hi] = xs[np.minimum.reduceat(hit, first)]
+        peak[lo:hi] = np.maximum.reduceat(np.abs(_values(f, xs)), first)
         lo = hi
-    return peak, arg
+    return peak
 
 
 def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
@@ -120,9 +107,8 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     the threshold is classified without an interior scan: the endpoints
     are the scan's first and last samples, so the verdict is the same.
     Candidate breakpoints are laid out interval by interval; one that
-    does not lie strictly right of every earlier candidate (a duplicate,
-    a collapsed ramp or a NaN ramp) is dropped, so the first value at a
-    point wins.
+    does not lie strictly right of every earlier candidate (a duplicate
+    or a collapsed ramp) is dropped, so the first value at a point wins.
     """
     _check_budget(eps, C)
     cuts = _partition(eps, C)
@@ -130,9 +116,9 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     thr = eps / 2.0 - step / 2.0
     fc = _values(f, cuts)
     a, b, fa, fb = cuts[:-1], cuts[1:], fc[:-1], fc[1:]
-    low = np.fmax(np.abs(fc), -1.0) <= thr  # NaN endpoints stay candidates, as in the scan
+    low = np.abs(fc) <= thr
     lifted = low[:-1] & low[1:]
-    lifted[lifted] = _scan(f, a[lifted], b[lifted], step)[0] <= thr
+    lifted[lifted] = _scan(f, a[lifted], b[lifted], step) <= thr
     half = np.full(len(a), eps / 2.0)
     k1 = math.ceil(3.0 / C)
     width = max(4, k1 + 1)
@@ -149,42 +135,19 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     vs[rest, : k1 + 1] = _values(f, mesh.ravel()).reshape(mesh.shape)
     used[rest, : k1 + 1] = True
     xs, vs = xs[used], vs[used]
-    earlier = np.concatenate(([-np.inf], np.fmax.accumulate(xs)[:-1]))
+    earlier = np.concatenate(([-np.inf], np.maximum.accumulate(xs)[:-1]))
     keep = xs > earlier
     return SampledFunction(grid=(xs[keep],), values=vs[keep][:, None])
-
-
-def find_separated_peaks(f: Callable, eps: float, C: float) -> PeakSet:
-    """Argmax points of |f| >= eps/2, thinned to 2 eps/C separation.
-
-    The scan runs left to right and keeps the first point of each
-    conflict cluster.  The returned count can fall short of the
-    C^2/(18 eps) cardinality that holds under the contradiction
-    hypothesis; that is reported, not an error.
-    """
-    _check_budget(eps, C)
-    cuts = _partition(eps, C)
-    peak, arg = _scan(f, cuts[:-1], cuts[1:], eps / SCAN_STEP_DIVISOR)
-    separation = 2.0 * eps / C
-    high = peak > eps / 2.0
-    points: list[float] = []
-    values: list[float] = []
-    for value, x in zip(peak[high].tolist(), arg[high].tolist()):
-        if not points or x - points[-1] >= separation:
-            points.append(x)
-            values.append(value)
-    return PeakSet(points=tuple(points), values=tuple(values), separation=separation)
 
 
 def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     """Piecewise-linear interpolant of f on the mesh of ceil(4/eps) cells.
 
     Knot zeros are nudged to +1e-12 so each cell carries at most one
-    zero; for 1-Lipschitz f the result stays within eps/4 + 2e-12 of f.
-    A caller comparing with the peak count checks the zero count
-    against ceil(4/eps) - len(find_separated_peaks(f, eps, C)).
+    zero; for 1-Lipschitz f the result stays within eps/4 + 2e-12 of f,
+    and a cell holding a point where |f| > eps/2 carries none.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
     k = math.ceil(4.0 / eps)
     knots = np.linspace(0.0, 1.0, k + 1)
@@ -221,6 +184,6 @@ def iterate_improvement(
 
 def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw: float = 1.0) -> float:
     """Reference upper envelope cw * (norm/eps)**((m-p)/alpha)."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
     return cw * (norm / eps) ** ((m - p) / alpha)

@@ -49,7 +49,12 @@ def evaluate_rows(h: Callable, pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Values of a map [0,1]^d -> R^m on a rectilinear knot grid."""
+    """Values of a map [0,1]^d -> R^m on a rectilinear knot grid.
+
+    Every value must be finite: a NaN or infinite one is refused at
+    construction, naming the first knot that holds it, since multilinear
+    weights would spread it to the neighbouring knots (0 * NaN = NaN).
+    """
 
     grid: tuple[np.ndarray, ...]
     values: np.ndarray
@@ -62,6 +67,10 @@ class SampledFunction:
             vals = vals[..., None]
         if vals.shape[:-1] != lens:
             raise ShapeError(f"values shape {vals.shape} does not match grid lengths {lens}")
+        if not np.isfinite(vals).all():
+            idx = np.unravel_index(np.argmin(np.isfinite(vals)), vals.shape)
+            knot = tuple(float(k[i]) for k, i in zip(grid, idx))
+            raise DomainError(f"values must be finite, got {vals[idx]} at knot {knot}")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -202,12 +211,8 @@ def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
     exactly one vanishes, and one interior crossing on a strict sign
     change.  Touching pieces merge into a single component: a piece
     opens a new one exactly when it starts right of every earlier end.
-    A NaN or infinite knot value is refused, naming the first one.
     """
     x, v = _require_scalar_1d(h, "count_zero_components")
-    bad = np.flatnonzero(~np.isfinite(v))
-    if len(bad):
-        raise DomainError(f"count_zero_components needs finite values, got {v[bad[0]]} at knot {x[bad[0]]}")
     x0, x1, v0, v1 = x[:-1], x[1:], v[:-1], v[1:]
     z0, z1 = v0 == 0.0, v1 == 0.0
     cross = ~z0 & ~z1 & ((v0 > 0.0) != (v1 > 0.0))

@@ -42,7 +42,8 @@ class ModulusSpec:
     """A modulus of continuity in power or table form.
 
     Instances are immutable and callable: ``beta(s)`` evaluates the
-    modulus, ``beta.inverse(s)`` the (possibly infinite) inverse.
+    modulus, ``beta.inverse(s)`` the (possibly infinite) inverse.  The
+    fields of the other form must keep their defaults.
     """
 
     kind: str
@@ -52,11 +53,15 @@ class ModulusSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "power":
+            if self.breakpoints:
+                raise DomainError("power modulus takes no breakpoints")
             if not (self.lam > 0.0):
                 raise DomainError(f"power modulus needs lam > 0, got {self.lam}")
             if not (0.0 < self.alpha <= 1.0):
                 raise DomainError(f"power modulus needs alpha in (0, 1], got {self.alpha}")
         elif self.kind == "table":
+            if (self.lam, self.alpha) != (1.0, 1.0):
+                raise DomainError(f"table modulus takes no lam or alpha, got lam={self.lam}, alpha={self.alpha}")
             pts = tuple((float(d), float(v)) for d, v in self.breakpoints)
             if not pts:
                 raise DomainError("table modulus needs at least one breakpoint")

@@ -10,7 +10,6 @@ from translab import (
     SampledFunction,
     certify,
     count_zero_components,
-    find_separated_peaks,
     flatten_perturbation,
     improvement_envelope,
     iterate_improvement,
@@ -41,13 +40,8 @@ def wave(s):
 
 
 def scan_point_by_point(f, a, b, step):
-    """Reference interval scan: sampled (max |f|, first argmax), one point at a time."""
-    best_x, best_v = a, -1.0
-    for x in np.append(np.arange(a, b, step), b):
-        v = abs(float(f(x)))
-        if v > best_v:
-            best_x, best_v = float(x), v
-    return best_v, best_x
+    """Reference interval scan: sampled max |f|, one point at a time."""
+    return max(abs(float(f(x))) for x in np.append(np.arange(a, b, step), b))
 
 
 def flatten_point_by_point(f, eps, C):
@@ -62,7 +56,7 @@ def flatten_point_by_point(f, eps, C):
             vs.append(v)
 
     for a, b in zip(cuts[:-1], cuts[1:]):
-        peak, _ = scan_point_by_point(f, a, b, step)
+        peak = scan_point_by_point(f, a, b, step)
         fa, fb = float(f(a)), float(f(b))
         if peak <= eps / 2.0 - step / 2.0:
             for x, v in ((a, fa), (a - fa + eps / 2.0, eps / 2.0), (b + fb - eps / 2.0, eps / 2.0), (b, fb)):
@@ -71,17 +65,6 @@ def flatten_point_by_point(f, eps, C):
             for x in np.linspace(a, b, math.ceil(3.0 / C) + 1):
                 emit(float(x), float(f(x)))
     return np.array(xs), np.array(vs)
-
-
-def peaks_point_by_point(f, eps, C):
-    cuts = np.linspace(0.0, 1.0, math.ceil(C / (3.0 * eps)) + 1)
-    points, values = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        peak, arg = scan_point_by_point(f, a, b, eps / 64.0)
-        if peak > eps / 2.0 and (not points or arg - points[-1] >= 2.0 * eps / C):
-            points.append(arg)
-            values.append(peak)
-    return tuple(points), tuple(values)
 
 
 PARTITIONS = [(6, 1.0), (7, 0.25), (8, 1.0)]  # (j, C) of the oracle comparisons
@@ -119,11 +102,6 @@ def interior_spikes(s):
     return out
 
 
-def nan_at_cuts():
-    """NaN at every third partition point of each partition, so some NaN-ended intervals lift."""
-    return at_points({x: np.nan for j, C in PARTITIONS for x in partition_cuts(j, C)[::3]})
-
-
 def threshold_at_cuts():
     """|f| equal to the lift threshold at the partition points, alternating in sign; zero elsewhere.
 
@@ -145,7 +123,6 @@ class TestBlockedScans:
         "zero": (lambda s: 0.0, lambda s: 0.0),
         "wave": (wave, wave),
         "interior_spike": (interior_spikes, interior_spikes),
-        "nan_cuts": (nan_at_cuts(), nan_at_cuts()),
         "threshold_cuts": (threshold_at_cuts(), threshold_at_cuts()),
     }
 
@@ -153,15 +130,14 @@ class TestBlockedScans:
     @pytest.mark.parametrize("target", sorted(TARGETS))
     @pytest.mark.parametrize("j,C", PARTITIONS)
     def test_flatten_and_peaks(self, monkeypatch, block, target, j, C):
+        # "peaks": the sampled interval maxima that classify flatten's intervals
         monkeypatch.setattr(adversary, "SCAN_BLOCK_POINTS", block)
         (f, f_point), eps = self.TARGETS[target], 2.0**-j
         h = flatten_perturbation(f, eps, C)
         xs, vs = flatten_point_by_point(f_point, eps, C)
-        # bit for bit, so NaN values compare equal and -0.0 differs from 0.0
+        # bit for bit, so -0.0 differs from 0.0
         assert np.array_equal(h.grid[0].view(np.int64), xs.view(np.int64))
         assert np.array_equal(h.values[:, 0].view(np.int64), vs.view(np.int64))
-        peaks = find_separated_peaks(f, eps, C)
-        assert (peaks.points, peaks.values) == peaks_point_by_point(f_point, eps, C)
 
 
 class TestScanPruning:
@@ -187,7 +163,7 @@ class TestScanPruning:
         monkeypatch.setattr(adversary, "_scan", recording_scan)
         flatten_perturbation(f, eps, C)
         cuts = partition_cuts(j, C)
-        fc = np.fmax(np.abs(f(cuts)), -1.0)
+        fc = np.abs(f(cuts))
         rejected = np.maximum(fc[:-1], fc[1:]) > lift_threshold(eps)
         assert blocks and rejected.any()
         pts = np.concatenate(blocks)
@@ -203,6 +179,30 @@ def test_scan_points_follow_arange():
     adversary._scan(lambda xs: seen.append(xs.copy()) or xs, cuts[:-1], cuts[1:], step)
     want = [np.append(np.arange(a, b, step), b) for a, b in zip(cuts[:-1], cuts[1:])]
     assert np.array_equal(np.concatenate(seen), np.concatenate(want))
+
+
+class TestNonFiniteTarget:
+    """A NaN or infinite target value is refused, naming the first point that gave it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["cut", "interior"])
+    def test_flatten_refuses(self, bad, where):
+        # f is 0 except at one point, so every interval is scanned; a cut
+        # point is read in the partition pass, an interior one in the scan
+        eps, C = 2.0**-6, 1.0
+        x = partition_cuts(6, C)[3] if where == "cut" else 0.5 + eps / 64.0
+        with pytest.raises(DomainError, match=rf"got {bad} at {x}$"):
+            flatten_perturbation(at_points({x: bad}), eps, C)
+
+    def test_refine_refuses(self):
+        # NaN at 0.75, then +inf at 1.0; the first one is named
+        f = at_points({0.75: math.nan, 1.0: math.inf})
+        with pytest.raises(DomainError, match=r"got nan at 0.75$"):
+            refine_interpolant(f, 0.25)
+
+    def test_iterate_refuses_constant_nan(self):
+        with pytest.raises(DomainError, match=r"got nan at 0.0$"):
+            iterate_improvement(lambda s: math.nan, 2.0**-4, 1.0, 1)
 
 
 class TestFlatten:
@@ -266,31 +266,6 @@ class TestFlatten:
             flatten_perturbation(f, 0.0, 1.0)
 
 
-class TestPeaks:
-    def test_zero_function_has_no_peaks(self):
-        peaks = find_separated_peaks(lambda s: 0.0, 2.0**-6, 1.0)
-        assert len(peaks) == 0
-
-    def test_oscillation_peaks(self):
-        f = lambda s: np.sin(2.0 * math.pi * 8.0 * s) / 4.0
-        eps, C = 2.0**-6, 0.5
-        peaks = find_separated_peaks(f, eps, C)
-        assert len(peaks) >= 8
-        assert peaks.separation == 2.0 * eps / C
-        gaps = [b - a for a, b in zip(peaks.points, peaks.points[1:])]
-        assert all(g >= peaks.separation for g in gaps)
-        assert all(v >= eps / 2.0 for v in peaks.values)
-
-    def test_extremal_peaks_at_bump_extrema(self):
-        eps, C = 2.0**-7, 0.25
-        peaks = find_separated_peaks(scalar_extremal(), eps, C)
-        assert len(peaks) >= 2
-        # the level-1 extremum height is 2**-5; every kept peak is at
-        # least eps/2 and the best ones reach the extremum height
-        assert max(peaks.values) == pytest.approx(2.0**-5, rel=1e-12)
-        assert all(v >= eps / 2.0 for v in peaks.values)
-
-
 class TestRefine:
     def test_linear_function_is_reproduced(self):
         g = refine_interpolant(lambda s: s - 0.3, 1.0)
@@ -315,30 +290,36 @@ class TestRefine:
         assert np.all(np.abs(g.values) >= 1e-12)
         assert not count_zero_components(g).has_flat_zero_interval
 
-    def test_count_stays_below_mesh_minus_peaks(self):
-        eps, C = 2.0**-7, 0.25
-        f = scalar_extremal()
-        peaks = find_separated_peaks(f, eps, C)
-        g = refine_interpolant(f, eps)
+    @staticmethod
+    def peak_cells(f, eps):
+        """Mesh cells of refine_interpolant(f, eps) holding a sampled point where |f| > eps/2."""
+        ys = np.linspace(0.0, 1.0, 2**14 + 1)
         k_eps = math.ceil(4.0 / eps)
-        assert count_zero_components(g).component_count <= k_eps - len(peaks)
+        cells = np.minimum(np.floor(ys[np.abs(f(ys)) > eps / 2.0] * k_eps), k_eps - 1)
+        return [(c / k_eps, (c + 1) / k_eps) for c in np.unique(cells)]
+
+    def test_count_stays_below_mesh_minus_peaks(self):
+        eps = 2.0**-7
+        f = scalar_extremal()
+        cells = self.peak_cells(f, eps)
+        assert cells
+        g = refine_interpolant(f, eps)
+        assert count_zero_components(g).component_count <= math.ceil(4.0 / eps) - len(cells)
 
     def test_peak_cells_are_zero_free(self):
-        eps, C = 2.0**-7, 0.25
+        eps = 2.0**-7
         f = scalar_extremal()
-        peaks = find_separated_peaks(f, eps, C)
-        g = refine_interpolant(f, eps)
-        comps = count_zero_components(g).components
-        k_eps = math.ceil(4.0 / eps)
-        mesh = 1.0 / k_eps
-        for y in peaks.points:
-            cell = math.floor(y / mesh)
-            lo, hi = cell * mesh, (cell + 1) * mesh
+        cells = self.peak_cells(f, eps)
+        assert cells
+        comps = count_zero_components(refine_interpolant(f, eps)).components
+        for lo, hi in cells:
             assert not any(c_hi >= lo and c_lo <= hi for c_lo, c_hi in comps)
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             refine_interpolant(lambda s: s, 0.0)
+        with pytest.raises(DomainError, match="budget must be positive, got nan"):
+            refine_interpolant(lambda s: s, math.nan)
 
 
 class TestIterate:
@@ -378,6 +359,8 @@ class TestUpperCurve:
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             theory_upper_curve(1.0, 0.0, 1.0, 1, 0)
+        with pytest.raises(DomainError, match="budget must be positive, got nan"):
+            theory_upper_curve(1.0, math.nan, 1.0, 1, 0)
 
 
 class TestSandwich:

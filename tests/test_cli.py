@@ -1,6 +1,6 @@
 import pytest
 
-from translab import SampledFunction
+from translab import SampledFunction, cli
 from translab.cli import main
 
 
@@ -46,6 +46,18 @@ class TestModulusCommand:
         code, out, err = run(capsys, "modulus", "--kind", "power", "--check", step)
         assert code == 2 and out == ""
         assert "error: --check grid step must be finite and > 0" in err
+
+    @pytest.mark.parametrize("step", ["1e-300", "1e-5"])
+    def test_check_refuses_costly_step_before_any_work(self, capsys, monkeypatch, step):
+        def fail(*args):
+            raise AssertionError("evaluated the modulus of a refused --check")
+
+        monkeypatch.setattr(cli, "_modulus_from_args", lambda args: fail)
+        monkeypatch.setattr(cli, "check_modulus_axioms", fail)
+        code, out, err = run(capsys, "modulus", "--kind", "power", "--check", step)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --check {float(step)} would test 5.00e+")
+        assert "grid pairs, over the cap of 1e+07" in err
 
     def test_table_needs_file(self, capsys):
         code, out, err = run(capsys, "modulus", "--kind", "table", "--eval", "0.5")
@@ -164,6 +176,16 @@ class TestPerturbCommand:
         code, _, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.015625",
                          "--func", str(fpath), "--out", str(out_path))
         assert code == 0 and out_path.exists()
+
+    def test_non_finite_function_file_is_clean_error(self, capsys, tmp_path):
+        fpath = tmp_path / "f.txt"
+        fpath.write_text("1 1\n0 -1\n0.5 nan\n1 1\n")
+        out_path = tmp_path / "h.txt"
+        code, out, err = run(capsys, "perturb", "--mode", "refine", "--eps", "0.25",
+                             "--func", str(fpath), "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert "error: values must be finite, got nan at knot (0.5,)" in err
+        assert not out_path.exists()
 
 
 class TestSweepCommand:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ class TestEvaluate:
             line([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 2.0])
         with pytest.raises(ShapeError):
             SampledFunction(grid=(np.array([0.0, 1.0]),), values=np.zeros((3, 1)))
+
+    def test_non_finite_vector_value_names_knot_tuple(self):
+        knots = np.array([0.0, 0.5, 1.0])
+        vals = np.zeros((3, 3, 2))
+        vals[2, 1, 1] = math.nan
+        with pytest.raises(DomainError, match=re.escape("got nan at knot (1.0, 0.5)")):
+            SampledFunction(grid=(knots, knots), values=vals)
 
 
 class TestSupDistance:
@@ -199,10 +207,10 @@ class TestZeroComponents:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_refused(self, bad):
-        # refused, naming the first non-finite knot, rather than counted as a (nan, nan) component
-        h = line([0.0, 0.25, 0.5, 0.75, 1.0], [-1.0, 1.0, bad, math.nan, 1.0])
-        with pytest.raises(DomainError, match=rf"got {bad} at knot 0.5$"):
-            count_zero_components(h)
+        # refused at construction, naming the first non-finite knot, so zero
+        # counting never sees one: it would report a (nan, nan) component
+        with pytest.raises(DomainError, match=re.escape(f"got {bad} at knot (0.5,)")):
+            line([0.0, 0.25, 0.5, 0.75, 1.0], [-1.0, 1.0, bad, math.nan, 1.0])
 
     def test_against_dense_sign_scan(self):
         rng = np.random.default_rng(7)
@@ -368,6 +376,9 @@ class TestFileFormat:
             SampledFunction.load(path)
         path.write_text("1 1\n0 0 0\n")
         with pytest.raises(ShapeError):
+            SampledFunction.load(path)
+        path.write_text("1 1\n0 -1\n0.5 nan\n1 1\n")
+        with pytest.raises(DomainError, match=re.escape("got nan at knot (0.5,)")):
             SampledFunction.load(path)
 
 

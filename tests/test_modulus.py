@@ -77,6 +77,18 @@ class TestEval:
         with pytest.raises(DomainError):
             ModulusSpec(kind="mystery")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "power", "breakpoints": ((0.1, 0.2),)}, "power modulus takes no breakpoints"),
+            ({"kind": "table", "breakpoints": ((1.0, 1.0),), "lam": 7.0, "alpha": 0.3}, "lam=7.0, alpha=0.3"),
+            ({"kind": "table", "breakpoints": ((1.0, 1.0),), "alpha": 0.5}, "table modulus takes no lam or alpha"),
+        ],
+    )
+    def test_fields_of_the_other_kind_refused(self, fields, message):
+        with pytest.raises(DomainError, match=message):
+            ModulusSpec(**fields)
+
 
 class TestAxioms:
     def test_concave_power_passes(self):
