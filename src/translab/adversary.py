@@ -76,7 +76,9 @@ def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
     b[k], built the way numpy's arange builds it (a + i * ((a + step) - a)),
     so its first and last samples are exactly a[k] and b[k].  f is
     called once per block of whole intervals, about SCAN_BLOCK_POINTS
-    points each, so memory stays flat however fine the step.
+    points each, so memory stays flat however fine the step.  A block
+    is built as one row per interval, padded to its longest row, which
+    costs little for intervals of about equal length, as flatten's are.
     """
     counts = np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1
     delta = (a + step) - a
@@ -87,11 +89,11 @@ def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
         base = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + SCAN_BLOCK_POINTS, side="right")))
         cnt = counts[lo:hi]
-        first = ends[lo:hi] - cnt - base  # block offset of each interval's first point
-        owner = np.repeat(np.arange(hi - lo), cnt)
-        xs = a[lo:hi][owner] + (np.arange(len(owner)) - first[owner]) * delta[lo:hi][owner]
-        xs[first + cnt - 1] = b[lo:hi]
-        peak[lo:hi] = np.maximum.reduceat(np.abs(_values(f, xs)), first)
+        i = np.arange(cnt.max())
+        grid = a[lo:hi, None] + i * delta[lo:hi, None]  # row k: interval lo + k, padded
+        grid[np.arange(hi - lo), cnt - 1] = b[lo:hi]
+        xs = grid[i < cnt[:, None]]
+        peak[lo:hi] = np.maximum.reduceat(np.abs(_values(f, xs)), ends[lo:hi] - cnt - base)
         lo = hi
     return peak
 

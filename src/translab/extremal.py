@@ -18,13 +18,23 @@ locates a point in float arithmetic that never rounds:
 * every s < 1/2 lies on level 1; for s >= 1/2 the difference 1 - s is
   exact (Sterbenz lemma), and its binary exponent is the level;
 * the offset s - start_n is exact by the same lemma (start_n <= s <
-  2*start_n once n >= 2, and start_1 = 0);
-* the offset within the bump, fmod(offset, 4*scale_n), is exact (fmod
-  never rounds, and the period is an exact power of two), and so are
-  the mirror differences 4*scale_n - t and 2*scale_n - t, each taken on
-  the half of the period where Sterbenz applies.
+  2*start_n once n >= 2, and start_1 = 0), and so is the offset in
+  units of scale_n, u = (s - start_n) * 2**(n*n + n + 2): scaling by a
+  power of two only shifts the exponent (level 30's 2**932 stays far
+  from overflow);
+* the offset within the bump, u - 4*floor(u/4), is exact: floor(u/4)
+  is (u/4 is exact once u >= 4, and below 4 the floor is 0), so is
+  4*floor(u/4), and the true remainder is a multiple of the last place
+  of u smaller than u, so it is a double and the subtraction returns it
+  unrounded.  The mirror differences 4 - u and 2 - u are exact on the
+  half of the period where each is taken (Sterbenz again).  Multiplying
+  the folded offset back by scale_n cannot round: the true product is
+  the same fold taken in units of length, a double by the same steps.
 
-The scalar ``profile`` does the same reduction one float at a time.
+The scalar ``profile`` reduces one float at a time with
+``math.fmod(s - start_n, 4*scale_n)``, which never rounds either (the
+period is a power of two).  Level starts and scales come from one set of
+tables built at import, so both paths read the same geometry.
 Every level start and scale is an exact double, so doubles are the only
 number type here; a number that is not exactly a double is refused, not
 rounded.  From level 7 on the bump period 4*scale_n = 2**(-n*n - n) is
@@ -52,6 +62,14 @@ from .modulus import ModulusSpec
 
 MAX_LEVEL = 30
 
+# Level geometry indexed by level 1..MAX_LEVEL (entry 0 is unused): the
+# slot start 1 - 2**(1-n), the bump quarter-width scale_n = 2**-(n*n+n+2)
+# and its reciprocal, each an exact double.
+_LEVELS = np.arange(MAX_LEVEL + 1)
+_START = 1.0 - np.ldexp(1.0, 1 - _LEVELS)
+_SCALE = np.ldexp(1.0, -(_LEVELS * _LEVELS + _LEVELS + 2))
+_INV_SCALE = np.ldexp(1.0, _LEVELS * _LEVELS + _LEVELS + 2)
+
 
 class ResolutionWarning(UserWarning):
     """Evaluation requested beyond the deepest representable level."""
@@ -71,12 +89,13 @@ class LevelSchedule:
 def level_schedule(n: int) -> LevelSchedule:
     if not (1 <= n <= MAX_LEVEL):
         raise DomainError(f"level must lie in [1, {MAX_LEVEL}], got {n}")
+    start = _START.item(n)
     return LevelSchedule(
         n=n,
-        start=1.0 - math.ldexp(1.0, 1 - n),
-        scale=math.ldexp(1.0, -(n * n + n + 2)),
+        start=start,
+        scale=_SCALE.item(n),
         bump_count=2 ** (n * n),
-        width=math.ldexp(1.0, -n),
+        width=(1.0 - start) / 2.0,  # the slot ends at 1 - 2**-n
     )
 
 
@@ -136,46 +155,54 @@ def profile(beta: ModulusSpec, s) -> float:
             f"point {s} lies beyond level {MAX_LEVEL}; returning 0", ResolutionWarning, stacklevel=2
         )
         return 0.0
-    scale = math.ldexp(1.0, -(n * n + n + 2))
-    return _bump_at(beta, scale, math.fmod(s - (1.0 - math.ldexp(1.0, 1 - n)), 4.0 * scale))
+    scale = _SCALE.item(n)
+    return _bump_at(beta, scale, math.fmod(s - _START.item(n), 4.0 * scale))
 
 
 def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     """``profile`` elementwise on a float array (or scalar) in [0, 1].
 
     Returns an array of the input's shape (a numpy scalar for 0-d input).
-    Every step but beta is exact (see the module docstring), so the
-    result equals ``profile`` bit for bit whenever ``beta.many`` and
-    ``beta`` agree: table moduli and power moduli with alpha = 1.  For
-    alpha < 1 numpy's power and Python's may differ in the last ulp, and
-    so may the two profiles.  Points beyond ``MAX_LEVEL`` evaluate to 0
-    with one ``ResolutionWarning`` per call.  Like ``profile`` it refuses
-    a number that is not exactly a double.
+    Each point's level geometry is gathered from the level tables, its
+    offset is taken in units of scale_n and reduced with a floor
+    remainder, and beta is called once for the whole array.  Every step
+    but beta is exact (see the module docstring), so the result equals
+    ``profile`` bit for bit whenever ``beta.many`` and ``beta`` agree:
+    table moduli and power moduli with alpha = 1.  For alpha < 1 numpy's
+    power and Python's may differ in the last ulp, and so may the two
+    profiles.  Points beyond ``MAX_LEVEL`` evaluate to 0 with one
+    ``ResolutionWarning`` per call.  Like ``profile`` it refuses a number
+    that is not exactly a double.
     """
     s = _as_doubles(s, "profile argument")
-    outside = ~((s >= 0.0) & (s <= 1.0))
-    if np.any(outside):
-        raise DomainError(f"profile argument must lie in [0, 1], got {s[outside].flat[0]}")
-    # 1 - s = mant * 2**exp with mant in [1/2, 1): level 1 - exp, one
-    # deeper when 1 - s is a power of two (the slot's right end).
-    mant, exp = np.frexp(1.0 - s)
-    n = np.where(s < 0.5, 1, 1 - exp + (mant == 0.5))
+    x = s.ravel()
+    inside = (x >= 0.0) & (x <= 1.0)  # false for NaN
+    if not inside.all():
+        raise DomainError(f"profile argument must lie in [0, 1], got {x[~inside][0]}")
+    # 1 - x = mant * 2**exp with mant in [1/2, 1): level 1 - exp, one
+    # deeper when 1 - x is a power of two (the slot's right end).
+    mant, exp = np.frexp(1.0 - x)
+    n = np.where(x < 0.5, 1, 1 - exp + (mant == 0.5)).astype(np.intp)  # intp gathers fastest
     deep = n > MAX_LEVEL
-    if np.any(deep):
+    any_deep = bool(np.any(deep))
+    if any_deep:
         warnings.warn(
             f"{np.count_nonzero(deep)} points lie beyond level {MAX_LEVEL}, "
-            f"the first at {s[deep].flat[0]}; returning 0",
+            f"the first at {x[deep][0]}; returning 0",
             ResolutionWarning,
             stacklevel=2,
         )
-    n = np.where(deep, 1, n)  # placeholder level, masked out below
-    scale = np.ldexp(1.0, -(n * n + n + 2))
-    t = np.fmod(s - (1.0 - np.ldexp(1.0, 1 - n)), 4.0 * scale)  # offset within the bump
-    falling = t > 2.0 * scale  # the negated second half, mirrored onto the first
-    t = np.where(falling, 4.0 * scale - t, t)
-    t = np.where(t < scale, t, 2.0 * scale - t)
-    out = np.where(deep, 0.0, np.where(falling, -1.0, 1.0) * beta.many(t) / 2.0)
-    return out[()]  # unwraps 0-d input, a no-op view otherwise
+        n[deep] = 1  # placeholder level, zeroed below
+    u = (x - _START.take(n)) * _INV_SCALE.take(n)  # offset in units of scale_n
+    u -= 4.0 * np.floor(u / 4.0)  # offset within the bump, in [0, 4)
+    falling = u > 2.0  # the negated second half, mirrored onto the first
+    np.subtract(4.0, u, out=u, where=falling)
+    np.subtract(2.0, u, out=u, where=u >= 1.0)
+    out = beta.many(u * _SCALE.take(n)) * 0.5
+    np.negative(out, out=out, where=falling)
+    if any_deep:
+        out[deep] = 0.0
+    return out.reshape(s.shape)[()]  # unwraps 0-d input
 
 
 @dataclass(frozen=True)

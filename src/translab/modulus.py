@@ -3,10 +3,12 @@
 A modulus of continuity is a non-decreasing, subadditive function beta
 with beta(0) = 0.  Two concrete representations are supported:
 
-* power form    beta(s) = lam * s**alpha    with lam > 0 and 0 < alpha <= 1;
+* power form    beta(s) = lam * s**alpha    with finite lam > 0 and
+  0 < alpha <= 1;
 * table form    linear interpolation through a finite increasing list of
-  (delta, value) breakpoints, extended from (0, 0) below the first
-  breakpoint and clamped to the last value above the final one.
+  (delta, value) breakpoints, each number finite, extended from (0, 0)
+  below the first breakpoint and clamped to the last value above the
+  final one.
 
 The inverse of a modulus is the largest separation that guarantees a
 given oscillation,
@@ -55,8 +57,8 @@ class ModulusSpec:
         if self.kind == "power":
             if self.breakpoints:
                 raise DomainError("power modulus takes no breakpoints")
-            if not (self.lam > 0.0):
-                raise DomainError(f"power modulus needs lam > 0, got {self.lam}")
+            if not (0.0 < self.lam < math.inf):
+                raise DomainError(f"power modulus needs a finite lam > 0, got {self.lam}")
             if not (0.0 < self.alpha <= 1.0):
                 raise DomainError(f"power modulus needs alpha in (0, 1], got {self.alpha}")
         elif self.kind == "table":
@@ -65,6 +67,10 @@ class ModulusSpec:
             pts = tuple((float(d), float(v)) for d, v in self.breakpoints)
             if not pts:
                 raise DomainError("table modulus needs at least one breakpoint")
+            for d, v in pts:
+                if not (math.isfinite(d) and math.isfinite(v)):
+                    field = "delta" if not math.isfinite(d) else "value"
+                    raise DomainError(f"table breakpoint {field} must be finite, got ({d}, {v})")
             deltas = [d for d, _ in pts]
             if any(b <= a for a, b in zip(deltas, deltas[1:])) or deltas[0] < 0.0:
                 raise DomainError("table breakpoints must be nonnegative and strictly increasing")

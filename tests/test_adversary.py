@@ -172,6 +172,41 @@ class TestScanPruning:
         assert not rejected[k[interior] - 1].any()
 
 
+def repeat_scan_blocks(a, b, step, block):
+    """The scan's blocks of points built with np.repeat and gathers, kept as the reference."""
+    counts = np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1
+    delta = (a + step) - a
+    ends = np.cumsum(counts)
+    blocks, lo = [], 0
+    while lo < len(a):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + block, side="right")))
+        cnt = counts[lo:hi]
+        first = ends[lo:hi] - cnt - base  # block offset of each interval's first point
+        owner = np.repeat(np.arange(hi - lo), cnt)
+        xs = a[lo:hi][owner] + (np.arange(len(owner)) - first[owner]) * delta[lo:hi][owner]
+        xs[first + cnt - 1] = b[lo:hi]
+        blocks.append(xs)
+        lo = hi
+    return blocks
+
+
+@pytest.mark.parametrize("block", [7, 2**15])
+@pytest.mark.parametrize("C", [1.0, 0.25])
+@pytest.mark.parametrize("j", range(6, 13))
+def test_scan_blocks_match_repeat_oracle(monkeypatch, block, C, j):
+    # every interval, and every third one dropped as flatten's pruning drops some
+    monkeypatch.setattr(adversary, "SCAN_BLOCK_POINTS", block)
+    cuts, step = partition_cuts(j, C), 2.0**-j / 64.0
+    for keep in (slice(None), np.arange(len(cuts) - 1) % 3 != 0):
+        a, b, seen = cuts[:-1][keep], cuts[1:][keep], []
+        adversary._scan(lambda xs: seen.append(xs.copy()) or xs, a, b, step)
+        want = repeat_scan_blocks(a, b, step, block)
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_scan_points_follow_arange():
     # a + step rounds here, so numpy's arange steps by (a + step) - a, not step
     cuts, step = np.array([0.0, 0.5 - 2.0**-54, 0.75, 1.0]), 2.0**-10

@@ -17,7 +17,7 @@ from translab import (
     profile,
     profile_many,
 )
-from translab.extremal import MAX_LEVEL
+from translab.extremal import _INV_SCALE, _SCALE, _START, MAX_LEVEL, _as_doubles
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
@@ -43,7 +43,44 @@ def rational_profile(beta, s):
     return sign * beta(float(t if t < scale else 2 * scale - t)) / 2.0
 
 
+def fmod_profile_many(beta, s):
+    """The profile kernel computed with np.ldexp and np.fmod, kept as the reference."""
+    s = _as_doubles(s, "profile argument")
+    outside = ~((s >= 0.0) & (s <= 1.0))
+    if np.any(outside):
+        raise DomainError(f"profile argument must lie in [0, 1], got {s[outside].flat[0]}")
+    # 1 - s = mant * 2**exp with mant in [1/2, 1): level 1 - exp, one
+    # deeper when 1 - s is a power of two (the slot's right end).
+    mant, exp = np.frexp(1.0 - s)
+    n = np.where(s < 0.5, 1, 1 - exp + (mant == 0.5))
+    deep = n > MAX_LEVEL
+    if np.any(deep):
+        warnings.warn(
+            f"{np.count_nonzero(deep)} points lie beyond level {MAX_LEVEL}, "
+            f"the first at {s[deep].flat[0]}; returning 0",
+            ResolutionWarning,
+            stacklevel=2,
+        )
+    n = np.where(deep, 1, n)  # placeholder level, masked out below
+    scale = np.ldexp(1.0, -(n * n + n + 2))
+    t = np.fmod(s - (1.0 - np.ldexp(1.0, 1 - n)), 4.0 * scale)  # offset within the bump
+    falling = t > 2.0 * scale  # the negated second half, mirrored onto the first
+    t = np.where(falling, 4.0 * scale - t, t)
+    t = np.where(t < scale, t, 2.0 * scale - t)
+    out = np.where(deep, 0.0, np.where(falling, -1.0, 1.0) * beta.many(t) / 2.0)
+    return out[()]  # unwraps 0-d input, a no-op view otherwise
+
+
 class TestLevelSchedule:
+    def test_tables_hold_the_dyadic_geometry(self):
+        for n in range(1, MAX_LEVEL + 1):
+            assert _START[n] == 1.0 - math.ldexp(1.0, 1 - n)
+            assert _SCALE[n] == math.ldexp(1.0, -(n * n + n + 2))
+            assert _INV_SCALE[n] * _SCALE[n] == 1.0
+            lev = level_schedule(n)
+            assert all(type(x) is float for x in (lev.start, lev.scale, lev.width))
+            assert (lev.start, lev.scale, lev.width) == (_START[n], _SCALE[n], math.ldexp(1.0, -n))
+
     def test_level_one(self):
         lev = level_schedule(1)
         assert all(type(x) is float for x in (lev.start, lev.scale, lev.width))
@@ -204,7 +241,69 @@ level_points = st.one_of(
 )
 
 
+# Slot ends 1 - 2**-k of every level and beyond MAX_LEVEL, the ends of
+# [0, 1], signed zero and the double below 1/2 whose 1 - s rounds to 1/2.
+EDGE_POINTS = [0.0, -0.0, 1.0, 0.5 - 2.0**-54] + [1.0 - 2.0**-k for k in range(1, 41)]
+
+# Power moduli with alpha < 1 take numpy's power, tables np.interp.
+ORACLE_MODULI = [ModulusSpec.power(lam, alpha) for lam in (1.0, 8.0) for alpha in (0.25, 0.5, 0.75, 1.0)] + [
+    ModulusSpec.table([(2.0**-40, 2.0**-30), (2.0**-12, 2.0**-9), (0.25, 0.2)])
+]
+
+
+def nudged(x, ulps):
+    """x moved by ulps units in the last place, kept in [0, 1]."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return min(max(x, 0.0), 1.0)
+
+
+@st.composite
+def bump_corners(draw):
+    """A bump corner start_n + (4k + c) * scale_n of any level, c in 0..4, a few ulps off."""
+    lev = level_schedule(draw(st.integers(1, MAX_LEVEL)))
+    k, c = draw(st.integers(0, lev.bump_count - 1)), draw(st.integers(0, 4))
+    return nudged(lev.start + (4 * k + c) * lev.scale, draw(st.integers(-3, 3)))
+
+
+def with_warnings(kernel, beta, xs):
+    """kernel(beta, xs) and the (category, text) of every warning it raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = kernel(beta, xs)
+    return out, [(w.category, str(w.message)) for w in seen]
+
+
 class TestProfileKernel:
+    @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
+    @given(xs=st.lists(st.one_of(st.sampled_from(EDGE_POINTS), bump_corners(), level_points), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_fmod_oracle(self, beta, xs):
+        xs = np.array(xs)
+        got, got_warned = with_warnings(profile_many, beta, xs)
+        want, want_warned = with_warnings(fmod_profile_many, beta, xs)
+        # through int64, so -0.0 differs from 0.0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # one warning per call, with the same text, when a point lies beyond MAX_LEVEL
+        deep = (xs >= 1.0 - 2.0**-MAX_LEVEL) & (xs < 1.0)
+        assert got_warned == want_warned
+        assert [c for c, _ in got_warned] == [ResolutionWarning] * int(deep.any())
+
+    @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
+    def test_shapes_match_fmod_oracle(self, beta):
+        xs = np.array(EDGE_POINTS)
+        for x in xs:  # 0-d input, as a Python float and as a numpy scalar
+            for arg in (float(x), x):
+                got, warned = with_warnings(profile_many, beta, arg)
+                want, want_warned = with_warnings(fmod_profile_many, beta, arg)
+                assert np.ndim(got) == 0 and warned == want_warned
+                assert np.asarray(got).view(np.int64) == np.asarray(want).view(np.int64)
+        grid = xs.reshape(4, -1)
+        got, warned = with_warnings(profile_many, beta, grid)
+        want, want_warned = with_warnings(fmod_profile_many, beta, grid)
+        assert got.shape == grid.shape and len(warned) == 1 and warned == want_warned
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("lam", [1.0, 3.0])
     @given(xs=st.lists(level_points, min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)

@@ -77,6 +77,25 @@ class TestEval:
         with pytest.raises(DomainError):
             ModulusSpec(kind="mystery")
 
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lam_refused(self, lam):
+        with pytest.raises(DomainError, match=rf"finite lam > 0, got {lam}$"):
+            ModulusSpec.power(lam, 1.0)
+
+    @pytest.mark.parametrize(
+        "points, field",
+        [
+            ([(0.5, math.nan)], "value"),
+            ([(math.nan, 1.0)], "delta"),
+            ([(0.5, math.inf)], "value"),
+            ([(0.25, 0.5), (math.inf, 1.0)], "delta"),
+            ([(0.25, -math.inf), (0.5, 1.0)], "value"),
+        ],
+    )
+    def test_non_finite_table_entries_refused(self, points, field):
+        with pytest.raises(DomainError, match=f"table breakpoint {field} must be finite"):
+            ModulusSpec.table(points)
+
     @pytest.mark.parametrize(
         "fields, message",
         [
