@@ -46,8 +46,8 @@ class SweepConfig:
     def validate(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.lam <= 0.0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
+        if not (0.0 < self.lam < math.inf):
+            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
         q = self.m - self.p
         if not (1 <= q <= self.d):
             raise ConfigError(f"need d >= m - p >= 1, got d={self.d}, m={self.m}, p={self.p}")
@@ -58,6 +58,8 @@ class SweepConfig:
             raise ConfigError("adversary runs need d = m = 1 and p = 0")
         if not (0.0 < self.C <= 1.0):
             raise ConfigError(f"C must lie in (0, 1], got {self.C}")
+        if not (0.0 < self.cw < math.inf):
+            raise ConfigError(f"cw must be positive and finite, got {self.cw}")
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}

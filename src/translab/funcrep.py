@@ -8,14 +8,26 @@ connected-component counting of the zero set of scalar functions on
 [0,1], knot-zero nudging, and ``evaluate_rows``, the one place that
 tells an evaluator with ``evaluate_many`` from a per-point callable.
 
+``evaluate_many`` is a flat gather.  Each point's cell is folded into
+one row index of the values viewed as a (knot tuples, m) table, so each
+of the 2^d cell corners costs one ``take`` of rows at a fixed offset.
+The weights, the corner order and the sums are those of a per-corner
+multilinear formula: a corner's weight is the product of its per-axis
+factors in axis order, and the corners add into a zeroed output in
+``itertools.product`` order.  The result therefore does not depend on
+how the values are gathered, and is bit for bit the same as indexing
+the value array with one index array per axis.
+
 Plain-text file format: a header line ``d m`` followed by one line per
 knot tuple, ``x1 ... xd v1 ... vm``, sorted lexicographically by knots.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +48,8 @@ def _as_grid(grid: Iterable[Sequence[float]]) -> tuple[np.ndarray, ...]:
             raise DomainError("knot lists must be strictly increasing")
         k.setflags(write=False)
         axes.append(k)
+    if not axes:
+        raise ShapeError("a grid needs at least one axis")
     return tuple(axes)
 
 
@@ -54,6 +68,14 @@ class SampledFunction:
     Every value must be finite: a NaN or infinite one is refused at
     construction, naming the first knot that holds it, since multilinear
     weights would spread it to the neighbouring knots (0 * NaN = NaN).
+
+    Knots are shared, not copied: a float64 knot array passed in is made
+    read-only in place and kept as the grid axis, while any other input
+    (a list, an int array) is converted to a new array.  Read-only stops
+    writes through that array only.  If it is a view of a writable base
+    array, writing to the base still changes the grid after validation,
+    so pass arrays that own their data or that no one writes to again.
+    Values are always copied into a C-contiguous read-only array.
     """
 
     grid: tuple[np.ndarray, ...]
@@ -98,7 +120,17 @@ class SampledFunction:
         return cls(grid=axes, values=vals)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation at an (N, d) array of points."""
+        """Multilinear interpolation at an (N, d) array of points.
+
+        Per axis, a point's cell is the last knot at or below it (the
+        last cell for 1.0) and its fraction is w = (x - k[i]) / (k[i+1] - k[i]).
+        The cells fold into a flat row index, and each corner gathers its
+        rows with one ``take`` at that index plus the corner's offset.
+        Its weight is the product of w or 1 - w over the axes in axis
+        order, and ``weight * rows`` adds into a zeroed output, corners in
+        ``itertools.product((0, 1), repeat=d)`` order.  The zero start
+        turns a -0.0 sum into +0.0.  An empty (0, d) block gives (0, m).
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ShapeError(f"expected points of shape (N, {self.d}), got {pts.shape}")
@@ -106,22 +138,24 @@ class SampledFunction:
         if not inside.all():
             row = int(np.argmin(inside.all(axis=1)))
             raise DomainError(f"point {tuple(pts[row].tolist())} (row {row}) outside [0,1]^{self.d}")
-        n = len(pts)
-        cell = []
+        base = 0
         frac = []
         for axis, knots in enumerate(self.grid):
-            i = np.clip(np.searchsorted(knots, pts[:, axis], side="right") - 1, 0, len(knots) - 2)
-            w = (pts[:, axis] - knots[i]) / (knots[i + 1] - knots[i])
-            cell.append(i)
+            x = pts[:, axis]
+            i = np.searchsorted(knots, x, side="right") - 1
+            np.clip(i, 0, len(knots) - 2, out=i)
+            w = (x - knots[i]) / (knots[i + 1] - knots[i])
             frac.append(w)
-        out = np.zeros((n, self.m))
+            base = base * len(knots) + i
+        rows = self.values.reshape(-1, self.m)  # a view: values is C-contiguous
+        lens = self.values.shape[:-1]
+        strides = [math.prod(lens[axis + 1 :]) for axis in range(self.d)]
+        out = np.zeros((len(pts), self.m))
         for corner in itertools.product((0, 1), repeat=self.d):
-            weight = np.ones(n)
-            sel = []
-            for axis, c in enumerate(corner):
-                weight = weight * (frac[axis] if c else 1.0 - frac[axis])
-                sel.append(cell[axis] + c)
-            out += weight[:, None] * self.values[tuple(sel)]
+            # 1 - w is formed per corner, not kept per axis: fewer live arrays
+            weight = functools.reduce(operator.mul, (w if c else 1.0 - w for w, c in zip(frac, corner)))
+            offset = sum(c * s for c, s in zip(corner, strides))
+            out += weight[:, None] * rows.take(base + offset, axis=0)
         return out
 
     def evaluate(self, x) -> np.ndarray:

@@ -150,6 +150,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="adversary"):
             SweepConfig(alpha=1.0, lam=1.0, d=2, m=2, p=0, j_min=6, j_max=8, adversary=True).validate()
 
+    @pytest.mark.parametrize("key,field,value", [
+        ("lambda", "lam", math.nan), ("lambda", "lam", math.inf), ("lambda", "lam", -math.inf),
+        ("cw", "cw", math.nan), ("cw", "cw", math.inf), ("cw", "cw", -1.0), ("cw", "cw", 0.0),
+    ])
+    def test_non_finite_or_non_positive_scales_refused(self, key, field, value):
+        fields = dict(alpha=1.0, lam=1.0, d=1, m=1, p=0, j_min=6, j_max=8)
+        with pytest.raises(ConfigError, match=rf"^{key} must be positive and finite"):
+            SweepConfig(**{**fields, field: value}).validate()
+        if field == "lam":
+            text = BASE_TEXT.replace("lambda=1\n", f"lambda={value}\n")
+        else:
+            text = f"{BASE_TEXT}cw={value}\n"
+        with pytest.raises(ConfigError, match=rf"^{key} must be positive and finite"):
+            parse_config(text)
+
     def test_bad_value_reported_with_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("alpha=abc\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from translab import (
     DomainError,
@@ -83,6 +85,112 @@ class TestEvaluate:
         vals[2, 1, 1] = math.nan
         with pytest.raises(DomainError, match=re.escape("got nan at knot (1.0, 0.5)")):
             SampledFunction(grid=(knots, knots), values=vals)
+
+    def test_empty_block(self):
+        knots = np.array([0.0, 0.5, 1.0])
+        h = SampledFunction(grid=(knots, knots), values=np.ones((3, 3, 2)))
+        assert h.evaluate_many(np.empty((0, 2))).shape == (0, 2)
+
+    def test_grid_needs_an_axis(self):
+        with pytest.raises(ShapeError, match="at least one axis"):
+            SampledFunction(grid=(), values=np.zeros(1))
+
+    def test_float64_knots_are_frozen_and_shared(self):
+        # the SampledFunction docstring's contract
+        knots = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        h = line(knots, [0.0, 1.0, 2.0, 3.0, 4.0])
+        assert h.grid[0] is knots
+        assert not knots.flags.writeable
+        with pytest.raises(ValueError):
+            knots[2] = 0.9
+        listed = [0.0, 0.5, 1.0]
+        assert SampledFunction(grid=(listed,), values=np.zeros(3)).grid[0] is not listed
+
+
+def tuple_index_evaluate_many(self, points):
+    """Reference kernel: one gather with a tuple of per-axis index arrays per corner."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != self.d:
+        raise ShapeError(f"expected points of shape (N, {self.d}), got {pts.shape}")
+    inside = (pts >= 0.0) & (pts <= 1.0)  # NaN fails both comparisons
+    if not inside.all():
+        row = int(np.argmin(inside.all(axis=1)))
+        raise DomainError(f"point {tuple(pts[row].tolist())} (row {row}) outside [0,1]^{self.d}")
+    n = len(pts)
+    cell = []
+    frac = []
+    for axis, knots in enumerate(self.grid):
+        i = np.clip(np.searchsorted(knots, pts[:, axis], side="right") - 1, 0, len(knots) - 2)
+        w = (pts[:, axis] - knots[i]) / (knots[i + 1] - knots[i])
+        cell.append(i)
+        frac.append(w)
+    out = np.zeros((n, self.m))
+    for corner in itertools.product((0, 1), repeat=self.d):
+        weight = np.ones(n)
+        sel = []
+        for axis, c in enumerate(corner):
+            weight = weight * (frac[axis] if c else 1.0 - frac[axis])
+            sel.append(cell[axis] + c)
+        out += weight[:, None] * self.values[tuple(sel)]
+    return out
+
+
+@st.composite
+def grid_and_points(draw):
+    """A grid function with d, m in {1, 2, 3} and a block of points that lean on knots.
+
+    Axes are non-uniform and may have only their two end knots; values
+    include both signed zeros.  Points are knots, knots one ulp either
+    side (kept in [0, 1]), 0, -0.0, 1 and arbitrary floats in [0, 1].
+    """
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    grid = [np.unique([0.0, 1.0] + draw(st.lists(inner, max_size=4))) for _ in range(d)]
+    lens = tuple(len(k) for k in grid)
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    h = SampledFunction(grid=grid, values=draw(arrays(np.float64, lens + (m,), elements=value)))
+
+    def coordinate(knots):
+        near = np.concatenate([knots, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0)])
+        near = near[(near >= 0.0) & (near <= 1.0)]
+        return st.one_of(st.sampled_from(near.tolist() + [-0.0]), st.floats(0.0, 1.0))
+
+    rows = draw(st.lists(st.tuples(*(coordinate(k) for k in grid)), min_size=1, max_size=12))
+    return h, [list(r) for r in rows]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFlatGather:
+    @given(case=grid_and_points())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tuple_index_kernel(self, case):
+        h, rows = case
+        want = tuple_index_evaluate_many(h, np.array(rows))
+        assert same_bits(h.evaluate_many(np.array(rows)), want)
+        assert same_bits(h.evaluate_many(rows), want)  # list input
+        for row, expected in zip(rows, want):  # one-row blocks, the traced path
+            assert same_bits(h.evaluate_many(np.array([row])), expected[None, :])
+            assert same_bits(h(row), expected)
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        h = line([0.0, 1.0], [-0.0, -0.0])
+        out = h.evaluate_many(np.array([[0.0], [0.5], [1.0], [-0.0]]))
+        assert same_bits(out, np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("d,n,m", [(1, 65537, 1), (2, 1025, 2), (3, 65, 3)])
+    def test_large_nonuniform_grids(self, d, n, m):
+        rng = np.random.default_rng(d)
+        grid = [np.unique(np.r_[0.0, rng.uniform(0.0, 1.0, n - 2), 1.0]) for _ in range(d)]
+        h = SampledFunction(grid=grid, values=rng.normal(size=tuple(len(k) for k in grid) + (m,)))
+        pts = rng.uniform(0.0, 1.0, (4000, d))
+        pts[:1000] = np.stack([rng.choice(k, 1000) for k in grid], axis=1)
+        pts[1000:1010] = 1.0
+        assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
 
 
 class TestSupDistance:
