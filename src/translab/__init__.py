@@ -21,7 +21,6 @@ from .certifier import (
     certify,
     cube_at,
     enumerate_cubes,
-    holder_lower_bound,
     miranda_verify,
     resolve_depth,
     theory_lower_bound,

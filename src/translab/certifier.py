@@ -227,27 +227,6 @@ def theory_lower_bound(beta: ModulusSpec, eps: float, m: int, p: int, gamma: flo
     return (16.0 / psi) ** codim * 2.0 ** (-4.0 * codim * math.sqrt(abs(math.log2(psi))))
 
 
-def holder_lower_bound(lam: float, alpha: float, eps: float, m: int, p: int, gamma: float) -> float:
-    """Closed-form envelope for the power modulus lam * s**alpha.
-
-    Uses the explicit inverse (s/lam)**(1/alpha) folded into the
-    exponents, and agrees with ``theory_lower_bound`` on the equivalent
-    power ``ModulusSpec`` to floating-point accuracy.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"need alpha in (0, 1], got {alpha}")
-    if lam <= 0.0:
-        raise DomainError(f"need lam > 0, got {lam}")
-    if not eps > 0.0:  # NaN too
-        raise DomainError(f"budget must be positive, got {eps}")
-    if not (0 <= p < m):
-        raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
-    codim = m - p
-    ratio = gamma * eps / lam
-    log_term = math.sqrt(abs(math.log2(ratio)) / alpha)
-    return 16.0**codim * ratio ** (-codim / alpha) * 2.0 ** (-4.0 * codim * log_term)
-
-
 def _z_slices(free_dims: int, z_grid: int) -> list[tuple[float, ...]]:
     if free_dims == 0:
         return [()]

@@ -34,7 +34,10 @@ locates a point in float arithmetic that never rounds:
 The scalar ``profile`` reduces one float at a time with
 ``math.fmod(s - start_n, 4*scale_n)``, which never rounds either (the
 period is a power of two).  Level starts and scales come from one set of
-tables built at import, so both paths read the same geometry.
+numpy tables built at import, so both paths read the same geometry:
+``profile_many`` gathers from the tables, and ``profile`` reads Python
+float copies of them made with ``tolist()`` (the same doubles, without
+an ``ndarray.item`` call per point).
 Every level start and scale is an exact double, so doubles are the only
 number type here; a number that is not exactly a double is refused, not
 rounded.  From level 7 on the bump period 4*scale_n = 2**(-n*n - n) is
@@ -69,6 +72,9 @@ _LEVELS = np.arange(MAX_LEVEL + 1)
 _START = 1.0 - np.ldexp(1.0, 1 - _LEVELS)
 _SCALE = np.ldexp(1.0, -(_LEVELS * _LEVELS + _LEVELS + 2))
 _INV_SCALE = np.ldexp(1.0, _LEVELS * _LEVELS + _LEVELS + 2)
+# The same starts and scales as Python floats, for the scalar paths.
+_START_FLOATS = _START.tolist()
+_SCALE_FLOATS = _SCALE.tolist()
 
 
 class ResolutionWarning(UserWarning):
@@ -89,11 +95,11 @@ class LevelSchedule:
 def level_schedule(n: int) -> LevelSchedule:
     if not (1 <= n <= MAX_LEVEL):
         raise DomainError(f"level must lie in [1, {MAX_LEVEL}], got {n}")
-    start = _START.item(n)
+    start = _START_FLOATS[n]
     return LevelSchedule(
         n=n,
         start=start,
-        scale=_SCALE.item(n),
+        scale=_SCALE_FLOATS[n],
         bump_count=2 ** (n * n),
         width=(1.0 - start) / 2.0,  # the slot ends at 1 - 2**-n
     )
@@ -109,8 +115,11 @@ def _as_double(s, what: str) -> float:
 
 def _as_doubles(s, what: str) -> np.ndarray:
     """``_as_double`` for arrays, checking element by element only the
-    dtypes that can hold a non-double (objects, long doubles)."""
+    dtypes that can hold a non-double (objects, long doubles).  A native
+    float64 array comes back as it is, without a copy."""
     s = np.asarray(s)
+    if s.dtype == np.float64:
+        return s
     if s.dtype.kind not in "biuf" or s.dtype.itemsize > 8:
         return np.array([_as_double(v, what) for v in s.flat]).reshape(s.shape)
     return np.asarray(s, dtype=float)
@@ -155,8 +164,8 @@ def profile(beta: ModulusSpec, s) -> float:
             f"point {s} lies beyond level {MAX_LEVEL}; returning 0", ResolutionWarning, stacklevel=2
         )
         return 0.0
-    scale = _SCALE.item(n)
-    return _bump_at(beta, scale, math.fmod(s - _START.item(n), 4.0 * scale))
+    scale = _SCALE_FLOATS[n]
+    return _bump_at(beta, scale, math.fmod(s - _START_FLOATS[n], 4.0 * scale))
 
 
 def profile_many(beta: ModulusSpec, s) -> np.ndarray:
@@ -232,16 +241,31 @@ class ExtremalFunction:
         return self.p + self.q
 
     def __call__(self, x) -> np.ndarray:
+        """F at one point x of [0,1]^d, as a new float array of length m.
+
+        x may be any array-like of d numbers (a list, a tuple, an array of
+        any real dtype or byte order), or a bare number when d = 1.  A
+        ``DomainError`` refuses a shape other than (d,), a coordinate
+        outside [0, 1] or NaN, and a number that is not exactly a double.
+        The result is built fresh on every call, never a view of x, and
+        its active components equal ``profile(beta, x_i) / sqrt(q)`` bit
+        for bit.
+        """
         pt = _as_doubles(x, "coordinate")
-        if pt.ndim == 0:  # a bare number, a point when d = 1
-            pt = pt.reshape(1)
         if pt.shape != (self.d,):
-            raise DomainError(f"expected a point in [0,1]^{self.d}, got shape {pt.shape}")
+            if pt.ndim == 0:  # a bare number, a point when d = 1
+                pt = pt.reshape(1)
+            if pt.shape != (self.d,):
+                raise DomainError(f"expected a point in [0,1]^{self.d}, got shape {pt.shape}")
         coords = pt.tolist()
-        if not all(0.0 <= c <= 1.0 for c in coords):  # NaN fails too, in any coordinate
-            raise DomainError(f"point {tuple(coords)} outside [0,1]^{self.d}")
-        root = math.sqrt(self.q)
-        return np.array([0.0] * self.p + [profile(self.beta, c) / root for c in coords[: self.q]])
+        for c in coords:
+            if not 0.0 <= c <= 1.0:  # NaN fails too, in any coordinate
+                raise DomainError(f"point {tuple(coords)} outside [0,1]^{self.d}")
+        beta, root = self.beta, math.sqrt(self.q)
+        out = [0.0] * self.p
+        for c in coords[: self.q]:
+            out.append(profile(beta, c) / root)
+        return np.array(out)
 
     def as_scalar(self):
         """The active profile as a callable on floats and float arrays (d = q = 1 maps)."""

@@ -58,7 +58,7 @@ def evaluate_rows(h: Callable, pts: np.ndarray) -> np.ndarray:
     many = getattr(h, "evaluate_many", None)
     if many is not None:
         return np.asarray(many(pts), dtype=float)
-    return np.array([np.asarray(h(row), dtype=float) for row in pts])
+    return np.array([h(row) for row in pts], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,6 @@ from translab import (
     enumerate_cubes,
     fit_slope,
     flatten_perturbation,
-    holder_lower_bound,
     miranda_verify,
     refine_interpolant,
     resolve_depth,
@@ -27,6 +26,8 @@ from translab import (
     theory_lower_bound,
 )
 from translab.funcrep import SampledFunction
+
+from closed_form import holder_lower_bound
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 

@@ -7,6 +7,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["sweep_adv", "certify_q2", "certify_chart"]
+# Per-layer counts of one traced pass.  certify_chart's input calls F once
+# per face-lattice point, so a point call that stops going through
+# extremal.profile reads 0 points there.
+TRACED_COUNTS = {"certify_chart": {"extremal.points": 4216, "certifier.evals": 4216}}
 
 
 def bench_gate(workload, trace):
@@ -22,6 +26,7 @@ def bench_gate(workload, trace):
     last = json.loads(run.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
     assert last["failed"] == 0
+    return last
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -29,7 +34,9 @@ def test_traced_run_passes_its_gate(workload):
     # --trace 1 patches translab names (certifier.enumerate_cubes,
     # certifier.pullback_perturbation, extremal.profile, ...); a renamed or
     # deleted one breaks the traced run, and only this catches it
-    bench_gate(workload, "1")
+    metrics = bench_gate(workload, "1")["metrics"]
+    for name, count in TRACED_COUNTS.get(workload, {}).items():
+        assert metrics[name]["value"] == count, name
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

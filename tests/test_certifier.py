@@ -18,13 +18,14 @@ from translab import (
     certify,
     cube_at,
     enumerate_cubes,
-    holder_lower_bound,
     identity_chart,
     level_schedule,
     miranda_verify,
     resolve_depth,
     theory_lower_bound,
 )
+
+from closed_form import holder_lower_bound
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 

@@ -11,12 +11,13 @@ from translab import (
     SweepConfig,
     SweepRecord,
     fit_slope,
-    holder_lower_bound,
     parse_config,
     read_csv,
     sweep,
     write_csv,
 )
+
+from closed_form import holder_lower_bound
 
 BASE = SweepConfig(alpha=1.0, lam=1.0, d=1, m=1, p=0, j_min=6, j_max=16)
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from translab import (
     profile,
     profile_many,
 )
+from translab import extremal
 from translab.extremal import _INV_SCALE, _SCALE, _START, MAX_LEVEL, _as_doubles
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
@@ -487,6 +489,63 @@ class TestExtremalFunction:
             x, y = rng.uniform(0.0, 1.0, size=(2, 2))
             osc = float(np.linalg.norm(F(x) - F(y)))
             assert osc <= beta(float(np.linalg.norm(x - y))) + 1e-12
+
+
+class TestPointCall:
+    BETA = ModulusSpec.power(2.0, 0.5)
+
+    def expected(self, F, coords):
+        """p zeros, then profile(c) / sqrt(q) for each active coordinate."""
+        root = math.sqrt(F.q)
+        return np.array([0.0] * F.p + [profile(F.beta, float(c)) / root for c in coords[: F.q]])
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.3, 0.77, 0.1], dtype=np.float32),
+            np.array([0.3, 0.9375 + 2.0**-20, 0.1], dtype=">f8"),
+            np.array([0, 1, 1]),
+            (0.3, 0.77, 0.5),
+            [0.8125, 0, 1.0],
+        ],
+        ids=["float32", "big-endian", "int", "tuple", "list"],
+    )
+    def test_input_types_give_profile_bits(self, x):
+        F = ExtremalFunction(beta=self.BETA, d=3, q=2, p=1)
+        got = F(x)
+        assert got.shape == (3,) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), self.expected(F, list(x)).view(np.uint64))
+
+    @pytest.mark.parametrize("x", [0.6, np.float64(0.6), np.array(0.6), np.float32(0.6)])
+    def test_zero_dimensional_input(self, x):
+        F = ExtremalFunction(beta=self.BETA, d=1, q=1)
+        got = F(x)
+        assert np.array_equal(got.view(np.uint64), self.expected(F, [x]).view(np.uint64))
+
+    def test_result_is_fresh(self):
+        F = ExtremalFunction(beta=self.BETA, d=2, q=1, p=1)
+        x = np.array([0.8125 + 2.0**-9, 0.25])
+        first = F(x)
+        want = first.copy()
+        assert not np.shares_memory(first, x)
+        first[1] = 0.0  # as a per-point perturbation may do
+        first[0] = 1.0
+        assert np.array_equal(F(x), want)
+        assert x.tolist() == [0.8125 + 2.0**-9, 0.25]
+
+    @pytest.mark.parametrize("d,q,p", [(1, 1, 0), (2, 1, 1), (3, 2, 0), (3, 3, 2)])
+    def test_one_profile_call_per_active_coordinate(self, d, q, p):
+        F = ExtremalFunction(beta=self.BETA, d=d, q=q, p=p)
+        calls = []
+
+        def counted(beta, s):
+            calls.append(s)
+            return profile(beta, s)
+
+        with mock.patch.object(extremal, "profile", counted):
+            out = F(np.linspace(0.1, 0.9, d))
+        assert len(calls) == q
+        assert out.tolist() == self.expected(F, np.linspace(0.1, 0.9, d)).tolist()
 
 
 def knot_pair_oscillation(h, delta):

@@ -16,7 +16,7 @@ from translab import (
     nudge_knot_zeros,
     sup_distance,
 )
-from translab.funcrep import ZeroSetSummary
+from translab.funcrep import ZeroSetSummary, evaluate_rows
 
 
 def line(knots, values):
@@ -191,6 +191,33 @@ class TestFlatGather:
         pts[:1000] = np.stack([rng.choice(k, 1000) for k in grid], axis=1)
         pts[1000:1010] = 1.0
         assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
+
+
+class TestEvaluateRows:
+    PTS = np.array([[0.0, 0.25], [0.5, 1.0], [0.75, 0.125]])
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            lambda x: [x[0], 2 * x[1], -0.0],  # a list
+            lambda x: (int(4 * x[0]), 3, -1),  # an int tuple
+            lambda x: np.array([x[1], x[0] - 1.0, 0.1]),  # a float64 array
+        ],
+        ids=["list", "int-tuple", "float64-array"],
+    )
+    def test_per_point_callable_gives_a_float_block(self, h):
+        want = np.array([np.asarray(h(row), dtype=float) for row in self.PTS])  # one asarray per row
+        got = evaluate_rows(h, self.PTS)
+        assert got.shape == (3, 3) and got.dtype == np.float64
+        assert same_bits(got, want)
+
+    def test_ragged_rows_are_refused(self):
+        with pytest.raises(ValueError):
+            evaluate_rows(lambda x: [0.0] * (1 + (x[0] > 0.25)), self.PTS)
+
+    def test_evaluate_many_is_preferred(self):
+        h = line([0.0, 1.0], [0.0, 1.0])
+        assert same_bits(evaluate_rows(h, self.PTS[:, :1]), [[0.0], [0.5], [0.75]])
 
 
 class TestSupDistance:
