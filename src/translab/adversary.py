@@ -27,6 +27,13 @@ must also give the same value at a point whichever array holds it:
 flatten classifies intervals by the partition-point values it reuses.
 f must be finite: a NaN or infinite value is refused with
 ``DomainError``, naming the first point that gave it.
+
+f may carry an optional ``sup_from`` attribute, as the callable of
+``ExtremalFunction.as_scalar`` does: ``f.sup_from(s)``, on a float array
+s, bounds |f| on [s, 1] elementwise, computed values included.  flatten
+then lifts a candidate interval whose bound is at or below its threshold
+without scanning it, the verdict the scan would have reached.  A
+callable without the attribute is scanned in full.
 """
 
 from __future__ import annotations
@@ -108,6 +115,11 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     within eps regardless.  An interval with a partition endpoint above
     the threshold is classified without an interior scan: the endpoints
     are the scan's first and last samples, so the verdict is the same.
+    When f has ``sup_from``, an interval [a, b] with both endpoints low
+    and ``sup_from(a)`` at or below the threshold is lifted unscanned:
+    every scan sample lies in [a, b], where |f| is at most that bound,
+    so the scan would have lifted it too.  Only the scan's points, and
+    any ``ResolutionWarning`` they would raise, are skipped.
     Candidate breakpoints are laid out interval by interval; one that
     does not lie strictly right of every earlier candidate (a duplicate
     or a collapsed ramp) is dropped, so the first value at a point wins.
@@ -120,7 +132,11 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     a, b, fa, fb = cuts[:-1], cuts[1:], fc[:-1], fc[1:]
     low = np.abs(fc) <= thr
     lifted = low[:-1] & low[1:]
-    lifted[lifted] = _scan(f, a[lifted], b[lifted], step) <= thr
+    scan = lifted.copy()
+    sup_from = getattr(f, "sup_from", None)
+    if sup_from is not None:
+        scan[lifted] = sup_from(a[lifted]) > thr  # a bound at or below thr settles the lift
+    lifted[scan] = _scan(f, a[scan], b[scan], step) <= thr
     half = np.full(len(a), eps / 2.0)
     k1 = math.ceil(3.0 / C)
     width = max(4, k1 + 1)

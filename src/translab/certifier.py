@@ -34,7 +34,7 @@ import numpy as np
 
 from .adversary import SCAN_BLOCK_POINTS
 from .chart import Chart, gamma_w, identity_chart, pullback_perturbation
-from .errors import DomainError, EnumerationCapError
+from .errors import DomainError, EnumerationCapError, ShapeError
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
 from .funcrep import evaluate_rows
 from .modulus import ModulusSpec
@@ -138,7 +138,8 @@ def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(
     """The ``miranda_verify`` verdict of each level-n cube numbered ``ranks``.
 
     h sees the face-lattice points (z appended) in blocks of whole cubes,
-    at most SCAN_BLOCK_POINTS points each unless one cube has more.  A
+    at most SCAN_BLOCK_POINTS points each unless one cube has more, and
+    must return an (N, p + q) block; any other shape is a ``ShapeError``.  A
     cube passes when every active value is finite and clears the slack,
     and on each active axis sign * side is one constant over both faces
     (side +1 on lo, -1 on hi).
@@ -153,7 +154,12 @@ def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(
         block = ranks[lo : lo + step]
         active = _face_points(n, q, block)
         vals = evaluate_rows(h, np.hstack([active, np.tile(tail, (len(active), 1))]))
-        vals = vals.reshape(len(block), q, 2, -1, vals.shape[-1])
+        if vals.shape != (len(active), p + q):
+            raise ShapeError(
+                f"h gave values of shape {vals.shape} at {len(active)} points, "
+                f"expected ({len(active)}, {p + q}): m = {p + q} values per point"
+            )
+        vals = vals.reshape(len(block), q, 2, -1, p + q)
         v = np.stack([vals[:, axis, :, :, p + axis] for axis in range(q)], axis=1)
         oriented = np.sign(v) * side
         clear = np.isfinite(v) & (np.abs(v) > slack)

@@ -126,6 +126,7 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
     beta = ModulusSpec.power(cfg.lam, cfg.alpha)
     q = cfg.m - cfg.p
     fn = ExtremalFunction(beta=beta, d=cfg.d, q=q, p=cfg.p)
+    scalar = fn.as_scalar() if cfg.adversary else None
     records = []
     for j in range(cfg.j_min, cfg.j_max + 1):
         eps = 2.0**-j
@@ -133,7 +134,6 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
         cert = certify(fn, eps, chart=chart)
         ub: Optional[int] = None
         if cfg.adversary:
-            scalar = fn.as_scalar()
             counts = []
             for h in (flatten_perturbation(scalar, eps, cfg.C), refine_interpolant(scalar, eps)):
                 counts.append(count_zero_components(h).h0)

@@ -168,6 +168,21 @@ def profile(beta: ModulusSpec, s) -> float:
     return _bump_at(beta, scale, math.fmod(s - _START_FLOATS[n], 4.0 * scale))
 
 
+def _levels(x: np.ndarray, what: str) -> np.ndarray:
+    """The level of each point of a flat float64 array in [0, 1].
+
+    Levels past ``MAX_LEVEL`` are returned as they are; a point outside
+    [0, 1] or NaN is refused.
+    """
+    inside = (x >= 0.0) & (x <= 1.0)  # false for NaN
+    if not inside.all():
+        raise DomainError(f"{what} must lie in [0, 1], got {x[~inside][0]}")
+    # 1 - x = mant * 2**exp with mant in [1/2, 1): level 1 - exp, one
+    # deeper when 1 - x is a power of two (the slot's right end).
+    mant, exp = np.frexp(1.0 - x)
+    return np.where(x < 0.5, 1, 1 - exp + (mant == 0.5)).astype(np.intp)  # intp gathers fastest
+
+
 def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     """``profile`` elementwise on a float array (or scalar) in [0, 1].
 
@@ -185,13 +200,7 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     """
     s = _as_doubles(s, "profile argument")
     x = s.ravel()
-    inside = (x >= 0.0) & (x <= 1.0)  # false for NaN
-    if not inside.all():
-        raise DomainError(f"profile argument must lie in [0, 1], got {x[~inside][0]}")
-    # 1 - x = mant * 2**exp with mant in [1/2, 1): level 1 - exp, one
-    # deeper when 1 - x is a power of two (the slot's right end).
-    mant, exp = np.frexp(1.0 - x)
-    n = np.where(x < 0.5, 1, 1 - exp + (mant == 0.5)).astype(np.intp)  # intp gathers fastest
+    n = _levels(x, "profile argument")
     deep = n > MAX_LEVEL
     any_deep = bool(np.any(deep))
     if any_deep:
@@ -268,11 +277,57 @@ class ExtremalFunction:
         return np.array(out)
 
     def as_scalar(self):
-        """The active profile as a callable on floats and float arrays (d = q = 1 maps)."""
+        """The active profile as a callable on floats and float arrays (d = q = 1 maps).
+
+        The callable f carries ``f.sup_from``, a bound on the profile's
+        tail: ``sup_from(s)`` has the shape of s, and its entry at s is
+        at least the computed |f(x)| at every double x in [s, 1].  The
+        entry is half the peak of |beta| over [0, scale_n]
+        (``ModulusSpec.peak_many``), n the level of s; it is a bound,
+        not always attained.  Past ``MAX_LEVEL`` f is 0 except at x = 1,
+        which the level formula puts on level 1 at offset 0, so there
+        the entry is half of |beta(0)|: 0 for every power modulus.
+
+        Why a computed value never exceeds the computed bound: f(x) is
+        +-beta.many(t)/2 with t = u * scale_k an exact double in
+        [0, scale_k] (see the module docstring), where k >= n is the
+        level of x, so t <= scale_n and the true |beta(t)| is at most
+        the true peak.  What is left is rounding.
+
+        * Power modulus with alpha = 1: beta.many(t) is lam * t rounded
+          once (t**1 is t), rounding is monotone, and t <= scale_n, so
+          it is at most lam * scale_n rounded, the computed peak.
+          Halving is monotone too, and the bound needs no slack.
+        * Any other modulus: pow is within a few ulp (glibc documents
+          under 1 ulp) before one product by lam; np.interp makes a
+          difference, a quotient, a product and a sum, on the sample and
+          on the peak's end value, so both stay within about 30 units
+          of 2**-53 relative to the peak.  The bound is the halved peak
+          times 1 + 2**-40, which covers relative errors up to about
+          2**-41 even after it rounds itself, plus 2**-1000, which
+          covers the absolute errors of results below the normal range.
+          Where a table slope overflows a double, np.interp returns inf
+          inside that segment, and ``peak_many`` is inf from its left
+          node on.
+        """
         if self.q != 1 or self.p != 0 or self.d != 1:
             raise DomainError("as_scalar needs d = q = 1 and p = 0")
         beta = self.beta
-        return lambda s: profile_many(beta, s)
+        # by level, entry 0 unused; past MAX_LEVEL only the offset 0 is left
+        bounds = 0.5 * beta.peak_many(np.append(_SCALE, 0.0))
+        if not (beta.kind == "power" and beta.alpha == 1.0):
+            bounds = bounds * (1.0 + 2.0**-40) + 2.0**-1000
+
+        def f(s):
+            return profile_many(beta, s)
+
+        def sup_from(s):
+            s = _as_doubles(s, "sup_from argument")
+            n = _levels(s.ravel(), "sup_from argument")
+            return bounds.take(np.minimum(n, MAX_LEVEL + 1)).reshape(s.shape)[()]
+
+        f.sup_from = sup_from
+        return f
 
     def sample(self, step: float) -> SampledFunction:
         """Sample onto the uniform grid of the given step (1/step integral).

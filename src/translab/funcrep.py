@@ -261,7 +261,7 @@ def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
     opens[1:] = start[1:] > reach[:-1]
     closes = np.roll(opens, -1)  # the last piece of each component
     comps = tuple(zip(start[opens].tolist(), reach[closes].tolist()))
-    flat = any(b > a for a, b in comps)
+    flat = bool((reach[closes] > start[opens]).any())
     return ZeroSetSummary(component_count=len(comps), has_flat_zero_interval=flat, components=comps)
 
 

@@ -172,6 +172,63 @@ class TestScanPruning:
         assert not rejected[k[interior] - 1].any()
 
 
+def without_bound(f):
+    """f with its ``sup_from`` stripped: flatten scans every candidate interval, the full-scan oracle."""
+    return lambda s: f(s)
+
+
+def counting(f, seen):
+    """f recording the length of each array it is called on, keeping f's ``sup_from`` if it has one."""
+
+    def g(xs):
+        seen.append(len(xs))
+        return f(xs)
+
+    if hasattr(f, "sup_from"):
+        g.sup_from = f.sup_from
+    return g
+
+
+# Every power modulus of the sweep grid, and a table that rises to 2**-8
+# and falls back to 2**-12 at scale_3 = 2**-14: beta(scale_n) alone would
+# lift level-3 intervals at j = 8 that the scan rejects.
+BOUND_MODULI = [ModulusSpec.power(lam, alpha) for alpha in (0.25, 0.5, 0.75, 1.0) for lam in (1.0, 8.0)] + [
+    ModulusSpec.table([(2.0**-24, 2.0**-8), (2.0**-15, 2.0**-8), (2.0**-14, 2.0**-12), (1.0, 2.0**-12)])
+]
+
+
+class TestBoundPruning:
+    """Intervals settled by the extremal profile's level bound give the full scan's result."""
+
+    @pytest.mark.parametrize("beta", BOUND_MODULI, ids=repr)
+    def test_bit_identical_to_full_scan(self, beta):
+        f = ExtremalFunction(beta=beta, d=1, q=1).as_scalar()
+        saved = 0
+        for j in range(6, 17):
+            pruned, full = [], []
+            h = flatten_perturbation(counting(f, pruned), 2.0**-j, 1.0)
+            ref = flatten_perturbation(counting(without_bound(f), full), 2.0**-j, 1.0)
+            assert np.array_equal(h.grid[0].view(np.uint64), ref.grid[0].view(np.uint64))
+            assert np.array_equal(h.values.view(np.uint64), ref.values.view(np.uint64))
+            saved += sum(full) - sum(pruned)
+        assert saved > 0  # the bound settled some intervals
+
+    def test_points_sent_to_f_at_j14(self):
+        # alpha = lambda = 1: partition, scan and re-interpolation points
+        f, pruned, full = scalar_extremal(), [], []
+        flatten_perturbation(counting(f, pruned), 2.0**-14, 1.0)
+        flatten_perturbation(counting(without_bound(f), full), 2.0**-14, 1.0)
+        assert sum(pruned) == 156398
+        assert sum(full) == 288024  # every candidate interval scanned
+
+    def test_flatten_zero_counts_at_j15_to_18(self):
+        # pinned before the bound existed; refine reaches 1060 here, so the
+        # sweep's adversary_ub does not show flatten's counts
+        f = scalar_extremal()
+        counts = [count_zero_components(flatten_perturbation(f, 2.0**-j, 1.0)).h0 for j in range(15, 19)]
+        assert counts == [2768, 3793, 9251, 17444]
+
+
 def repeat_scan_blocks(a, b, step, block):
     """The scan's blocks of points built with np.repeat and gathers, kept as the reference."""
     counts = np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ from translab import (
     EnumerationCapError,
     ExtremalFunction,
     ModulusSpec,
+    ShapeError,
     certify,
     cube_at,
     enumerate_cubes,
@@ -305,6 +307,21 @@ class TestMirandaKernel:
 
         assert miranda_verify(Batched(), IDENTITY, next(enumerate_cubes(1, 2)))
         assert batches == [36]
+
+    @pytest.mark.parametrize(
+        "h,shape",
+        [(lambda x: np.array([1.0]), "({}, 1)"), (lambda x: 1.0, "({},)"), (lambda x: np.ones(3), "({}, 3)")],
+        ids=["one value", "bare float", "three values"],
+    )
+    def test_wrong_width_is_a_shape_error(self, h, shape):
+        # level 1 at q = 1: two cubes of two face points each
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1, p=1)
+        cube = next(enumerate_cubes(1, 1))
+        calls = [(lambda: certify(F, 2.0**-8, h=h), 4), (lambda: miranda_verify(h, IDENTITY, cube, (0.5,), p=1), 2)]
+        for call, n in calls:
+            message = rf"h gave values of shape {re.escape(shape.format(n))} at {n} points, expected \({n}, 2\): "
+            with pytest.raises(ShapeError, match=message + "m = 2 values per point$"):
+                call()
 
     def test_slack_covers_face_cells_at_q6(self):
         # Component 0 is kappa * t(y_0) * (D - rho), rho the distance of

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from translab import SampledFunction, cli
@@ -148,6 +150,21 @@ class TestPerturbCommand:
         assert code == 0
         h = SampledFunction.load(out_path)
         assert h.d == 1 and h.m == 1
+
+    @pytest.mark.parametrize(
+        "eps,count,digest",
+        [  # pinned before flatten's interval bound existed
+            ("0.0078125", 30, "6ed7a7150ec8a64af4cefa802f87c77a828805fa28f06a75912ac70df04d856b"),
+            ("0.0009765625", 131, "6e6988c327185f7a811156039117094ca70c6ef1cc30821a24eabcc91db6a4a9"),
+            ("0.0001220703125", 592, "b394e2d8339a2c5aa0c45b8a2d26a841c13ec87a5f799a50dc6c374ed0bfc731"),
+        ],
+    )
+    def test_flatten_output_is_pinned(self, capsys, tmp_path, eps, count, digest):
+        out_path = tmp_path / "h.txt"
+        code, out, _ = run(capsys, "perturb", "--mode", "flatten", "--eps", eps, "--out", str(out_path))
+        assert code == 0
+        assert out == f"wrote flatten perturbation to {out_path}: {count} zero components, flat=false\n"
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_refine_reports_zero_count(self, capsys, tmp_path):
         out_path = tmp_path / "h.txt"

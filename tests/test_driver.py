@@ -86,6 +86,11 @@ class TestSweep:
         without_wall = lambda p: [row[:-1] for row in csv.reader(p.read_text().splitlines())]
         assert without_wall(path) == without_wall(reference)
 
+    def test_adversary_counts_past_the_reference_range(self):
+        # pinned before flatten's interval bound existed
+        records = sweep(replace(BASE, j_min=15, j_max=18, adversary=True, C=1.0))
+        assert [r.adversary_ub for r in records] == [1060, 1060, 1060, 1060]
+
     def test_chart_with_adversary_rejected(self):
         from translab import identity_chart
 

@@ -491,6 +491,75 @@ class TestExtremalFunction:
             assert osc <= beta(float(np.linalg.norm(x - y))) + 1e-12
 
 
+# Moduli whose tail bound needs more than beta(scale_n): a table that
+# rises and falls back (beta(scale_3) = 2**-12 is below its 2**-8), and
+# one that starts off 0 at 0 and turns negative.
+TAIL_MODULI = ORACLE_MODULI + [
+    ModulusSpec.table([(2.0**-24, 2.0**-8), (2.0**-15, 2.0**-8), (2.0**-14, 2.0**-12), (1.0, 2.0**-12)]),
+    ModulusSpec.table([(0.0, 2.0**-20), (2.0**-10, -0.25)]),
+]
+
+tail_points = st.one_of(st.sampled_from(EDGE_POINTS), bump_corners(), level_points)
+
+
+class TestSupFrom:
+    """as_scalar().sup_from(s) bounds |profile_many| on [s, 1]."""
+
+    @pytest.mark.parametrize("beta", TAIL_MODULI, ids=repr)
+    @given(pairs=st.lists(st.tuples(tail_points, tail_points), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_the_profile_on_the_tail(self, beta, pairs):
+        s, x = np.sort(np.array(pairs), axis=1).T  # s <= x
+        bound = ExtremalFunction(beta=beta, d=1, q=1).as_scalar().sup_from(s)
+        assert np.all(np.abs(kernel_profiles(beta, x)) <= bound)
+
+    @pytest.mark.parametrize("beta", TAIL_MODULI, ids=repr)
+    def test_bounds_every_extremum_of_deeper_levels(self, beta):
+        sup_from = ExtremalFunction(beta=beta, d=1, q=1).as_scalar().sup_from
+        for n in range(1, 7):
+            lev = level_schedule(n)
+            k = np.arange(min(lev.bump_count, 2**12))
+            extrema = np.concatenate([lev.start + (4 * k + c) * lev.scale for c in (1, 3)])
+            peak = np.abs(profile_many(beta, extrema)).max()
+            starts = np.array([level_schedule(i).start for i in range(1, n + 1)])
+            assert np.all(peak <= sup_from(starts))
+
+    @pytest.mark.parametrize("lam", [1.0, 8.0])
+    def test_attained_for_alpha_one_and_zero_past_max_level(self, lam):
+        beta = ModulusSpec.power(lam, 1.0)
+        sup_from = ExtremalFunction(beta=beta, d=1, q=1).as_scalar().sup_from
+        for n in range(1, 7):
+            lev = level_schedule(n)
+            assert sup_from(lev.start) == profile(beta, lev.start + lev.scale) == lam * lev.scale / 2.0
+        last = 1.0 - 2.0**-MAX_LEVEL  # the first point past level MAX_LEVEL
+        assert sup_from(math.nextafter(last, 0.0)) == lam * level_schedule(MAX_LEVEL).scale / 2.0
+        assert sup_from(last) == sup_from(1.0 - 2.0**-40) == 0.0
+
+    def test_past_max_level_covers_the_value_at_one(self):
+        # x = 1 is level 1 at offset 0, so f(1) = beta(0)/2, nonzero for this table
+        beta = TAIL_MODULI[-1]
+        f = ExtremalFunction(beta=beta, d=1, q=1).as_scalar()
+        assert f(1.0) == 2.0**-21
+        assert 2.0**-21 < f.sup_from(1.0 - 2.0**-40) < 2.0**-20
+
+    def test_slack_for_other_moduli(self):
+        # alpha < 1 and tables: the halved peak times 1 + 2**-40, plus 2**-1000
+        for beta in (ModulusSpec.power(1.0, 0.5), TAIL_MODULI[-2]):
+            sup_from = ExtremalFunction(beta=beta, d=1, q=1).as_scalar().sup_from
+            scale = level_schedule(2).scale
+            want = 0.5 * beta.peak_many(np.array([scale]))[0] * (1.0 + 2.0**-40) + 2.0**-1000
+            assert sup_from(level_schedule(2).start) == want > 0.5 * beta.peak_many(np.array([scale]))[0]
+
+    def test_shape_and_refusals(self):
+        sup_from = ExtremalFunction(beta=IDENTITY, d=1, q=1).as_scalar().sup_from
+        assert np.shape(sup_from(0.25)) == () and sup_from(np.zeros((2, 3))).shape == (2, 3)
+        for bad in (-0.25, 1.5, math.nan):
+            with pytest.raises(DomainError, match="sup_from argument must lie in"):
+                sup_from(np.array([0.5, bad]))
+        with pytest.raises(DomainError, match="not exactly a double"):
+            sup_from(np.array([Fraction(1, 3)], dtype=object))
+
+
 class TestPointCall:
     BETA = ModulusSpec.power(2.0, 0.5)
 
