@@ -32,8 +32,19 @@ f may carry an optional ``sup_from`` attribute, as the callable of
 ``ExtremalFunction.as_scalar`` does: ``f.sup_from(s)``, on a float array
 s, bounds |f| on [s, 1] elementwise, computed values included.  flatten
 then lifts a candidate interval whose bound is at or below its threshold
-without scanning it, the verdict the scan would have reached.  A
-callable without the attribute is scanned in full.
+without scanning it, the verdict the scan would have reached.  f may
+also carry ``peak_from``, as that callable does too: ``f.peak_from(s)``,
+on a float array s, is a hint of a point at or right of s where |f|
+peaks.  flatten tries the two scan samples of an interval next to the
+hint at its left end, and rejects the interval unscanned when either
+exceeds the threshold.  The hint may be any double, NaN included; a
+probe is always one of the interval's own scan samples.  A callable
+without these attributes is scanned in full.
+
+Layouts that cannot fit are refused with ``EnumerationCapError`` before
+f is called: more than ``MESH_CAP`` refine cells, or more than
+``MESH_CAP`` cells in flatten's breakpoint table (partition intervals
+times the breakpoints each one may hold).
 """
 
 from __future__ import annotations
@@ -43,12 +54,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EnumerationCapError
 from .funcrep import SampledFunction, count_zero_components, nudge_knot_zeros
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
 SCAN_BLOCK_POINTS = 2**15  # scan points per call of f
+MESH_CAP = 2**24  # refine cells or flatten breakpoint-table cells; refine reaches it at eps = 2**-22
 
 
 def _check_budget(eps: float, C: float) -> None:
@@ -57,6 +69,12 @@ def _check_budget(eps: float, C: float) -> None:
         raise DomainError(f"need C in (0, 1], got {C}")
     if not (0.0 < eps <= C / 6.0):
         raise DomainError(f"need 0 < eps <= C/6 = {C / 6.0}, got {eps}")
+
+
+def _check_cap(cells: float, what: str) -> None:
+    """Refuse a layout of more than MESH_CAP cells; cells may be a float, inf included."""
+    if cells > MESH_CAP:
+        raise EnumerationCapError(f"{what} needs {cells:.15g} cells, over the cap of {MESH_CAP}")
 
 
 def _partition(eps: float, C: float) -> np.ndarray:
@@ -76,6 +94,28 @@ def _values(f: Callable, xs: np.ndarray) -> np.ndarray:
     return vs
 
 
+def _samples(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scan samples per interval [a[k], b[k]] and their spacing: sample i
+    is a + i * delta, the last one b, as numpy's arange lays them out."""
+    return np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1, (a + step) - a
+
+
+def _probe(f: Callable, a: np.ndarray, b: np.ndarray, step: float, hint) -> np.ndarray:
+    """Max |f| over the two scan samples of each interval that start at
+    the last sample at or left of hint[k].
+
+    A hint that is NaN or off [a[k], b[k]] is moved to the nearer end, so
+    every point f sees is a sample that ``_scan`` would take.
+    """
+    counts, delta = _samples(a, b, step)
+    last = counts - 1
+    x = np.fmin(np.fmax(hint, a), b)  # fmax turns NaN into a
+    i = np.minimum(np.floor((x - a) / delta), last)
+    i = np.stack([i, np.minimum(i + 1.0, last)], axis=1)
+    xs = np.where(i == last[:, None], b[:, None], a[:, None] + i * delta[:, None])
+    return np.abs(_values(f, xs.ravel())).reshape(i.shape).max(axis=1)
+
+
 def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
     """Sampled max |f| on each interval [a[k], b[k]].
 
@@ -87,8 +127,7 @@ def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
     is built as one row per interval, padded to its longest row, which
     costs little for intervals of about equal length, as flatten's are.
     """
-    counts = np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1
-    delta = (a + step) - a
+    counts, delta = _samples(a, b, step)
     ends = np.cumsum(counts)
     peak = np.empty(len(a))
     lo = 0
@@ -118,13 +157,21 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     When f has ``sup_from``, an interval [a, b] with both endpoints low
     and ``sup_from(a)`` at or below the threshold is lifted unscanned:
     every scan sample lies in [a, b], where |f| is at most that bound,
-    so the scan would have lifted it too.  Only the scan's points, and
-    any ``ResolutionWarning`` they would raise, are skipped.
+    so the scan would have lifted it too.  When f has ``peak_from``, each
+    interval still to be scanned is first probed at the two scan samples
+    next to ``peak_from(a)``; a probe value above the threshold rejects
+    it unscanned, since the scan's maximum counts that sample too.  Only
+    the scan's points, and any ``ResolutionWarning`` or refusal of a
+    non-finite value they would raise, are skipped.  A layout of more
+    than ``MESH_CAP`` breakpoint-table cells is refused before f is
+    called.
     Candidate breakpoints are laid out interval by interval; one that
     does not lie strictly right of every earlier candidate (a duplicate
     or a collapsed ramp) is dropped, so the first value at a point wins.
     """
     _check_budget(eps, C)
+    cells = np.ceil(C / (3.0 * eps)) * max(4.0, np.ceil(3.0 / C) + 1.0)  # in floats: inf, not an error, for subnormals
+    _check_cap(cells, f"flatten_perturbation at eps = {eps!r}, C = {C!r}")
     cuts = _partition(eps, C)
     step = eps / SCAN_STEP_DIVISOR
     thr = eps / 2.0 - step / 2.0
@@ -136,6 +183,11 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     sup_from = getattr(f, "sup_from", None)
     if sup_from is not None:
         scan[lifted] = sup_from(a[lifted]) > thr  # a bound at or below thr settles the lift
+    peak_from = getattr(f, "peak_from", None)
+    if peak_from is not None and scan.any():
+        k = np.flatnonzero(scan)
+        high = k[_probe(f, a[k], b[k], step, peak_from(a[k])) > thr]  # one sample above thr settles the rejection
+        lifted[high] = scan[high] = False
     lifted[scan] = _scan(f, a[scan], b[scan], step) <= thr
     half = np.full(len(a), eps / 2.0)
     k1 = math.ceil(3.0 / C)
@@ -163,10 +215,14 @@ def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
 
     Knot zeros are nudged to +1e-12 so each cell carries at most one
     zero; for 1-Lipschitz f the result stays within eps/4 + 2e-12 of f,
-    and a cell holding a point where |f| > eps/2 carries none.
+    and a cell holding a point where |f| > eps/2 carries none.  A mesh of
+    more than ``MESH_CAP`` cells is refused before f is called.
     """
     if not eps > 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
+    if eps == math.inf:
+        raise DomainError(f"budget must be finite, got {eps}")
+    _check_cap(np.ceil(4.0 / eps), f"refine_interpolant at eps = {eps!r}")  # inf, not an error, for subnormals
     k = math.ceil(4.0 / eps)
     knots = np.linspace(0.0, 1.0, k + 1)
     g = SampledFunction(grid=(knots,), values=_values(f, knots)[:, None])

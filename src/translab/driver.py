@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversary import flatten_perturbation, refine_interpolant, theory_upper_curve
+from .adversary import MESH_CAP, flatten_perturbation, refine_interpolant, theory_upper_curve
 from .certifier import certify
 from .errors import ConfigError, DomainError
 from .extremal import ExtremalFunction
@@ -56,6 +56,12 @@ class SweepConfig:
         # j_min > j_max is allowed: an empty range sweeps zero budgets.
         if self.adversary and (self.d != 1 or self.m != 1 or self.p != 0):
             raise ConfigError("adversary runs need d = m = 1 and p = 0")
+        # refine's mesh at eps = 2**-j has 2**(j + 2) cells, the most an adversary row lays out
+        if self.adversary and self.j_max + 2 > math.log2(MESH_CAP):
+            raise ConfigError(
+                f"adversary runs at j_max = {self.j_max} need 2**{self.j_max + 2} refine cells, "
+                f"over the cap of {MESH_CAP}"
+            )
         if not (0.0 < self.C <= 1.0):
             raise ConfigError(f"C must lie in (0, 1], got {self.C}")
         if not (0.0 < self.cw < math.inf):

@@ -309,6 +309,16 @@ class ExtremalFunction:
           Where a table slope overflows a double, np.interp returns inf
           inside that segment, and ``peak_many`` is inf from its left
           node on.
+
+        f also carries ``f.peak_from``, a hint of where |f| peaks:
+        ``peak_from(s)`` has the shape of s, and its entry at s is
+        start_n + k * scale_n, the first level-n extremum at or right of
+        s, with n the level of s (``MAX_LEVEL`` past it) and k the
+        smallest odd integer at or above the offset of s in units of
+        scale_n.  On levels 1..6, at or left of a level's last extremum,
+        the entry is exact and |f| there is |beta(scale_n)|/2.  Elsewhere
+        it may be any double; flatten only uses it to choose which scan
+        samples to try first.
         """
         if self.q != 1 or self.p != 0 or self.d != 1:
             raise DomainError("as_scalar needs d = q = 1 and p = 0")
@@ -326,7 +336,16 @@ class ExtremalFunction:
             n = _levels(s.ravel(), "sup_from argument")
             return bounds.take(np.minimum(n, MAX_LEVEL + 1)).reshape(s.shape)[()]
 
-        f.sup_from = sup_from
+        def peak_from(s):
+            s = _as_doubles(s, "peak_from argument")
+            x = s.ravel()
+            n = np.minimum(_levels(x, "peak_from argument"), MAX_LEVEL)
+            start, scale = _START.take(n), _SCALE.take(n)
+            u = (x - start) * _INV_SCALE.take(n)  # offset in units of scale_n
+            k = 2.0 * np.ceil((u - 1.0) / 2.0) + 1.0  # the smallest odd integer >= u
+            return (start + k * scale).reshape(s.shape)[()]
+
+        f.sup_from, f.peak_from = sup_from, peak_from
         return f
 
     def sample(self, step: float) -> SampledFunction:

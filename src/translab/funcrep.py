@@ -245,17 +245,17 @@ def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
     exactly one vanishes, and one interior crossing on a strict sign
     change.  Touching pieces merge into a single component: a piece
     opens a new one exactly when it starts right of every earlier end.
+    Only the segments with a zero end or a sign change are looked at.
     """
     x, v = _require_scalar_1d(h, "count_zero_components")
-    x0, x1, v0, v1 = x[:-1], x[1:], v[:-1], v[1:]
-    z0, z1 = v0 == 0.0, v1 == 0.0
-    cross = ~z0 & ~z1 & ((v0 > 0.0) != (v1 > 0.0))
+    zero, pos = v == 0.0, v > 0.0
+    seg = np.flatnonzero(zero[:-1] | zero[1:] | (pos[:-1] != pos[1:]))
+    x0, x1, v0, v1 = x[seg], x[seg + 1], v[seg], v[seg + 1]
+    z0, z1 = zero[seg], zero[seg + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         root = x0 + (x1 - x0) * v0 / (v0 - v1)
     start = np.where(z0, x0, np.where(z1, x1, root))
     end = np.where(z1, x1, np.where(z0, x0, root))
-    piece = z0 | z1 | cross
-    start, end = start[piece], end[piece]
     reach = np.maximum.accumulate(end)  # equals the open component's end
     opens = np.ones(len(start), dtype=bool)
     opens[1:] = start[1:] > reach[:-1]

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from translab import (
     DomainError,
+    EnumerationCapError,
     ExtremalFunction,
     ModulusSpec,
     SampledFunction,
@@ -155,12 +157,17 @@ class TestScanPruning:
         monkeypatch.setattr(adversary, "SCAN_BLOCK_POINTS", block)
         f, j, C = TestBlockedScans.TARGETS[target][0], 8, 1.0
         eps = 2.0**-j
-        blocks, scan = [], adversary._scan
+        blocks = []
 
-        def recording_scan(g, a, b, step):
-            return scan(lambda xs: blocks.append(xs.copy()) or g(xs), a, b, step)
+        def recorded(stage):
+            # the scan, and the probe that settles rejections before it
+            def run(g, *args):
+                return stage(lambda xs: blocks.append(xs.copy()) or g(xs), *args)
 
-        monkeypatch.setattr(adversary, "_scan", recording_scan)
+            return run
+
+        monkeypatch.setattr(adversary, "_scan", recorded(adversary._scan))
+        monkeypatch.setattr(adversary, "_probe", recorded(adversary._probe))
         flatten_perturbation(f, eps, C)
         cuts = partition_cuts(j, C)
         fc = np.abs(f(cuts))
@@ -227,6 +234,138 @@ class TestBoundPruning:
         f = scalar_extremal()
         counts = [count_zero_components(flatten_perturbation(f, 2.0**-j, 1.0)).h0 for j in range(15, 19)]
         assert counts == [2768, 3793, 9251, 17444]
+
+
+def same_output(h, ref):
+    return np.array_equal(h.grid[0].view(np.uint64), ref.grid[0].view(np.uint64)) and np.array_equal(
+        h.values.view(np.uint64), ref.values.view(np.uint64)
+    )
+
+
+def recording(f, points, **attrs):
+    """f recording every point it is called on, carrying the given attributes and no others."""
+
+    def g(xs):
+        points.append(xs.copy())
+        return f(xs)
+
+    for name, value in attrs.items():
+        setattr(g, name, value)
+    return g
+
+
+def wrong_hints():
+    rng = np.random.default_rng(2024)
+    return {
+        "nan": lambda s: np.full(np.shape(s), math.nan),
+        "zero": lambda s: np.zeros(np.shape(s)),
+        "one": lambda s: 1.0,
+        "left_of_a": lambda s: s - 1.0,
+        "right_of_b": lambda s: s + 0.5,
+        "inf": lambda s: np.full(np.shape(s), math.inf),
+        "minus_inf": lambda s: np.full(np.shape(s), -math.inf),
+        "random": lambda s: rng.uniform(-2.0, 3.0, size=np.shape(s)),
+        "random_bits": lambda s: rng.integers(0, 2**63, size=np.shape(s)).view(np.float64),
+    }
+
+
+class TestPeakProbe:
+    """Rejections settled by probing the scan samples next to ``peak_from`` give the full scan's result."""
+
+    @pytest.mark.parametrize("beta", BOUND_MODULI, ids=repr)
+    def test_bit_identical_to_full_scan(self, beta):
+        # for alpha <= 1/2 the intervals left are all lifted and no probe
+        # settles one; a probe costs two points at most
+        f = ExtremalFunction(beta=beta, d=1, q=1).as_scalar()
+        for C in (1.0, 0.25):
+            for j in range(6, 17):
+                probed, bounded = [], []
+                h = flatten_perturbation(recording(f, probed, sup_from=f.sup_from, peak_from=f.peak_from), 2.0**-j, C)
+                ref = flatten_perturbation(without_bound(f), 2.0**-j, C)
+                assert same_output(h, ref)
+                flatten_perturbation(counting(f, bounded), 2.0**-j, C)
+                assert sum(map(len, probed)) <= sum(bounded) + 2 * (len(partition_cuts(j, C)) - 1)
+
+    @pytest.mark.parametrize("hint", sorted(wrong_hints()))
+    @pytest.mark.parametrize("beta", [IDENTITY, ModulusSpec.power(8.0, 0.5)], ids=repr)
+    def test_wrong_hints_change_nothing(self, hint, beta):
+        # every point f sees is one the full scan sends it too
+        f, peak_from = ExtremalFunction(beta=beta, d=1, q=1).as_scalar(), wrong_hints()[hint]
+        for C in (1.0, 0.25):
+            for j in range(6, 14):
+                points, full = [], []
+                h = flatten_perturbation(recording(f, points, sup_from=f.sup_from, peak_from=peak_from), 2.0**-j, C)
+                ref = flatten_perturbation(recording(f, full), 2.0**-j, C)
+                assert same_output(h, ref)
+                seen, every = np.concatenate(points), np.concatenate(full)
+                assert np.isin(seen.view(np.uint64), every.view(np.uint64)).all()
+
+    def test_points_sent_to_f_at_j14(self):
+        # alpha = lambda = 1: the level bound left 683 intervals to scan, 682
+        # of them rejected; probing settles those, and one lifted one is scanned
+        f, probed = scalar_extremal(), []
+        flatten_perturbation(recording(f, probed, sup_from=f.sup_from, peak_from=f.peak_from), 2.0**-14, 1.0)
+        assert sum(map(len, probed)) == 26138
+
+    def test_probe_points_are_scan_samples(self):
+        # hints at, between and beyond the samples, NaN and infinities: the
+        # probe sends f only points of the interval's own scan
+        cuts, step = partition_cuts(9, 0.25), 2.0**-9 / 64.0
+        a, b = cuts[:-1], cuts[1:]
+        rng = np.random.default_rng(5)
+        for hint in (a, b, a - 1.0, b + 1.0, np.nextafter(b, 0.0), rng.uniform(a, b), math.nan, math.inf, -math.inf):
+            seen = []
+            adversary._probe(lambda xs: seen.append(xs.copy()) or xs, a, b, step, hint)
+            pts = seen[0].reshape(len(a), 2)
+            for k in range(len(a)):
+                samples = np.append(np.arange(a[k], b[k], step), b[k])
+                assert np.isin(pts[k].view(np.uint64), samples.view(np.uint64)).all()
+
+
+class TestMeshCap:
+    """Layouts past MESH_CAP are refused before f is called or any array is built."""
+
+    @staticmethod
+    def untouchable(s):
+        raise AssertionError("f was called")
+
+    @staticmethod
+    def refused_lightly(call, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match=match):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # no mesh-sized array was built
+
+    @pytest.mark.parametrize("j", [23, 40])
+    def test_refine(self, j):
+        cells = f"{4 * 2**j:.15g}"
+        self.refused_lightly(
+            lambda: refine_interpolant(self.untouchable, 2.0**-j),
+            rf"refine_interpolant at eps = {2.0**-j!r} needs {cells} cells, over the cap of 16777216",
+        )
+
+    @pytest.mark.parametrize("j,C", [(24, 1.0), (40, 1.0), (27, 2.0**-24)])
+    def test_flatten(self, j, C):
+        self.refused_lightly(
+            lambda: flatten_perturbation(self.untouchable, 2.0**-j, C),
+            rf"flatten_perturbation at eps = {2.0**-j!r}, C = {C!r} needs \d+ cells, over the cap",
+        )
+
+    def test_subnormal_inputs(self):
+        self.refused_lightly(lambda: refine_interpolant(self.untouchable, 5e-324), "needs inf cells")
+        self.refused_lightly(lambda: flatten_perturbation(self.untouchable, 5e-324, 1.0), "needs inf cells")
+        self.refused_lightly(lambda: flatten_perturbation(self.untouchable, 1e-301, 1e-300), r"needs \S+e\+301 cells")
+
+    def test_largest_accepted_layouts(self):
+        # the cap is inclusive: refine at eps = 2**-22 has exactly MESH_CAP cells,
+        # and flatten at j = 23, C = 1 lays out ceil(2**23/3) * 4 cells, under it
+        assert adversary.MESH_CAP == 4 * 2**22
+        adversary._check_cap(float(adversary.MESH_CAP), "refine")
+        assert math.ceil(2.0**23 / 3.0) * 4 <= adversary.MESH_CAP
 
 
 def repeat_scan_blocks(a, b, step, block):
@@ -412,6 +551,8 @@ class TestRefine:
             refine_interpolant(lambda s: s, 0.0)
         with pytest.raises(DomainError, match="budget must be positive, got nan"):
             refine_interpolant(lambda s: s, math.nan)
+        with pytest.raises(DomainError, match="budget must be finite, got inf"):
+            refine_interpolant(lambda s: s, math.inf)
 
 
 class TestIterate:

@@ -156,6 +156,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="adversary"):
             SweepConfig(alpha=1.0, lam=1.0, d=2, m=2, p=0, j_min=6, j_max=8, adversary=True).validate()
 
+    @pytest.mark.parametrize("j_max", [23, 40])
+    def test_adversary_past_the_mesh_cap_rejected(self, j_max):
+        # refine's mesh at eps = 2**-j has 2**(j + 2) cells; the cap is 2**24
+        with pytest.raises(ConfigError, match=rf"j_max = {j_max} need 2\*\*{j_max + 2} refine cells, over the cap"):
+            replace(BASE, j_max=j_max, adversary=True).validate()
+        replace(BASE, j_max=j_max).validate()  # the certifier alone is not capped here
+        replace(BASE, j_max=22, adversary=True).validate()
+
     @pytest.mark.parametrize("key,field,value", [
         ("lambda", "lam", math.nan), ("lambda", "lam", math.inf), ("lambda", "lam", -math.inf),
         ("cw", "cw", math.nan), ("cw", "cw", math.inf), ("cw", "cw", -1.0), ("cw", "cw", 0.0),

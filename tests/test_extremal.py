@@ -560,6 +560,51 @@ class TestSupFrom:
             sup_from(np.array([Fraction(1, 3)], dtype=object))
 
 
+@st.composite
+def points_before_last_extremum(draw):
+    """(n, s): s a double on level n <= 6, at or left of the level's last extremum."""
+    lev = level_schedule(draw(st.integers(1, 6)))
+    last = lev.start + (4 * lev.bump_count - 1) * lev.scale
+    k, c = draw(st.integers(0, lev.bump_count - 1)), draw(st.integers(0, 3))
+    corner = lev.start + (4 * k + c) * lev.scale
+    s = draw(st.one_of(st.floats(lev.start, last), st.just(nudged(corner, draw(st.integers(-3, 3))))))
+    return lev.n, min(max(s, lev.start), last)
+
+
+class TestPeakFrom:
+    """as_scalar().peak_from(s) is the first extremum of the level of s at or right of s."""
+
+    @pytest.mark.parametrize("beta", TAIL_MODULI, ids=repr)
+    @given(drawn=st.lists(points_before_last_extremum(), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_an_extremum_at_or_right_of_s(self, beta, drawn):
+        n, s = (np.array(v) for v in zip(*drawn))
+        peak = ExtremalFunction(beta=beta, d=1, q=1).as_scalar().peak_from(s)
+        assert np.all(peak >= s)
+        scale = _SCALE[n]
+        assert np.all(np.abs(kernel_profiles(beta, peak)) == 0.5 * np.abs(beta.many(scale)))
+        u = (peak - _START[n]) / scale
+        assert np.all(u % 2.0 == 1.0) and np.all(u - 2.0 < (s - _START[n]) / scale)  # odd, and the first
+
+    def test_values_on_a_level(self):
+        peak_from = ExtremalFunction(beta=IDENTITY, d=1, q=1).as_scalar().peak_from
+        lev = level_schedule(2)
+        s = lev.start + np.array([0.0, 0.5, 1.0, 1.5, 3.0, 4.0]) * lev.scale
+        want = lev.start + np.array([1.0, 1.0, 1.0, 3.0, 3.0, 5.0]) * lev.scale
+        assert np.array_equal(peak_from(s), want)
+        assert peak_from(0.0) == level_schedule(1).scale
+
+    def test_shape_and_refusals(self):
+        peak_from = ExtremalFunction(beta=IDENTITY, d=1, q=1).as_scalar().peak_from
+        assert np.shape(peak_from(0.25)) == () and peak_from(np.zeros((2, 3))).shape == (2, 3)
+        assert np.isfinite(peak_from(np.array([1.0, 1.0 - 2.0**-40, 1.0 - 2.0**-52]))).all()
+        for bad in (-0.25, 1.5, math.nan):
+            with pytest.raises(DomainError, match="peak_from argument must lie in"):
+                peak_from(np.array([0.5, bad]))
+        with pytest.raises(DomainError, match="not exactly a double"):
+            peak_from(np.array([Fraction(1, 3)], dtype=object))
+
+
 class TestPointCall:
     BETA = ModulusSpec.power(2.0, 0.5)
 

@@ -429,6 +429,62 @@ class TestZeroComponentsOracle:
             assert count_zero_components(g) == zero_components_by_segment(g)
 
 
+def dense_zero_components(h):
+    """The zero counter computing root, start and end on every segment, kept as the reference."""
+    x, v = h.grid[0], h.values[:, 0]
+    x0, x1, v0, v1 = x[:-1], x[1:], v[:-1], v[1:]
+    z0, z1 = v0 == 0.0, v1 == 0.0
+    cross = ~z0 & ~z1 & ((v0 > 0.0) != (v1 > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = x0 + (x1 - x0) * v0 / (v0 - v1)
+    start = np.where(z0, x0, np.where(z1, x1, root))
+    end = np.where(z1, x1, np.where(z0, x0, root))
+    piece = z0 | z1 | cross
+    start, end = start[piece], end[piece]
+    reach = np.maximum.accumulate(end)
+    opens = np.ones(len(start), dtype=bool)
+    opens[1:] = start[1:] > reach[:-1]
+    closes = np.roll(opens, -1)
+    comps = tuple(zip(start[opens].tolist(), reach[closes].tolist()))
+    flat = bool((reach[closes] > start[opens]).any())
+    return ZeroSetSummary(component_count=len(comps), has_flat_zero_interval=flat, components=comps)
+
+
+def summary_bits(s):
+    return s.component_count, s.has_flat_zero_interval, np.array(s.components, float).view(np.uint64).tolist()
+
+
+def dense_inputs():
+    """96 knot vectors: all zero, signed zeros, random signs, subnormals, uniform knots and random ones."""
+    rng = np.random.default_rng(96)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+    kinds = [
+        lambda n: np.zeros(n),
+        lambda n: rng.choice([0.0, -0.0], n),
+        lambda n: rng.choice([1.0, -1.0], n),
+        lambda n: rng.uniform(-1.0, 1.0, n),
+        lambda n: np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n)),
+        lambda n: rng.choice(specials, n),
+        lambda n: (-1.0) ** np.arange(n) * rng.uniform(0.5, 1.0, n),
+        lambda n: rng.uniform(0.25, 1.0, n),
+    ]
+    for n in (2, 3, 5, 17, 64, 1025):
+        uniform = np.linspace(0.0, 1.0, n)
+        spread = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]))
+        for kind in kinds:
+            for knots in (uniform, spread):
+                yield knots, kind(n)
+
+
+class TestZeroComponentsDense:
+    def test_matches_dense_formula(self):
+        cases = list(dense_inputs())
+        assert len(cases) == 96
+        for knots, values in cases:
+            h = line(knots, values)
+            assert summary_bits(count_zero_components(h)) == summary_bits(dense_zero_components(h))
+
+
 class TestNudge:
     def test_replaces_exact_zero(self):
         h = nudge_knot_zeros(line([0.0, 0.5, 1.0], [1.0, 0.0, 1.0]), 1e-9)
