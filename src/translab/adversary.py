@@ -24,7 +24,8 @@ Every construction calls f on 1-D float arrays of points, so f must
 broadcast the way numpy functions do (``np.sin``, not ``math.sin``); a
 callable returning a constant is broadcast to the array's shape.  f
 must also give the same value at a point whichever array holds it:
-flatten classifies intervals by the partition-point values it reuses.
+flatten classifies intervals by the partition-point values it reuses,
+and reuses them again at the ends of each re-interpolation mesh.
 f must be finite: a NaN or infinite value is refused with
 ``DomainError``, naming the first point that gave it.
 
@@ -55,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EnumerationCapError
-from .funcrep import SampledFunction, count_zero_components, nudge_knot_zeros
+from .funcrep import SampledFunction, _nudge, count_zero_components
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
@@ -164,7 +165,9 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     the scan's points, and any ``ResolutionWarning`` or refusal of a
     non-finite value they would raise, are skipped.  A layout of more
     than ``MESH_CAP`` breakpoint-table cells is refused before f is
-    called.
+    called.  An interval that is not lifted is re-interpolated on a mesh
+    whose ends are exactly its partition points, so f is called only at
+    the mesh's interior points and the ends reuse the partition values.
     Candidate breakpoints are laid out interval by interval; one that
     does not lie strictly right of every earlier candidate (a duplicate
     or a collapsed ramp) is dropped, so the first value at a point wins.
@@ -198,11 +201,14 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     xs[lifted, :4] = np.stack([a, a - fa + half, b + fb - half, b], axis=1)[lifted]
     vs[lifted, :4] = np.stack([fa, half, half, fb], axis=1)[lifted]
     used[lifted, :4] = True
-    # the others: f interpolated on k1 equal subintervals
+    # the others: f interpolated on k1 equal subintervals; linspace puts
+    # a and b exactly at the mesh ends, where fa and fb hold f already
     rest = ~lifted
     mesh = np.linspace(a[rest], b[rest], k1 + 1, axis=1)
+    inner = mesh[:, 1:-1]
     xs[rest, : k1 + 1] = mesh
-    vs[rest, : k1 + 1] = _values(f, mesh.ravel()).reshape(mesh.shape)
+    vs[rest, 0], vs[rest, k1] = fa[rest], fb[rest]
+    vs[rest, 1:k1] = _values(f, inner.ravel()).reshape(inner.shape)
     used[rest, : k1 + 1] = True
     xs, vs = xs[used], vs[used]
     earlier = np.concatenate(([-np.inf], np.maximum.accumulate(xs)[:-1]))
@@ -216,7 +222,9 @@ def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     Knot zeros are nudged to +1e-12 so each cell carries at most one
     zero; for 1-Lipschitz f the result stays within eps/4 + 2e-12 of f,
     and a cell holding a point where |f| > eps/2 carries none.  A mesh of
-    more than ``MESH_CAP`` cells is refused before f is called.
+    more than ``MESH_CAP`` cells is refused before f is called.  The
+    nudge is made on a private copy of f's values, with the rule of
+    ``nudge_knot_zeros``, and the result is validated once.
     """
     if not eps > 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
@@ -225,8 +233,9 @@ def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     _check_cap(np.ceil(4.0 / eps), f"refine_interpolant at eps = {eps!r}")  # inf, not an error, for subnormals
     k = math.ceil(4.0 / eps)
     knots = np.linspace(0.0, 1.0, k + 1)
-    g = SampledFunction(grid=(knots,), values=_values(f, knots)[:, None])
-    return nudge_knot_zeros(g, NUDGE_ETA)
+    vals = _values(f, knots).copy()  # f's result may be its argument, or read-only
+    _nudge(vals, NUDGE_ETA)
+    return SampledFunction(grid=(knots,), values=vals[:, None])
 
 
 def improvement_envelope(eps0: float, C: float, k: int) -> float:
@@ -241,11 +250,20 @@ def iterate_improvement(
 
     Round k re-interpolates at scale eps0/4**(k-1); the interpolant
     lies within eps0/4**k of f, so its zero count is an achieved value
-    at that budget.  Returns (budget, count) pairs.
+    at that budget.  Returns (budget, count) pairs.  A ladder whose
+    finest round would lay out more than ``MESH_CAP`` cells is refused
+    before f is called.
     """
     if rounds < 1:
         raise DomainError(f"need rounds >= 1, got {rounds}")
     _check_budget(eps0, C)
+    finest = eps0
+    for _ in range(rounds - 1):
+        if finest == 0.0:  # underflowed; it stays 0
+            break
+        finest /= 4.0
+    cells = np.ceil(4.0 / finest) if finest else math.inf
+    _check_cap(cells, f"iterate_improvement's round {rounds} at eps = {finest!r}")
     out: list[tuple[float, int]] = []
     scale = eps0
     for k in range(1, rounds + 1):

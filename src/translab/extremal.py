@@ -75,6 +75,9 @@ _INV_SCALE = np.ldexp(1.0, _LEVELS * _LEVELS + _LEVELS + 2)
 # The same starts and scales as Python floats, for the scalar paths.
 _START_FLOATS = _START.tolist()
 _SCALE_FLOATS = _SCALE.tolist()
+# Points per block of profile_many: 64 KiB per temporary, under glibc's
+# default mmap threshold of 128 KiB, so blocks reuse freed heap memory.
+_BLOCK = 2**13
 
 
 class ResolutionWarning(UserWarning):
@@ -189,37 +192,52 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     Returns an array of the input's shape (a numpy scalar for 0-d input).
     Each point's level geometry is gathered from the level tables, its
     offset is taken in units of scale_n and reduced with a floor
-    remainder, and beta is called once for the whole array.  Every step
-    but beta is exact (see the module docstring), so the result equals
+    remainder, and beta is called once per block.  Every step but beta
+    is exact (see the module docstring), so the result equals
     ``profile`` bit for bit whenever ``beta.many`` and ``beta`` agree:
     table moduli and power moduli with alpha = 1.  For alpha < 1 numpy's
     power and Python's may differ in the last ulp, and so may the two
     profiles.  Points beyond ``MAX_LEVEL`` evaluate to 0 with one
-    ``ResolutionWarning`` per call.  Like ``profile`` it refuses a number
-    that is not exactly a double.
+    ``ResolutionWarning`` per call, naming their total count and the
+    first of them.  Like ``profile`` it refuses a number that is not
+    exactly a double, and a point outside [0, 1] or NaN, naming the
+    first; a refusal raises before any warning.
+
+    The output is allocated once and filled in blocks of ``_BLOCK``
+    points, so each temporary stays small and a large call does not
+    grow the heap by several copies of its input.  Every point is
+    computed on its own, so the blocks change no bit of the result.
     """
     s = _as_doubles(s, "profile argument")
     x = s.ravel()
-    n = _levels(x, "profile argument")
-    deep = n > MAX_LEVEL
-    any_deep = bool(np.any(deep))
-    if any_deep:
+    out = np.empty(x.shape)
+    deep_count, first_deep = 0, None
+    for lo in range(0, len(x), _BLOCK):
+        xb, ob = x[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
+        n = _levels(xb, "profile argument")
+        deep = n > MAX_LEVEL
+        any_deep = deep.any()
+        if any_deep:
+            if first_deep is None:
+                first_deep = xb[deep][0]
+            deep_count += np.count_nonzero(deep)
+            n[deep] = 1  # placeholder level, zeroed below
+        u = (xb - _START.take(n)) * _INV_SCALE.take(n)  # offset in units of scale_n
+        u -= 4.0 * np.floor(u / 4.0)  # offset within the bump, in [0, 4)
+        falling = u > 2.0  # the negated second half, mirrored onto the first
+        np.subtract(4.0, u, out=u, where=falling)
+        np.subtract(2.0, u, out=u, where=u >= 1.0)
+        u *= _SCALE.take(n)
+        np.multiply(beta.many(u), 0.5, out=ob)
+        np.negative(ob, out=ob, where=falling)
+        if any_deep:
+            ob[deep] = 0.0
+    if deep_count:
         warnings.warn(
-            f"{np.count_nonzero(deep)} points lie beyond level {MAX_LEVEL}, "
-            f"the first at {x[deep][0]}; returning 0",
+            f"{deep_count} points lie beyond level {MAX_LEVEL}, the first at {first_deep}; returning 0",
             ResolutionWarning,
             stacklevel=2,
         )
-        n[deep] = 1  # placeholder level, zeroed below
-    u = (x - _START.take(n)) * _INV_SCALE.take(n)  # offset in units of scale_n
-    u -= 4.0 * np.floor(u / 4.0)  # offset within the bump, in [0, 4)
-    falling = u > 2.0  # the negated second half, mirrored onto the first
-    np.subtract(4.0, u, out=u, where=falling)
-    np.subtract(2.0, u, out=u, where=u >= 1.0)
-    out = beta.many(u * _SCALE.take(n)) * 0.5
-    np.negative(out, out=out, where=falling)
-    if any_deep:
-        out[deep] = 0.0
     return out.reshape(s.shape)[()]  # unwraps 0-d input
 
 
@@ -352,8 +370,11 @@ class ExtremalFunction:
         """Sample onto the uniform grid of the given step (1/step integral).
 
         The profile is evaluated once per distinct knot coordinate and
-        broadcast across the product grid.
+        broadcast across the product grid.  A step that is not finite
+        and positive is refused with ``DomainError`` before any work.
         """
+        if not 0.0 < step < math.inf:
+            raise DomainError(f"step must be finite and > 0, got {step}")
         count = round(1.0 / step)
         if not math.isclose(count * step, 1.0, rel_tol=0, abs_tol=1e-12):
             raise DomainError(f"step must divide 1 exactly, got {step}")

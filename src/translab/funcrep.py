@@ -265,17 +265,24 @@ def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
     return ZeroSetSummary(component_count=len(comps), has_flat_zero_interval=flat, components=comps)
 
 
+def _nudge(vals: np.ndarray, eta: float) -> None:
+    """Replace every value with |value| < eta by +eta, in place."""
+    vals[np.abs(vals) < eta] = eta
+
+
 def nudge_knot_zeros(h: SampledFunction, eta: float) -> SampledFunction:
     """Replace every knot value with |value| < eta by +eta.
 
     The sign convention is fixed to +eta for reproducibility.  The
-    result differs from h by at most 2*eta in sup norm.
+    result differs from h by at most 2*eta in sup norm.  eta must be
+    finite and positive: a NaN eta would nudge nothing, and an infinite
+    one would make every value infinite.
     """
-    if eta <= 0.0:
-        raise DomainError(f"eta must be positive, got {eta}")
+    if not 0.0 < eta < math.inf:
+        raise DomainError(f"eta must be finite and positive, got {eta}")
     _require_scalar_1d(h, "nudge_knot_zeros")
     vals = h.values.copy()
-    vals[np.abs(vals) < eta] = eta
+    _nudge(vals, eta)
     return h.with_values(vals)
 
 

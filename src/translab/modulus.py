@@ -97,17 +97,23 @@ class ModulusSpec:
         return float(np.interp(s, *self._table_nodes()))
 
     def many(self, s: np.ndarray) -> np.ndarray:
-        """beta elementwise on a float array.
+        """beta elementwise on a float array, as a new array.
 
         Table moduli and alpha = 1 agree with ``beta(s)`` bit for bit;
         for alpha < 1 numpy's power may differ from Python's in the last
-        ulp.
+        ulp.  A power modulus is computed as s**alpha, multiplied in
+        place by lam, plus 0.0: the sum maps -0.0 to +0.0, as
+        ``__call__`` does, and leaves every other value as it is (NaN
+        and inf included).
         """
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0):
             raise DomainError(f"modulus argument must be nonnegative, got {s[s < 0.0].flat[0]}")
         if self.kind == "power":
-            return np.where(s == 0.0, 0.0, self.lam * s**self.alpha)  # +0.0 at -0.0, as __call__
+            out = np.asarray(s**self.alpha)  # 0-d input gives a 0-d array
+            out *= self.lam
+            out += 0.0
+            return out
         return np.interp(s, *self._table_nodes())
 
     def peak_many(self, s: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from translab import (
     flatten_perturbation,
     improvement_envelope,
     iterate_improvement,
+    nudge_knot_zeros,
     profile,
     refine_interpolant,
     sup_distance,
@@ -146,10 +148,11 @@ class TestScanPruning:
     """Flatten scans only the intervals whose endpoint values can still lift."""
 
     def test_points_seen_at_j10(self):
-        # the full 64/eps scan of every interval showed F 67 377 points here
+        # the full 64/eps scan of every interval showed F 67 377 points here;
+        # the 257 re-interpolated intervals reuse their two end values
         f, seen = scalar_extremal(), []
         flatten_perturbation(lambda xs: seen.append(len(xs)) or f(xs), 2.0**-10, 1.0)
-        assert sum(seen) == 17776
+        assert sum(seen) == 17262
 
     @pytest.mark.parametrize("block", [7, 2**15])
     @pytest.mark.parametrize("target", ["extremal", "interior_spike"])
@@ -221,12 +224,13 @@ class TestBoundPruning:
         assert saved > 0  # the bound settled some intervals
 
     def test_points_sent_to_f_at_j14(self):
-        # alpha = lambda = 1: partition, scan and re-interpolation points
+        # alpha = lambda = 1: partition, scan and re-interpolation points,
+        # the last only inside the 4779 re-interpolated intervals
         f, pruned, full = scalar_extremal(), [], []
         flatten_perturbation(counting(f, pruned), 2.0**-14, 1.0)
         flatten_perturbation(counting(without_bound(f), full), 2.0**-14, 1.0)
-        assert sum(pruned) == 156398
-        assert sum(full) == 288024  # every candidate interval scanned
+        assert sum(pruned) == 146840
+        assert sum(full) == 278466  # every candidate interval scanned
 
     def test_flatten_zero_counts_at_j15_to_18(self):
         # pinned before the bound existed; refine reaches 1060 here, so the
@@ -305,7 +309,7 @@ class TestPeakProbe:
         # of them rejected; probing settles those, and one lifted one is scanned
         f, probed = scalar_extremal(), []
         flatten_perturbation(recording(f, probed, sup_from=f.sup_from, peak_from=f.peak_from), 2.0**-14, 1.0)
-        assert sum(map(len, probed)) == 26138
+        assert sum(map(len, probed)) == 16580
 
     def test_probe_points_are_scan_samples(self):
         # hints at, between and beyond the samples, NaN and infinities: the
@@ -359,6 +363,27 @@ class TestMeshCap:
         self.refused_lightly(lambda: refine_interpolant(self.untouchable, 5e-324), "needs inf cells")
         self.refused_lightly(lambda: flatten_perturbation(self.untouchable, 5e-324, 1.0), "needs inf cells")
         self.refused_lightly(lambda: flatten_perturbation(self.untouchable, 1e-301, 1e-300), r"needs \S+e\+301 cells")
+
+    @pytest.mark.parametrize(
+        "rounds,finest,cells",
+        [(10, 2.0**-24, "67108864"), (40, 2.0**-84, f"{2.0**86:.15g}"), (535, 5e-324, "inf"), (10**9, 0.0, "inf")],
+    )
+    def test_iterate_refuses_the_finest_round_up_front(self, rounds, finest, cells):
+        # round 10 from eps0 = 2**-6 re-interpolates at 2**-24: 2**26 cells;
+        # round 535 at the least subnormal, and the scale underflows to 0 after it
+        self.refused_lightly(
+            lambda: iterate_improvement(self.untouchable, 2.0**-6, 1.0, rounds),
+            re.escape(f"iterate_improvement's round {rounds} at eps = {finest!r} needs {cells} cells, over the cap"),
+        )
+
+    def test_iterate_checks_before_the_first_round(self, monkeypatch):
+        # with a cap of 2**10 the third round's 4096 cells are refused before
+        # f sees the first round's 257 knots; a cap of 4096 runs all three
+        monkeypatch.setattr(adversary, "MESH_CAP", 2**10)
+        with pytest.raises(EnumerationCapError, match="round 3 at eps = 0.0009765625 needs 4096 cells"):
+            iterate_improvement(self.untouchable, 2.0**-6, 1.0, 3)
+        monkeypatch.setattr(adversary, "MESH_CAP", 2**12)
+        assert [eps for eps, _ in iterate_improvement(wave, 2.0**-6, 1.0, 3)] == [2.0**-8, 2.0**-10, 2.0**-12]
 
     def test_largest_accepted_layouts(self):
         # the cap is inclusive: refine at eps = 2**-22 has exactly MESH_CAP cells,
@@ -487,6 +512,27 @@ class TestFlatten:
             inside = sum(1 for lo, hi in comps if hi >= a and lo <= b)
             assert inside <= budget
 
+    @pytest.mark.parametrize("C", [1.0, 0.75, 0.25, 2.0**-10])
+    def test_mesh_ends_are_the_partition_points(self, C):
+        # flatten reuses the partition values at the re-interpolation mesh's
+        # ends, which linspace sets to a and b exactly
+        for j in range(6, 17):
+            if 2.0**-j > C / 6.0:  # outside flatten's budget range
+                continue
+            cuts = partition_cuts(j, C)
+            mesh = np.linspace(cuts[:-1], cuts[1:], math.ceil(3.0 / C) + 1, axis=1)
+            assert np.array_equal(mesh[:, 0].view(np.uint64), cuts[:-1].view(np.uint64))
+            assert np.array_equal(mesh[:, -1].view(np.uint64), cuts[1:].view(np.uint64))
+
+    def test_re_interpolation_sends_f_only_interior_points(self):
+        # wave's intervals are all re-interpolated at j = 6: its last call
+        # holds the k1 - 1 = 2 interior points of each of the 22 intervals
+        points = []
+        flatten_perturbation(recording(wave, points), 2.0**-6, 1.0)
+        cuts = partition_cuts(6, 1.0)
+        assert len(points[-1]) == 2 * (len(cuts) - 1)
+        assert not np.isin(points[-1], cuts).any()
+
     def test_budget_validation(self):
         f = scalar_extremal()
         with pytest.raises(DomainError):
@@ -545,6 +591,26 @@ class TestRefine:
         comps = count_zero_components(refine_interpolant(f, eps)).components
         for lo, hi in cells:
             assert not any(c_hi >= lo and c_lo <= hi for c_lo, c_hi in comps)
+
+    @pytest.mark.parametrize(
+        "f", [scalar_extremal(), wave, lambda s: s - 0.5, lambda s: 0.0], ids=["extremal", "wave", "line", "zero"]
+    )
+    def test_bit_identical_to_sampling_then_nudging(self, f):
+        # the interpolant refine built before it nudged its own values in place
+        for j in range(4, 11):
+            knots = np.linspace(0.0, 1.0, 2 ** (j + 2) + 1)
+            vals = np.broadcast_to(np.asarray(f(knots), dtype=float), knots.shape)
+            want = nudge_knot_zeros(SampledFunction(grid=(knots,), values=vals[:, None]), 1e-12)
+            assert same_output(refine_interpolant(f, 2.0**-j), want)
+
+    def test_values_of_f_are_not_written(self):
+        # f returning its argument or a shared read-only array keeps both intact
+        shared = np.zeros(5)
+        shared.setflags(write=False)
+        for f in (lambda s: s, lambda s: shared):
+            g = refine_interpolant(f, 1.0)
+            assert g.grid[0][0] == 0.0 and g.values[0, 0] == 1e-12
+        assert not shared.any()
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):

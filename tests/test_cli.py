@@ -78,6 +78,14 @@ class TestBuildAndEval:
         assert code == 0
         assert float(out) == 0.03125
 
+    @pytest.mark.parametrize("step", ["0", "-0.25", "nan", "inf"])
+    def test_build_refuses_a_bad_step(self, capsys, tmp_path, step):
+        path = tmp_path / "f.txt"
+        code, out, err = run(capsys, "build", "--alpha", "1", "--lambda", "1",
+                             "--d", "1", "--m", "1", "--sample", step, "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err == f"error: step must be finite and > 0, got {float(step)}\n"
+
     def test_build_without_sample(self, capsys):
         code, out, _ = run(capsys, "build", "--alpha", "0.5", "--lambda", "2",
                            "--d", "2", "--m", "2", "--p", "1")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -19,7 +20,7 @@ from translab import (
     profile_many,
 )
 from translab import extremal
-from translab.extremal import _INV_SCALE, _SCALE, _START, MAX_LEVEL, _as_doubles
+from translab.extremal import _BLOCK, _INV_SCALE, _SCALE, _START, MAX_LEVEL, _as_doubles, _levels
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
@@ -390,6 +391,110 @@ class TestProfileKernel:
             profile_many(IDENTITY, np.array([math.nan]))
 
 
+def whole_array_profile_many(beta, s):
+    """The profile kernel over the whole array in one pass, kept as the reference for the blocked one."""
+    s = _as_doubles(s, "profile argument")
+    x = s.ravel()
+    n = _levels(x, "profile argument")
+    deep = n > MAX_LEVEL
+    any_deep = bool(np.any(deep))
+    if any_deep:
+        warnings.warn(
+            f"{np.count_nonzero(deep)} points lie beyond level {MAX_LEVEL}, "
+            f"the first at {x[deep][0]}; returning 0",
+            ResolutionWarning,
+            stacklevel=2,
+        )
+        n[deep] = 1
+    u = (x - _START.take(n)) * _INV_SCALE.take(n)
+    u -= 4.0 * np.floor(u / 4.0)
+    falling = u > 2.0
+    np.subtract(4.0, u, out=u, where=falling)
+    np.subtract(2.0, u, out=u, where=u >= 1.0)
+    out = beta.many(u * _SCALE.take(n)) * 0.5
+    np.negative(out, out=out, where=falling)
+    if any_deep:
+        out[deep] = 0.0
+    return out.reshape(s.shape)[()]
+
+
+def mixed_points(size, seed):
+    """Points on levels 1..7 and uniform in [0, 1], with slot ends and signed zero mixed in."""
+    rng = np.random.default_rng(seed)
+    xs = np.where(
+        rng.random(size) < 0.5,
+        1.0 - rng.uniform(0.5, 1.0, size) * np.ldexp(1.0, -rng.integers(0, 7, size)),
+        rng.uniform(0.0, 1.0, size),
+    )
+    edges = np.array(EDGE_POINTS[:30])  # slot ends up to level 27, none deep
+    xs[rng.integers(0, size, len(edges))] = edges
+    return xs
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+class TestBlockedKernel:
+    """profile_many runs in blocks of _BLOCK points and gives the whole-array kernel's bits and warnings."""
+
+    @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
+    def test_bit_identical_to_whole_array_kernel(self, beta, size):
+        xs = mixed_points(size, size)
+        got, got_warned = with_warnings(profile_many, beta, xs)
+        want, want_warned = with_warnings(whole_array_profile_many, beta, xs)
+        assert got.shape == (size,) and same_bits(got, want)
+        assert got_warned == want_warned == []
+        xs[[size // 3, size - 1]] = [1.0 - 2.0**-35, 1.0 - 2.0**-31]  # deep, in the first and last block
+        got, got_warned = with_warnings(profile_many, beta, xs)
+        want, want_warned = with_warnings(whole_array_profile_many, beta, xs)
+        assert same_bits(got, want) and got_warned == want_warned and len(got_warned) == 1
+
+    @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
+    def test_shapes(self, beta):
+        for xs in (0.0625, np.float64(0.75 + 2.0**-14), np.array(0.3), np.array([]), np.empty((0, 3)),
+                   mixed_points(2 * _BLOCK + 6, 1).reshape(2, -1), mixed_points(3 * _BLOCK, 2).reshape(_BLOCK, 3)):
+            got, want = profile_many(beta, xs), whole_array_profile_many(beta, xs)
+            assert np.shape(got) == np.shape(want) == np.shape(xs)
+            assert np.ndim(got) or isinstance(got, np.float64)
+            assert same_bits(got, want)
+
+    def test_one_warning_for_deep_points_in_two_blocks(self):
+        xs = mixed_points(3 * _BLOCK, 3)
+        first, second, third = 1.0 - 2.0**-33, 1.0 - 2.0**-40, 1.0 - 2.0**-31
+        xs[[_BLOCK + 3, _BLOCK + 9, 2 * _BLOCK + 5]] = [first, second, third]  # none in block 0
+        got, warned = with_warnings(profile_many, IDENTITY, xs)
+        assert warned == [(ResolutionWarning, f"3 points lie beyond level {MAX_LEVEL}, the first at {first}; returning 0")]
+        assert got[_BLOCK + 3] == got[_BLOCK + 9] == got[2 * _BLOCK + 5] == 0.0
+        want, want_warned = with_warnings(whole_array_profile_many, IDENTITY, xs)
+        assert same_bits(got, want) and warned == want_warned
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+    def test_refusal_in_a_later_block_warns_nothing(self, bad):
+        xs = mixed_points(3 * _BLOCK, 4)
+        xs[7] = 1.0 - 2.0**-35  # deep, in block 0
+        xs[[2 * _BLOCK + 1, 2 * _BLOCK + 2]] = [bad, 2.0]  # the first offending point is named
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=rf"must lie in \[0, 1\], got {bad}$"):
+                profile_many(IDENTITY, xs)
+            with pytest.raises(DomainError, match=rf"must lie in \[0, 1\], got {bad}$"):
+                whole_array_profile_many(IDENTITY, xs)
+        assert seen == []
+
+    def test_footprint(self):
+        # the whole-array kernel peaked at 2.7 MiB here, for a 512 KiB result
+        xs = np.linspace(0.0, 1.0, 2**16 + 1)
+        tracemalloc.start()
+        try:
+            profile_many(IDENTITY, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestExtremalFunction:
     def test_scalar_case(self):
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
@@ -692,3 +797,9 @@ class TestSampling:
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
         with pytest.raises(DomainError):
             F.sample(0.3)
+
+    @pytest.mark.parametrize("step", [0.0, -0.0, -0.25, math.nan, math.inf, -math.inf])
+    def test_step_must_be_finite_and_positive(self, step):
+        F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
+        with pytest.raises(DomainError, match=rf"step must be finite and > 0, got {step}"):
+            F.sample(step)

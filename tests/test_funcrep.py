@@ -509,6 +509,12 @@ class TestNudge:
         with pytest.raises(DomainError):
             nudge_knot_zeros(line([0.0, 1.0], [0.0, 1.0]), 0.0)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, -1e-12, -0.0])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        # a NaN eta used to return h with its knot zeros left in place
+        with pytest.raises(DomainError, match=f"eta must be finite and positive, got {eta}"):
+            nudge_knot_zeros(line([0.0, 1.0], [0.0, 1.0]), eta)
+
 
 class TestRefinementInvariance:
     def test_outputs_unchanged(self):

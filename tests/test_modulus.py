@@ -57,6 +57,25 @@ class TestEval:
         want = np.array([beta(x) for x in xs])
         assert np.all(np.abs(beta.many(xs) - want) <= np.spacing(want))
 
+    @pytest.mark.parametrize("lam, alpha", [(1.0, 1.0), (3.0, 1.0), (1.0, 0.5), (8.0, 0.25), (1e300, 0.75), (1e-300, 1.0)])
+    def test_power_many_bit_identical_to_where_formula(self, lam, alpha):
+        # the formula many used before it computed in place, kept as the oracle
+        beta = ModulusSpec.power(lam, alpha)
+        rng = np.random.default_rng(7)
+        edges = [0.0, -0.0, 5e-324, 2.0**-1050, 2.0**-1022, np.nextafter(2.0**-1022, 0.0), 1.0, 1e308,
+                 math.inf, math.nan, -math.nan, np.uint64(0x7FF0000000000123).view(np.float64)]
+        xs = np.concatenate([edges, rng.uniform(0.0, 1.0, 10000),
+                             rng.integers(0, 0x7FF0000000000000, 10000).view(np.float64)])
+        with np.errstate(all="ignore"):  # the signalling NaN and the overflows warn in both
+            got = beta.many(xs)
+            want = np.where(xs == 0.0, 0.0, lam * xs**alpha)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.shares_memory(got, xs)
+        for x in (-0.0, 0.25):  # 0-d input gives a 0-d array, +0.0 at -0.0
+            got = beta.many(np.array(x))
+            assert type(got) is np.ndarray and got.ndim == 0
+            assert got.view(np.uint64) == np.asarray(beta(x)).view(np.uint64)
+
     def test_table_interpolates_from_origin(self):
         beta = ModulusSpec.table([(0.5, 1.0)])
         assert beta(0.25) == pytest.approx(0.5)
