@@ -13,7 +13,9 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   ceil(4/eps) subintervals (mesh <= eps/4) and nudges knot zeros away,
   so each subinterval carries at most one zero and the distance stays
   below eps/4 + 2e-12; a subinterval holding a point where |f| > eps/2
-  ends up zero-free.
+  ends up zero-free.  ``refine_subgrid`` reads the interpolant at a
+  coarser budget off a finer one, when the meshes nest by a power of
+  two, as they do at dyadic budgets.
 
 ``iterate_improvement`` repeats the re-interpolation down a geometric
 budget ladder eps0/4**k and reports the achieved zero counts for
@@ -118,29 +120,35 @@ def _probe(f: Callable, a: np.ndarray, b: np.ndarray, step: float, hint) -> np.n
 
 
 def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
-    """Sampled max |f| on each interval [a[k], b[k]].
+    """Sampled max |f| over the interior scan samples of each interval [a[k], b[k]].
 
     Interval k is sampled at np.arange(a[k], b[k], step) followed by
     b[k], built the way numpy's arange builds it (a + i * ((a + step) - a)),
-    so its first and last samples are exactly a[k] and b[k].  f is
-    called once per block of whole intervals, about SCAN_BLOCK_POINTS
-    points each, so memory stays flat however fine the step.  A block
-    is built as one row per interval, padded to its longest row, which
-    costs little for intervals of about equal length, as flatten's are.
+    so its first and last samples are exactly a[k] and b[k].  Only the
+    samples between those two ends are sent to f: the caller holds f at
+    the ends already.  An interval with no interior sample gets 0, so its
+    ends settle it.  f is called once per block of whole intervals, about
+    SCAN_BLOCK_POINTS points each, so memory stays flat however fine the
+    step.  A block is built as one row per interval, padded to its
+    longest row, which costs little for intervals of about equal length,
+    as flatten's are.
     """
     counts, delta = _samples(a, b, step)
-    ends = np.cumsum(counts)
-    peak = np.empty(len(a))
+    inner = np.maximum(counts - 2, 0)  # samples 1 .. counts - 2
+    ends = np.cumsum(inner)
+    peak = np.zeros(len(a))
     lo = 0
     while lo < len(a):
         base = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + SCAN_BLOCK_POINTS, side="right")))
-        cnt = counts[lo:hi]
-        i = np.arange(cnt.max())
-        grid = a[lo:hi, None] + i * delta[lo:hi, None]  # row k: interval lo + k, padded
-        grid[np.arange(hi - lo), cnt - 1] = b[lo:hi]
-        xs = grid[i < cnt[:, None]]
-        peak[lo:hi] = np.maximum.reduceat(np.abs(_values(f, xs)), ends[lo:hi] - cnt - base)
+        cnt = inner[lo:hi]
+        some = cnt > 0
+        if some.any():
+            i = np.arange(1, cnt.max() + 1)
+            grid = a[lo:hi, None] + i * delta[lo:hi, None]  # row k: interval lo + k, padded
+            xs = grid[i <= cnt[:, None]]
+            # reduceat would read a segment of none as its next point, so only non-empty segments go in
+            peak[lo:hi][some] = np.maximum.reduceat(np.abs(_values(f, xs)), (ends[lo:hi] - cnt - base)[some])
         lo = hi
     return peak
 
@@ -155,8 +163,11 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     within eps regardless.  An interval with a partition endpoint above
     the threshold is classified without an interior scan: the endpoints
     are the scan's first and last samples, so the verdict is the same.
-    When f has ``sup_from``, an interval [a, b] with both endpoints low
-    and ``sup_from(a)`` at or below the threshold is lifted unscanned:
+    For the same reason the scan sends f only each interval's interior
+    samples: both ends are partition points already at or below the
+    threshold, so the interior decides the verdict.  When f has
+    ``sup_from``, an interval [a, b] with both endpoints low and
+    ``sup_from(a)`` at or below the threshold is lifted unscanned:
     every scan sample lies in [a, b], where |f| is at most that bound,
     so the scan would have lifted it too.  When f has ``peak_from``, each
     interval still to be scanned is first probed at the two scan samples
@@ -216,6 +227,16 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     return SampledFunction(grid=(xs[keep],), values=vs[keep][:, None])
 
 
+def _refine_cells(eps: float) -> int:
+    """The cell count ceil(4/eps) of refine's mesh, refused past ``MESH_CAP``."""
+    if not eps > 0.0:
+        raise DomainError(f"budget must be positive, got {eps}")
+    if eps == math.inf:
+        raise DomainError(f"budget must be finite, got {eps}")
+    _check_cap(np.ceil(4.0 / eps), f"refine_interpolant at eps = {eps!r}")  # inf, not an error, for subnormals
+    return math.ceil(4.0 / eps)
+
+
 def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     """Piecewise-linear interpolant of f on the mesh of ceil(4/eps) cells.
 
@@ -226,16 +247,32 @@ def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     nudge is made on a private copy of f's values, with the rule of
     ``nudge_knot_zeros``, and the result is validated once.
     """
-    if not eps > 0.0:
-        raise DomainError(f"budget must be positive, got {eps}")
-    if eps == math.inf:
-        raise DomainError(f"budget must be finite, got {eps}")
-    _check_cap(np.ceil(4.0 / eps), f"refine_interpolant at eps = {eps!r}")  # inf, not an error, for subnormals
-    k = math.ceil(4.0 / eps)
-    knots = np.linspace(0.0, 1.0, k + 1)
+    knots = np.linspace(0.0, 1.0, _refine_cells(eps) + 1)
     vals = _values(f, knots).copy()  # f's result may be its argument, or read-only
     _nudge(vals, NUDGE_ETA)
     return SampledFunction(grid=(knots,), values=vals[:, None])
+
+
+def refine_subgrid(finest: SampledFunction, eps: float) -> SampledFunction:
+    """``refine_interpolant(f, eps)`` read off finest = ``refine_interpolant(f, eps_f)``.
+
+    The result takes every s-th knot and value of finest, where s is
+    finest's cell count over ceil(4/eps); s must be a power of two
+    (1 returns finest itself), or ``DomainError`` is raised.  No knot is
+    rebuilt and f is not called, yet the result is bit for bit the one
+    refine_interpolant builds.  np.linspace(0, 1, K + 1) puts knot i at
+    i * (1/K) rounded once, and 1/(K/s) is exactly s * (1/K) for a power
+    of two s, so the coarse knot i is finest's knot i * s.  f and the
+    nudge act point by point, and the nudge leaves its own output alone,
+    so the values at those knots agree too.
+    """
+    k, fine = _refine_cells(eps), len(finest.grid[0]) - 1
+    s, rest = divmod(fine, k)
+    if rest or s & (s - 1):
+        raise DomainError(f"refine's mesh of {k} cells is not a power-of-two sub-grid of {fine} cells")
+    if s == 1:
+        return finest
+    return SampledFunction(grid=(finest.grid[0][::s],), values=finest.values[::s])
 
 
 def improvement_envelope(eps0: float, C: float, k: int) -> float:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversary import MESH_CAP, flatten_perturbation, refine_interpolant, theory_upper_curve
+from .adversary import MESH_CAP, flatten_perturbation, refine_interpolant, refine_subgrid, theory_upper_curve
 from .certifier import certify
 from .errors import ConfigError, DomainError
 from .extremal import ExtremalFunction
@@ -64,6 +64,13 @@ class SweepConfig:
             )
         if not (0.0 < self.C <= 1.0):
             raise ConfigError(f"C must lie in (0, 1], got {self.C}")
+        # flatten needs eps <= C/6 at every budget, so at the first and largest
+        # one; C <= 1 makes j_min <= 2 fail too, without forming 2.0**-j_min
+        if self.adversary and self.j_min <= self.j_max and (self.j_min <= 2 or 2.0**-self.j_min > self.C / 6.0):
+            raise ConfigError(
+                f"adversary runs need 2**-j_min <= C/6 = {self.C / 6.0!r}; "
+                f"j_min = {self.j_min} with C = {self.C!r} starts at 2**{-self.j_min}"
+            )
         if not (0.0 < self.cw < math.inf):
             raise ConfigError(f"cw must be positive and finite, got {self.cw}")
 
@@ -125,7 +132,17 @@ class SweepRecord:
 
 
 def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
-    """One record per dyadic budget, ordered by decreasing eps."""
+    """One record per dyadic budget, ordered by decreasing eps.
+
+    With the adversary on, refine's interpolant is built once, at the
+    finest budget 2**-j_max, inside the first row's ``wall_ms``; every
+    row reads its own off it with ``refine_subgrid``.  At eps = 2**-j
+    refine's mesh has 2**(j + 2) cells, so each row's mesh takes every
+    2**(j_max - j)-th knot of the finest one, and the sub-grid is bit for
+    bit the interpolant ``refine_interpolant`` would build at that budget:
+    linspace puts each knot at the same double, and f and the knot nudge
+    act point by point.  An empty range builds no mesh.
+    """
     cfg.validate()
     if chart is not None and cfg.adversary:
         raise ConfigError("adversary runs are flat-model only; drop the chart")
@@ -133,6 +150,7 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
     q = cfg.m - cfg.p
     fn = ExtremalFunction(beta=beta, d=cfg.d, q=q, p=cfg.p)
     scalar = fn.as_scalar() if cfg.adversary else None
+    finest = None
     records = []
     for j in range(cfg.j_min, cfg.j_max + 1):
         eps = 2.0**-j
@@ -140,8 +158,10 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
         cert = certify(fn, eps, chart=chart)
         ub: Optional[int] = None
         if cfg.adversary:
+            if finest is None:
+                finest = refine_interpolant(scalar, 2.0**-cfg.j_max)
             counts = []
-            for h in (flatten_perturbation(scalar, eps, cfg.C), refine_interpolant(scalar, eps)):
+            for h in (flatten_perturbation(scalar, eps, cfg.C), refine_subgrid(finest, eps)):
                 counts.append(count_zero_components(h).h0)
             best = min(counts)
             ub = int(best) if math.isfinite(best) else None

@@ -266,8 +266,8 @@ def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
 
 
 def _nudge(vals: np.ndarray, eta: float) -> None:
-    """Replace every value with |value| < eta by +eta, in place."""
-    vals[np.abs(vals) < eta] = eta
+    """Replace every value with |value| < eta by +eta, in place, as one masked copy."""
+    np.copyto(vals, eta, where=np.abs(vals) < eta)
 
 
 def nudge_knot_zeros(h: SampledFunction, eta: float) -> SampledFunction:

@@ -23,6 +23,7 @@ from translab import (
     theory_upper_curve,
 )
 from translab import adversary
+from translab.adversary import refine_subgrid
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
@@ -149,10 +150,11 @@ class TestScanPruning:
 
     def test_points_seen_at_j10(self):
         # the full 64/eps scan of every interval showed F 67 377 points here;
-        # the 257 re-interpolated intervals reuse their two end values
+        # the 257 re-interpolated intervals reuse their two end values, and
+        # the 85 scanned ones theirs too (17 262 points when the scan took them)
         f, seen = scalar_extremal(), []
         flatten_perturbation(lambda xs: seen.append(len(xs)) or f(xs), 2.0**-10, 1.0)
-        assert sum(seen) == 17262
+        assert sum(seen) == 17092
 
     @pytest.mark.parametrize("block", [7, 2**15])
     @pytest.mark.parametrize("target", ["extremal", "interior_spike"])
@@ -225,12 +227,13 @@ class TestBoundPruning:
 
     def test_points_sent_to_f_at_j14(self):
         # alpha = lambda = 1: partition, scan and re-interpolation points,
-        # the last only inside the 4779 re-interpolated intervals
+        # the last only inside the 4779 re-interpolated intervals; the scan
+        # sends no partition point, which saved 2 of each interval's samples
         f, pruned, full = scalar_extremal(), [], []
         flatten_perturbation(counting(f, pruned), 2.0**-14, 1.0)
         flatten_perturbation(counting(without_bound(f), full), 2.0**-14, 1.0)
-        assert sum(pruned) == 146840
-        assert sum(full) == 278466  # every candidate interval scanned
+        assert sum(pruned) == 145474  # 683 intervals scanned, 146 840 points with their ends
+        assert sum(full) == 275736  # every candidate interval scanned: 1365, 278 466 points with their ends
 
     def test_flatten_zero_counts_at_j15_to_18(self):
         # pinned before the bound existed; refine reaches 1060 here, so the
@@ -306,10 +309,11 @@ class TestPeakProbe:
 
     def test_points_sent_to_f_at_j14(self):
         # alpha = lambda = 1: the level bound left 683 intervals to scan, 682
-        # of them rejected; probing settles those, and one lifted one is scanned
+        # of them rejected; probing settles those, and one lifted one is
+        # scanned at its interior samples (16 580 points with its two ends)
         f, probed = scalar_extremal(), []
         flatten_perturbation(recording(f, probed, sup_from=f.sup_from, peak_from=f.peak_from), 2.0**-14, 1.0)
-        assert sum(map(len, probed)) == 16580
+        assert sum(map(len, probed)) == 16578
 
     def test_probe_points_are_scan_samples(self):
         # hints at, between and beyond the samples, NaN and infinities: the
@@ -394,20 +398,18 @@ class TestMeshCap:
 
 
 def repeat_scan_blocks(a, b, step, block):
-    """The scan's blocks of points built with np.repeat and gathers, kept as the reference."""
-    counts = np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1
+    """The scan's blocks of interior points built with np.repeat and gathers, kept as the reference."""
+    inner = np.maximum(np.ceil((b - a) / step) - 1.0, 0.0).astype(np.int64)  # arange's samples after a
     delta = (a + step) - a
-    ends = np.cumsum(counts)
+    ends = np.cumsum(inner)
     blocks, lo = [], 0
     while lo < len(a):
         base = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, base + block, side="right")))
-        cnt = counts[lo:hi]
-        first = ends[lo:hi] - cnt - base  # block offset of each interval's first point
+        cnt = inner[lo:hi]
+        first = ends[lo:hi] - cnt - base  # block offset of each interval's first interior point
         owner = np.repeat(np.arange(hi - lo), cnt)
-        xs = a[lo:hi][owner] + (np.arange(len(owner)) - first[owner]) * delta[lo:hi][owner]
-        xs[first + cnt - 1] = b[lo:hi]
-        blocks.append(xs)
+        blocks.append(a[lo:hi][owner] + (np.arange(len(owner)) - first[owner] + 1) * delta[lo:hi][owner])
         lo = hi
     return blocks
 
@@ -433,8 +435,28 @@ def test_scan_points_follow_arange():
     cuts, step = np.array([0.0, 0.5 - 2.0**-54, 0.75, 1.0]), 2.0**-10
     seen = []
     adversary._scan(lambda xs: seen.append(xs.copy()) or xs, cuts[:-1], cuts[1:], step)
-    want = [np.append(np.arange(a, b, step), b) for a, b in zip(cuts[:-1], cuts[1:])]
+    want = [np.arange(a, b, step)[1:] for a, b in zip(cuts[:-1], cuts[1:])]  # the interior samples
     assert np.array_equal(np.concatenate(seen), np.concatenate(want))
+
+
+@pytest.mark.parametrize("block", [1, 3, 2**15])
+def test_scan_intervals_without_interior_samples(monkeypatch, block):
+    # a point, one step, a step and a bit, and a long interval: f sees only
+    # samples strictly after a, and an interval with none reads 0
+    monkeypatch.setattr(adversary, "SCAN_BLOCK_POINTS", block)
+    step = 2.0**-8
+    a = np.array([0.25, 0.25, 0.5, 0.0, 0.75, 0.75])
+    b = np.array([0.25, 0.25 + step, 0.5 + 1.5 * step, 0.125, 0.75 + step / 2, 1.0])
+    f, seen = lambda xs: np.cos(xs), []
+    peak = adversary._scan(lambda xs: seen.append(xs.copy()) or f(xs), a, b, step)
+    inner = [np.arange(lo, hi, step)[1:] for lo, hi in zip(a, b)]
+    want = [np.abs(f(xs)).max() if len(xs) else 0.0 for xs in inner]
+    assert [len(xs) for xs in inner] == [0, 0, 1, 31, 0, 63]
+    assert np.array_equal(peak, want)
+    assert np.array_equal(np.concatenate(seen), np.concatenate(inner))
+    calls = []
+    assert not adversary._scan(lambda xs: calls.append(xs) or xs, a[[0, 1, 4]], b[[0, 1, 4]], step).any()
+    assert calls == []  # no interior sample anywhere: f is not called
 
 
 class TestNonFiniteTarget:
@@ -619,6 +641,44 @@ class TestRefine:
             refine_interpolant(lambda s: s, math.nan)
         with pytest.raises(DomainError, match="budget must be finite, got inf"):
             refine_interpolant(lambda s: s, math.inf)
+
+
+class TestRefineSubgrid:
+    """A refine interpolant read off a finer one is the one refine_interpolant builds."""
+
+    TARGETS = [scalar_extremal(), wave, lambda s: s - 0.5, lambda s: 0.0]
+
+    @pytest.mark.parametrize("f", TARGETS, ids=["extremal", "wave", "line", "zero"])
+    @pytest.mark.parametrize("base", [1, 3, 5, 7])
+    def test_power_of_two_strides_match_refine(self, f, base):
+        # meshes of base * 2**n cells: linspace's knots nest for any base
+        finest = refine_interpolant(f, 4.0 / (base * 2**12))
+        for n in range(0, 13):
+            eps = 4.0 / (base * 2**n)
+            assert same_output(refine_subgrid(finest, eps), refine_interpolant(f, eps))
+
+    def test_stride_one_is_the_finest_itself(self):
+        finest = refine_interpolant(wave, 2.0**-8)
+        assert refine_subgrid(finest, 2.0**-8) is finest
+
+    @pytest.mark.parametrize(
+        "fine,cells",
+        [(4096, 3), (4096, 12), (4096, 8192), (96, 32), (96, 5), (96, 64)],
+    )
+    def test_meshes_that_do_not_nest_by_a_power_of_two_are_refused(self, fine, cells):
+        # 96 / 32 = 3 divides but is not a power of two; the others do not divide
+        finest = refine_interpolant(wave, 4.0 / fine)
+        with pytest.raises(DomainError, match=f"mesh of {cells} cells is not a power-of-two sub-grid of {fine} cells"):
+            refine_subgrid(finest, 4.0 / cells)
+        assert len(refine_subgrid(finest, 8.0 / fine).grid[0]) == fine // 2 + 1
+
+    def test_budget_validation(self):
+        finest = refine_interpolant(wave, 2.0**-6)
+        for eps, match in ((0.0, "positive"), (math.nan, "positive"), (math.inf, "finite")):
+            with pytest.raises(DomainError, match=f"budget must be {match}"):
+                refine_subgrid(finest, eps)
+        with pytest.raises(EnumerationCapError, match="needs 33554432 cells, over the cap"):
+            refine_subgrid(finest, 2.0**-23)
 
 
 class TestIterate:

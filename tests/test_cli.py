@@ -1,7 +1,13 @@
+import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import translab
 from translab import SampledFunction, cli
 from translab.cli import main
 
@@ -239,6 +245,35 @@ class TestSweepCommand:
         out_path = tmp_path / "sweep.csv"
         code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out_path))
         assert code == 2 and "unknown key" in err
+
+    def test_adversary_budget_over_c_over_6_is_clean_error(self, capsys, tmp_path):
+        # refused by the config check before row 1 is certified
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("alpha=1\nlambda=1\nd=1\nm=1\np=0\nj_min=2\nj_max=8\nadversary=true\nC=1\n")
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "error: adversary runs need 2**-j_min <= C/6 = 0.16666666666666666; " \
+                      "j_min = 2 with C = 1.0 starts at 2**-2\n"
+        assert not out_path.exists()
+
+    def test_python_dash_m_matches_main(self, capsys, tmp_path):
+        # `python -m translab` from a checkout runs cli.main: same CSV, wall_ms aside
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("alpha=1\nlambda=1\nd=1\nm=1\np=0\nj_min=6\nj_max=9\nadversary=true\n")
+        by_main, by_module = tmp_path / "main.csv", tmp_path / "module.csv"
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(by_main))
+        assert code == 0
+        src = Path(translab.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "translab", "sweep", "--config", str(cfg), "--out", str(by_module)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, out.replace(str(by_main), str(by_module)), "")
+        without_wall = lambda p: [row[:-1] for row in csv.reader(p.read_text().splitlines())]
+        assert len(without_wall(by_module)) == 5
+        assert without_wall(by_module) == without_wall(by_main)
 
     def test_missing_file_is_clean_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "nope.txt"),

@@ -1,18 +1,25 @@
 import csv
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from translab import (
     ConfigError,
     DomainError,
+    ExtremalFunction,
+    ModulusSpec,
     SweepConfig,
     SweepRecord,
+    driver,
+    extremal,
     fit_slope,
     parse_config,
     read_csv,
+    refine_interpolant,
     sweep,
     write_csv,
 )
@@ -98,6 +105,47 @@ class TestSweep:
             sweep(replace(BASE, adversary=True, j_max=7), chart=identity_chart(1))
 
 
+class TestSharedRefineMesh:
+    """With the adversary on, one refine mesh at 2**-j_max serves every row."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("lam", [1.0, 8.0])
+    def test_rows_count_refine_interpolant_bit_for_bit(self, monkeypatch, alpha, lam):
+        counted, count = [], driver.count_zero_components
+        monkeypatch.setattr(driver, "count_zero_components", lambda h: counted.append(h) or count(h))
+        sweep(replace(BASE, alpha=alpha, lam=lam, adversary=True))  # j = 6..16
+        scalar = ExtremalFunction(beta=ModulusSpec.power(lam, alpha), d=1, q=1).as_scalar()
+        refined = counted[1::2]  # each row counts flatten's result, then refine's
+        assert len(refined) == 11
+        for j, h in zip(range(6, 17), refined):
+            want = refine_interpolant(scalar, 2.0**-j)
+            assert np.array_equal(h.grid[0].view(np.uint64), want.grid[0].view(np.uint64))
+            assert np.array_equal(h.values.view(np.uint64), want.values.view(np.uint64))
+
+    def test_one_mesh_at_the_finest_budget(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(driver, "refine_interpolant", lambda f, eps: built.append(eps) or refine_interpolant(f, eps))
+        sweep(replace(BASE, j_max=10, adversary=True))
+        assert built == [2.0**-10]
+
+    def test_profile_points_per_sweep(self, monkeypatch):
+        # j = 6..14: F took 161 644 points in 36 calls when every row built its
+        # own refine mesh (130 825 knots, 65 537 distinct) and the flatten
+        # scans sent the partition points again
+        calls, profile_many = [], extremal.profile_many
+        monkeypatch.setattr(extremal, "profile_many", lambda beta, s: calls.append(np.size(s)) or profile_many(beta, s))
+        sweep(replace(BASE, j_max=14, adversary=True))
+        assert (sum(calls), len(calls)) == (96348, 28)
+
+    def test_empty_range_builds_no_mesh(self, monkeypatch):
+        def untouchable(*args):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(driver, "refine_interpolant", untouchable)
+        monkeypatch.setattr(driver, "refine_subgrid", untouchable)
+        assert sweep(replace(BASE, j_min=15, j_max=14, adversary=True)) == []
+
+
 class TestCSV:
     def test_round_trip(self, tmp_path):
         records = sweep(replace(BASE, adversary=True, j_max=9))
@@ -163,6 +211,31 @@ class TestConfig:
             replace(BASE, j_max=j_max, adversary=True).validate()
         replace(BASE, j_max=j_max).validate()  # the certifier alone is not capped here
         replace(BASE, j_max=22, adversary=True).validate()
+
+    @pytest.mark.parametrize("j_min,C", [(2, 1.0), (-3, 1.0), (-2000, 1.0), (5, 0.1), (3, 0.5), (4, 0.1875)])
+    def test_adversary_first_budget_over_c_over_6_refused(self, monkeypatch, j_min, C):
+        # flatten needs eps <= C/6 at every budget; the first one is the largest
+        def untouchable(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(driver, "certify", untouchable)
+        message = re.escape(f"adversary runs need 2**-j_min <= C/6 = {C / 6.0!r}; j_min = {j_min} with C = {C!r}")
+        cfg = replace(BASE, j_min=j_min, j_max=8, adversary=True, C=C)
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=message):
+            sweep(cfg)
+        text = BASE_TEXT.replace("j_min=6", f"j_min={j_min}") + f"adversary=true\nC={C!r}\n"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        replace(cfg, adversary=False).validate()  # the certifier alone has no such bound
+        replace(cfg, j_max=j_min - 1).validate()  # an empty range sweeps no budget
+
+    @pytest.mark.parametrize("j_min,C", [(3, 1.0), (7, 0.1), (5, 0.1875)])
+    def test_adversary_budgets_at_or_under_c_over_6_accepted(self, j_min, C):
+        # C = 0.1875 puts C/6 at 2**-5 exactly, and the bound is inclusive
+        replace(BASE, j_min=j_min, j_max=8, adversary=True, C=C).validate()
+        assert 2.0**-j_min <= C / 6.0
 
     @pytest.mark.parametrize("key,field,value", [
         ("lambda", "lam", math.nan), ("lambda", "lam", math.inf), ("lambda", "lam", -math.inf),

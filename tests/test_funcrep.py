@@ -16,7 +16,7 @@ from translab import (
     nudge_knot_zeros,
     sup_distance,
 )
-from translab.funcrep import ZeroSetSummary, evaluate_rows
+from translab.funcrep import ZeroSetSummary, _nudge, evaluate_rows
 
 
 def line(knots, values):
@@ -514,6 +514,22 @@ class TestNudge:
         # a NaN eta used to return h with its knot zeros left in place
         with pytest.raises(DomainError, match=f"eta must be finite and positive, got {eta}"):
             nudge_knot_zeros(line([0.0, 1.0], [0.0, 1.0]), eta)
+
+    @pytest.mark.parametrize("eta", [1e-12, 0.1, 5e-324, 2.0**-1022])
+    def test_masked_copy_matches_boolean_index_rule(self, eta):
+        # the in-place nudge against the rule it replaced, vals[|vals| < eta] = eta,
+        # bit for bit on signed zeros, the threshold and its neighbours,
+        # subnormals, infinities, NaN and random bit patterns
+        tiny = np.nextafter(0.0, 1.0)
+        special = [0.0, -0.0, eta, -eta, np.nextafter(eta, 0.0), -np.nextafter(eta, 0.0), np.nextafter(eta, 1.0),
+                   tiny, -tiny, 2.0**-1023, -(2.0**-1023), math.inf, -math.inf, math.nan, -math.nan]
+        bits = np.random.default_rng(15).integers(0, 2**64, size=4096, dtype=np.uint64)
+        vals = np.concatenate([special, bits.view(np.float64)])
+        want = vals.copy()
+        want[np.abs(want) < eta] = eta
+        got = vals.copy()
+        _nudge(got, eta)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRefinementInvariance:
