@@ -8,6 +8,7 @@ empirical counts with the theoretical envelopes.
 """
 
 from .adversary import (
+    flatten_many,
     flatten_perturbation,
     improvement_envelope,
     iterate_improvement,

@@ -8,6 +8,10 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   unit-slope ramps, and re-interpolates the remaining intervals
   piecewise-linearly on ceil(3/C) subintervals.  The result stays
   within eps of f and carries at most 2 zeros per lifted interval.
+  ``flatten_many`` builds the lifts at several budgets from one table
+  of their partition intervals, a group of budgets at a time, calling f
+  once per stage for each group; ``flatten_perturbation`` is
+  ``flatten_many`` at one budget, so both give the same lift bit for bit.
 
 * ``refine_interpolant`` interpolates f on the uniform mesh of
   ceil(4/eps) subintervals (mesh <= eps/4) and nudges knot zeros away,
@@ -47,13 +51,15 @@ without these attributes is scanned in full.
 Layouts that cannot fit are refused with ``EnumerationCapError`` before
 f is called: more than ``MESH_CAP`` refine cells, or more than
 ``MESH_CAP`` cells in flatten's breakpoint table (partition intervals
-times the breakpoints each one may hold).
+times the breakpoints each one may hold) at any one budget.  A group of
+``flatten_many`` holds no more intervals than the largest budget it was
+given, so its table never needs more cells than that budget alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,13 +103,14 @@ def _values(f: Callable, xs: np.ndarray) -> np.ndarray:
     return vs
 
 
-def _samples(a: np.ndarray, b: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+def _samples(a: np.ndarray, b: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
     """Scan samples per interval [a[k], b[k]] and their spacing: sample i
-    is a + i * delta, the last one b, as numpy's arange lays them out."""
+    is a + i * delta, the last one b, as numpy's arange lays them out.
+    step is one float or one per interval, here and in the scans below."""
     return np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1, (a + step) - a
 
 
-def _probe(f: Callable, a: np.ndarray, b: np.ndarray, step: float, hint) -> np.ndarray:
+def _probe(f: Callable, a: np.ndarray, b: np.ndarray, step, hint) -> np.ndarray:
     """Max |f| over the two scan samples of each interval that start at
     the last sample at or left of hint[k].
 
@@ -119,7 +126,7 @@ def _probe(f: Callable, a: np.ndarray, b: np.ndarray, step: float, hint) -> np.n
     return np.abs(_values(f, xs.ravel())).reshape(i.shape).max(axis=1)
 
 
-def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
+def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step) -> np.ndarray:
     """Sampled max |f| over the interior scan samples of each interval [a[k], b[k]].
 
     Interval k is sampled at np.arange(a[k], b[k], step) followed by
@@ -153,8 +160,21 @@ def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step: float) -> np.ndarray:
     return peak
 
 
-def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
-    """The zero-removing lift of f at budget eps.
+def flatten_many(f: Callable, budgets: Sequence[float], C: float) -> Iterator[SampledFunction]:
+    """The zero-removing lift of f at each budget, in order, one per budget.
+
+    Every budget is checked first: ``DomainError`` for eps > C/6, and
+    ``EnumerationCapError`` for a layout of more than ``MESH_CAP``
+    breakpoint-table cells, both before f is called.  The lifts are then
+    built a group of consecutive budgets at a time, the group growing
+    while it holds no more partition intervals than the largest single
+    budget, so no table outgrows the one that budget alone would need.
+    A group's intervals form one table with a budget, a scan step, a
+    threshold and a plateau per interval, and f is called once per stage
+    for the whole group: partition points, ``peak_from`` probes, scan
+    blocks, re-interpolation points.  The iterator builds a group when it
+    reaches the group's first budget, so a caller that takes one lift
+    per step pays for each group at its first budget.
 
     Intervals are classified by a sampled maximum with a Lipschitz
     safety margin of half the scan step, so a lifted interval truly
@@ -174,57 +194,92 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     next to ``peak_from(a)``; a probe value above the threshold rejects
     it unscanned, since the scan's maximum counts that sample too.  Only
     the scan's points, and any ``ResolutionWarning`` or refusal of a
-    non-finite value they would raise, are skipped.  A layout of more
-    than ``MESH_CAP`` breakpoint-table cells is refused before f is
-    called.  An interval that is not lifted is re-interpolated on a mesh
-    whose ends are exactly its partition points, so f is called only at
-    the mesh's interior points and the ends reuse the partition values.
-    Candidate breakpoints are laid out interval by interval; one that
-    does not lie strictly right of every earlier candidate (a duplicate
-    or a collapsed ramp) is dropped, so the first value at a point wins.
+    non-finite value they would raise, are skipped.
+
+    Every interval is laid out as a row of k1 + 1 breakpoints, k1 =
+    ceil(3/C) >= 3.  An interval that is not lifted keeps its
+    re-interpolation mesh, linspace(a, b, k1 + 1), whose ends are exactly
+    its partition points, so f is called only at the mesh's interior
+    points and the ends reuse the partition values.  A lifted row holds
+    a, the two ramp ends and b, padded with copies of b.  Each budget's
+    rows are read in order, and a breakpoint that does not lie strictly
+    right of every earlier one (a padded copy, a duplicate or a collapsed
+    ramp) is dropped, so the first value at a point wins.
     """
-    _check_budget(eps, C)
-    cells = np.ceil(C / (3.0 * eps)) * max(4.0, np.ceil(3.0 / C) + 1.0)  # in floats: inf, not an error, for subnormals
-    _check_cap(cells, f"flatten_perturbation at eps = {eps!r}, C = {C!r}")
-    cuts = _partition(eps, C)
+    budgets = list(budgets)
+    for eps in budgets:
+        _check_budget(eps, C)
+        cells = np.ceil(C / (3.0 * eps)) * (np.ceil(3.0 / C) + 1.0)  # in floats: inf, not an error, for subnormals
+        _check_cap(cells, f"flatten_perturbation at eps = {eps!r}, C = {C!r}")
+    return _lift_groups(f, budgets, C)
+
+
+def _lift_groups(f: Callable, budgets: list[float], C: float) -> Iterator[SampledFunction]:
+    """The lifts, built a group of consecutive budgets at a time as the caller reaches the group."""
+    sizes = [math.ceil(C / (3.0 * eps)) for eps in budgets]
+    most, lo = max(sizes, default=0), 0
+    while lo < len(budgets):
+        hi, total = lo + 1, sizes[lo]
+        while hi < len(budgets) and total + sizes[hi] <= most:
+            total += sizes[hi]
+            hi += 1
+        yield from _lift_table(f, budgets[lo:hi], C)
+        lo = hi
+
+
+def _lift_table(f: Callable, budgets: list[float], C: float) -> list[SampledFunction]:
+    """flatten's lifts at a group of budgets, from one table of their partition intervals."""
+    cuts = [_partition(eps, C) for eps in budgets]
+    pts = np.concatenate(cuts)
+    fc = _values(f, pts)
+    left = np.ones(len(pts), dtype=bool)
+    left[np.cumsum([len(c) for c in cuts]) - 1] = False  # each budget's last cut
+    right = np.roll(left, 1)  # each budget's first cut dropped instead
+    a, b, fa, fb = pts[left], pts[right], fc[left], fc[right]
+    rows = np.cumsum([0] + [len(c) - 1 for c in cuts])
+    eps = np.repeat(budgets, np.diff(rows))
     step = eps / SCAN_STEP_DIVISOR
     thr = eps / 2.0 - step / 2.0
-    fc = _values(f, cuts)
-    a, b, fa, fb = cuts[:-1], cuts[1:], fc[:-1], fc[1:]
-    low = np.abs(fc) <= thr
-    lifted = low[:-1] & low[1:]
+    half = eps / 2.0
+    lifted = (np.abs(fa) <= thr) & (np.abs(fb) <= thr)
     scan = lifted.copy()
     sup_from = getattr(f, "sup_from", None)
     if sup_from is not None:
-        scan[lifted] = sup_from(a[lifted]) > thr  # a bound at or below thr settles the lift
+        scan[lifted] = sup_from(a[lifted]) > thr[lifted]  # a bound at or below thr settles the lift
     peak_from = getattr(f, "peak_from", None)
     if peak_from is not None and scan.any():
         k = np.flatnonzero(scan)
-        high = k[_probe(f, a[k], b[k], step, peak_from(a[k])) > thr]  # one sample above thr settles the rejection
+        high = k[_probe(f, a[k], b[k], step[k], peak_from(a[k])) > thr[k]]  # one sample above thr settles the rejection
         lifted[high] = scan[high] = False
-    lifted[scan] = _scan(f, a[scan], b[scan], step) <= thr
-    half = np.full(len(a), eps / 2.0)
+    lifted[scan] = _scan(f, a[scan], b[scan], step[scan]) <= thr[scan]
+    # every row starts as f interpolated on k1 equal subintervals; linspace
+    # puts a and b exactly at the mesh ends, where fa and fb hold f already
     k1 = math.ceil(3.0 / C)
-    width = max(4, k1 + 1)
-    xs, vs = np.zeros((len(a), width)), np.zeros((len(a), width))
-    used = np.zeros((len(a), width), dtype=bool)
-    # lifted intervals: two unit-slope ramps onto the plateau eps/2
-    xs[lifted, :4] = np.stack([a, a - fa + half, b + fb - half, b], axis=1)[lifted]
-    vs[lifted, :4] = np.stack([fa, half, half, fb], axis=1)[lifted]
-    used[lifted, :4] = True
-    # the others: f interpolated on k1 equal subintervals; linspace puts
-    # a and b exactly at the mesh ends, where fa and fb hold f already
-    rest = ~lifted
-    mesh = np.linspace(a[rest], b[rest], k1 + 1, axis=1)
-    inner = mesh[:, 1:-1]
-    xs[rest, : k1 + 1] = mesh
-    vs[rest, 0], vs[rest, k1] = fa[rest], fb[rest]
-    vs[rest, 1:k1] = _values(f, inner.ravel()).reshape(inner.shape)
-    used[rest, : k1 + 1] = True
-    xs, vs = xs[used], vs[used]
-    earlier = np.concatenate(([-np.inf], np.maximum.accumulate(xs)[:-1]))
-    keep = xs > earlier
-    return SampledFunction(grid=(xs[keep],), values=vs[keep][:, None])
+    xs = np.linspace(a, b, k1 + 1, axis=1)
+    vs = np.empty_like(xs)
+    vs[:, 0] = fa
+    vs[:, 1:] = fb[:, None]
+    # lifted rows: two unit-slope ramps onto the plateau eps/2, then b and its copies
+    up = np.flatnonzero(lifted)
+    xs[up, 1] = a[up] - fa[up] + half[up]
+    xs[up, 2] = b[up] + fb[up] - half[up]
+    xs[up, 3:] = b[up, None]
+    vs[up, 1:3] = half[up, None]
+    rest = np.flatnonzero(~lifted)
+    if len(rest):
+        inner = xs[rest, 1:k1]
+        vs[rest, 1:k1] = _values(f, inner.ravel()).reshape(inner.shape)
+    lifts = []
+    for lo, hi in zip(rows[:-1], rows[1:]):
+        x, v = xs[lo:hi].ravel(), vs[lo:hi].ravel()
+        keep = x > np.concatenate(([-np.inf], np.maximum.accumulate(x)[:-1]))
+        lifts.append(SampledFunction(grid=(x[keep],), values=v[keep][:, None]))
+    return lifts
+
+
+def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
+    """The zero-removing lift of f at budget eps: ``flatten_many`` at that one budget."""
+    return next(flatten_many(f, (eps,), C))
 
 
 def _refine_cells(eps: float) -> int:

@@ -28,7 +28,7 @@ from .errors import TranslabError
 from .extremal import ExtremalFunction
 from .funcrep import SampledFunction, count_zero_components
 from .modulus import ModulusSpec, check_modulus_axioms
-from .driver import parse_config, sweep, write_csv
+from .driver import adversary_refusal, parse_config, sweep, write_csv
 
 CHECK_PAIR_CAP = 10**7  # grid pairs --check may test; 5e5 pairs took 0.6 s on a 2-vCPU machine
 
@@ -147,7 +147,11 @@ def _cmd_perturb(args) -> int:
             raise TranslabError("perturb needs a scalar function on [0,1]")
         f = lambda s: sampled.evaluate_many(np.reshape(s, (-1, 1)))[:, 0]
     else:
-        f = _extremal_from_args(args).as_scalar()
+        fn = _extremal_from_args(args)
+        refusal = adversary_refusal(args.alpha, args.lam)
+        if refusal:
+            raise TranslabError(refusal)
+        f = fn.as_scalar()
     if args.mode in ("flatten", "refine") and not args.out:
         raise TranslabError(f"--mode {args.mode} needs --out")
     if args.mode == "flatten":

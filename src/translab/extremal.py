@@ -294,6 +294,27 @@ class ExtremalFunction:
             out.append(profile(beta, c) / root)
         return np.array(out)
 
+    def evaluate_many(self, pts) -> np.ndarray:
+        """F at every row of an (N, d) block of points, as a new (N, m) float array.
+
+        The block version of the point call, with its refusals: a
+        ``DomainError`` for a shape other than (N, d), a coordinate
+        outside [0, 1] or NaN (naming the first row that holds one), and a
+        number that is not exactly a double.  Active components are
+        ``profile_many(beta, x_i) / sqrt(q)`` in one call, so they equal
+        the point call's bit for bit whenever ``profile_many`` and
+        ``profile`` agree: table moduli and power moduli with alpha = 1.
+        """
+        pts = _as_doubles(pts, "coordinate")
+        if pts.ndim != 2 or pts.shape[1] != self.d:
+            raise DomainError(f"expected an (N, {self.d}) block of points in [0,1]^{self.d}, got shape {pts.shape}")
+        inside = ((pts >= 0.0) & (pts <= 1.0)).all(axis=1)  # false for NaN too
+        if not inside.all():
+            raise DomainError(f"point {tuple(pts[np.argmin(inside)].tolist())} outside [0,1]^{self.d}")
+        out = np.zeros((len(pts), self.m))
+        out[:, self.p :] = profile_many(self.beta, pts[:, : self.q]) / math.sqrt(self.q)
+        return out
+
     def as_scalar(self):
         """The active profile as a callable on floats and float arrays (d = q = 1 maps).
 

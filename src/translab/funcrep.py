@@ -44,7 +44,7 @@ def _as_grid(grid: Iterable[Sequence[float]]) -> tuple[np.ndarray, ...]:
             raise ShapeError("each axis needs at least two knots")
         if k[0] != 0.0 or k[-1] != 1.0:
             raise DomainError(f"knot lists must start at 0 and end at 1, got [{k[0]}, {k[-1]}]")
-        if np.any(np.diff(k) <= 0.0):
+        if not (k[1:] > k[:-1]).all():  # false for a NaN knot too
             raise DomainError("knot lists must be strictly increasing")
         k.setflags(write=False)
         axes.append(k)

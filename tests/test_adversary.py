@@ -23,7 +23,9 @@ from translab import (
     theory_upper_curve,
 )
 from translab import adversary
-from translab.adversary import refine_subgrid
+from translab.adversary import flatten_many, refine_subgrid
+
+from flatten_oracle import flatten_perturbation as flatten_oracle
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
@@ -563,6 +565,97 @@ class TestFlatten:
             flatten_perturbation(f, 0.01, 1.5)
         with pytest.raises(DomainError):
             flatten_perturbation(f, 0.0, 1.0)
+
+
+ORACLE_MODULI = [ModulusSpec.power(lam, alpha) for alpha in (0.25, 0.5, 0.75, 1.0) for lam in (1.0, 2.0, 8.0)]
+
+
+class TestFlattenMany:
+    """flatten_many builds, per budget, bit for bit the lift flatten built one budget at a time."""
+
+    @staticmethod
+    def untouchable(s):
+        raise AssertionError("f was called")
+
+    @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
+    @pytest.mark.parametrize("C", [1.0, 0.5, 0.3])
+    def test_matches_the_per_budget_oracle(self, beta, C):
+        # j = 3..16 where eps <= C/6: the list splits into groups, and
+        # flatten_perturbation is flatten_many at a list of one budget
+        f = ExtremalFunction(beta=beta, d=1, q=1).as_scalar()
+        budgets = [2.0**-j for j in range(3, 17) if 2.0**-j <= C / 6.0]
+        for h, eps in zip(flatten_many(f, budgets, C), budgets, strict=True):
+            ref = flatten_oracle(f, eps, C)
+            assert same_output(h, ref)
+            assert same_output(flatten_perturbation(f, eps, C), ref)
+
+    @pytest.mark.parametrize("js", [[10, 6, 10, 8, 8], [14, 13, 12, 6, 7], [9]])
+    def test_any_order_and_repeats(self, js):
+        for f in (scalar_extremal(), wave, interior_spikes):
+            lifts = list(flatten_many(f, [2.0**-j for j in js], 1.0))
+            assert len(lifts) == len(js)
+            for h, j in zip(lifts, js):
+                assert same_output(h, flatten_oracle(f, 2.0**-j, 1.0))
+
+    @pytest.mark.parametrize(
+        "js,groups",
+        [
+            (range(6, 15), [list(range(6, 14)), [14]]),  # 5444 intervals, then 5462
+            (range(14, 5, -1), [[14], list(range(13, 5, -1))]),
+            ([8, 8, 8], [[8], [8], [8]]),  # two of equal size outgrow either
+            ([9, 6, 6, 6, 8], [[9], [6, 6, 6, 8]]),  # 171 intervals, then 66 + 86
+        ],
+    )
+    def test_groups_hold_no_more_intervals_than_the_largest_budget(self, monkeypatch, js, groups):
+        seen, lift_table = [], adversary._lift_table
+        monkeypatch.setattr(adversary, "_lift_table", lambda f, b, C: seen.append(b) or lift_table(f, b, C))
+        list(flatten_many(wave, [2.0**-j for j in js], 1.0))
+        assert seen == [[2.0**-j for j in g] for g in groups]
+
+    def test_one_call_of_f_per_stage_per_group(self):
+        # j = 6..14 at alpha = lambda = 1: partition points, probes, scan and
+        # re-interpolation points, for rows 6..13 and then row 14; the
+        # per-budget flatten sent the same points in 27 calls
+        f, points, old = scalar_extremal(), [], []
+        probing = recording(f, points, sup_from=f.sup_from, peak_from=f.peak_from)
+        list(flatten_many(probing, [2.0**-j for j in range(6, 15)], 1.0))
+        assert [len(p) for p in points] == [5452, 72, 573, 8136, 5463, 1366, 191, 9558]
+        for j in range(6, 15):
+            flatten_oracle(recording(f, old, sup_from=f.sup_from, peak_from=f.peak_from), 2.0**-j, 1.0)
+        assert (len(old), sum(map(len, old))) == (27, sum(map(len, points)))
+        assert np.array_equal(np.sort(np.concatenate(points)), np.sort(np.concatenate(old)))
+
+    def test_each_group_is_built_at_its_first_budget(self):
+        points = []
+        lifts = flatten_many(recording(wave, points), [2.0**-j for j in range(6, 15)], 1.0)
+        assert points == []
+        next(lifts)
+        built = len(points)
+        assert built > 0
+        for _ in range(7):  # rows 7..13 come from the first group
+            next(lifts)
+        assert len(points) == built
+        next(lifts)  # row 14
+        assert len(points) > built
+        assert next(lifts, None) is None
+
+    @pytest.mark.parametrize(
+        "budgets,C,error,match",
+        [
+            ([2.0**-6, 2.0**-8, 0.3], 1.0, DomainError, r"eps <= C/6"),
+            ([2.0**-6, 0.0], 1.0, DomainError, r"eps <= C/6"),
+            ([2.0**-6, math.nan], 1.0, DomainError, r"eps <= C/6"),
+            ([2.0**-6], 1.5, DomainError, r"C in \(0, 1\]"),
+            ([2.0**-6, 2.0**-40, 0.3], 1.0, EnumerationCapError, r"eps = 9.094947017729282e-13, C = 1.0 needs"),
+            ([2.0**-6, 5e-324], 1.0, EnumerationCapError, "needs inf cells"),
+        ],
+    )
+    def test_every_budget_is_checked_before_f_is_called(self, budgets, C, error, match):
+        with pytest.raises(error, match=match):
+            flatten_many(self.untouchable, budgets, C)  # raised by the call, not by the first lift
+
+    def test_no_budget_calls_nothing(self):
+        assert list(flatten_many(self.untouchable, [], 1.0)) == []
 
 
 class TestRefine:

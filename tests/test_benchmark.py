@@ -9,8 +9,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["sweep_adv", "certify_q2", "certify_chart"]
 # Per-layer counts of one traced pass.  certify_chart's input calls F once
 # per face-lattice point, so a point call that stops going through
-# extremal.profile reads 0 points there.
-TRACED_COUNTS = {"certify_chart": {"extremal.points": 4216, "certifier.evals": 4216}}
+# extremal.profile reads 0 points there.  sweep_adv counts its nine rows
+# and the knots of the 18 perturbations whose zeros it counts.
+TRACED_COUNTS = {
+    "certify_chart": {"extremal.points": 4216, "certifier.evals": 4216},
+    "sweep_adv": {"driver.rows": 9, "funcrep.count_knots": 163552},
+}
 
 
 def bench_gate(workload, trace):

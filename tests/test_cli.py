@@ -195,6 +195,35 @@ class TestPerturbCommand:
         assert lines[0] == "k eps zero_count envelope"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("mode", ["flatten", "refine", "iterate"])
+    @pytest.mark.parametrize(
+        "modulus,why",
+        [
+            (("--alpha", "0.5"), "F is not Lipschitz at alpha = 0.5"),
+            (("--alpha", "0.75", "--lambda", "2"), "F is not Lipschitz at alpha = 0.75"),
+            (("--lambda", "8"), "F's Lipschitz constant at lambda = 8.0 is lambda/2 = 4.0"),
+        ],
+    )
+    def test_extremal_target_outside_the_lipschitz_range_is_refused(self, capsys, tmp_path, mode, modulus, why):
+        out_path = tmp_path / "h.txt"
+        code, out, err = run(capsys, "perturb", "--mode", mode, "--eps", "0.0078125", *modulus, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == f"error: adversary runs need a 1-Lipschitz F (alpha = 1, lambda <= 2); {why}\n"
+        assert not out_path.exists()
+
+    def test_lambda_2_is_accepted(self, capsys, tmp_path):
+        out_path = tmp_path / "h.txt"
+        code, out, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.0078125", "--lambda", "2", "--out", str(out_path))
+        assert code == 0 and out_path.exists()
+
+    def test_function_file_is_not_checked_for_lipschitz_range(self, capsys, tmp_path):
+        # the guard is about F; a stored function carries no modulus flags to check
+        fpath = tmp_path / "f.txt"
+        run(capsys, "build", "--alpha", "0.5", "--sample", "0.0078125", "--out", str(fpath))
+        code, _, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.015625", "--alpha", "0.5",
+                         "--func", str(fpath), "--out", str(tmp_path / "h.txt"))
+        assert code == 0
+
     def test_missing_out_is_clean_error(self, capsys):
         code, _, err = run(capsys, "perturb", "--mode", "flatten", "--eps", "0.0078125")
         assert code == 2 and "needs --out" in err
@@ -255,6 +284,15 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert err == "error: adversary runs need 2**-j_min <= C/6 = 0.16666666666666666; " \
                       "j_min = 2 with C = 1.0 starts at 2**-2\n"
+        assert not out_path.exists()
+
+    def test_adversary_outside_the_lipschitz_range_is_clean_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("alpha=0.5\nlambda=1\nd=1\nm=1\np=0\nj_min=6\nj_max=8\nadversary=true\n")
+        out_path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "error: adversary runs need a 1-Lipschitz F (alpha = 1, lambda <= 2); F is not Lipschitz at alpha = 0.5\n"
         assert not out_path.exists()
 
     def test_python_dash_m_matches_main(self, capsys, tmp_path):

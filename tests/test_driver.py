@@ -23,10 +23,17 @@ from translab import (
     sweep,
     write_csv,
 )
+from translab.adversary import refine_subgrid
 
 from closed_form import holder_lower_bound
 
 BASE = SweepConfig(alpha=1.0, lam=1.0, d=1, m=1, p=0, j_min=6, j_max=16)
+
+
+def same_bits(h, want):
+    return np.array_equal(h.grid[0].view(np.uint64), want.grid[0].view(np.uint64)) and np.array_equal(
+        h.values.view(np.uint64), want.values.view(np.uint64)
+    )
 
 
 class TestSweep:
@@ -108,19 +115,27 @@ class TestSweep:
 class TestSharedRefineMesh:
     """With the adversary on, one refine mesh at 2**-j_max serves every row."""
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
-    @pytest.mark.parametrize("lam", [1.0, 8.0])
-    def test_rows_count_refine_interpolant_bit_for_bit(self, monkeypatch, alpha, lam):
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_rows_count_refine_interpolant_bit_for_bit(self, monkeypatch, lam):
+        # the moduli a sweep runs the adversary at
         counted, count = [], driver.count_zero_components
         monkeypatch.setattr(driver, "count_zero_components", lambda h: counted.append(h) or count(h))
-        sweep(replace(BASE, alpha=alpha, lam=lam, adversary=True))  # j = 6..16
-        scalar = ExtremalFunction(beta=ModulusSpec.power(lam, alpha), d=1, q=1).as_scalar()
+        sweep(replace(BASE, lam=lam, adversary=True))  # j = 6..16
+        scalar = ExtremalFunction(beta=ModulusSpec.power(lam, 1.0), d=1, q=1).as_scalar()
         refined = counted[1::2]  # each row counts flatten's result, then refine's
         assert len(refined) == 11
         for j, h in zip(range(6, 17), refined):
-            want = refine_interpolant(scalar, 2.0**-j)
-            assert np.array_equal(h.grid[0].view(np.uint64), want.grid[0].view(np.uint64))
-            assert np.array_equal(h.values.view(np.uint64), want.values.view(np.uint64))
+            assert same_bits(h, refine_interpolant(scalar, 2.0**-j))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("lam", [1.0, 8.0])
+    def test_subgrid_is_refine_interpolant_at_every_modulus(self, alpha, lam):
+        # the mesh nesting does not depend on the modulus, though the sweep
+        # refuses the adversary outside alpha = 1, lambda <= 2
+        scalar = ExtremalFunction(beta=ModulusSpec.power(lam, alpha), d=1, q=1).as_scalar()
+        finest = refine_interpolant(scalar, 2.0**-16)
+        for j in range(6, 17):
+            assert same_bits(refine_subgrid(finest, 2.0**-j), refine_interpolant(scalar, 2.0**-j))
 
     def test_one_mesh_at_the_finest_budget(self, monkeypatch):
         built = []
@@ -131,11 +146,14 @@ class TestSharedRefineMesh:
     def test_profile_points_per_sweep(self, monkeypatch):
         # j = 6..14: F took 161 644 points in 36 calls when every row built its
         # own refine mesh (130 825 knots, 65 537 distinct) and the flatten
-        # scans sent the partition points again
+        # scans sent the partition points again; then 96 348 points in 28
+        # calls while flatten ran once per row.  flatten_many sends the same
+        # points in one call per stage for each of its two groups (rows 6..13,
+        # row 14): partition, probe, scan and re-interpolation, after refine's one
         calls, profile_many = [], extremal.profile_many
         monkeypatch.setattr(extremal, "profile_many", lambda beta, s: calls.append(np.size(s)) or profile_many(beta, s))
         sweep(replace(BASE, j_max=14, adversary=True))
-        assert (sum(calls), len(calls)) == (96348, 28)
+        assert (sum(calls), len(calls)) == (96348, 9)
 
     def test_empty_range_builds_no_mesh(self, monkeypatch):
         def untouchable(*args):
@@ -203,6 +221,40 @@ class TestConfig:
             SweepConfig(alpha=1.0, lam=1.0, d=1, m=3, p=0, j_min=6, j_max=8).validate()
         with pytest.raises(ConfigError, match="adversary"):
             SweepConfig(alpha=1.0, lam=1.0, d=2, m=2, p=0, j_min=6, j_max=8, adversary=True).validate()
+
+    @pytest.mark.parametrize(
+        "alpha,lam,why",
+        [
+            (0.25, 1.0, "F is not Lipschitz at alpha = 0.25"),
+            (0.5, 1.0, "F is not Lipschitz at alpha = 0.5"),
+            (0.75, 0.5, "F is not Lipschitz at alpha = 0.75"),
+            (0.999, 8.0, "F is not Lipschitz at alpha = 0.999"),
+            (1.0, 8.0, "F's Lipschitz constant at lambda = 8.0 is lambda/2 = 4.0"),
+            (1.0, 2.0000000000000004, "F's Lipschitz constant at lambda = 2.0000000000000004 is lambda/2 = 1.0000000000000002"),
+        ],
+    )
+    def test_adversary_needs_a_1_lipschitz_target(self, monkeypatch, alpha, lam, why):
+        # outside alpha = 1, lambda <= 2 flatten and refine were measured up to 32 eps from F
+        def untouchable(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(driver, "certify", untouchable)
+        message = "^" + re.escape(f"adversary runs need a 1-Lipschitz F (alpha = 1, lambda <= 2); {why}") + "$"
+        cfg = replace(BASE, alpha=alpha, lam=lam, adversary=True)
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=message):
+            sweep(cfg)
+        with pytest.raises(ConfigError, match=message):
+            sweep(replace(cfg, j_min=9, j_max=8))  # refused even with no budget to sweep
+        text = BASE_TEXT.replace("alpha=1\nlambda=1\n", f"alpha={alpha!r}\nlambda={lam!r}\n") + "adversary=true\n"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        replace(cfg, adversary=False).validate()  # the certifier alone takes any modulus
+
+    @pytest.mark.parametrize("lam", [2.0**-20, 0.5, 1.0, 2.0])
+    def test_adversary_accepts_lambda_up_to_2(self, lam):
+        replace(BASE, lam=lam, adversary=True).validate()
 
     @pytest.mark.parametrize("j_max", [23, 40])
     def test_adversary_past_the_mesh_cap_rejected(self, j_max):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -15,9 +16,11 @@ from translab import (
     ModulusSpec,
     ResolutionWarning,
     bump,
+    certify,
     level_schedule,
     profile,
     profile_many,
+    resolve_depth,
 )
 from translab import extremal
 from translab.extremal import _BLOCK, _INV_SCALE, _SCALE, _START, MAX_LEVEL, _as_doubles, _levels
@@ -765,6 +768,117 @@ class TestPointCall:
             out = F(np.linspace(0.1, 0.9, d))
         assert len(calls) == q
         assert out.tolist() == self.expected(F, np.linspace(0.1, 0.9, d)).tolist()
+
+
+SHAPES = [(1, 1, 0), (2, 1, 1), (2, 2, 0), (3, 2, 0), (3, 3, 2)]  # (d, q, p)
+TABLE_MODULI = [ORACLE_MODULI[-1], ModulusSpec.table([(0.0, 0.0), (2.0**-10, 2.0**-11), (1.0, 0.5)])]
+
+
+def point_rows(F, pts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        return np.array([F(x) for x in pts]).reshape(len(pts), F.m)
+
+
+def block(d, count=200, seed=3):
+    """Random points of [0,1]^d with every edge point in every coordinate."""
+    rng = np.random.default_rng(seed)
+    edges = np.array(EDGE_POINTS)
+    pts = rng.uniform(0.0, 1.0, (count, d))
+    pts[: len(edges)] = edges[:, None]
+    pts[len(edges) : 2 * len(edges)] = np.roll(edges, 7)[:, None]
+    return pts
+
+
+class TestEvaluateMany:
+    """``ExtremalFunction.evaluate_many`` is the point call on every row of a block."""
+
+    @pytest.mark.parametrize("beta", [IDENTITY, ModulusSpec.power(2.0, 1.0), ModulusSpec.power(8.0, 1.0)] + TABLE_MODULI, ids=repr)
+    @pytest.mark.parametrize("d,q,p", SHAPES)
+    def test_bit_identical_to_the_point_call(self, beta, d, q, p):
+        F = ExtremalFunction(beta=beta, d=d, q=q, p=p)
+        pts = block(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            got = F.evaluate_many(pts)
+        assert got.shape == (len(pts), F.m) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), point_rows(F, pts).view(np.uint64))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_within_one_ulp_for_alpha_below_one(self, alpha):
+        F = ExtremalFunction(beta=ModulusSpec.power(2.0, alpha), d=3, q=2, p=1)
+        pts = block(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            got = F.evaluate_many(pts)
+        want = point_rows(F, pts)
+        # profile_many and profile may differ by one ulp, and the division by sqrt(q) adds one more
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    def test_certify_counts_match_a_per_point_wrapper(self, alpha):
+        # every budget of depth 1 or 2 at q = 2; h = F certifies nothing for
+        # alpha < 1 at these budgets, with either evaluator
+        beta = ModulusSpec.power(1.0, alpha)
+        F = ExtremalFunction(beta=beta, d=2, q=2)
+        budgets = [2.0**-j for j in range(2, 17) if 1 <= resolve_depth(beta, 2, 2.0**-j) <= 2]
+        assert len(budgets) >= 3
+        for eps in budgets:
+            assert certify(F, eps, h=F) == certify(F, eps, h=lambda x: F(x))
+
+    def test_certify_at_depth_3_in_one_pass(self):
+        # 262 144 level-3 cubes: about 40 s through the point call
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=2)
+        cert = certify(F, 2.0**-18, h=F)
+        assert [(c.n, c.verified, c.total) for c in cert.per_level_counts] == [(1, 4, 4), (2, 256, 256), (3, 262144, 262144)]
+
+    def test_accepted_inputs(self):
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1, p=1)
+        want = point_rows(F, [[0.0625, 0.5], [1.0, 0.0]])
+        for pts in ([[0.0625, 0.5], [1, 0]], np.array([[0.0625, 0.5], [1.0, 0.0]], dtype=">f8"),
+                    np.array([[0.0625, 0.5], [1.0, 0.0]], dtype=np.float32), [[Fraction(1, 16), 0.5], [1, 0]]):
+            assert np.array_equal(F.evaluate_many(pts), want)
+        assert F.evaluate_many(np.empty((0, 2))).shape == (0, 2)
+
+    def test_result_is_fresh(self):
+        F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
+        pts = np.array([[0.0625], [0.25]])
+        out = F.evaluate_many(pts)
+        assert not np.shares_memory(out, pts)
+        out[:] = 7.0
+        assert pts.tolist() == [[0.0625], [0.25]]
+
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 3), (2, 1), (1, 2, 2)])
+    def test_shape_refused(self, shape):
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1, p=1)
+        with pytest.raises(DomainError, match=re.escape(f"expected an (N, 2) block of points in [0,1]^2, got shape {shape}")):
+            F.evaluate_many(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, 1.5, -2.0**-1074])
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    def test_range_refused_in_any_coordinate(self, bad, col):
+        # inactive coordinates too, as the point call checks them
+        F = ExtremalFunction(beta=IDENTITY, d=3, q=1, p=1)
+        pts = np.full((4, 3), 0.25)
+        pts[2, col] = bad
+        pts[3, 0] = 2.0
+        row = [0.25, 0.25, 0.25]
+        row[col] = bad
+        with pytest.raises(DomainError, match=re.escape(f"point {tuple(row)} outside [0,1]^3")):
+            F.evaluate_many(pts)
+
+    def test_non_doubles_refused(self):
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1, p=1)
+        with pytest.raises(DomainError, match="not exactly a double"):
+            F.evaluate_many([[0.5, Fraction(1, 3)]])
+        with pytest.raises(DomainError, match="not exactly a double"):
+            F.evaluate_many(np.array([[0.5, 0.1]], dtype=np.longdouble) + np.longdouble(2.0**-60))
+
+    def test_the_point_call_stays_scalar(self):
+        # per-point callers keep reaching profile, once per active coordinate
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=2)
+        with mock.patch.object(extremal, "profile_many", side_effect=AssertionError("profile_many called")):
+            F([0.25, 0.5])
 
 
 def knot_pair_oscillation(h, delta):

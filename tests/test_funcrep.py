@@ -79,6 +79,20 @@ class TestEvaluate:
         with pytest.raises(ShapeError):
             SampledFunction(grid=(np.array([0.0, 1.0]),), values=np.zeros((3, 1)))
 
+    @pytest.mark.parametrize(
+        "knots",
+        [[0.0, math.nan, 1.0], [0.0, 0.5, math.nan, 1.0], [0.0, math.nan, math.nan, 1.0], [0.0, 0.25, math.nan, 0.75, 1.0]],
+    )
+    def test_nan_knot_refused(self, knots):
+        # a NaN difference is not <= 0, so only a strict > test over every pair catches it
+        values = [(-1.0) ** i for i in range(len(knots))]
+        with pytest.raises(DomainError, match="strictly increasing"):
+            line(knots, values)
+        with pytest.raises(DomainError, match="strictly increasing"):
+            SampledFunction(grid=(np.array([0.0, 1.0]), knots), values=np.zeros((2, len(knots), 1)))
+        with pytest.raises(DomainError, match="strictly increasing"):
+            SampledFunction.from_callable(lambda x: x[:1], [knots])
+
     def test_non_finite_vector_value_names_knot_tuple(self):
         knots = np.array([0.0, 0.5, 1.0])
         vals = np.zeros((3, 3, 2))
@@ -402,6 +416,22 @@ def piecewise_linear(draw, values=knot_values):
     inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=30))
     knots = np.unique(np.array([0.0, 1.0] + inner))
     return line(knots, draw(st.lists(values, min_size=len(knots), max_size=len(knots))))
+
+
+class TestZeroComponentsNeverNaN:
+    @given(
+        knots=st.lists(st.one_of(st.floats(0.0, 1.0), st.just(math.nan)), max_size=8),
+        values=st.lists(knot_values, min_size=10, max_size=10),
+    )
+    @example(knots=[math.nan], values=[1.0, -1.0, 1.0] + [0.0] * 7)
+    @settings(max_examples=300, deadline=None)
+    def test_every_component_end_is_a_number(self, knots, values):
+        knots = [0.0] + knots + [1.0]
+        try:
+            h = line(knots, values[: len(knots)])
+        except DomainError:  # NaN, repeated or unordered knots
+            return
+        assert not np.isnan(np.array(count_zero_components(h).components, dtype=float)).any()
 
 
 class TestZeroComponentsOracle:
