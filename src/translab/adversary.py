@@ -36,11 +36,12 @@ f must be finite: a NaN or infinite value is refused with
 ``DomainError``, naming the first point that gave it.
 
 f may carry an optional ``sup_from`` attribute, as the callable of
-``ExtremalFunction.as_scalar`` does: ``f.sup_from(s)``, on a float array
-s, bounds |f| on [s, 1] elementwise, computed values included.  flatten
-then lifts a candidate interval whose bound is at or below its threshold
-without scanning it, the verdict the scan would have reached.  f may
-also carry ``peak_from``, as that callable does too: ``f.peak_from(s)``,
+``ExtremalFunction.as_scalar`` does for the power modulus with alpha = 1:
+``f.sup_from(s)``, on a float array s, bounds |f| on [s, 1]
+elementwise, computed values included.  flatten then lifts a candidate
+interval whose bound is at or below its threshold without scanning it,
+the verdict the scan would have reached.  f may also carry
+``peak_from``, as that callable does too: ``f.peak_from(s)``,
 on a float array s, is a hint of a point at or right of s where |f|
 peaks.  flatten tries the two scan samples of an interval next to the
 hint at its left end, and rejects the interval unscanned when either

@@ -145,6 +145,17 @@ def _cmd_perturb(args) -> int:
         sampled = SampledFunction.load(args.func)
         if sampled.d != 1 or sampled.m != 1:
             raise TranslabError("perturb needs a scalar function on [0,1]")
+        # a grid function's Lipschitz constant is its steepest knot segment; a
+        # difference of doubles rounds monotonely, so a 1-Lipschitz file passes
+        x, v = sampled.grid[0], sampled.values[:, 0]
+        dx, dv = np.diff(x), np.abs(np.diff(v))
+        steep = np.flatnonzero(dv > dx)
+        if len(steep):
+            k = steep[np.argmax(dv[steep] / dx[steep])]
+            slope, a, b = float(dv[k] / dx[k]), float(x[k]), float(x[k + 1])
+            raise TranslabError(
+                f"adversary runs need a 1-Lipschitz target; {args.func} has slope {slope!r} on [{a!r}, {b!r}]"
+            )
         f = lambda s: sampled.evaluate_many(np.reshape(s, (-1, 1)))[:, 0]
     else:
         fn = _extremal_from_args(args)

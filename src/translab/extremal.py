@@ -59,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .adversary import MESH_CAP
+from .errors import DomainError, EnumerationCapError
 from .funcrep import SampledFunction
 from .modulus import ModulusSpec
 
@@ -318,57 +319,36 @@ class ExtremalFunction:
     def as_scalar(self):
         """The active profile as a callable on floats and float arrays (d = q = 1 maps).
 
-        The callable f carries ``f.sup_from``, a bound on the profile's
-        tail: ``sup_from(s)`` has the shape of s, and its entry at s is
-        at least the computed |f(x)| at every double x in [s, 1].  The
-        entry is half the peak of |beta| over [0, scale_n]
-        (``ModulusSpec.peak_many``), n the level of s; it is a bound,
-        not always attained.  Past ``MAX_LEVEL`` f is 0 except at x = 1,
-        which the level formula puts on level 1 at offset 0, so there
-        the entry is half of |beta(0)|: 0 for every power modulus.
+        For the power modulus with alpha = 1, the one the adversary
+        accepts, f carries two hints that let flatten skip scans (see
+        ``adversary``); for any other modulus it carries none.
 
-        Why a computed value never exceeds the computed bound: f(x) is
-        +-beta.many(t)/2 with t = u * scale_k an exact double in
-        [0, scale_k] (see the module docstring), where k >= n is the
-        level of x, so t <= scale_n and the true |beta(t)| is at most
-        the true peak.  What is left is rounding.
+        ``f.sup_from(s)``, of the shape of s, is lam * scale_n / 2 at s,
+        n the level of s, and 0 past ``MAX_LEVEL`` (x = 1, on level 1 at
+        offset 0, gives beta(0)/2 = 0).  It is at least the computed
+        |f(x)| at every double x in [s, 1]: f(x) is +-beta.many(t)/2 with
+        t an exact double in [0, scale_k], k >= n the level of x (see the
+        module docstring), and beta.many(t) is lam * t rounded once, so
+        monotone rounding keeps it at most lam * scale_n rounded.
 
-        * Power modulus with alpha = 1: beta.many(t) is lam * t rounded
-          once (t**1 is t), rounding is monotone, and t <= scale_n, so
-          it is at most lam * scale_n rounded, the computed peak.
-          Halving is monotone too, and the bound needs no slack.
-        * Any other modulus: pow is within a few ulp (glibc documents
-          under 1 ulp) before one product by lam; np.interp makes a
-          difference, a quotient, a product and a sum, on the sample and
-          on the peak's end value, so both stay within about 30 units
-          of 2**-53 relative to the peak.  The bound is the halved peak
-          times 1 + 2**-40, which covers relative errors up to about
-          2**-41 even after it rounds itself, plus 2**-1000, which
-          covers the absolute errors of results below the normal range.
-          Where a table slope overflows a double, np.interp returns inf
-          inside that segment, and ``peak_many`` is inf from its left
-          node on.
-
-        f also carries ``f.peak_from``, a hint of where |f| peaks:
-        ``peak_from(s)`` has the shape of s, and its entry at s is
-        start_n + k * scale_n, the first level-n extremum at or right of
-        s, with n the level of s (``MAX_LEVEL`` past it) and k the
-        smallest odd integer at or above the offset of s in units of
-        scale_n.  On levels 1..6, at or left of a level's last extremum,
-        the entry is exact and |f| there is |beta(scale_n)|/2.  Elsewhere
-        it may be any double; flatten only uses it to choose which scan
-        samples to try first.
+        ``f.peak_from(s)``, of the shape of s, is start_n + k * scale_n:
+        the first level-n extremum at or right of s, with n the level of
+        s (``MAX_LEVEL`` past it) and k the smallest odd integer at or
+        above the offset of s in units of scale_n.  On levels 1..6, at or
+        left of a level's last extremum, it is exact and |f| there is
+        lam * scale_n / 2; elsewhere it may be any double, which flatten
+        only uses to choose which scan samples to try first.
         """
         if self.q != 1 or self.p != 0 or self.d != 1:
             raise DomainError("as_scalar needs d = q = 1 and p = 0")
         beta = self.beta
-        # by level, entry 0 unused; past MAX_LEVEL only the offset 0 is left
-        bounds = 0.5 * beta.peak_many(np.append(_SCALE, 0.0))
-        if not (beta.kind == "power" and beta.alpha == 1.0):
-            bounds = bounds * (1.0 + 2.0**-40) + 2.0**-1000
 
         def f(s):
             return profile_many(beta, s)
+
+        if not (beta.kind == "power" and beta.alpha == 1.0):
+            return f
+        bounds = 0.5 * beta.many(np.append(_SCALE, 0.0))  # by level, entry 0 unused; 0 past MAX_LEVEL
 
         def sup_from(s):
             s = _as_doubles(s, "sup_from argument")
@@ -392,11 +372,18 @@ class ExtremalFunction:
 
         The profile is evaluated once per distinct knot coordinate and
         broadcast across the product grid.  A step that is not finite
-        and positive is refused with ``DomainError`` before any work.
+        and positive is refused with ``DomainError``, and a grid of more
+        than ``MESH_CAP`` cells with ``EnumerationCapError``, both before
+        any array is built.
         """
         if not 0.0 < step < math.inf:
             raise DomainError(f"step must be finite and > 0, got {step}")
-        count = round(1.0 / step)
+        count = 1.0 / step  # cells per axis; inf for a subnormal step
+        if count > MESH_CAP or round(count) ** self.d > MESH_CAP:
+            raise EnumerationCapError(
+                f"sample at step {step!r} needs {count:.15g}**{self.d} cells, over the cap of {MESH_CAP}"
+            )
+        count = round(count)
         if not math.isclose(count * step, 1.0, rel_tol=0, abs_tol=1e-12):
             raise DomainError(f"step must divide 1 exactly, got {step}")
         knots = np.linspace(0.0, 1.0, count + 1)

@@ -116,26 +116,6 @@ class ModulusSpec:
             return out
         return np.interp(s, *self._table_nodes())
 
-    def peak_many(self, s: np.ndarray) -> np.ndarray:
-        """max |beta| over [0, s], elementwise on a float array.
-
-        A power modulus is nonnegative and non-decreasing, so this is
-        ``many(s)``.  A table need be neither: its peak is the largest
-        |value| among the nodes at or below s and the value at s.  Where
-        a segment's slope overflows a double, np.interp returns inf
-        inside it, so the peak is +inf past that segment's left node.
-        """
-        s = np.asarray(s, dtype=float)
-        end = np.abs(self.many(s))  # refuses s < 0
-        if self.kind == "power":
-            return end
-        deltas, values = (np.array(a) for a in self._table_nodes())
-        with np.errstate(over="ignore"):
-            steep = ~np.isfinite(np.diff(values) / np.diff(deltas))
-        below = np.searchsorted(deltas, s, side="right") - 1  # deltas[0] = 0 <= s
-        peak = np.maximum(np.maximum.accumulate(np.abs(values))[below], end)
-        return np.where(s > deltas[:-1][steep].min(initial=np.inf), np.inf, peak)
-
     def _table_nodes(self) -> tuple[list[float], list[float]]:
         """Interpolation nodes of a table modulus, with (0, 0) prepended if absent."""
         deltas = [0.0] + [d for d, _ in self.breakpoints]

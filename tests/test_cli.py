@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import translab
@@ -91,6 +92,13 @@ class TestBuildAndEval:
                              "--d", "1", "--m", "1", "--sample", step, "--out", str(path))
         assert code == 2 and out == "" and not path.exists()
         assert err == f"error: step must be finite and > 0, got {float(step)}\n"
+
+    @pytest.mark.parametrize("step,d,cells", [(2.0**-25, 1, "33554432**1"), (2.0**-13, 2, "8192**2"), (2.0**-9, 3, "512**3")])
+    def test_build_refuses_a_grid_over_the_cap(self, capsys, tmp_path, step, d, cells):
+        path = tmp_path / "f.txt"
+        code, out, err = run(capsys, "build", "--d", str(d), "--sample", repr(step), "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err == f"error: sample at step {step!r} needs {cells} cells, over the cap of 16777216\n"
 
     def test_build_without_sample(self, capsys):
         code, out, _ = run(capsys, "build", "--alpha", "0.5", "--lambda", "2",
@@ -216,13 +224,39 @@ class TestPerturbCommand:
         code, out, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.0078125", "--lambda", "2", "--out", str(out_path))
         assert code == 0 and out_path.exists()
 
-    def test_function_file_is_not_checked_for_lipschitz_range(self, capsys, tmp_path):
-        # the guard is about F; a stored function carries no modulus flags to check
-        fpath = tmp_path / "f.txt"
-        run(capsys, "build", "--alpha", "0.5", "--sample", "0.0078125", "--out", str(fpath))
-        code, _, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.015625", "--alpha", "0.5",
-                         "--func", str(fpath), "--out", str(tmp_path / "h.txt"))
-        assert code == 0
+    def test_function_file_is_judged_by_its_knots_not_the_modulus_flags(self, capsys, tmp_path):
+        # F sampled at lambda = 2 has slope exactly 1 at its knots, and at alpha = 1/2 it is steeper
+        steep, edge = tmp_path / "steep.txt", tmp_path / "edge.txt"
+        run(capsys, "build", "--alpha", "0.5", "--sample", "0.0078125", "--out", str(steep))
+        run(capsys, "build", "--lambda", "2", "--sample", "0.0078125", "--out", str(edge))
+        for fpath, flags, want in ((steep, (), 2), (edge, ("--alpha", "0.5", "--lambda", "8"), 0)):
+            code, _, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.015625", *flags,
+                             "--func", str(fpath), "--out", str(tmp_path / "h.txt"))
+            assert code == want
+
+    @pytest.mark.parametrize("height", [0.5, -0.5])
+    @pytest.mark.parametrize("mode", ["flatten", "refine", "iterate"])
+    def test_steep_function_file_is_refused(self, capsys, tmp_path, mode, height):
+        # a spike of height 1/2 over 2**-16, from which flatten's output lay 0.498 away at eps = 2**-7;
+        # the slope named is of the magnitude, whichever way the spike points
+        a, fpath, out_path = 0.3, tmp_path / "spike.txt", tmp_path / "h.txt"
+        knots = np.array([0.0, a, a + 2.0**-17, a + 2.0**-16, 1.0])
+        SampledFunction(grid=(knots,), values=np.array([[0.0], [0.0], [height], [0.0], [0.0]])).save(fpath)
+        code, out, err = run(capsys, "perturb", "--mode", mode, "--eps", "0.0078125", "--func", str(fpath),
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == f"error: adversary runs need a 1-Lipschitz target; {fpath} has slope 65536.0 on [0.3, {float(knots[2])!r}]\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("mode", ["flatten", "refine", "iterate"])
+    def test_one_lipschitz_function_file_is_accepted(self, capsys, tmp_path, mode):
+        # slopes 1, -1, 1 and 0: a segment of slope exactly 1 is not refused
+        fpath, out_path = tmp_path / "tent.txt", tmp_path / "h.txt"
+        knots = np.array([0.0, 0.25, 0.5, 0.625, 1.0])
+        SampledFunction(grid=(knots,), values=np.array([[0.0], [0.25], [0.0], [0.125], [0.125]])).save(fpath)
+        code, _, err = run(capsys, "perturb", "--mode", mode, "--eps", "0.0078125", "--func", str(fpath),
+                           "--out", str(out_path))
+        assert code == 0 and err == ""
 
     def test_missing_out_is_clean_error(self, capsys):
         code, _, err = run(capsys, "perturb", "--mode", "flatten", "--eps", "0.0078125")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from translab import (
     DomainError,
+    EnumerationCapError,
     ExtremalFunction,
     ModulusSpec,
     ResolutionWarning,
@@ -599,13 +600,8 @@ class TestExtremalFunction:
             assert osc <= beta(float(np.linalg.norm(x - y))) + 1e-12
 
 
-# Moduli whose tail bound needs more than beta(scale_n): a table that
-# rises and falls back (beta(scale_3) = 2**-12 is below its 2**-8), and
-# one that starts off 0 at 0 and turns negative.
-TAIL_MODULI = ORACLE_MODULI + [
-    ModulusSpec.table([(2.0**-24, 2.0**-8), (2.0**-15, 2.0**-8), (2.0**-14, 2.0**-12), (1.0, 2.0**-12)]),
-    ModulusSpec.table([(0.0, 2.0**-20), (2.0**-10, -0.25)]),
-]
+# The moduli whose as_scalar callable carries flatten's hints: power moduli with alpha = 1.
+TAIL_MODULI = [ModulusSpec.power(lam, 1.0) for lam in (0.5, 1.0, 2.0, 8.0)]
 
 tail_points = st.one_of(st.sampled_from(EDGE_POINTS), bump_corners(), level_points)
 
@@ -632,7 +628,7 @@ class TestSupFrom:
             starts = np.array([level_schedule(i).start for i in range(1, n + 1)])
             assert np.all(peak <= sup_from(starts))
 
-    @pytest.mark.parametrize("lam", [1.0, 8.0])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 8.0])
     def test_attained_for_alpha_one_and_zero_past_max_level(self, lam):
         beta = ModulusSpec.power(lam, 1.0)
         sup_from = ExtremalFunction(beta=beta, d=1, q=1).as_scalar().sup_from
@@ -643,20 +639,21 @@ class TestSupFrom:
         assert sup_from(math.nextafter(last, 0.0)) == lam * level_schedule(MAX_LEVEL).scale / 2.0
         assert sup_from(last) == sup_from(1.0 - 2.0**-40) == 0.0
 
-    def test_past_max_level_covers_the_value_at_one(self):
-        # x = 1 is level 1 at offset 0, so f(1) = beta(0)/2, nonzero for this table
-        beta = TAIL_MODULI[-1]
+    @pytest.mark.parametrize(
+        "beta",
+        [ModulusSpec.power(lam, alpha) for lam in (1.0, 8.0) for alpha in (0.25, 0.5, 0.75)]
+        + ORACLE_MODULI[-1:]
+        + [  # a table that rises and falls back, and one with beta(0) != 0 that turns negative
+            ModulusSpec.table([(2.0**-24, 2.0**-8), (2.0**-15, 2.0**-8), (2.0**-14, 2.0**-12), (1.0, 2.0**-12)]),
+            ModulusSpec.table([(0.0, 2.0**-20), (2.0**-10, -0.25)]),
+        ],
+        ids=repr,
+    )
+    def test_no_hints_for_other_moduli(self, beta):
         f = ExtremalFunction(beta=beta, d=1, q=1).as_scalar()
-        assert f(1.0) == 2.0**-21
-        assert 2.0**-21 < f.sup_from(1.0 - 2.0**-40) < 2.0**-20
-
-    def test_slack_for_other_moduli(self):
-        # alpha < 1 and tables: the halved peak times 1 + 2**-40, plus 2**-1000
-        for beta in (ModulusSpec.power(1.0, 0.5), TAIL_MODULI[-2]):
-            sup_from = ExtremalFunction(beta=beta, d=1, q=1).as_scalar().sup_from
-            scale = level_schedule(2).scale
-            want = 0.5 * beta.peak_many(np.array([scale]))[0] * (1.0 + 2.0**-40) + 2.0**-1000
-            assert sup_from(level_schedule(2).start) == want > 0.5 * beta.peak_many(np.array([scale]))[0]
+        assert not hasattr(f, "sup_from") and not hasattr(f, "peak_from")
+        xs = np.array([0.0625, 0.5 + 2.0**-8, 1.0])
+        assert np.array_equal(f(xs), profile_many(beta, xs))
 
     def test_shape_and_refusals(self):
         sup_from = ExtremalFunction(beta=IDENTITY, d=1, q=1).as_scalar().sup_from
@@ -917,3 +914,28 @@ class TestSampling:
         F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
         with pytest.raises(DomainError, match=rf"step must be finite and > 0, got {step}"):
             F.sample(step)
+
+    @pytest.mark.parametrize(
+        "step,d,cells", [(2.0**-25, 1, "33554432**1"), (2.0**-13, 2, "8192**2"), (2.0**-9, 3, "512**3"), (5e-324, 1, "inf**1")]
+    )
+    def test_grid_over_the_cap_is_refused_before_any_array(self, monkeypatch, step, d, cells):
+        def untouchable(*args, **kwargs):
+            raise AssertionError("an array was built")
+
+        monkeypatch.setattr(extremal.np, "linspace", untouchable)
+        monkeypatch.setattr(extremal, "profile_many", untouchable)
+        with pytest.raises(EnumerationCapError, match=rf"needs {re.escape(cells)} cells, over the cap of 16777216"):
+            ExtremalFunction(beta=IDENTITY, d=d, q=1).sample(step)
+
+    @pytest.mark.parametrize("step,d", [(2.0**-24, 1), (2.0**-12, 2), (2.0**-10, 2)])
+    def test_grids_up_to_the_cap_pass_the_check(self, monkeypatch, step, d):
+        # 2**-10 at d = 2 is certify_q2's grid; the call stops at the knots, before any large array
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(extremal.np, "linspace", reached)
+        with pytest.raises(Reached):
+            ExtremalFunction(beta=IDENTITY, d=d, q=1).sample(step)

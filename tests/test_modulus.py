@@ -128,38 +128,6 @@ class TestEval:
             ModulusSpec(**fields)
 
 
-class TestPeak:
-    """peak_many: max |beta| over [0, s]."""
-
-    @pytest.mark.parametrize("beta", [ModulusSpec.power(1.0, 1.0), ModulusSpec.power(8.0, 0.25)])
-    def test_power_is_its_own_peak(self, beta):
-        xs = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(7).uniform(0.0, 1.0, 100)])
-        assert np.array_equal(beta.peak_many(xs), beta.many(xs))
-
-    def test_table_keeps_its_highest_node(self):
-        # rises to 2**-8, then falls to 2**-12 at 2**-14
-        beta = ModulusSpec.table([(2.0**-24, 2.0**-8), (2.0**-15, 2.0**-8), (2.0**-14, 2.0**-12), (1.0, 2.0**-12)])
-        xs = np.array([0.0, 2.0**-25, 2.0**-15, 2.0**-14, 0.5])
-        assert beta.peak_many(xs).tolist() == [0.0, 2.0**-9, 2.0**-8, 2.0**-8, 2.0**-8]
-        assert beta(2.0**-14) == 2.0**-12
-
-    def test_table_peak_is_of_the_magnitude(self):
-        beta = ModulusSpec.table([(0.0, 0.125), (0.5, -1.0)])
-        assert beta.peak_many(np.array([0.0, 0.0625, 0.25, 2.0])).tolist() == [0.125, 0.125, 0.4375, 1.0]
-
-    def test_overflowing_slope_peaks_at_infinity(self):
-        # slope 1e300 / 2**-1000 overflows: np.interp gives inf inside the segment
-        beta = ModulusSpec.table([(2.0**-1000, 1e300), (1.0, 1e300)])
-        xs = np.array([0.0, 2.0**-1001, 0.5])
-        with np.errstate(over="ignore"):
-            assert np.isinf(beta.many(xs[1:2])).all()
-        assert beta.peak_many(xs).tolist() == [0.0, math.inf, math.inf]
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(DomainError, match="nonnegative"):
-            ModulusSpec.table([(1.0, 1.0)]).peak_many(np.array([0.5, -0.25]))
-
-
 class TestAxioms:
     def test_concave_power_passes(self):
         beta = ModulusSpec.power(1.0, 0.5)
