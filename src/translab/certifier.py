@@ -37,7 +37,7 @@ from .chart import Chart, gamma_w, identity_chart, pullback_perturbation
 from .errors import DomainError, EnumerationCapError, ShapeError
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
 from .funcrep import evaluate_rows
-from .modulus import ModulusSpec
+from .modulus import ModulusSpec, require_modulus
 
 ENUMERATION_CAP_BITS = 24  # at most 2**24 cubes per level
 FACE_LATTICE_POINTS = 9    # side 2*scale scanned at step scale/4
@@ -249,6 +249,7 @@ def certify(
 ) -> Certificate:
     """Certify a zero-count lower bound at budget eps.
 
+    A beta that is not a modulus of continuity is refused first.
     Theoretical mode (no ``h``): every cube of every level n <= n0 is
     verified by construction and the counts are arithmetic.  Empirical
     mode applies the ``miranda_verify`` test to all cubes of a level at
@@ -275,6 +276,7 @@ def certify(
     if z_grid < 1:
         raise DomainError(f"z-grid must be >= 1, got {z_grid}")
     beta, q, p, d = f.beta, f.q, f.p, f.d
+    require_modulus(beta)
     m = f.m
     if chart is None:
         chart = identity_chart(m, r0=math.inf)

@@ -62,7 +62,7 @@ import numpy as np
 from .adversary import MESH_CAP
 from .errors import DomainError, EnumerationCapError
 from .funcrep import SampledFunction
-from .modulus import ModulusSpec
+from .modulus import ModulusSpec, require_modulus
 
 MAX_LEVEL = 30
 
@@ -319,6 +319,7 @@ class ExtremalFunction:
     def as_scalar(self):
         """The active profile as a callable on floats and float arrays (d = q = 1 maps).
 
+        A table that is not a modulus of continuity is refused first.
         For the power modulus with alpha = 1, the one the adversary
         accepts, f carries two hints that let flatten skip scans (see
         ``adversary``); for any other modulus it carries none.
@@ -342,6 +343,7 @@ class ExtremalFunction:
         if self.q != 1 or self.p != 0 or self.d != 1:
             raise DomainError("as_scalar needs d = q = 1 and p = 0")
         beta = self.beta
+        require_modulus(beta)
 
         def f(s):
             return profile_many(beta, s)

@@ -201,13 +201,19 @@ class SampledFunction:
     @classmethod
     def load(cls, path) -> "SampledFunction":
         with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise ShapeError("function file must start with a 'd m' header line")
-            d, m = int(header[0]), int(header[1])
-            rows = [[float(tok) for tok in line.split()] for line in fh if line.strip()]
-        if any(len(r) != d + m for r in rows):
-            raise ShapeError(f"every row must have {d + m} fields")
+            try:
+                d, m = map(int, fh.readline().split())
+            except ValueError:
+                raise ShapeError(f"{path} line 1: function file must start with a 'd m' header line") from None
+            rows = []
+            for n, line in enumerate(fh, start=2):
+                try:
+                    row = [float(tok) for tok in line.split()]
+                except ValueError as exc:
+                    raise ShapeError(f"{path} line {n}: {exc}") from None
+                if row and len(row) != d + m:
+                    raise ShapeError(f"{path} line {n}: every row must have {d + m} fields")
+                rows += [row] if row else []
         data = np.asarray(rows, dtype=float)
         axes = tuple(np.unique(data[:, a]) for a in range(d))
         lens = tuple(len(k) for k in axes)

@@ -1,4 +1,4 @@
-"""Moduli of continuity: evaluation, axiom checking, and inversion.
+"""Moduli of continuity: evaluation, exact axiom checking, and inversion.
 
 A modulus of continuity is a non-decreasing, subadditive function beta
 with beta(0) = 0.  Two concrete representations are supported:
@@ -15,28 +15,27 @@ given oscillation,
 
     inverse(s) = sup{delta >= 0 : beta(delta) <= s},
 
-which saturates to +inf once s reaches sup beta.  For the power form the
-closed form (s/lam)**(1/alpha) is used; for tables a monotone bisection
-resolves the supremum to 1e-12 relative accuracy.
+which saturates to +inf once s reaches sup beta.  It is closed form for
+both: (s/lam)**(1/alpha), and for a table the linear solve after the
+last node whose value is <= s (0 if there is none).
 
-Concavity of table moduli is deliberately not enforced at construction;
-``check_modulus_axioms`` reports monotonicity, subadditivity, and the
-vanishing value at zero on a caller-supplied grid instead, so adversarial
-tables remain representable.
+Tables need not be moduli, so adversarial tables remain representable;
+``check_modulus_axioms`` decides the three axioms exactly, and
+``require_modulus`` refuses a table that fails them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EnumerationCapError
 
-AXIOM_TOL = 1e-12
-INVERSE_REL_TOL = 1e-12
+VERTEX_CAP = 10**6  # arrangement vertices the axiom check may visit; 10**6 took 3 s on a 2-vCPU machine
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,12 @@ class ModulusSpec:
                 if not (math.isfinite(d) and math.isfinite(v)):
                     field = "delta" if not math.isfinite(d) else "value"
                     raise DomainError(f"table breakpoint {field} must be finite, got ({d}, {v})")
-            deltas = [d for d, _ in pts]
-            if any(b <= a for a, b in zip(deltas, deltas[1:])) or deltas[0] < 0.0:
+            xs, vs = (np.array(col) for col in zip(*(pts if pts[0][0] == 0.0 else ((0.0, 0.0),) + pts)))
+            if not (xs[1:] > xs[:-1]).all():  # a negative first delta falls below the (0, 0) put before it
                 raise DomainError("table breakpoints must be nonnegative and strictly increasing")
+            xs.flags.writeable = vs.flags.writeable = False
             object.__setattr__(self, "breakpoints", pts)
+            object.__setattr__(self, "_nodes", (xs, vs))  # not a field: repr and equality see breakpoints only
         else:
             raise DomainError(f"unknown modulus kind {self.kind!r}")
 
@@ -94,7 +95,7 @@ class ModulusSpec:
             if s == 0.0:
                 return 0.0
             return self.lam * s ** self.alpha
-        return float(np.interp(s, *self._table_nodes()))
+        return float(np.interp(s, *self._nodes))
 
     def many(self, s: np.ndarray) -> np.ndarray:
         """beta elementwise on a float array, as a new array.
@@ -114,15 +115,7 @@ class ModulusSpec:
             out *= self.lam
             out += 0.0
             return out
-        return np.interp(s, *self._table_nodes())
-
-    def _table_nodes(self) -> tuple[list[float], list[float]]:
-        """Interpolation nodes of a table modulus, with (0, 0) prepended if absent."""
-        deltas = [0.0] + [d for d, _ in self.breakpoints]
-        values = [0.0] + [v for _, v in self.breakpoints]
-        if self.breakpoints[0][0] == 0.0:
-            deltas, values = deltas[1:], values[1:]
-        return deltas, values
+        return np.interp(s, *self._nodes)
 
     @property
     def saturation(self) -> float:
@@ -140,51 +133,69 @@ class ModulusSpec:
             return (s / self.lam) ** (1.0 / self.alpha)
         if s >= self.saturation:
             return math.inf
-        # beta(lo) <= s < beta(hi) throughout; the supremum lies in [lo, hi).
-        lo, hi = 0.0, self.breakpoints[-1][0]
-        while hi - lo > INVERSE_REL_TOL * max(hi, 1.0):
-            mid = 0.5 * (lo + hi)
-            if self(mid) <= s:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        xs, vs = self._nodes
+        below = np.flatnonzero(vs <= s)  # every node right of the last one has beta > s
+        if not len(below):
+            return 0.0
+        i = below[-1]  # not the last node: its value is sup beta > s
+        return float(xs[i] + (s - vs[i]) / (vs[i + 1] - vs[i]) * (xs[i + 1] - xs[i]))
 
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of checking the three modulus axioms on a sample grid."""
+    """Exact verdict on the axioms; ``failure`` is "" or the first to fail (zero, monotone, subadditive) and where."""
 
     monotone: bool
     subadditive: bool
     vanishes_at_zero: bool
+    failure: str = ""
 
     @property
     def all_hold(self) -> bool:
         return self.monotone and self.subadditive and self.vanishes_at_zero
 
 
-def check_modulus_axioms(beta: ModulusSpec, grid: Sequence[float]) -> AxiomReport:
-    """Check monotonicity, subadditivity, and beta(0) = 0 on a grid.
+def check_modulus_axioms(beta: ModulusSpec) -> AxiomReport:
+    """Decide beta(0) = 0, monotonicity and subadditivity exactly, never calling beta.
 
-    Each flag is true iff the axiom holds at every grid point or pair
-    within absolute tolerance 1e-12.  Subadditivity is tested on all
-    pairs (s1, s2) from the grid, with beta evaluated directly at s1+s2.
+    A power modulus holds all three by construction.  A table's nodes
+    0 = d_0 < ... < d_k become Python ints over one power-of-two
+    denominator.  beta(s + t) - beta(s) - beta(t) is linear on each cell
+    of the lines s = d_i, t = d_j, s + t = d_l in [0, d_k]**2 (past d_k it
+    is -beta(t), as at s = d_k), so it is largest at a vertex: (d_i, d_l)
+    or (d_i, d_l - d_i), l >= i, up to symmetry.  Over ``VERTEX_CAP``
+    vertices are refused before any is visited.
     """
-    pts = [float(s) for s in grid]
-    if not pts:
-        raise DomainError("axiom grid must be nonempty")
-    if any(b < a for a, b in zip(pts, pts[1:])):
-        raise DomainError("axiom grid must be sorted")
-    vals = [beta(s) for s in pts]
-    monotone = all(vb >= va - AXIOM_TOL for va, vb in zip(vals, vals[1:]))
-    subadditive = True
-    for i, (si, vi) in enumerate(zip(pts, vals)):
-        for sj, vj in zip(pts[i:], vals[i:]):
-            if beta(si + sj) > vi + vj + AXIOM_TOL:
-                subadditive = False
-                break
-        if not subadditive:
-            break
-    vanishes = beta(0.0) <= AXIOM_TOL
-    return AxiomReport(monotone=monotone, subadditive=subadditive, vanishes_at_zero=vanishes)
+    if beta.kind == "power":
+        return AxiomReport(monotone=True, subadditive=True, vanishes_at_zero=True)
+    n = len(beta._nodes[0])
+    if n * (n + 1) > VERTEX_CAP:
+        raise EnumerationCapError(f"a table of {n} nodes has {n * (n + 1)} vertices, over the cap of {VERTEX_CAP}")
+    ratios = [x.as_integer_ratio() for x in np.concatenate(beta._nodes).tolist()]
+    shift = max(den.bit_length() for _, den in ratios)  # every denominator is a power of two
+    ints = [num << (shift - den.bit_length()) for num, den in ratios]
+    X, V, unit = ints[:n], ints[n:], 1 << (shift - 1)
+
+    def at(x):  # beta(x) for an int x >= 0, as a numerator and a positive denominator
+        i = bisect_right(X, x)
+        return (V[-1], 1) if i == n else (V[i - 1] * (X[i] - x) + V[i] * (x - X[i - 1]), X[i] - X[i - 1])
+
+    def exceeds(s, t):  # beta(s + t) > beta(s) + beta(t)
+        (a, wa), (b, wb), (c, wc) = at(s + t), at(s), at(t)
+        return a * wb * wc > (b * wc + c * wb) * wa
+
+    vertices = ((s, v) for i, s in enumerate(X) for u in X[i:] for v in (u, u - s))
+    zero = (0,) if V[0] else None
+    drop = next(((X[i], X[i + 1]) for i in range(n - 1) if V[i + 1] < V[i]), None)
+    cross = next(((s, t) for s, t in vertices if exceeds(s, t)), None)
+    found = (("vanishes_at_zero", zero), ("monotone", drop), ("subadditive", cross))
+    axiom, point = next(((a, p) for a, p in found if p), ("", ()))
+    return AxiomReport(monotone=drop is None, subadditive=cross is None, vanishes_at_zero=zero is None,
+                       failure=axiom and f"{axiom} fails at ({', '.join(repr(x / unit) for x in point)})")
+
+
+def require_modulus(beta: ModulusSpec) -> None:
+    """Refuse with ``DomainError`` a table that is not a modulus of continuity; beta is never called."""
+    failure = check_modulus_axioms(beta).failure
+    if failure:
+        raise DomainError(f"beta is not a modulus of continuity: {failure}")

@@ -397,6 +397,22 @@ class TestCertify:
         assert cert.paper_bound == 0
         assert cert.vacuous
 
+    @pytest.mark.parametrize(
+        "points, reason",
+        [
+            ([(0.0, 2.0**-20), (2.0**-10, -0.25)], "vanishes_at_zero fails at (0.0)"),
+            ([(0.013, 0.5), (0.026, 1.5)], "subadditive fails at (0.013, 0.013)"),
+        ],
+    )
+    def test_table_that_is_not_a_modulus_is_refused(self, points, reason):
+        def h(x):
+            raise AssertionError("h was called")
+
+        F = ExtremalFunction(beta=ModulusSpec.table(points), d=1, q=1)
+        for kwargs in ({}, {"h": h}):
+            with pytest.raises(DomainError, match=re.escape(f"beta is not a modulus of continuity: {reason}")):
+                certify(F, 2.0**-7, **kwargs)
+
     def test_saturated_modulus_flags_vacuous_even_at_depth(self):
         # the modulus rises steeply and saturates at 0.5, so the depth
         # band accepts eps = 0.25 while the inverse at 2*eps is infinite;

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import translab
-from translab import SampledFunction, cli
+from translab import SampledFunction
 from translab.cli import main
 
 
@@ -33,14 +33,33 @@ class TestModulusCommand:
         assert float(out) == pytest.approx(0.25)
 
     def test_check_report(self, capsys):
-        code, out, _ = run(capsys, "modulus", "--kind", "power", "--alpha", "0.5",
-                           "--check", "0.1")
+        code, out, _ = run(capsys, "modulus", "--kind", "power", "--alpha", "0.5", "--check")
         assert code == 0
         assert out.splitlines() == [
             "monotone=true",
             "subadditive=true",
             "vanishes_at_zero=true",
         ]
+
+    def test_check_names_the_failing_point(self, capsys, tmp_path):
+        # beta(0.026) = 1.5 > 2 beta(0.013) = 1, which a grid of step 0.05 never sampled
+        table = tmp_path / "t.txt"
+        table.write_text("0.013 0.5\n0.026 1.5\n")
+        code, out, _ = run(capsys, "modulus", "--kind", "table", "--file", str(table), "--check")
+        assert code == 0
+        assert out.splitlines() == [
+            "monotone=true",
+            "subadditive=false",
+            "vanishes_at_zero=true",
+            "failure=subadditive fails at (0.013, 0.013)",
+        ]
+
+    def test_check_refuses_an_oversized_table_naming_the_count(self, capsys, tmp_path):
+        table = tmp_path / "t.txt"
+        table.write_text("".join(f"{k} {k}\n" for k in range(1, 1000)))
+        code, out, err = run(capsys, "modulus", "--kind", "table", "--file", str(table), "--check")
+        assert code == 2 and out == ""
+        assert err == "error: a table of 1000 nodes has 1001000 vertices, over the cap of 1000000\n"
 
     def test_table_file(self, capsys, tmp_path):
         table = tmp_path / "beta.txt"
@@ -50,23 +69,15 @@ class TestModulusCommand:
         assert code == 0
         assert float(out) == pytest.approx(0.5, rel=1e-9)
 
-    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
-    def test_check_needs_positive_step(self, capsys, step):
-        code, out, err = run(capsys, "modulus", "--kind", "power", "--check", step)
+    @pytest.mark.parametrize("text, line", [("0 0\n1 0.5 7\n", "2: expected two numbers 'delta value', got '1 0.5 7'"),
+                                            ("# c\n\n0.5 x\n", "3: expected two numbers 'delta value', got '0.5 x'"),
+                                            ("1\n", "1: expected two numbers 'delta value', got '1'")])
+    def test_malformed_table_file_names_its_line(self, capsys, tmp_path, text, line):
+        table = tmp_path / "t.txt"
+        table.write_text(text)
+        code, out, err = run(capsys, "modulus", "--kind", "table", "--file", str(table), "--eval", "0.5")
         assert code == 2 and out == ""
-        assert "error: --check grid step must be finite and > 0" in err
-
-    @pytest.mark.parametrize("step", ["1e-300", "1e-5"])
-    def test_check_refuses_costly_step_before_any_work(self, capsys, monkeypatch, step):
-        def fail(*args):
-            raise AssertionError("evaluated the modulus of a refused --check")
-
-        monkeypatch.setattr(cli, "_modulus_from_args", lambda args: fail)
-        monkeypatch.setattr(cli, "check_modulus_axioms", fail)
-        code, out, err = run(capsys, "modulus", "--kind", "power", "--check", step)
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: --check {float(step)} would test 5.00e+")
-        assert "grid pairs, over the cap of 1e+07" in err
+        assert err == f"error: {table} line {line}\n"
 
     def test_table_needs_file(self, capsys):
         code, out, err = run(capsys, "modulus", "--kind", "table", "--eval", "0.5")
@@ -84,6 +95,17 @@ class TestBuildAndEval:
         code, out, _ = run(capsys, "eval", "--func", str(path), "--at", "0.0625")
         assert code == 0
         assert float(out) == 0.03125
+
+    @pytest.mark.parametrize("text, line", [("1 1\n0 x\n1 2\n", "2: could not convert string to float: 'x'"),
+                                            ("1 1\n0 1\n\n1 y 3\n", "4: could not convert string to float: 'y'"),
+                                            ("1 1\n0 1\n\n1 2 3\n", "4: every row must have 2 fields"),
+                                            ("1 one\n0 1\n", "1: function file must start with a 'd m' header line")])
+    def test_malformed_function_file_names_its_line(self, capsys, tmp_path, text, line):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "eval", "--func", str(path), "--at", "0.5")
+        assert code == 2 and out == ""
+        assert err == f"error: {path} line {line}\n"
 
     @pytest.mark.parametrize("step", ["0", "-0.25", "nan", "inf"])
     def test_build_refuses_a_bad_step(self, capsys, tmp_path, step):
@@ -229,10 +251,20 @@ class TestPerturbCommand:
         steep, edge = tmp_path / "steep.txt", tmp_path / "edge.txt"
         run(capsys, "build", "--alpha", "0.5", "--sample", "0.0078125", "--out", str(steep))
         run(capsys, "build", "--lambda", "2", "--sample", "0.0078125", "--out", str(edge))
-        for fpath, flags, want in ((steep, (), 2), (edge, ("--alpha", "0.5", "--lambda", "8"), 0)):
-            code, _, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.015625", *flags,
+        for fpath, want in ((steep, 2), (edge, 0)):
+            code, _, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.015625",
                              "--func", str(fpath), "--out", str(tmp_path / "h.txt"))
             assert code == want
+
+    @pytest.mark.parametrize("flags", [("--alpha", "0.5"), ("--lambda", "1"), ("--alpha", "1", "--lambda", "8")])
+    @pytest.mark.parametrize("mode", ["flatten", "refine", "iterate"])
+    def test_function_file_refuses_the_modulus_flags(self, capsys, tmp_path, mode, flags):
+        fpath, out_path = tmp_path / "f.txt", tmp_path / "h.txt"
+        run(capsys, "build", "--sample", "0.0078125", "--out", str(fpath))
+        code, out, err = run(capsys, "perturb", "--mode", mode, "--eps", "0.015625", *flags,
+                             "--func", str(fpath), "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == f"error: {flags[0]} sets the extremal map's modulus, but --func {fpath} replaces that map\n"
 
     @pytest.mark.parametrize("height", [0.5, -0.5])
     @pytest.mark.parametrize("mode", ["flatten", "refine", "iterate"])

@@ -642,11 +642,7 @@ class TestSupFrom:
     @pytest.mark.parametrize(
         "beta",
         [ModulusSpec.power(lam, alpha) for lam in (1.0, 8.0) for alpha in (0.25, 0.5, 0.75)]
-        + ORACLE_MODULI[-1:]
-        + [  # a table that rises and falls back, and one with beta(0) != 0 that turns negative
-            ModulusSpec.table([(2.0**-24, 2.0**-8), (2.0**-15, 2.0**-8), (2.0**-14, 2.0**-12), (1.0, 2.0**-12)]),
-            ModulusSpec.table([(0.0, 2.0**-20), (2.0**-10, -0.25)]),
-        ],
+        + ORACLE_MODULI[-1:],
         ids=repr,
     )
     def test_no_hints_for_other_moduli(self, beta):
@@ -654,6 +650,22 @@ class TestSupFrom:
         assert not hasattr(f, "sup_from") and not hasattr(f, "peak_from")
         xs = np.array([0.0625, 0.5 + 2.0**-8, 1.0])
         assert np.array_equal(f(xs), profile_many(beta, xs))
+
+    @pytest.mark.parametrize(
+        "beta, reason",
+        [  # a table that rises and falls back, and one with beta(0) != 0 that turns negative
+            (ModulusSpec.table([(2.0**-24, 2.0**-8), (2.0**-15, 2.0**-8), (2.0**-14, 2.0**-12), (1.0, 2.0**-12)]),
+             "monotone fails at (3.0517578125e-05, 6.103515625e-05)"),
+            (ModulusSpec.table([(0.0, 2.0**-20), (2.0**-10, -0.25)]), "vanishes_at_zero fails at (0.0)"),
+        ],
+        ids=repr,
+    )
+    def test_tables_that_are_not_moduli_are_refused(self, beta, reason):
+        F = ExtremalFunction(beta=beta, d=1, q=1)
+        with pytest.raises(DomainError, match=re.escape(f"beta is not a modulus of continuity: {reason}")):
+            F.as_scalar()
+        xs = np.array([0.0625, 0.5 + 2.0**-8, 1.0])  # the profile itself still takes the table
+        assert np.array_equal(profile_many(beta, xs), [profile(beta, x) for x in xs])
 
     def test_shape_and_refusals(self):
         sup_from = ExtremalFunction(beta=IDENTITY, d=1, q=1).as_scalar().sup_from

@@ -1,15 +1,20 @@
+import itertools
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from translab import (
     DomainError,
+    EnumerationCapError,
     ModulusSpec,
     check_modulus_axioms,
 )
+from translab import modulus
 
 
 class TestEval:
@@ -131,33 +136,144 @@ class TestEval:
 class TestAxioms:
     def test_concave_power_passes(self):
         beta = ModulusSpec.power(1.0, 0.5)
-        report = check_modulus_axioms(beta, np.linspace(0.0, 1.0, 11))
+        report = check_modulus_axioms(beta)
         assert report.monotone and report.subadditive and report.vanishes_at_zero
-        assert report.all_hold
+        assert report.all_hold and report.failure == ""
 
     def test_convex_table_fails_subadditivity(self):
         # beta(2) = 1 > beta(1) + beta(1) = 0.2
         beta = ModulusSpec.table([(1.0, 0.1), (2.0, 1.0)])
-        report = check_modulus_axioms(beta, [0.0, 1.0, 2.0])
+        report = check_modulus_axioms(beta)
         assert report.monotone
         assert not report.subadditive
 
     def test_linear_modulus_passes(self):
         beta = ModulusSpec.power(3.0, 1.0)
-        report = check_modulus_axioms(beta, [0.0, 0.5, 1.0])
+        report = check_modulus_axioms(beta)
         assert report.all_hold
 
     def test_decreasing_table_fails_monotone(self):
         beta = ModulusSpec.table([(0.5, 1.0), (1.0, 0.25)])
-        report = check_modulus_axioms(beta, [0.0, 0.5, 1.0])
+        report = check_modulus_axioms(beta)
         assert not report.monotone
+        assert report.failure == "monotone fails at (0.5, 1.0)"
 
-    def test_grid_validation(self):
-        beta = ModulusSpec.power(1.0, 1.0)
-        with pytest.raises(DomainError):
-            check_modulus_axioms(beta, [])
-        with pytest.raises(DomainError):
-            check_modulus_axioms(beta, [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "points, failure",
+        [  # each fails at one arrangement vertex only; the second by 2**-40, under any 1e-12 tolerance
+            ([(0.013, 0.5), (0.026, 1.5)], (0.013, 0.013)),
+            ([(2.0**-6, 0.5), (2.0**-5, 1.5)], (2.0**-6, 2.0**-6)),
+            ([(2.0**-6, 0.5), (2.0**-5, 1.0 + 2.0**-40)], (2.0**-6, 2.0**-6)),
+        ],
+    )
+    def test_a_single_failing_vertex_is_found(self, points, failure):
+        report = check_modulus_axioms(ModulusSpec.table(points))
+        assert report.monotone and report.vanishes_at_zero and not report.subadditive
+        assert report.failure == f"subadditive fails at ({failure[0]!r}, {failure[1]!r})"
+
+    def test_beta_at_zero_is_the_first_failure(self):
+        report = check_modulus_axioms(ModulusSpec.table([(0.0, 2.0**-20), (2.0**-10, -0.25)]))
+        assert not (report.vanishes_at_zero or report.monotone or report.subadditive)
+        assert report.failure == "vanishes_at_zero fails at (0.0)"
+
+    @given(points=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=8)
+           .map(lambda pts: sorted(dict(pts).items())))
+    @settings(max_examples=100, deadline=None)
+    def test_never_calls_beta(self, points):
+        def fail(*args):
+            raise AssertionError("the axiom check called beta")
+
+        beta = ModulusSpec.table(points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ModulusSpec, "__call__", fail)
+            patch.setattr(ModulusSpec, "many", fail)
+            check_modulus_axioms(beta)
+
+    def test_cap_refuses_an_oversized_table_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the axiom check called beta")
+
+        big = ModulusSpec.table([(float(k), float(k)) for k in range(1, 1000)])  # 1000 nodes with (0, 0)
+        monkeypatch.setattr(ModulusSpec, "__call__", fail)
+        monkeypatch.setattr(ModulusSpec, "many", fail)
+        with pytest.raises(EnumerationCapError, match=r"^a table of 1000 nodes has 1001000 vertices, over the cap of 1000000$"):
+            check_modulus_axioms(big)
+        monkeypatch.setattr(modulus, "VERTEX_CAP", 12)  # a table of n nodes has n * (n + 1) vertices
+        assert check_modulus_axioms(ModulusSpec.table([(1.0, 1.0), (2.0, 2.0)])).all_hold
+        with pytest.raises(EnumerationCapError, match="^a table of 4 nodes has 20 vertices, over the cap of 12$"):
+            check_modulus_axioms(ModulusSpec.table([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]))
+
+
+GRID = Fraction(1, 64)
+
+
+def oracle_axioms(beta):
+    """(vanishes_at_zero, monotone, subadditive, failing pairs) of a table whose deltas lie on the 2**-6 grid.
+
+    Exact in Fractions: every arrangement vertex lies on that grid, so
+    checking every grid pair (s, t) in [0, 2 d_last]**2 decides the
+    axioms without the vertex argument.  Failing pairs are in grid units.
+    """
+    nodes = [(Fraction(d), Fraction(v)) for d, v in beta.breakpoints]
+    if nodes[0][0] != 0:
+        nodes.insert(0, (Fraction(0), Fraction(0)))
+
+    def at(x):
+        for (a, va), (b, vb) in zip(nodes, nodes[1:]):
+            if a <= x <= b:
+                return va + (vb - va) * (x - a) / (b - a)
+        return nodes[-1][1]
+
+    top = int(2 * nodes[-1][0] / GRID)
+    vals = [at(k * GRID) for k in range(2 * top + 1)]
+    failing = {(i, j) for i in range(top + 1) for j in range(i, top + 1) if vals[i + j] > vals[i] + vals[j]}
+    monotone = all(a <= b for a, b in zip(vals, vals[1:]))
+    return vals[0] == 0, monotone, not failing, failing
+
+
+@st.composite
+def grid_tables(draw):
+    """Tables with deltas on the 2**-6 grid in [0, 1/2], concave or non-decreasing, some with one node nudged."""
+    ks = sorted(draw(st.sets(st.integers(0, 32), min_size=1, max_size=10)))
+    if draw(st.booleans()):  # non-decreasing: often not subadditive
+        values = sorted(v / 64 for v in draw(st.lists(st.integers(0, 64), min_size=len(ks), max_size=len(ks))))
+    else:  # non-increasing slopes from (0, 0): a concave table, which is a modulus
+        slopes = sorted(draw(st.lists(st.integers(0, 8), min_size=len(ks), max_size=len(ks))), reverse=True)
+        values = list(itertools.accumulate(sl * (b - a) / 64 for sl, a, b in zip(slopes, [0] + ks, ks)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(ks) - 1))
+        values[i] += draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** -draw(st.integers(1, 40))
+    return ModulusSpec.table(zip((k / 64 for k in ks), values))
+
+
+class TestAxiomOracle:
+    @given(beta=grid_tables())
+    @example(beta=ModulusSpec.table([(2.0**-6, 0.5), (2.0**-5, 1.5)]))  # 0.013 / 0.026 on the grid
+    @example(beta=ModulusSpec.table([(2.0**-6, 0.5), (2.0**-5, 1.0 + 2.0**-40)]))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_all_pairs_oracle(self, beta):
+        vanishes, monotone, subadditive, failing = oracle_axioms(beta)
+        report = check_modulus_axioms(beta)
+        assert (report.vanishes_at_zero, report.monotone, report.subadditive) == (vanishes, monotone, subadditive)
+        flags = [("vanishes_at_zero", vanishes), ("monotone", monotone), ("subadditive", subadditive)]
+        first = next((name for name, holds in flags if not holds), None)
+        if first is None:
+            assert report.failure == ""
+            return
+        axiom, point = re.fullmatch(r"(\w+) fails at \((.*)\)", report.failure).groups()
+        point = [float(x) for x in point.split(", ")]
+        assert axiom == first
+        if first == "monotone":
+            a, b = point
+            assert a < b and beta(a) > beta(b)
+        elif first == "subadditive":
+            s, t = (Fraction(x) / GRID for x in point)
+            assert s.denominator == t.denominator == 1
+            assert (int(min(s, t)), int(max(s, t))) in failing
+
+    def test_oracle_sees_one_failing_pair_in_the_scaled_table(self):
+        beta = ModulusSpec.table([(2.0**-6, 0.5), (2.0**-5, 1.5)])
+        assert oracle_axioms(beta) == (True, True, False, {(1, 1)})
 
 
 class TestInverse:
@@ -175,9 +291,9 @@ class TestInverse:
     def test_zero_maps_to_zero(self, beta):
         assert beta.inverse(0.0) == 0.0
 
-    def test_table_bisection(self):
+    def test_table_closed_form(self):
         beta = ModulusSpec.table([(1.0, 0.5)])  # beta(d) = d/2
-        assert beta.inverse(0.25) == pytest.approx(0.5, rel=1e-9)
+        assert beta.inverse(0.25) == 0.5
 
     def test_table_saturates_to_infinity(self):
         beta = ModulusSpec.table([(1.0, 0.5)])
@@ -191,7 +307,40 @@ class TestInverse:
     def test_flat_run_resolves_to_right_edge(self):
         # beta is 0.5 on [1, 2]; sup{d : beta(d) <= 0.5} = 2
         beta = ModulusSpec.table([(1.0, 0.5), (2.0, 0.5), (3.0, 1.0)])
-        assert beta.inverse(0.5) == pytest.approx(2.0, rel=1e-9)
+        assert beta.inverse(0.5) == 2.0
+
+    def test_no_node_at_or_below_s_gives_zero(self):
+        beta = ModulusSpec.table([(0.0, 0.5), (1.0, 1.0)])
+        assert beta.inverse(0.25) == 0.0
+
+    @given(
+        # rises of 0 (flat runs) or of at least 2**-8: on a near-flat segment the bisection reads
+        # beta's rounding as the answer (off by ulp/slope), where the closed form stays exact
+        steps=st.lists(st.tuples(st.floats(1e-3, 1.0), st.just(0.0) | st.floats(2.0**-8, 1.0)),
+                       min_size=1, max_size=8),
+        at_zero=st.booleans(),
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_bisection_on_monotone_tables(self, steps, at_zero, frac):
+        # the bisection the closed form replaced: beta(lo) <= s < beta(hi) throughout
+        pts = [(0.0, 0.0)] if at_zero else []
+        d = v = 0.0
+        for dd, dv in steps:
+            d, v = d + dd, v + dv
+            pts.append((d, v))
+        beta = ModulusSpec.table(pts)
+        s = frac * beta.saturation
+        assume(s < beta.saturation)  # a table of flat steps saturates at 0
+        lo, hi = 0.0, pts[-1][0]
+        while hi - lo > 1e-12 * max(hi, 1.0):
+            mid = 0.5 * (lo + hi)
+            if beta(mid) <= s:
+                lo = mid
+            else:
+                hi = mid
+        # the bisection's stopping width, plus its misreading of beta's rounding at slopes >= 2**-8
+        assert abs(beta.inverse(s) - lo) <= 2e-12 * max(pts[-1][0], 1.0)
 
     @given(
         lam=st.floats(0.25, 4.0),
