@@ -10,7 +10,8 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   within eps of f and carries at most 2 zeros per lifted interval.
   ``flatten_many`` builds the lifts at several budgets from one table
   of their partition intervals, a group of budgets at a time, calling f
-  once per stage for each group; ``flatten_perturbation`` is
+  once per stage for each group, and drops each row's redundant
+  breakpoints by a rule local to the row; ``flatten_perturbation`` is
   ``flatten_many`` at one budget, so both give the same lift bit for bit.
 
 * ``refine_interpolant`` interpolates f on the uniform mesh of
@@ -53,8 +54,9 @@ Layouts that cannot fit are refused with ``EnumerationCapError`` before
 f is called: more than ``MESH_CAP`` refine cells, or more than
 ``MESH_CAP`` cells in flatten's breakpoint table (partition intervals
 times the breakpoints each one may hold) at any one budget.  A group of
-``flatten_many`` holds no more intervals than the largest budget it was
-given, so its table never needs more cells than that budget alone.
+``flatten_many`` holds at most max(the largest budget's intervals,
+``SCAN_BLOCK_POINTS``) intervals and ``MESH_CAP`` cells, so a short
+budget list is one table and a long one splits at its largest budget.
 """
 
 from __future__ import annotations
@@ -168,14 +170,17 @@ def flatten_many(f: Callable, budgets: Sequence[float], C: float) -> Iterator[Sa
     ``EnumerationCapError`` for a layout of more than ``MESH_CAP``
     breakpoint-table cells, both before f is called.  The lifts are then
     built a group of consecutive budgets at a time, the group growing
-    while it holds no more partition intervals than the largest single
-    budget, so no table outgrows the one that budget alone would need.
-    A group's intervals form one table with a budget, a scan step, a
-    threshold and a plateau per interval, and f is called once per stage
-    for the whole group: partition points, ``peak_from`` probes, scan
-    blocks, re-interpolation points.  The iterator builds a group when it
-    reaches the group's first budget, so a caller that takes one lift
-    per step pays for each group at its first budget.
+    while it holds at most max(the largest budget's intervals,
+    ``SCAN_BLOCK_POINTS``) partition intervals and its table at most
+    ``MESH_CAP`` cells: j = 6..14 at C = 1 (10 906 intervals) is one
+    group, and a list past 2**15 intervals splits at its largest budget,
+    whose table alone is as large.  A group's intervals form one table
+    with a budget, a scan step, a threshold and a plateau per interval,
+    and f is called once per stage for the whole group: partition points,
+    ``peak_from`` probes, scan blocks, re-interpolation points.  The
+    iterator builds a group when it reaches the group's first budget, so
+    a caller that takes one lift per step pays for each group at its
+    first budget.
 
     Intervals are classified by a sampled maximum with a Lipschitz
     safety margin of half the scan step, so a lifted interval truly
@@ -202,10 +207,15 @@ def flatten_many(f: Callable, budgets: Sequence[float], C: float) -> Iterator[Sa
     re-interpolation mesh, linspace(a, b, k1 + 1), whose ends are exactly
     its partition points, so f is called only at the mesh's interior
     points and the ends reuse the partition values.  A lifted row holds
-    a, the two ramp ends and b, padded with copies of b.  Each budget's
-    rows are read in order, and a breakpoint that does not lie strictly
-    right of every earlier one (a padded copy, a duplicate or a collapsed
-    ramp) is dropped, so the first value at a point wins.
+    a, the two ramp ends and b, padded with copies of b.  A breakpoint
+    that does not lie strictly right of every earlier one of its budget
+    (a padded copy, a duplicate or a collapsed ramp) is dropped, so the
+    first value at a point wins.  Every breakpoint of a row lies in
+    [a, b] (the ramp ends lie within eps of a and of b, on an interval at
+    least 2 eps long) and the row ends at b, the next row's a, so the
+    rule is applied row by row: a breakpoint is kept when it lies
+    strictly right of the earlier ones of its own row, and each row's a
+    is dropped except in a budget's first row.
     """
     budgets = list(budgets)
     for eps in budgets:
@@ -218,7 +228,9 @@ def flatten_many(f: Callable, budgets: Sequence[float], C: float) -> Iterator[Sa
 def _lift_groups(f: Callable, budgets: list[float], C: float) -> Iterator[SampledFunction]:
     """The lifts, built a group of consecutive budgets at a time as the caller reaches the group."""
     sizes = [math.ceil(C / (3.0 * eps)) for eps in budgets]
-    most, lo = max(sizes, default=0), 0
+    # the largest budget's own table is within MESH_CAP, checked by flatten_many
+    most = max(max(sizes, default=0), min(SCAN_BLOCK_POINTS, MESH_CAP // (math.ceil(3.0 / C) + 1)))
+    lo = 0
     while lo < len(budgets):
         hi, total = lo + 1, sizes[lo]
         while hi < len(budgets) and total + sizes[hi] <= most:
@@ -233,10 +245,9 @@ def _lift_table(f: Callable, budgets: list[float], C: float) -> list[SampledFunc
     cuts = [_partition(eps, C) for eps in budgets]
     pts = np.concatenate(cuts)
     fc = _values(f, pts)
-    left = np.ones(len(pts), dtype=bool)
-    left[np.cumsum([len(c) for c in cuts]) - 1] = False  # each budget's last cut
-    right = np.roll(left, 1)  # each budget's first cut dropped instead
-    a, b, fa, fb = pts[left], pts[right], fc[left], fc[right]
+    left = np.ones(len(pts) - 1, dtype=bool)  # a cut that starts an interval, ended by the next cut
+    left[np.cumsum([len(c) for c in cuts])[:-1] - 1] = False  # not a budget's last cut
+    a, b, fa, fb = pts[:-1][left], pts[1:][left], fc[:-1][left], fc[1:][left]
     rows = np.cumsum([0] + [len(c) - 1 for c in cuts])
     eps = np.repeat(budgets, np.diff(rows))
     step = eps / SCAN_STEP_DIVISOR
@@ -256,26 +267,34 @@ def _lift_table(f: Callable, budgets: list[float], C: float) -> list[SampledFunc
     # every row starts as f interpolated on k1 equal subintervals; linspace
     # puts a and b exactly at the mesh ends, where fa and fb hold f already
     k1 = math.ceil(3.0 / C)
-    xs = np.linspace(a, b, k1 + 1, axis=1)
+    xs = np.linspace(a, b, k1 + 1, axis=1).copy()  # row-major, as the table is read
     vs = np.empty_like(xs)
-    vs[:, 0] = fa
-    vs[:, 1:] = fb[:, None]
+    vs[:, 0], vs[:, k1] = fa, fb
     # lifted rows: two unit-slope ramps onto the plateau eps/2, then b and its copies
     up = np.flatnonzero(lifted)
     xs[up, 1] = a[up] - fa[up] + half[up]
     xs[up, 2] = b[up] + fb[up] - half[up]
     xs[up, 3:] = b[up, None]
     vs[up, 1:3] = half[up, None]
+    vs[up, 3:k1] = fb[up, None]
     rest = np.flatnonzero(~lifted)
     if len(rest):
         inner = xs[rest, 1:k1]
         vs[rest, 1:k1] = _values(f, inner.ravel()).reshape(inner.shape)
-    lifts = []
-    for lo, hi in zip(rows[:-1], rows[1:]):
-        x, v = xs[lo:hi].ravel(), vs[lo:hi].ravel()
-        keep = x > np.concatenate(([-np.inf], np.maximum.accumulate(x)[:-1]))
-        lifts.append(SampledFunction(grid=(x[keep],), values=v[keep][:, None]))
-    return lifts
+    # every breakpoint of a row lies in [a, b] and the row ends at b, the next
+    # row's a: past a budget's first row, a is dropped, and every other
+    # breakpoint need only lie right of the earlier ones of its own row
+    keep = np.empty(xs.shape, dtype=bool)
+    keep[:, 0] = False
+    keep[rows[:-1], 0] = True
+    top = xs[:, 0]
+    for c in range(1, k1 + 1):  # column by column: numpy accumulates along short rows slowly
+        np.greater(xs[:, c], top, out=keep[:, c])
+        top = np.maximum(top, xs[:, c])
+    return [
+        SampledFunction(grid=(xs[lo:hi][keep[lo:hi]],), values=vs[lo:hi][keep[lo:hi]][:, None])
+        for lo, hi in zip(rows[:-1], rows[1:])
+    ]
 
 
 def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:

@@ -256,6 +256,8 @@ def certify(
     once, at the midpoint slice of the free coordinates by default or on
     a ``z_grid``-per-axis lattice of slices; a cube counts only when all
     slices pass, and each slice revisits only the cubes still passing.
+    A ``z_grid`` above 1 without free coordinates (d = q) or without h
+    would slice nothing, so it is refused with ``DomainError``.
     Every face-lattice point of a visited cube is evaluated (no early
     exit), in blocks through ``h.evaluate_many`` when h has it, and a NaN
     or infinite value rejects the cube.  Every level up to n0 is checked
@@ -276,6 +278,10 @@ def certify(
     if z_grid < 1:
         raise DomainError(f"z-grid must be >= 1, got {z_grid}")
     beta, q, p, d = f.beta, f.q, f.p, f.d
+    if z_grid > 1 and d == q:
+        raise DomainError(f"z-grid {z_grid} slices the free coordinates, but d = q = {q} leaves none")
+    if z_grid > 1 and h is None:
+        raise DomainError(f"z-grid {z_grid} slices the empirical test, but theoretical mode (no h) runs none")
     require_modulus(beta)
     m = f.m
     if chart is None:

@@ -31,7 +31,12 @@ from .driver import adversary_refusal, parse_config, sweep, write_csv
 
 def _modulus_from_args(args) -> ModulusSpec:
     if args.kind == "power":
-        return ModulusSpec.power(args.lam, args.alpha)
+        if args.file is not None:
+            raise TranslabError(f"--file {args.file} gives a table modulus, but --kind power ignores it")
+        return ModulusSpec.power(*(1.0 if v is None else v for v in (args.lam, args.alpha)))
+    for flag, value in (("--lambda", args.lam), ("--alpha", args.alpha)):
+        if value is not None:
+            raise TranslabError(f"{flag} sets a power modulus, but --kind table reads its modulus from --file")
     if args.file is None:
         raise TranslabError("--kind table needs --file")
     with open(args.file) as fh:
@@ -51,6 +56,15 @@ def _modulus_from_args(args) -> ModulusSpec:
 def _extremal_from_args(args) -> ExtremalFunction:
     beta = ModulusSpec.power(args.lam, args.alpha)
     return ExtremalFunction(beta=beta, d=args.d, q=args.m - args.p, p=args.p)
+
+
+def _chart_from_args(args, m: int) -> Chart | None:
+    """The --chart chart at --r0 (default 1), or None; --r0 alone is refused."""
+    if args.chart is None:
+        if args.r0 is not None:
+            raise TranslabError("--r0 sets the chart's rectangle half-width, but no --chart is given")
+        return None
+    return _chart_from_spec(args.chart, m, 1.0 if args.r0 is None else args.r0)
 
 
 def _chart_from_spec(spec: str, m: int, r0: float) -> Chart:
@@ -107,7 +121,7 @@ def _cmd_build(args) -> int:
 def _cmd_certify(args) -> int:
     fn = _extremal_from_args(args)
     h = SampledFunction.load(args.h) if args.h else None
-    chart = _chart_from_spec(args.chart, args.m, args.r0) if args.chart else None
+    chart = _chart_from_args(args, args.m)
     cert = certify(fn, args.eps, h=h, chart=chart, z_grid=args.z_grid)
     print(f"eps={cert.eps:.17g}")
     print(f"n0={cert.n0}")
@@ -132,6 +146,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    if args.rounds is not None and args.mode != "iterate":
+        raise TranslabError(f"--rounds counts the rounds of --mode iterate, but --mode {args.mode} runs one construction")
     if args.func:
         for flag, value in (("--alpha", args.alpha), ("--lambda", args.lam)):
             if value is not None:
@@ -164,7 +180,7 @@ def _cmd_perturb(args) -> int:
     elif args.mode == "refine":
         h = refine_interpolant(f, args.eps)
     else:
-        rows = iterate_improvement(f, args.eps, args.C, args.rounds)
+        rows = iterate_improvement(f, args.eps, args.C, 2 if args.rounds is None else args.rounds)
         print("k eps zero_count envelope")
         for k, (eps_k, count) in enumerate(rows, start=1):
             print(f"{k} {eps_k:.17g} {count} {improvement_envelope(args.eps, args.C, k):.17g}")
@@ -179,7 +195,7 @@ def _cmd_perturb(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    chart = _chart_from_spec(args.chart, cfg.m, args.r0) if args.chart else None
+    chart = _chart_from_args(args, cfg.m)
     records = sweep(cfg, chart=chart)
     write_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -199,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modulus", help="evaluate, invert, or axiom-check a modulus")
     p.add_argument("--kind", choices=("power", "table"), required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--file", help="two-column table: delta value")
+    p.add_argument("--lambda", dest="lam", type=float, help="--kind power only (default 1)")
+    p.add_argument("--alpha", type=float, help="--kind power only (default 1)")
+    p.add_argument("--file", help="--kind table only: two-column table, delta value")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--eval", type=float)
     group.add_argument("--invert", type=float)
@@ -224,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--h", help="perturbation function file (empirical mode)")
     p.add_argument("--chart", help="identity | affine:a11,...,b1,... | polar-demo")
-    p.add_argument("--r0", type=float, default=1.0)
+    p.add_argument("--r0", type=float, help="--chart only (default 1)")
     p.add_argument("--z-grid", type=int, default=1)
     p.add_argument("--csv", help="append a summary row to this CSV")
     p.set_defaults(handler=_cmd_certify)
@@ -236,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--func", help="scalar function file; omit to use the extremal map")
     p.add_argument("--alpha", type=float, help="extremal map only (default 1)")
     p.add_argument("--lambda", dest="lam", type=float, help="extremal map only (default 1)")
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--rounds", type=int, help="--mode iterate only (default 2)")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_perturb, d=1, m=1, p=0)
 
@@ -244,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--chart", help="identity | affine:a11,...,b1,... | polar-demo")
-    p.add_argument("--r0", type=float, default=1.0)
+    p.add_argument("--r0", type=float, help="--chart only (default 1)")
     p.set_defaults(handler=_cmd_sweep)
 
     return parser

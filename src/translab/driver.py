@@ -165,10 +165,12 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
     linspace puts each knot at the same double, and f and the knot nudge
     act point by point.  flatten's lifts come from one ``flatten_many``
     call over every budget, which builds them a group of rows at a time
-    (rows 6..13 and row 14 of a j = 6..14 sweep); a group's work lands in
-    the ``wall_ms`` of its first row.  Each lift is bit for bit the one
-    ``flatten_perturbation`` builds at that budget alone.  An empty range
-    builds no mesh and calls F for neither construction.
+    (a j = 6..14 sweep is one group); a group's work lands in the
+    ``wall_ms`` of its first row.  Row j_min takes its lift before the
+    mesh is built, so the lift table's temporaries are freed before the
+    mesh's 2**(j_max + 2) + 1 knots are allocated.  Each lift is bit for
+    bit the one ``flatten_perturbation`` builds at that budget alone.  An
+    empty range builds no mesh and calls F for neither construction.
     """
     cfg.validate()
     if chart is not None and cfg.adversary:
@@ -187,9 +189,10 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
         cert = certify(fn, eps, chart=chart)
         ub: Optional[int] = None
         if cfg.adversary:
+            flattened = count_zero_components(next(lifts)).h0  # before the mesh: the lift table's temporaries go first
             if finest is None:
                 finest = refine_interpolant(scalar, 2.0**-cfg.j_max)
-            best = min(count_zero_components(h).h0 for h in (next(lifts), refine_subgrid(finest, eps)))
+            best = min(flattened, count_zero_components(refine_subgrid(finest, eps)).h0)
             ub = int(best) if math.isfinite(best) else None
         records.append(
             SweepRecord(

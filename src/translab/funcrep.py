@@ -265,7 +265,8 @@ def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
     reach = np.maximum.accumulate(end)  # equals the open component's end
     opens = np.ones(len(start), dtype=bool)
     opens[1:] = start[1:] > reach[:-1]
-    closes = np.roll(opens, -1)  # the last piece of each component
+    closes = np.ones_like(opens)  # the last piece of each component: the one before an opening, and the last
+    closes[:-1] = opens[1:]
     comps = tuple(zip(start[opens].tolist(), reach[closes].tolist()))
     flat = bool((reach[closes] > start[opens]).any())
     return ZeroSetSummary(component_count=len(comps), has_flat_zero_interval=flat, components=comps)

@@ -586,6 +586,14 @@ class TestFlattenMany:
             assert same_output(h, ref)
             assert same_output(flatten_perturbation(f, eps, C), ref)
 
+    @pytest.mark.parametrize("f", [ExtremalFunction(beta=beta, d=1, q=1).as_scalar() for beta in ORACLE_MODULI] + [wave, interior_spikes])
+    def test_matches_the_per_budget_oracle_where_rows_are_mostly_padding(self, f):
+        # C = 0.01: k1 = 300, so a lifted row holds a, two ramp ends and b,
+        # then 297 copies of b that only the row-local rule drops
+        budgets = [2.0**-j for j in range(10, 17)]
+        for h, eps in zip(flatten_many(f, budgets, 0.01), budgets, strict=True):
+            assert same_output(h, flatten_oracle(f, eps, 0.01))
+
     @pytest.mark.parametrize("js", [[10, 6, 10, 8, 8], [14, 13, 12, 6, 7], [9]])
     def test_any_order_and_repeats(self, js):
         for f in (scalar_extremal(), wave, interior_spikes):
@@ -597,10 +605,11 @@ class TestFlattenMany:
     @pytest.mark.parametrize(
         "js,groups",
         [
-            (range(6, 15), [list(range(6, 14)), [14]]),  # 5444 intervals, then 5462
-            (range(14, 5, -1), [[14], list(range(13, 5, -1))]),
-            ([8, 8, 8], [[8], [8], [8]]),  # two of equal size outgrow either
-            ([9, 6, 6, 6, 8], [[9], [6, 6, 6, 8]]),  # 171 intervals, then 66 + 86
+            (range(6, 15), [list(range(6, 15))]),  # 10 906 intervals, under SCAN_BLOCK_POINTS
+            (range(14, 5, -1), [list(range(14, 5, -1))]),
+            ([8, 8, 8], [[8, 8, 8]]),
+            ([9, 6, 6, 6, 8], [[9, 6, 6, 6, 8]]),
+            (range(6, 18), [list(range(6, 17)), [17]]),  # 43 675 intervals, then 43 691: past 2**15 the largest budget bounds a group
         ],
     )
     def test_groups_hold_no_more_intervals_than_the_largest_budget(self, monkeypatch, js, groups):
@@ -609,14 +618,25 @@ class TestFlattenMany:
         list(flatten_many(wave, [2.0**-j for j in js], 1.0))
         assert seen == [[2.0**-j for j in g] for g in groups]
 
+    def test_small_c_tables_stay_within_the_mesh_cap(self, monkeypatch):
+        # at C = 0.001 a row holds k1 + 1 = 3001 breakpoints, so MESH_CAP
+        # holds 5590 rows, fewer than SCAN_BLOCK_POINTS: j = 13..23 has 5595
+        # intervals and splits before its last budget; no table is built
+        seen, C = [], 0.001
+        monkeypatch.setattr(adversary, "_lift_table", lambda f, b, C: seen.append(b) or [])
+        list(flatten_many(self.untouchable, [2.0**-j for j in range(13, 24)], C))
+        assert seen == [[2.0**-j for j in range(13, 23)], [2.0**-23]]
+        for group in seen:
+            assert sum(math.ceil(C / (3.0 * eps)) for eps in group) * 3001 <= adversary.MESH_CAP
+
     def test_one_call_of_f_per_stage_per_group(self):
-        # j = 6..14 at alpha = lambda = 1: partition points, probes, scan and
-        # re-interpolation points, for rows 6..13 and then row 14; the
+        # j = 6..14 at alpha = lambda = 1 is one group: partition points,
+        # probes, scan and re-interpolation points, one call each; the
         # per-budget flatten sent the same points in 27 calls
         f, points, old = scalar_extremal(), [], []
         probing = recording(f, points, sup_from=f.sup_from, peak_from=f.peak_from)
         list(flatten_many(probing, [2.0**-j for j in range(6, 15)], 1.0))
-        assert [len(p) for p in points] == [5452, 72, 573, 8136, 5463, 1366, 191, 9558]
+        assert [len(p) for p in points] == [10915, 1438, 764, 17694]
         for j in range(6, 15):
             flatten_oracle(recording(f, old, sup_from=f.sup_from, peak_from=f.peak_from), 2.0**-j, 1.0)
         assert (len(old), sum(map(len, old))) == (27, sum(map(len, points)))
@@ -626,14 +646,12 @@ class TestFlattenMany:
         points = []
         lifts = flatten_many(recording(wave, points), [2.0**-j for j in range(6, 15)], 1.0)
         assert points == []
-        next(lifts)
+        next(lifts)  # row 6 builds all nine rows
         built = len(points)
         assert built > 0
-        for _ in range(7):  # rows 7..13 come from the first group
+        for _ in range(8):  # rows 7..14
             next(lifts)
         assert len(points) == built
-        next(lifts)  # row 14
-        assert len(points) > built
         assert next(lifts, None) is None
 
     @pytest.mark.parametrize(

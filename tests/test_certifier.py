@@ -488,6 +488,26 @@ class TestCertify:
             with pytest.raises(DomainError, match="z-grid must be >= 1, got 0"):
                 certify(F, 2.0**-7, h=h, z_grid=0)
 
+    @pytest.mark.parametrize(
+        "d,q,h,why",
+        [
+            (1, 1, True, r"d = q = 1 leaves none"),
+            (2, 2, True, r"d = q = 2 leaves none"),
+            (2, 1, False, r"theoretical mode \(no h\) runs none"),
+            (1, 1, False, r"d = q = 1 leaves none"),
+        ],
+    )
+    def test_z_grid_that_slices_nothing_is_refused_before_any_work(self, monkeypatch, d, q, h, why):
+        F = ExtremalFunction(beta=IDENTITY, d=d, q=q)
+
+        def never(*args):
+            pytest.fail("evaluated before z_grid was checked")
+
+        monkeypatch.setattr(ModulusSpec, "__call__", never)
+        monkeypatch.setattr(ModulusSpec, "many", never)
+        with pytest.raises(DomainError, match=rf"^z-grid 3 slices .*{why}$"):
+            certify(F, 2.0**-7, h=never if h else None, z_grid=3)
+
     def test_z_grid_matches_oracle_over_slices(self):
         # different cubes fail on different slices; a cube counts only
         # when it passes on all of them

@@ -84,6 +84,25 @@ class TestModulusCommand:
         assert code == 2 and out == ""
         assert "error: --kind table needs --file" in err
 
+    def test_power_refuses_a_table_file(self, capsys, tmp_path):
+        table = tmp_path / "t.txt"
+        table.write_text("0 0\n1 0.5\n")
+        code, out, err = run(capsys, "modulus", "--kind", "power", "--file", str(table), "--eval", "0.5")
+        assert code == 2 and out == ""
+        assert err == f"error: --file {table} gives a table modulus, but --kind power ignores it\n"
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--alpha"])
+    def test_table_refuses_the_power_flags(self, capsys, tmp_path, flag):
+        table = tmp_path / "t.txt"
+        table.write_text("0 0\n1 0.5\n")
+        code, out, err = run(capsys, "modulus", "--kind", "table", "--file", str(table), flag, "1", "--check")
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} sets a power modulus, but --kind table reads its modulus from --file\n"
+
+    def test_power_defaults_to_the_identity(self, capsys):
+        code, out, _ = run(capsys, "modulus", "--kind", "power", "--eval", "0.25")
+        assert code == 0 and float(out) == 0.25
+
 
 class TestBuildAndEval:
     def test_round_trip(self, capsys, tmp_path):
@@ -178,6 +197,33 @@ class TestCertifyCommand:
         assert out == ""
         assert "z-grid must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "d,m,h,why",
+        [
+            ("1", "1", True, "d = q = 1 leaves none"),
+            ("2", "1", False, "theoretical mode (no h) runs none"),
+        ],
+    )
+    def test_z_grid_that_slices_nothing_is_clean_error(self, capsys, tmp_path, d, m, h, why):
+        path = tmp_path / "f.txt"
+        run(capsys, "build", "--d", d, "--m", m, "--sample", "0.015625", "--out", str(path))
+        code, out, err = run(capsys, "certify", "--d", d, "--m", m, "--eps", "0.0078125",
+                             "--z-grid", "2", *(("--h", str(path)) if h else ()))
+        assert code == 2 and out == ""
+        assert err.startswith("error: z-grid 2 slices ") and err.endswith(f"{why}\n")
+
+    def test_r0_without_chart_is_clean_error(self, capsys):
+        code, out, err = run(capsys, "certify", "--eps", "0.0078125", "--r0", "0.5")
+        assert code == 2 and out == ""
+        assert err == "error: --r0 sets the chart's rectangle half-width, but no --chart is given\n"
+
+    def test_r0_with_chart(self, capsys):
+        # p = 1 needs eps <= r0, so r0 decides whether the certificate is vacuous
+        argv = ("certify", "--alpha", "1", "--lambda", "1", "--d", "2", "--m", "2", "--p", "1",
+                "--eps", "0.001", "--chart", "polar-demo")
+        assert run(capsys, *argv)[1] == run(capsys, *argv, "--r0", "1")[1]
+        assert "n0=0" in run(capsys, *argv, "--r0", "0.0005")[1]
+
     def test_unknown_chart_is_clean_error(self, capsys):
         code, _, err = run(capsys, "certify", "--alpha", "1", "--lambda", "1",
                            "--d", "1", "--m", "1", "--p", "0", "--eps", "0.0078125",
@@ -224,6 +270,20 @@ class TestPerturbCommand:
         lines = out.splitlines()
         assert lines[0] == "k eps zero_count envelope"
         assert len(lines) == 3
+
+    def test_iterate_runs_two_rounds_by_default(self, capsys):
+        code, out, _ = run(capsys, "perturb", "--mode", "iterate", "--eps", "0.015625", "--C", "0.5")
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("mode", ["flatten", "refine"])
+    def test_rounds_outside_iterate_is_clean_error(self, capsys, tmp_path, mode):
+        out_path = tmp_path / "h.txt"
+        code, out, err = run(capsys, "perturb", "--mode", mode, "--eps", "0.0078125", "--rounds", "3",
+                             "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == f"error: --rounds counts the rounds of --mode iterate, but --mode {mode} runs one construction\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("mode", ["flatten", "refine", "iterate"])
     @pytest.mark.parametrize(
@@ -333,6 +393,15 @@ class TestSweepCommand:
                          "--chart", "identity")
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 3
+
+    def test_r0_without_chart_is_clean_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("alpha=1\nlambda=1\nd=1\nm=1\np=0\nj_min=6\nj_max=7\n")
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out_path), "--r0", "0.5")
+        assert code == 2 and out == ""
+        assert err == "error: --r0 sets the chart's rectangle half-width, but no --chart is given\n"
+        assert not out_path.exists()
 
     def test_bad_config_is_clean_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -23,6 +23,7 @@ from translab import (
     sweep,
     write_csv,
 )
+from translab import adversary
 from translab.adversary import refine_subgrid
 
 from closed_form import holder_lower_bound
@@ -147,13 +148,21 @@ class TestSharedRefineMesh:
         # j = 6..14: F took 161 644 points in 36 calls when every row built its
         # own refine mesh (130 825 knots, 65 537 distinct) and the flatten
         # scans sent the partition points again; then 96 348 points in 28
-        # calls while flatten ran once per row.  flatten_many sends the same
-        # points in one call per stage for each of its two groups (rows 6..13,
-        # row 14): partition, probe, scan and re-interpolation, after refine's one
+        # calls while flatten ran once per row, and in 9 calls while
+        # flatten_many built two groups (rows 6..13, row 14).  One group now
+        # sends them in one call per stage (partition, probe, scan and
+        # re-interpolation), and refine's mesh in one more
         calls, profile_many = [], extremal.profile_many
         monkeypatch.setattr(extremal, "profile_many", lambda beta, s: calls.append(np.size(s)) or profile_many(beta, s))
         sweep(replace(BASE, j_max=14, adversary=True))
-        assert (sum(calls), len(calls)) == (96348, 9)
+        assert (sum(calls), len(calls)) == (96348, 5)
+
+    def test_lift_table_is_built_before_the_mesh(self, monkeypatch):
+        events, lift_table = [], adversary._lift_table
+        monkeypatch.setattr(adversary, "_lift_table", lambda f, b, C: events.append("table") or lift_table(f, b, C))
+        monkeypatch.setattr(driver, "refine_interpolant", lambda f, eps: events.append("mesh") or refine_interpolant(f, eps))
+        sweep(replace(BASE, j_max=14, adversary=True))
+        assert events == ["table", "mesh"]
 
     def test_empty_range_builds_no_mesh(self, monkeypatch):
         def untouchable(*args):
