@@ -23,9 +23,9 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   two, as they do at dyadic budgets.
 
 ``iterate_improvement`` repeats the re-interpolation down a geometric
-budget ladder eps0/4**k and reports the achieved zero counts for
-comparison with the contradiction envelope
-(1 - 7 C^2/36)**k * 4**k / eps0.
+budget ladder eps0/4**k and reports each interpolant's zero count, read
+exactly off its knot signs by ``count_zero_components``, for comparison
+with the contradiction envelope (1 - 7 C^2/36)**k * 4**k / eps0.
 
 Every construction calls f on 1-D float arrays of points, so f must
 broadcast the way numpy functions do (``np.sin``, not ``math.sin``); a

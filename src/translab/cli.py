@@ -53,6 +53,14 @@ def _modulus_from_args(args) -> ModulusSpec:
     return ModulusSpec.table(pts)
 
 
+def _numbers(flag: str, text: str) -> list[float]:
+    """A flag's comma-separated numbers; a token that is not one is refused, named."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise TranslabError(f"{flag}: {exc}") from None
+
+
 def _extremal_from_args(args) -> ExtremalFunction:
     beta = ModulusSpec.power(args.lam, args.alpha)
     return ExtremalFunction(beta=beta, d=args.d, q=args.m - args.p, p=args.p)
@@ -73,7 +81,7 @@ def _chart_from_spec(spec: str, m: int, r0: float) -> Chart:
     if spec == "polar-demo":
         return polar_demo_chart(r0=r0)
     if spec.startswith("affine:"):
-        nums = [float(tok) for tok in spec[len("affine:"):].split(",")]
+        nums = _numbers("--chart", spec[len("affine:"):])
         if len(nums) != m * m + m:
             raise TranslabError(f"affine chart needs {m * m + m} numbers, got {len(nums)}")
         mat = np.array(nums[: m * m]).reshape(m, m)
@@ -99,8 +107,7 @@ def _cmd_modulus(args) -> int:
 
 def _cmd_eval(args) -> int:
     h = SampledFunction.load(args.func)
-    x = [float(tok) for tok in args.at.split(",")]
-    value = h.evaluate(x)
+    value = h.evaluate(_numbers("--at", args.at))
     print(" ".join(f"{v:.17g}" for v in value))
     return 0
 

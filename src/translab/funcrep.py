@@ -4,8 +4,8 @@ A ``SampledFunction`` stores per-axis knot lists covering [0,1] and an
 array of R^m values at every knot tuple; evaluation is multilinear
 interpolation, exact at knots.  The module provides the operations the
 rest of the package builds on: exact sup-distance in every dimension,
-connected-component counting of the zero set of scalar functions on
-[0,1], knot-zero nudging, and ``evaluate_rows``, the one place that
+exact zero-component counting of scalar functions on [0,1] from knot
+signs, knot-zero nudging, and ``evaluate_rows``, the one place that
 tells an evaluator with ``evaluate_many`` from a per-point callable.
 
 ``evaluate_many`` is a flat gather.  Each point's cell is folded into
@@ -214,6 +214,8 @@ class SampledFunction:
                 if row and len(row) != d + m:
                     raise ShapeError(f"{path} line {n}: every row must have {d + m} fields")
                 rows += [row] if row else []
+        if not rows:
+            raise ShapeError(f"{path}: no knot rows after the 'd m' header")
         data = np.asarray(rows, dtype=float)
         axes = tuple(np.unique(data[:, a]) for a in range(d))
         lens = tuple(len(k) for k in axes)
@@ -225,11 +227,10 @@ class SampledFunction:
 
 @dataclass(frozen=True)
 class ZeroSetSummary:
-    """Connected components of {x : h(x) = 0} for scalar h on [0,1]."""
+    """Connected-component count of the zero set {x : h(x) = 0} of scalar h on [0,1]."""
 
     component_count: int
     has_flat_zero_interval: bool
-    components: tuple[tuple[float, float], ...]
 
     @property
     def h0(self) -> float:
@@ -237,39 +238,26 @@ class ZeroSetSummary:
         return math.inf if self.has_flat_zero_interval else float(self.component_count)
 
 
-def _require_scalar_1d(h: SampledFunction, op: str) -> tuple[np.ndarray, np.ndarray]:
+def _require_scalar_1d(h: SampledFunction, op: str) -> np.ndarray:
     if h.d != 1 or h.m != 1:
         raise ShapeError(f"{op} needs d = 1 and m = 1, got d={h.d}, m={h.m}")
-    return h.grid[0], h.values[:, 0]
+    return h.values[:, 0]
 
 
 def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
-    """Exact zero-component count of a piecewise-linear scalar function.
+    """Exact zero-component count of a piecewise-linear scalar function, from knot signs alone.
 
-    Works segment by segment from the knot values: a segment contributes
-    its whole extent when both endpoint values vanish, an endpoint when
-    exactly one vanishes, and one interior crossing on a strict sign
-    change.  Touching pieces merge into a single component: a piece
-    opens a new one exactly when it starts right of every earlier end.
-    Only the segments with a zero end or a sign change are looked at.
+    Each maximal run of zero knots is one component, an interval when it
+    holds two or more knots.  Each strict sign change between neighbouring
+    knots is one more: a zero strictly inside its segment, which touches
+    no other component, since the rest of that segment is nonzero.
     """
-    x, v = _require_scalar_1d(h, "count_zero_components")
-    zero, pos = v == 0.0, v > 0.0
-    seg = np.flatnonzero(zero[:-1] | zero[1:] | (pos[:-1] != pos[1:]))
-    x0, x1, v0, v1 = x[seg], x[seg + 1], v[seg], v[seg + 1]
-    z0, z1 = zero[seg], zero[seg + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = x0 + (x1 - x0) * v0 / (v0 - v1)
-    start = np.where(z0, x0, np.where(z1, x1, root))
-    end = np.where(z1, x1, np.where(z0, x0, root))
-    reach = np.maximum.accumulate(end)  # equals the open component's end
-    opens = np.ones(len(start), dtype=bool)
-    opens[1:] = start[1:] > reach[:-1]
-    closes = np.ones_like(opens)  # the last piece of each component: the one before an opening, and the last
-    closes[:-1] = opens[1:]
-    comps = tuple(zip(start[opens].tolist(), reach[closes].tolist()))
-    flat = bool((reach[closes] > start[opens]).any())
-    return ZeroSetSummary(component_count=len(comps), has_flat_zero_interval=flat, components=comps)
+    v = _require_scalar_1d(h, "count_zero_components")
+    zero, pos, neg = v == 0.0, v > 0.0, v < 0.0
+    runs = int(zero[0]) + np.count_nonzero(zero[1:] & ~zero[:-1])
+    crossings = np.count_nonzero(pos[:-1] & neg[1:] | neg[:-1] & pos[1:])
+    flat = bool((zero[:-1] & zero[1:]).any())
+    return ZeroSetSummary(component_count=int(runs + crossings), has_flat_zero_interval=flat)
 
 
 def _nudge(vals: np.ndarray, eta: float) -> None:

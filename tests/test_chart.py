@@ -23,6 +23,8 @@ from translab import (
     transport_function,
 )
 
+from zero_oracle import zero_components
+
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
 
@@ -176,12 +178,11 @@ class TestReductionToActiveBlock:
         rng = np.random.default_rng(29)
         h = SampledFunction(grid=(knots,), values=base + rng.uniform(-eps, eps, size=base.shape))
         active = h.component(1)
-        summary = count_zero_components(active)
-        assert summary.component_count >= 2
+        comps = zero_components(active)  # exact, from the active block's knot values
+        assert count_zero_components(active).component_count == len(comps) >= 2
         # first-block membership holds at zero locations of the active block
-        for lo, hi in summary.components:
-            x = 0.5 * (lo + hi)
-            v = h([x])
+        for lo, hi in comps:
+            v = h([float((lo + hi) / 2)])
             assert in_flat_target([v[0], 0.0], r0, 1)
         # points with a nonzero active value are not members
         for x in (0.03, 0.2, 0.9):

@@ -126,6 +126,22 @@ class TestBuildAndEval:
         assert code == 2 and out == ""
         assert err == f"error: {path} line {line}\n"
 
+    @pytest.mark.parametrize("text", ["1 1\n", "1 1\n\n\n"])
+    def test_function_file_without_knot_rows_is_clean_error(self, capsys, tmp_path, text):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "eval", "--func", str(path), "--at", "0.5")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: no knot rows after the 'd m' header\n"
+
+    @pytest.mark.parametrize("at, token", [("abc", "abc"), ("0.5,x", "x"), ("0.5,", "")])
+    def test_eval_point_that_is_not_numbers_is_clean_error(self, capsys, tmp_path, at, token):
+        path = tmp_path / "f.txt"
+        SampledFunction(grid=([0.0, 1.0],), values=[1.0, -1.0]).save(path)
+        code, out, err = run(capsys, "eval", "--func", str(path), "--at", at)
+        assert code == 2 and out == ""
+        assert err == f"error: --at: could not convert string to float: {token!r}\n"
+
     @pytest.mark.parametrize("step", ["0", "-0.25", "nan", "inf"])
     def test_build_refuses_a_bad_step(self, capsys, tmp_path, step):
         path = tmp_path / "f.txt"
@@ -187,6 +203,11 @@ class TestCertifyCommand:
                            "--chart", "affine:2,0")
         assert code == 0
         assert "n0=1" in out
+
+    def test_affine_chart_spec_that_is_not_numbers_is_clean_error(self, capsys):
+        code, out, err = run(capsys, "certify", "--eps", "0.0078125", "--chart", "affine:1,x")
+        assert code == 2 and out == ""
+        assert err == "error: --chart: could not convert string to float: 'x'\n"
 
     @pytest.mark.parametrize("d,m", [("1", "1"), ("2", "1")])
     def test_zero_z_grid_is_clean_error(self, capsys, d, m):

@@ -106,6 +106,12 @@ class TestSweep:
         records = sweep(replace(BASE, j_min=15, j_max=18, adversary=True, C=1.0))
         assert [r.adversary_ub for r in records] == [1060, 1060, 1060, 1060]
 
+    def test_adversary_ub_is_the_flatten_lift_zero_count_at_lambda_half(self):
+        # flatten wins here (refine's interpolant has 132 132 zeros); the lift
+        # holds pairs of zeros whose float roots round to one double
+        records = sweep(replace(BASE, lam=0.5, j_min=20, j_max=20, adversary=True, C=1.0))
+        assert [r.adversary_ub for r in records] == [28362]
+
     def test_chart_with_adversary_rejected(self):
         from translab import identity_chart
 

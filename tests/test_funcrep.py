@@ -16,7 +16,9 @@ from translab import (
     nudge_knot_zeros,
     sup_distance,
 )
-from translab.funcrep import ZeroSetSummary, _nudge, evaluate_rows
+from translab.funcrep import _nudge, evaluate_rows
+
+from zero_oracle import count_and_flat
 
 
 def line(knots, values):
@@ -310,7 +312,6 @@ class TestZeroComponents:
         summary = count_zero_components(line([0.0, 1.0], [-0.5, 0.5]))
         assert summary.component_count == 1
         assert not summary.has_flat_zero_interval
-        assert summary.components[0] == (0.5, 0.5)
 
     def test_no_zeros(self):
         summary = count_zero_components(line([0.0, 1.0], [1.0, 1.0]))
@@ -322,8 +323,6 @@ class TestZeroComponents:
         assert summary.component_count == 1
         assert summary.has_flat_zero_interval
         assert summary.h0 == math.inf
-        lo, hi = summary.components[0]
-        assert lo == pytest.approx(1 / 3) and hi == pytest.approx(2 / 3)
 
     def test_touching_zero_is_one_component(self):
         summary = count_zero_components(line([0.0, 0.5, 1.0], [1.0, 0.0, 1.0]))
@@ -340,10 +339,16 @@ class TestZeroComponents:
         summary = count_zero_components(line(knots, values))
         assert summary.component_count == 8
 
-    def test_component_list_matches_count(self):
-        h = line([0.0, 0.2, 0.4, 0.6, 1.0], [1.0, -1.0, 0.0, 0.0, -2.0])
-        summary = count_zero_components(h)
-        assert summary.component_count == len(summary.components)
+    @pytest.mark.parametrize(
+        "knots, values, count",
+        [
+            # float roots round onto the knots between the zeros, which are apart
+            ([0.0, 0.5, 1.0], [1.0, -1e-20, 1.0], 2),
+            ([0.0, 0.5, 0.5 + 2.0**-53, 1.0], [-1.0, 5e-324, -5e-324, 1.0], 3),
+        ],
+    )
+    def test_sign_changes_next_to_a_knot_stay_apart(self, knots, values, count):
+        assert count_zero_components(line(knots, values)).component_count == count
 
     def test_shape_errors(self):
         knots = np.array([0.0, 1.0])
@@ -357,7 +362,7 @@ class TestZeroComponents:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_refused(self, bad):
         # refused at construction, naming the first non-finite knot, so zero
-        # counting never sees one: it would report a (nan, nan) component
+        # counting never sees one: a NaN knot value is neither zero nor signed
         with pytest.raises(DomainError, match=re.escape(f"got {bad} at knot (0.5,)")):
             line([0.0, 0.25, 0.5, 0.75, 1.0], [-1.0, 1.0, bad, math.nan, 1.0])
 
@@ -376,34 +381,8 @@ class TestZeroComponents:
             assert summary.component_count == crossings
 
 
-def zero_components_by_segment(h):
-    """Reference zero counter: one segment at a time, merging as it goes."""
-    x, v = h.grid[0], h.values[:, 0]
-    pieces = []
-    for k in range(len(x) - 1):
-        v0, v1 = v[k], v[k + 1]
-        if v0 == 0.0 and v1 == 0.0:
-            pieces.append((float(x[k]), float(x[k + 1])))
-        elif v0 == 0.0:
-            pieces.append((float(x[k]), float(x[k])))
-        elif v1 == 0.0:
-            pieces.append((float(x[k + 1]), float(x[k + 1])))
-        elif (v0 > 0.0) != (v1 > 0.0):
-            root = float(x[k] + (x[k + 1] - x[k]) * v0 / (v0 - v1))
-            pieces.append((root, root))
-    merged = []
-    for start, end in pieces:
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    comps = tuple((a, b) for a, b in merged)
-    flat = any(b > a for a, b in comps)
-    return ZeroSetSummary(component_count=len(comps), has_flat_zero_interval=flat, components=comps)
-
-
 # Knot values lean on exact zeros (knot zeros, touching pieces, flat zero
-# runs) and on the smallest subnormals, whose roots round onto knots.
+# runs) and on the smallest subnormals, whose float roots round onto knots.
 knot_values = st.one_of(
     st.just(0.0),
     st.sampled_from([5e-324, -5e-324, 1.0, -1.0]),
@@ -418,37 +397,22 @@ def piecewise_linear(draw, values=knot_values):
     return line(knots, draw(st.lists(values, min_size=len(knots), max_size=len(knots))))
 
 
-class TestZeroComponentsNeverNaN:
-    @given(
-        knots=st.lists(st.one_of(st.floats(0.0, 1.0), st.just(math.nan)), max_size=8),
-        values=st.lists(knot_values, min_size=10, max_size=10),
-    )
-    @example(knots=[math.nan], values=[1.0, -1.0, 1.0] + [0.0] * 7)
-    @settings(max_examples=300, deadline=None)
-    def test_every_component_end_is_a_number(self, knots, values):
-        knots = [0.0] + knots + [1.0]
-        try:
-            h = line(knots, values[: len(knots)])
-        except DomainError:  # NaN, repeated or unordered knots
-            return
-        assert not np.isnan(np.array(count_zero_components(h).components, dtype=float)).any()
-
-
 class TestZeroComponentsOracle:
     @given(h=piecewise_linear())
     @example(h=line([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.0, 0.0, -1.0, 0.0]))
     @example(h=line([0.0, 0.5, 0.5 + 2.0**-53, 1.0], [-1.0, 5e-324, -5e-324, 1.0]))
     @example(h=line([0.0, 1.0], [0.0, 0.0]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_segment_loop(self, h):
-        assert count_zero_components(h) == zero_components_by_segment(h)
+    def test_matches_exact_oracle(self, h):
+        summary = count_zero_components(h)
+        assert (summary.component_count, summary.has_flat_zero_interval) == count_and_flat(h)
 
     @given(h=piecewise_linear(values=st.floats(2.0**-1074, 1.0)))
     @settings(max_examples=50, deadline=None)
     def test_no_zeros(self, h):
         summary = count_zero_components(h)
-        assert summary == zero_components_by_segment(h)
-        assert summary.component_count == 0 and summary.components == ()
+        assert count_and_flat(h) == (0, False)
+        assert summary.component_count == 0 and not summary.has_flat_zero_interval
 
     def test_extremal_refinement(self):
         from translab import ExtremalFunction, ModulusSpec, refine_interpolant
@@ -456,32 +420,8 @@ class TestZeroComponentsOracle:
         f = ExtremalFunction(beta=ModulusSpec.power(1.0, 1.0), d=1, q=1).as_scalar()
         for j in (6, 9, 12):
             g = refine_interpolant(f, 2.0**-j)
-            assert count_zero_components(g) == zero_components_by_segment(g)
-
-
-def dense_zero_components(h):
-    """The zero counter computing root, start and end on every segment, kept as the reference."""
-    x, v = h.grid[0], h.values[:, 0]
-    x0, x1, v0, v1 = x[:-1], x[1:], v[:-1], v[1:]
-    z0, z1 = v0 == 0.0, v1 == 0.0
-    cross = ~z0 & ~z1 & ((v0 > 0.0) != (v1 > 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = x0 + (x1 - x0) * v0 / (v0 - v1)
-    start = np.where(z0, x0, np.where(z1, x1, root))
-    end = np.where(z1, x1, np.where(z0, x0, root))
-    piece = z0 | z1 | cross
-    start, end = start[piece], end[piece]
-    reach = np.maximum.accumulate(end)
-    opens = np.ones(len(start), dtype=bool)
-    opens[1:] = start[1:] > reach[:-1]
-    closes = np.roll(opens, -1)
-    comps = tuple(zip(start[opens].tolist(), reach[closes].tolist()))
-    flat = bool((reach[closes] > start[opens]).any())
-    return ZeroSetSummary(component_count=len(comps), has_flat_zero_interval=flat, components=comps)
-
-
-def summary_bits(s):
-    return s.component_count, s.has_flat_zero_interval, np.array(s.components, float).view(np.uint64).tolist()
+            summary = count_zero_components(g)
+            assert (summary.component_count, summary.has_flat_zero_interval) == count_and_flat(g)
 
 
 def dense_inputs():
@@ -507,12 +447,13 @@ def dense_inputs():
 
 
 class TestZeroComponentsDense:
-    def test_matches_dense_formula(self):
+    def test_matches_exact_oracle(self):
         cases = list(dense_inputs())
         assert len(cases) == 96
         for knots, values in cases:
             h = line(knots, values)
-            assert summary_bits(count_zero_components(h)) == summary_bits(dense_zero_components(h))
+            summary = count_zero_components(h)
+            assert (summary.component_count, summary.has_flat_zero_interval) == count_and_flat(h)
 
 
 class TestNudge:
