@@ -11,16 +11,16 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   ``flatten_many`` builds the lifts at several budgets from one table
   of their partition intervals, a group of budgets at a time, calling f
   once per stage for each group, and drops each row's redundant
-  breakpoints by a rule local to the row; ``flatten_perturbation`` is
-  ``flatten_many`` at one budget, so both give the same lift bit for bit.
+  breakpoints by a rule local to the row; ``flatten_arrays`` yields the
+  same lifts as bare (breakpoints, values) arrays, for callers that only
+  count their zeros.  ``flatten_perturbation`` is ``flatten_many`` at
+  one budget, so both give the same lift bit for bit.
 
 * ``refine_interpolant`` interpolates f on the uniform mesh of
   ceil(4/eps) subintervals (mesh <= eps/4) and nudges knot zeros away,
   so each subinterval carries at most one zero and the distance stays
   below eps/4 + 2e-12; a subinterval holding a point where |f| > eps/2
-  ends up zero-free.  ``refine_subgrid`` reads the interpolant at a
-  coarser budget off a finer one, when the meshes nest by a power of
-  two, as they do at dyadic budgets.
+  ends up zero-free.
 
 ``iterate_improvement`` repeats the re-interpolation down a geometric
 budget ladder eps0/4**k and reports each interpolant's zero count, read
@@ -166,6 +166,9 @@ def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step) -> np.ndarray:
 def flatten_many(f: Callable, budgets: Sequence[float], C: float) -> Iterator[SampledFunction]:
     """The zero-removing lift of f at each budget, in order, one per budget.
 
+    Each lift is the (breakpoints, values) pair that ``flatten_arrays``
+    yields at that budget, wrapped as a ``SampledFunction``.
+
     Every budget is checked first: ``DomainError`` for eps > C/6, and
     ``EnumerationCapError`` for a layout of more than ``MESH_CAP``
     breakpoint-table cells, both before f is called.  The lifts are then
@@ -217,6 +220,18 @@ def flatten_many(f: Callable, budgets: Sequence[float], C: float) -> Iterator[Sa
     strictly right of the earlier ones of its own row, and each row's a
     is dropped except in a budget's first row.
     """
+    # flatten_arrays is called, and refuses, here: a generator expression evaluates its first iterable at once
+    return (SampledFunction(grid=(x,), values=v[:, None]) for x, v in flatten_arrays(f, budgets, C))
+
+
+def flatten_arrays(
+    f: Callable, budgets: Sequence[float], C: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``flatten_many``'s lifts as (kept breakpoints, values) pairs of 1-D arrays, one per budget.
+
+    The refusals, the groups and the laziness are those of ``flatten_many``:
+    every budget is checked when this is called, before f is.
+    """
     budgets = list(budgets)
     for eps in budgets:
         _check_budget(eps, C)
@@ -225,7 +240,7 @@ def flatten_many(f: Callable, budgets: Sequence[float], C: float) -> Iterator[Sa
     return _lift_groups(f, budgets, C)
 
 
-def _lift_groups(f: Callable, budgets: list[float], C: float) -> Iterator[SampledFunction]:
+def _lift_groups(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The lifts, built a group of consecutive budgets at a time as the caller reaches the group."""
     sizes = [math.ceil(C / (3.0 * eps)) for eps in budgets]
     # the largest budget's own table is within MESH_CAP, checked by flatten_many
@@ -240,7 +255,7 @@ def _lift_groups(f: Callable, budgets: list[float], C: float) -> Iterator[Sample
         lo = hi
 
 
-def _lift_table(f: Callable, budgets: list[float], C: float) -> list[SampledFunction]:
+def _lift_table(f: Callable, budgets: list[float], C: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """flatten's lifts at a group of budgets, from one table of their partition intervals."""
     cuts = [_partition(eps, C) for eps in budgets]
     pts = np.concatenate(cuts)
@@ -291,10 +306,7 @@ def _lift_table(f: Callable, budgets: list[float], C: float) -> list[SampledFunc
     for c in range(1, k1 + 1):  # column by column: numpy accumulates along short rows slowly
         np.greater(xs[:, c], top, out=keep[:, c])
         top = np.maximum(top, xs[:, c])
-    return [
-        SampledFunction(grid=(xs[lo:hi][keep[lo:hi]],), values=vs[lo:hi][keep[lo:hi]][:, None])
-        for lo, hi in zip(rows[:-1], rows[1:])
-    ]
+    return [(xs[lo:hi][keep[lo:hi]], vs[lo:hi][keep[lo:hi]]) for lo, hi in zip(rows[:-1], rows[1:])]
 
 
 def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
@@ -326,28 +338,6 @@ def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     vals = _values(f, knots).copy()  # f's result may be its argument, or read-only
     _nudge(vals, NUDGE_ETA)
     return SampledFunction(grid=(knots,), values=vals[:, None])
-
-
-def refine_subgrid(finest: SampledFunction, eps: float) -> SampledFunction:
-    """``refine_interpolant(f, eps)`` read off finest = ``refine_interpolant(f, eps_f)``.
-
-    The result takes every s-th knot and value of finest, where s is
-    finest's cell count over ceil(4/eps); s must be a power of two
-    (1 returns finest itself), or ``DomainError`` is raised.  No knot is
-    rebuilt and f is not called, yet the result is bit for bit the one
-    refine_interpolant builds.  np.linspace(0, 1, K + 1) puts knot i at
-    i * (1/K) rounded once, and 1/(K/s) is exactly s * (1/K) for a power
-    of two s, so the coarse knot i is finest's knot i * s.  f and the
-    nudge act point by point, and the nudge leaves its own output alone,
-    so the values at those knots agree too.
-    """
-    k, fine = _refine_cells(eps), len(finest.grid[0]) - 1
-    s, rest = divmod(fine, k)
-    if rest or s & (s - 1):
-        raise DomainError(f"refine's mesh of {k} cells is not a power-of-two sub-grid of {fine} cells")
-    if s == 1:
-        return finest
-    return SampledFunction(grid=(finest.grid[0][::s],), values=finest.values[::s])
 
 
 def improvement_envelope(eps0: float, C: float, k: int) -> float:

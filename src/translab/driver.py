@@ -20,12 +20,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversary import MESH_CAP, flatten_many, refine_interpolant, refine_subgrid, theory_upper_curve
+from .adversary import MESH_CAP, flatten_arrays, refine_interpolant, theory_upper_curve
 from .adversary import flatten_perturbation  # noqa: F401  perfbench's tracer wraps driver.flatten_perturbation by name
 from .certifier import certify
 from .errors import ConfigError, DomainError
 from .extremal import ExtremalFunction
-from .funcrep import count_zero_components
+from .funcrep import count_value_zeros
+from .funcrep import count_zero_components  # noqa: F401  perfbench's tracer wraps driver.count_zero_components by name
 from .modulus import ModulusSpec
 
 CSV_HEADER = ("eps", "n0", "certified_lb", "paper_lb", "theory_lb", "adversary_ub", "theory_ub", "wall_ms")
@@ -156,21 +157,26 @@ class SweepRecord:
 def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
     """One record per dyadic budget, ordered by decreasing eps.
 
-    With the adversary on, refine's interpolant is built once, at the
-    finest budget 2**-j_max, inside the first row's ``wall_ms``; every
-    row reads its own off it with ``refine_subgrid``.  At eps = 2**-j
-    refine's mesh has 2**(j + 2) cells, so each row's mesh takes every
-    2**(j_max - j)-th knot of the finest one, and the sub-grid is bit for
-    bit the interpolant ``refine_interpolant`` would build at that budget:
-    linspace puts each knot at the same double, and f and the knot nudge
-    act point by point.  flatten's lifts come from one ``flatten_many``
-    call over every budget, which builds them a group of rows at a time
-    (a j = 6..14 sweep is one group); a group's work lands in the
-    ``wall_ms`` of its first row.  Row j_min takes its lift before the
-    mesh is built, so the lift table's temporaries are freed before the
-    mesh's 2**(j_max + 2) + 1 knots are allocated.  Each lift is bit for
-    bit the one ``flatten_perturbation`` builds at that budget alone.  An
-    empty range builds no mesh and calls F for neither construction.
+    With the adversary on, a row's achieved count is the smaller zero
+    count of flatten's lift and refine's interpolant at its budget, each
+    read by ``count_value_zeros`` off a bare value array.  flatten's lifts
+    come from one ``flatten_arrays`` call over every budget, built a
+    group of rows at a time (a j = 6..14 sweep is one group), each bit for
+    bit the one ``flatten_perturbation`` builds at that budget alone; a
+    group's work lands in the ``wall_ms`` of its first row.  Row j_min
+    takes its lift before refine's mesh is built, so the lift table's
+    temporaries are freed before the mesh's 2**(j_max + 2) + 1 knots are
+    allocated.
+
+    refine's interpolant is built once, at 2**-j_max, in the first row,
+    and row j counts the view ``finest.values[::s, 0]``, s = 2**(j_max - j),
+    which holds bit for bit the values ``refine_interpolant`` builds at
+    2**-j.  That mesh has K = 2**(j + 2) cells, and np.linspace(0, 1, K + 1)
+    puts knot i at i * (1/K) rounded once; 1/(K/s) is exactly s * (1/K)
+    for a power of two s, so each coarse knot is the same double as the
+    fine knot i * s, and f and the knot nudge act point by point (the
+    nudge leaves its own output alone).  An empty range builds no mesh
+    and calls F for neither construction.
     """
     cfg.validate()
     if chart is not None and cfg.adversary:
@@ -181,18 +187,18 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
     budgets = [2.0**-j for j in range(cfg.j_min, cfg.j_max + 1)]
     if cfg.adversary:
         scalar = fn.as_scalar()
-        lifts = flatten_many(scalar, budgets, cfg.C)
+        lifts = flatten_arrays(scalar, budgets, cfg.C)
     finest = None
     records = []
-    for eps in budgets:
+    for j, eps in enumerate(budgets, start=cfg.j_min):
         t0 = time.perf_counter()
         cert = certify(fn, eps, chart=chart)
         ub: Optional[int] = None
         if cfg.adversary:
-            flattened = count_zero_components(next(lifts)).h0  # before the mesh: the lift table's temporaries go first
+            flattened = count_value_zeros(next(lifts)[1]).h0  # before the mesh: the lift table's temporaries go first
             if finest is None:
                 finest = refine_interpolant(scalar, 2.0**-cfg.j_max)
-            best = min(flattened, count_zero_components(refine_subgrid(finest, eps)).h0)
+            best = min(flattened, count_value_zeros(finest.values[:: 2 ** (cfg.j_max - j), 0]).h0)
             ub = int(best) if math.isfinite(best) else None
         records.append(
             SweepRecord(

@@ -13,31 +13,39 @@ its extrema sit at odd multiples of scale_n with values +-beta(scale_n)/2.
 
 Bump-corner evaluation is exact: there is no truncation error, only the
 float rounding of beta itself.  ``profile_many``, the array kernel,
-locates a point in float arithmetic that never rounds:
+locates a point in float arithmetic that never rounds, and reads no
+level table:
 
-* every s < 1/2 lies on level 1; for s >= 1/2 the difference 1 - s is
-  exact (Sterbenz lemma), and its binary exponent is the level;
-* the offset s - start_n is exact by the same lemma (start_n <= s <
-  2*start_n once n >= 2, and start_1 = 0), and so is the offset in
-  units of scale_n, u = (s - start_n) * 2**(n*n + n + 2): scaling by a
-  power of two only shifts the exponent (level 30's 2**932 stays far
-  from overflow);
+* every s < 1/2 lies on level 1, where the offset in units of scale_1 =
+  2**-4 is u = 16*s, exact; for s >= 1/2 the difference 1 - s is exact
+  (Sterbenz lemma), and ``frexp`` splits it as mant * 2**e with mant in
+  [1/2, 1), so s lies on level g = 1 - e, or on level g + 1 at its very
+  start when mant = 1/2;
+* s - start_g = 2**e - mant * 2**e = (1 - mant) * 2**e, and 1 - mant is
+  exact (Sterbenz again), so the offset in units of scale_g is u =
+  ldexp(1 - mant, g*g + 3), a power-of-two scaling that only shifts the
+  exponent (1 - mant <= 1/2, so level 30's u stays below 2**903, far
+  from overflow; deeper points are computed on level 30 and zeroed); at
+  a slot's end u = 4 * 2**(g*g) is a whole number of bump periods,
+  offset 0 of the next level, as it should be, and s = 1, where
+  frexp(0) = (0, 0), gives u = 16, offset 0 of level 1;
 * the offset within the bump, u - 4*floor(u/4), is exact: floor(u/4)
   is (u/4 is exact once u >= 4, and below 4 the floor is 0), so is
   4*floor(u/4), and the true remainder is a multiple of the last place
   of u smaller than u, so it is a double and the subtraction returns it
-  unrounded.  The mirror differences 4 - u and 2 - u are exact on the
-  half of the period where each is taken (Sterbenz again).  Multiplying
-  the folded offset back by scale_n cannot round: the true product is
-  the same fold taken in units of length, a double by the same steps.
+  unrounded.  The mirror difference 4 - u is exact on the falling half
+  (2, 4) where it is taken, and 2 - u on [1, 2], where min(u, 2 - u)
+  picks it (Sterbenz again; below 1, 2 - u rounds to at least 1 > u).
+  Scaling the folded offset back by scale_g = 2**-(g*g + g + 2) with
+  ``ldexp`` cannot round: the true product is the same fold taken in
+  units of length, a double by the same steps.
 
 The scalar ``profile`` reduces one float at a time with
 ``math.fmod(s - start_n, 4*scale_n)``, which never rounds either (the
-period is a power of two).  Level starts and scales come from one set of
-numpy tables built at import, so both paths read the same geometry:
-``profile_many`` gathers from the tables, and ``profile`` reads Python
-float copies of them made with ``tolist()`` (the same doubles, without
-an ``ndarray.item`` call per point).
+period is a power of two), so the two paths agree bit for bit.  Its
+level starts and scales are Python float copies, made with ``tolist()``,
+of numpy tables built at import (the same doubles, without an
+``ndarray.item`` call per point).
 Every level start and scale is an exact double, so doubles are the only
 number type here; a number that is not exactly a double is refused, not
 rounded.  From level 7 on the bump period 4*scale_n = 2**(-n*n - n) is
@@ -191,8 +199,8 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     """``profile`` elementwise on a float array (or scalar) in [0, 1].
 
     Returns an array of the input's shape (a numpy scalar for 0-d input).
-    Each point's level geometry is gathered from the level tables, its
-    offset is taken in units of scale_n and reduced with a floor
+    Each point's level comes from ``frexp(1 - s)``, its offset in units
+    of scale_n is formed with ``ldexp`` and reduced with a floor
     remainder, and beta is called once per block.  Every step but beta
     is exact (see the module docstring), so the result equals
     ``profile`` bit for bit whenever ``beta.many`` and ``beta`` agree:
@@ -211,27 +219,33 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     """
     s = _as_doubles(s, "profile argument")
     x = s.ravel()
+    if len(x) and not (x.min() >= 0.0 and x.max() <= 1.0):  # false for NaN too
+        _levels(x, "profile argument")  # refuses, naming the first offender
     out = np.empty(x.shape)
     deep_count, first_deep = 0, None
     for lo in range(0, len(x), _BLOCK):
         xb, ob = x[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
-        n = _levels(xb, "profile argument")
-        deep = n > MAX_LEVEL
-        any_deep = deep.any()
-        if any_deep:
-            if first_deep is None:
-                first_deep = xb[deep][0]
-            deep_count += np.count_nonzero(deep)
-            n[deep] = 1  # placeholder level, zeroed below
-        u = (xb - _START.take(n)) * _INV_SCALE.take(n)  # offset in units of scale_n
+        mant, exp = np.frexp(1.0 - xb)
+        g = np.maximum(1 - exp, 1)  # geometry level: 1 below 1/2, where 1 - exp is 0 or 1
+        deep = None
+        if g.max() >= MAX_LEVEL:
+            deep = g + (mant == 0.5) > MAX_LEVEL  # a slot's end is offset 0 of the next level
+            if deep.any():
+                first_deep = xb[deep][0] if first_deep is None else first_deep
+                deep_count += np.count_nonzero(deep)
+            np.minimum(g, MAX_LEVEL, out=g)  # keeps ldexp finite; deep points are zeroed below
+        gg = g * g
+        u = np.ldexp(1.0 - mant, gg + 3)  # offset in units of scale_g
+        np.multiply(xb, 16.0, out=u, where=xb < 0.5)  # level 1 starts at 0
         u -= 4.0 * np.floor(u / 4.0)  # offset within the bump, in [0, 4)
         falling = u > 2.0  # the negated second half, mirrored onto the first
         np.subtract(4.0, u, out=u, where=falling)
-        np.subtract(2.0, u, out=u, where=u >= 1.0)
-        u *= _SCALE.take(n)
+        np.minimum(u, 2.0 - u, out=u)
+        gg += g + 2
+        np.ldexp(u, np.negative(gg, out=gg), out=u)  # back to units of length
         np.multiply(beta.many(u), 0.5, out=ob)
         np.negative(ob, out=ob, where=falling)
-        if any_deep:
+        if deep is not None:
             ob[deep] = 0.0
     if deep_count:
         warnings.warn(

@@ -89,6 +89,8 @@ class SampledFunction:
             vals = vals[..., None]
         if vals.shape[:-1] != lens:
             raise ShapeError(f"values shape {vals.shape} does not match grid lengths {lens}")
+        if vals.shape[-1] < 1:
+            raise ShapeError(f"values need m >= 1 components, got shape {vals.shape}")
         if not np.isfinite(vals).all():
             idx = np.unravel_index(np.argmin(np.isfinite(vals)), vals.shape)
             knot = tuple(float(k[i]) for k, i in zip(grid, idx))
@@ -205,6 +207,8 @@ class SampledFunction:
                 d, m = map(int, fh.readline().split())
             except ValueError:
                 raise ShapeError(f"{path} line 1: function file must start with a 'd m' header line") from None
+            if d < 1 or m < 1:
+                raise ShapeError(f"{path} line 1: need d >= 1 and m >= 1, got d={d}, m={m}")
             rows = []
             for n, line in enumerate(fh, start=2):
                 try:
@@ -245,15 +249,24 @@ def _require_scalar_1d(h: SampledFunction, op: str) -> np.ndarray:
 
 
 def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
-    """Exact zero-component count of a piecewise-linear scalar function, from knot signs alone.
+    """Exact zero-component count of a piecewise-linear scalar function: ``count_value_zeros`` of its knot values."""
+    return count_value_zeros(_require_scalar_1d(h, "count_zero_components"))
 
-    Each maximal run of zero knots is one component, an interval when it
-    holds two or more knots.  Each strict sign change between neighbouring
-    knots is one more: a zero strictly inside its segment, which touches
-    no other component, since the rest of that segment is nonzero.
+
+def count_value_zeros(v: np.ndarray) -> ZeroSetSummary:
+    """Exact zero-component count of the piecewise-linear function through finite knot values v, from their signs alone.
+
+    v is a 1-D array of any stride, such as every s-th value of a finer
+    mesh.  Each maximal run of zero knots is one component, an interval
+    when it holds two or more knots.  Each strict sign change between
+    neighbouring knots is one more: a zero strictly inside its segment,
+    which touches no other component, since the rest of that segment is
+    nonzero.  With no zero knot the count is the sign changes alone.
     """
-    v = _require_scalar_1d(h, "count_zero_components")
-    zero, pos, neg = v == 0.0, v > 0.0, v < 0.0
+    zero, pos = v == 0.0, v > 0.0
+    if not zero.any():
+        return ZeroSetSummary(component_count=int(np.count_nonzero(pos[1:] != pos[:-1])), has_flat_zero_interval=False)
+    neg = v < 0.0
     runs = int(zero[0]) + np.count_nonzero(zero[1:] & ~zero[:-1])
     crossings = np.count_nonzero(pos[:-1] & neg[1:] | neg[:-1] & pos[1:])
     flat = bool((zero[:-1] & zero[1:]).any())
@@ -262,7 +275,7 @@ def count_zero_components(h: SampledFunction) -> ZeroSetSummary:
 
 def _nudge(vals: np.ndarray, eta: float) -> None:
     """Replace every value with |value| < eta by +eta, in place, as one masked copy."""
-    np.copyto(vals, eta, where=np.abs(vals) < eta)
+    np.copyto(vals, eta, where=(vals < eta) & (vals > -eta))  # |v| < eta for every double, without an |v| array
 
 
 def nudge_knot_zeros(h: SampledFunction, eta: float) -> SampledFunction:

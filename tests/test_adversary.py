@@ -23,7 +23,7 @@ from translab import (
     theory_upper_curve,
 )
 from translab import adversary
-from translab.adversary import flatten_many, refine_subgrid
+from translab.adversary import flatten_arrays, flatten_many
 
 from flatten_oracle import flatten_perturbation as flatten_oracle
 from zero_oracle import zero_components
@@ -672,12 +672,23 @@ class TestFlattenMany:
             ([2.0**-6, 5e-324], 1.0, EnumerationCapError, "needs inf cells"),
         ],
     )
-    def test_every_budget_is_checked_before_f_is_called(self, budgets, C, error, match):
+    @pytest.mark.parametrize("build", [flatten_many, flatten_arrays])
+    def test_every_budget_is_checked_before_f_is_called(self, budgets, C, error, match, build):
         with pytest.raises(error, match=match):
-            flatten_many(self.untouchable, budgets, C)  # raised by the call, not by the first lift
+            build(self.untouchable, budgets, C)  # raised by the call, not by the first lift
 
-    def test_no_budget_calls_nothing(self):
-        assert list(flatten_many(self.untouchable, [], 1.0)) == []
+    @pytest.mark.parametrize("build", [flatten_many, flatten_arrays])
+    def test_no_budget_calls_nothing(self, build):
+        assert list(build(self.untouchable, [], 1.0)) == []
+
+    @pytest.mark.parametrize("C", [1.0, 0.3])
+    def test_arrays_are_the_lifts_knots_and_values(self, C):
+        # flatten_many wraps flatten_arrays' pairs; the sweep counts the bare values
+        f, budgets = scalar_extremal(), [2.0**-j for j in range(6, 15)]
+        for (x, v), h in zip(flatten_arrays(f, budgets, C), flatten_many(f, budgets, C), strict=True):
+            assert x.ndim == v.ndim == 1
+            assert np.array_equal(x.view(np.uint64), h.grid[0].view(np.uint64))
+            assert np.array_equal(v.view(np.uint64), h.values[:, 0].view(np.uint64))
 
 
 class TestRefine:
@@ -758,8 +769,8 @@ class TestRefine:
             refine_interpolant(lambda s: s, math.inf)
 
 
-class TestRefineSubgrid:
-    """A refine interpolant read off a finer one is the one refine_interpolant builds."""
+class TestNestedRefineMeshes:
+    """Every s-th knot and value of a refine interpolant, s a power of two, is the coarser interpolant."""
 
     TARGETS = [scalar_extremal(), wave, lambda s: s - 0.5, lambda s: 0.0]
 
@@ -769,31 +780,9 @@ class TestRefineSubgrid:
         # meshes of base * 2**n cells: linspace's knots nest for any base
         finest = refine_interpolant(f, 4.0 / (base * 2**12))
         for n in range(0, 13):
-            eps = 4.0 / (base * 2**n)
-            assert same_output(refine_subgrid(finest, eps), refine_interpolant(f, eps))
-
-    def test_stride_one_is_the_finest_itself(self):
-        finest = refine_interpolant(wave, 2.0**-8)
-        assert refine_subgrid(finest, 2.0**-8) is finest
-
-    @pytest.mark.parametrize(
-        "fine,cells",
-        [(4096, 3), (4096, 12), (4096, 8192), (96, 32), (96, 5), (96, 64)],
-    )
-    def test_meshes_that_do_not_nest_by_a_power_of_two_are_refused(self, fine, cells):
-        # 96 / 32 = 3 divides but is not a power of two; the others do not divide
-        finest = refine_interpolant(wave, 4.0 / fine)
-        with pytest.raises(DomainError, match=f"mesh of {cells} cells is not a power-of-two sub-grid of {fine} cells"):
-            refine_subgrid(finest, 4.0 / cells)
-        assert len(refine_subgrid(finest, 8.0 / fine).grid[0]) == fine // 2 + 1
-
-    def test_budget_validation(self):
-        finest = refine_interpolant(wave, 2.0**-6)
-        for eps, match in ((0.0, "positive"), (math.nan, "positive"), (math.inf, "finite")):
-            with pytest.raises(DomainError, match=f"budget must be {match}"):
-                refine_subgrid(finest, eps)
-        with pytest.raises(EnumerationCapError, match="needs 33554432 cells, over the cap"):
-            refine_subgrid(finest, 2.0**-23)
+            coarse, s = refine_interpolant(f, 4.0 / (base * 2**n)), 2 ** (12 - n)
+            assert np.array_equal(finest.grid[0][::s].view(np.uint64), coarse.grid[0].view(np.uint64))
+            assert np.array_equal(finest.values[::s, 0].view(np.uint64), coarse.values[:, 0].view(np.uint64))
 
 
 class TestIterate:

@@ -126,6 +126,15 @@ class TestBuildAndEval:
         assert code == 2 and out == ""
         assert err == f"error: {path} line {line}\n"
 
+    @pytest.mark.parametrize("text, d, m", [("-1 2\n5\n", -1, 2), ("1 0\n0\n1\n", 1, 0)])
+    def test_function_file_with_empty_dimension_is_clean_error(self, capsys, tmp_path, text, d, m):
+        # each used to end in a bare ValueError: -1 2 while loading, 1 0 in evaluate
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "eval", "--func", str(path), "--at", "0.5")
+        assert code == 2 and out == ""
+        assert err == f"error: {path} line 1: need d >= 1 and m >= 1, got d={d}, m={m}\n"
+
     @pytest.mark.parametrize("text", ["1 1\n", "1 1\n\n\n"])
     def test_function_file_without_knot_rows_is_clean_error(self, capsys, tmp_path, text):
         path = tmp_path / "f.txt"

@@ -14,9 +14,11 @@ from translab import (
     ModulusSpec,
     SweepConfig,
     SweepRecord,
+    count_zero_components,
     driver,
     extremal,
     fit_slope,
+    flatten_perturbation,
     parse_config,
     read_csv,
     refine_interpolant,
@@ -24,7 +26,6 @@ from translab import (
     write_csv,
 )
 from translab import adversary
-from translab.adversary import refine_subgrid
 
 from closed_form import holder_lower_bound
 
@@ -123,26 +124,32 @@ class TestSharedRefineMesh:
     """With the adversary on, one refine mesh at 2**-j_max serves every row."""
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
-    def test_rows_count_refine_interpolant_bit_for_bit(self, monkeypatch, lam):
-        # the moduli a sweep runs the adversary at
-        counted, count = [], driver.count_zero_components
-        monkeypatch.setattr(driver, "count_zero_components", lambda h: counted.append(h) or count(h))
-        sweep(replace(BASE, lam=lam, adversary=True))  # j = 6..16
+    def test_rows_count_what_a_per_row_rebuild_counts(self, monkeypatch, lam):
+        # the moduli a sweep runs the adversary at; each row counts flatten's
+        # lift, then refine's strided values, and keeps the smaller count
+        counted, count = [], driver.count_value_zeros
+        monkeypatch.setattr(driver, "count_value_zeros", lambda v: counted.append(count(v)) or counted[-1])
+        records = sweep(replace(BASE, lam=lam, adversary=True))  # j = 6..16
         scalar = ExtremalFunction(beta=ModulusSpec.power(lam, 1.0), d=1, q=1).as_scalar()
-        refined = counted[1::2]  # each row counts flatten's result, then refine's
-        assert len(refined) == 11
-        for j, h in zip(range(6, 17), refined):
-            assert same_bits(h, refine_interpolant(scalar, 2.0**-j))
+        want = []
+        for j in range(6, 17):
+            flat = count_zero_components(flatten_perturbation(scalar, 2.0**-j, 1.0))
+            refined = count_zero_components(refine_interpolant(scalar, 2.0**-j))
+            want += [flat, refined]
+            assert records[j - 6].adversary_ub == min(flat.component_count, refined.component_count)
+        assert counted == want
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     @pytest.mark.parametrize("lam", [1.0, 8.0])
-    def test_subgrid_is_refine_interpolant_at_every_modulus(self, alpha, lam):
+    def test_strided_finest_is_refine_interpolant_at_every_modulus(self, alpha, lam):
         # the mesh nesting does not depend on the modulus, though the sweep
         # refuses the adversary outside alpha = 1, lambda <= 2
         scalar = ExtremalFunction(beta=ModulusSpec.power(lam, alpha), d=1, q=1).as_scalar()
         finest = refine_interpolant(scalar, 2.0**-16)
         for j in range(6, 17):
-            assert same_bits(refine_subgrid(finest, 2.0**-j), refine_interpolant(scalar, 2.0**-j))
+            coarse, s = refine_interpolant(scalar, 2.0**-j), 2 ** (16 - j)
+            assert np.array_equal(finest.grid[0][::s].view(np.uint64), coarse.grid[0].view(np.uint64))
+            assert np.array_equal(finest.values[::s, 0].view(np.uint64), coarse.values[:, 0].view(np.uint64))
 
     def test_one_mesh_at_the_finest_budget(self, monkeypatch):
         built = []
@@ -172,10 +179,10 @@ class TestSharedRefineMesh:
 
     def test_empty_range_builds_no_mesh(self, monkeypatch):
         def untouchable(*args):
-            raise AssertionError("a mesh was built")
+            raise AssertionError("a mesh was built, or F called")
 
         monkeypatch.setattr(driver, "refine_interpolant", untouchable)
-        monkeypatch.setattr(driver, "refine_subgrid", untouchable)
+        monkeypatch.setattr(extremal, "profile_many", untouchable)
         assert sweep(replace(BASE, j_min=15, j_max=14, adversary=True)) == []
 
 

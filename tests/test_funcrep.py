@@ -16,7 +16,7 @@ from translab import (
     nudge_knot_zeros,
     sup_distance,
 )
-from translab.funcrep import _nudge, evaluate_rows
+from translab.funcrep import _nudge, count_value_zeros, evaluate_rows
 
 from zero_oracle import count_and_flat
 
@@ -110,6 +110,12 @@ class TestEvaluate:
     def test_grid_needs_an_axis(self):
         with pytest.raises(ShapeError, match="at least one axis"):
             SampledFunction(grid=(), values=np.zeros(1))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_codomain_needs_a_component(self, d):
+        knots = np.array([0.0, 1.0])
+        with pytest.raises(ShapeError, match=re.escape(f"values need m >= 1 components, got shape {(2,) * d + (0,)}")):
+            SampledFunction(grid=(knots,) * d, values=np.zeros((2,) * d + (0,)))
 
     def test_float64_knots_are_frozen_and_shared(self):
         # the SampledFunction docstring's contract
@@ -456,6 +462,63 @@ class TestZeroComponentsDense:
             assert (summary.component_count, summary.has_flat_zero_interval) == count_and_flat(h)
 
 
+# Values for the array counter: exact zeros of both signs, the smallest
+# subnormals and ordinary values; every tested array is also drawn as a
+# strided view of a longer one.
+count_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1.0, -1.0]),
+    st.floats(-1.0, 1.0),
+)
+nonzero_values = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 2.0**-1022, -(2.0**-1022)]),
+    st.floats(-1.0, 1.0).filter(lambda v: v != 0.0),
+)
+
+
+@st.composite
+def strided_views(draw, values=count_values):
+    """A 1-D value array of at least two entries, as every step-th entry of a longer one from offset on."""
+    step, offset = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    n = draw(st.integers(2, 40))
+    base = np.array(draw(st.lists(values, min_size=offset + (n - 1) * step + 1, max_size=offset + (n - 1) * step + 1)))
+    return base[offset::step]
+
+
+def oracle_count(v):
+    return count_and_flat(line(np.linspace(0.0, 1.0, len(v)), v))
+
+
+class TestCountValueZeros:
+    """The array counter against the exact ``Fraction`` oracle, on any stride."""
+
+    @given(v=strided_views())
+    @example(v=np.zeros(7)[::2])
+    @example(v=np.array([-0.0, 0.0, -0.0]))
+    @example(v=np.array([1.0, -0.0, -1.0, 0.0, 0.0, 5e-324]))
+    @example(v=np.sin(np.linspace(0.0, 40.0, 4097))[::64])  # a sweep row: every s-th value of a finer mesh
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_oracle(self, v):
+        summary = count_value_zeros(v)
+        assert (summary.component_count, summary.has_flat_zero_interval) == oracle_count(v)
+        assert summary == count_value_zeros(v.copy()) == count_zero_components(line(np.linspace(0.0, 1.0, len(v)), v))
+
+    @given(v=strided_views(values=nonzero_values))
+    @example(v=np.array([5e-324, -5e-324] * 4)[::3])
+    @example(v=np.array([1.0, 2.0**-1022]))
+    @settings(max_examples=200, deadline=None)
+    def test_no_zero_knot_counts_sign_changes(self, v):
+        # the shortcut: with no zero knot every component is one strict sign change
+        summary = count_value_zeros(v)
+        assert not summary.has_flat_zero_interval
+        assert summary.component_count == oracle_count(v)[0] == np.count_nonzero(np.signbit(v[1:]) != np.signbit(v[:-1]))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_all_zero_is_one_interval(self, zero, n):
+        summary = count_value_zeros(np.full(2 * n, zero)[::2])
+        assert (summary.component_count, summary.has_flat_zero_interval, summary.h0) == (1, True, math.inf)
+
+
 class TestNudge:
     def test_replaces_exact_zero(self):
         h = nudge_knot_zeros(line([0.0, 0.5, 1.0], [1.0, 0.0, 1.0]), 1e-9)
@@ -563,6 +626,14 @@ class TestFileFormat:
             SampledFunction.load(path)
         path.write_text("1 1\n0 -1\n0.5 nan\n1 1\n")
         with pytest.raises(DomainError, match=re.escape("got nan at knot (0.5,)")):
+            SampledFunction.load(path)
+
+    @pytest.mark.parametrize("header, rows", [("-1 2", "5\n"), ("0 1", "5\n"), ("1 0", "0\n1\n"), ("1 -3", "0\n")])
+    def test_header_needs_positive_dimensions(self, tmp_path, header, rows):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n{rows}")
+        d, m = header.split()
+        with pytest.raises(ShapeError, match=re.escape(f"{path} line 1: need d >= 1 and m >= 1, got d={d}, m={m}")):
             SampledFunction.load(path)
 
 
