@@ -5,16 +5,15 @@ certifies how many zero components every small perturbation must keep
 (Poincare-Miranda cube certification), constructs adversarial
 perturbations realizing upper counts, and sweeps the budget to compare
 empirical counts with the theoretical envelopes.
+
+``import translab`` loads the certify core: ``errors``, ``modulus``,
+``funcrep``, ``extremal``, ``chart`` and ``certifier``.  The adversary
+and the sweep driver, with their public names, load on first access
+(PEP 562) and are then cached in this module.
 """
 
-from .adversary import (
-    flatten_many,
-    flatten_perturbation,
-    improvement_envelope,
-    iterate_improvement,
-    refine_interpolant,
-    theory_upper_curve,
-)
+from importlib import import_module as _import_module
+
 from .certifier import (
     Certificate,
     Cube,
@@ -35,7 +34,6 @@ from .chart import (
     pullback_perturbation,
     transport_function,
 )
-from .driver import SweepConfig, SweepRecord, fit_slope, parse_config, read_csv, sweep, write_csv
 from .errors import (
     ConfigError,
     DomainError,
@@ -63,3 +61,28 @@ from .funcrep import (
 from .modulus import AxiomReport, ModulusSpec, check_modulus_axioms
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "adversary": ("flatten_many", "flatten_perturbation", "improvement_envelope", "iterate_improvement",
+                  "refine_interpolant", "theory_upper_curve"),
+    "driver": ("SweepConfig", "SweepRecord", "fit_slope", "parse_config", "read_csv", "sweep", "write_csv"),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+# ``from translab import *`` gives every public name, submodules included
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | set(_LAZY) | set(_LAZY_OWNER))
+
+
+def __getattr__(name: str):
+    """Load a lazy submodule, or the one owning a lazy name, and cache the result here."""
+    owner = _LAZY_OWNER.get(name, name)
+    if owner not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{owner}", __name__)
+    value = module if owner == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -67,12 +67,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, EnumerationCapError
-from .funcrep import SampledFunction, _nudge, count_zero_components
+from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, count_zero_components
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
-SCAN_BLOCK_POINTS = 2**15  # scan points per call of f
-MESH_CAP = 2**24  # refine cells or flatten breakpoint-table cells; refine reaches it at eps = 2**-22
 
 
 def _check_budget(eps: float, C: float) -> None:

@@ -32,11 +32,10 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .adversary import SCAN_BLOCK_POINTS
 from .chart import Chart, gamma_w, identity_chart, pullback_perturbation
 from .errors import DomainError, EnumerationCapError, ShapeError
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
-from .funcrep import evaluate_rows
+from .funcrep import SCAN_BLOCK_POINTS, evaluate_rows
 from .modulus import ModulusSpec, require_modulus
 
 ENUMERATION_CAP_BITS = 24  # at most 2**24 cubes per level

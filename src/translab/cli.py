@@ -14,19 +14,12 @@ import sys
 
 import numpy as np
 
-from .adversary import (
-    flatten_perturbation,
-    improvement_envelope,
-    iterate_improvement,
-    refine_interpolant,
-)
 from .certifier import certify
 from .chart import Chart, affine_chart, identity_chart, polar_demo_chart
 from .errors import TranslabError
 from .extremal import ExtremalFunction
 from .funcrep import SampledFunction, count_zero_components
 from .modulus import ModulusSpec, check_modulus_axioms
-from .driver import adversary_refusal, parse_config, sweep, write_csv
 
 
 def _modulus_from_args(args) -> ModulusSpec:
@@ -153,6 +146,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    from .adversary import flatten_perturbation, improvement_envelope, iterate_improvement, refine_interpolant
+    from .driver import adversary_refusal
+
     if args.rounds is not None and args.mode != "iterate":
         raise TranslabError(f"--rounds counts the rounds of --mode iterate, but --mode {args.mode} runs one construction")
     if args.func:
@@ -200,6 +196,8 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .driver import parse_config, sweep, write_csv
+
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
     chart = _chart_from_args(args, cfg.m)

@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversary import MESH_CAP, flatten_arrays, refine_interpolant, theory_upper_curve
+from .adversary import flatten_arrays, refine_interpolant, theory_upper_curve
 from .adversary import flatten_perturbation  # noqa: F401  perfbench's tracer wraps driver.flatten_perturbation by name
 from .certifier import certify
 from .errors import ConfigError, DomainError
 from .extremal import ExtremalFunction
-from .funcrep import count_value_zeros
+from .funcrep import MESH_CAP, count_value_zeros
 from .funcrep import count_zero_components  # noqa: F401  perfbench's tracer wraps driver.count_zero_components by name
 from .modulus import ModulusSpec
 

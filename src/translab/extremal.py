@@ -67,9 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import MESH_CAP
 from .errors import DomainError, EnumerationCapError
-from .funcrep import SampledFunction
+from .funcrep import MESH_CAP, SampledFunction
 from .modulus import ModulusSpec, require_modulus
 
 MAX_LEVEL = 30

@@ -35,6 +35,11 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 
+# Size caps shared by the layers that lay out grids and call f in blocks;
+# they live here so that the certify path never imports the adversary.
+SCAN_BLOCK_POINTS = 2**15  # points per call of f in a block scan (flatten, Miranda faces)
+MESH_CAP = 2**24  # refine cells, flatten breakpoint-table cells or sample cells; refine reaches it at eps = 2**-22
+
 
 def _as_grid(grid: Iterable[Sequence[float]]) -> tuple[np.ndarray, ...]:
     axes = []
