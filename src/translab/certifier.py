@@ -122,15 +122,18 @@ def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
     rows run axis by axis, lo face before hi face, free coordinates in
     lexicographic order.  Coordinate j is lo_j + k scale/4, lo_j as in
     ``cube_at``: a dyadic of at most n*n + n + 4 bits, so each step of
-    the sum is exact at every level under the enumeration cap.
+    the sum is exact at every level under the enumeration cap.  The sum
+    is built axis-major, as (q, cubes, rows), so its inner loop runs
+    over a cube's rows rather than its q coordinates; the result is its
+    transpose, a column-major (cubes * rows, q) view.
     """
     last = FACE_LATTICE_POINTS - 1
     free = list(itertools.product(range(FACE_LATTICE_POINTS), repeat=q - 1))
     offsets = np.array([c[:axis] + (k,) + c[axis:] for axis in range(q) for k in (0, last) for c in free])
     lev = level_schedule(n)
-    index = np.stack(np.unravel_index(ranks, (lev.bump_count,) * q), axis=-1)
+    index = np.stack(np.unravel_index(ranks, (lev.bump_count,) * q))  # (q, cubes)
     lo = lev.start + (4 * index + 1) * lev.scale
-    return (lo[:, None, :] + offsets * (lev.scale / 4.0)).reshape(-1, q)
+    return (lo[:, :, None] + (offsets.T * (lev.scale / 4.0))[:, None, :]).reshape(q, -1).T
 
 
 def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(), p: int = 0) -> np.ndarray:

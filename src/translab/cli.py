@@ -98,9 +98,18 @@ def _cmd_modulus(args) -> int:
     return 0
 
 
+def _load_map(path: str, user: str, d: int, m: int | None = None) -> SampledFunction:
+    """The function file at path, refused unless it maps [0,1]^d (to R^m, when m is given) as user needs."""
+    h = SampledFunction.load(path)
+    if h.d != d or (m is not None and h.m != m):
+        need = f"d={d}" if m is None else f"d={d} m={m}"
+        raise TranslabError(f"{path} holds a map with d={h.d} m={h.m}, but {user} needs {need}")
+    return h
+
+
 def _cmd_eval(args) -> int:
-    h = SampledFunction.load(args.func)
-    value = h.evaluate(_numbers("--at", args.at))
+    at = _numbers("--at", args.at)
+    value = _load_map(args.func, f"--at {args.at}", len(at)).evaluate(at)
     print(" ".join(f"{v:.17g}" for v in value))
     return 0
 
@@ -120,7 +129,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_certify(args) -> int:
     fn = _extremal_from_args(args)
-    h = SampledFunction.load(args.h) if args.h else None
+    h = _load_map(args.h, "the certified map", fn.d, fn.m) if args.h else None
     chart = _chart_from_args(args, args.m)
     cert = certify(fn, args.eps, h=h, chart=chart, z_grid=args.z_grid)
     print(f"eps={cert.eps:.17g}")
@@ -155,9 +164,7 @@ def _cmd_perturb(args) -> int:
         for flag, value in (("--alpha", args.alpha), ("--lambda", args.lam)):
             if value is not None:
                 raise TranslabError(f"{flag} sets the extremal map's modulus, but --func {args.func} replaces that map")
-        sampled = SampledFunction.load(args.func)
-        if sampled.d != 1 or sampled.m != 1:
-            raise TranslabError("perturb needs a scalar function on [0,1]")
+        sampled = _load_map(args.func, "perturb", 1, 1)
         # a grid function's Lipschitz constant is its steepest knot segment; a
         # difference of doubles rounds monotonely, so a 1-Lipschitz file passes
         x, v = sampled.grid[0], sampled.values[:, 0]

@@ -8,6 +8,19 @@ exact zero-component counting of scalar functions on [0,1] from knot
 signs, knot-zero nudging, and ``evaluate_rows``, the one place that
 tells an evaluator with ``evaluate_many`` from a per-point callable.
 
+``evaluate_many`` finds each point's cell per axis without a search
+when it can.  On K cells it guesses i = min(floor(x * K), K - 1) and
+keeps the guess where knots[i] <= x and, below the last cell,
+x < knots[i + 1].  Knots increase strictly, so such an i is the last
+knot at or below x, clipped to the last cell: the cell that
+``searchsorted(knots, x, side="right") - 1``, clipped, returns.  So the
+cells, and every bit that follows from them, do not depend on which
+rows were guessed.  Only the rows whose guess fails are searched.  On a
+uniform grid of 2**k cells, such as ``F.sample``'s at a dyadic step,
+knots and x * K are exact, so no row fails and nothing is searched.  On
+an irregular grid most rows may fail; each of them then pays for the
+guess and its check on top of the search.
+
 ``evaluate_many`` is a flat gather.  Each point's cell is folded into
 one row index of the values viewed as a (knot tuples, m) table, so each
 of the 2^d cell corners costs one ``take`` of rows at a fixed offset.
@@ -131,6 +144,10 @@ class SampledFunction:
 
         Per axis, a point's cell is the last knot at or below it (the
         last cell for 1.0) and its fraction is w = (x - k[i]) / (k[i+1] - k[i]).
+        The cell is guessed as min(floor(x * K), K - 1) on K cells and
+        kept where k[i] <= x and, below the last cell, x < k[i+1], which
+        makes it that last knot; only the rows that fail the check are
+        binary-searched (see the module docstring for why and at what cost).
         The cells fold into a flat row index, and each corner gathers its
         rows with one ``take`` at that index plus the corner's offset.
         Its weight is the product of w or 1 - w over the axes in axis
@@ -149,9 +166,15 @@ class SampledFunction:
         frac = []
         for axis, knots in enumerate(self.grid):
             x = pts[:, axis]
-            i = np.searchsorted(knots, x, side="right") - 1
-            np.clip(i, 0, len(knots) - 2, out=i)
-            w = (x - knots[i]) / (knots[i + 1] - knots[i])
+            last = len(knots) - 2  # the last cell
+            i = (x * (last + 1)).astype(np.intp)  # truncation is floor on [0, 1], -0.0 included
+            np.minimum(i, last, out=i)
+            lo, hi = knots.take(i), knots.take(i + 1)
+            miss = (lo > x) | (x >= hi) & (i < last)
+            if miss.any():  # a search below 1.0 lands in [0, last], so needs no clip
+                i[miss] = np.searchsorted(knots, x[miss], side="right") - 1
+                lo, hi = knots.take(i), knots.take(i + 1)
+            w = (x - lo) / (hi - lo)
             frac.append(w)
             base = base * len(knots) + i
         rows = self.values.reshape(-1, self.m)  # a view: values is C-contiguous

@@ -151,6 +151,15 @@ class TestBuildAndEval:
         assert code == 2 and out == ""
         assert err == f"error: --at: could not convert string to float: {token!r}\n"
 
+    @pytest.mark.parametrize("d, at", [(1, "0.5,0.5"), (2, "0.5"), (2, "0.25,0.5,0.75")])
+    def test_eval_refuses_a_point_of_another_dimension(self, capsys, tmp_path, d, at):
+        # a d = 1 file at a 2-d point used to end in "expected points of shape (N, 1), got (1, 2)"
+        path = tmp_path / "f.txt"
+        SampledFunction(grid=([0.0, 1.0],) * d, values=np.zeros((2,) * d + (3,))).save(path)
+        code, out, err = run(capsys, "eval", "--func", str(path), "--at", at)
+        assert code == 2 and out == ""
+        assert err == f"error: {path} holds a map with d={d} m=3, but --at {at} needs d={len(at.split(','))}\n"
+
     @pytest.mark.parametrize("step", ["0", "-0.25", "nan", "inf"])
     def test_build_refuses_a_bad_step(self, capsys, tmp_path, step):
         path = tmp_path / "f.txt"
@@ -195,6 +204,23 @@ class TestCertifyCommand:
         assert code == 0
         assert "mode=empirical" in out
         assert "certified_count=2" in out
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("eps", ["1", "0.0001220703125"])
+    def test_function_file_of_another_shape_is_refused(self, capsys, tmp_path, d, m, eps):
+        # at eps = 1 (n0 = 0) a d = 1 file was never read and the run printed
+        # mode=empirical; at eps = 2**-13 it ended inside evaluate_many
+        path = tmp_path / "f.txt"
+        SampledFunction(grid=([0.0, 0.5, 1.0],) * d, values=np.zeros((3,) * d + (m,))).save(path)
+        code, out, err = run(capsys, "certify", "--d", "2", "--m", "2", "--eps", eps, "--h", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path} holds a map with d={d} m={m}, but the certified map needs d=2 m=2\n"
+
+    def test_function_file_of_the_map_shape_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        SampledFunction(grid=([0.0, 1.0],) * 2, values=np.zeros((2, 2, 2))).save(path)
+        code, out, _ = run(capsys, "certify", "--d", "2", "--m", "2", "--eps", "1", "--h", str(path))
+        assert code == 0 and "mode=empirical" in out
 
     def test_chart_flag_and_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "cert.csv"
@@ -392,6 +418,15 @@ class TestPerturbCommand:
         code, _, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.015625",
                          "--func", str(fpath), "--out", str(out_path))
         assert code == 0 and out_path.exists()
+
+    @pytest.mark.parametrize("d, m", [(1, 2), (2, 1)])
+    def test_function_file_that_is_not_scalar_is_refused(self, capsys, tmp_path, d, m):
+        path = tmp_path / "f.txt"
+        SampledFunction(grid=([0.0, 1.0],) * d, values=np.zeros((2,) * d + (m,))).save(path)
+        code, out, err = run(capsys, "perturb", "--mode", "refine", "--eps", "0.125", "--func", str(path),
+                             "--out", str(tmp_path / "h.txt"))
+        assert code == 2 and out == ""
+        assert err == f"error: {path} holds a map with d={d} m={m}, but perturb needs d=1 m=1\n"
 
     def test_non_finite_function_file_is_clean_error(self, capsys, tmp_path):
         fpath = tmp_path / "f.txt"

@@ -10,12 +10,17 @@ from hypothesis.extra.numpy import arrays
 
 from translab import (
     DomainError,
+    ExtremalFunction,
+    ModulusSpec,
     SampledFunction,
     ShapeError,
+    certify,
     count_zero_components,
     nudge_knot_zeros,
+    resolve_depth,
     sup_distance,
 )
+from translab.certifier import _face_points
 from translab.funcrep import _nudge, count_value_zeros, evaluate_rows
 
 from zero_oracle import count_and_flat
@@ -187,6 +192,30 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def uniform_cases():
+    """linspace grids, alone and with one knot moved by an ulp either way.
+
+    A moved knot makes ``evaluate_many``'s cell guess miss on the rows
+    near it, so guessed and searched rows share one block.
+    """
+    for K in (1, 2, 3, 7, 1000, 1024):
+        knots = np.linspace(0.0, 1.0, K + 1)
+        grids = [("uniform", knots)]
+        for j in sorted({1, K // 2, K - 1} - {0, K}):
+            for direction in (-1.0, 2.0):
+                moved = knots.copy()
+                moved[j] = np.nextafter(moved[j], direction)
+                grids.append((f"knot {j} moved toward {direction:g}", moved))
+        for label, grid in grids:
+            yield pytest.param(grid, id=f"K={K} {label}")
+
+
+def leaning_points(knots):
+    """Every knot, every knot one ulp to either side (kept in [0, 1]), -0.0, 0 and 1."""
+    near = np.concatenate([knots, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0), [-0.0, 0.0, 1.0]])
+    return near[(near >= 0.0) & (near <= 1.0)]
+
+
 class TestFlatGather:
     @given(case=grid_and_points())
     @settings(max_examples=300, deadline=None)
@@ -213,6 +242,61 @@ class TestFlatGather:
         pts[:1000] = np.stack([rng.choice(k, 1000) for k in grid], axis=1)
         pts[1000:1010] = 1.0
         assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
+
+    @pytest.mark.parametrize("knots", uniform_cases())
+    def test_uniform_grids_match_search_1d(self, knots):
+        rng = np.random.default_rng(len(knots))
+        h = SampledFunction(grid=(knots,), values=rng.normal(size=(len(knots), 2)))
+        x = leaning_points(knots)
+        pts = np.concatenate([x, rng.uniform(0.0, 1.0, 200)])[:, None]
+        assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
+
+    @pytest.mark.parametrize("knots", uniform_cases())
+    def test_uniform_grids_match_search_2d(self, knots):
+        rng = np.random.default_rng(len(knots))
+        other = np.linspace(0.0, 1.0, 5)
+        h = SampledFunction(grid=(knots, other), values=rng.normal(size=(len(knots), 5, 1)))
+        x = leaning_points(knots)
+        pts = np.stack([x, rng.choice(leaning_points(other), len(x))], axis=1)
+        assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
+        assert same_bits(h.evaluate_many(pts[:, ::-1].copy()[:, ::-1]), tuple_index_evaluate_many(h, pts))  # strided
+
+    def test_moved_knot_mixes_guessed_and_searched_rows(self, monkeypatch):
+        knots = np.linspace(0.0, 1.0, 9)
+        knots[4] = np.nextafter(0.5, 1.0)  # x = 0.5 guesses cell 4, which now starts one ulp above it
+        h = SampledFunction(grid=(knots,), values=np.arange(9.0)[:, None])
+        pts = np.array([[0.125], [0.5], [0.75], [1.0]])
+        want = tuple_index_evaluate_many(h, pts)
+        searched = []
+        search = np.searchsorted
+
+        def spy(a, v, side="left"):
+            searched.append(np.asarray(v).tolist())
+            return search(a, v, side=side)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        got = h.evaluate_many(pts)
+        assert searched == [[0.5]]  # only the missed row is searched
+        assert same_bits(got, want)
+
+    def test_dyadic_grid_never_searches(self, monkeypatch):
+        """At every face point of an empirical q = 2 certify, a grid sample of F finds its cells without a search."""
+        F = ExtremalFunction(beta=ModulusSpec.power(1.0, 1.0), d=2, q=2)
+        h = F.sample(2.0**-10)
+        eps = 2.0**-12
+        n0 = resolve_depth(F.beta, 2, eps)
+        faces = [_face_points(n, 2, np.arange(2 ** (2 * n * n))) for n in range(1, n0 + 1)]
+        corners = np.array([[0.0, 1.0], [1.0, -0.0], [1.0, 1.0]])
+        pts = np.concatenate(faces + [corners])
+        want = tuple_index_evaluate_many(h, pts)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("evaluate_many searched for a cell on a dyadic grid")
+
+        monkeypatch.setattr(np, "searchsorted", refused)
+        assert n0 == 2 and len(pts) == 4 * 36 + 256 * 36 + 3
+        assert same_bits(h.evaluate_many(pts), want)
+        assert certify(F, eps, h=h).n0 == 2  # the whole empirical pass, searched nowhere
 
 
 class TestEvaluateRows:
