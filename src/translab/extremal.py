@@ -154,7 +154,7 @@ def bump(beta: ModulusSpec, n: int, t) -> float:
     return _bump_at(beta, level_schedule(n).scale, _as_double(t, "bump offset"))
 
 
-def profile(beta: ModulusSpec, s, *, checked: bool = False) -> float:
+def profile(beta: ModulusSpec, s) -> float:
     """The scalar multi-scale profile at s in [0, 1], evaluated exactly.
 
     Locates the unique level containing s, reduces to the bump offset,
@@ -162,15 +162,10 @@ def profile(beta: ModulusSpec, s, *, checked: bool = False) -> float:
     truncation of the level sum occurs.  The reduction is the one
     ``profile_many`` makes per point, exact for the same reasons; s
     must be exactly a double.
-
-    ``checked=True`` skips the checks of s for a caller that has made
-    them already and passes a Python float in [0, 1]: the point call of
-    ``ExtremalFunction`` checks its whole point once.
     """
-    if not checked:
-        s = _as_double(s, "profile argument")
-        if not (0.0 <= s <= 1.0):
-            raise DomainError(f"profile argument must lie in [0, 1], got {s}")
+    s = _as_double(s, "profile argument")
+    if not (0.0 <= s <= 1.0):
+        raise DomainError(f"profile argument must lie in [0, 1], got {s}")
     n = 1
     if s >= 0.5:
         mant, exp = math.frexp(1.0 - s)
@@ -310,7 +305,7 @@ class ExtremalFunction:
         beta, root = self.beta, math.sqrt(self.q)
         out = [0.0] * self.p
         for c in coords[: self.q]:
-            out.append(profile(beta, c, checked=True) / root)
+            out.append(profile(beta, c) / root)
         return np.array(out)
 
     def evaluate_many(self, pts) -> np.ndarray:

@@ -766,31 +766,17 @@ class TestPointCall:
 
     @pytest.mark.parametrize("d,q,p", [(1, 1, 0), (2, 1, 1), (3, 2, 0), (3, 3, 2)])
     def test_one_profile_call_per_active_coordinate(self, d, q, p):
-        # the point is checked once, in the call, so each active coordinate
-        # reaches profile as a float that profile does not check again
         F = ExtremalFunction(beta=self.BETA, d=d, q=q, p=p)
         calls = []
 
-        def counted(beta, s, **kwargs):
-            calls.append((s, kwargs))
-            return profile(beta, s, **kwargs)
+        def counted(beta, s):
+            calls.append(s)
+            return profile(beta, s)
 
         with mock.patch.object(extremal, "profile", counted):
             out = F(np.linspace(0.1, 0.9, d))
-        assert [(type(s), kwargs) for s, kwargs in calls] == [(float, {"checked": True})] * q
+        assert len(calls) == q
         assert out.tolist() == self.expected(F, np.linspace(0.1, 0.9, d)).tolist()
-
-    def test_point_call_keeps_the_refusals(self):
-        # profile skips its checks inside the point call; the call's own
-        # checks refuse what profile would have
-        F = ExtremalFunction(beta=self.BETA, d=2, q=2)
-        for bad in ([0.5, 1.5], [-0.25, 0.5], [0.5, math.nan]):
-            with pytest.raises(DomainError, match="outside"):
-                F(bad)
-        with pytest.raises(DomainError, match="not exactly a double"):
-            F(np.array([Fraction(1, 3), 0.5], dtype=object))
-        with pytest.warns(ResolutionWarning, match="beyond level 30"):
-            assert F([0.25, 1.0 - 2.0**-40])[1] == 0.0
 
 
 SHAPES = [(1, 1, 0), (2, 1, 1), (2, 2, 0), (3, 2, 0), (3, 3, 2)]  # (d, q, p)
