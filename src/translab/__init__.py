@@ -46,7 +46,6 @@ from .extremal import (
     ExtremalFunction,
     LevelSchedule,
     ResolutionWarning,
-    bump,
     level_schedule,
     profile,
     profile_many,
@@ -63,8 +62,8 @@ from .modulus import AxiomReport, ModulusSpec, check_modulus_axioms
 __version__ = "0.1.0"
 
 _LAZY = {
-    "adversary": ("flatten_many", "flatten_perturbation", "improvement_envelope", "iterate_improvement",
-                  "refine_interpolant", "theory_upper_curve"),
+    "adversary": ("flatten_perturbation", "improvement_envelope", "iterate_improvement", "refine_interpolant",
+                  "theory_upper_curve"),
     "driver": ("SweepConfig", "SweepRecord", "fit_slope", "parse_config", "read_csv", "sweep", "write_csv"),
 }
 _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}

@@ -8,13 +8,13 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   unit-slope ramps, and re-interpolates the remaining intervals
   piecewise-linearly on ceil(3/C) subintervals.  The result stays
   within eps of f and carries at most 2 zeros per lifted interval.
-  ``flatten_many`` builds the lifts at several budgets from one table
+  ``flatten_arrays`` builds the lifts at several budgets from one table
   of their partition intervals, a group of budgets at a time, calling f
-  once per stage for each group, and drops each row's redundant
-  breakpoints by a rule local to the row; ``flatten_arrays`` yields the
-  same lifts as bare (breakpoints, values) arrays, for callers that only
-  count their zeros.  ``flatten_perturbation`` is ``flatten_many`` at
-  one budget, so both give the same lift bit for bit.
+  once per stage for each group, drops each row's redundant breakpoints
+  by a rule local to the row, and yields each lift as bare
+  (breakpoints, values) arrays.  ``flatten_perturbation`` wraps
+  ``flatten_arrays``' lift at one budget, so both give the same lift
+  bit for bit.
 
 * ``refine_interpolant`` interpolates f on the uniform mesh of
   ceil(4/eps) subintervals (mesh <= eps/4) and nudges knot zeros away,
@@ -54,7 +54,7 @@ Layouts that cannot fit are refused with ``EnumerationCapError`` before
 f is called: more than ``MESH_CAP`` refine cells, or more than
 ``MESH_CAP`` cells in flatten's breakpoint table (partition intervals
 times the breakpoints each one may hold) at any one budget.  A group of
-``flatten_many`` holds at most max(the largest budget's intervals,
+``flatten_arrays`` holds at most max(the largest budget's intervals,
 ``SCAN_BLOCK_POINTS``) intervals and ``MESH_CAP`` cells, so a short
 budget list is one table and a long one splits at its largest budget.
 """
@@ -161,11 +161,14 @@ def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step) -> np.ndarray:
     return peak
 
 
-def flatten_many(f: Callable, budgets: Sequence[float], C: float) -> Iterator[SampledFunction]:
+def flatten_arrays(
+    f: Callable, budgets: Sequence[float], C: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The zero-removing lift of f at each budget, in order, one per budget.
 
-    Each lift is the (breakpoints, values) pair that ``flatten_arrays``
-    yields at that budget, wrapped as a ``SampledFunction``.
+    Each lift is a pair of 1-D arrays: its kept breakpoints, strictly
+    increasing, and the lift's values there.  ``flatten_perturbation``
+    wraps the pair at one budget as a ``SampledFunction``.
 
     Every budget is checked first: ``DomainError`` for eps > C/6, and
     ``EnumerationCapError`` for a layout of more than ``MESH_CAP``
@@ -218,18 +221,6 @@ def flatten_many(f: Callable, budgets: Sequence[float], C: float) -> Iterator[Sa
     strictly right of the earlier ones of its own row, and each row's a
     is dropped except in a budget's first row.
     """
-    # flatten_arrays is called, and refuses, here: a generator expression evaluates its first iterable at once
-    return (SampledFunction(grid=(x,), values=v[:, None]) for x, v in flatten_arrays(f, budgets, C))
-
-
-def flatten_arrays(
-    f: Callable, budgets: Sequence[float], C: float
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``flatten_many``'s lifts as (kept breakpoints, values) pairs of 1-D arrays, one per budget.
-
-    The refusals, the groups and the laziness are those of ``flatten_many``:
-    every budget is checked when this is called, before f is.
-    """
     budgets = list(budgets)
     for eps in budgets:
         _check_budget(eps, C)
@@ -241,7 +232,7 @@ def flatten_arrays(
 def _lift_groups(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The lifts, built a group of consecutive budgets at a time as the caller reaches the group."""
     sizes = [math.ceil(C / (3.0 * eps)) for eps in budgets]
-    # the largest budget's own table is within MESH_CAP, checked by flatten_many
+    # the largest budget's own table is within MESH_CAP, checked by flatten_arrays
     most = max(max(sizes, default=0), min(SCAN_BLOCK_POINTS, MESH_CAP // (math.ceil(3.0 / C) + 1)))
     lo = 0
     while lo < len(budgets):
@@ -308,8 +299,9 @@ def _lift_table(f: Callable, budgets: list[float], C: float) -> list[tuple[np.nd
 
 
 def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
-    """The zero-removing lift of f at budget eps: ``flatten_many`` at that one budget."""
-    return next(flatten_many(f, (eps,), C))
+    """The zero-removing lift of f at budget eps: ``flatten_arrays``' lift at that one budget."""
+    x, v = next(flatten_arrays(f, (eps,), C))
+    return SampledFunction(grid=(x,), values=v[:, None])
 
 
 def _refine_cells(eps: float) -> int:

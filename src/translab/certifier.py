@@ -140,10 +140,11 @@ def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(
     """The ``miranda_verify`` verdict of each level-n cube numbered ``ranks``.
 
     h sees the face-lattice points (z appended) in blocks of whole cubes,
-    at most SCAN_BLOCK_POINTS points each unless one cube has more, and
-    must return an (N, p + q) block; any other shape is a ``ShapeError``.  A
-    cube passes when every active value is finite and clears the slack,
-    and on each active axis sign * side is one constant over both faces
+    at most SCAN_BLOCK_POINTS points each unless one cube has more (with
+    no z, the block ``_face_points`` built, not a copy), and must return
+    an (N, p + q) block; any other shape is a ``ShapeError``.  A cube
+    passes when every active value is finite and clears the slack, and
+    on each active axis sign * side is one constant over both faces
     (side +1 on lo, -1 on hi).
     """
     slack = beta(level_schedule(n).scale / 4.0 * max(1.0, math.sqrt(q - 1) / 2.0))
@@ -155,7 +156,7 @@ def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(
     for lo in range(0, len(ranks), step):
         block = ranks[lo : lo + step]
         active = _face_points(n, q, block)
-        vals = evaluate_rows(h, np.hstack([active, np.tile(tail, (len(active), 1))]))
+        vals = evaluate_rows(h, np.hstack([active, np.tile(tail, (len(active), 1))]) if len(tail) else active)
         if vals.shape != (len(active), p + q):
             raise ShapeError(
                 f"h gave values of shape {vals.shape} at {len(active)} points, "

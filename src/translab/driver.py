@@ -75,6 +75,11 @@ class SweepConfig:
         if self.p < 0:
             raise ConfigError(f"p must be nonnegative, got {self.p}")
         # j_min > j_max is allowed: an empty range sweeps zero budgets.
+        # Every budget 2**-j must be a finite positive double, checked before any row runs.
+        if self.j_max > 1074:
+            raise ConfigError(f"j_max must be at most 1074 (2**-1075 rounds to 0.0), got {self.j_max}")
+        if self.j_min < -1023:
+            raise ConfigError(f"j_min must be at least -1023 (2**1024 overflows a double), got {self.j_min}")
         if self.adversary and (self.d != 1 or self.m != 1 or self.p != 0):
             raise ConfigError("adversary runs need d = m = 1 and p = 0")
         if self.adversary and (refusal := adversary_refusal(self.alpha, self.lam)):

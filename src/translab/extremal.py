@@ -12,9 +12,10 @@ symmetrically, and repeats negated over the second half of its support;
 its extrema sit at odd multiples of scale_n with values +-beta(scale_n)/2.
 
 Bump-corner evaluation is exact: there is no truncation error, only the
-float rounding of beta itself.  ``profile_many``, the array kernel,
-locates a point in float arithmetic that never rounds, and reads no
-level table:
+float rounding of beta itself.  Every level start and scale is an exact
+double, formed with ``ldexp`` from the level alone; no level table is
+read.  The point call ``profile`` and the array kernel ``profile_many``
+locate a point by the same fold, in float arithmetic that never rounds:
 
 * every s < 1/2 lies on level 1, where the offset in units of scale_1 =
   2**-4 is u = 16*s, exact; for s >= 1/2 the difference 1 - s is exact
@@ -25,34 +26,30 @@ level table:
   exact (Sterbenz again), so the offset in units of scale_g is u =
   ldexp(1 - mant, g*g + 3), a power-of-two scaling that only shifts the
   exponent (1 - mant <= 1/2, so level 30's u stays below 2**903, far
-  from overflow; deeper points are computed on level 30 and zeroed); at
-  a slot's end u = 4 * 2**(g*g) is a whole number of bump periods,
-  offset 0 of the next level, as it should be, and s = 1, where
-  frexp(0) = (0, 0), gives u = 16, offset 0 of level 1;
+  from overflow; deeper points give 0 unfolded, or, in the kernel, are
+  folded on level 30 and zeroed); at a slot's end u = 4 * 2**(g*g) is a
+  whole number of bump periods, offset 0 of the next level, as it
+  should be, and s = 1, where frexp(0) = (0, 0), gives u = 16, offset
+  0 of level 1;
 * the offset within the bump, u - 4*floor(u/4), is exact: floor(u/4)
   is (u/4 is exact once u >= 4, and below 4 the floor is 0), so is
   4*floor(u/4), and the true remainder is a multiple of the last place
   of u smaller than u, so it is a double and the subtraction returns it
   unrounded.  The mirror difference 4 - u is exact on the falling half
-  (2, 4) where it is taken, and 2 - u on [1, 2], where min(u, 2 - u)
-  picks it (Sterbenz again; below 1, 2 - u rounds to at least 1 > u).
+  (2, 4) where it is taken, and 2 - u on [1, 2] (Sterbenz again); below
+  1 the offset is kept as it is, which the kernel's min(u, 2 - u) also
+  does, since there 2 - u rounds to at least 1 > u.
   Scaling the folded offset back by scale_g = 2**-(g*g + g + 2) with
   ``ldexp`` cannot round: the true product is the same fold taken in
   units of length, a double by the same steps.
 
-The scalar ``profile`` reduces one float at a time with
-``math.fmod(s - start_n, 4*scale_n)``, which never rounds either (the
-period is a power of two), so the two paths agree bit for bit.  Its
-level starts and scales are Python float copies, made with ``tolist()``,
-of numpy tables built at import (the same doubles, without an
-``ndarray.item`` call per point).
-Every level start and scale is an exact double, so doubles are the only
-number type here; a number that is not exactly a double is refused, not
-rounded.  From level 7 on the bump period 4*scale_n = 2**(-n*n - n) is
-finer than the spacing 2**-53 of doubles in [1/2, 1), so every double
-on such a level is a multiple of the period past start_n, a bump zero:
-the profile is exactly 0 at every double beyond level 6.  Levels beyond
-``MAX_LEVEL`` evaluate to 0 with a ``ResolutionWarning``.
+Doubles are the only number type here; a number that is not exactly a
+double is refused, not rounded.  From level 7 on the bump period
+4*scale_n = 2**(-n*n - n) is finer than the spacing 2**-53 of doubles in
+[1/2, 1), so every double on such a level is a multiple of the period
+past start_n, a bump zero: the profile is exactly 0 at every double
+beyond level 6.  Levels beyond ``MAX_LEVEL`` evaluate to 0 with a
+``ResolutionWarning``.
 
 The d-dimensional extremal map applies the profile coordinatewise to the
 first q domain coordinates, scaled by 1/sqrt(q), and prepends p zero
@@ -72,17 +69,6 @@ from .funcrep import MESH_CAP, SampledFunction
 from .modulus import ModulusSpec, require_modulus
 
 MAX_LEVEL = 30
-
-# Level geometry indexed by level 1..MAX_LEVEL (entry 0 is unused): the
-# slot start 1 - 2**(1-n), the bump quarter-width scale_n = 2**-(n*n+n+2)
-# and its reciprocal, each an exact double.
-_LEVELS = np.arange(MAX_LEVEL + 1)
-_START = 1.0 - np.ldexp(1.0, 1 - _LEVELS)
-_SCALE = np.ldexp(1.0, -(_LEVELS * _LEVELS + _LEVELS + 2))
-_INV_SCALE = np.ldexp(1.0, _LEVELS * _LEVELS + _LEVELS + 2)
-# The same starts and scales as Python floats, for the scalar paths.
-_START_FLOATS = _START.tolist()
-_SCALE_FLOATS = _SCALE.tolist()
 # Points per block of profile_many: 64 KiB per temporary, under glibc's
 # default mmap threshold of 128 KiB, so blocks reuse freed heap memory.
 _BLOCK = 2**13
@@ -106,13 +92,12 @@ class LevelSchedule:
 def level_schedule(n: int) -> LevelSchedule:
     if not (1 <= n <= MAX_LEVEL):
         raise DomainError(f"level must lie in [1, {MAX_LEVEL}], got {n}")
-    start = _START_FLOATS[n]
     return LevelSchedule(
         n=n,
-        start=start,
-        scale=_SCALE_FLOATS[n],
+        start=1.0 - math.ldexp(1.0, 1 - n),
+        scale=math.ldexp(1.0, -(n * n + n + 2)),
         bump_count=2 ** (n * n),
-        width=(1.0 - start) / 2.0,  # the slot ends at 1 - 2**-n
+        width=math.ldexp(1.0, -n),
     )
 
 
@@ -136,47 +121,36 @@ def _as_doubles(s, what: str) -> np.ndarray:
     return np.asarray(s, dtype=float)
 
 
-def _bump_at(beta: ModulusSpec, scale: float, t: float) -> float:
-    """One bump of quarter-width ``scale`` evaluated at offset t."""
-    if t < 0.0 or t > 4.0 * scale:
-        return 0.0
-    sign = 1.0
-    if t > 2.0 * scale:
-        t, sign = 4.0 * scale - t, -1.0
-    return sign * beta(t if t < scale else 2.0 * scale - t) / 2.0
-
-
-def bump(beta: ModulusSpec, n: int, t) -> float:
-    """The level-n bump: beta(t)/2 rising, mirrored falling, then negated.
-
-    Zero outside [0, 4*scale_n]; continuous everywhere.
-    """
-    return _bump_at(beta, level_schedule(n).scale, _as_double(t, "bump offset"))
-
-
 def profile(beta: ModulusSpec, s) -> float:
     """The scalar multi-scale profile at s in [0, 1], evaluated exactly.
 
-    Locates the unique level containing s, reduces to the bump offset,
-    and evaluates a single bump; level supports are disjoint so no
-    truncation of the level sum occurs.  The reduction is the one
-    ``profile_many`` makes per point, exact for the same reasons; s
-    must be exactly a double.
+    Locates the unique level containing s, folds its offset onto the
+    rising half of one bump, and evaluates beta there once; level
+    supports are disjoint so no truncation of the level sum occurs.  The
+    fold is ``profile_many``'s, step for step on Python floats (see the
+    module docstring), and s must be exactly a double.
     """
     s = _as_double(s, "profile argument")
     if not (0.0 <= s <= 1.0):
         raise DomainError(f"profile argument must lie in [0, 1], got {s}")
-    n = 1
-    if s >= 0.5:
+    g = 1  # geometry level: s lies on level g, or at the start of level g + 1
+    if s < 0.5:
+        u = 16.0 * s  # offset in units of scale_1; level 1 starts at 0
+    else:
         mant, exp = math.frexp(1.0 - s)
-        n = 1 - exp + (mant == 0.5)
-    if n > MAX_LEVEL:
-        warnings.warn(
-            f"point {s} lies beyond level {MAX_LEVEL}; returning 0", ResolutionWarning, stacklevel=2
-        )
-        return 0.0
-    scale = _SCALE_FLOATS[n]
-    return _bump_at(beta, scale, math.fmod(s - _START_FLOATS[n], 4.0 * scale))
+        g = 1 - exp
+        if g + (mant == 0.5) > MAX_LEVEL:
+            warnings.warn(
+                f"point {s} lies beyond level {MAX_LEVEL}; returning 0", ResolutionWarning, stacklevel=2
+            )
+            return 0.0
+        u = math.ldexp(1.0 - mant, g * g + 3)  # offset in units of scale_g
+    u -= 4.0 * math.floor(u / 4.0)  # offset within the bump, in [0, 4)
+    falling = u > 2.0  # the negated second half, mirrored onto the first
+    if falling:
+        u = 4.0 - u
+    value = beta(math.ldexp(u if u < 1.0 else 2.0 - u, -(g * g + g + 2))) / 2.0  # back to units of length
+    return -value if falling else value
 
 
 def _levels(x: np.ndarray, what: str) -> np.ndarray:
@@ -191,7 +165,7 @@ def _levels(x: np.ndarray, what: str) -> np.ndarray:
     # 1 - x = mant * 2**exp with mant in [1/2, 1): level 1 - exp, one
     # deeper when 1 - x is a power of two (the slot's right end).
     mant, exp = np.frexp(1.0 - x)
-    return np.where(x < 0.5, 1, 1 - exp + (mant == 0.5)).astype(np.intp)  # intp gathers fastest
+    return np.where(x < 0.5, 1, 1 - exp + (mant == 0.5))
 
 
 def profile_many(beta: ModulusSpec, s) -> np.ndarray:
@@ -363,21 +337,22 @@ class ExtremalFunction:
 
         if not (beta.kind == "power" and beta.alpha == 1.0):
             return f
-        bounds = 0.5 * beta.many(np.append(_SCALE, 0.0))  # by level, entry 0 unused; 0 past MAX_LEVEL
 
         def sup_from(s):
             s = _as_doubles(s, "sup_from argument")
             n = _levels(s.ravel(), "sup_from argument")
-            return bounds.take(np.minimum(n, MAX_LEVEL + 1)).reshape(s.shape)[()]
+            scale = np.ldexp(1.0, -(n * n + n + 2))
+            scale[n > MAX_LEVEL] = 0.0
+            return (0.5 * beta.many(scale)).reshape(s.shape)[()]
 
         def peak_from(s):
             s = _as_doubles(s, "peak_from argument")
             x = s.ravel()
             n = np.minimum(_levels(x, "peak_from argument"), MAX_LEVEL)
-            start, scale = _START.take(n), _SCALE.take(n)
-            u = (x - start) * _INV_SCALE.take(n)  # offset in units of scale_n
+            start, e = 1.0 - np.ldexp(1.0, 1 - n), n * n + n + 2
+            u = np.ldexp(x - start, e)  # offset in units of scale_n = 2**-e
             k = 2.0 * np.ceil((u - 1.0) / 2.0) + 1.0  # the smallest odd integer >= u
-            return (start + k * scale).reshape(s.shape)[()]
+            return (start + np.ldexp(k, -e)).reshape(s.shape)[()]
 
         f.sup_from, f.peak_from = sup_from, peak_from
         return f

@@ -1,6 +1,6 @@
 """flatten as it was built one budget at a time, kept verbatim as a test oracle.
 
-``flatten_many`` lays several budgets out in one interval table; this is
+``flatten_arrays`` lays several budgets out in one interval table; this is
 the per-budget body it replaced, with its own F calls per stage.
 """
 

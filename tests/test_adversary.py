@@ -23,7 +23,7 @@ from translab import (
     theory_upper_curve,
 )
 from translab import adversary
-from translab.adversary import flatten_arrays, flatten_many
+from translab.adversary import flatten_arrays
 
 from flatten_oracle import flatten_perturbation as flatten_oracle
 from zero_oracle import zero_components
@@ -253,6 +253,14 @@ class TestBoundPruning:
 def same_output(h, ref):
     return np.array_equal(h.grid[0].view(np.uint64), ref.grid[0].view(np.uint64)) and np.array_equal(
         h.values.view(np.uint64), ref.values.view(np.uint64)
+    )
+
+
+def same_lift(pair, ref):
+    """A (breakpoints, values) pair of flatten_arrays holds ref's knots and values bit for bit."""
+    x, v = pair
+    return x.ndim == v.ndim == 1 and np.array_equal(x.view(np.uint64), ref.grid[0].view(np.uint64)) and np.array_equal(
+        v.view(np.uint64), ref.values[:, 0].view(np.uint64)
     )
 
 
@@ -573,8 +581,8 @@ class TestFlatten:
 ORACLE_MODULI = [ModulusSpec.power(lam, alpha) for alpha in (0.25, 0.5, 0.75, 1.0) for lam in (1.0, 2.0, 8.0)]
 
 
-class TestFlattenMany:
-    """flatten_many builds, per budget, bit for bit the lift flatten built one budget at a time."""
+class TestFlattenArrays:
+    """flatten_arrays builds, per budget, bit for bit the lift flatten built one budget at a time."""
 
     @staticmethod
     def untouchable(s):
@@ -584,13 +592,13 @@ class TestFlattenMany:
     @pytest.mark.parametrize("C", [1.0, 0.5, 0.3])
     def test_matches_the_per_budget_oracle(self, beta, C):
         # j = 3..16 where eps <= C/6: the list splits into groups, and
-        # flatten_perturbation is flatten_many at a list of one budget;
+        # flatten_perturbation is flatten_arrays at a list of one budget;
         # below alpha = 1 f carries no hints, and both sides scan in full
         f = ExtremalFunction(beta=beta, d=1, q=1).as_scalar()
         budgets = [2.0**-j for j in range(3, 17) if 2.0**-j <= C / 6.0]
-        for h, eps in zip(flatten_many(f, budgets, C), budgets, strict=True):
+        for pair, eps in zip(flatten_arrays(f, budgets, C), budgets, strict=True):
             ref = flatten_oracle(f, eps, C)
-            assert same_output(h, ref)
+            assert same_lift(pair, ref)
             assert same_output(flatten_perturbation(f, eps, C), ref)
 
     @pytest.mark.parametrize("f", [ExtremalFunction(beta=beta, d=1, q=1).as_scalar() for beta in ORACLE_MODULI] + [wave, interior_spikes])
@@ -598,16 +606,16 @@ class TestFlattenMany:
         # C = 0.01: k1 = 300, so a lifted row holds a, two ramp ends and b,
         # then 297 copies of b that only the row-local rule drops
         budgets = [2.0**-j for j in range(10, 17)]
-        for h, eps in zip(flatten_many(f, budgets, 0.01), budgets, strict=True):
-            assert same_output(h, flatten_oracle(f, eps, 0.01))
+        for pair, eps in zip(flatten_arrays(f, budgets, 0.01), budgets, strict=True):
+            assert same_lift(pair, flatten_oracle(f, eps, 0.01))
 
     @pytest.mark.parametrize("js", [[10, 6, 10, 8, 8], [14, 13, 12, 6, 7], [9]])
     def test_any_order_and_repeats(self, js):
         for f in (scalar_extremal(), wave, interior_spikes):
-            lifts = list(flatten_many(f, [2.0**-j for j in js], 1.0))
+            lifts = list(flatten_arrays(f, [2.0**-j for j in js], 1.0))
             assert len(lifts) == len(js)
-            for h, j in zip(lifts, js):
-                assert same_output(h, flatten_oracle(f, 2.0**-j, 1.0))
+            for pair, j in zip(lifts, js):
+                assert same_lift(pair, flatten_oracle(f, 2.0**-j, 1.0))
 
     @pytest.mark.parametrize(
         "js,groups",
@@ -622,7 +630,7 @@ class TestFlattenMany:
     def test_groups_hold_no_more_intervals_than_the_largest_budget(self, monkeypatch, js, groups):
         seen, lift_table = [], adversary._lift_table
         monkeypatch.setattr(adversary, "_lift_table", lambda f, b, C: seen.append(b) or lift_table(f, b, C))
-        list(flatten_many(wave, [2.0**-j for j in js], 1.0))
+        list(flatten_arrays(wave, [2.0**-j for j in js], 1.0))
         assert seen == [[2.0**-j for j in g] for g in groups]
 
     def test_small_c_tables_stay_within_the_mesh_cap(self, monkeypatch):
@@ -631,7 +639,7 @@ class TestFlattenMany:
         # intervals and splits before its last budget; no table is built
         seen, C = [], 0.001
         monkeypatch.setattr(adversary, "_lift_table", lambda f, b, C: seen.append(b) or [])
-        list(flatten_many(self.untouchable, [2.0**-j for j in range(13, 24)], C))
+        list(flatten_arrays(self.untouchable, [2.0**-j for j in range(13, 24)], C))
         assert seen == [[2.0**-j for j in range(13, 23)], [2.0**-23]]
         for group in seen:
             assert sum(math.ceil(C / (3.0 * eps)) for eps in group) * 3001 <= adversary.MESH_CAP
@@ -642,7 +650,7 @@ class TestFlattenMany:
         # per-budget flatten sent the same points in 27 calls
         f, points, old = scalar_extremal(), [], []
         probing = recording(f, points, sup_from=f.sup_from, peak_from=f.peak_from)
-        list(flatten_many(probing, [2.0**-j for j in range(6, 15)], 1.0))
+        list(flatten_arrays(probing, [2.0**-j for j in range(6, 15)], 1.0))
         assert [len(p) for p in points] == [10915, 1438, 764, 17694]
         for j in range(6, 15):
             flatten_oracle(recording(f, old, sup_from=f.sup_from, peak_from=f.peak_from), 2.0**-j, 1.0)
@@ -651,7 +659,7 @@ class TestFlattenMany:
 
     def test_each_group_is_built_at_its_first_budget(self):
         points = []
-        lifts = flatten_many(recording(wave, points), [2.0**-j for j in range(6, 15)], 1.0)
+        lifts = flatten_arrays(recording(wave, points), [2.0**-j for j in range(6, 15)], 1.0)
         assert points == []
         next(lifts)  # row 6 builds all nine rows
         built = len(points)
@@ -672,20 +680,19 @@ class TestFlattenMany:
             ([2.0**-6, 5e-324], 1.0, EnumerationCapError, "needs inf cells"),
         ],
     )
-    @pytest.mark.parametrize("build", [flatten_many, flatten_arrays])
-    def test_every_budget_is_checked_before_f_is_called(self, budgets, C, error, match, build):
+    def test_every_budget_is_checked_before_f_is_called(self, budgets, C, error, match):
         with pytest.raises(error, match=match):
-            build(self.untouchable, budgets, C)  # raised by the call, not by the first lift
+            flatten_arrays(self.untouchable, budgets, C)  # raised by the call, not by the first lift
 
-    @pytest.mark.parametrize("build", [flatten_many, flatten_arrays])
-    def test_no_budget_calls_nothing(self, build):
-        assert list(build(self.untouchable, [], 1.0)) == []
+    def test_no_budget_calls_nothing(self):
+        assert list(flatten_arrays(self.untouchable, [], 1.0)) == []
 
     @pytest.mark.parametrize("C", [1.0, 0.3])
     def test_arrays_are_the_lifts_knots_and_values(self, C):
-        # flatten_many wraps flatten_arrays' pairs; the sweep counts the bare values
+        # flatten_perturbation wraps flatten_arrays' pair; the sweep counts the bare values
         f, budgets = scalar_extremal(), [2.0**-j for j in range(6, 15)]
-        for (x, v), h in zip(flatten_arrays(f, budgets, C), flatten_many(f, budgets, C), strict=True):
+        for (x, v), eps in zip(flatten_arrays(f, budgets, C), budgets, strict=True):
+            h = flatten_perturbation(f, eps, C)
             assert x.ndim == v.ndim == 1
             assert np.array_equal(x.view(np.uint64), h.grid[0].view(np.uint64))
             assert np.array_equal(v.view(np.uint64), h.values[:, 0].view(np.uint64))

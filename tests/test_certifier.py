@@ -359,6 +359,27 @@ class TestMirandaKernel:
         assert h.evaluate_many(centre[None, :])[0, 0] < 0.0
         assert not miranda_verify(h, IDENTITY, cube)
 
+    def test_face_block_reaches_the_evaluator_uncopied_at_d_equal_q(self):
+        # d = q leaves no free coordinate: h gets the (N, q) block that
+        # _face_points built, and with z it gets that block with z appended
+        F, built, seen = ExtremalFunction(beta=IDENTITY, d=3, q=2), [], []
+        face_points = certifier._face_points
+
+        class Recording:
+            def evaluate_many(self, pts):
+                seen.append(pts)
+                return F.evaluate_many(np.hstack([pts, np.full((len(pts), 3 - pts.shape[1]), 0.5)]))
+
+        ranks = np.arange(256)
+        with mock.patch.object(certifier, "_face_points", lambda n, q, r: built.append(face_points(n, q, r)) or built[-1]):
+            bare = certifier._miranda_verdicts(Recording(), IDENTITY, 2, 2, ranks)
+            assert len(seen) == len(built) >= 1
+            assert all(got is block and got.shape == (len(block), 2) for got, block in zip(seen, built))
+            seen.clear(), built.clear()
+            with_z = certifier._miranda_verdicts(Recording(), IDENTITY, 2, 2, ranks, (0.5,))
+        assert all(np.array_equal(got, np.hstack([block, np.full((len(block), 1), 0.5)])) for got, block in zip(seen, built))
+        assert bare.all() and np.array_equal(bare, with_z)  # every level-2 cube of F verifies either way
+
     def test_slack_unchanged_up_to_q5(self):
         # sqrt(q-1)/2 <= 1 keeps the slack at beta(scale/4) bit for bit
         for q in (1, 2, 3, 4, 5):

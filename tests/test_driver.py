@@ -162,7 +162,7 @@ class TestSharedRefineMesh:
         # own refine mesh (130 825 knots, 65 537 distinct) and the flatten
         # scans sent the partition points again; then 96 348 points in 28
         # calls while flatten ran once per row, and in 9 calls while
-        # flatten_many built two groups (rows 6..13, row 14).  One group now
+        # the batched flatten built two groups (rows 6..13, row 14).  One group now
         # sends them in one call per stage (partition, probe, scan and
         # re-interpolation), and refine's mesh in one more
         calls, profile_many = [], extremal.profile_many
@@ -286,7 +286,7 @@ class TestConfig:
         replace(BASE, j_max=j_max).validate()  # the certifier alone is not capped here
         replace(BASE, j_max=22, adversary=True).validate()
 
-    @pytest.mark.parametrize("j_min,C", [(2, 1.0), (-3, 1.0), (-2000, 1.0), (5, 0.1), (3, 0.5), (4, 0.1875)])
+    @pytest.mark.parametrize("j_min,C", [(2, 1.0), (-3, 1.0), (-1023, 1.0), (5, 0.1), (3, 0.5), (4, 0.1875)])
     def test_adversary_first_budget_over_c_over_6_refused(self, monkeypatch, j_min, C):
         # flatten needs eps <= C/6 at every budget; the first one is the largest
         def untouchable(*args, **kwargs):
@@ -304,6 +304,38 @@ class TestConfig:
             parse_config(text)
         replace(cfg, adversary=False).validate()  # the certifier alone has no such bound
         replace(cfg, j_max=j_min - 1).validate()  # an empty range sweeps no budget
+
+    @pytest.mark.parametrize(
+        "j_min,j_max,message",
+        [
+            (1, 10**10, "j_max must be at most 1074 (2**-1075 rounds to 0.0), got 10000000000"),
+            (1070, 1080, "j_max must be at most 1074 (2**-1075 rounds to 0.0), got 1080"),
+            (-1024, 8, "j_min must be at least -1023 (2**1024 overflows a double), got -1024"),
+            (-2000, -2001, "j_min must be at least -1023 (2**1024 overflows a double), got -2000"),
+        ],
+    )
+    @pytest.mark.parametrize("adversary", [False, True])
+    def test_budgets_that_are_not_finite_positive_doubles_refused(self, monkeypatch, j_min, j_max, message, adversary):
+        # 2**-j must be a finite positive double at every j of the range; the
+        # range is refused before any budget list is built or any row runs
+        def untouchable(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(driver, "certify", untouchable)
+        monkeypatch.setattr(driver, "range", untouchable, raising=False)  # the budget list is built over range()
+        cfg = replace(BASE, j_min=j_min, j_max=j_max, adversary=adversary)
+        for call in (cfg.validate, lambda: sweep(cfg)):
+            with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+                call()
+        text = BASE_TEXT.replace("j_min=6", f"j_min={j_min}").replace("j_max=8", f"j_max={j_max}")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            parse_config(text + f"adversary={adversary}\n")
+
+    @pytest.mark.parametrize("j", [1074, -1023])
+    def test_budgets_at_the_ends_of_the_double_range_sweep(self, j):
+        (row,) = sweep(replace(BASE, j_min=j, j_max=j))
+        assert row.eps == 2.0**-j > 0.0 and math.isfinite(row.eps)
+        assert row.n0 == (30 if j > 0 else 0)
 
     @pytest.mark.parametrize("j_min,C", [(3, 1.0), (7, 0.1), (5, 0.1875)])
     def test_adversary_budgets_at_or_under_c_over_6_accepted(self, j_min, C):

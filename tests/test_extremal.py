@@ -16,7 +16,6 @@ from translab import (
     ExtremalFunction,
     ModulusSpec,
     ResolutionWarning,
-    bump,
     certify,
     level_schedule,
     profile,
@@ -24,7 +23,7 @@ from translab import (
     resolve_depth,
 )
 from translab import extremal
-from translab.extremal import _BLOCK, _INV_SCALE, _SCALE, _START, MAX_LEVEL, _as_doubles, _levels
+from translab.extremal import _BLOCK, MAX_LEVEL, _as_doubles
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
@@ -50,8 +49,13 @@ def rational_profile(beta, s):
     return sign * beta(float(t if t < scale else 2 * scale - t)) / 2.0
 
 
-def fmod_profile_many(beta, s):
-    """The profile kernel computed with np.ldexp and np.fmod, kept as the reference."""
+def fmod_profile_many(beta, s, scalar_beta=False):
+    """The profile kernel computed with np.ldexp and np.fmod, kept as the reference.
+
+    beta is called through ``beta.many``, as ``profile_many`` calls it, or
+    point by point through ``beta`` itself, as ``profile`` does, when
+    ``scalar_beta`` is set.
+    """
     s = _as_doubles(s, "profile argument")
     outside = ~((s >= 0.0) & (s <= 1.0))
     if np.any(outside):
@@ -74,19 +78,20 @@ def fmod_profile_many(beta, s):
     falling = t > 2.0 * scale  # the negated second half, mirrored onto the first
     t = np.where(falling, 4.0 * scale - t, t)
     t = np.where(t < scale, t, 2.0 * scale - t)
-    out = np.where(deep, 0.0, np.where(falling, -1.0, 1.0) * beta.many(t) / 2.0)
+    values = np.array([beta(v) for v in t.ravel().tolist()]).reshape(t.shape) if scalar_beta else beta.many(t)
+    out = np.where(deep, 0.0, np.where(falling, -1.0, 1.0) * values / 2.0)
     return out[()]  # unwraps 0-d input, a no-op view otherwise
 
 
 class TestLevelSchedule:
-    def test_tables_hold_the_dyadic_geometry(self):
+    def test_every_level_holds_the_exact_dyadic_geometry(self):
         for n in range(1, MAX_LEVEL + 1):
-            assert _START[n] == 1.0 - math.ldexp(1.0, 1 - n)
-            assert _SCALE[n] == math.ldexp(1.0, -(n * n + n + 2))
-            assert _INV_SCALE[n] * _SCALE[n] == 1.0
             lev = level_schedule(n)
             assert all(type(x) is float for x in (lev.start, lev.scale, lev.width))
-            assert (lev.start, lev.scale, lev.width) == (_START[n], _SCALE[n], math.ldexp(1.0, -n))
+            assert Fraction(lev.start) == 1 - Fraction(1, 2 ** (n - 1))
+            assert Fraction(lev.scale) == Fraction(1, 2 ** (n * n + n + 2))
+            assert Fraction(lev.width) == Fraction(1, 2**n)
+            assert lev.bump_count == 2 ** (n * n)
 
     def test_level_one(self):
         lev = level_schedule(1)
@@ -123,32 +128,30 @@ class TestLevelSchedule:
 
 
 class TestBump:
+    """One bump of a level: the profile at start_n + t, t in [0, 4 * scale_n]."""
+
     def test_peak_value(self):
-        assert bump(IDENTITY, 1, 0.0625) == 0.03125
+        assert profile(IDENTITY, level_schedule(1).start + 0.0625) == 0.03125
 
     def test_zero_at_midpoint(self):
-        assert bump(IDENTITY, 1, 0.125) == 0.0
+        assert profile(IDENTITY, level_schedule(1).start + 0.125) == 0.0
 
     def test_odd_symmetry_value(self):
-        assert bump(IDENTITY, 1, 3 * 0.0625) == -0.03125
-
-    def test_support(self):
-        assert bump(IDENTITY, 1, -0.01) == 0.0
-        assert bump(IDENTITY, 1, 0.26) == 0.0
-        assert bump(IDENTITY, 1, 0.25) == 0.0
+        assert profile(IDENTITY, level_schedule(1).start + 3 * 0.0625) == -0.03125
 
     def test_continuity_at_breakpoints(self):
+        # the first breakpoint is the level's start, the last the next bump's start
         lev = level_schedule(2)
         eps = 1e-9
-        for brk in (0.0, float(lev.scale), float(2 * lev.scale), float(3 * lev.scale), float(4 * lev.scale)):
-            left = bump(IDENTITY, 2, max(brk - eps, 0.0))
-            right = bump(IDENTITY, 2, brk + eps)
+        for brk in (0.0, lev.scale, 2 * lev.scale, 3 * lev.scale, 4 * lev.scale):
+            left = profile(IDENTITY, lev.start + brk - eps)
+            right = profile(IDENTITY, lev.start + brk + eps)
             assert abs(left - right) < 3e-9
 
     def test_general_modulus(self):
         beta = ModulusSpec.power(2.0, 0.5)
-        ell = float(level_schedule(1).scale)
-        assert bump(beta, 1, ell) == pytest.approx(beta(ell) / 2.0, abs=0)
+        lev = level_schedule(1)
+        assert profile(beta, lev.start + lev.scale) == beta(lev.scale) / 2.0
 
 
 class TestProfile:
@@ -193,7 +196,9 @@ class TestProfile:
             lo, hi = float(lev.start), float(lev.start + lev.width)
             for s in rng.uniform(lo, hi, size=50):
                 t = (Fraction(s) - Fraction(lev.start)) % (4 * Fraction(lev.scale))
-                assert profile(IDENTITY, s) == bump(IDENTITY, n, t)
+                first = lev.start + float(t)  # the same offset on the level's first bump, exactly
+                assert first == Fraction(lev.start) + t
+                assert profile(IDENTITY, s) == profile(IDENTITY, first)
 
     def test_odd_symmetry_within_period(self):
         rng = np.random.default_rng(13)
@@ -222,15 +227,25 @@ class TestProfile:
         with pytest.raises(DomainError, match="not exactly a double"):
             profile(IDENTITY, third)
         with pytest.raises(DomainError, match="not exactly a double"):
-            bump(IDENTITY, 1, third / 16)
+            profile(IDENTITY, Fraction(level_schedule(1).start) + third / 16)
         assert profile(IDENTITY, Fraction(1, 16)) == 0.03125
+
+
+def point_profiles(beta, xs):
+    """The scalar profile point by point."""
+    return np.array([profile(beta, x) for x in xs])
 
 
 def scalar_profiles(beta, xs):
     """The scalar profile point by point, deep-level warnings silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
-        return np.array([profile(beta, x) for x in xs])
+        return point_profiles(beta, xs)
+
+
+def scalar_fmod_profiles(beta, xs):
+    """The fmod oracle calling beta point by point, as the scalar profile does."""
+    return fmod_profile_many(beta, xs, scalar_beta=True)
 
 
 def kernel_profiles(beta, xs):
@@ -295,6 +310,26 @@ class TestProfileKernel:
         deep = (xs >= 1.0 - 2.0**-MAX_LEVEL) & (xs < 1.0)
         assert got_warned == want_warned
         assert [c for c, _ in got_warned] == [ResolutionWarning] * int(deep.any())
+
+    @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
+    @given(xs=st.lists(st.one_of(st.sampled_from(EDGE_POINTS), bump_corners(), level_points), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_bit_identical_to_fmod_oracle(self, beta, xs):
+        got, got_warned = with_warnings(point_profiles, beta, xs)
+        want, _ = with_warnings(scalar_fmod_profiles, beta, np.array(xs))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # one warning per point beyond MAX_LEVEL, naming it
+        assert got_warned == [(ResolutionWarning, f"point {x} lies beyond level {MAX_LEVEL}; returning 0")
+                              for x in xs if 1.0 - 2.0**-MAX_LEVEL <= x < 1.0]
+
+    @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
+    def test_scalar_edges_and_neighbours_match_fmod_oracle(self, beta):
+        xs = [nudged(x, ulps) for x in EDGE_POINTS for ulps in (-1, 0, 1)]  # -0.0 is kept at 0 ulps
+        got = scalar_profiles(beta, xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            want = scalar_fmod_profiles(beta, np.array(xs))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
     def test_shapes_match_fmod_oracle(self, beta):
@@ -399,7 +434,11 @@ def whole_array_profile_many(beta, s):
     """The profile kernel over the whole array in one pass, kept as the reference for the blocked one."""
     s = _as_doubles(s, "profile argument")
     x = s.ravel()
-    n = _levels(x, "profile argument")
+    inside = (x >= 0.0) & (x <= 1.0)  # false for NaN
+    if not inside.all():
+        raise DomainError(f"profile argument must lie in [0, 1], got {x[~inside][0]}")
+    mant, exp = np.frexp(1.0 - x)
+    n = np.where(x < 0.5, 1, 1 - exp + (mant == 0.5))
     deep = n > MAX_LEVEL
     any_deep = bool(np.any(deep))
     if any_deep:
@@ -410,12 +449,13 @@ def whole_array_profile_many(beta, s):
             stacklevel=2,
         )
         n[deep] = 1
-    u = (x - _START.take(n)) * _INV_SCALE.take(n)
+    scale = np.ldexp(1.0, -(n * n + n + 2))
+    u = (x - (1.0 - np.ldexp(1.0, 1 - n))) / scale  # offset in units of scale_n, from the level's start
     u -= 4.0 * np.floor(u / 4.0)
     falling = u > 2.0
     np.subtract(4.0, u, out=u, where=falling)
     np.subtract(2.0, u, out=u, where=u >= 1.0)
-    out = beta.many(u * _SCALE.take(n)) * 0.5
+    out = beta.many(u * scale) * 0.5
     np.negative(out, out=out, where=falling)
     if any_deep:
         out[deep] = 0.0
@@ -698,10 +738,10 @@ class TestPeakFrom:
         n, s = (np.array(v) for v in zip(*drawn))
         peak = ExtremalFunction(beta=beta, d=1, q=1).as_scalar().peak_from(s)
         assert np.all(peak >= s)
-        scale = _SCALE[n]
+        start, scale = 1.0 - np.ldexp(1.0, 1 - n), np.ldexp(1.0, -(n * n + n + 2))
         assert np.all(np.abs(kernel_profiles(beta, peak)) == 0.5 * np.abs(beta.many(scale)))
-        u = (peak - _START[n]) / scale
-        assert np.all(u % 2.0 == 1.0) and np.all(u - 2.0 < (s - _START[n]) / scale)  # odd, and the first
+        u = (peak - start) / scale
+        assert np.all(u % 2.0 == 1.0) and np.all(u - 2.0 < (s - start) / scale)  # odd, and the first
 
     def test_values_on_a_level(self):
         peak_from = ExtremalFunction(beta=IDENTITY, d=1, q=1).as_scalar().peak_from

@@ -16,8 +16,8 @@ SOURCES = sorted(Path(translab.__file__).parent.rglob("*.py"))
 CORE = ("errors", "modulus", "funcrep", "extremal", "chart", "certifier")
 # every public name translab exported when it imported all its submodules eagerly
 EXPORTS = {
-    "adversary": ["flatten_many", "flatten_perturbation", "improvement_envelope", "iterate_improvement",
-                  "refine_interpolant", "theory_upper_curve"],
+    "adversary": ["flatten_perturbation", "improvement_envelope", "iterate_improvement", "refine_interpolant",
+                  "theory_upper_curve"],
     "certifier": ["Certificate", "Cube", "LevelCount", "certify", "cube_at", "enumerate_cubes", "miranda_verify",
                   "resolve_depth", "theory_lower_bound"],
     "chart": ["Chart", "affine_chart", "gamma_w", "identity_chart", "polar_demo_chart", "pullback_perturbation",
@@ -25,8 +25,7 @@ EXPORTS = {
     "driver": ["SweepConfig", "SweepRecord", "fit_slope", "parse_config", "read_csv", "sweep", "write_csv"],
     "errors": ["ConfigError", "DomainError", "EnumerationCapError", "RangeEscapeError", "ShapeError",
                "TranslabError"],
-    "extremal": ["ExtremalFunction", "LevelSchedule", "ResolutionWarning", "bump", "level_schedule", "profile",
-                 "profile_many"],
+    "extremal": ["ExtremalFunction", "LevelSchedule", "ResolutionWarning", "level_schedule", "profile", "profile_many"],
     "funcrep": ["SampledFunction", "ZeroSetSummary", "count_zero_components", "nudge_knot_zeros", "sup_distance"],
     "modulus": ["AxiomReport", "ModulusSpec", "check_modulus_axioms"],
 }
