@@ -16,12 +16,9 @@ from importlib import import_module as _import_module
 
 from .certifier import (
     Certificate,
-    Cube,
     LevelCount,
     certify,
-    cube_at,
     enumerate_cubes,
-    miranda_verify,
     resolve_depth,
     theory_lower_bound,
 )

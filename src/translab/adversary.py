@@ -367,7 +367,14 @@ def iterate_improvement(
 
 
 def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw: float = 1.0) -> float:
-    """Reference upper envelope cw * (norm/eps)**((m-p)/alpha)."""
+    """Reference upper envelope cw * (norm/eps)**((m-p)/alpha), formed in log2 where that overflows."""
     if not eps > 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
-    return cw * (norm / eps) ** ((m - p) / alpha)
+    try:
+        value = cw * (norm / eps) ** ((m - p) / alpha)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    exponent = math.log2(cw) + (m - p) / alpha * (math.log2(norm) - math.log2(eps))
+    return 2.0**exponent if exponent < 1024.0 else math.inf  # 2**1024 is past the largest double

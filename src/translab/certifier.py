@@ -1,8 +1,8 @@
 """Lower-bound certification of zero sets under sup-norm perturbation.
 
 Given a perturbation budget eps, the certifier resolves the deepest
-verifiable level n0 (the budget band), enumerates the dyadic cubes
-centered at bump extrema, and certifies a zero of the active block of
+verifiable level n0 (the budget band), numbers the dyadic cubes
+centered at bump extrema by rank, and certifies a zero of the active block of
 any admissible perturbation inside each cube via the Poincare-Miranda
 sign condition: componentwise strict opposite signs on opposite faces,
 with a modulus-slack margin that keeps the sign constant across each
@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -42,40 +41,6 @@ ENUMERATION_CAP_BITS = 24  # at most 2**24 cubes per level
 FACE_LATTICE_POINTS = 9    # side 2*scale scanned at step scale/4
 
 
-@dataclass(frozen=True)
-class Cube:
-    """The level-n cell of side 2*scale_n around one bump-extremum tuple."""
-
-    n: int
-    index: tuple[int, ...]
-    scale: float
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    @property
-    def q(self) -> int:
-        return len(self.index)
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(a + self.scale for a in self.lo)
-
-
-def cube_at(n: int, index: Sequence[int]) -> Cube:
-    lev = level_schedule(n)
-    # the face lattice steps by scale/4 = 2**-(n*n+n+4); past level 6 those
-    # coordinates are not doubles and a cube's faces would round together
-    bits = n * n + n + 4
-    if bits > sys.float_info.mant_dig:
-        raise DomainError(f"level {n} face lattice needs {bits}-bit coordinates, more than a double holds")
-    idx = tuple(int(i) for i in index)
-    if any(not (0 <= i < lev.bump_count) for i in idx):
-        raise DomainError(f"cube index {idx} out of range for level {n}")
-    lo = tuple(lev.start + (4 * i + 1) * lev.scale for i in idx)
-    hi = tuple(lev.start + (4 * i + 3) * lev.scale for i in idx)
-    return Cube(n=n, index=idx, scale=lev.scale, lo=lo, hi=hi)
-
-
 def _check_cap(n: int, q: int) -> None:
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
@@ -87,12 +52,12 @@ def _check_cap(n: int, q: int) -> None:
         )
 
 
-def enumerate_cubes(n: int, q: int) -> Iterator[Cube]:
-    """All level-n cubes in lexicographic index order (2**(q*n*n) of them)."""
+# certify ranks cubes without enumerating them; this stays because
+# perfbench's tracer wraps certifier.enumerate_cubes by name
+def enumerate_cubes(n: int, q: int) -> Iterator[tuple[int, ...]]:
+    """Every level-n cube index tuple in rank order (2**(q*n*n) of them)."""
     _check_cap(n, q)
-    lev = level_schedule(n)
-    for idx in itertools.product(range(lev.bump_count), repeat=q):
-        yield cube_at(n, idx)
+    return itertools.product(range(level_schedule(n).bump_count), repeat=q)
 
 
 def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
@@ -118,11 +83,12 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
 def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
     """Face-lattice points of the level-n cubes numbered ``ranks``, one row each.
 
-    A cube's number is its rank in ``enumerate_cubes`` order.  Per cube,
-    rows run axis by axis, lo face before hi face, free coordinates in
-    lexicographic order.  Coordinate j is lo_j + k scale/4, lo_j as in
-    ``cube_at``: a dyadic of at most n*n + n + 4 bits, so each step of
-    the sum is exact at every level under the enumeration cap.  The sum
+    A cube's number is the rank of its index tuple in lexicographic
+    order; on axis j it spans lo_j = start + (4 i_j + 1) scale to
+    lo_j + 2 scale.  Per cube, rows run axis by axis, lo face before hi
+    face, free coordinates in lexicographic order.  Coordinate j is
+    lo_j + k scale/4: a dyadic of at most n*n + n + 4 bits, so each step
+    of the sum is exact at every level under the enumeration cap.  The sum
     is built axis-major, as (q, cubes, rows), so its inner loop runs
     over a cube's rows rather than its q coordinates; the result is its
     transpose, a column-major (cubes * rows, q) view.
@@ -137,15 +103,23 @@ def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
 
 
 def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(), p: int = 0) -> np.ndarray:
-    """The ``miranda_verify`` verdict of each level-n cube numbered ``ranks``.
+    """Poincare-Miranda sign test of h's active block on each level-n cube numbered ``ranks``.
 
-    h sees the face-lattice points (z appended) in blocks of whole cubes,
-    at most SCAN_BLOCK_POINTS points each unless one cube has more (with
-    no z, the block ``_face_points`` built, not a copy), and must return
-    an (N, p + q) block; any other shape is a ``ShapeError``.  A cube
-    passes when every active value is finite and clears the slack, and
-    on each active axis sign * side is one constant over both faces
-    (side +1 on lo, -1 on hi).
+    A cube passes when on each active axis i component p+i holds one
+    strict sign on the face y_i = lo_i and the opposite one on y_i = hi_i,
+    the orientation free per axis (Kulpa, Amer. Math. Monthly 104, 1997).
+    h is evaluated, with no early exit, on the face lattice of step
+    scale/4, and a sign counts only when the value is finite and exceeds
+    the slack beta(scale/4 * max(1, sqrt(q-1)/2)): a face point lies
+    within (scale/8) sqrt(q-1) of the lattice, so the slack freezes the
+    sign across a lattice cell for any h admitting beta, and a pass
+    implies a zero of the active block inside the cube.  NaN or infinite
+    values reject the cube.
+
+    h sees the points (z appended) in blocks of whole cubes, at most
+    SCAN_BLOCK_POINTS points each unless one cube has more (with no z,
+    the block ``_face_points`` built, not a copy), and must return an
+    (N, p + q) block; any other shape is a ``ShapeError``.
     """
     slack = beta(level_schedule(n).scale / 4.0 * max(1.0, math.sqrt(q - 1) / 2.0))
     tail = np.asarray(z, dtype=float).ravel()
@@ -169,32 +143,6 @@ def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(
         consistent = oriented == oriented[:, :, :1, :1]
         verdicts[lo : lo + step] = (clear & consistent).all(axis=(1, 2, 3))
     return verdicts
-
-
-def miranda_verify(
-    h: Callable,
-    beta: ModulusSpec,
-    cube: Cube,
-    z: Sequence[float] = (),
-    p: int = 0,
-) -> bool:
-    """Poincare-Miranda sign test for the active block of h on a cube.
-
-    For each active axis i the component p+i must hold one strict sign
-    on the whole face y_i = lo_i and the opposite strict sign on
-    y_i = hi_i, the orientation free per axis (Kulpa, Amer. Math.
-    Monthly 104, 1997).  h is evaluated at every point of a face lattice
-    of step scale/4, with no early exit: one ``evaluate_many`` call when
-    h has it, else one call per point.  A sign counts only when the value
-    is finite and exceeds the slack beta(scale/4 * max(1, sqrt(q-1)/2));
-    a face point lies within (scale/8) sqrt(q-1) of the lattice, so the
-    slack freezes the sign across a lattice cell for any evaluator
-    admitting beta.  NaN or infinite values reject the cube.  True
-    implies the active block has a zero inside the cube for such an h.
-    """
-    bump_count = level_schedule(cube.n).bump_count
-    rank = np.ravel_multi_index(cube.index, (bump_count,) * cube.q)
-    return bool(_miranda_verdicts(h, beta, cube.n, cube.q, np.array([rank]), z, p)[0])
 
 
 @dataclass(frozen=True)
@@ -223,7 +171,9 @@ def theory_lower_bound(beta: ModulusSpec, eps: float, m: int, p: int, gamma: flo
     """The theoretical zero-count envelope at budget eps.
 
     Returns 0.0 (vacuous) when the inverse modulus saturates to +inf,
-    which happens for bounded moduli once gamma*eps reaches sup beta.
+    which happens for bounded moduli once gamma*eps reaches sup beta, and
+    inf only past the double range: it forms the product in log2 where
+    the quotient (16/psi)**codim overflows.
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
@@ -233,14 +183,15 @@ def theory_lower_bound(beta: ModulusSpec, eps: float, m: int, p: int, gamma: flo
     if not math.isfinite(psi) or psi <= 0.0:
         return 0.0
     codim = m - p
-    return (16.0 / psi) ** codim * 2.0 ** (-4.0 * codim * math.sqrt(abs(math.log2(psi))))
-
-
-def _z_slices(free_dims: int, z_grid: int) -> list[tuple[float, ...]]:
-    if free_dims == 0:
-        return [()]
-    axis = [(k + 0.5) / z_grid for k in range(z_grid)]
-    return [tuple(c) for c in itertools.product(axis, repeat=free_dims)]
+    log_psi = math.log2(psi)
+    try:
+        value = (16.0 / psi) ** codim * 2.0 ** (-4.0 * codim * math.sqrt(abs(log_psi)))
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    exponent = codim * (4.0 - log_psi - 4.0 * math.sqrt(abs(log_psi)))
+    return 2.0**exponent if exponent < 1024.0 else math.inf  # 2**1024 is past the largest double
 
 
 def certify(
@@ -255,16 +206,16 @@ def certify(
     A beta that is not a modulus of continuity is refused first.
     Theoretical mode (no ``h``): every cube of every level n <= n0 is
     verified by construction and the counts are arithmetic.  Empirical
-    mode applies the ``miranda_verify`` test to all cubes of a level at
-    once, at the midpoint slice of the free coordinates by default or on
-    a ``z_grid``-per-axis lattice of slices; a cube counts only when all
+    mode applies the Poincare-Miranda face test of ``_miranda_verdicts``
+    (Kulpa's sign condition, with a slack that freezes each sign across
+    a face-lattice cell) to all cubes of a level at once, by rank, at
+    the midpoint slice of the free coordinates by default or on a
+    ``z_grid``-per-axis lattice of slices; a cube counts only when all
     slices pass, and each slice revisits only the cubes still passing.
     A ``z_grid`` above 1 without free coordinates (d = q) or without h
-    would slice nothing, so it is refused with ``DomainError``.
-    Every face-lattice point of a visited cube is evaluated (no early
-    exit), in blocks through ``h.evaluate_many`` when h has it, and a NaN
-    or infinite value rejects the cube.  Every level up to n0 is checked
-    against the enumeration cap before h is first called.
+    would slice nothing, so it is refused with ``DomainError``.  Every
+    level up to n0 is checked against the enumeration cap before h is
+    first called.
 
     With a chart, the budget inflates by lam2/lam1 before depth
     resolution, perturbations are pulled back through the chart, and
@@ -297,7 +248,8 @@ def certify(
     rectangle_ok = p == 0 or eps <= chart.r0
 
     n0 = resolve_depth(beta, q, eps_flat) if rectangle_ok else 0
-    slices = _z_slices(d - q, z_grid)
+    axis = [(k + 0.5) / z_grid for k in range(z_grid)]
+    slices = list(itertools.product(axis, repeat=d - q))  # d = q gives the one empty slice
     if evaluator is not None:
         for n in range(1, n0 + 1):
             _check_cap(n, q)

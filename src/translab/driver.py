@@ -270,16 +270,16 @@ def read_csv(path) -> list[SweepRecord]:
 def fit_slope(records: Sequence[SweepRecord], column: str) -> float:
     """Least-squares slope of log2(column) against log2(eps).
 
-    Rows with missing or nonpositive values are skipped; at least three
-    usable rows are required.
+    Rows with missing, nonpositive or infinite values are skipped; at
+    least three usable rows are required.
     """
     pts = []
     for r in records:
         value = getattr(r, column)
-        if value is not None and value > 0:
+        if value is not None and 0 < value < math.inf:
             pts.append((math.log2(r.eps), math.log2(value)))
     if len(pts) < 3:
-        raise DomainError(f"need >= 3 positive rows in {column!r}, have {len(pts)}")
+        raise DomainError(f"need >= 3 positive finite rows in {column!r}, have {len(pts)}")
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     return float(np.polyfit(x, y, 1)[0])

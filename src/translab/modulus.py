@@ -130,7 +130,10 @@ class ModulusSpec:
         if s < 0.0:
             raise DomainError(f"inverse argument must be nonnegative, got {s}")
         if self.kind == "power":
-            return (s / self.lam) ** (1.0 / self.alpha)
+            try:
+                return (s / self.lam) ** (1.0 / self.alpha)
+            except OverflowError:  # beyond every double, like a saturated table
+                return math.inf
         if s >= self.saturation:
             return math.inf
         xs, vs = self._nodes

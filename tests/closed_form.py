@@ -1,4 +1,4 @@
-"""The closed-form zero-count envelope for power moduli, kept as a test oracle."""
+"""The closed-form zero-count envelopes for power moduli, kept as test oracles."""
 
 import math
 
@@ -12,6 +12,11 @@ def holder_lower_bound(lam: float, alpha: float, eps: float, m: int, p: int, gam
     exponents, so it agrees with ``theory_lower_bound`` on the equivalent
     power ``ModulusSpec`` to floating-point accuracy.
     """
+    return 2.0 ** holder_lower_bound_log2(lam, alpha, eps, m, p, gamma)
+
+
+def holder_lower_bound_log2(lam: float, alpha: float, eps: float, m: int, p: int, gamma: float) -> float:
+    """log2 of ``holder_lower_bound``, finite also where the bound is past the double range."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"need alpha in (0, 1], got {alpha}")
     if lam <= 0.0:
@@ -21,6 +26,10 @@ def holder_lower_bound(lam: float, alpha: float, eps: float, m: int, p: int, gam
     if not (0 <= p < m):
         raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
     codim = m - p
-    ratio = gamma * eps / lam
-    log_term = math.sqrt(abs(math.log2(ratio)) / alpha)
-    return 16.0**codim * ratio ** (-codim / alpha) * 2.0 ** (-4.0 * codim * log_term)
+    log_ratio = math.log2(gamma * eps / lam)
+    return 4.0 * codim - codim / alpha * log_ratio - 4.0 * codim * math.sqrt(abs(log_ratio) / alpha)
+
+
+def upper_curve_log2(norm: float, eps: float, alpha: float, m: int, p: int, cw: float = 1.0) -> float:
+    """log2 of ``theory_upper_curve``'s cw * (norm/eps)**((m-p)/alpha)."""
+    return math.log2(cw) + (m - p) / alpha * (math.log2(norm) - math.log2(eps))

@@ -25,6 +25,7 @@ from translab import (
 from translab import adversary
 from translab.adversary import flatten_arrays
 
+from closed_form import upper_curve_log2
 from flatten_oracle import flatten_perturbation as flatten_oracle
 from zero_oracle import zero_components
 
@@ -825,6 +826,26 @@ class TestUpperCurve:
 
     def test_zero_codimension_is_constant(self):
         assert theory_upper_curve(5.0, 0.01, 1.0, 2, 2, 7.0) == 7.0
+
+    @pytest.mark.parametrize("alpha,codim", [(1.0, 1), (1.0, 2), (0.5, 1), (0.5, 2)])
+    def test_past_the_power_overflow_matches_closed_form_in_log2(self, alpha, codim):
+        # (1/eps)**(codim/alpha) passes 2**1024 at j = 1024 * alpha / codim:
+        # inf there and beyond, the power itself bit for bit below
+        edge = int(1024 * alpha / codim)
+        for j in [*range(edge - 4, edge + 5), 1074]:
+            got = theory_upper_curve(1.0, 2.0**-j, alpha, codim, 0)
+            if j < edge:
+                assert got == 2.0 ** (j * codim / alpha)
+            else:
+                assert got == math.inf
+        # a small cw brings the quotient's overflow back inside the double range
+        for cw in (2.0**-60, 0.3 * 2.0**-51):
+            got = theory_upper_curve(1.0, 2.0**-1074, 1.0, 1, 0, cw)
+            assert math.log2(got) == pytest.approx(upper_curve_log2(1.0, 2.0**-1074, 1.0, 1, 0, cw), abs=1e-9)
+        assert theory_upper_curve(1.0, 2.0**-1074, 1.0, 1, 0, 0.3) == math.inf
+        assert theory_upper_curve(3.0, 2.0**-1000, 0.5, 1, 0, 2.0**-1000) == pytest.approx(
+            2.0 ** upper_curve_log2(3.0, 2.0**-1000, 0.5, 1, 0, 2.0**-1000), rel=1e-12
+        )
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):

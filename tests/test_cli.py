@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 import translab
 from translab import SampledFunction
 from translab.cli import main
+
+from closed_form import holder_lower_bound_log2
 
 
 def run(capsys, *argv):
@@ -193,6 +196,15 @@ class TestCertifyCommand:
         assert lines["paper_bound"] == "2"
         assert lines["mode"] == "theoretical"
         assert lines["level_1"] == "2/2"
+
+    def test_envelope_past_the_quotient_overflow(self, capsys):
+        # (16/psi)**2 overflows a double here; the envelope itself is about 2**848
+        code, out, _ = run(capsys, "certify", "--d", "2", "--m", "2", "--eps", "1e-154")
+        assert code == 0
+        lines = dict(line.split("=", 1) for line in out.splitlines())
+        want = holder_lower_bound_log2(1.0, 1.0, 1e-154, 2, 0, 2.0 * math.sqrt(2.0))
+        assert math.log2(float(lines["theory_bound"])) == pytest.approx(want, abs=1e-9)
+        assert lines["envelope_ok"] == "true"
 
     def test_empirical_with_file(self, capsys, tmp_path):
         path = tmp_path / "f.txt"

@@ -403,6 +403,19 @@ class TestFitSlope:
         with pytest.raises(DomainError):
             fit_slope(rows, "theory_ub")
 
+    def test_skips_infinite_values(self):
+        # theory_ub at alpha = 1 is 2**j, past the double range from j = 1024
+        records = sweep(replace(BASE, j_min=1018, j_max=1026))
+        assert sum(math.isinf(r.theory_ub) for r in records) == 3
+        assert fit_slope(records, "theory_ub") == pytest.approx(-1.0, abs=1e-9)
+        assert all(math.isfinite(r.theory_lb) for r in records)
+
+    @pytest.mark.parametrize("alpha,m,j_min,j_max", [(1.0, 2, 505, 512), (0.5, 1, 511, 514), (0.5, 1, -600, -598)])
+    def test_sweeps_past_the_envelope_overflow_run(self, alpha, m, j_min, j_max):
+        records = sweep(replace(BASE, alpha=alpha, d=m, m=m, j_min=j_min, j_max=j_max))
+        assert len(records) == j_max - j_min + 1
+        assert all(r.theory_lb < math.inf for r in records)
+
     def test_skips_missing_values(self):
         rows = [
             SweepRecord(2.0**-j, 1, 2, 2, 1.0, None if j % 2 else 2**j, 5.0, 0)

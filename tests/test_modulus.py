@@ -295,6 +295,12 @@ class TestInverse:
         beta = ModulusSpec.table([(1.0, 0.5)])  # beta(d) = d/2
         assert beta.inverse(0.25) == 0.5
 
+    def test_power_inverse_past_the_double_range_is_infinite(self):
+        # (2**600)**2 is no double; a sweep at j_min = -600 used to raise here
+        beta = ModulusSpec.power(1.0, 0.5)
+        assert beta.inverse(2.0**511) == 2.0**1022
+        assert beta.inverse(2.0**600) == math.inf
+
     def test_table_saturates_to_infinity(self):
         beta = ModulusSpec.table([(1.0, 0.5)])
         assert beta.inverse(0.5) == math.inf

@@ -18,8 +18,7 @@ CORE = ("errors", "modulus", "funcrep", "extremal", "chart", "certifier")
 EXPORTS = {
     "adversary": ["flatten_perturbation", "improvement_envelope", "iterate_improvement", "refine_interpolant",
                   "theory_upper_curve"],
-    "certifier": ["Certificate", "Cube", "LevelCount", "certify", "cube_at", "enumerate_cubes", "miranda_verify",
-                  "resolve_depth", "theory_lower_bound"],
+    "certifier": ["Certificate", "LevelCount", "certify", "enumerate_cubes", "resolve_depth", "theory_lower_bound"],
     "chart": ["Chart", "affine_chart", "gamma_w", "identity_chart", "polar_demo_chart", "pullback_perturbation",
               "transport_function"],
     "driver": ["SweepConfig", "SweepRecord", "fit_slope", "parse_config", "read_csv", "sweep", "write_csv"],
