@@ -21,6 +21,7 @@ from .certifier import (
     enumerate_cubes,
     resolve_depth,
     theory_lower_bound,
+    theory_upper_curve,
 )
 from .chart import (
     Chart,
@@ -59,8 +60,7 @@ from .modulus import AxiomReport, ModulusSpec, check_modulus_axioms
 __version__ = "0.1.0"
 
 _LAZY = {
-    "adversary": ("flatten_perturbation", "improvement_envelope", "iterate_improvement", "refine_interpolant",
-                  "theory_upper_curve"),
+    "adversary": ("flatten_perturbation", "improvement_envelope", "iterate_improvement", "refine_interpolant"),
     "driver": ("SweepConfig", "SweepRecord", "fit_slope", "parse_config", "read_csv", "sweep", "write_csv"),
 }
 _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}

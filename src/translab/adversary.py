@@ -66,8 +66,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationCapError
-from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, count_zero_components
+from .errors import DomainError
+from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, check_work, count_zero_components
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
@@ -79,12 +79,6 @@ def _check_budget(eps: float, C: float) -> None:
         raise DomainError(f"need C in (0, 1], got {C}")
     if not (0.0 < eps <= C / 6.0):
         raise DomainError(f"need 0 < eps <= C/6 = {C / 6.0}, got {eps}")
-
-
-def _check_cap(cells: float, what: str) -> None:
-    """Refuse a layout of more than MESH_CAP cells; cells may be a float, inf included."""
-    if cells > MESH_CAP:
-        raise EnumerationCapError(f"{what} needs {cells:.15g} cells, over the cap of {MESH_CAP}")
 
 
 def _partition(eps: float, C: float) -> np.ndarray:
@@ -225,7 +219,7 @@ def flatten_arrays(
     for eps in budgets:
         _check_budget(eps, C)
         cells = np.ceil(C / (3.0 * eps)) * (np.ceil(3.0 / C) + 1.0)  # in floats: inf, not an error, for subnormals
-        _check_cap(cells, f"flatten_perturbation at eps = {eps!r}, C = {C!r}")
+        check_work(cells, MESH_CAP, f"flatten_perturbation at eps = {eps!r}, C = {C!r}")
     return _lift_groups(f, budgets, C)
 
 
@@ -310,7 +304,7 @@ def _refine_cells(eps: float) -> int:
         raise DomainError(f"budget must be positive, got {eps}")
     if eps == math.inf:
         raise DomainError(f"budget must be finite, got {eps}")
-    _check_cap(np.ceil(4.0 / eps), f"refine_interpolant at eps = {eps!r}")  # inf, not an error, for subnormals
+    check_work(np.ceil(4.0 / eps), MESH_CAP, f"refine_interpolant at eps = {eps!r}")  # inf, not an error, if subnormal
     return math.ceil(4.0 / eps)
 
 
@@ -355,7 +349,7 @@ def iterate_improvement(
             break
         finest /= 4.0
     cells = np.ceil(4.0 / finest) if finest else math.inf
-    _check_cap(cells, f"iterate_improvement's round {rounds} at eps = {finest!r}")
+    check_work(cells, MESH_CAP, f"iterate_improvement's round {rounds} at eps = {finest!r}")
     out: list[tuple[float, int]] = []
     scale = eps0
     for k in range(1, rounds + 1):
@@ -365,16 +359,3 @@ def iterate_improvement(
         scale /= 4.0
     return out
 
-
-def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw: float = 1.0) -> float:
-    """Reference upper envelope cw * (norm/eps)**((m-p)/alpha), formed in log2 where that overflows."""
-    if not eps > 0.0:
-        raise DomainError(f"budget must be positive, got {eps}")
-    try:
-        value = cw * (norm / eps) ** ((m - p) / alpha)
-    except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    exponent = math.log2(cw) + (m - p) / alpha * (math.log2(norm) - math.log2(eps))
-    return 2.0**exponent if exponent < 1024.0 else math.inf  # 2**1024 is past the largest double

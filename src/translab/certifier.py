@@ -17,6 +17,10 @@ envelope
 
     (16 / Psi(gamma * eps))**(m-p) * 2**(-4 (m-p) sqrt(|log2 Psi(gamma*eps)|)).
 
+The adversary's reference curve cw * (norm/eps)**((m-p)/alpha) lives
+here too, and both envelopes share one range rule, ``_double_or_exp2``:
+the direct formula where it is finite, else log2, so inf only past 2**1024.
+
 The face test is sound for evaluators that admit the stated modulus up
 to an eps-bounded deviation from the extremal map; it is not an
 interval-arithmetic proof.
@@ -26,38 +30,31 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .chart import Chart, gamma_w, identity_chart, pullback_perturbation
-from .errors import DomainError, EnumerationCapError, ShapeError
+from .errors import DomainError, ShapeError
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
-from .funcrep import SCAN_BLOCK_POINTS, evaluate_rows
+from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, check_work, evaluate_rows
 from .modulus import ModulusSpec, require_modulus
 
-ENUMERATION_CAP_BITS = 24  # at most 2**24 cubes per level
-FACE_LATTICE_POINTS = 9    # side 2*scale scanned at step scale/4
-
-
-def _check_cap(n: int, q: int) -> None:
-    if q < 1:
-        raise DomainError(f"need q >= 1, got {q}")
-    bits = q * n * n
-    if bits > ENUMERATION_CAP_BITS:
-        raise EnumerationCapError(
-            f"level {n} at q={q} would enumerate 2**{bits} cubes, "
-            f"beyond the 2**{ENUMERATION_CAP_BITS} cap"
-        )
+EVALUATION_CAP = 2**30   # evaluations per empirical certify: 13 min at 722 ns a point (d = q = 6, 2 vCPUs)
+FACE_LATTICE_POINTS = 9  # side 2*scale scanned at step scale/4
 
 
 # certify ranks cubes without enumerating them; this stays because
 # perfbench's tracer wraps certifier.enumerate_cubes by name
 def enumerate_cubes(n: int, q: int) -> Iterator[tuple[int, ...]]:
-    """Every level-n cube index tuple in rank order (2**(q*n*n) of them)."""
-    _check_cap(n, q)
-    return itertools.product(range(level_schedule(n).bump_count), repeat=q)
+    """Every level-n cube index tuple in rank order (2**(q*n*n) of them, at most ``MESH_CAP``)."""
+    if q < 1:
+        raise DomainError(f"need q >= 1, got {q}")
+    lev = level_schedule(n)
+    check_work(lev.bump_count**q, MESH_CAP, f"level {n} at q = {q}", "cubes")
+    return itertools.product(range(lev.bump_count), repeat=q)
 
 
 def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
@@ -88,7 +85,7 @@ def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
     lo_j + 2 scale.  Per cube, rows run axis by axis, lo face before hi
     face, free coordinates in lexicographic order.  Coordinate j is
     lo_j + k scale/4: a dyadic of at most n*n + n + 4 bits, so each step
-    of the sum is exact at every level under the enumeration cap.  The sum
+    of the sum is exact at every level under the cube cap.  The sum
     is built axis-major, as (q, cubes, rows), so its inner loop runs
     over a cube's rows rather than its q coordinates; the result is its
     transpose, a column-major (cubes * rows, q) view.
@@ -123,8 +120,7 @@ def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(
     """
     slack = beta(level_schedule(n).scale / 4.0 * max(1.0, math.sqrt(q - 1) / 2.0))
     tail = np.asarray(z, dtype=float).ravel()
-    per_cube = 2 * q * FACE_LATTICE_POINTS ** (q - 1)
-    step = max(1, SCAN_BLOCK_POINTS // per_cube)
+    step = max(1, SCAN_BLOCK_POINTS // (2 * q * FACE_LATTICE_POINTS ** (q - 1)))  # whole cubes per block
     side = np.array([1.0, -1.0])[:, None]
     verdicts = np.empty(len(ranks), dtype=bool)
     for lo in range(0, len(ranks), step):
@@ -167,31 +163,57 @@ class Certificate:
     envelope_ok: bool
 
 
+def _double_or_exp2(direct: Optional[Callable[[], float]], log2: Callable[[], float]) -> float:
+    """direct() where it is finite, its bits kept, else 2**log2(): the one range rule of both envelopes."""
+    try:
+        value = direct() if direct is not None else math.inf
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    exponent = log2()
+    return 2.0**exponent if exponent < 1024.0 else math.inf  # 2**1024 is past the largest double
+
+
+def _lower_envelope(beta: ModulusSpec, eps: float, codim: int, gamma: float) -> tuple[float, float]:
+    """The lower envelope at budget eps, and the inverse psi = beta.inverse(gamma * eps) it is formed from."""
+    psi = beta.inverse(gamma * eps)
+    direct = None
+    if beta.kind == "power" and not sys.float_info.min <= psi < math.inf:
+        # the power inverse left the normal range: log2 psi from logs, and the envelope in log2 only
+        log_psi = (math.log2(gamma) + math.log2(eps) - math.log2(beta.lam)) / beta.alpha
+    elif 0.0 < psi < math.inf:
+        log_psi = math.log2(psi)
+        direct = lambda: (16.0 / psi) ** codim * 2.0 ** (-4.0 * codim * math.sqrt(abs(log_psi)))  # noqa: E731
+    else:
+        return 0.0, psi  # a saturated inverse: the bound is vacuous
+    return _double_or_exp2(direct, lambda: codim * (4.0 - log_psi - 4.0 * math.sqrt(abs(log_psi)))), psi
+
+
 def theory_lower_bound(beta: ModulusSpec, eps: float, m: int, p: int, gamma: float) -> float:
     """The theoretical zero-count envelope at budget eps.
 
     Returns 0.0 (vacuous) when the inverse modulus saturates to +inf,
     which happens for bounded moduli once gamma*eps reaches sup beta, and
-    inf only past the double range: it forms the product in log2 where
-    the quotient (16/psi)**codim overflows.
+    inf only past the double range: the product is formed in log2 where
+    it overflows, and so is psi where a power's inverse leaves the normal range.
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
     if not (0 <= p < m):
         raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
-    psi = beta.inverse(gamma * eps)
-    if not math.isfinite(psi) or psi <= 0.0:
-        return 0.0
-    codim = m - p
-    log_psi = math.log2(psi)
-    try:
-        value = (16.0 / psi) ** codim * 2.0 ** (-4.0 * codim * math.sqrt(abs(log_psi)))
-    except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    exponent = codim * (4.0 - log_psi - 4.0 * math.sqrt(abs(log_psi)))
-    return 2.0**exponent if exponent < 1024.0 else math.inf  # 2**1024 is past the largest double
+    if not gamma > 0.0:
+        raise DomainError(f"need gamma > 0, got {gamma}")
+    return _lower_envelope(beta, eps, m - p, gamma)[0]
+
+
+def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw: float = 1.0) -> float:
+    """Reference upper envelope cw * (norm/eps)**((m-p)/alpha), formed in log2 where that overflows."""
+    if not eps > 0.0:
+        raise DomainError(f"budget must be positive, got {eps}")
+    power = (m - p) / alpha
+    return _double_or_exp2(lambda: cw * (norm / eps) ** power,
+                           lambda: math.log2(cw) + power * (math.log2(norm) - math.log2(eps)))
 
 
 def certify(
@@ -213,9 +235,11 @@ def certify(
     ``z_grid``-per-axis lattice of slices; a cube counts only when all
     slices pass, and each slice revisits only the cubes still passing.
     A ``z_grid`` above 1 without free coordinates (d = q) or without h
-    would slice nothing, so it is refused with ``DomainError``.  Every
-    level up to n0 is checked against the enumeration cap before h is
-    first called.
+    would slice nothing, so it is refused with ``DomainError``.  Before
+    any slice or h call, ``EnumerationCapError`` refuses more than
+    ``MESH_CAP`` cubes on level n0, or more than ``EVALUATION_CAP``
+    evaluations: the cubes of all levels times 2q * 9**(q-1) face points
+    times z_grid**(d-q) slices.
 
     With a chart, the budget inflates by lam2/lam1 before depth
     resolution, perturbations are pulled back through the chart, and
@@ -248,11 +272,11 @@ def certify(
     rectangle_ok = p == 0 or eps <= chart.r0
 
     n0 = resolve_depth(beta, q, eps_flat) if rectangle_ok else 0
-    axis = [(k + 0.5) / z_grid for k in range(z_grid)]
-    slices = list(itertools.product(axis, repeat=d - q))  # d = q gives the one empty slice
-    if evaluator is not None:
-        for n in range(1, n0 + 1):
-            _check_cap(n, q)
+    if evaluator is not None:  # sized before any slice is built or h is called
+        check_work(2 ** (q * n0 * n0), MESH_CAP, f"certify's level {n0} at q = {q}", "cubes")
+        cubes = sum(2 ** (q * n * n) for n in range(1, n0 + 1))
+        evaluations = cubes * 2 * q * FACE_LATTICE_POINTS ** (q - 1) * z_grid ** (d - q)
+        check_work(evaluations, EVALUATION_CAP, f"certify to depth {n0}, q = {q}, z-grid {z_grid}", "evaluations")
     levels = []
     certified = 0
     for n in range(1, n0 + 1):
@@ -261,14 +285,15 @@ def certify(
             verified = total
         else:
             alive = np.arange(total)
-            for z in slices:
+            for index in np.ndindex(*(z_grid,) * (d - q)):  # lexicographic; d = q gives the one empty slice
+                z = [(k + 0.5) / z_grid for k in index]
                 alive = alive[_miranda_verdicts(evaluator, beta, n, q, alive, z, p)]
             verified = len(alive)
         certified += verified
         levels.append(LevelCount(n=n, verified=verified, total=total))
 
-    theory = theory_lower_bound(beta, eps, m, p, gamma)
-    vacuous = n0 == 0 or math.isinf(beta.inverse(gamma * eps))
+    theory, psi = _lower_envelope(beta, eps, m - p, gamma)
+    vacuous = n0 == 0 or math.isinf(psi)
     return Certificate(
         eps=float(eps),
         n0=n0,

@@ -116,9 +116,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_build(args) -> int:
     fn = _extremal_from_args(args)
+    if (args.sample is None) != (args.out is None):
+        given, missing = ("--out", "--sample") if args.sample is None else ("--sample", "--out")
+        raise TranslabError(f"{given} needs {missing}: --sample STEP --out PATH writes the sampled map")
     if args.sample is not None:
-        if args.out is None:
-            raise TranslabError("--sample needs --out")
         fn.sample(args.sample).save(args.out)
         print(f"wrote sampled function (d={fn.d}, m={fn.m}, step={args.sample}) to {args.out}")
     else:
@@ -185,15 +186,21 @@ def _cmd_perturb(args) -> int:
         f = _extremal_from_args(args).as_scalar()
     if args.mode in ("flatten", "refine") and not args.out:
         raise TranslabError(f"--mode {args.mode} needs --out")
+    if args.C is not None and args.mode == "refine":
+        raise TranslabError("--C sets the partition constant of --mode flatten and iterate, but --mode refine has none")
+    if args.out is not None and args.mode == "iterate":
+        raise TranslabError(f"--out {args.out} takes the function of --mode flatten or refine, "
+                            "but --mode iterate prints its rounds")
+    C = 1.0 if args.C is None else args.C
     if args.mode == "flatten":
-        h = flatten_perturbation(f, args.eps, args.C)
+        h = flatten_perturbation(f, args.eps, C)
     elif args.mode == "refine":
         h = refine_interpolant(f, args.eps)
     else:
-        rows = iterate_improvement(f, args.eps, args.C, 2 if args.rounds is None else args.rounds)
+        rows = iterate_improvement(f, args.eps, C, 2 if args.rounds is None else args.rounds)
         print("k eps zero_count envelope")
         for k, (eps_k, count) in enumerate(rows, start=1):
-            print(f"{k} {eps_k:.17g} {count} {improvement_envelope(args.eps, args.C, k):.17g}")
+            print(f"{k} {eps_k:.17g} {count} {improvement_envelope(args.eps, C, k):.17g}")
         return 0
     h.save(args.out)
     summary = count_zero_components(h)
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="define or materialize the extremal map")
     add_power_args(p)
     p.add_argument("--sample", type=float, help="uniform grid step")
-    p.add_argument("--out")
+    p.add_argument("--out", help="--sample only")
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("certify", help="lower-bound certificate at one budget")
@@ -260,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="adversary constructions")
     p.add_argument("--mode", choices=("flatten", "refine", "iterate"), required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--C", type=float, default=1.0)
+    p.add_argument("--C", type=float, help="--mode flatten and iterate only (default 1)")
     p.add_argument("--func", help="scalar function file; omit to use the extremal map")
     p.add_argument("--alpha", type=float, help="extremal map only (default 1)")
     p.add_argument("--lambda", dest="lam", type=float, help="extremal map only (default 1)")
     p.add_argument("--rounds", type=int, help="--mode iterate only (default 2)")
-    p.add_argument("--out")
+    p.add_argument("--out", help="--mode flatten and refine only")
     p.set_defaults(handler=_cmd_perturb, d=1, m=1, p=0)
 
     p = sub.add_parser("sweep", help="dyadic budget sweep to CSV")

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversary import flatten_arrays, refine_interpolant, theory_upper_curve
+from .adversary import flatten_arrays, refine_interpolant
 from .adversary import flatten_perturbation  # noqa: F401  perfbench's tracer wraps driver.flatten_perturbation by name
-from .certifier import certify
+from .certifier import certify, theory_upper_curve
 from .errors import ConfigError, DomainError
 from .extremal import ExtremalFunction
 from .funcrep import MESH_CAP, count_value_zeros
@@ -119,8 +119,9 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse a key=value config; blank lines and #-comments are skipped."""
+    """Parse a key=value config; blank lines and #-comments are skipped, and C needs the adversary on."""
     seen: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -138,10 +139,13 @@ def parse_config(text: str) -> SweepConfig:
             seen[field] = cast(value.strip())
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        lines[field] = lineno
     required = ("alpha", "lam", "d", "m", "p", "j_min", "j_max")
     missing = [f for f in required if f not in seen]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
+    if "C" in seen and not seen.get("adversary", False):
+        raise ConfigError(f"line {lines['C']}: key 'c' sets flatten's partition constant, but the adversary is off")
     cfg = SweepConfig(**seen)  # type: ignore[arg-type]
     cfg.validate()
     return cfg

@@ -64,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EnumerationCapError
-from .funcrep import MESH_CAP, SampledFunction
+from .errors import DomainError
+from .funcrep import MESH_CAP, SampledFunction, check_work
 from .modulus import ModulusSpec, require_modulus
 
 MAX_LEVEL = 30
@@ -363,17 +363,14 @@ class ExtremalFunction:
         The profile is evaluated once per distinct knot coordinate and
         broadcast across the product grid.  A step that is not finite
         and positive is refused with ``DomainError``, and a grid of more
-        than ``MESH_CAP`` cells with ``EnumerationCapError``, both before
-        any array is built.
+        than ``MESH_CAP`` cells, (1/step)**d, with ``EnumerationCapError``,
+        both before any array is built.
         """
         if not 0.0 < step < math.inf:
             raise DomainError(f"step must be finite and > 0, got {step}")
-        count = 1.0 / step  # cells per axis; inf for a subnormal step
-        if count > MESH_CAP or round(count) ** self.d > MESH_CAP:
-            raise EnumerationCapError(
-                f"sample at step {step!r} needs {count:.15g}**{self.d} cells, over the cap of {MESH_CAP}"
-            )
-        count = round(count)
+        cells = math.prod((1.0 / step,) * self.d)  # in floats: inf, not an error, for a tiny step
+        check_work(cells, MESH_CAP, f"sample at step {step!r}")
+        count = round(1.0 / step)
         if not math.isclose(count * step, 1.0, rel_tol=0, abs_tol=1e-12):
             raise DomainError(f"step must divide 1 exactly, got {step}")
         knots = np.linspace(0.0, 1.0, count + 1)

@@ -46,12 +46,20 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, EnumerationCapError, ShapeError
 
 # Size caps shared by the layers that lay out grids and call f in blocks;
 # they live here so that the certify path never imports the adversary.
 SCAN_BLOCK_POINTS = 2**15  # points per call of f in a block scan (flatten, Miranda faces)
-MESH_CAP = 2**24  # refine cells, flatten breakpoint-table cells or sample cells; refine reaches it at eps = 2**-22
+MESH_CAP = 2**24  # refine, flatten-table or sample cells, or cubes per certify level; refine reaches it at eps = 2**-22
+
+
+def check_work(count, cap, what: str, unit: str = "cells") -> None:
+    """Refuse more than cap units of work, naming count (an int, or a float that may be inf).
+    The one place ``EnumerationCapError`` is raised, so every cap has one message shape."""
+    if count > cap:
+        text = f"{count:.15g}" if isinstance(count, float) else str(count)
+        raise EnumerationCapError(f"{what} needs {text} {unit}, over the cap of {cap}")
 
 
 def _as_grid(grid: Iterable[Sequence[float]]) -> tuple[np.ndarray, ...]:
@@ -126,19 +134,6 @@ class SampledFunction:
     def m(self) -> int:
         return int(self.values.shape[-1])
 
-    @classmethod
-    def from_callable(
-        cls, fn: Callable, grid: Iterable[Sequence[float]], m: int | None = None
-    ) -> "SampledFunction":
-        """Sample ``fn`` at every knot tuple of ``grid``, one call per tuple."""
-        axes = _as_grid(grid)
-        lens = tuple(len(k) for k in axes)
-        rows = [np.atleast_1d(np.asarray(fn(np.array(x)), dtype=float)) for x in itertools.product(*axes)]
-        m = len(rows[0]) if m is None else m
-        vals = np.empty(lens + (m,), dtype=float)
-        vals.reshape(-1, m)[:] = rows
-        return cls(grid=axes, values=vals)
-
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at an (N, d) array of points.
 
@@ -197,18 +192,6 @@ class SampledFunction:
         """All knot tuples as an (N, d) array in lexicographic order."""
         mesh = np.meshgrid(*self.grid, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def refine(self, extra: Iterable[Sequence[float]]) -> "SampledFunction":
-        """Insert knots per axis; the interpolant is unchanged."""
-        merged = tuple(np.union1d(k, np.asarray(e, dtype=float)) for k, e in zip(self.grid, extra))
-        for k in merged:
-            if k[0] < 0.0 or k[-1] > 1.0:
-                raise DomainError("refinement knots must stay inside [0,1]")
-        lens = tuple(len(k) for k in merged)
-        mesh = np.meshgrid(*merged, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = self.evaluate_many(pts).reshape(lens + (self.m,))
-        return SampledFunction(grid=merged, values=vals)
 
     def component(self, i: int) -> "SampledFunction":
         """The i-th scalar component as its own grid function."""
@@ -328,14 +311,16 @@ def sup_distance(h1: SampledFunction, h2: SampledFunction) -> float:
     On each cell of the merged knot grid both interpolants are
     multilinear, so their difference is too; its norm is convex along
     each coordinate with the others fixed, so the maximum over a cell
-    sits at one of its vertices, and the merged knots suffice.
+    sits at one of its vertices, and the merged knots suffice.  A merged
+    grid of more than ``MESH_CAP`` knot tuples is refused before either
+    function is evaluated.
     """
     if h1.d != h2.d or h1.m != h2.m:
         raise ShapeError(
             f"shape mismatch: ({h1.d},{h1.m}) vs ({h2.d},{h2.m})"
         )
     merged = tuple(np.union1d(a, b) for a, b in zip(h1.grid, h2.grid))
-    mesh = np.meshgrid(*merged, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    check_work(math.prod(len(k) for k in merged), MESH_CAP, "sup_distance's merged grid", "knot tuples")
+    pts = np.stack(np.meshgrid(*merged, indexing="ij"), axis=-1).reshape(-1, h1.d)
     diff = h1.evaluate_many(pts) - h2.evaluate_many(pts)
     return float(np.sqrt((diff**2).sum(-1)).max())

@@ -33,7 +33,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, EnumerationCapError
+from .errors import DomainError
+from .funcrep import check_work
 
 VERTEX_CAP = 10**6  # arrangement vertices the axiom check may visit; 10**6 took 3 s on a 2-vCPU machine
 
@@ -172,8 +173,7 @@ def check_modulus_axioms(beta: ModulusSpec) -> AxiomReport:
     if beta.kind == "power":
         return AxiomReport(monotone=True, subadditive=True, vanishes_at_zero=True)
     n = len(beta._nodes[0])
-    if n * (n + 1) > VERTEX_CAP:
-        raise EnumerationCapError(f"a table of {n} nodes has {n * (n + 1)} vertices, over the cap of {VERTEX_CAP}")
+    check_work(n * (n + 1), VERTEX_CAP, f"the axiom check of a table of {n} nodes", "vertices")
     ratios = [x.as_integer_ratio() for x in np.concatenate(beta._nodes).tolist()]
     shift = max(den.bit_length() for _, den in ratios)  # every denominator is a power of two
     ints = [num << (shift - den.bit_length()) for num, den in ratios]

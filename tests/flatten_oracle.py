@@ -9,8 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from translab.adversary import SCAN_STEP_DIVISOR, _check_budget, _check_cap, _partition, _probe, _scan, _values
-from translab.funcrep import SampledFunction
+from translab.adversary import SCAN_STEP_DIVISOR, _check_budget, _partition, _probe, _scan, _values
+from translab.funcrep import MESH_CAP, SampledFunction, check_work
 
 
 def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
@@ -45,7 +45,7 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     """
     _check_budget(eps, C)
     cells = np.ceil(C / (3.0 * eps)) * max(4.0, np.ceil(3.0 / C) + 1.0)  # in floats: inf, not an error, for subnormals
-    _check_cap(cells, f"flatten_perturbation at eps = {eps!r}, C = {C!r}")
+    check_work(cells, MESH_CAP, f"flatten_perturbation at eps = {eps!r}, C = {C!r}")
     cuts = _partition(eps, C)
     step = eps / SCAN_STEP_DIVISOR
     thr = eps / 2.0 - step / 2.0

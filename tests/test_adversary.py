@@ -24,6 +24,7 @@ from translab import (
 )
 from translab import adversary
 from translab.adversary import flatten_arrays
+from translab.funcrep import check_work
 
 from closed_form import upper_curve_log2
 from flatten_oracle import flatten_perturbation as flatten_oracle
@@ -408,7 +409,7 @@ class TestMeshCap:
         # the cap is inclusive: refine at eps = 2**-22 has exactly MESH_CAP cells,
         # and flatten at j = 23, C = 1 lays out ceil(2**23/3) * 4 cells, under it
         assert adversary.MESH_CAP == 4 * 2**22
-        adversary._check_cap(float(adversary.MESH_CAP), "refine")
+        check_work(float(adversary.MESH_CAP), adversary.MESH_CAP, "refine")
         assert math.ceil(2.0**23 / 3.0) * 4 <= adversary.MESH_CAP
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from translab import certifier
+from translab.funcrep import MESH_CAP
 from translab import (
     DomainError,
     EnumerationCapError,
@@ -234,7 +235,7 @@ class TestMirandaKernel:
         # every face-lattice coordinate is its exact Fraction, so a double,
         # at every level the cap allows: all cubes of the shallower levels,
         # and a seeded sample of the deepest with its first and last rank
-        assert q * deepest**2 <= certifier.ENUMERATION_CAP_BITS < q * (deepest + 1) ** 2
+        assert 2 ** (q * deepest**2) <= MESH_CAP < 2 ** (q * (deepest + 1) ** 2)
         last = 2 ** (q * deepest**2) - 1
         sample = [0, *sorted(np.random.default_rng(q).choice(np.arange(1, last), 62, replace=False).tolist()), last]
         for n, ranks in [*((n, range(2 ** (q * n * n))) for n in range(1, deepest)), (deepest, sample)]:
@@ -540,11 +541,49 @@ class TestCertify:
             pytest.fail("evaluator called before the enumeration cap check")
 
         assert certify(F, 2.0**-35).n0 == 5  # theoretical mode has no cap
-        with pytest.raises(EnumerationCapError, match=r"level 5 at q=1 would enumerate 2\*\*25 cubes"):
+        with pytest.raises(EnumerationCapError, match=r"^certify's level 5 at q = 1 needs 33554432 cubes, over the cap of 16777216$"):
             certify(F, 2.0**-35, h=never)
         F2 = ExtremalFunction(beta=IDENTITY, d=2, q=2)
-        with pytest.raises(EnumerationCapError, match=r"level 4 at q=2 would enumerate 2\*\*32 cubes"):
+        with pytest.raises(EnumerationCapError, match=r"^certify's level 4 at q = 2 needs 4294967296 cubes, over the cap of 16777216$"):
             certify(F2, 2.0**-28, h=never)
+
+    def test_evaluation_preflight_names_the_cost(self):
+        # d = q = 6 at eps = 1e-4 is depth 2: level 2's 2**24 cubes pass the cube cap, but
+        # (2**6 + 2**24) cubes of 12 * 9**5 face points each are about 99 days of work
+        F = ExtremalFunction(beta=IDENTITY, d=6, q=6)
+
+        def never(x):
+            pytest.fail("evaluator called before the evaluation preflight")
+
+        assert certify(F, 1e-4).per_level_counts[-1] == certifier.LevelCount(n=2, verified=2**24, total=2**24)
+        with pytest.raises(EnumerationCapError, match=r" needs 11888179280640 evaluations, over the cap of 1073741824$"):
+            certify(F, 1e-4, h=never)
+
+    def test_too_large_z_grid_is_refused_before_any_slice(self, monkeypatch):
+        # 10**6 slices on each of 3 free axes: building them would not end
+        F = ExtremalFunction(beta=IDENTITY, d=4, q=1)
+        monkeypatch.setattr(certifier.np, "ndindex", lambda *shape: pytest.fail("a slice was built"))
+        with pytest.raises(EnumerationCapError, match=r"z-grid 1000000 needs 36000000000000000000 evaluations"):
+            certify(F, 2.0**-12, h=F, z_grid=10**6)
+
+    def test_evaluation_count_is_exact_and_the_cap_inclusive(self, monkeypatch):
+        # h = F passes every cube on every slice, so h sees exactly the counted points:
+        # (2 + 16) cubes * 2 face points * 3 slices at depth 2, q = 1, d = 2, z_grid = 3
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
+        seen = []
+
+        class Counted:
+            def evaluate_many(self, pts):
+                seen.append(len(pts))
+                return F.evaluate_many(pts)
+
+        monkeypatch.setattr(certifier, "EVALUATION_CAP", 108)
+        assert certify(F, 2.0**-12, h=Counted(), z_grid=3).certified_count == 18
+        assert sum(seen) == 108
+        monkeypatch.setattr(certifier, "EVALUATION_CAP", 107)
+        with pytest.raises(EnumerationCapError, match="needs 108 evaluations, over the cap of 107$"):
+            certify(F, 2.0**-12, h=Counted(), z_grid=3)
+        assert sum(seen) == 108
 
     @pytest.mark.parametrize("zeroed", [(), (3,), (0, 9), (1, 5, 15)])
     def test_noisy_q2_counts_pinned(self, zeroed):
@@ -597,6 +636,9 @@ class TestTheoryBounds:
             theory_lower_bound(IDENTITY, math.nan, 1, 0, 2.0)
         with pytest.raises(DomainError):
             theory_lower_bound(IDENTITY, 0.5, 1, 1, 2.0)
+        for gamma in (0.0, -2.0, math.nan):
+            with pytest.raises(DomainError, match="need gamma > 0"):
+                theory_lower_bound(IDENTITY, 0.5, 1, 0, gamma)
 
     def test_holder_closed_form_consistency(self):
         rng = np.random.default_rng(37)
@@ -642,6 +684,34 @@ class TestTheoryBounds:
             else:
                 assert got == math.inf
         assert (j, q == 1) == (1074, math.isfinite(got))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_envelope_across_the_double_range_matches_closed_form_in_log2(self, alpha, q):
+        # the power inverse (gamma eps)**(1/alpha) underflows from about j = 1022 alpha; log2 psi
+        # is then formed from logs, so the envelope never reads 0.0, and reads inf exactly
+        # where its closed form passes 2**1024
+        beta, gamma = ModulusSpec.power(1.0, alpha), 2.0 * math.sqrt(q)
+        for j in range(6, 1075):
+            got = theory_lower_bound(beta, 2.0**-j, q, 0, gamma)
+            want = holder_lower_bound_log2(1.0, alpha, 2.0**-j, q, 0, gamma)
+            if want < 1024.0:
+                assert 0.0 < got < math.inf and math.log2(got) == pytest.approx(want, abs=1e-9), j
+            else:
+                assert got == math.inf, j
+
+    def test_quarter_power_envelope_past_the_inverse_underflow_is_pinned(self):
+        # at alpha = 1/4 the inverse (2 eps)**4 is the subnormal 2**-1072 at j = 269 and
+        # underflows to 0.0 from j = 270; the bound is 2**(4 + 4 (j - 1) - 4 sqrt(4 (j - 1))),
+        # past 2**1024 from j = 290
+        beta = ModulusSpec.power(1.0, 0.25)
+        assert beta.inverse(2.0 * 2.0**-269) == 2.0**-1072 and beta.inverse(2.0 * 2.0**-270) == 0.0
+        got = [theory_lower_bound(beta, 2.0**-j, 1, 0, 2.0) for j in (269, 270, 1074)]
+        assert got == [2.0 ** (1076.0 - 4.0 * math.sqrt(1072.0)), 2.0 ** (1080.0 - 4.0 * math.sqrt(1076.0)), math.inf]
+        assert f"{got[0]:.3g}" == "3.05e+284"
+        F = ExtremalFunction(beta=beta, d=1, q=1)
+        cert = certify(F, 2.0**-270)
+        assert cert.theory_bound == got[1] and not cert.vacuous
 
     def test_certify_past_the_quotient_overflow(self):
         F = ExtremalFunction(beta=IDENTITY, d=2, q=2)

@@ -372,7 +372,8 @@ class TestBatchedCertifyThroughCharts:
             return v
 
         grid = (np.linspace(0.0, 1.0, 2**12 + 1), np.linspace(0.0, 1.0, 3))
-        return SampledFunction.from_callable(transport_function(chart, g), grid)
+        knots = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 2)  # knot tuples, lexicographic
+        return SampledFunction(grid=grid, values=transport_function(chart, g).evaluate_many(knots).reshape(2**12 + 1, 3, -1))
 
     @pytest.mark.parametrize("name", BUILTIN_CHARTS)
     def test_sampled_h_is_only_batched(self, name):

@@ -62,7 +62,7 @@ class TestModulusCommand:
         table.write_text("".join(f"{k} {k}\n" for k in range(1, 1000)))
         code, out, err = run(capsys, "modulus", "--kind", "table", "--file", str(table), "--check")
         assert code == 2 and out == ""
-        assert err == "error: a table of 1000 nodes has 1001000 vertices, over the cap of 1000000\n"
+        assert err == "error: the axiom check of a table of 1000 nodes needs 1001000 vertices, over the cap of 1000000\n"
 
     def test_table_file(self, capsys, tmp_path):
         table = tmp_path / "beta.txt"
@@ -171,12 +171,19 @@ class TestBuildAndEval:
         assert code == 2 and out == "" and not path.exists()
         assert err == f"error: step must be finite and > 0, got {float(step)}\n"
 
-    @pytest.mark.parametrize("step,d,cells", [(2.0**-25, 1, "33554432**1"), (2.0**-13, 2, "8192**2"), (2.0**-9, 3, "512**3")])
+    @pytest.mark.parametrize("step,d,cells", [(2.0**-25, 1, "33554432"), (2.0**-13, 2, "67108864"), (2.0**-9, 3, "134217728")])
     def test_build_refuses_a_grid_over_the_cap(self, capsys, tmp_path, step, d, cells):
         path = tmp_path / "f.txt"
         code, out, err = run(capsys, "build", "--d", str(d), "--sample", repr(step), "--out", str(path))
         assert code == 2 and out == "" and not path.exists()
         assert err == f"error: sample at step {step!r} needs {cells} cells, over the cap of 16777216\n"
+
+    @pytest.mark.parametrize("given,missing", [("--out", "--sample"), ("--sample", "--out")])
+    def test_build_refuses_out_or_sample_alone(self, capsys, tmp_path, given, missing):
+        path = tmp_path / "f.txt"
+        code, out, err = run(capsys, "build", given, str(path) if given == "--out" else "0.25")
+        assert code == 2 and out == "" and not path.exists()
+        assert err == f"error: {given} needs {missing}: --sample STEP --out PATH writes the sampled map\n"
 
     def test_build_without_sample(self, capsys):
         code, out, _ = run(capsys, "build", "--alpha", "0.5", "--lambda", "2",
@@ -326,8 +333,7 @@ class TestPerturbCommand:
 
     def test_refine_reports_zero_count(self, capsys, tmp_path):
         out_path = tmp_path / "h.txt"
-        code, out, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.0078125",
-                           "--C", "0.25", "--out", str(out_path))
+        code, out, _ = run(capsys, "perturb", "--mode", "refine", "--eps", "0.0078125", "--out", str(out_path))
         assert code == 0
         assert "zero components" in out
 
@@ -352,6 +358,19 @@ class TestPerturbCommand:
         assert code == 2 and out == ""
         assert err == f"error: --rounds counts the rounds of --mode iterate, but --mode {mode} runs one construction\n"
         assert not out_path.exists()
+
+    def test_c_under_refine_is_refused(self, capsys, tmp_path):
+        out_path = tmp_path / "h.txt"
+        code, out, err = run(capsys, "perturb", "--mode", "refine", "--eps", "0.0078125", "--C", "7",
+                             "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == "error: --C sets the partition constant of --mode flatten and iterate, but --mode refine has none\n"
+
+    def test_out_under_iterate_is_refused(self, capsys, tmp_path):
+        out_path = tmp_path / "h.txt"
+        code, out, err = run(capsys, "perturb", "--mode", "iterate", "--eps", "0.015625", "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == f"error: --out {out_path} takes the function of --mode flatten or refine, but --mode iterate prints its rounds\n"
 
     @pytest.mark.parametrize("mode", ["flatten", "refine", "iterate"])
     @pytest.mark.parametrize(
@@ -414,8 +433,8 @@ class TestPerturbCommand:
         fpath, out_path = tmp_path / "tent.txt", tmp_path / "h.txt"
         knots = np.array([0.0, 0.25, 0.5, 0.625, 1.0])
         SampledFunction(grid=(knots,), values=np.array([[0.0], [0.25], [0.0], [0.125], [0.125]])).save(fpath)
-        code, _, err = run(capsys, "perturb", "--mode", mode, "--eps", "0.0078125", "--func", str(fpath),
-                           "--out", str(out_path))
+        out = ("--out", str(out_path)) if mode != "iterate" else ()  # iterate writes no file, so it refuses --out
+        code, _, err = run(capsys, "perturb", "--mode", mode, "--eps", "0.0078125", "--func", str(fpath), *out)
         assert code == 0 and err == ""
 
     def test_missing_out_is_clean_error(self, capsys):

@@ -379,6 +379,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"line 9: key 'c' given twice"):
             parse_config(f"{BASE_TEXT}C=0.5\nc=0.25\n")
 
+    @pytest.mark.parametrize("extra,line", [("C=0.5\n", 8), ("c = 1\nadversary = no\n", 8), ("adversary=false\nC=1\n", 9)])
+    def test_key_c_without_the_adversary_is_error(self, extra, line):
+        # only flatten reads C, so with the adversary off it would be accepted and ignored
+        with pytest.raises(ConfigError, match=rf"^line {line}: key 'c' sets flatten's partition constant, but the adversary is off$"):
+            parse_config(BASE_TEXT + extra)
+
 
 class TestFitSlope:
     def test_upper_curve_slope_is_exact(self):

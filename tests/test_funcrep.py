@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from translab import (
     DomainError,
+    EnumerationCapError,
     ExtremalFunction,
     ModulusSpec,
     SampledFunction,
@@ -20,6 +21,7 @@ from translab import (
     resolve_depth,
     sup_distance,
 )
+from translab import funcrep
 from translab.certifier import _face_points
 from translab.funcrep import _nudge, count_value_zeros, evaluate_rows
 
@@ -44,6 +46,15 @@ class TestEvaluate:
         assert h([0.3])[0] == 0.0
         assert h([0.0])[0] == -0.3
         assert h([1.0])[0] == 0.7
+
+    def test_component_extraction(self):
+        knots = np.linspace(0.0, 1.0, 3)
+        h = SampledFunction(grid=(knots,), values=np.stack([knots, -knots], axis=1))
+        second = h.component(1)
+        assert second.m == 1
+        assert second([1.0])[0] == -1.0
+        with pytest.raises(ShapeError):
+            h.component(5)
 
     def test_outside_domain(self):
         h = line([0.0, 1.0], [0.0, 1.0])
@@ -97,8 +108,6 @@ class TestEvaluate:
             line(knots, values)
         with pytest.raises(DomainError, match="strictly increasing"):
             SampledFunction(grid=(np.array([0.0, 1.0]), knots), values=np.zeros((2, len(knots), 1)))
-        with pytest.raises(DomainError, match="strictly increasing"):
-            SampledFunction.from_callable(lambda x: x[:1], [knots])
 
     def test_non_finite_vector_value_names_knot_tuple(self):
         knots = np.array([0.0, 0.5, 1.0])
@@ -354,6 +363,17 @@ class TestSupDistance:
         with pytest.raises(ShapeError):
             sup_distance(h1, h2)
 
+    def test_merged_grid_over_the_cap_is_refused_before_any_evaluation(self, monkeypatch):
+        # knots {0, 1/2, 1} and {0, 1/4, 1} on both axes merge to 4 x 4 knot tuples
+        h1 = SampledFunction(grid=([0.0, 0.5, 1.0],) * 2, values=np.zeros((3, 3, 1)))
+        h2 = SampledFunction(grid=([0.0, 0.25, 1.0],) * 2, values=np.ones((3, 3, 1)))
+        monkeypatch.setattr(funcrep, "MESH_CAP", 16)
+        assert sup_distance(h1, h2) == 1.0
+        monkeypatch.setattr(funcrep, "MESH_CAP", 15)
+        monkeypatch.setattr(SampledFunction, "evaluate_many", lambda self, pts: pytest.fail("evaluated"))
+        with pytest.raises(EnumerationCapError, match="^sup_distance's merged grid needs 16 knot tuples, over the cap of 15$"):
+            sup_distance(h1, h2)
+
     @given(
         v1=st.lists(st.floats(-5, 5), min_size=4, max_size=4),
         v2=st.lists(st.floats(-5, 5), min_size=4, max_size=4),
@@ -390,7 +410,8 @@ class TestSupDistanceExact:
     def test_max_over_merged_knots_bounds_dense_samples(self, case):
         h1, h2, seed = case
         dist = sup_distance(h1, h2)
-        knots_diff = h1.refine(h2.grid).values - h2.refine(h1.grid).values
+        merged = np.array(list(itertools.product(*(np.union1d(a, b) for a, b in zip(h1.grid, h2.grid)))))
+        knots_diff = h1.evaluate_many(merged) - h2.evaluate_many(merged)
         assert dist == np.sqrt((knots_diff**2).sum(-1)).max()
         pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(2000, h1.d))
         dense = np.sqrt(((h1.evaluate_many(pts) - h2.evaluate_many(pts)) ** 2).sum(-1))
@@ -650,27 +671,6 @@ class TestNudge:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-class TestRefinementInvariance:
-    def test_outputs_unchanged(self):
-        h = line([0.0, 0.25, 1.0], [-1.0, 0.5, -0.25])
-        fine = h.refine([[0.1, 0.5, 0.8]])
-        xs = np.linspace(0.0, 1.0, 101)[:, None]
-        assert np.allclose(h.evaluate_many(xs), fine.evaluate_many(xs), atol=1e-15)
-        assert sup_distance(h, fine) <= 1e-15
-        a = count_zero_components(h)
-        b = count_zero_components(fine)
-        assert a.component_count == b.component_count
-        assert a.has_flat_zero_interval == b.has_flat_zero_interval
-
-    def test_2d_refinement(self):
-        knots = np.array([0.0, 1.0])
-        vals = np.array([[[0.0], [1.0]], [[2.0], [3.0]]])
-        h = SampledFunction(grid=(knots, knots), values=vals)
-        fine = h.refine([[0.5], [0.25, 0.75]])
-        pts = np.random.default_rng(1).uniform(0, 1, size=(50, 2))
-        assert np.allclose(h.evaluate_many(pts), fine.evaluate_many(pts), atol=1e-15)
-
-
 class TestFileFormat:
     def test_round_trip_1d(self, tmp_path):
         h = line([0.0, 0.25, 1.0], [1.0, -0.5, 0.125])
@@ -719,38 +719,3 @@ class TestFileFormat:
         d, m = header.split()
         with pytest.raises(ShapeError, match=re.escape(f"{path} line 1: need d >= 1 and m >= 1, got d={d}, m={m}")):
             SampledFunction.load(path)
-
-
-class TestFromCallable:
-    @pytest.mark.parametrize("m", [None, 2])
-    def test_one_call_per_knot_tuple(self, m):
-        grid = [np.linspace(0.0, 1.0, 3), np.array([0.0, 0.25, 1.0])]
-        calls = []
-
-        def fn(x):
-            calls.append(tuple(x))
-            return np.array([x[0], x[1]])
-
-        h = SampledFunction.from_callable(fn, grid, m=m)
-        assert sorted(calls) == [(a, b) for a in grid[0] for b in grid[1]]
-        assert h.values.shape == (3, 3, 2)
-        assert np.array_equal(h.values[..., 1], np.broadcast_to(grid[1], (3, 3)))
-
-    def test_scalar_values_broadcast_to_m(self):
-        h = SampledFunction.from_callable(lambda x: 2.0 * x[0], [np.linspace(0.0, 1.0, 3)], m=2)
-        assert h.values.tolist() == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
-
-    def test_sampling(self):
-        knots = np.linspace(0.0, 1.0, 5)
-        h = SampledFunction.from_callable(lambda x: np.array([x[0] ** 2]), [knots])
-        assert h([0.5])[0] == 0.25
-        assert h.m == 1
-
-    def test_component_extraction(self):
-        knots = np.linspace(0.0, 1.0, 3)
-        h = SampledFunction.from_callable(lambda x: np.array([x[0], -x[0]]), [knots])
-        second = h.component(1)
-        assert second.m == 1
-        assert second([1.0])[0] == -1.0
-        with pytest.raises(ShapeError):
-            h.component(5)

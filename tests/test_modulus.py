@@ -196,11 +196,11 @@ class TestAxioms:
         big = ModulusSpec.table([(float(k), float(k)) for k in range(1, 1000)])  # 1000 nodes with (0, 0)
         monkeypatch.setattr(ModulusSpec, "__call__", fail)
         monkeypatch.setattr(ModulusSpec, "many", fail)
-        with pytest.raises(EnumerationCapError, match=r"^a table of 1000 nodes has 1001000 vertices, over the cap of 1000000$"):
+        with pytest.raises(EnumerationCapError, match=r"^the axiom check of a table of 1000 nodes needs 1001000 vertices, over the cap of 1000000$"):
             check_modulus_axioms(big)
         monkeypatch.setattr(modulus, "VERTEX_CAP", 12)  # a table of n nodes has n * (n + 1) vertices
         assert check_modulus_axioms(ModulusSpec.table([(1.0, 1.0), (2.0, 2.0)])).all_hold
-        with pytest.raises(EnumerationCapError, match="^a table of 4 nodes has 20 vertices, over the cap of 12$"):
+        with pytest.raises(EnumerationCapError, match="^the axiom check of a table of 4 nodes needs 20 vertices, over the cap of 12$"):
             check_modulus_axioms(ModulusSpec.table([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]))
 
 

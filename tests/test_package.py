@@ -16,9 +16,9 @@ SOURCES = sorted(Path(translab.__file__).parent.rglob("*.py"))
 CORE = ("errors", "modulus", "funcrep", "extremal", "chart", "certifier")
 # every public name translab exported when it imported all its submodules eagerly
 EXPORTS = {
-    "adversary": ["flatten_perturbation", "improvement_envelope", "iterate_improvement", "refine_interpolant",
+    "adversary": ["flatten_perturbation", "improvement_envelope", "iterate_improvement", "refine_interpolant"],
+    "certifier": ["Certificate", "LevelCount", "certify", "enumerate_cubes", "resolve_depth", "theory_lower_bound",
                   "theory_upper_curve"],
-    "certifier": ["Certificate", "LevelCount", "certify", "enumerate_cubes", "resolve_depth", "theory_lower_bound"],
     "chart": ["Chart", "affine_chart", "gamma_w", "identity_chart", "polar_demo_chart", "pullback_perturbation",
               "transport_function"],
     "driver": ["SweepConfig", "SweepRecord", "fit_slope", "parse_config", "read_csv", "sweep", "write_csv"],
@@ -79,6 +79,34 @@ def test_core_modules_never_import_the_adversary_or_driver():
         if module in (".adversary", ".driver", "translab.adversary", "translab.driver")
     ]
     assert offenders == []
+
+
+def cap_raises(path):
+    """Line numbers of the ``raise`` statements in a file that name ``EnumerationCapError``, bare or dotted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and any(getattr(name, "id", getattr(name, "attr", None)) == "EnumerationCapError" for name in ast.walk(node))
+    ]
+
+
+def test_enumeration_cap_error_is_raised_only_by_the_work_guard():
+    # every work limit goes through funcrep.check_work, so each cap has one message shape
+    funcrep = next(path for path in SOURCES if path.name == "funcrep.py")
+    guard = next(node for node in ast.walk(ast.parse(funcrep.read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_work")
+    raises = {(path.name, line) for path in SOURCES for line in cap_raises(path)}
+    assert raises and all(name == "funcrep.py" and guard.lineno <= line <= guard.end_lineno for name, line in raises)
+
+
+def test_cap_raises_sees_a_raise_anywhere(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f():\n    raise EnumerationCapError('x')\n"
+                    "def g():\n    if 1:\n        raise errors.EnumerationCapError\n"
+                    "raise ValueError\n")
+    assert cap_raises(path) == [2, 5]
 
 
 def test_imported_modules_sees_relative_imports(tmp_path):
