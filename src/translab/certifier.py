@@ -28,6 +28,7 @@ interval-arithmetic proof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -43,6 +44,7 @@ from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, check_work, evaluate_rows
 from .modulus import ModulusSpec, require_modulus
 
 EVALUATION_CAP = 2**30   # evaluations per empirical certify: 13 min at 722 ns a point (d = q = 6, 2 vCPUs)
+SLICE_CAP = 2**23        # Miranda slices per empirical certify: 8 min at 60 us a slice (d = 2, q = 1, h = F, 2 vCPUs)
 FACE_LATTICE_POINTS = 9  # side 2*scale scanned at step scale/4
 
 
@@ -90,13 +92,20 @@ def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
     over a cube's rows rather than its q coordinates; the result is its
     transpose, a column-major (cubes * rows, q) view.
     """
-    last = FACE_LATTICE_POINTS - 1
-    free = list(itertools.product(range(FACE_LATTICE_POINTS), repeat=q - 1))
-    offsets = np.array([c[:axis] + (k,) + c[axis:] for axis in range(q) for k in (0, last) for c in free])
     lev = level_schedule(n)
     index = np.stack(np.unravel_index(ranks, (lev.bump_count,) * q))  # (q, cubes)
     lo = lev.start + (4 * index + 1) * lev.scale
-    return (lo[:, :, None] + (offsets.T * (lev.scale / 4.0))[:, None, :]).reshape(q, -1).T
+    return (lo[:, :, None] + (_face_offsets(q) * (lev.scale / 4.0))[:, None, :]).reshape(q, -1).T
+
+
+@functools.lru_cache(maxsize=None)
+def _face_offsets(q: int) -> np.ndarray:
+    """The lattice steps k of every face row of one cube, as a read-only (q, rows) table in ``_face_points`` order."""
+    last = FACE_LATTICE_POINTS - 1
+    free = list(itertools.product(range(FACE_LATTICE_POINTS), repeat=q - 1))
+    offsets = np.array([c[:axis] + (k,) + c[axis:] for axis in range(q) for k in (0, last) for c in free]).T.copy()
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(), p: int = 0) -> np.ndarray:
@@ -237,9 +246,11 @@ def certify(
     A ``z_grid`` above 1 without free coordinates (d = q) or without h
     would slice nothing, so it is refused with ``DomainError``.  Before
     any slice or h call, ``EnumerationCapError`` refuses more than
-    ``MESH_CAP`` cubes on level n0, or more than ``EVALUATION_CAP``
-    evaluations: the cubes of all levels times 2q * 9**(q-1) face points
-    times z_grid**(d-q) slices.
+    ``MESH_CAP`` cubes on level n0, more than ``EVALUATION_CAP``
+    evaluations (the cubes of all levels times 2q * 9**(q-1) face points
+    times z_grid**(d-q) slices), or more than ``SLICE_CAP`` slices (n0
+    levels times z_grid**(d-q)), since each slice is one
+    ``_miranda_verdicts`` call with a fixed cost however few points it has.
 
     With a chart, the budget inflates by lam2/lam1 before depth
     resolution, perturbations are pulled back through the chart, and
@@ -248,8 +259,11 @@ def certify(
     block, and h sees one ``evaluate_many`` call per block when it has
     that method.  When the flat target has a rectangle block (p >= 1)
     the reduction also needs eps <= r0, so larger budgets give a
-    vacuous certificate.  No chart means ``identity_chart(m, r0=inf)``:
-    factor 1, gamma_W = 2 sqrt(q), an unbounded rectangle half-width.
+    vacuous certificate.  No chart means the constants of
+    ``identity_chart(m, r0=inf)``: factor 1, gamma_W = 2 sqrt(q), an
+    unbounded rectangle half-width.  h itself is then the evaluator, not
+    its identity pullback: that pullback returns h's values unchanged,
+    so the certificate is the same, and h's shape is still checked.
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
@@ -262,13 +276,13 @@ def certify(
         raise DomainError(f"z-grid {z_grid} slices the empirical test, but theoretical mode (no h) runs none")
     require_modulus(beta)
     m = f.m
+    evaluator = h if chart is None or h is None else pullback_perturbation(chart, h)[0]
     if chart is None:
         chart = identity_chart(m, r0=math.inf)
     if chart.m != m:
         raise DomainError(f"chart dimension {chart.m} does not match map codomain {m}")
     gamma = gamma_w(chart, m, p)
     eps_flat = chart.distortion * eps
-    evaluator = pullback_perturbation(chart, h)[0] if h is not None else None
     rectangle_ok = p == 0 or eps <= chart.r0
 
     n0 = resolve_depth(beta, q, eps_flat) if rectangle_ok else 0
@@ -277,6 +291,7 @@ def certify(
         cubes = sum(2 ** (q * n * n) for n in range(1, n0 + 1))
         evaluations = cubes * 2 * q * FACE_LATTICE_POINTS ** (q - 1) * z_grid ** (d - q)
         check_work(evaluations, EVALUATION_CAP, f"certify to depth {n0}, q = {q}, z-grid {z_grid}", "evaluations")
+        check_work(n0 * z_grid ** (d - q), SLICE_CAP, f"certify to depth {n0}, q = {q}, z-grid {z_grid}", "slices")
     levels = []
     certified = 0
     for n in range(1, n0 + 1):

@@ -31,6 +31,16 @@ factors in axis order, and the corners add into a zeroed output in
 how the values are gathered, and is bit for bit the same as indexing
 the value array with one index array per axis.
 
+The sums run component-major.  The output is an (m, N) C-order buffer.
+Each corner's gathered (N, m) rows are read transposed and multiplied
+by the weight into one (m, N) scratch term with ``out=``, which is then
+added in.  So every numpy inner loop of the sums runs over the N
+points, not over the m components.  The block returned is the buffer's
+transpose: an (N, m) array in Fortran order, so a row's m values lie N
+apart.  The layout changes no element, only the memory order; a caller
+whose arithmetic depends on the order, such as numpy's pairwise sum
+along rows of eight or more values, copies to C order first.
+
 Plain-text file format: a header line ``d m`` followed by one line per
 knot tuple, ``x1 ... xd v1 ... vm``, sorted lexicographically by knots.
 """
@@ -146,9 +156,12 @@ class SampledFunction:
         The cells fold into a flat row index, and each corner gathers its
         rows with one ``take`` at that index plus the corner's offset.
         Its weight is the product of w or 1 - w over the axes in axis
-        order, and ``weight * rows`` adds into a zeroed output, corners in
-        ``itertools.product((0, 1), repeat=d)`` order.  The zero start
-        turns a -0.0 sum into +0.0.  An empty (0, d) block gives (0, m).
+        order, 1 - w formed once per axis, and ``weight * rows`` adds
+        into a zeroed output, corners in ``itertools.product((0, 1),
+        repeat=d)`` order.  The zero start turns a -0.0 sum into +0.0.
+        The output accumulates as an (m, N) C-order block, so the
+        returned (N, m) block is Fortran-ordered (see the module
+        docstring).  An empty (0, d) block gives (0, m).
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
@@ -170,18 +183,19 @@ class SampledFunction:
                 i[miss] = np.searchsorted(knots, x[miss], side="right") - 1
                 lo, hi = knots.take(i), knots.take(i + 1)
             w = (x - lo) / (hi - lo)
-            frac.append(w)
+            frac.append((1.0 - w, w))
             base = base * len(knots) + i
         rows = self.values.reshape(-1, self.m)  # a view: values is C-contiguous
         lens = self.values.shape[:-1]
         strides = [math.prod(lens[axis + 1 :]) for axis in range(self.d)]
-        out = np.zeros((len(pts), self.m))
+        out = np.zeros((self.m, len(pts)))
+        term = np.empty_like(out)
         for corner in itertools.product((0, 1), repeat=self.d):
-            # 1 - w is formed per corner, not kept per axis: fewer live arrays
-            weight = functools.reduce(operator.mul, (w if c else 1.0 - w for w, c in zip(frac, corner)))
+            weight = functools.reduce(operator.mul, (f[c] for f, c in zip(frac, corner)))
             offset = sum(c * s for c, s in zip(corner, strides))
-            out += weight[:, None] * rows.take(base + offset, axis=0)
-        return out
+            np.multiply(rows.take(base + offset, axis=0).T, weight, out=term)
+            out += term
+        return out.T
 
     def evaluate(self, x) -> np.ndarray:
         return self.evaluate_many(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
@@ -322,5 +336,7 @@ def sup_distance(h1: SampledFunction, h2: SampledFunction) -> float:
     merged = tuple(np.union1d(a, b) for a, b in zip(h1.grid, h2.grid))
     check_work(math.prod(len(k) for k in merged), MESH_CAP, "sup_distance's merged grid", "knot tuples")
     pts = np.stack(np.meshgrid(*merged, indexing="ij"), axis=-1).reshape(-1, h1.d)
-    diff = h1.evaluate_many(pts) - h2.evaluate_many(pts)
+    # evaluate_many returns Fortran order; numpy sums the rows of a C-order
+    # block pairwise for m >= 8, a different rounding from the column sweep
+    diff = np.ascontiguousarray(h1.evaluate_many(pts) - h2.evaluate_many(pts))
     return float(np.sqrt((diff**2).sum(-1)).max())

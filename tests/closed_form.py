@@ -1,6 +1,7 @@
 """The closed-form zero-count envelopes for power moduli, kept as test oracles."""
 
 import math
+from fractions import Fraction
 
 from translab import DomainError
 
@@ -26,7 +27,10 @@ def holder_lower_bound_log2(lam: float, alpha: float, eps: float, m: int, p: int
     if not (0 <= p < m):
         raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
     codim = m - p
-    log_ratio = math.log2(gamma * eps / lam)
+    # gamma * eps / lam as an exact rational, so it never rounds, also where the
+    # double quotient would be subnormal, and a unit ratio has log2 exactly 0
+    ratio = Fraction(gamma) * Fraction(eps) / Fraction(lam)
+    log_ratio = math.log2(ratio.numerator) - math.log2(ratio.denominator)
     return 4.0 * codim - codim / alpha * log_ratio - 4.0 * codim * math.sqrt(abs(log_ratio) / alpha)
 
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -585,6 +586,28 @@ class TestCertify:
             certify(F, 2.0**-12, h=Counted(), z_grid=3)
         assert sum(seen) == 108
 
+    def test_slice_count_is_refused_before_h_is_called(self):
+        # depth 1 at d = 2, q = 1: 2 cubes of 2 face points, so 2**28 slices are
+        # 2**30 evaluations, inside the inclusive evaluation cap, but each slice
+        # is a Miranda call with a fixed cost, and so many would run for hours
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
+
+        def spy(x):
+            pytest.fail("h called before the slice cap check")
+
+        message = r"^certify to depth 1, q = 1, z-grid 268435456 needs 268435456 slices, over the cap of 8388608$"
+        with pytest.raises(EnumerationCapError, match=message):
+            certify(F, 2.0**-7, h=spy, z_grid=2**28)
+
+    def test_slice_cap_is_inclusive(self, monkeypatch):
+        # depth 2 at z_grid = 3 on one free axis: 2 levels * 3 slices
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
+        monkeypatch.setattr(certifier, "SLICE_CAP", 6)
+        assert certify(F, 2.0**-12, h=F, z_grid=3).certified_count == 18
+        monkeypatch.setattr(certifier, "SLICE_CAP", 5)
+        with pytest.raises(EnumerationCapError, match="z-grid 3 needs 6 slices, over the cap of 5$"):
+            certify(F, 2.0**-12, h=F, z_grid=3)
+
     @pytest.mark.parametrize("zeroed", [(), (3,), (0, 9), (1, 5, 15)])
     def test_noisy_q2_counts_pinned(self, zeroed):
         # a noisy 2-D sample at eps = 2**-12 (n0 = 2); component 0 vanishes
@@ -605,6 +628,61 @@ class TestCertify:
         assert [(c.n, c.verified, c.total) for c in cert.per_level_counts] == want
         with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", 7):
             assert certify(F, eps, h=h) == cert
+
+
+class TestFlatEvaluator:
+    """With no chart, certify evaluates h itself, not its identity pullback."""
+
+    def test_noisy_q2_sample_matches_the_identity_chart(self):
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=2)
+        eps = 2.0**-12
+        base = _noisy_q2_base()
+        values = base.values + np.random.default_rng(11).uniform(-eps, eps, base.values.shape)
+        lev, knots = level_schedule(2), base.grid[0]
+        a = float(lev.start)  # component 0 vanishes on level 2's first bump: 16 cubes fail
+        values[(knots >= a) & (knots <= a + float(4 * lev.scale)), :, 0] = 0.0
+        h = base.with_values(values)
+        cert = certify(F, eps, h=h)
+        assert [(c.n, c.verified, c.total) for c in cert.per_level_counts] == [(1, 4, 4), (2, 240, 256)]
+        assert cert == certify(F, eps, h=h, chart=identity_chart(2, r0=math.inf))
+
+    def test_per_point_h_on_slices_matches_the_identity_chart(self):
+        # d > q, z_grid = 3: h vanishes on part of the last slice of the free axes
+        F = ExtremalFunction(beta=IDENTITY, d=3, q=1, p=1)
+        eps = 2.0**-12
+        seen = {None: [], "identity": []}
+
+        def recorded(key):
+            def h(x):
+                seen[key].append(tuple(x))
+                v = F(x)
+                if x[2] > 0.8 and x[0] > 0.7:
+                    v[1] = 0.0
+                return v
+
+            return h
+
+        cert = certify(F, eps, h=recorded(None), z_grid=3)
+        assert cert == certify(F, eps, h=recorded("identity"), chart=identity_chart(2, r0=math.inf), z_grid=3)
+        assert 0 < cert.certified_count < 18
+        assert seen[None] == seen["identity"]
+
+    @pytest.mark.parametrize("chart", [None, identity_chart(2, r0=math.inf)], ids=["no chart", "identity chart"])
+    def test_wrong_width_batched_h_names_m(self, chart):
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=2)
+
+        class Wide:
+            def evaluate_many(self, pts):
+                return np.zeros((len(pts), 3))
+
+        with pytest.raises(ShapeError, match=r"^h gave values of shape \(144, 3\) at 144 points, expected \(144, 2\): m = 2 values per point$"):
+            certify(F, 2.0**-7, h=Wide(), chart=chart)
+
+    def test_cached_face_offsets_are_read_only(self):
+        offsets = certifier._face_offsets(2)
+        assert offsets is certifier._face_offsets(2) and offsets.shape == (2, 36)
+        with pytest.raises(ValueError):
+            offsets[0, 0] = 3
 
 
 class TestTheoryBounds:
@@ -699,6 +777,16 @@ class TestTheoryBounds:
                 assert 0.0 < got < math.inf and math.log2(got) == pytest.approx(want, abs=1e-9), j
             else:
                 assert got == math.inf, j
+
+    def test_subnormal_quotient_envelope_matches_closed_form_in_log2(self):
+        # at lam = 3 the quotient gamma * eps / lam is subnormal here, so its log2 would
+        # round: taken as one quotient, the oracle was off by 0.39 and 0.55 at j = 1073, 1074
+        beta = ModulusSpec.power(3.0, 1.0)
+        for j in range(1060, 1075):
+            eps = 2.0**-j
+            assert 2.0 * eps / 3.0 < sys.float_info.min
+            got = math.log2(theory_lower_bound(beta, eps, 1, 0, 2.0))
+            assert got == pytest.approx(holder_lower_bound_log2(3.0, 1.0, eps, 1, 0, 2.0), abs=1e-9), j
 
     def test_quarter_power_envelope_past_the_inverse_underflow_is_pinned(self):
         # at alpha = 1/4 the inverse (2 eps)**4 is the subnormal 2**-1072 at j = 269 and

@@ -308,6 +308,55 @@ class TestFlatGather:
         assert certify(F, eps, h=h).n0 == 2  # the whole empirical pass, searched nowhere
 
 
+def signed_zeros(values, rng):
+    """values with about a tenth set to -0.0 and a tenth to +0.0."""
+    values = values.copy()
+    pick = rng.uniform(size=values.shape)
+    values[pick < 0.1] = -0.0
+    values[pick > 0.9] = 0.0
+    return values
+
+
+class TestComponentMajorSums:
+    """The corner sums run over an (m, N) buffer; each element stays that of the tuple-index kernel."""
+
+    def test_noisy_q2_sample_at_its_face_points(self):
+        # the input of an empirical q = 2 certify at eps = 2**-12: F's dyadic
+        # sample plus noise, evaluated at the face points of levels 1 and 2
+        F = ExtremalFunction(beta=ModulusSpec.power(1.0, 1.0), d=2, q=2)
+        base = F.sample(2.0**-10)
+        rng = np.random.default_rng(12)
+        h = base.with_values(signed_zeros(base.values + rng.uniform(-2.0**-12, 2.0**-12, base.values.shape), rng))
+        faces = [_face_points(n, 2, np.arange(2 ** (2 * n * n))) for n in (1, 2)]
+        ends = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [-0.0, 0.5], [0.5, -0.0]])
+        for pts in faces + [ends]:
+            got = h.evaluate_many(pts)
+            assert same_bits(got, tuple_index_evaluate_many(h, pts))
+            assert got.T.flags.c_contiguous  # the (m, N) buffer, returned as its transpose
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_irregular_3d_grids(self, m):
+        rng = np.random.default_rng(m)
+        grid = [np.unique(np.r_[0.0, rng.uniform(0.0, 1.0, n), 1.0]) for n in (5, 9, 2)]
+        lens = tuple(len(k) for k in grid)
+        h = SampledFunction(grid=grid, values=signed_zeros(rng.normal(size=lens + (m,)), rng))
+        pts = rng.uniform(0.0, 1.0, (600, 3))
+        pts[:200] = np.stack([rng.choice(leaning_points(k), 200) for k in grid], axis=1)
+        pts[200:210] = rng.choice([0.0, -0.0, 1.0], (10, 3))
+        assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
+
+    def test_sup_distance_sums_rows_in_c_order(self):
+        # numpy sums a C-order row of m >= 8 values pairwise, and a
+        # Fortran-order block's rows one by one, which rounds differently
+        grid = (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 5))
+        pts = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            h1, h2 = (SampledFunction(grid=grid, values=rng.normal(size=(9, 5, 11))) for _ in range(2))
+            diff = np.ascontiguousarray(tuple_index_evaluate_many(h1, pts) - tuple_index_evaluate_many(h2, pts))
+            assert same_bits(sup_distance(h1, h2), np.sqrt((diff**2).sum(-1)).max()), seed
+
+
 class TestEvaluateRows:
     PTS = np.array([[0.0, 0.25], [0.5, 1.0], [0.75, 0.125]])
 
