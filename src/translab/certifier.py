@@ -242,7 +242,8 @@ def certify(
     a face-lattice cell) to all cubes of a level at once, by rank, at
     the midpoint slice of the free coordinates by default or on a
     ``z_grid``-per-axis lattice of slices; a cube counts only when all
-    slices pass, and each slice revisits only the cubes still passing.
+    slices pass, and each slice revisits only the cubes still passing;
+    a level whose cubes have all failed skips its remaining slices.
     A ``z_grid`` above 1 without free coordinates (d = q) or without h
     would slice nothing, so it is refused with ``DomainError``.  Before
     any slice or h call, ``EnumerationCapError`` refuses more than
@@ -303,6 +304,8 @@ def certify(
             for index in np.ndindex(*(z_grid,) * (d - q)):  # lexicographic; d = q gives the one empty slice
                 z = [(k + 0.5) / z_grid for k in index]
                 alive = alive[_miranda_verdicts(evaluator, beta, n, q, alive, z, p)]
+                if not len(alive):
+                    break  # an empty level has nothing left to decide
             verified = len(alive)
         certified += verified
         levels.append(LevelCount(n=n, verified=verified, total=total))

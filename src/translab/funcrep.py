@@ -31,15 +31,30 @@ factors in axis order, and the corners add into a zeroed output in
 how the values are gathered, and is bit for bit the same as indexing
 the value array with one index array per axis.
 
+An axis on which every point of the block sits on a knot, so that
+every w is 0 (x = 1.0 is not one: it lies in the last cell at w = 1),
+drops its hi corners and its factor 1 - w from every corner weight.  A
+block on knots along every axis, such as the face lattice of a dyadic
+cube on ``F.sample``'s grid, costs one ``take`` of rows and one add in
+place of 2^d gathers, multiplies and adds.  The result keeps every bit:
+values are finite, so a dropped hi-corner term is w * value = +-0.0; a
+sum that starts at +0.0 can never become -0.0, so adding +-0.0 to it
+changes nothing; and the dropped factor 1 - 0 is exactly 1.0.  The
+check reads row 0's w per axis and scans the whole axis with ``w.any()``
+only when that w is 0, so a block off the knots nearly always pays one
+scalar read per axis and nothing else.
+
 The sums run component-major.  The output is an (m, N) C-order buffer.
 Each corner's gathered (N, m) rows are read transposed and multiplied
 by the weight into one (m, N) scratch term with ``out=``, which is then
-added in.  So every numpy inner loop of the sums runs over the N
-points, not over the m components.  The block returned is the buffer's
-transpose: an (N, m) array in Fortran order, so a row's m values lie N
-apart.  The layout changes no element, only the memory order; a caller
-whose arithmetic depends on the order, such as numpy's pairwise sum
-along rows of eight or more values, copies to C order first.
+added in; a block on knots along every axis weighs no corner, allocates
+no term and adds its one gathered corner directly.  So every numpy
+inner loop of the sums runs over the N points, not over the m
+components.  The block returned is the buffer's transpose: an (N, m)
+array in Fortran order, so a row's m values lie N apart.  The layout
+changes no element, only the memory order; a caller whose arithmetic
+depends on the order, such as numpy's pairwise sum along rows of eight
+or more values, copies to C order first.
 
 Plain-text file format: a header line ``d m`` followed by one line per
 knot tuple, ``x1 ... xd v1 ... vm``, sorted lexicographically by knots.
@@ -159,9 +174,12 @@ class SampledFunction:
         order, 1 - w formed once per axis, and ``weight * rows`` adds
         into a zeroed output, corners in ``itertools.product((0, 1),
         repeat=d)`` order.  The zero start turns a -0.0 sum into +0.0.
-        The output accumulates as an (m, N) C-order block, so the
-        returned (N, m) block is Fortran-ordered (see the module
-        docstring).  An empty (0, d) block gives (0, m).
+        An axis where w is 0 on every row keeps only its lo corners and
+        leaves out its factor 1 - w = 1.0, which changes no bit (the
+        module docstring says why and what the check costs).  The
+        output accumulates as an (m, N) C-order block, so the returned
+        (N, m) block is Fortran-ordered (see the module docstring).  An
+        empty (0, d) block gives (0, m).
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
@@ -183,18 +201,21 @@ class SampledFunction:
                 i[miss] = np.searchsorted(knots, x[miss], side="right") - 1
                 lo, hi = knots.take(i), knots.take(i + 1)
             w = (x - lo) / (hi - lo)
-            frac.append((1.0 - w, w))
+            # None: every w is 0, each point on a knot of this axis; row 0 settles most other blocks
+            frac.append((1.0 - w, w) if len(w) and w[0] or w.any() else None)
             base = base * len(knots) + i
         rows = self.values.reshape(-1, self.m)  # a view: values is C-contiguous
         lens = self.values.shape[:-1]
-        strides = [math.prod(lens[axis + 1 :]) for axis in range(self.d)]
+        kept = [(f, math.prod(lens[axis + 1 :])) for axis, f in enumerate(frac) if f is not None]  # (factors, stride)
         out = np.zeros((self.m, len(pts)))
-        term = np.empty_like(out)
-        for corner in itertools.product((0, 1), repeat=self.d):
-            weight = functools.reduce(operator.mul, (f[c] for f, c in zip(frac, corner)))
-            offset = sum(c * s for c, s in zip(corner, strides))
-            np.multiply(rows.take(base + offset, axis=0).T, weight, out=term)
-            out += term
+        term = np.empty_like(out) if kept else None
+        for corner in itertools.product((0, 1), repeat=len(kept)):
+            offset = sum(c * stride for c, (_, stride) in zip(corner, kept))
+            gathered = rows.take(base + offset, axis=0).T
+            if kept:
+                weight = functools.reduce(operator.mul, (f[c] for c, (f, _) in zip(corner, kept)))
+                gathered = np.multiply(gathered, weight, out=term)
+            out += gathered
         return out.T
 
     def evaluate(self, x) -> np.ndarray:

@@ -608,6 +608,39 @@ class TestCertify:
         with pytest.raises(EnumerationCapError, match="z-grid 3 needs 6 slices, over the cap of 5$"):
             certify(F, 2.0**-12, h=F, z_grid=3)
 
+    @pytest.mark.parametrize(
+        "eps,z_grid,dead_above,slices",
+        [
+            (2.0**-7, 4000, -1.0, [1]),  # every cube fails on the first slice
+            (2.0**-12, 4000, -1.0, [1, 1]),
+            (2.0**-12, 4, 0.5, [3, 3]),  # slices at z = 1/8, 3/8 pass, z = 5/8 empties each level
+        ],
+    )
+    def test_an_emptied_level_stops_slicing(self, monkeypatch, eps, z_grid, dead_above, slices):
+        # once no cube of a level is alive, its remaining slices would decide
+        # nothing, so their Miranda calls are not made
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
+        seen, made = [], []
+
+        class Vanishing:
+            """F where the free coordinate is at most dead_above, 0 past it."""
+
+            def evaluate_many(self, pts):
+                seen.append(len(pts))
+                return np.where(pts[:, 1:] > dead_above, 0.0, F.evaluate_many(pts))
+
+        verdicts = certifier._miranda_verdicts
+
+        def counted(h, beta, n, *args):
+            made.append(n)
+            return verdicts(h, beta, n, *args)
+
+        monkeypatch.setattr(certifier, "_miranda_verdicts", counted)
+        cert = certify(F, eps, h=Vanishing(), z_grid=z_grid)
+        assert [c.verified for c in cert.per_level_counts] == [0] * len(slices)
+        assert made == [n for n, k in enumerate(slices, start=1) for _ in range(k)]
+        assert len(seen) == sum(slices)  # one h call per slice: each level fits one block
+
     @pytest.mark.parametrize("zeroed", [(), (3,), (0, 9), (1, 5, 15)])
     def test_noisy_q2_counts_pinned(self, zeroed):
         # a noisy 2-D sample at eps = 2**-12 (n0 = 2); component 0 vanishes

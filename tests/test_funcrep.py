@@ -357,6 +357,92 @@ class TestComponentMajorSums:
             assert same_bits(sup_distance(h1, h2), np.sqrt((diff**2).sum(-1)).max()), seed
 
 
+def knot_rule_function(d, scale, rng):
+    """A grid function with uniform and irregular axes and m = 2 values of magnitude up to scale, some of them +-0.0."""
+    grid = [np.linspace(0.0, 1.0, 9), np.unique(np.r_[0.0, rng.uniform(0.0, 1.0, 6), 1.0]), np.linspace(0.0, 1.0, 4)][:d]
+    lens = tuple(len(k) for k in grid)
+    return SampledFunction(grid=grid, values=signed_zeros(rng.uniform(-1.0, 1.0, lens + (2,)) * scale, rng))
+
+
+def on_knots(knots, n, rng):
+    """n coordinates on the knots of one axis, -0.0 in, 1.0 out: w = 0 at every one."""
+    return rng.choice(np.r_[knots[:-1], -0.0], n)
+
+
+def knot_rule_blocks(h, rng):
+    """(label, block, axes with some w != 0) for blocks on knots along all, one or no axes."""
+    n = 300
+    on = np.stack([on_knots(k, n, rng) for k in h.grid], axis=1)
+    off = rng.uniform(0.0, 1.0, (n, h.d))
+    yield "on knots", on, 0
+    for axis in range(h.d):
+        mixed = off.copy()
+        mixed[:, axis] = on[:, axis]
+        yield f"on knots along axis {axis}", mixed, h.d - 1
+    ends = on.copy()
+    ends[::7] = 1.0  # the last cell at w = 1 on every axis: nothing is dropped
+    yield "on knots and at 1.0", ends, h.d
+    yield "one ulp above the knots", np.nextafter(on, 1.0), h.d  # a tiny w > 0 still weighs
+    yield "off knots", off, h.d
+    yield "off knots but row 0", np.r_[on[:1], off[1:]], h.d  # row 0 has w = 0, so the whole axis is scanned
+    yield "empty", np.empty((0, h.d)), 0
+
+
+class TestKnotRule:
+    """An axis with w = 0 on every row drops its hi corners and its factor 1.0; no bit changes."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1.7e308])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_tuple_index_kernel(self, monkeypatch, d, scale):
+        rng = np.random.default_rng(d)
+        h = knot_rule_function(d, scale, rng)
+        calls = {"multiply": 0, "empty_like": 0}
+
+        def counted(name):
+            real = getattr(np, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        for label, pts, live in knot_rule_blocks(h, rng):
+            want = tuple_index_evaluate_many(h, pts)
+            calls.update(multiply=0, empty_like=0)
+            with monkeypatch.context() as patch:
+                for name in calls:
+                    patch.setattr(np, name, counted(name))
+                got = h.evaluate_many(pts)
+            assert same_bits(got, want), label
+            assert got.shape == (len(pts), 2) and got.T.flags.c_contiguous, label
+            weighed = 2**live if live else 0  # a corner multiply for each corner of the axes kept
+            assert calls == {"multiply": weighed, "empty_like": int(weighed > 0)}, label
+
+    def test_dyadic_face_lattice_is_one_gather(self, monkeypatch):
+        # every face point of an empirical q = 2 certify at eps = 2**-12 sits on
+        # a knot of F's 2**-10 sample along both axes, so no corner is weighed
+        F = ExtremalFunction(beta=ModulusSpec.power(1.0, 1.0), d=2, q=2)
+        base = F.sample(2.0**-10)
+        rng = np.random.default_rng(28)
+        h = base.with_values(signed_zeros(base.values + rng.uniform(-2.0**-12, 2.0**-12, base.values.shape), rng))
+        faces = [_face_points(n, 2, np.arange(2 ** (2 * n * n))) for n in (1, 2)]
+        want = [tuple_index_evaluate_many(h, pts) for pts in faces]
+        monkeypatch.setattr(np, "multiply", lambda *args, **kwargs: pytest.fail("a corner was weighed"))
+        for pts, expected in zip(faces, want):
+            assert same_bits(h.evaluate_many(pts), expected)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sup_distance_on_one_shared_grid(self, d):
+        rng = np.random.default_rng(d)
+        h1 = knot_rule_function(d, 1.0, rng)
+        h2 = h1.with_values(signed_zeros(rng.normal(size=h1.values.shape), rng))
+        pts = h1.knot_points()
+        diff = np.ascontiguousarray(tuple_index_evaluate_many(h1, pts) - tuple_index_evaluate_many(h2, pts))
+        assert same_bits(sup_distance(h1, h2), np.sqrt((diff**2).sum(-1)).max())
+        assert sup_distance(h1, h2) == np.sqrt(((h1.values - h2.values) ** 2).sum(-1)).max()
+
+
 class TestEvaluateRows:
     PTS = np.array([[0.0, 0.25], [0.5, 1.0], [0.75, 0.125]])
 
