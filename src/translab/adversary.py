@@ -19,7 +19,7 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
 * ``refine_interpolant`` interpolates f on the uniform mesh of
   ceil(4/eps) subintervals (mesh <= eps/4) and nudges knot zeros away,
   so each subinterval carries at most one zero and the distance stays
-  below eps/4 + 2e-12; a subinterval holding a point where |f| > eps/2
+  within eps/8 + 2e-12; a subinterval holding a point where |f| > eps/2
   ends up zero-free.
 
 ``iterate_improvement`` repeats the re-interpolation down a geometric
@@ -312,8 +312,10 @@ def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     """Piecewise-linear interpolant of f on the mesh of ceil(4/eps) cells.
 
     Knot zeros are nudged to +1e-12 so each cell carries at most one
-    zero; for 1-Lipschitz f the result stays within eps/4 + 2e-12 of f,
-    and a cell holding a point where |f| > eps/2 carries none.  A mesh of
+    zero, and a cell holding a point where |f| > eps/2 carries none.  For
+    1-Lipschitz f the result stays within eps/8 + 2e-12 of f: on a cell of
+    width h <= eps/4 interpolation errs by at most 2t(1 - t)h <= h/2 at
+    a + t*h, and the nudge moves a knot value by under 2e-12.  A mesh of
     more than ``MESH_CAP`` cells is refused before f is called.  The
     nudge is made on a private copy of f's values, with the rule of
     ``nudge_knot_zeros``, and the result is validated once.
@@ -334,11 +336,12 @@ def iterate_improvement(
 ) -> list[tuple[float, int]]:
     """Drive the budget ladder eps0/4**k, k = 1..rounds.
 
-    Round k re-interpolates at scale eps0/4**(k-1); the interpolant
-    lies within eps0/4**k of f, so its zero count is an achieved value
-    at that budget.  Returns (budget, count) pairs.  A ladder whose
-    finest round would lay out more than ``MESH_CAP`` cells is refused
-    before f is called.
+    Round k re-interpolates at scale s = eps0/4**(k-1), within s/8 + 2e-12
+    of a 1-Lipschitz f; every round the cap admits has s >= 4/MESH_CAP =
+    2**-22, so that is within eps0/4**k = s/4, and its zero count is an
+    achieved value at that budget.  Returns (budget, count) pairs.  A
+    ladder whose finest round would lay out more than ``MESH_CAP`` cells
+    is refused before f is called.
     """
     if rounds < 1:
         raise DomainError(f"need rounds >= 1, got {rounds}")

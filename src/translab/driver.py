@@ -7,7 +7,8 @@ the theoretical upper curve, and emits one CSV row per budget.  The
 dyadic grid keeps depth resolution exact at band edges.
 
 Configuration is a plain-text key=value file; unknown or repeated keys
-are errors.  Keys: alpha, lambda, d, m, p, j_min, j_max, adversary, C, cw.
+are errors.  Keys, read in lower case: alpha, lambda, d, m, p, j_min,
+j_max, adversary, c, cw.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -28,8 +29,6 @@ from .extremal import ExtremalFunction
 from .funcrep import MESH_CAP, count_value_zeros
 from .funcrep import count_zero_components  # noqa: F401  perfbench's tracer wraps driver.count_zero_components by name
 from .modulus import ModulusSpec
-
-CSV_HEADER = ("eps", "n0", "certified_lb", "paper_lb", "theory_lb", "adversary_ub", "theory_ub", "wall_ms")
 
 
 def adversary_refusal(alpha: float, lam: float) -> Optional[str]:
@@ -92,6 +91,8 @@ class SweepConfig:
             )
         if not (0.0 < self.C <= 1.0):
             raise ConfigError(f"C must lie in (0, 1], got {self.C}")
+        if not self.adversary and self.C != 1.0:  # only flatten reads C
+            raise ConfigError(f"C = {self.C!r} sets flatten's partition constant, but the adversary is off")
         # flatten needs eps <= C/6 at every budget, so at the first and largest
         # one; C <= 1 makes j_min <= 2 fail too, without forming 2.0**-j_min
         if self.adversary and self.j_min <= self.j_max and (self.j_min <= 2 or 2.0**-self.j_min > self.C / 6.0):
@@ -104,18 +105,12 @@ class SweepConfig:
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-_CONFIG_KEYS = {
-    "alpha": ("alpha", float),
-    "lambda": ("lam", float),
-    "d": ("d", int),
-    "m": ("m", int),
-    "p": ("p", int),
-    "j_min": ("j_min", int),
-    "j_max": ("j_max", int),
-    "adversary": ("adversary", lambda s: _BOOLEANS[s.lower()]),
-    "c": ("C", float),
-    "cw": ("cw", float),
-}
+# a config value or CSV cell is read, and a CSV cell written, by its field's declared type
+_PARSE = {float: float, int: int, bool: lambda s: _BOOLEANS[s.lower()], Optional[int]: lambda s: int(s) if s else None}
+_FORMAT = {float: "{:.17g}".format, int: "{:d}".format, Optional[int]: lambda x: "" if x is None else f"{x:d}"}
+_ALIASES = {"lam": "lambda"}  # the one config key that is not its field's name in lower case
+_CONFIG_TYPES = get_type_hints(SweepConfig)
+_CONFIG_KEYS = {_ALIASES.get(f.name, f.name.lower()): (f, _PARSE[_CONFIG_TYPES[f.name]]) for f in fields(SweepConfig)}
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -133,19 +128,18 @@ def parse_config(text: str) -> SweepConfig:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         field, cast = _CONFIG_KEYS[key]
-        if field in seen:
+        if field.name in seen:
             raise ConfigError(f"line {lineno}: key {key!r} given twice")
         try:
-            seen[field] = cast(value.strip())
+            seen[field.name] = cast(value.strip())
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        lines[field] = lineno
-    required = ("alpha", "lam", "d", "m", "p", "j_min", "j_max")
-    missing = [f for f in required if f not in seen]
+        lines[key] = lineno
+    missing = [key for key, (f, _) in _CONFIG_KEYS.items() if f.default is MISSING and f.name not in seen]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
     if "C" in seen and not seen.get("adversary", False):
-        raise ConfigError(f"line {lines['C']}: key 'c' sets flatten's partition constant, but the adversary is off")
+        raise ConfigError(f"line {lines['c']}: key 'c' sets flatten's partition constant, but the adversary is off")
     cfg = SweepConfig(**seen)  # type: ignore[arg-type]
     cfg.validate()
     return cfg
@@ -161,6 +155,10 @@ class SweepRecord:
     adversary_ub: Optional[int]
     theory_ub: float
     wall_ms: int
+
+
+CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
+_CSV_TYPES = tuple(get_type_hints(SweepRecord)[name] for name in CSV_HEADER)
 
 
 def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
@@ -224,50 +222,29 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
     return records
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_csv(records: Sequence[SweepRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in records:
-            writer.writerow(
-                [
-                    _fmt(r.eps),
-                    r.n0,
-                    r.certified_lb,
-                    r.paper_lb,
-                    _fmt(r.theory_lb),
-                    "" if r.adversary_ub is None else r.adversary_ub,
-                    _fmt(r.theory_ub),
-                    r.wall_ms,
-                ]
-            )
+            writer.writerow([_FORMAT[kind](getattr(r, name)) for name, kind in zip(CSV_HEADER, _CSV_TYPES)])
 
 
 def read_csv(path) -> list[SweepRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ConfigError(f"bad CSV header in {path}")
+    """Records from a sweep CSV; a row of the wrong width or with a bad cell is refused, naming its line."""
     records = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        records.append(
-            SweepRecord(
-                eps=float(row[0]),
-                n0=int(row[1]),
-                certified_lb=int(row[2]),
-                paper_lb=int(row[3]),
-                theory_lb=float(row[4]),
-                adversary_ub=None if row[5] == "" else int(row[5]),
-                theory_ub=float(row[6]),
-                wall_ms=int(row[7]),
-            )
-        )
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != CSV_HEADER:
+            raise ConfigError(f"bad CSV header in {path}")
+        for row in filter(None, reader):
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(CSV_HEADER):
+                raise ConfigError(f"{where}: expected {len(CSV_HEADER)} cells, got {len(row)}")
+            try:
+                records.append(SweepRecord(*(_PARSE[kind](cell) for kind, cell in zip(_CSV_TYPES, row))))
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
     return records
 
 

@@ -263,16 +263,20 @@ class SampledFunction:
                     raise ShapeError(f"{path} line {n}: {exc}") from None
                 if row and len(row) != d + m:
                     raise ShapeError(f"{path} line {n}: every row must have {d + m} fields")
-                rows += [row] if row else []
+                rows += [(n, row)] if row else []
         if not rows:
             raise ShapeError(f"{path}: no knot rows after the 'd m' header")
-        data = np.asarray(rows, dtype=float)
+        linenos, data = zip(*rows)
+        data = np.asarray(data, dtype=float)
         axes = tuple(np.unique(data[:, a]) for a in range(d))
         lens = tuple(len(k) for k in axes)
         if math.prod(lens) != len(rows):
             raise ShapeError("rows do not form a full knot-tuple product")
-        vals = data[:, d:].reshape(lens + (m,))
-        return cls(grid=axes, values=vals)
+        fn = cls(grid=axes, values=data[:, d:].reshape(lens + (m,)))  # values placed by row order
+        off = np.flatnonzero((data[:, :d] != fn.knot_points()).any(axis=1))
+        if off.size:
+            raise ShapeError(f"{path} line {linenos[off[0]]}: knot rows must follow save's lexicographic order")
+        return fn
 
 
 @dataclass(frozen=True)

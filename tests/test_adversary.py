@@ -717,7 +717,20 @@ class TestRefine:
         eps = 2.0**-j
         f = scalar_extremal()
         g = refine_interpolant(f, eps)
-        assert distance_to(f, g) <= eps / 4.0 + 2e-12
+        assert distance_to(f, g) <= eps / 8.0 + 2e-12
+
+    @pytest.mark.parametrize("j", [6, 8, 10])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_distance_between_knots_within_an_eighth(self, lam, j):
+        # interpolating a 1-Lipschitz f on a mesh h <= eps/4 errs by at most h/2,
+        # and the nudge by less than 2e-12; 32 points a cell see between the knots
+        eps = 2.0**-j
+        f = ExtremalFunction(beta=ModulusSpec.power(lam, 1.0), d=1, q=1).as_scalar()
+        g = refine_interpolant(f, eps)
+        xs = np.linspace(0.0, 1.0, 32 * (len(g.grid[0]) - 1) + 1)
+        dist = np.max(np.abs(g.evaluate_many(xs[:, None])[:, 0] - f(xs)))
+        assert dist <= eps / 8.0 + 2e-12
+        assert "within eps/8 + 2e-12 of f" in refine_interpolant.__doc__
 
     def test_no_knot_zeros_after_nudge(self):
         g = refine_interpolant(scalar_extremal(), 2.0**-6)

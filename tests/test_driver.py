@@ -26,6 +26,7 @@ from translab import (
     write_csv,
 )
 from translab import adversary
+from translab.driver import CSV_HEADER
 
 from closed_form import holder_lower_bound
 
@@ -207,6 +208,36 @@ class TestCSV:
         with pytest.raises(ConfigError):
             read_csv(path)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("0.5,1,2,2,1,,2", "line 3: expected 8 cells, got 7"),
+            ("0.5,1,2,2,1,,2,0,9", "line 3: expected 8 cells, got 9"),
+            ("x,1,2,2,1,,2,0", "line 3: could not convert string to float: 'x'"),
+            ("0.5,1,2,2,1,1.5,2,0", "line 3: invalid literal for int() with base 10: '1.5'"),
+            ("0.5,1,2,2,1,,2,", "line 3: invalid literal for int() with base 10: ''"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n0.5,1,2,2,1,,2,0\n" + row + "\n")
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path} {message}") + "$"):
+            read_csv(path)
+
+    def test_cells_formatted_by_declared_type(self, tmp_path):
+        # float columns take 17 digits even when they hold an int; int columns refuse a float
+        path = tmp_path / "out.csv"
+        write_csv([SweepRecord(1, 1, 2, 2, 3, None, 2**60, 0)], path)
+        assert path.read_text().splitlines()[1] == "1,1,2,2,3,,1.152921504606847e+18,0"
+        with pytest.raises(ValueError):
+            write_csv([SweepRecord(0.5, 1, 2.0, 2, 1.0, None, 2.0, 0)], path)
+
+    def test_header_and_keys_documented(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"The sweep CSV has header\n`{','.join(CSV_HEADER)}`;" in readme
+        keys = re.search(r"Keys, read in lower case: ([^.]*)\.", driver.__doc__).group(1)
+        assert re.split(r",\s+", keys) == list(driver._CONFIG_KEYS)
+
 
 # seven required keys on lines 1-7
 BASE_TEXT = "alpha=1\nlambda=1\nd=1\nm=1\np=0\nj_min=6\nj_max=8\n"
@@ -231,8 +262,10 @@ class TestConfig:
             parse_config("alpha=1\nbogus=2\n")
 
     def test_missing_keys_named(self):
-        with pytest.raises(ConfigError, match="missing keys"):
+        with pytest.raises(ConfigError, match="^missing keys: lambda, d, m, p, j_min, j_max$"):
             parse_config("alpha=1\n")
+        with pytest.raises(ConfigError, match="^missing keys: lambda$"):
+            parse_config(BASE_TEXT.replace("lambda=1\n", ""))
 
     def test_field_validation_messages(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -302,7 +335,11 @@ class TestConfig:
         text = BASE_TEXT.replace("j_min=6", f"j_min={j_min}") + f"adversary=true\nC={C!r}\n"
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
-        replace(cfg, adversary=False).validate()  # the certifier alone has no such bound
+        if C == 1.0:
+            replace(cfg, adversary=False).validate()  # the certifier alone has no such bound
+        else:
+            with pytest.raises(ConfigError, match="but the adversary is off$"):
+                replace(cfg, adversary=False).validate()  # only flatten reads C
         replace(cfg, j_max=j_min - 1).validate()  # an empty range sweeps no budget
 
     @pytest.mark.parametrize(
@@ -378,6 +415,21 @@ class TestConfig:
             parse_config(f"{BASE_TEXT}\nalpha=0.5\n")
         with pytest.raises(ConfigError, match=r"line 9: key 'c' given twice"):
             parse_config(f"{BASE_TEXT}C=0.5\nc=0.25\n")
+
+    @pytest.mark.parametrize("C", [0.5, 0.1875, math.nextafter(1.0, 0.0)])
+    def test_c_without_the_adversary_refused_in_code(self, monkeypatch, C):
+        # a config built in code obeys the file rule: C would be accepted and ignored
+        def untouchable(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(driver, "certify", untouchable)
+        cfg = replace(BASE, C=C)
+        message = "^" + re.escape(f"C = {C!r} sets flatten's partition constant, but the adversary is off") + "$"
+        for call in (cfg.validate, lambda: sweep(cfg)):
+            with pytest.raises(ConfigError, match=message):
+                call()
+        replace(cfg, adversary=True).validate()
+        replace(BASE, C=1.0).validate()
 
     @pytest.mark.parametrize("extra,line", [("C=0.5\n", 8), ("c = 1\nadversary = no\n", 8), ("adversary=false\nC=1\n", 9)])
     def test_key_c_without_the_adversary_is_error(self, extra, line):

@@ -847,6 +847,32 @@ class TestFileFormat:
         with pytest.raises(DomainError, match=re.escape("got nan at knot (0.5,)")):
             SampledFunction.load(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1 1\n0 1\n1 -1\n0.5 0\n", 3),  # was read with -1 at 0.5 and 0 at 1
+            ("2 1\n0 0 1\n0 1 2\n1 0 3\n0 0 4\n", 5),  # (0, 0) twice, (1, 1) missing
+            ("2 1\n0 0 1\n\n1 0 2\n0 1 3\n1 1 4\n", 4),  # axis 0 before axis 1; blank lines count
+        ],
+    )
+    def test_rows_out_of_knot_order_refused(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ShapeError, match="^" + re.escape(f"{path} line {line}: knot rows must follow save's lexicographic order") + "$"):
+            SampledFunction.load(path)
+
+    def test_round_trip_3d_irregular(self, tmp_path):
+        rng = np.random.default_rng(29)
+        grid = (np.array([0.0, 0.3, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 0.1, 0.7, 1.0]))
+        h = SampledFunction(grid=grid, values=rng.normal(size=(3, 2, 4, 2)))
+        path = tmp_path / "f3.txt"
+        h.save(path)
+        back = SampledFunction.load(path)
+        assert all(np.array_equal(a, b) for a, b in zip(back.grid, h.grid))
+        assert np.array_equal(back.values, h.values)
+        pts = rng.uniform(size=(64, 3))
+        assert np.array_equal(back.evaluate_many(pts), h.evaluate_many(pts))
+
     @pytest.mark.parametrize("header, rows", [("-1 2", "5\n"), ("0 1", "5\n"), ("1 0", "0\n1\n"), ("1 -3", "0\n")])
     def test_header_needs_positive_dimensions(self, tmp_path, header, rows):
         path = tmp_path / "bad.txt"
