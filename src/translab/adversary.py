@@ -50,10 +50,12 @@ exceeds the threshold.  The hint may be any double, NaN included; a
 probe is always one of the interval's own scan samples.  A callable
 without these attributes is scanned in full.
 
-Layouts that cannot fit are refused with ``EnumerationCapError`` before
-f is called: more than ``MESH_CAP`` refine cells, or more than
-``MESH_CAP`` cells in flatten's breakpoint table (partition intervals
-times the breakpoints each one may hold) at any one budget.  A group of
+The sweep and ``perturb`` refuse what ``target_refusal`` and
+``check_budget`` refuse, the adversary's preconditions.  Layouts that
+cannot fit are refused with ``EnumerationCapError`` before f is called:
+more than ``MESH_CAP`` refine cells, or more than ``MESH_CAP`` cells in
+flatten's breakpoint table (partition intervals times the breakpoints
+each one may hold) at any one budget.  A group of
 ``flatten_arrays`` holds at most max(the largest budget's intervals,
 ``SCAN_BLOCK_POINTS``) intervals and ``MESH_CAP`` cells, so a short
 budget list is one table and a long one splits at its largest budget.
@@ -62,7 +64,7 @@ budget list is one table and a long one splits at its largest budget.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +73,41 @@ from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, check
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
+
+
+def target_refusal(target, name: str = "the target") -> Optional[str]:
+    """Why the adversary refuses target (F, or a grid function called name), or None.
+
+    flatten and refine stay within eps of a scalar 1-Lipschitz target only.  A grid's constant is
+    its steepest knot segment (a difference of doubles rounds monotonely, so a 1-Lipschitz grid
+    passes); F's is lambda/2 at alpha = 1 for a power modulus, and F is not Lipschitz at alpha < 1.
+    Outside that range their outputs were measured up to 32 eps away from F.
+    """
+    if (target.d, target.m, getattr(target, "p", 0)) != (1, 1, 0):
+        return "adversary runs need d = m = 1 and p = 0"
+    if isinstance(target, SampledFunction):
+        x, v = target.grid[0], target.values[:, 0]
+        dx, dv = np.diff(x), np.abs(np.diff(v))
+        steep = np.flatnonzero(dv > dx)
+        if not len(steep):
+            return None
+        k = steep[np.argmax(dv[steep] / dx[steep])]
+        return (f"adversary runs need a 1-Lipschitz target; {name} has slope {float(dv[k] / dx[k])!r} "
+                f"on [{float(x[k])!r}, {float(x[k + 1])!r}]")
+    beta, why = target.beta, "adversary runs need a 1-Lipschitz F (alpha = 1, lambda <= 2); "
+    if beta.kind != "power":
+        return why + f"F's modulus is a {beta.kind}, not lambda * s**alpha"
+    if beta.alpha < 1.0:
+        return why + f"F is not Lipschitz at alpha = {beta.alpha!r}"
+    if beta.lam > 2.0:
+        return why + f"F's Lipschitz constant at lambda = {beta.lam!r} is lambda/2 = {beta.lam / 2.0!r}"
+    return None
+
+
+def check_budget(eps: float, C: float) -> None:
+    """flatten's C and C/6 rule and refine's mesh cap at eps; flatten's table (<= 2.5/eps cells) never binds first."""
+    _check_budget(eps, C)
+    _refine_cells(eps)
 
 
 def _check_budget(eps: float, C: float) -> None:

@@ -220,6 +220,8 @@ def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw
     """Reference upper envelope cw * (norm/eps)**((m-p)/alpha), formed in log2 where that overflows."""
     if not eps > 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
+    if not (0.0 < norm < math.inf and 0.0 < cw < math.inf):
+        raise DomainError(f"norm and cw must be positive and finite, got norm = {norm}, cw = {cw}")
     power = (m - p) / alpha
     return _double_or_exp2(lambda: cw * (norm / eps) ** power,
                            lambda: math.log2(cw) + power * (math.log2(norm) - math.log2(eps)))

@@ -66,7 +66,7 @@ class Chart:
     def __post_init__(self) -> None:
         if not (0.0 < self.lam1 <= self.lam2 < math.inf):
             raise DomainError(f"need 0 < lam1 <= lam2 < inf, got {self.lam1}, {self.lam2}")
-        if self.r0 <= 0.0:
+        if not self.r0 > 0.0:  # false for NaN; inf stays allowed, as certify's default identity chart has it
             raise DomainError(f"rectangle half-width must be positive, got {self.r0}")
 
     @property

@@ -9,7 +9,6 @@ constructions), sweep (dyadic budget sweep to CSV).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -144,9 +143,8 @@ def _cmd_certify(args) -> int:
     print(f"vacuous={str(cert.vacuous).lower()}")
     print(f"envelope_ok={str(cert.envelope_ok).lower()}")
     if args.csv:
-        header_needed = not os.path.exists(args.csv)
         with open(args.csv, "a") as fh:
-            if header_needed:
+            if fh.tell() == 0:  # a new or empty file: append mode starts at the end
                 fh.write("eps,n0,certified_count,paper_bound,theory_bound,mode\n")
             fh.write(
                 f"{cert.eps:.17g},{cert.n0},{cert.certified_count},"
@@ -156,8 +154,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    from .adversary import flatten_perturbation, improvement_envelope, iterate_improvement, refine_interpolant
-    from .driver import adversary_refusal
+    from .adversary import (flatten_perturbation, improvement_envelope, iterate_improvement, refine_interpolant,
+                            target_refusal)
 
     if args.rounds is not None and args.mode != "iterate":
         raise TranslabError(f"--rounds counts the rounds of --mode iterate, but --mode {args.mode} runs one construction")
@@ -165,25 +163,14 @@ def _cmd_perturb(args) -> int:
         for flag, value in (("--alpha", args.alpha), ("--lambda", args.lam)):
             if value is not None:
                 raise TranslabError(f"{flag} sets the extremal map's modulus, but --func {args.func} replaces that map")
-        sampled = _load_map(args.func, "perturb", 1, 1)
-        # a grid function's Lipschitz constant is its steepest knot segment; a
-        # difference of doubles rounds monotonely, so a 1-Lipschitz file passes
-        x, v = sampled.grid[0], sampled.values[:, 0]
-        dx, dv = np.diff(x), np.abs(np.diff(v))
-        steep = np.flatnonzero(dv > dx)
-        if len(steep):
-            k = steep[np.argmax(dv[steep] / dx[steep])]
-            slope, a, b = float(dv[k] / dx[k]), float(x[k]), float(x[k + 1])
-            raise TranslabError(
-                f"adversary runs need a 1-Lipschitz target; {args.func} has slope {slope!r} on [{a!r}, {b!r}]"
-            )
-        f = lambda s: sampled.evaluate_many(np.reshape(s, (-1, 1)))[:, 0]
+        target = _load_map(args.func, "perturb", 1, 1)
+        f = lambda s: target.evaluate_many(np.reshape(s, (-1, 1)))[:, 0]
     else:
         args.alpha, args.lam = (1.0 if v is None else v for v in (args.alpha, args.lam))
-        refusal = adversary_refusal(args.alpha, args.lam)
-        if refusal:
-            raise TranslabError(refusal)
-        f = _extremal_from_args(args).as_scalar()
+        target = _extremal_from_args(args)
+        f = target.as_scalar()
+    if refusal := target_refusal(target, args.func):
+        raise TranslabError(refusal)
     if args.mode in ("flatten", "refine") and not args.out:
         raise TranslabError(f"--mode {args.mode} needs --out")
     if args.C is not None and args.mode == "refine":

@@ -21,33 +21,14 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .adversary import flatten_arrays, refine_interpolant
+from .adversary import check_budget, flatten_arrays, refine_interpolant, target_refusal
 from .adversary import flatten_perturbation  # noqa: F401  perfbench's tracer wraps driver.flatten_perturbation by name
 from .certifier import certify, theory_upper_curve
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, TranslabError
 from .extremal import ExtremalFunction
-from .funcrep import MESH_CAP, count_value_zeros
+from .funcrep import count_value_zeros
 from .funcrep import count_zero_components  # noqa: F401  perfbench's tracer wraps driver.count_zero_components by name
 from .modulus import ModulusSpec
-
-
-def adversary_refusal(alpha: float, lam: float) -> Optional[str]:
-    """Why the adversary refuses the extremal profile of lam * s**alpha as its target, or None.
-
-    flatten and refine stay within eps of a 1-Lipschitz target only.  The
-    profile rises along beta/2, so at alpha = 1 its Lipschitz constant is
-    lambda/2, at most 1 exactly when lambda <= 2; at alpha < 1 it is not
-    Lipschitz.  Outside that range their outputs were measured up to
-    32 eps away from F.
-    """
-    if alpha < 1.0:
-        return f"adversary runs need a 1-Lipschitz F (alpha = 1, lambda <= 2); F is not Lipschitz at alpha = {alpha!r}"
-    if lam > 2.0:
-        return (
-            f"adversary runs need a 1-Lipschitz F (alpha = 1, lambda <= 2); "
-            f"F's Lipschitz constant at lambda = {lam!r} is lambda/2 = {lam / 2.0!r}"
-        )
-    return None
 
 
 @dataclass(frozen=True)
@@ -68,8 +49,7 @@ class SweepConfig:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (0.0 < self.lam < math.inf):
             raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
-        q = self.m - self.p
-        if not (1 <= q <= self.d):
+        if not (1 <= self.m - self.p <= self.d):
             raise ConfigError(f"need d >= m - p >= 1, got d={self.d}, m={self.m}, p={self.p}")
         if self.p < 0:
             raise ConfigError(f"p must be nonnegative, got {self.p}")
@@ -79,29 +59,21 @@ class SweepConfig:
             raise ConfigError(f"j_max must be at most 1074 (2**-1075 rounds to 0.0), got {self.j_max}")
         if self.j_min < -1023:
             raise ConfigError(f"j_min must be at least -1023 (2**1024 overflows a double), got {self.j_min}")
-        if self.adversary and (self.d != 1 or self.m != 1 or self.p != 0):
-            raise ConfigError("adversary runs need d = m = 1 and p = 0")
-        if self.adversary and (refusal := adversary_refusal(self.alpha, self.lam)):
-            raise ConfigError(refusal)
-        # refine's mesh at eps = 2**-j has 2**(j + 2) cells, the most an adversary row lays out
-        if self.adversary and self.j_max + 2 > math.log2(MESH_CAP):
-            raise ConfigError(
-                f"adversary runs at j_max = {self.j_max} need 2**{self.j_max + 2} refine cells, "
-                f"over the cap of {MESH_CAP}"
-            )
-        if not (0.0 < self.C <= 1.0):
-            raise ConfigError(f"C must lie in (0, 1], got {self.C}")
-        if not self.adversary and self.C != 1.0:  # only flatten reads C
+        if self.adversary:
+            if refusal := target_refusal(self.extremal()):
+                raise ConfigError(refusal)
+            for j in range(self.j_min, self.j_max + 1):  # the budgets swept, none when the range is empty
+                try:
+                    check_budget(2.0**-j, self.C)
+                except TranslabError as exc:
+                    raise ConfigError(f"adversary runs at j = {j}, C = {self.C!r}: {exc}") from None
+        elif self.C != 1.0:  # only flatten reads C
             raise ConfigError(f"C = {self.C!r} sets flatten's partition constant, but the adversary is off")
-        # flatten needs eps <= C/6 at every budget, so at the first and largest
-        # one; C <= 1 makes j_min <= 2 fail too, without forming 2.0**-j_min
-        if self.adversary and self.j_min <= self.j_max and (self.j_min <= 2 or 2.0**-self.j_min > self.C / 6.0):
-            raise ConfigError(
-                f"adversary runs need 2**-j_min <= C/6 = {self.C / 6.0!r}; "
-                f"j_min = {self.j_min} with C = {self.C!r} starts at 2**{-self.j_min}"
-            )
         if not (0.0 < self.cw < math.inf):
             raise ConfigError(f"cw must be positive and finite, got {self.cw}")
+
+    def extremal(self) -> ExtremalFunction:
+        return ExtremalFunction(beta=ModulusSpec.power(self.lam, self.alpha), d=self.d, q=self.m - self.p, p=self.p)
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -188,9 +160,7 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
     cfg.validate()
     if chart is not None and cfg.adversary:
         raise ConfigError("adversary runs are flat-model only; drop the chart")
-    beta = ModulusSpec.power(cfg.lam, cfg.alpha)
-    q = cfg.m - cfg.p
-    fn = ExtremalFunction(beta=beta, d=cfg.d, q=q, p=cfg.p)
+    fn = cfg.extremal()
     budgets = [2.0**-j for j in range(cfg.j_min, cfg.j_max + 1)]
     if cfg.adversary:
         scalar = fn.as_scalar()

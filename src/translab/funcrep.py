@@ -270,13 +270,16 @@ class SampledFunction:
         data = np.asarray(data, dtype=float)
         axes = tuple(np.unique(data[:, a]) for a in range(d))
         lens = tuple(len(k) for k in axes)
-        if math.prod(lens) != len(rows):
-            raise ShapeError("rows do not form a full knot-tuple product")
-        fn = cls(grid=axes, values=data[:, d:].reshape(lens + (m,)))  # values placed by row order
-        off = np.flatnonzero((data[:, :d] != fn.knot_points()).any(axis=1))
-        if off.size:
-            raise ShapeError(f"{path} line {linenos[off[0]]}: knot rows must follow save's lexicographic order")
-        return fn
+        n = min(len(rows), math.prod(lens))
+        k, want = np.arange(n), np.empty((n, d))
+        for a in reversed(range(d)):  # save's order: the knot product, unravelled only as far as the file goes
+            k, i = np.divmod(k, lens[a])
+            want[:, a] = axes[a][i]
+        first = next(iter(np.flatnonzero((data[:n, :d] != want).any(axis=1))), n)  # n: the file or the product ended
+        if first < len(rows) or n < math.prod(lens):
+            line = (*linenos, linenos[-1] + 1)[first]  # a short file departs on the line after its last row
+            raise ShapeError(f"{path} line {line}: knot rows must follow save's lexicographic order")
+        return cls(grid=axes, values=data[:, d:].reshape(lens + (m,)))  # values placed by row order
 
 
 @dataclass(frozen=True)

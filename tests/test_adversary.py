@@ -831,6 +831,78 @@ class TestIterate:
             iterate_improvement(lambda s: 0.0, 2.0**-4, 1.0, 0)
 
 
+class TestPreconditions:
+    """The target rule and the budget rule, which ``translab sweep`` and ``translab perturb`` share."""
+
+    LIPSCHITZ = "adversary runs need a 1-Lipschitz F (alpha = 1, lambda <= 2); "
+
+    @staticmethod
+    def untouchable(s):
+        raise AssertionError("f was called")
+
+    @pytest.mark.parametrize("d,q,p", [(2, 1, 0), (2, 2, 0), (1, 1, 1), (3, 1, 2)])
+    def test_target_must_be_scalar(self, d, q, p):
+        grid = SampledFunction(grid=([0.0, 1.0],) * d, values=np.zeros((2,) * d + (p + q,)))
+        for target in (ExtremalFunction(beta=IDENTITY, d=d, q=q, p=p), grid):
+            assert adversary.target_refusal(target) == "adversary runs need d = m = 1 and p = 0"
+
+    @pytest.mark.parametrize(
+        "beta,why",
+        [
+            (ModulusSpec.power(1.0, 0.5), "F is not Lipschitz at alpha = 0.5"),
+            (ModulusSpec.power(8.0, 0.75), "F is not Lipschitz at alpha = 0.75"),
+            (ModulusSpec.power(2.0000000000000004, 1.0),
+             "F's Lipschitz constant at lambda = 2.0000000000000004 is lambda/2 = 1.0000000000000002"),
+            (ModulusSpec.table([(0.0, 0.0), (1.0, 1.0)]), "F's modulus is a table, not lambda * s**alpha"),
+        ],
+    )
+    def test_extremal_target_outside_the_lipschitz_range(self, beta, why):
+        assert adversary.target_refusal(ExtremalFunction(beta=beta, d=1, q=1)) == self.LIPSCHITZ + why
+
+    @pytest.mark.parametrize("lam", [2.0**-20, 1.0, 2.0])
+    def test_extremal_target_up_to_lambda_2_accepted(self, lam):
+        assert adversary.target_refusal(ExtremalFunction(beta=ModulusSpec.power(lam, 1.0), d=1, q=1)) is None
+
+    def test_grid_target_judged_by_its_steepest_segment(self):
+        knots = np.array([0.0, 0.25, 0.5, 0.625, 1.0])
+        tent = SampledFunction(grid=(knots,), values=np.array([[0.0], [0.25], [0.0], [0.125], [0.125]]))
+        assert adversary.target_refusal(tent, "tent.txt") is None  # slopes 1, -1, 1 and 0
+        spike = tent.with_values(np.array([[0.0], [0.25], [0.0], [0.5], [0.125]]))  # slopes 1, -1, 4, -1 and 0
+        assert adversary.target_refusal(spike, "spike.txt") == (
+            "adversary runs need a 1-Lipschitz target; spike.txt has slope 4.0 on [0.5, 0.625]"
+        )
+        assert adversary.target_refusal(spike).endswith("; the target has slope 4.0 on [0.5, 0.625]")
+
+    @pytest.mark.parametrize(
+        "eps,C,construction",
+        [
+            (0.25, 1.0, "flatten"),  # eps > C/6
+            (2.0**-6, 1.5, "flatten"),  # C > 1
+            (2.0**-6, math.nan, "flatten"),
+            (2.0**-23, 1.0, "refine"),  # 2**25 cells
+            (5e-324, 1.0, "refine"),
+        ],
+    )
+    def test_budget_rule_raises_as_the_construction_does(self, eps, C, construction):
+        run = {"flatten": lambda: flatten_perturbation(self.untouchable, eps, C),
+               "refine": lambda: refine_interpolant(self.untouchable, eps)}[construction]
+        with pytest.raises((DomainError, EnumerationCapError)) as by_construction:
+            run()
+        with pytest.raises(type(by_construction.value), match="^" + re.escape(str(by_construction.value)) + "$"):
+            adversary.check_budget(eps, C)
+
+    @pytest.mark.parametrize("eps,C", [(2.0**-3, 1.0), (2.0**-22, 1.0), (2.0**-22, 2.0**-10), (0.1875 / 6.0, 0.1875)])
+    def test_budget_rule_accepts_what_both_constructions_accept(self, eps, C):
+        adversary.check_budget(eps, C)
+
+    @pytest.mark.parametrize("C", [1.0, 0.5, 0.3, 0.1875, 1e-3, 2.0**-24])
+    def test_flatten_table_never_outgrows_the_refine_mesh(self, C):
+        # so the budget rule need not check flatten's table: at eps <= C/6 it holds at most 2.5/eps cells
+        for eps in [C / 6.0 * 2.0**-k * f for k in range(0, 40, 3) for f in (1.0, 0.7, 0.51)]:
+            table = math.ceil(C / (3.0 * eps)) * (math.ceil(3.0 / C) + 1)
+            assert table <= 2.5 / eps < math.ceil(4.0 / eps)
+
+
 class TestUpperCurve:
     def test_power_law(self):
         assert theory_upper_curve(1.0, 2.0**-10, 1.0, 1, 0, 1.0) == 1024.0
@@ -866,6 +938,16 @@ class TestUpperCurve:
             theory_upper_curve(1.0, 0.0, 1.0, 1, 0)
         with pytest.raises(DomainError, match="budget must be positive, got nan"):
             theory_upper_curve(1.0, math.nan, 1.0, 1, 0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("eps", [2.0**-10, 2.0**-1074])
+    def test_scales_validated(self, value, eps):
+        # cw = 0 gave 0.0 at 2**-10 and a bare math domain error at 2**-1074; -1 gave -1024.0; NaN gave inf
+        message = "norm and cw must be positive and finite, got norm = {}, cw = {}"
+        with pytest.raises(DomainError, match="^" + re.escape(message.format(1.0, value)) + "$"):
+            theory_upper_curve(1.0, eps, 1.0, 1, 0, value)
+        with pytest.raises(DomainError, match="^" + re.escape(message.format(value, 1.0)) + "$"):
+            theory_upper_curve(value, eps, 1.0, 1, 0)
 
 
 class TestSandwich:

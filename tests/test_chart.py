@@ -7,6 +7,7 @@ import pytest
 
 from translab import certifier
 from translab import (
+    Chart,
     DomainError,
     ExtremalFunction,
     ModulusSpec,
@@ -83,6 +84,23 @@ class TestBuiltins:
     def test_chart_constant_order(self):
         with pytest.raises(DomainError):
             identity_chart(1, r0=-1.0)
+
+    @pytest.mark.parametrize("r0", [math.nan, 0.0, -0.0, -math.inf])
+    def test_half_width_that_is_not_positive_refused(self, r0):
+        # r0 = NaN passed a `r0 <= 0` test, and certify then read n0 = 0 through the chart
+        message = "^" + re.escape(f"rectangle half-width must be positive, got {r0}") + "$"
+        for build in (
+            lambda: Chart(name="c", m=1, phi=np.array, phi_inv=np.array, lam1=1.0, lam2=1.0, r0=r0),
+            lambda: identity_chart(2, r0=r0),
+            lambda: affine_chart(np.eye(2), r0=r0),
+            lambda: polar_demo_chart(r0=r0),
+        ):
+            with pytest.raises(DomainError, match=message):
+                build()
+
+    def test_infinite_half_width_accepted(self):
+        # certify's default identity chart has an unbounded rectangle
+        assert identity_chart(2, r0=math.inf).r0 == math.inf
 
 
 class TestTransport:

@@ -251,6 +251,26 @@ class TestCertifyCommand:
         assert lines[0].startswith("eps,")
         assert len(lines) == 2
 
+    def test_csv_header_written_into_an_empty_file(self, capsys, tmp_path):
+        # a file that exists but is empty got the row alone
+        csv_path = tmp_path / "cert.csv"
+        csv_path.touch()
+        for _ in range(2):
+            code, _, _ = run(capsys, "certify", "--eps", "0.0078125", "--csv", str(csv_path))
+            assert code == 0
+        assert csv_path.read_text().splitlines() == [
+            "eps,n0,certified_count,paper_bound,theory_bound,mode",
+            *["0.0078125,1,2,2,1.1503246070171784,theoretical"] * 2,
+        ]
+
+    @pytest.mark.parametrize("r0", ["nan", "0", "-1"])
+    def test_chart_half_width_that_is_not_positive_is_clean_error(self, capsys, r0):
+        # --r0 nan exited 0 with n0=0 and vacuous=true
+        code, out, err = run(capsys, "certify", "--d", "2", "--m", "2", "--p", "1", "--eps", "0.001",
+                             "--chart", "polar-demo", "--r0", r0)
+        assert code == 2 and out == ""
+        assert err == f"error: rectangle half-width must be positive, got {float(r0)}\n"
+
     def test_affine_chart_spec(self, capsys):
         code, out, _ = run(capsys, "certify", "--alpha", "1", "--lambda", "1",
                            "--d", "1", "--m", "1", "--p", "0", "--eps", "0.0078125",
@@ -513,8 +533,7 @@ class TestSweepCommand:
         out_path = tmp_path / "sweep.csv"
         code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out_path))
         assert code == 2 and out == ""
-        assert err == "error: adversary runs need 2**-j_min <= C/6 = 0.16666666666666666; " \
-                      "j_min = 2 with C = 1.0 starts at 2**-2\n"
+        assert err == "error: adversary runs at j = 2, C = 1.0: need 0 < eps <= C/6 = 0.16666666666666666, got 0.25\n"
         assert not out_path.exists()
 
     def test_adversary_outside_the_lipschitz_range_is_clean_error(self, capsys, tmp_path):

@@ -313,11 +313,20 @@ class TestConfig:
 
     @pytest.mark.parametrize("j_max", [23, 40])
     def test_adversary_past_the_mesh_cap_rejected(self, j_max):
-        # refine's mesh at eps = 2**-j has 2**(j + 2) cells; the cap is 2**24
-        with pytest.raises(ConfigError, match=rf"j_max = {j_max} need 2\*\*{j_max + 2} refine cells, over the cap"):
+        # refine's mesh at eps = 2**-j has 2**(j + 2) cells; the cap is 2**24, so j = 23 is the first budget refused
+        message = ("adversary runs at j = 23, C = 1.0: refine_interpolant at eps = 1.1920928955078125e-07 "
+                   "needs 33554432 cells, over the cap of 16777216")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             replace(BASE, j_max=j_max, adversary=True).validate()
         replace(BASE, j_max=j_max).validate()  # the certifier alone is not capped here
         replace(BASE, j_max=22, adversary=True).validate()
+
+    def test_adversary_empty_range_checks_no_budget(self):
+        # j = 30..25 sweeps no budget, so no refine mesh is laid out and none is refused
+        cfg = SweepConfig(alpha=1, lam=1, d=1, m=1, p=0, j_min=30, j_max=25, adversary=True)
+        cfg.validate()
+        assert sweep(cfg) == []
+        assert parse_config(BASE_TEXT.replace("j_min=6", "j_min=30").replace("j_max=8", "j_max=25") + "adversary=true\n") == cfg
 
     @pytest.mark.parametrize("j_min,C", [(2, 1.0), (-3, 1.0), (-1023, 1.0), (5, 0.1), (3, 0.5), (4, 0.1875)])
     def test_adversary_first_budget_over_c_over_6_refused(self, monkeypatch, j_min, C):
@@ -326,7 +335,8 @@ class TestConfig:
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(driver, "certify", untouchable)
-        message = re.escape(f"adversary runs need 2**-j_min <= C/6 = {C / 6.0!r}; j_min = {j_min} with C = {C!r}")
+        message = "^" + re.escape(f"adversary runs at j = {j_min}, C = {C!r}: need 0 < eps <= C/6 = {C / 6.0!r}, "
+                                  f"got {2.0**-j_min!r}") + "$"
         cfg = replace(BASE, j_min=j_min, j_max=8, adversary=True, C=C)
         with pytest.raises(ConfigError, match=message):
             cfg.validate()

@@ -853,6 +853,8 @@ class TestFileFormat:
             ("1 1\n0 1\n1 -1\n0.5 0\n", 3),  # was read with -1 at 0.5 and 0 at 1
             ("2 1\n0 0 1\n0 1 2\n1 0 3\n0 0 4\n", 5),  # (0, 0) twice, (1, 1) missing
             ("2 1\n0 0 1\n\n1 0 2\n0 1 3\n1 1 4\n", 4),  # axis 0 before axis 1; blank lines count
+            ("2 1\n0 0 1\n0 1 2\n1 0 3\n", 5),  # (1, 1) missing at the end: the file departs where it stops
+            ("2 1\n0 0 1\n0 1 2\n1 0 3\n1 1 4\n1 1 5\n", 6),  # a row past the full product
         ],
     )
     def test_rows_out_of_knot_order_refused(self, tmp_path, text, line):

@@ -169,7 +169,7 @@ print(json.dumps([codes, after_core, loaded()]))
     codes, after_core, after_perturb = seen
     assert codes == [0] * 5
     assert not any(after_core[name] for name in ("translab.adversary", "translab.driver", "csv"))
-    assert after_perturb["translab.adversary"] and after_perturb["translab.driver"]
+    assert after_perturb["translab.adversary"] and not after_perturb["translab.driver"]
 
 
 def test_every_export_is_its_submodules_object():
