@@ -220,6 +220,10 @@ def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw
     """Reference upper envelope cw * (norm/eps)**((m-p)/alpha), formed in log2 where that overflows."""
     if not eps > 0.0:
         raise DomainError(f"budget must be positive, got {eps}")
+    if not 0.0 < alpha <= 1.0:  # NaN too
+        raise DomainError(f"need 0 < alpha <= 1, got alpha={alpha}")
+    if not (0 <= p < m):
+        raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
     if not (0.0 < norm < math.inf and 0.0 < cw < math.inf):
         raise DomainError(f"norm and cw must be positive and finite, got norm = {norm}, cw = {cw}")
     power = (m - p) / alpha

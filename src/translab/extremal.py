@@ -12,36 +12,31 @@ symmetrically, and repeats negated over the second half of its support;
 its extrema sit at odd multiples of scale_n with values +-beta(scale_n)/2.
 
 Bump-corner evaluation is exact: there is no truncation error, only the
-float rounding of beta itself.  Every level start and scale is an exact
-double, formed with ``ldexp`` from the level alone; no level table is
-read.  The point call ``profile`` and the array kernel ``profile_many``
-locate a point by the same fold, in float arithmetic that never rounds:
+float rounding of beta itself.  Every level start and bump period is an
+exact double, formed with ``ldexp`` from the level alone; no level table
+is read.  ``profile`` and ``profile_many`` fold a point s by one rule, in
+float arithmetic that never rounds:
 
-* every s < 1/2 lies on level 1, where the offset in units of scale_1 =
-  2**-4 is u = 16*s, exact; for s >= 1/2 the difference 1 - s is exact
-  (Sterbenz lemma), and ``frexp`` splits it as mant * 2**e with mant in
-  [1/2, 1), so s lies on level g = 1 - e, or on level g + 1 at its very
-  start when mant = 1/2;
-* s - start_g = 2**e - mant * 2**e = (1 - mant) * 2**e, and 1 - mant is
-  exact (Sterbenz again), so the offset in units of scale_g is u =
-  ldexp(1 - mant, g*g + 3), a power-of-two scaling that only shifts the
-  exponent (1 - mant <= 1/2, so level 30's u stays below 2**903, far
-  from overflow; deeper points give 0 unfolded, or, in the kernel, are
-  folded on level 30 and zeroed); at a slot's end u = 4 * 2**(g*g) is a
-  whole number of bump periods, offset 0 of the next level, as it
-  should be, and s = 1, where frexp(0) = (0, 0), gives u = 16, offset
-  0 of level 1;
-* the offset within the bump, u - 4*floor(u/4), is exact: floor(u/4)
-  is (u/4 is exact once u >= 4, and below 4 the floor is 0), so is
-  4*floor(u/4), and the true remainder is a multiple of the last place
-  of u smaller than u, so it is a double and the subtraction returns it
-  unrounded.  The mirror difference 4 - u is exact on the falling half
-  (2, 4) where it is taken, and 2 - u on [1, 2] (Sterbenz again); below
-  1 the offset is kept as it is, which the kernel's min(u, 2 - u) also
-  does, since there 2 - u rounds to at least 1 > u.
-  Scaling the folded offset back by scale_g = 2**-(g*g + g + 2) with
-  ``ldexp`` cannot round: the true product is the same fold taken in
-  units of length, a double by the same steps.
+* level: s < 1/2 lies on level 1.  For s >= 1/2, 1 - s is exact
+  (Sterbenz lemma) and s lies on level n = 1 - k, 2**(k-1) < 1 - s <= 2**k
+  (k = 0 at s = 1).  ``frexp`` reads k off 1 - s times the largest double
+  below 1, a product that moves a power of two, and no other double, into
+  the binade below.  The level is not read below 1/2, where 1 - s may
+  round up to 1/2;
+* offset: s - start_n is exact, as start_1 = 0 and start_n lies in
+  [1/2, s] for n >= 2 (Sterbenz), and u = ldexp(s - start_n, p) counts it
+  in bump periods 4*scale_n = 2**-p, p = n*n + n.  u stays below the
+  level's bump count 2**(n*n), but for s = 1, where u = 4 periods is
+  offset 0 of level 1.  A point past ``MAX_LEVEL`` is located on level
+  ``MAX_LEVEL``, so u < 2**901, far from overflow, and its value is 0;
+* floor remainder: f = u - floor(u) is exact, since the true remainder
+  is a multiple of the last place of u smaller than u, so a double;
+* mirror and sign: the offset from the nearest bump zero is min(f,
+  |1/2 - f|, 1 - f), where 1/2 - f is exact on [1/4, 1] and 1 - f on
+  [1/2, 1] (Sterbenz), so each term is exact where it is the least.  The
+  value is beta of that offset times 2**-p, an ``ldexp`` that cannot
+  round (the true product is the same fold in units of length), times
+  copysign(1/2, 1/2 - f), which is negative on the bump's second half.
 
 Doubles are the only number type here; a number that is not exactly a
 double is refused, not rounded.  From level 7 on the bump period
@@ -69,9 +64,11 @@ from .funcrep import MESH_CAP, SampledFunction, check_work
 from .modulus import ModulusSpec, require_modulus
 
 MAX_LEVEL = 30
-# Points per block of profile_many: 64 KiB per temporary, under glibc's
-# default mmap threshold of 128 KiB, so blocks reuse freed heap memory.
+# Points per block of profile_many: 64 KiB per float temporary, under
+# glibc's default mmap threshold of 128 KiB, so blocks reuse freed heap
+# memory; the kernel writes into the temporaries it has.
 _BLOCK = 2**13
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 
 class ResolutionWarning(UserWarning):
@@ -124,64 +121,70 @@ def _as_doubles(s, what: str) -> np.ndarray:
 def profile(beta: ModulusSpec, s) -> float:
     """The scalar multi-scale profile at s in [0, 1], evaluated exactly.
 
-    Locates the unique level containing s, folds its offset onto the
-    rising half of one bump, and evaluates beta there once; level
-    supports are disjoint so no truncation of the level sum occurs.  The
-    fold is ``profile_many``'s, step for step on Python floats (see the
-    module docstring), and s must be exactly a double.
+    Folds s by the module docstring's rule on Python floats and evaluates
+    beta once; level supports are disjoint so no truncation of the level
+    sum occurs.  The mirror and the sign are comparisons that form only
+    the least difference, so ``profile`` equals ``profile_many`` whenever
+    ``beta`` and ``beta.many`` agree.  s must be exactly a double.
     """
     s = _as_double(s, "profile argument")
     if not (0.0 <= s <= 1.0):
         raise DomainError(f"profile argument must lie in [0, 1], got {s}")
-    g = 1  # geometry level: s lies on level g, or at the start of level g + 1
-    if s < 0.5:
-        u = 16.0 * s  # offset in units of scale_1; level 1 starts at 0
-    else:
-        mant, exp = math.frexp(1.0 - s)
-        g = 1 - exp
-        if g + (mant == 0.5) > MAX_LEVEL:
-            warnings.warn(
-                f"point {s} lies beyond level {MAX_LEVEL}; returning 0", ResolutionWarning, stacklevel=2
-            )
-            return 0.0
-        u = math.ldexp(1.0 - mant, g * g + 3)  # offset in units of scale_g
-    u -= 4.0 * math.floor(u / 4.0)  # offset within the bump, in [0, 4)
-    falling = u > 2.0  # the negated second half, mirrored onto the first
-    if falling:
-        u = 4.0 - u
-    value = beta(math.ldexp(u if u < 1.0 else 2.0 - u, -(g * g + g + 2))) / 2.0  # back to units of length
-    return -value if falling else value
+    n = 1 - math.frexp((1.0 - s) * _BELOW_ONE)[1] if s >= 0.5 else 1
+    if n > MAX_LEVEL:
+        warnings.warn(
+            f"point {s} lies beyond level {MAX_LEVEL}; returning 0", ResolutionWarning, stacklevel=2
+        )
+        return 0.0
+    p = n * n + n
+    u = math.ldexp(s - (1.0 - math.ldexp(1.0, 1 - n)), p)  # offset in bump periods
+    u -= math.floor(u)
+    if u > 0.5:  # the negated second half
+        return -0.5 * beta(math.ldexp(u - 0.5 if u < 0.75 else 1.0 - u, -p))
+    return 0.5 * beta(math.ldexp(u if u < 0.25 else 0.5 - u, -p))
 
 
-def _levels(x: np.ndarray, what: str) -> np.ndarray:
-    """The level of each point of a flat float64 array in [0, 1].
-
-    Levels past ``MAX_LEVEL`` are returned as they are; a point outside
-    [0, 1] or NaN is refused.
+def _locate(x: np.ndarray, what: str):
+    """(n, p, start, u) for a flat float64 block: each point's level n
+    (past ``MAX_LEVEL`` as it is) and, on level c = min(n, ``MAX_LEVEL``),
+    the period exponent p = c*c + c, start_c and the exact offset u =
+    ldexp(x - start_c, p) in periods.  Refuses a point outside [0, 1] or
+    NaN, naming the first.
     """
-    inside = (x >= 0.0) & (x <= 1.0)  # false for NaN
-    if not inside.all():
-        raise DomainError(f"{what} must lie in [0, 1], got {x[~inside][0]}")
-    # 1 - x = mant * 2**exp with mant in [1/2, 1): level 1 - exp, one
-    # deeper when 1 - x is a power of two (the slot's right end).
-    mant, exp = np.frexp(1.0 - x)
-    return np.where(x < 0.5, 1, 1 - exp + (mant == 0.5))
+    hi = x.max(initial=0.0)  # an empty block passes
+    if not (x.min(initial=0.0) >= 0.0 and hi <= 1.0):  # false for NaN too
+        raise DomainError(f"{what} must lie in [0, 1], got {x[~((x >= 0.0) & (x <= 1.0))][0]}")
+    t = np.subtract(1.0, x)
+    t *= _BELOW_ONE
+    start, k = np.frexp(t, out=(t, None))  # 2**(k-1) < 1 - x <= 2**k: level 1 - k
+    k *= x >= 0.5  # level 1 below 1/2, where 1 - x may round up to 1/2
+    n = c = 1 - k
+    if hi >= 1.0 - 2.0**-MAX_LEVEL:  # some point may lie past MAX_LEVEL
+        np.maximum(k, 1 - MAX_LEVEL, out=k)
+        c = 1 - k
+    p = c + 1
+    p *= c
+    np.subtract(1.0, np.ldexp(1.0, k, out=start), out=start)
+    u = np.subtract(x, start)
+    np.ldexp(u, p, out=u)
+    return n, p, start, u
 
 
 def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     """``profile`` elementwise on a float array (or scalar) in [0, 1].
 
     Returns an array of the input's shape (a numpy scalar for 0-d input).
-    Each point's level comes from ``frexp(1 - s)``, its offset in units
-    of scale_n is formed with ``ldexp`` and reduced with a floor
-    remainder, and beta is called once per block.  Every step but beta
-    is exact (see the module docstring), so the result equals
-    ``profile`` bit for bit whenever ``beta.many`` and ``beta`` agree:
-    table moduli and power moduli with alpha = 1.  For alpha < 1 numpy's
-    power and Python's may differ in the last ulp, and so may the two
-    profiles.  Points beyond ``MAX_LEVEL`` evaluate to 0 with one
-    ``ResolutionWarning`` per call, naming their total count and the
-    first of them.  Like ``profile`` it refuses a number that is not
+    ``_locate`` gives each point's level and its offset in bump periods,
+    a floor remainder reduces the offset to one period, min(f, |1/2 - f|,
+    1 - f) mirrors it onto the rising quarter and copysign(1/2, 1/2 - f)
+    gives the sign, with no branch and no mask; beta is called once per
+    block.  Every step but beta is exact (see the module docstring), so
+    the result equals ``profile`` bit for bit whenever ``beta.many`` and
+    ``beta`` agree: table moduli and power moduli with alpha = 1.  For
+    alpha < 1 numpy's power and Python's may differ in the last ulp, and
+    so may the two profiles.  Points beyond ``MAX_LEVEL`` evaluate to 0
+    with one ``ResolutionWarning`` per call, naming their total count and
+    the first of them.  Like ``profile`` it refuses a number that is not
     exactly a double, and a point outside [0, 1] or NaN, naming the
     first; a refusal raises before any warning.
 
@@ -192,33 +195,21 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     """
     s = _as_doubles(s, "profile argument")
     x = s.ravel()
-    if len(x) and not (x.min() >= 0.0 and x.max() <= 1.0):  # false for NaN too
-        _levels(x, "profile argument")  # refuses, naming the first offender
     out = np.empty(x.shape)
     deep_count, first_deep = 0, None
     for lo in range(0, len(x), _BLOCK):
         xb, ob = x[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
-        mant, exp = np.frexp(1.0 - xb)
-        g = np.maximum(1 - exp, 1)  # geometry level: 1 below 1/2, where 1 - exp is 0 or 1
-        deep = None
-        if g.max() >= MAX_LEVEL:
-            deep = g + (mant == 0.5) > MAX_LEVEL  # a slot's end is offset 0 of the next level
-            if deep.any():
-                first_deep = xb[deep][0] if first_deep is None else first_deep
-                deep_count += np.count_nonzero(deep)
-            np.minimum(g, MAX_LEVEL, out=g)  # keeps ldexp finite; deep points are zeroed below
-        gg = g * g
-        u = np.ldexp(1.0 - mant, gg + 3)  # offset in units of scale_g
-        np.multiply(xb, 16.0, out=u, where=xb < 0.5)  # level 1 starts at 0
-        u -= 4.0 * np.floor(u / 4.0)  # offset within the bump, in [0, 4)
-        falling = u > 2.0  # the negated second half, mirrored onto the first
-        np.subtract(4.0, u, out=u, where=falling)
-        np.minimum(u, 2.0 - u, out=u)
-        gg += g + 2
-        np.ldexp(u, np.negative(gg, out=gg), out=u)  # back to units of length
-        np.multiply(beta.many(u), 0.5, out=ob)
-        np.negative(ob, out=ob, where=falling)
-        if deep is not None:
+        n, p, a, u = _locate(xb, "profile argument")
+        u -= np.floor(u, out=a)  # offset within the bump, in [0, 1)
+        sign = np.copysign(0.5, np.subtract(0.5, u, out=a))
+        np.minimum(np.abs(a, out=a), 1.0 - u, out=a)
+        np.minimum(u, a, out=u)
+        np.ldexp(u, np.negative(p, out=p), out=u)  # back to units of length
+        np.multiply(beta.many(u), sign, out=ob)
+        if n.max() > MAX_LEVEL:
+            deep = n > MAX_LEVEL
+            first_deep = xb[deep][0] if first_deep is None else first_deep
+            deep_count += np.count_nonzero(deep)
             ob[deep] = 0.0
     if deep_count:
         warnings.warn(
@@ -340,19 +331,17 @@ class ExtremalFunction:
 
         def sup_from(s):
             s = _as_doubles(s, "sup_from argument")
-            n = _levels(s.ravel(), "sup_from argument")
-            scale = np.ldexp(1.0, -(n * n + n + 2))
+            n, p, _, _ = _locate(s.ravel(), "sup_from argument")
+            scale = np.ldexp(0.25, -p)  # scale_n, a quarter period
             scale[n > MAX_LEVEL] = 0.0
             return (0.5 * beta.many(scale)).reshape(s.shape)[()]
 
         def peak_from(s):
             s = _as_doubles(s, "peak_from argument")
-            x = s.ravel()
-            n = np.minimum(_levels(x, "peak_from argument"), MAX_LEVEL)
-            start, e = 1.0 - np.ldexp(1.0, 1 - n), n * n + n + 2
-            u = np.ldexp(x - start, e)  # offset in units of scale_n = 2**-e
+            _, p, start, u = _locate(s.ravel(), "peak_from argument")
+            u *= 4.0  # in units of scale_n = 2**-(p + 2)
             k = 2.0 * np.ceil((u - 1.0) / 2.0) + 1.0  # the smallest odd integer >= u
-            return (start + np.ldexp(k, -e)).reshape(s.shape)[()]
+            return (start + np.ldexp(k, -2 - p)).reshape(s.shape)[()]
 
         f.sup_from, f.peak_from = sup_from, peak_from
         return f

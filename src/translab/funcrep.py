@@ -355,7 +355,9 @@ def sup_distance(h1: SampledFunction, h2: SampledFunction) -> float:
     each coordinate with the others fixed, so the maximum over a cell
     sits at one of its vertices, and the merged knots suffice.  A merged
     grid of more than ``MESH_CAP`` knot tuples is refused before either
-    function is evaluated.
+    function is evaluated.  A function whose grid is the merged grid is
+    read off its values, which are its interpolant at the merged knots
+    up to the sign of a zero, a sign that squaring drops.
     """
     if h1.d != h2.d or h1.m != h2.m:
         raise ShapeError(
@@ -363,8 +365,11 @@ def sup_distance(h1: SampledFunction, h2: SampledFunction) -> float:
         )
     merged = tuple(np.union1d(a, b) for a, b in zip(h1.grid, h2.grid))
     check_work(math.prod(len(k) for k in merged), MESH_CAP, "sup_distance's merged grid", "knot tuples")
-    pts = np.stack(np.meshgrid(*merged, indexing="ij"), axis=-1).reshape(-1, h1.d)
+    # a merged axis holds the function's own knots, so equal lengths mean equal axes
+    own = [all(len(a) == len(k) for a, k in zip(h.grid, merged)) for h in (h1, h2)]
+    pts = None if all(own) else np.stack(np.meshgrid(*merged, indexing="ij"), axis=-1).reshape(-1, h1.d)
+    v1, v2 = (h.values.reshape(-1, h.m) if on else h.evaluate_many(pts) for h, on in zip((h1, h2), own))
     # evaluate_many returns Fortran order; numpy sums the rows of a C-order
     # block pairwise for m >= 8, a different rounding from the column sweep
-    diff = np.ascontiguousarray(h1.evaluate_many(pts) - h2.evaluate_many(pts))
+    diff = np.ascontiguousarray(v1 - v2)
     return float(np.sqrt((diff**2).sum(-1)).max())

@@ -910,8 +910,17 @@ class TestUpperCurve:
     def test_unit_budget(self):
         assert theory_upper_curve(1.0, 1.0, 0.5, 2, 0, 3.0) == 3.0
 
-    def test_zero_codimension_is_constant(self):
-        assert theory_upper_curve(5.0, 0.01, 1.0, 2, 2, 7.0) == 7.0
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, 2.0, math.inf, -0.0])
+    def test_alpha_outside_zero_one_is_refused(self, alpha):
+        # 0 raised a bare ZeroDivisionError, -1 gave 0.1, NaN gave inf and 2 was accepted
+        with pytest.raises(DomainError, match="^" + re.escape(f"need 0 < alpha <= 1, got alpha={alpha}") + "$"):
+            theory_upper_curve(1.0, 0.1, alpha, 2, 1)
+
+    @pytest.mark.parametrize("m,p", [(2, 2), (1, 2), (2, -1), (0, 0)])
+    def test_padding_outside_zero_m_is_refused(self, m, p):
+        # p = m gave cw (a constant curve), and p = 2 with m = 1 gave 0.1
+        with pytest.raises(DomainError, match="^" + re.escape(f"need 0 <= p < m, got p={p}, m={m}") + "$"):
+            theory_upper_curve(1.0, 0.1, 1.0, m, p)
 
     @pytest.mark.parametrize("alpha,codim", [(1.0, 1), (1.0, 2), (0.5, 1), (0.5, 2)])
     def test_past_the_power_overflow_matches_closed_form_in_log2(self, alpha, codim):

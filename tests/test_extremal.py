@@ -264,8 +264,9 @@ level_points = st.one_of(
 
 
 # Slot ends 1 - 2**-k of every level and beyond MAX_LEVEL, the ends of
-# [0, 1], signed zero and the double below 1/2 whose 1 - s rounds to 1/2.
-EDGE_POINTS = [0.0, -0.0, 1.0, 0.5 - 2.0**-54] + [1.0 - 2.0**-k for k in range(1, 41)]
+# [0, 1], signed zero, the double below 1/2 whose 1 - s rounds to 1/2 and
+# a double whose 1 - s rounds to 1.
+EDGE_POINTS = [0.0, -0.0, 1.0, 0.5 - 2.0**-54, 2.0**-60] + [1.0 - 2.0**-k for k in range(1, 41)]
 
 # Power moduli with alpha < 1 take numpy's power, tables np.interp.
 ORACLE_MODULI = [ModulusSpec.power(lam, alpha) for lam in (1.0, 8.0) for alpha in (0.25, 0.5, 0.75, 1.0)] + [
@@ -340,7 +341,7 @@ class TestProfileKernel:
                 want, want_warned = with_warnings(fmod_profile_many, beta, arg)
                 assert np.ndim(got) == 0 and warned == want_warned
                 assert np.asarray(got).view(np.int64) == np.asarray(want).view(np.int64)
-        grid = xs.reshape(4, -1)
+        grid = xs.reshape(5, -1)
         got, warned = with_warnings(profile_many, beta, grid)
         want, want_warned = with_warnings(fmod_profile_many, beta, grid)
         assert got.shape == grid.shape and len(warned) == 1 and warned == want_warned
@@ -470,7 +471,7 @@ def mixed_points(size, seed):
         1.0 - rng.uniform(0.5, 1.0, size) * np.ldexp(1.0, -rng.integers(0, 7, size)),
         rng.uniform(0.0, 1.0, size),
     )
-    edges = np.array(EDGE_POINTS[:30])  # slot ends up to level 27, none deep
+    edges = np.array(EDGE_POINTS[:31])  # slot ends up to level 27, none deep
     xs[rng.integers(0, size, len(edges))] = edges
     return xs
 
@@ -760,6 +761,54 @@ class TestPeakFrom:
                 peak_from(np.array([0.5, bad]))
         with pytest.raises(DomainError, match="not exactly a double"):
             peak_from(np.array([Fraction(1, 3)], dtype=object))
+
+
+def reference_levels(x):
+    """The level of each point of a flat array in [0, 1], past MAX_LEVEL as it is: 1 below 1/2,
+    elsewhere 1 - exp, one deeper when 1 - x is a power of two, from frexp(1 - x)."""
+    mant, exp = np.frexp(1.0 - x)
+    return np.where(x < 0.5, 1, 1 - exp + (mant == 0.5))
+
+
+def reference_sup_from(beta, x):
+    """sup_from's formula on reference_levels, kept as the reference."""
+    n = reference_levels(x)
+    scale = np.ldexp(1.0, -(n * n + n + 2))
+    scale[n > MAX_LEVEL] = 0.0
+    return 0.5 * beta.many(scale)
+
+
+def reference_peak_from(x):
+    """peak_from's formula on reference_levels, kept as the reference."""
+    n = np.minimum(reference_levels(x), MAX_LEVEL)
+    start, e = 1.0 - np.ldexp(1.0, 1 - n), n * n + n + 2
+    u = np.ldexp(x - start, e)
+    k = 2.0 * np.ceil((u - 1.0) / 2.0) + 1.0
+    return start + np.ldexp(k, -e)
+
+
+class TestHintFormulas:
+    """The hints decide which flatten intervals get scanned, so a changed bit
+    changes flatten's work: both keep their reference formulas bit for bit."""
+
+    @pytest.mark.parametrize("beta", TAIL_MODULI, ids=repr)
+    def test_edges_and_mixed_points(self, beta):
+        f = ExtremalFunction(beta=beta, d=1, q=1).as_scalar()
+        edges = np.array([nudged(x, ulps) for x in EDGE_POINTS for ulps in (-1, 0, 1)])
+        mixed = mixed_points(3 * _BLOCK + 7, 6)
+        np.random.default_rng(6).shuffle(mixed)
+        for xs in (edges, mixed):
+            assert same_bits(f.sup_from(xs), reference_sup_from(beta, xs))
+            assert same_bits(f.peak_from(xs), reference_peak_from(xs))
+
+    @pytest.mark.parametrize("beta", TAIL_MODULI, ids=repr)
+    @given(xs=st.lists(tail_points, min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_points(self, beta, xs):
+        f = ExtremalFunction(beta=beta, d=1, q=1).as_scalar()
+        xs = np.array(xs)
+        assert same_bits(f.sup_from(xs), reference_sup_from(beta, xs))
+        assert same_bits(f.peak_from(xs), reference_peak_from(xs))
 
 
 class TestPointCall:

@@ -433,14 +433,27 @@ class TestKnotRule:
             assert same_bits(h.evaluate_many(pts), expected)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_sup_distance_on_one_shared_grid(self, d):
+    def test_sup_distance_on_one_shared_grid(self, monkeypatch, d):
         rng = np.random.default_rng(d)
         h1 = knot_rule_function(d, 1.0, rng)
         h2 = h1.with_values(signed_zeros(rng.normal(size=h1.values.shape), rng))
+        # every other inner knot dropped: the merged grid of h1 and h3 is h1's
+        coarse = [np.r_[k[:-1:2], 1.0] for k in h1.grid]
+        h3 = SampledFunction(grid=coarse, values=signed_zeros(rng.normal(size=tuple(map(len, coarse)) + (2,)), rng))
         pts = h1.knot_points()
-        diff = np.ascontiguousarray(tuple_index_evaluate_many(h1, pts) - tuple_index_evaluate_many(h2, pts))
-        assert same_bits(sup_distance(h1, h2), np.sqrt((diff**2).sum(-1)).max())
+        want = {}
+        for a, b in ((h1, h2), (h1, h3), (h3, h1)):
+            diff = np.ascontiguousarray(tuple_index_evaluate_many(a, pts) - tuple_index_evaluate_many(b, pts))
+            want[a, b] = np.sqrt((diff**2).sum(-1)).max()
+        evaluated = []
+        real = SampledFunction.evaluate_many
+        monkeypatch.setattr(SampledFunction, "evaluate_many", lambda h, x: evaluated.append(h) or real(h, x))
+        assert same_bits(sup_distance(h1, h2), want[h1, h2])
         assert sup_distance(h1, h2) == np.sqrt(((h1.values - h2.values) ** 2).sum(-1)).max()
+        assert evaluated == []  # both are read off their values
+        for a, b in ((h1, h3), (h3, h1)):
+            assert same_bits(sup_distance(a, b), want[a, b])
+        assert evaluated == [h3, h3]  # only the function off the merged grid is evaluated
 
 
 class TestEvaluateRows:
