@@ -124,8 +124,8 @@ def profile(beta: ModulusSpec, s) -> float:
     Folds s by the module docstring's rule on Python floats and evaluates
     beta once; level supports are disjoint so no truncation of the level
     sum occurs.  The mirror and the sign are comparisons that form only
-    the least difference, so ``profile`` equals ``profile_many`` whenever
-    ``beta`` and ``beta.many`` agree.  s must be exactly a double.
+    the least difference, and ``beta`` equals ``beta.many`` bit for bit,
+    so ``profile`` equals ``profile_many``.  s must be exactly a double.
     """
     s = _as_double(s, "profile argument")
     if not (0.0 <= s <= 1.0):
@@ -178,11 +178,9 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     a floor remainder reduces the offset to one period, min(f, |1/2 - f|,
     1 - f) mirrors it onto the rising quarter and copysign(1/2, 1/2 - f)
     gives the sign, with no branch and no mask; beta is called once per
-    block.  Every step but beta is exact (see the module docstring), so
-    the result equals ``profile`` bit for bit whenever ``beta.many`` and
-    ``beta`` agree: table moduli and power moduli with alpha = 1.  For
-    alpha < 1 numpy's power and Python's may differ in the last ulp, and
-    so may the two profiles.  Points beyond ``MAX_LEVEL`` evaluate to 0
+    block.  Every step but beta is exact (see the module docstring), and
+    ``beta.many`` equals ``beta`` bit for bit, so the result equals
+    ``profile`` bit for bit.  Points beyond ``MAX_LEVEL`` evaluate to 0
     with one ``ResolutionWarning`` per call, naming their total count and
     the first of them.  Like ``profile`` it refuses a number that is not
     exactly a double, and a point outside [0, 1] or NaN, naming the
@@ -281,8 +279,7 @@ class ExtremalFunction:
         outside [0, 1] or NaN (naming the first row that holds one), and a
         number that is not exactly a double.  Active components are
         ``profile_many(beta, x_i) / sqrt(q)`` in one call, so they equal
-        the point call's bit for bit whenever ``profile_many`` and
-        ``profile`` agree: table moduli and power moduli with alpha = 1.
+        the point call's bit for bit.
         """
         pts = _as_doubles(pts, "coordinate")
         if pts.ndim != 2 or pts.shape[1] != self.d:

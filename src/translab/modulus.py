@@ -93,30 +93,26 @@ class ModulusSpec:
         if s < 0.0:
             raise DomainError(f"modulus argument must be nonnegative, got {s}")
         if self.kind == "power":
-            if s == 0.0:
-                return 0.0
-            return self.lam * s ** self.alpha
+            return float(self._power(s))
         return float(np.interp(s, *self._nodes))
 
     def many(self, s: np.ndarray) -> np.ndarray:
-        """beta elementwise on a float array, as a new array.
-
-        Table moduli and alpha = 1 agree with ``beta(s)`` bit for bit;
-        for alpha < 1 numpy's power may differ from Python's in the last
-        ulp.  A power modulus is computed as s**alpha, multiplied in
-        place by lam, plus 0.0: the sum maps -0.0 to +0.0, as
-        ``__call__`` does, and leaves every other value as it is (NaN
-        and inf included).
-        """
+        """beta elementwise on a float array, as a new array equal to ``beta(s)`` at each element, bit for bit."""
         s = np.asarray(s, dtype=float)
         if np.any(s < 0.0):
             raise DomainError(f"modulus argument must be nonnegative, got {s[s < 0.0].flat[0]}")
         if self.kind == "power":
-            out = np.asarray(s**self.alpha)  # 0-d input gives a 0-d array
-            out *= self.lam
-            out += 0.0
-            return out
+            return np.asarray(self._power(s))  # 0-d input gives a 0-d array
         return np.interp(s, *self._nodes)
+
+    def _power(self, s):
+        """lam * s**alpha + 0.0 on a float or a float array, in one arithmetic for both.
+
+        s**alpha is numpy's power, whose call on a float runs the loop of
+        a block, and s itself at alpha = 1.  The sum with 0.0 maps -0.0 to
+        +0.0 and leaves every other value as it is (NaN and inf included).
+        """
+        return (s if self.alpha == 1.0 else np.power(s, self.alpha)) * self.lam + 0.0
 
     @property
     def saturation(self) -> float:
@@ -128,7 +124,7 @@ class ModulusSpec:
     def inverse(self, s: float) -> float:
         """sup{delta >= 0 : beta(delta) <= s}, +inf once s >= sup beta."""
         s = float(s)
-        if s < 0.0:
+        if not s >= 0.0:  # NaN too
             raise DomainError(f"inverse argument must be nonnegative, got {s}")
         if self.kind == "power":
             try:

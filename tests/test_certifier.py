@@ -74,6 +74,131 @@ def oracle_verify(h, beta, cube, z=(), p=0):
     return True
 
 
+# (lam, alpha, q) -> for r = 1, 3/2, sqrt(2): the first j at which resolve_depth(beta, q, r * 2**-j) > k, k = 0, 1, ...
+BAND_STEPS = {
+    (1, 1 / 4, 1): (
+        [3, 4, 5, 7, 10, 13, 16, 20, 25, 30, 35, 41, 48, 55, 62, 70, 79, 88, 97, 107, 118, 129, 140, 152, 165, 178, 191, 205, 220, 235],
+        [3, 4, 6, 8, 10, 13, 17, 21, 25, 30, 36, 42, 48, 55, 63, 71, 79, 88, 98, 108, 118, 129, 141, 153, 165, 178, 192],
+        [3, 4, 6, 8, 10, 13, 17, 21, 25, 30, 36, 42, 48, 55, 63, 71, 79, 88, 98, 108, 118, 129, 141, 153, 165, 178, 192],
+    ),
+    (1, 1 / 4, 2): (
+        [3, 4, 6, 8, 10, 13, 17, 21, 25, 30, 36, 42, 48, 55, 63, 71, 79, 88, 98, 108, 118, 129, 141, 153, 165, 178, 192, 206, 220, 235],
+        [4, 5, 6, 8, 11, 14, 17, 21, 26, 31, 36, 42, 49, 56, 63, 71, 80, 89, 98, 108, 119, 130, 141, 153, 166, 179, 192],
+        [4, 5, 6, 8, 11, 14, 17, 21, 26, 31, 36, 42, 49, 56, 63, 71, 80, 89, 98, 108, 119, 130, 141, 153, 166, 179, 192],
+    ),
+    (1, 1 / 4, 3): (
+        [4, 5, 6, 8, 11, 14, 17, 21, 26, 31, 36, 42, 49, 56, 63, 71, 80, 89, 98, 108, 119, 130, 141, 153, 166, 179, 192, 206, 221, 236],
+        [4, 5, 7, 9, 11, 14, 18, 22, 26, 31, 37, 43, 49, 56, 64, 72, 80, 89, 99, 109, 119, 130, 142, 154, 166, 179, 193],
+        [4, 5, 7, 9, 11, 14, 18, 22, 26, 31, 37, 43, 49, 56, 64, 72, 80, 89, 99, 109, 119, 130, 142, 154, 166, 179, 193],
+    ),
+    (1, 1 / 3, 1): (
+        [3, 4, 6, 9, 12, 16, 21, 26, 32, 39, 46, 54, 63, 72, 82, 93, 104, 116, 129, 142, 156, 171, 186, 202, 219, 236, 254, 273, 292, 312],
+        [4, 5, 7, 10, 13, 17, 22, 27, 33, 40, 47, 55, 64, 73, 83, 94, 105, 117, 130, 143, 157, 172, 187],
+        [4, 5, 7, 10, 13, 17, 22, 27, 33, 40, 47, 55, 64, 73, 83, 94, 105, 117, 130, 143, 157, 172, 187],
+    ),
+    (1, 1 / 3, 2): (
+        [4, 5, 7, 10, 13, 17, 22, 27, 33, 40, 47, 55, 64, 73, 83, 94, 105, 117, 130, 143, 157, 172, 187, 203, 220, 237, 255, 274, 293, 313],
+        [4, 6, 8, 10, 14, 18, 22, 28, 34, 40, 48, 56, 64, 74, 84, 94, 106, 118, 130, 144, 158, 172, 188],
+        [4, 5, 7, 10, 13, 17, 22, 27, 33, 40, 47, 55, 64, 73, 83, 94, 105, 117, 130, 143, 157, 172, 187],
+    ),
+    (1, 1 / 3, 3): (
+        [4, 5, 7, 10, 13, 17, 22, 27, 33, 40, 47, 55, 64, 73, 83, 94, 105, 117, 130, 143, 157, 172, 187, 203, 220, 237, 255, 274, 293, 313],
+        [5, 6, 8, 11, 14, 18, 23, 28, 34, 41, 48, 56, 65, 74, 84, 95, 106, 118, 131, 144, 158, 173, 188],
+        [4, 6, 8, 10, 14, 18, 22, 28, 34, 40, 48, 56, 64, 74, 84, 94, 106, 118, 130, 144, 158, 172, 188],
+    ),
+    (1, 1 / 2, 1): (
+        [4, 6, 9, 13, 18, 24, 31, 39, 48, 58, 69, 81, 94, 108, 123, 139, 156, 174, 193, 213, 234, 256, 279, 303, 328, 354, 381, 409, 438, 468],
+        [5, 7, 10, 14, 19, 25, 32, 40, 49, 59, 70, 82, 95, 109, 124, 140, 157, 175, 194],
+        [4, 7, 10, 14, 19, 25, 32, 40, 49, 59, 70, 82, 95, 109, 124, 140, 157, 175, 194],
+    ),
+    (1, 1 / 2, 2): (
+        [4, 7, 10, 14, 19, 25, 32, 40, 49, 59, 70, 82, 95, 109, 124, 140, 157, 175, 194, 214, 235, 257, 280, 304, 329, 355, 382, 410, 439, 469],
+        [5, 7, 10, 14, 19, 25, 32, 40, 49, 59, 70, 82, 95, 109, 124, 140, 157, 175, 194],
+        [5, 7, 10, 14, 19, 25, 32, 40, 49, 59, 70, 82, 95, 109, 124, 140, 157, 175, 194],
+    ),
+    (1, 1 / 2, 3): (
+        [5, 7, 10, 14, 19, 25, 32, 40, 49, 59, 70, 82, 95, 109, 124, 140, 157, 175, 194, 214, 235, 257, 280, 304, 329, 355, 382, 410, 439, 469],
+        [5, 7, 10, 14, 19, 25, 32, 40, 49, 59, 70, 82, 95, 109, 124, 140, 157, 175, 194],
+        [5, 7, 10, 14, 19, 25, 32, 40, 49, 59, 70, 82, 95, 109, 124, 140, 157, 175, 194],
+    ),
+    (1, 3 / 4, 1): (
+        [5, 8, 13, 19, 26, 35, 46, 58, 71, 86, 103, 121, 140, 161, 184, 208, 233, 260, 289, 319, 350, 383, 418, 454, 491, 530, 571, 613, 656, 701],
+        [6, 9, 13, 19, 27, 36, 46, 58, 72, 87, 103, 121, 141, 162, 184],
+        [6, 9, 13, 19, 27, 36, 46, 58, 72, 87, 103, 121, 141, 162, 184],
+    ),
+    (1, 3 / 4, 2): (
+        [6, 9, 13, 19, 27, 36, 46, 58, 72, 87, 103, 121, 141, 162, 184, 208, 234, 261, 289, 319, 351, 384, 418, 454, 492, 531, 571, 613, 657, 702],
+        [6, 9, 14, 20, 27, 36, 47, 59, 72, 87, 104, 122, 141, 162, 185],
+        [6, 9, 14, 20, 27, 36, 47, 59, 72, 87, 104, 122, 141, 162, 185],
+    ),
+    (1, 3 / 4, 3): (
+        [6, 9, 14, 20, 27, 36, 47, 59, 72, 87, 104, 122, 141, 162, 185, 209, 234, 261, 290, 320, 351, 384, 419, 455, 492, 531, 572, 614, 657, 702],
+        [7, 10, 14, 20, 28, 37, 47, 59, 73, 88, 104, 122, 142, 163, 185],
+        [7, 10, 14, 20, 28, 37, 47, 59, 73, 88, 104, 122, 142, 163, 185],
+    ),
+    (3, 1 / 4, 1): (
+        [1, 2, 4, 6, 8, 11, 15, 19, 23, 28, 34, 40, 46, 53, 61, 69, 77, 86, 96, 106, 116, 127, 139, 151, 163, 176, 190, 204, 218, 233],
+        [2, 3, 4, 6, 9, 12, 15, 19, 24, 29, 34, 40, 47, 54, 61, 69, 78, 87, 96, 106, 117, 128, 139, 151, 164, 177, 190],
+        [2, 3, 4, 6, 9, 12, 15, 19, 24, 29, 34, 40, 47, 54, 61, 69, 78, 87, 96, 106, 117, 128, 139, 151, 164, 177, 190],
+    ),
+    (3, 1 / 4, 2): (
+        [2, 3, 4, 6, 9, 12, 15, 19, 24, 29, 34, 40, 47, 54, 61, 69, 78, 87, 96, 106, 117, 128, 139, 151, 164, 177, 190, 204, 219, 234],
+        [2, 3, 5, 7, 9, 12, 16, 20, 24, 29, 35, 41, 47, 54, 62, 70, 78, 87, 97, 107, 117, 128, 140, 152, 164, 177, 191],
+        [2, 3, 5, 7, 9, 12, 16, 20, 24, 29, 35, 41, 47, 54, 62, 70, 78, 87, 97, 107, 117, 128, 140, 152, 164, 177, 191],
+    ),
+    (3, 1 / 4, 3): (
+        [2, 3, 4, 6, 9, 12, 15, 19, 24, 29, 34, 40, 47, 54, 61, 69, 78, 87, 96, 106, 117, 128, 139, 151, 164, 177, 190, 204, 219, 234],
+        [3, 4, 5, 7, 10, 13, 16, 20, 25, 30, 35, 41, 48, 55, 62, 70, 79, 88, 97, 107, 118, 129, 140, 152, 165, 178, 191],
+        [2, 3, 5, 7, 9, 12, 16, 20, 24, 29, 35, 41, 47, 54, 62, 70, 78, 87, 97, 107, 117, 128, 140, 152, 164, 177, 191],
+    ),
+    (3, 1 / 3, 1): (
+        [2, 3, 5, 8, 11, 15, 20, 25, 31, 38, 45, 53, 62, 71, 81, 92, 103, 115, 128, 141, 155, 170, 185, 201, 218, 235, 253, 272, 291, 311],
+        [2, 3, 5, 8, 11, 15, 20, 25, 31, 38, 45, 53, 62, 71, 81, 92, 103, 115, 128, 141, 155, 170, 185],
+        [2, 3, 5, 8, 11, 15, 20, 25, 31, 38, 45, 53, 62, 71, 81, 92, 103, 115, 128, 141, 155, 170, 185],
+    ),
+    (3, 1 / 3, 2): (
+        [2, 3, 5, 8, 11, 15, 20, 25, 31, 38, 45, 53, 62, 71, 81, 92, 103, 115, 128, 141, 155, 170, 185, 201, 218, 235, 253, 272, 291, 311],
+        [3, 4, 6, 9, 12, 16, 21, 26, 32, 39, 46, 54, 63, 72, 82, 93, 104, 116, 129, 142, 156, 171, 186],
+        [3, 4, 6, 9, 12, 16, 21, 26, 32, 39, 46, 54, 63, 72, 82, 93, 104, 116, 129, 142, 156, 171, 186],
+    ),
+    (3, 1 / 3, 3): (
+        [2, 4, 6, 8, 12, 16, 20, 26, 32, 38, 46, 54, 62, 72, 82, 92, 104, 116, 128, 142, 156, 170, 186, 202, 218, 236, 254, 272, 292, 312],
+        [3, 4, 6, 9, 12, 16, 21, 26, 32, 39, 46, 54, 63, 72, 82, 93, 104, 116, 129, 142, 156, 171, 186],
+        [3, 4, 6, 9, 12, 16, 21, 26, 32, 39, 46, 54, 63, 72, 82, 93, 104, 116, 129, 142, 156, 171, 186],
+    ),
+    (3, 1 / 2, 1): (
+        [2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67, 79, 92, 106, 121, 137, 154, 172, 191, 211, 232, 254, 277, 301, 326, 352, 379, 407, 436, 466],
+        [3, 5, 8, 12, 17, 23, 30, 38, 47, 57, 68, 80, 93, 107, 122, 138, 155, 173, 192],
+        [3, 5, 8, 12, 17, 23, 30, 38, 47, 57, 68, 80, 93, 107, 122, 138, 155, 173, 192],
+    ),
+    (3, 1 / 2, 2): (
+        [3, 5, 8, 12, 17, 23, 30, 38, 47, 57, 68, 80, 93, 107, 122, 138, 155, 173, 192, 212, 233, 255, 278, 302, 327, 353, 380, 408, 437, 467],
+        [3, 6, 9, 13, 18, 24, 31, 39, 48, 58, 69, 81, 94, 108, 123, 139, 156, 174, 193],
+        [3, 5, 8, 12, 17, 23, 30, 38, 47, 57, 68, 80, 93, 107, 122, 138, 155, 173, 192],
+    ),
+    (3, 1 / 2, 3): (
+        [3, 5, 8, 12, 17, 23, 30, 38, 47, 57, 68, 80, 93, 107, 122, 138, 155, 173, 192, 212, 233, 255, 278, 302, 327, 353, 380, 408, 437, 467],
+        [4, 6, 9, 13, 18, 24, 31, 39, 48, 58, 69, 81, 94, 108, 123, 139, 156, 174, 193],
+        [4, 6, 9, 13, 18, 24, 31, 39, 48, 58, 69, 81, 94, 108, 123, 139, 156, 174, 193],
+    ),
+    (3, 3 / 4, 1): (
+        [4, 7, 11, 17, 25, 34, 44, 56, 70, 85, 101, 119, 139, 160, 182, 206, 232, 259, 287, 317, 349, 382, 416, 452, 490, 529, 569, 611, 655, 700],
+        [4, 7, 12, 18, 25, 34, 45, 57, 70, 85, 102, 120, 139, 160, 183],
+        [4, 7, 12, 18, 25, 34, 45, 57, 70, 85, 102, 120, 139, 160, 183],
+    ),
+    (3, 3 / 4, 2): (
+        [4, 7, 12, 18, 25, 34, 45, 57, 70, 85, 102, 120, 139, 160, 183, 207, 232, 259, 288, 318, 349, 382, 417, 453, 490, 529, 570, 612, 655, 700],
+        [5, 8, 12, 18, 26, 35, 45, 57, 71, 86, 102, 120, 140, 161, 183],
+        [5, 8, 12, 18, 26, 35, 45, 57, 71, 86, 102, 120, 140, 161, 183],
+    ),
+    (3, 3 / 4, 3): (
+        [4, 7, 12, 18, 25, 34, 45, 57, 70, 85, 102, 120, 139, 160, 183, 207, 232, 259, 288, 318, 349, 382, 417, 453, 490, 529, 570, 612, 655, 700],
+        [5, 8, 13, 19, 26, 35, 46, 58, 71, 86, 103, 121, 140, 161, 184],
+        [5, 8, 12, 18, 26, 35, 45, 57, 71, 86, 102, 120, 140, 161, 183],
+    ),
+}
+
+
 class TestResolveDepth:
     @pytest.mark.parametrize(
         "j,want",
@@ -102,6 +227,16 @@ class TestResolveDepth:
         # band top beta(2**-5)/2 = 2**-3.5
         assert resolve_depth(beta, 1, 2.0**-3.5) == 1
         assert resolve_depth(beta, 1, 2.0**-3) == 0
+
+    @pytest.mark.parametrize("lam, alpha, q", BAND_STEPS, ids=str)
+    def test_band_steps_below_alpha_one(self, lam, alpha, q):
+        # every power budget 2**-j, j = -20..1074, and r * 2**-j, j < 200, at the depths pinned
+        # when the point beta took Python's power; depth(j) is the count of steps at or before j
+        beta = ModulusSpec.power(lam, alpha)
+        families = zip((1.0, 1.5, math.sqrt(2.0)), (1075, 200, 200), BAND_STEPS[lam, alpha, q])
+        for r, stop, steps in families:
+            got = [resolve_depth(beta, q, math.ldexp(r, -j)) for j in range(-20, stop)]
+            assert got == [sum(j >= step for step in steps) for j in range(-20, stop)]
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):

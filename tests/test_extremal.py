@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -49,13 +50,8 @@ def rational_profile(beta, s):
     return sign * beta(float(t if t < scale else 2 * scale - t)) / 2.0
 
 
-def fmod_profile_many(beta, s, scalar_beta=False):
-    """The profile kernel computed with np.ldexp and np.fmod, kept as the reference.
-
-    beta is called through ``beta.many``, as ``profile_many`` calls it, or
-    point by point through ``beta`` itself, as ``profile`` does, when
-    ``scalar_beta`` is set.
-    """
+def fmod_profile_many(beta, s):
+    """The profile kernel computed with np.ldexp and np.fmod, kept as the reference."""
     s = _as_doubles(s, "profile argument")
     outside = ~((s >= 0.0) & (s <= 1.0))
     if np.any(outside):
@@ -78,8 +74,7 @@ def fmod_profile_many(beta, s, scalar_beta=False):
     falling = t > 2.0 * scale  # the negated second half, mirrored onto the first
     t = np.where(falling, 4.0 * scale - t, t)
     t = np.where(t < scale, t, 2.0 * scale - t)
-    values = np.array([beta(v) for v in t.ravel().tolist()]).reshape(t.shape) if scalar_beta else beta.many(t)
-    out = np.where(deep, 0.0, np.where(falling, -1.0, 1.0) * values / 2.0)
+    out = np.where(deep, 0.0, np.where(falling, -1.0, 1.0) * beta.many(t) / 2.0)
     return out[()]  # unwraps 0-d input, a no-op view otherwise
 
 
@@ -243,11 +238,6 @@ def scalar_profiles(beta, xs):
         return point_profiles(beta, xs)
 
 
-def scalar_fmod_profiles(beta, xs):
-    """The fmod oracle calling beta point by point, as the scalar profile does."""
-    return fmod_profile_many(beta, xs, scalar_beta=True)
-
-
 def kernel_profiles(beta, xs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
@@ -269,6 +259,7 @@ level_points = st.one_of(
 EDGE_POINTS = [0.0, -0.0, 1.0, 0.5 - 2.0**-54, 2.0**-60] + [1.0 - 2.0**-k for k in range(1, 41)]
 
 # Power moduli with alpha < 1 take numpy's power, tables np.interp.
+POWER_MODULI = [ModulusSpec.power(lam, alpha) for lam in (1.0, 3.0) for alpha in (0.25, 1 / 3, 0.5, 0.75, 1.0)]
 ORACLE_MODULI = [ModulusSpec.power(lam, alpha) for lam in (1.0, 8.0) for alpha in (0.25, 0.5, 0.75, 1.0)] + [
     ModulusSpec.table([(2.0**-40, 2.0**-30), (2.0**-12, 2.0**-9), (0.25, 0.2)])
 ]
@@ -317,7 +308,7 @@ class TestProfileKernel:
     @settings(max_examples=100, deadline=None)
     def test_scalar_bit_identical_to_fmod_oracle(self, beta, xs):
         got, got_warned = with_warnings(point_profiles, beta, xs)
-        want, _ = with_warnings(scalar_fmod_profiles, beta, np.array(xs))
+        want, _ = with_warnings(fmod_profile_many, beta, np.array(xs))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         # one warning per point beyond MAX_LEVEL, naming it
         assert got_warned == [(ResolutionWarning, f"point {x} lies beyond level {MAX_LEVEL}; returning 0")
@@ -329,7 +320,7 @@ class TestProfileKernel:
         got = scalar_profiles(beta, xs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ResolutionWarning)
-            want = scalar_fmod_profiles(beta, np.array(xs))
+            want = fmod_profile_many(beta, np.array(xs))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
@@ -358,20 +349,12 @@ class TestProfileKernel:
         # levels 7 and deeper start at 1 - 2**-6; every double there is a bump zero
         assert np.all(want[np.array(xs) >= 1.0 - 2.0**-6] == 0.0)
 
-    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    @pytest.mark.parametrize("beta", POWER_MODULI, ids=repr)
     @given(xs=st.lists(level_points, min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_scalar_profile(self, lam, xs):
-        beta = ModulusSpec.power(lam, 1.0)
+    def test_bit_identical_to_scalar_profile(self, beta, xs):
         got, want = kernel_profiles(beta, xs), scalar_profiles(beta, xs)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    @given(xs=st.lists(level_points, min_size=1, max_size=64))
-    @settings(max_examples=200, deadline=None)
-    def test_within_one_ulp_for_alpha_below_one(self, xs):
-        beta = ModulusSpec.power(2.0, 0.5)
-        got, want = kernel_profiles(beta, xs), scalar_profiles(beta, xs)
-        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
     def test_level_edges(self):
         edges = [0.0, 0.5 - 2.0**-54, 0.5, 1.0, 0.0625, 0.5 + 2.0**-8, -0.0]
@@ -891,7 +874,8 @@ def block(d, count=200, seed=3):
 class TestEvaluateMany:
     """``ExtremalFunction.evaluate_many`` is the point call on every row of a block."""
 
-    @pytest.mark.parametrize("beta", [IDENTITY, ModulusSpec.power(2.0, 1.0), ModulusSpec.power(8.0, 1.0)] + TABLE_MODULI, ids=repr)
+    @pytest.mark.parametrize("beta", [IDENTITY, ModulusSpec.power(2.0, 1.0), ModulusSpec.power(8.0, 1.0)]
+                             + [ModulusSpec.power(2.0, alpha) for alpha in (0.25, 1 / 3, 0.5, 0.75)] + TABLE_MODULI, ids=repr)
     @pytest.mark.parametrize("d,q,p", SHAPES)
     def test_bit_identical_to_the_point_call(self, beta, d, q, p):
         F = ExtremalFunction(beta=beta, d=d, q=q, p=p)
@@ -901,17 +885,6 @@ class TestEvaluateMany:
             got = F.evaluate_many(pts)
         assert got.shape == (len(pts), F.m) and got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), point_rows(F, pts).view(np.uint64))
-
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
-    def test_within_one_ulp_for_alpha_below_one(self, alpha):
-        F = ExtremalFunction(beta=ModulusSpec.power(2.0, alpha), d=3, q=2, p=1)
-        pts = block(3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResolutionWarning)
-            got = F.evaluate_many(pts)
-        want = point_rows(F, pts)
-        # profile_many and profile may differ by one ulp, and the division by sqrt(q) adds one more
-        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     def test_certify_counts_match_a_per_point_wrapper(self, alpha):
@@ -977,6 +950,34 @@ class TestEvaluateMany:
         F = ExtremalFunction(beta=IDENTITY, d=2, q=2)
         with mock.patch.object(extremal, "profile_many", side_effect=AssertionError("profile_many called")):
             F([0.25, 0.5])
+
+
+@functools.lru_cache(maxsize=8)
+def knot_values(beta, k):
+    """F.sample(2**-k).values for the d = q = 1 map, one column per knot."""
+    return ExtremalFunction(beta=beta, d=1, q=1).sample(2.0**-k).values[:, 0]
+
+
+class TestOneValueAtAPoint:
+    """F has one value at a point: its point call, its block call and its samples at knots agree bit for bit."""
+
+    @pytest.mark.parametrize("beta", POWER_MODULI + TABLE_MODULI, ids=repr)
+    @given(x=st.lists(st.one_of(bump_corners(), level_points), min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_point_call_is_row_zero_of_the_block(self, beta, x):
+        F, x = ExtremalFunction(beta=beta, d=3, q=2, p=1), np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            got, want = F(x), F.evaluate_many(x[None])[0]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("beta", POWER_MODULI + TABLE_MODULI, ids=repr)
+    @given(k=st.integers(0, 16), i=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_point_call_is_the_sample_at_knots(self, beta, k, i):
+        i >>= 16 - k  # knot i of the 2**k + 1 at step 2**-k
+        got = ExtremalFunction(beta=beta, d=1, q=1)(math.ldexp(i, -k))
+        assert got.view(np.uint64) == knot_values(beta, k)[i : i + 1].view(np.uint64)
 
 
 def knot_pair_oscillation(h, delta):

@@ -50,17 +50,17 @@ class TestEval:
             ModulusSpec.power(3.0, 1.0),
             ModulusSpec.table([(0.5, 0.25), (1.0, 0.5)]),
             ModulusSpec.table([(0.0, 0.0), (0.1, 0.3), (2.0, 0.7)]),
-        ],
+        ]
+        + [ModulusSpec.power(lam, alpha) for lam in (1.0, 3.0) for alpha in (0.25, 1 / 3, 0.5, 0.75)],
+        ids=repr,
     )
     def test_many_matches_scalar_calls(self, beta):
-        xs = np.concatenate([[0.0, 0.5, 1.0, 3.0], np.random.default_rng(5).uniform(0.0, 2.0, 200)])
-        assert np.array_equal(beta.many(xs), [beta(x) for x in xs])
-
-    def test_many_within_one_ulp_for_alpha_below_one(self):
-        beta = ModulusSpec.power(3.0, 0.5)
-        xs = np.random.default_rng(6).uniform(0.0, 1.0, 2000)
-        want = np.array([beta(x) for x in xs])
-        assert np.all(np.abs(beta.many(xs) - want) <= np.spacing(want))
+        # the band edges 2**-(n*n + n + 3) that resolve_depth reads, and random points
+        edges = [2.0 ** -(n * n + n + 3) for n in range(1, 31)]
+        xs = np.concatenate([[0.0, -0.0, 0.5, 1.0, 3.0], edges, np.random.default_rng(5).uniform(0.0, 2.0, 2000)])
+        want = [beta(x) for x in xs]
+        assert all(type(v) is float for v in want)
+        assert np.array_equal(beta.many(xs).view(np.uint64), np.array(want).view(np.uint64))
 
     @pytest.mark.parametrize("lam, alpha", [(1.0, 1.0), (3.0, 1.0), (1.0, 0.5), (8.0, 0.25), (1e300, 0.75), (1e-300, 1.0)])
     def test_power_many_bit_identical_to_where_formula(self, lam, alpha):
@@ -290,6 +290,13 @@ class TestInverse:
     )
     def test_zero_maps_to_zero(self, beta):
         assert beta.inverse(0.0) == 0.0
+
+    @pytest.mark.parametrize("beta", [ModulusSpec.power(1.0, 0.5), ModulusSpec.table([(1.0, 0.5)])], ids=repr)
+    @pytest.mark.parametrize("s", [math.nan, -math.nan, -0.5])
+    def test_refuses_nan_and_negative_arguments(self, beta, s):
+        # no node value is <= NaN, so without the refusal a table would answer 0.0
+        with pytest.raises(DomainError, match=rf"^inverse argument must be nonnegative, got {s}$"):
+            beta.inverse(s)
 
     def test_table_closed_form(self):
         beta = ModulusSpec.table([(1.0, 0.5)])  # beta(d) = d/2
