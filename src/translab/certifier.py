@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -44,7 +45,7 @@ from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, check_work, evaluate_rows
 from .modulus import ModulusSpec, require_modulus
 
 EVALUATION_CAP = 2**30   # evaluations per empirical certify: 13 min at 722 ns a point (d = q = 6, 2 vCPUs)
-SLICE_CAP = 2**23        # Miranda slices per empirical certify: 8 min at 60 us a slice (d = 2, q = 1, h = F, 2 vCPUs)
+SLICE_CAP = 2**23        # level slices (n0 times z-slices) per empirical certify: 13 min at 90 us a depth-1 slice (d = 2, q = 1, h = F, 2 vCPUs)
 FACE_LATTICE_POINTS = 9  # side 2*scale scanned at step scale/4
 
 
@@ -79,7 +80,7 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     return n
 
 
-def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
+def _face_points(n: int, q: int, ranks: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Face-lattice points of the level-n cubes numbered ``ranks``, one row each.
 
     A cube's number is the rank of its index tuple in lexicographic
@@ -89,13 +90,18 @@ def _face_points(n: int, q: int, ranks: np.ndarray) -> np.ndarray:
     lo_j + k scale/4: a dyadic of at most n*n + n + 4 bits, so each step
     of the sum is exact at every level under the cube cap.  The sum
     is built axis-major, as (q, cubes, rows), so its inner loop runs
-    over a cube's rows rather than its q coordinates; the result is its
-    transpose, a column-major (cubes * rows, q) view.
+    over a cube's rows rather than its q coordinates, and is written
+    through the transpose of ``out``: the (N, q) rows to fill, by
+    default a new column-major block.  Returns ``out``.
     """
     lev = level_schedule(n)
+    steps = _face_offsets(q) * (lev.scale / 4.0)
+    if out is None:
+        out = np.empty((q, len(ranks) * steps.shape[1])).T
     index = np.stack(np.unravel_index(ranks, (lev.bump_count,) * q))  # (q, cubes)
     lo = lev.start + (4 * index + 1) * lev.scale
-    return (lo[:, :, None] + (_face_offsets(q) * (lev.scale / 4.0))[:, None, :]).reshape(q, -1).T
+    np.add(lo[:, :, None], steps[:, None, :], out=out.T.reshape(q, len(ranks), steps.shape[1]))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,46 +114,62 @@ def _face_offsets(q: int) -> np.ndarray:
     return offsets
 
 
-def _miranda_verdicts(h: Callable, beta: ModulusSpec, n: int, q: int, ranks, z=(), p: int = 0) -> np.ndarray:
-    """Poincare-Miranda sign test of h's active block on each level-n cube numbered ``ranks``.
+def _miranda_verdicts(
+    h: Callable, beta: ModulusSpec, q: int, live: dict[int, np.ndarray], z=(), p: int = 0
+) -> dict[int, np.ndarray]:
+    """Poincare-Miranda sign test of h's active block on the cubes ``live`` maps each level n to, by rank.
 
     A cube passes when on each active axis i component p+i holds one
     strict sign on the face y_i = lo_i and the opposite one on y_i = hi_i,
     the orientation free per axis (Kulpa, Amer. Math. Monthly 104, 1997).
     h is evaluated, with no early exit, on the face lattice of step
     scale/4, and a sign counts only when the value is finite and exceeds
-    the slack beta(scale/4 * max(1, sqrt(q-1)/2)): a face point lies
-    within (scale/8) sqrt(q-1) of the lattice, so the slack freezes the
-    sign across a lattice cell for any h admitting beta, and a pass
-    implies a zero of the active block inside the cube.  NaN or infinite
-    values reject the cube.
+    the slack of the cube's level, beta(scale_n/4 * max(1, sqrt(q-1)/2)):
+    a face point lies within (scale_n/8) sqrt(q-1) of the lattice, so the
+    slack freezes the sign across a lattice cell for any h admitting
+    beta, and a pass implies a zero of the active block inside the cube.
+    NaN or infinite values reject the cube.  Returns each level's
+    verdicts, in the order of its ranks.
 
-    h sees the points (z appended) in blocks of whole cubes, at most
-    SCAN_BLOCK_POINTS points each unless one cube has more (with no z,
-    the block ``_face_points`` built, not a copy), and must return an
-    (N, p + q) block; any other shape is a ``ShapeError``.
+    The cubes run level by level, in the order of ``live``, and h sees
+    their points (z appended) in blocks of whole cubes, a block holding
+    cubes of as many levels as fit: at most SCAN_BLOCK_POINTS points
+    unless one cube has more.  Each level's rows are written into the
+    block by ``_face_points``, so h gets the block that ``_face_points``
+    filled, not a copy: column-major, and C-order with z.  h must return
+    an (N, p + q) block; any other shape is a ``ShapeError``.
     """
-    slack = beta(level_schedule(n).scale / 4.0 * max(1.0, math.sqrt(q - 1) / 2.0))
+    rows = 2 * q * FACE_LATTICE_POINTS ** (q - 1)  # face points per cube
+    step = max(1, SCAN_BLOCK_POINTS // rows)  # whole cubes per block
     tail = np.asarray(z, dtype=float).ravel()
-    step = max(1, SCAN_BLOCK_POINTS // (2 * q * FACE_LATTICE_POINTS ** (q - 1)))  # whole cubes per block
+    widen = max(1.0, math.sqrt(q - 1) / 2.0)
+    sizes = [len(ranks) for ranks in live.values()]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    levels = list(zip(live.items(), starts))
+    slack = np.repeat(np.array([beta(level_schedule(n).scale / 4.0 * widen) for n in live]), sizes)[:, None, None, None]
     side = np.array([1.0, -1.0])[:, None]
-    verdicts = np.empty(len(ranks), dtype=bool)
-    for lo in range(0, len(ranks), step):
-        block = ranks[lo : lo + step]
-        active = _face_points(n, q, block)
-        vals = evaluate_rows(h, np.hstack([active, np.tile(tail, (len(active), 1))]) if len(tail) else active)
-        if vals.shape != (len(active), p + q):
+    verdicts = np.empty(starts[-1], dtype=bool)
+    for lo in range(0, len(verdicts), step):
+        hi = min(lo + step, len(verdicts))
+        block = np.empty(((hi - lo) * rows, q + len(tail))) if len(tail) else np.empty((q, (hi - lo) * rows)).T
+        for (n, ranks), start in levels:
+            a, b = max(lo, start), min(hi, start + len(ranks))
+            if a < b:
+                _face_points(n, q, ranks[a - start : b - start], out=block[(a - lo) * rows : (b - lo) * rows, :q])
+        block[:, q:] = tail  # z, if any
+        vals = evaluate_rows(h, block)
+        if vals.shape != (len(block), p + q):
             raise ShapeError(
-                f"h gave values of shape {vals.shape} at {len(active)} points, "
-                f"expected ({len(active)}, {p + q}): m = {p + q} values per point"
+                f"h gave values of shape {vals.shape} at {len(block)} points, "
+                f"expected ({len(block)}, {p + q}): m = {p + q} values per point"
             )
-        vals = vals.reshape(len(block), q, 2, -1, p + q)
+        vals = vals.reshape(hi - lo, q, 2, -1, p + q)
         v = np.stack([vals[:, axis, :, :, p + axis] for axis in range(q)], axis=1)
         oriented = np.sign(v) * side
-        clear = np.isfinite(v) & (np.abs(v) > slack)
+        clear = np.isfinite(v) & (np.abs(v) > slack[lo:hi])
         consistent = oriented == oriented[:, :, :1, :1]
-        verdicts[lo : lo + step] = (clear & consistent).all(axis=(1, 2, 3))
-    return verdicts
+        verdicts[lo:hi] = (clear & consistent).all(axis=(1, 2, 3))
+    return {n: verdicts[start : start + len(ranks)] for (n, ranks), start in levels}
 
 
 @dataclass(frozen=True)
@@ -245,18 +267,22 @@ def certify(
     verified by construction and the counts are arithmetic.  Empirical
     mode applies the Poincare-Miranda face test of ``_miranda_verdicts``
     (Kulpa's sign condition, with a slack that freezes each sign across
-    a face-lattice cell) to all cubes of a level at once, by rank, at
-    the midpoint slice of the free coordinates by default or on a
-    ``z_grid``-per-axis lattice of slices; a cube counts only when all
-    slices pass, and each slice revisits only the cubes still passing;
-    a level whose cubes have all failed skips its remaining slices.
-    A ``z_grid`` above 1 without free coordinates (d = q) or without h
-    would slice nothing, so it is refused with ``DomainError``.  Before
+    a face-lattice cell) slice by slice, at the midpoint slice of the
+    free coordinates by default or on a ``z_grid``-per-axis lattice of
+    slices: one call per slice tests the cubes of every level at once,
+    by rank, each against its own level's slack.  A cube counts only
+    when all slices pass, and each slice revisits only the cubes still
+    passing; a level whose cubes have all failed drops out of the later
+    slices, and once no level has a live cube the remaining slices are
+    skipped.  A ``z_grid`` that is not an integer (``operator.index``
+    refuses it; a numpy integer passes) is refused with ``DomainError``
+    before any work, and so is one below 1, or above 1 without free
+    coordinates (d = q) or without h, which would slice nothing.  Before
     any slice or h call, ``EnumerationCapError`` refuses more than
     ``MESH_CAP`` cubes on level n0, more than ``EVALUATION_CAP``
     evaluations (the cubes of all levels times 2q * 9**(q-1) face points
-    times z_grid**(d-q) slices), or more than ``SLICE_CAP`` slices (n0
-    levels times z_grid**(d-q)), since each slice is one
+    times z_grid**(d-q) slices), or more than ``SLICE_CAP`` level slices
+    (n0 levels times z_grid**(d-q)), since each slice is one
     ``_miranda_verdicts`` call with a fixed cost however few points it has.
 
     With a chart, the budget inflates by lam2/lam1 before depth
@@ -274,6 +300,10 @@ def certify(
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
+    try:
+        z_grid = operator.index(z_grid)
+    except TypeError:
+        raise DomainError(f"z-grid must be an integer, got {z_grid!r}") from None
     if z_grid < 1:
         raise DomainError(f"z-grid must be >= 1, got {z_grid}")
     beta, q, p, d = f.beta, f.q, f.p, f.d
@@ -299,22 +329,20 @@ def certify(
         evaluations = cubes * 2 * q * FACE_LATTICE_POINTS ** (q - 1) * z_grid ** (d - q)
         check_work(evaluations, EVALUATION_CAP, f"certify to depth {n0}, q = {q}, z-grid {z_grid}", "evaluations")
         check_work(n0 * z_grid ** (d - q), SLICE_CAP, f"certify to depth {n0}, q = {q}, z-grid {z_grid}", "slices")
-    levels = []
-    certified = 0
-    for n in range(1, n0 + 1):
-        total = 2 ** (q * n * n)
-        if evaluator is None:
-            verified = total
-        else:
-            alive = np.arange(total)
-            for index in np.ndindex(*(z_grid,) * (d - q)):  # lexicographic; d = q gives the one empty slice
-                z = [(k + 0.5) / z_grid for k in index]
-                alive = alive[_miranda_verdicts(evaluator, beta, n, q, alive, z, p)]
-                if not len(alive):
-                    break  # an empty level has nothing left to decide
-            verified = len(alive)
-        certified += verified
-        levels.append(LevelCount(n=n, verified=verified, total=total))
+    totals = {n: 2 ** (q * n * n) for n in range(1, n0 + 1)}
+    verified = totals
+    if evaluator is not None:
+        alive = {n: np.arange(total) for n, total in totals.items()}
+        for index in np.ndindex(*(z_grid,) * (d - q)):  # lexicographic; d = q gives the one empty slice
+            if not alive:
+                break  # no level has a live cube left to decide
+            z = [(k + 0.5) / z_grid for k in index]
+            verdicts = _miranda_verdicts(evaluator, beta, q, alive, z, p)
+            alive = {n: ranks[verdicts[n]] for n, ranks in alive.items()}
+            alive = {n: ranks for n, ranks in alive.items() if len(ranks)}
+        verified = {n: len(alive.get(n, ())) for n in totals}
+    levels = [LevelCount(n=n, verified=verified[n], total=total) for n, total in totals.items()]
+    certified = sum(verified.values())
 
     theory, psi = _lower_envelope(beta, eps, m - p, gamma)
     vacuous = n0 == 0 or math.isinf(psi)

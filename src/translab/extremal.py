@@ -53,6 +53,7 @@ components (the padding used to handle flat rectangle targets).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -86,6 +87,7 @@ class LevelSchedule:
     width: float          # slot width, bump_count * 4 * scale = 2**(-n)
 
 
+@functools.lru_cache(maxsize=None)  # frozen and pure in n, at most MAX_LEVEL entries: resolve_depth asks on every step
 def level_schedule(n: int) -> LevelSchedule:
     if not (1 <= n <= MAX_LEVEL):
         raise DomainError(f"level must lie in [1, {MAX_LEVEL}], got {n}")

@@ -44,7 +44,8 @@ class ModulusSpec:
     """A modulus of continuity in power or table form.
 
     Instances are immutable and callable: ``beta(s)`` evaluates the
-    modulus, ``beta.inverse(s)`` the (possibly infinite) inverse.  The
+    modulus, ``beta.inverse(s)`` the (possibly infinite) inverse; each
+    refuses a negative or NaN s with ``DomainError``, as ``beta.many`` does.  The
     fields of the other form must keep their defaults.
     """
 
@@ -90,7 +91,7 @@ class ModulusSpec:
 
     def __call__(self, s: float) -> float:
         s = float(s)
-        if s < 0.0:
+        if not s >= 0.0:  # NaN too
             raise DomainError(f"modulus argument must be nonnegative, got {s}")
         if self.kind == "power":
             return float(self._power(s))
@@ -99,8 +100,8 @@ class ModulusSpec:
     def many(self, s: np.ndarray) -> np.ndarray:
         """beta elementwise on a float array, as a new array equal to ``beta(s)`` at each element, bit for bit."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < 0.0):
-            raise DomainError(f"modulus argument must be nonnegative, got {s[s < 0.0].flat[0]}")
+        if not np.all(s >= 0.0):  # NaN too
+            raise DomainError(f"modulus argument must be nonnegative, got {s[~(s >= 0.0)].flat[0]}")
         if self.kind == "power":
             return np.asarray(self._power(s))  # 0-d input gives a 0-d array
         return np.interp(s, *self._nodes)

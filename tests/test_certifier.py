@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -23,8 +24,11 @@ from translab import (
     enumerate_cubes,
     identity_chart,
     level_schedule,
+    polar_demo_chart,
+    pullback_perturbation,
     resolve_depth,
     theory_lower_bound,
+    transport_function,
 )
 
 from closed_form import holder_lower_bound, holder_lower_bound_log2
@@ -387,10 +391,10 @@ class TestMirandaKernel:
         cubes = oracle_cubes(n, q)
         want = [oracle_verify(h, IDENTITY, cube, z, p) for cube in cubes]
         ranks = np.arange(len(cubes))
-        assert certifier._miranda_verdicts(h, IDENTITY, n, q, ranks, z, p).tolist() == want
+        assert certifier._miranda_verdicts(h, IDENTITY, q, {n: ranks}, z, p)[n].tolist() == want
         assert [miranda_verdict(h, IDENTITY, cube, z, p) for cube in cubes] == want
         with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", 7):
-            assert certifier._miranda_verdicts(h, IDENTITY, n, q, ranks, z, p).tolist() == want
+            assert certifier._miranda_verdicts(h, IDENTITY, q, {n: ranks}, z, p)[n].tolist() == want
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_face_value_rejects(self, bad):
@@ -481,8 +485,9 @@ class TestMirandaKernel:
         assert not miranda_verdict(h, IDENTITY, cube)
 
     def test_face_block_reaches_the_evaluator_uncopied_at_d_equal_q(self):
-        # d = q leaves no free coordinate: h gets the (N, q) block that
-        # _face_points built, and with z it gets that block with z appended
+        # _face_points writes each level's rows into the block h gets, so
+        # no rows are copied: one level with no z fills the whole block, and
+        # the rows of two levels sharing a block, with or without z, are views of it
         F, built, seen = ExtremalFunction(beta=IDENTITY, d=3, q=2), [], []
         face_points = certifier._face_points
 
@@ -491,22 +496,80 @@ class TestMirandaKernel:
                 seen.append(pts)
                 return F.evaluate_many(np.hstack([pts, np.full((len(pts), 3 - pts.shape[1]), 0.5)]))
 
-        ranks = np.arange(256)
-        with mock.patch.object(certifier, "_face_points", lambda n, q, r: built.append(face_points(n, q, r)) or built[-1]):
-            bare = certifier._miranda_verdicts(Recording(), IDENTITY, 2, 2, ranks)
-            assert len(seen) == len(built) >= 1
-            assert all(got is block and got.shape == (len(block), 2) for got, block in zip(seen, built))
-            seen.clear(), built.clear()
-            with_z = certifier._miranda_verdicts(Recording(), IDENTITY, 2, 2, ranks, (0.5,))
-        assert all(np.array_equal(got, np.hstack([block, np.full((len(block), 1), 0.5)])) for got, block in zip(seen, built))
-        assert bare.all() and np.array_equal(bare, with_z)  # every level-2 cube of F verifies either way
+        def recorded(n, q, ranks, out=None):
+            built.append(face_points(n, q, ranks, out))
+            return built[-1]
+
+        one, both = {2: np.arange(256)}, {1: np.arange(4), 2: np.arange(256)}
+        fresh = np.vstack([face_points(n, 2, ranks) for n, ranks in both.items()])
+        with mock.patch.object(certifier, "_face_points", recorded):
+            bare = certifier._miranda_verdicts(Recording(), IDENTITY, 2, one)
+            assert len(seen) == len(built) == 1 and built[0].shape == seen[0].shape
+            assert np.shares_memory(built[0], seen[0])
+            assert seen[0].shape == (256 * 36, 2) and seen[0].flags.f_contiguous
+            for z in ((), (0.5,)):
+                seen.clear(), built.clear()
+                shared = certifier._miranda_verdicts(Recording(), IDENTITY, 2, both, z)
+                assert len(seen) == 1 and len(built) == 2
+                block = seen[0]
+                assert block.shape == (260 * 36, 2 + len(z)) and block.flags["F_CONTIGUOUS" if not z else "C_CONTIGUOUS"]
+                assert all(np.shares_memory(rows, block) for rows in built)
+                assert np.array_equal(block[:, :2], fresh) and (block[:, 2:] == 0.5).all()
+                assert shared[1].all() and np.array_equal(shared[2], bare[2])
+        assert bare[2].all()  # every level-2 cube of F verifies
+
+    @staticmethod
+    def _rippled(d, q, p):
+        """F plus a deterministic ripple of size 2**-9, its active components 0 on a comb of bands in x_0."""
+        F = ExtremalFunction(beta=IDENTITY, d=d, q=q, p=p)
+
+        class Rippled:
+            def evaluate_many(self, pts):
+                pts = np.asarray(pts, dtype=float)
+                ripple = 2.0**-9 * np.sin(13.0 * pts[:, 0] + 41.0 * pts[:, -1])
+                vals = F.evaluate_many(pts) + ripple[:, None]
+                vals[(37.0 * pts[:, 0]) % 1.0 < 0.3, p:] = 0.0
+                return vals
+
+        return Rippled()
+
+    @pytest.mark.parametrize(
+        "d,q,p,z,chart",
+        [(1, 1, 0, (), None), (2, 2, 0, (), None), (2, 1, 1, (0.3,), None), (2, 1, 1, (0.6,), "polar")],
+        ids=["q1", "q2", "q1 with z", "q1 through a chart"],
+    )
+    @pytest.mark.parametrize("block", [None, 7, 108])
+    def test_one_call_over_levels_matches_one_call_per_level(self, d, q, p, z, chart, block):
+        # live cubes of several levels, some passing and some failing, in one
+        # call or level by level: the same verdicts, whether a block holds one
+        # cube, whole levels, or the end of one level and the start of the next
+        h = self._rippled(d, q, p)
+        if chart == "polar":
+            chart = polar_demo_chart(r0=0.5)
+            h = pullback_perturbation(chart, transport_function(chart, h))[0]
+        rng = np.random.default_rng(3)
+        live = {n: np.sort(rng.choice(2 ** (q * n * n), min(2 ** (q * n * n), 40), replace=False))
+                for n in range(1, 4 - q)}
+        want = {n: certifier._miranda_verdicts(h, IDENTITY, q, {n: ranks}, z, p)[n] for n, ranks in live.items()}
+        assert all(0 < w.sum() < len(w) for w in list(want.values())[1:])  # a mix of passes and failures
+        blocks = []
+        real = certifier.evaluate_rows
+        with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", block or certifier.SCAN_BLOCK_POINTS), \
+                mock.patch.object(certifier, "evaluate_rows", lambda h, pts: blocks.append(len(pts)) or real(h, pts)):
+            got = certifier._miranda_verdicts(h, IDENTITY, q, live, z, p)
+        rows = 2 * q * 9 ** (q - 1)
+        step = max(1, (block or certifier.SCAN_BLOCK_POINTS) // rows)
+        cubes = sum(len(ranks) for ranks in live.values())
+        assert blocks == [rows * min(step, cubes - lo) for lo in range(0, cubes, step)]
+        assert list(got) == list(live)
+        assert all(got[n].tolist() == want[n].tolist() for n in live)
 
     def test_slack_unchanged_up_to_q5(self):
         # sqrt(q-1)/2 <= 1 keeps the slack at beta(scale/4) bit for bit
         for q in (1, 2, 3, 4, 5):
             seen = []
             beta = lambda s: seen.append(s) or 1.0
-            certifier._miranda_verdicts(lambda x: np.ones(q), beta, 1, q, np.array([], dtype=int))
+            certifier._miranda_verdicts(lambda x: np.ones(q), beta, q, {1: np.array([], dtype=int)})
             assert seen == [2.0**-6]
 
 
@@ -744,37 +807,109 @@ class TestCertify:
             certify(F, 2.0**-12, h=F, z_grid=3)
 
     @pytest.mark.parametrize(
-        "eps,z_grid,dead_above,slices",
+        "eps,z_grid,dead_above,dead_left_of,calls,verified",
         [
-            (2.0**-7, 4000, -1.0, [1]),  # every cube fails on the first slice
-            (2.0**-12, 4000, -1.0, [1, 1]),
-            (2.0**-12, 4, 0.5, [3, 3]),  # slices at z = 1/8, 3/8 pass, z = 5/8 empties each level
+            (2.0**-7, 4000, -1.0, 1.0, [(1,)], [0]),  # every cube fails on the first slice
+            (2.0**-12, 4000, -1.0, 1.0, [(1, 2)], [0, 0]),
+            (2.0**-12, 4, 0.5, 1.0, [(1, 2)] * 3, [0, 0]),  # z = 1/8, 3/8 pass, z = 5/8 empties both levels
+            (2.0**-12, 4, 0.5, 0.5, [(1, 2)] * 3 + [(2,)], [0, 16]),  # z = 5/8 empties level 1 (x_0 < 1/2) only
         ],
     )
-    def test_an_emptied_level_stops_slicing(self, monkeypatch, eps, z_grid, dead_above, slices):
-        # once no cube of a level is alive, its remaining slices would decide
-        # nothing, so their Miranda calls are not made
+    def test_an_emptied_level_stops_slicing(self, monkeypatch, eps, z_grid, dead_above, dead_left_of, calls, verified):
+        # one Miranda call per slice tests every level with a live cube; a
+        # level whose cubes have all failed drops out of the later calls, and
+        # once no level is left the remaining slices make no call at all
         F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
         seen, made = [], []
 
         class Vanishing:
-            """F where the free coordinate is at most dead_above, 0 past it."""
+            """F, but 0 where the free coordinate is past dead_above and x_0 is left of dead_left_of."""
 
             def evaluate_many(self, pts):
                 seen.append(len(pts))
-                return np.where(pts[:, 1:] > dead_above, 0.0, F.evaluate_many(pts))
+                dead = (pts[:, 1:] > dead_above) & (pts[:, :1] < dead_left_of)
+                return np.where(dead, 0.0, F.evaluate_many(pts))
 
         verdicts = certifier._miranda_verdicts
 
-        def counted(h, beta, n, *args):
-            made.append(n)
-            return verdicts(h, beta, n, *args)
+        def counted(h, beta, q, live, *args):
+            made.append(tuple(live))
+            return verdicts(h, beta, q, live, *args)
 
         monkeypatch.setattr(certifier, "_miranda_verdicts", counted)
         cert = certify(F, eps, h=Vanishing(), z_grid=z_grid)
-        assert [c.verified for c in cert.per_level_counts] == [0] * len(slices)
-        assert made == [n for n, k in enumerate(slices, start=1) for _ in range(k)]
-        assert len(seen) == sum(slices)  # one h call per slice: each level fits one block
+        assert [c.verified for c in cert.per_level_counts] == verified
+        assert made == calls
+        assert len(seen) == len(calls)  # one h call per slice: all its levels fit one block
+
+    def test_h_sees_each_live_cube_once_per_slice(self):
+        # the points h is asked for in a run are, as a multiset, the face
+        # points of each level's cubes still alive at each slice, z
+        # appended, with the live cubes decided by the per-point oracle and
+        # a level left once it is empty: different cubes of every level
+        # fail on different slices, and level 1 empties before the last
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
+        seen = []
+
+        class Recorded:
+            """F, 0 where x_0 < 1/2 and z > 0.6, where 0.6 < x_0 < 0.7 and z > 0.2, and where x_0 > 0.8."""
+
+            def evaluate_many(self, pts):
+                seen.extend(map(tuple, pts.tolist()))
+                return self.values(pts)
+
+            def __call__(self, x):
+                return self.values(np.asarray(x)[None, :])[0]
+
+            @staticmethod
+            def values(pts):
+                x, z = pts[:, :1], pts[:, 1:]
+                dead = (x < 0.5) & (z > 0.6) | (x > 0.6) & (x < 0.7) & (z > 0.2) | (x > 0.8)
+                return np.where(dead, 0.0, F.evaluate_many(pts))
+
+        h, eps, slices = Recorded(), 2.0**-19, [(1 / 6,), (0.5,), (5 / 6,)]
+        cert = certify(F, eps, h=h, z_grid=3)
+        want, alive = [], {}
+        for n in range(1, cert.n0 + 1):
+            live = oracle_cubes(n, 1)
+            for z in slices:
+                if not live:
+                    break
+                want += [tuple(float(c) for c in pt) + z for cube in live for pt in oracle_face_points(cube)]
+                live = [cube for cube in live if oracle_verify(h, IDENTITY, cube, z)]
+            alive[n] = len(live)
+        assert cert.n0 == 3 and alive[1] == 0 and 0 < alive[2] < 16 and 0 < alive[3] < 512
+        assert [c.verified for c in cert.per_level_counts] == list(alive.values())
+        assert collections.Counter(seen) == collections.Counter(want)
+
+    def test_one_evaluator_call_at_the_certify_q2_shape(self):
+        # d = q = 2 at eps = 2**-12: the 4 + 256 cubes of both levels are
+        # 9360 face points, under SCAN_BLOCK_POINTS, so one call of h
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=2)
+        eps = 2.0**-12
+        base = _noisy_q2_base()
+        h = base.with_values(base.values + np.random.default_rng(2).uniform(-eps, eps, base.values.shape))
+        real, blocks = certifier.evaluate_rows, []
+        with mock.patch.object(certifier, "evaluate_rows", lambda h, pts: blocks.append(len(pts)) or real(h, pts)):
+            cert = certify(F, eps, h=h)
+        assert [(c.n, c.verified, c.total) for c in cert.per_level_counts] == [(1, 4, 4), (2, 256, 256)]
+        assert blocks == [9360]
+
+    @pytest.mark.parametrize("z_grid", [2.5, 2.0, "3", None, np.float64(3.0)])
+    def test_z_grid_that_is_no_integer_is_refused_before_any_work(self, monkeypatch, z_grid):
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
+
+        def never(*args):
+            pytest.fail("evaluated before z_grid was checked")
+
+        monkeypatch.setattr(ModulusSpec, "__call__", never)
+        monkeypatch.setattr(ModulusSpec, "many", never)
+        with pytest.raises(DomainError, match=rf"^z-grid must be an integer, got {re.escape(repr(z_grid))}$"):
+            certify(F, 2.0**-7, h=never, z_grid=z_grid)
+
+    def test_numpy_integer_z_grid_passes(self):
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
+        assert certify(F, 2.0**-12, h=F, z_grid=np.int64(3)) == certify(F, 2.0**-12, h=F, z_grid=3)
 
     @pytest.mark.parametrize("zeroed", [(), (3,), (0, 9), (1, 5, 15)])
     def test_noisy_q2_counts_pinned(self, zeroed):

@@ -409,10 +409,25 @@ class TestBatchedCertifyThroughCharts:
         cert = certify(PADDED, 2.0**-15, h=Batched(), chart=chart, z_grid=2)
         assert counts(cert) == SAMPLED_COUNTS
         assert cert.certified_count == 16 and cert.envelope_ok
-        # levels 1 and 2, two slices each; the second level-2 slice skips the 2 rejected cubes
-        assert batches == [4, 4, 32, 28]
+        # two slices, each one block over levels 1 and 2 (2 + 16 cubes of 2
+        # points); the second skips the 2 level-2 cubes the first rejected
+        assert batches == [36, 32]
         assert cert == certify(PADDED, 2.0**-15, h=base, chart=chart, z_grid=2)
         batches.clear()
         with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", 7):
             assert certify(PADDED, 2.0**-15, h=Batched(), chart=chart, z_grid=2) == cert
-        assert batches == [4, 4] + [6] * 5 + [2] + [6] * 4 + [4]
+        # 3 cubes a block: level 1's 2 cubes share the first block with level 2's first
+        assert batches == [6] * 6 + [6] * 5 + [2]
+
+    @pytest.mark.parametrize("name", BUILTIN_CHARTS)
+    def test_one_evaluator_call_per_slice_at_the_certify_chart_shape(self, name):
+        # n0 = 3 at z_grid = 4: each slice is one block over all three levels
+        # (2 + 16 + 512 cubes of 2 points), and the 4 cubes on the zeroed
+        # level-3 bumps fail on the first slice and are not asked for again
+        chart = BUILTIN_CHARTS[name]
+        h = transport_function(chart, noisy_model(2.0**-19 / chart.distortion, zeroed=(5, 77, 300, 511)))
+        real, blocks = certifier.evaluate_rows, []
+        with mock.patch.object(certifier, "evaluate_rows", lambda h, pts: blocks.append(len(pts)) or real(h, pts)):
+            cert = certify(PADDED, 2.0**-19, h=h, chart=chart, z_grid=4)
+        assert counts(cert) == NOISY_COUNTS
+        assert blocks == [1060, 1052, 1052, 1052]

@@ -91,6 +91,15 @@ class TestModulusCommand:
         assert code == 2 and out == ""
         assert err == "error: inverse argument must be nonnegative, got nan\n"
 
+    @pytest.mark.parametrize("kind", ["power", "table"])
+    def test_eval_refuses_nan(self, capsys, tmp_path, kind):
+        table = tmp_path / "t.txt"
+        table.write_text("0 0\n1 0.5\n")
+        source = ("--file", str(table)) if kind == "table" else ()
+        code, out, err = run(capsys, "modulus", "--kind", kind, *source, "--eval", "nan")
+        assert code == 2 and out == ""
+        assert err == "error: modulus argument must be nonnegative, got nan\n"
+
     def test_table_needs_file(self, capsys):
         code, out, err = run(capsys, "modulus", "--kind", "table", "--eval", "0.5")
         assert code == 2 and out == ""

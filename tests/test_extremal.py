@@ -121,6 +121,14 @@ class TestLevelSchedule:
         with pytest.raises(DomainError):
             level_schedule(31)
 
+    def test_cached_per_level(self):
+        # a frozen function of n, so one schedule serves every call of a
+        # level; a refused level is not cached, and is refused again
+        assert level_schedule(3) is level_schedule(3)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                level_schedule(31)
+
 
 class TestBump:
     """One bump of a level: the profile at start_n + t, t in [0, 4 * scale_n]."""
