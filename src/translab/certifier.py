@@ -80,27 +80,31 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     return n
 
 
-def _face_points(n: int, q: int, ranks: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Face-lattice points of the level-n cubes numbered ``ranks``, one row each.
+def _face_points(q: int, levels: np.ndarray, ranks: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Face-lattice points of the cubes numbered ``ranks`` on ``levels``, one cube per entry, one row per point.
 
-    A cube's number is the rank of its index tuple in lexicographic
-    order; on axis j it spans lo_j = start + (4 i_j + 1) scale to
-    lo_j + 2 scale.  Per cube, rows run axis by axis, lo face before hi
-    face, free coordinates in lexicographic order.  Coordinate j is
-    lo_j + k scale/4: a dyadic of at most n*n + n + 4 bits, so each step
-    of the sum is exact at every level under the cube cap.  The sum
-    is built axis-major, as (q, cubes, rows), so its inner loop runs
-    over a cube's rows rather than its q coordinates, and is written
-    through the transpose of ``out``: the (N, q) rows to fill, by
-    default a new column-major block.  Returns ``out``.
+    A level-n cube's number is the rank of its index tuple in
+    lexicographic order, q fields of n*n bits with i_1 highest; on axis
+    j the cube spans lo_j = start_n + (4 i_j + 1) scale_n to lo_j + 2
+    scale_n.  Per cube, rows run axis by axis, lo face before hi face,
+    free coordinates in lexicographic order.  Coordinate j is lo_j plus
+    a step k scale_n/4 taken from its level's table: a dyadic of at most
+    n*n + n + 4 bits, so each step of the sum is exact at every level
+    under the cube cap.  The sum is built axis-major, as (q, cubes,
+    rows), through the transpose of ``out``: the (N, q) rows to fill,
+    by default a new column-major block.  Returns ``out``.
     """
-    lev = level_schedule(n)
-    steps = _face_offsets(q) * (lev.scale / 4.0)
+    offsets = _face_offsets(q)
     if out is None:
-        out = np.empty((q, len(ranks) * steps.shape[1])).T
-    index = np.stack(np.unravel_index(ranks, (lev.bump_count,) * q))  # (q, cubes)
-    lo = lev.start + (4 * index + 1) * lev.scale
-    np.add(lo[:, :, None], steps[:, None, :], out=out.T.reshape(q, len(ranks), steps.shape[1]))
+        out = np.empty((q, len(ranks) * offsets.shape[1])).T
+    schedules = map(level_schedule, range(1, levels.max(initial=0) + 1))
+    start, scale = np.array([(0.0, 0.0), *((lev.start, lev.scale) for lev in schedules)]).T  # entry n: level n
+    bits = levels * levels  # a level-n axis has 2**(n*n) bumps
+    index = (ranks >> bits * np.arange(q - 1, -1, -1)[:, None]) & ((1 << bits) - 1)  # (q, cubes)
+    rows = out.T.reshape(q, len(ranks), -1)
+    steps = offsets[:, None, :] * (scale[:, None] / 4.0)  # (q, levels, rows)
+    np.take(steps, levels, axis=1, out=rows, mode="clip")  # levels in range: "clip" writes out unbuffered
+    rows += (start[levels] + (4 * index + 1) * scale[levels])[:, :, None]
     return out
 
 
@@ -115,9 +119,9 @@ def _face_offsets(q: int) -> np.ndarray:
 
 
 def _miranda_verdicts(
-    h: Callable, beta: ModulusSpec, q: int, live: dict[int, np.ndarray], z=(), p: int = 0
-) -> dict[int, np.ndarray]:
-    """Poincare-Miranda sign test of h's active block on the cubes ``live`` maps each level n to, by rank.
+    h: Callable, beta: ModulusSpec, q: int, levels: np.ndarray, ranks: np.ndarray, z=(), p: int = 0
+) -> np.ndarray:
+    """Poincare-Miranda sign test of h's active block on the cubes numbered ``ranks`` on ``levels``.
 
     A cube passes when on each active axis i component p+i holds one
     strict sign on the face y_i = lo_i and the opposite one on y_i = hi_i,
@@ -128,34 +132,30 @@ def _miranda_verdicts(
     a face point lies within (scale_n/8) sqrt(q-1) of the lattice, so the
     slack freezes the sign across a lattice cell for any h admitting
     beta, and a pass implies a zero of the active block inside the cube.
-    NaN or infinite values reject the cube.  Returns each level's
-    verdicts, in the order of its ranks.
+    NaN or infinite values reject the cube.  Returns one verdict per
+    cube, in the order of the two parallel arrays.
 
-    The cubes run level by level, in the order of ``live``, and h sees
-    their points (z appended) in blocks of whole cubes, a block holding
-    cubes of as many levels as fit: at most SCAN_BLOCK_POINTS points
-    unless one cube has more.  Each level's rows are written into the
-    block by ``_face_points``, so h gets the block that ``_face_points``
-    filled, not a copy: column-major, and C-order with z.  h must return
-    an (N, p + q) block; any other shape is a ``ShapeError``.
+    The cubes form one list, whatever their levels, and h sees their
+    points (z appended) in blocks of whole cubes: consecutive slices of
+    the list, at most SCAN_BLOCK_POINTS points unless one cube has more.
+    ``_face_points`` writes each block's rows into it, so h gets the
+    block that ``_face_points`` filled, not a copy: column-major, and
+    C-order with z.  h must return an (N, p + q) block; any other shape
+    is a ``ShapeError``.
     """
     rows = 2 * q * FACE_LATTICE_POINTS ** (q - 1)  # face points per cube
     step = max(1, SCAN_BLOCK_POINTS // rows)  # whole cubes per block
     tail = np.asarray(z, dtype=float).ravel()
     widen = max(1.0, math.sqrt(q - 1) / 2.0)
-    sizes = [len(ranks) for ranks in live.values()]
-    starts = list(itertools.accumulate(sizes, initial=0))
-    levels = list(zip(live.items(), starts))
-    slack = np.repeat(np.array([beta(level_schedule(n).scale / 4.0 * widen) for n in live]), sizes)[:, None, None, None]
+    used = np.bincount(levels).tolist()  # one slack, so one beta call, per level present
+    slack = np.array([beta(level_schedule(n).scale / 4.0 * widen) if k else 0.0 for n, k in enumerate(used)])
     side = np.array([1.0, -1.0])[:, None]
-    verdicts = np.empty(starts[-1], dtype=bool)
-    for lo in range(0, len(verdicts), step):
-        hi = min(lo + step, len(verdicts))
-        block = np.empty(((hi - lo) * rows, q + len(tail))) if len(tail) else np.empty((q, (hi - lo) * rows)).T
-        for (n, ranks), start in levels:
-            a, b = max(lo, start), min(hi, start + len(ranks))
-            if a < b:
-                _face_points(n, q, ranks[a - start : b - start], out=block[(a - lo) * rows : (b - lo) * rows, :q])
+    verdicts = np.empty(len(ranks), dtype=bool)
+    for lo in range(0, len(ranks), step):
+        cubes = slice(lo, lo + step)
+        size = len(ranks[cubes]) * rows
+        block = np.empty((size, q + len(tail))) if len(tail) else np.empty((q, size)).T
+        _face_points(q, levels[cubes], ranks[cubes], out=block[:, :q])
         block[:, q:] = tail  # z, if any
         vals = evaluate_rows(h, block)
         if vals.shape != (len(block), p + q):
@@ -163,13 +163,13 @@ def _miranda_verdicts(
                 f"h gave values of shape {vals.shape} at {len(block)} points, "
                 f"expected ({len(block)}, {p + q}): m = {p + q} values per point"
             )
-        vals = vals.reshape(hi - lo, q, 2, -1, p + q)
+        vals = vals.reshape(-1, q, 2, FACE_LATTICE_POINTS ** (q - 1), p + q)
         v = np.stack([vals[:, axis, :, :, p + axis] for axis in range(q)], axis=1)
         oriented = np.sign(v) * side
-        clear = np.isfinite(v) & (np.abs(v) > slack[lo:hi])
+        clear = np.isfinite(v) & (np.abs(v) > slack[levels[cubes], None, None, None])
         consistent = oriented == oriented[:, :, :1, :1]
-        verdicts[lo:hi] = (clear & consistent).all(axis=(1, 2, 3))
-    return {n: verdicts[start : start + len(ranks)] for (n, ranks), start in levels}
+        verdicts[cubes] = (clear & consistent).all(axis=(1, 2, 3))
+    return verdicts
 
 
 @dataclass(frozen=True)
@@ -269,11 +269,11 @@ def certify(
     (Kulpa's sign condition, with a slack that freezes each sign across
     a face-lattice cell) slice by slice, at the midpoint slice of the
     free coordinates by default or on a ``z_grid``-per-axis lattice of
-    slices: one call per slice tests the cubes of every level at once,
-    by rank, each against its own level's slack.  A cube counts only
-    when all slices pass, and each slice revisits only the cubes still
-    passing; a level whose cubes have all failed drops out of the later
-    slices, and once no level has a live cube the remaining slices are
+    slices.  The live cubes of all levels form one list of (level,
+    rank) pairs, level-major and rank ascending, and one call per slice
+    tests the whole list, each cube against its own level's slack.  A
+    cube counts only when all slices pass: each slice keeps the cubes
+    that passed it, and once none is left the remaining slices are
     skipped.  A ``z_grid`` that is not an integer (``operator.index``
     refuses it; a numpy integer passes) is refused with ``DomainError``
     before any work, and so is one below 1, or above 1 without free
@@ -323,35 +323,34 @@ def certify(
     rectangle_ok = p == 0 or eps <= chart.r0
 
     n0 = resolve_depth(beta, q, eps_flat) if rectangle_ok else 0
+    totals = [2 ** (q * n * n) for n in range(1, n0 + 1)]  # level n's cubes
+    deepest = totals[-1] if totals else 0
+    verified = totals
     if evaluator is not None:  # sized before any slice is built or h is called
-        check_work(2 ** (q * n0 * n0), MESH_CAP, f"certify's level {n0} at q = {q}", "cubes")
-        cubes = sum(2 ** (q * n * n) for n in range(1, n0 + 1))
-        evaluations = cubes * 2 * q * FACE_LATTICE_POINTS ** (q - 1) * z_grid ** (d - q)
+        check_work(deepest, MESH_CAP, f"certify's level {n0} at q = {q}", "cubes")
+        evaluations = sum(totals) * 2 * q * FACE_LATTICE_POINTS ** (q - 1) * z_grid ** (d - q)
         check_work(evaluations, EVALUATION_CAP, f"certify to depth {n0}, q = {q}, z-grid {z_grid}", "evaluations")
         check_work(n0 * z_grid ** (d - q), SLICE_CAP, f"certify to depth {n0}, q = {q}, z-grid {z_grid}", "slices")
-    totals = {n: 2 ** (q * n * n) for n in range(1, n0 + 1)}
-    verified = totals
-    if evaluator is not None:
-        alive = {n: np.arange(total) for n, total in totals.items()}
+        levels = np.repeat(np.arange(1, n0 + 1), totals)  # the live cubes: level-major, rank ascending
+        ranks = np.concatenate([np.arange(0), *map(np.arange, totals)])  # arange(0): n0 = 0 lists no cube
         for index in np.ndindex(*(z_grid,) * (d - q)):  # lexicographic; d = q gives the one empty slice
-            if not alive:
-                break  # no level has a live cube left to decide
+            if not len(ranks):
+                break  # no live cube left to decide
             z = [(k + 0.5) / z_grid for k in index]
-            verdicts = _miranda_verdicts(evaluator, beta, q, alive, z, p)
-            alive = {n: ranks[verdicts[n]] for n, ranks in alive.items()}
-            alive = {n: ranks for n, ranks in alive.items() if len(ranks)}
-        verified = {n: len(alive.get(n, ())) for n in totals}
-    levels = [LevelCount(n=n, verified=verified[n], total=total) for n, total in totals.items()]
-    certified = sum(verified.values())
+            passed = _miranda_verdicts(evaluator, beta, q, levels, ranks, z, p)
+            levels, ranks = levels[passed], ranks[passed]
+        verified = np.bincount(levels, minlength=n0 + 1)[1:].tolist()
+    per_level = tuple(map(LevelCount, range(1, n0 + 1), verified, totals))
+    certified = sum(verified)
 
     theory, psi = _lower_envelope(beta, eps, m - p, gamma)
     vacuous = n0 == 0 or math.isinf(psi)
     return Certificate(
         eps=float(eps),
         n0=n0,
-        per_level_counts=tuple(levels),
+        per_level_counts=per_level,
         certified_count=certified,
-        paper_bound=2 ** (q * n0 * n0) if n0 >= 1 else 0,
+        paper_bound=deepest,
         theory_bound=theory,
         mode="theoretical" if evaluator is None else "empirical",
         vacuous=vacuous,

@@ -101,6 +101,8 @@ def affine_chart(A, b=None, r0: float = 1.0) -> Chart:
     off = np.zeros(m) if b is None else np.asarray(b, dtype=float)
     if off.shape != (m,):
         raise DomainError(f"offset must have length {m}, got shape {off.shape}")
+    if not (np.isfinite(mat).all() and np.isfinite(off).all()):
+        raise DomainError(f"affine chart needs finite numbers, got matrix {mat.tolist()} and offset {off.tolist()}")
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals[-1] <= 0.0:
         raise DomainError("affine chart matrix must be nonsingular")
@@ -127,8 +129,8 @@ def polar_demo_chart(rho: float = 2.0, radius: float = 1.0, r0: float = 1.0) -> 
     """
     if rho <= 1.0:
         raise DomainError(f"annulus ratio must exceed 1, got {rho}")
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius}")
+    if not 0.0 < radius < math.inf:  # NaN too
+        raise DomainError(f"radius must be positive and finite, got {radius}")
     if r0 >= math.pi * radius / 2.0:
         raise DomainError(f"r0 must stay below pi*radius/2 = {math.pi * radius / 2.0}")
     u_max = math.pi * radius / 2.0

@@ -9,6 +9,7 @@ constructions), sweep (dyadic budget sweep to CSV).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import TranslabError
 from .extremal import ExtremalFunction
 from .funcrep import SampledFunction, count_zero_components
 from .modulus import ModulusSpec, check_modulus_axioms
+
+CERTIFY_CSV_HEADER = "eps,n0,certified_count,paper_bound,theory_bound,mode"
 
 
 def _modulus_from_args(args) -> ModulusSpec:
@@ -128,6 +131,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.csv and os.path.exists(args.csv):  # refused before any work, so nothing lands in a foreign file
+        with open(args.csv) as fh:
+            first = fh.readline().rstrip("\n")
+        if first not in ("", CERTIFY_CSV_HEADER):  # an empty file gets the header below
+            raise TranslabError(f"{args.csv} is not a certify CSV: its first line is {first!r}, "
+                                f"not {CERTIFY_CSV_HEADER!r}")
     fn = _extremal_from_args(args)
     h = _load_map(args.h, "the certified map", fn.d, fn.m) if args.h else None
     chart = _chart_from_args(args, args.m)
@@ -145,7 +154,7 @@ def _cmd_certify(args) -> int:
     if args.csv:
         with open(args.csv, "a") as fh:
             if fh.tell() == 0:  # a new or empty file: append mode starts at the end
-                fh.write("eps,n0,certified_count,paper_bound,theory_bound,mode\n")
+                fh.write(CERTIFY_CSV_HEADER + "\n")
             fh.write(
                 f"{cert.eps:.17g},{cert.n0},{cert.certified_count},"
                 f"{cert.paper_bound},{cert.theory_bound:.17g},{cert.mode}\n"

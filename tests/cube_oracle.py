@@ -60,4 +60,4 @@ def oracle_cubes(n: int, q: int) -> list[OracleCube]:
 
 def miranda_verdict(h, beta, cube: OracleCube, z=(), p: int = 0) -> bool:
     """The certifier's Miranda kernel verdict on the one cube, by its rank."""
-    return bool(certifier._miranda_verdicts(h, beta, cube.q, {cube.n: np.array([cube.rank])}, z, p)[cube.n][0])
+    return bool(certifier._miranda_verdicts(h, beta, cube.q, np.array([cube.n]), np.array([cube.rank]), z, p)[0])

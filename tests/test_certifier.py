@@ -253,14 +253,15 @@ class TestCubes:
     def test_level_one_q_one(self):
         assert list(enumerate_cubes(1, 1)) == [(0,), (1,)]
         # q = 1 face points are each cube's lo and hi
-        assert certifier._face_points(1, 1, np.arange(2))[:, 0].tolist() == [0.0625, 0.1875, 0.3125, 0.4375]
+        lo_hi = certifier._face_points(1, np.ones(2, int), np.arange(2))[:, 0]
+        assert lo_hi.tolist() == [0.0625, 0.1875, 0.3125, 0.4375]
 
     def test_level_one_q_two(self):
         assert list(enumerate_cubes(1, 2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_level_two_q_one(self):
         assert len(list(enumerate_cubes(2, 1))) == 16
-        assert certifier._face_points(2, 1, np.array([0]))[0, 0] == 0.5 + 2.0**-8
+        assert certifier._face_points(1, np.array([2]), np.array([0]))[0, 0] == 0.5 + 2.0**-8
 
     @pytest.mark.parametrize("n,q", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_enumeration_is_rank_order(self, n, q):
@@ -270,7 +271,7 @@ class TestCubes:
     def test_geometry_invariants(self):
         # q = 1 face points are (lo, hi) per cube: side 2 * scale, inside [0, 1], cubes disjoint and ascending
         for n in (1, 2, 3, 4):
-            lo, hi = certifier._face_points(n, 1, np.arange(2 ** (n * n))).reshape(-1, 2).T
+            lo, hi = certifier._face_points(1, np.full(2 ** (n * n), n), np.arange(2 ** (n * n))).reshape(-1, 2).T
             assert np.all(hi - lo == 2 * level_schedule(n).scale)
             assert 0 <= lo[0] and hi[-1] <= 1
             assert np.all(hi[:-1] < lo[1:])
@@ -373,16 +374,19 @@ class TestMirandaKernel:
     @pytest.mark.parametrize("q,deepest", [(1, 4), (2, 3)])
     def test_face_points_match_fraction_lattice(self, q, deepest):
         # every face-lattice coordinate is its exact Fraction, so a double,
-        # at every level the cap allows: all cubes of the shallower levels,
-        # and a seeded sample of the deepest with its first and last rank
+        # at every level the cap allows, in one call over mixed levels: all
+        # cubes of the shallower levels, then a seeded sample of the deepest
+        # with its first and last rank, then a cube of each level again
         assert 2 ** (q * deepest**2) <= MESH_CAP < 2 ** (q * (deepest + 1) ** 2)
         last = 2 ** (q * deepest**2) - 1
         sample = [0, *sorted(np.random.default_rng(q).choice(np.arange(1, last), 62, replace=False).tolist()), last]
-        for n, ranks in [*((n, range(2 ** (q * n * n))) for n in range(1, deepest)), (deepest, sample)]:
-            got = certifier._face_points(n, q, np.array(ranks))
-            want = [pt for rank in ranks for pt in oracle_face_points(OracleCube.of_rank(n, q, rank))]
-            assert got.shape == (len(want), q)
-            assert all(Fraction(x) == c for row, pt in zip(got.tolist(), want) for x, c in zip(row, pt))
+        cubes = [OracleCube.of_rank(n, q, rank) for n in range(1, deepest) for rank in range(2 ** (q * n * n))]
+        cubes += [OracleCube.of_rank(deepest, q, rank) for rank in sample]
+        cubes += [OracleCube.of_rank(n, q, 2 ** (q * n * n) // 3) for n in range(deepest, 0, -1)]
+        got = certifier._face_points(q, np.array([c.n for c in cubes]), np.array([c.rank for c in cubes]))
+        want = [pt for cube in cubes for pt in oracle_face_points(cube)]
+        assert got.shape == (len(want), q)
+        assert all(Fraction(x) == c for row, pt in zip(got.tolist(), want) for x, c in zip(row, pt))
 
     @given(case=miranda_cases())
     @settings(max_examples=80, deadline=None)
@@ -390,11 +394,11 @@ class TestMirandaKernel:
         h, n, q, z, p = case
         cubes = oracle_cubes(n, q)
         want = [oracle_verify(h, IDENTITY, cube, z, p) for cube in cubes]
-        ranks = np.arange(len(cubes))
-        assert certifier._miranda_verdicts(h, IDENTITY, q, {n: ranks}, z, p)[n].tolist() == want
+        levels, ranks = np.full(len(cubes), n), np.arange(len(cubes))
+        assert certifier._miranda_verdicts(h, IDENTITY, q, levels, ranks, z, p).tolist() == want
         assert [miranda_verdict(h, IDENTITY, cube, z, p) for cube in cubes] == want
         with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", 7):
-            assert certifier._miranda_verdicts(h, IDENTITY, q, {n: ranks}, z, p)[n].tolist() == want
+            assert certifier._miranda_verdicts(h, IDENTITY, q, levels, ranks, z, p).tolist() == want
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_face_value_rejects(self, bad):
@@ -474,7 +478,7 @@ class TestMirandaKernel:
         old_slack = IDENTITY(step)
         assert kappa * D > old_slack
         assert scale / 8 * math.sqrt(5) > D
-        pts = certifier._face_points(1, 6, np.array([0]))
+        pts = certifier._face_points(6, np.array([1]), np.array([0]))
         vals = h.evaluate_many(pts)
         axis0 = slice(0, 2 * 9**5)
         lo_face = slice(0, 9**5)
@@ -485,9 +489,9 @@ class TestMirandaKernel:
         assert not miranda_verdict(h, IDENTITY, cube)
 
     def test_face_block_reaches_the_evaluator_uncopied_at_d_equal_q(self):
-        # _face_points writes each level's rows into the block h gets, so
-        # no rows are copied: one level with no z fills the whole block, and
-        # the rows of two levels sharing a block, with or without z, are views of it
+        # _face_points writes each block's rows into the block h gets, so no
+        # rows are copied: one call fills the whole block, with no z or with
+        # it, whether its cubes come from one level or from two
         F, built, seen = ExtremalFunction(beta=IDENTITY, d=3, q=2), [], []
         face_points = certifier._face_points
 
@@ -496,27 +500,28 @@ class TestMirandaKernel:
                 seen.append(pts)
                 return F.evaluate_many(np.hstack([pts, np.full((len(pts), 3 - pts.shape[1]), 0.5)]))
 
-        def recorded(n, q, ranks, out=None):
-            built.append(face_points(n, q, ranks, out))
+        def recorded(q, levels, ranks, out=None):
+            built.append(face_points(q, levels, ranks, out))
             return built[-1]
 
-        one, both = {2: np.arange(256)}, {1: np.arange(4), 2: np.arange(256)}
-        fresh = np.vstack([face_points(n, 2, ranks) for n, ranks in both.items()])
+        one = np.full(256, 2), np.arange(256)
+        both = np.repeat([1, 2], [4, 256]), np.r_[np.arange(4), np.arange(256)]
+        fresh = np.vstack([face_points(2, np.ones(4, int), np.arange(4)), face_points(2, *one)])
         with mock.patch.object(certifier, "_face_points", recorded):
-            bare = certifier._miranda_verdicts(Recording(), IDENTITY, 2, one)
+            bare = certifier._miranda_verdicts(Recording(), IDENTITY, 2, *one)
             assert len(seen) == len(built) == 1 and built[0].shape == seen[0].shape
             assert np.shares_memory(built[0], seen[0])
             assert seen[0].shape == (256 * 36, 2) and seen[0].flags.f_contiguous
             for z in ((), (0.5,)):
                 seen.clear(), built.clear()
-                shared = certifier._miranda_verdicts(Recording(), IDENTITY, 2, both, z)
-                assert len(seen) == 1 and len(built) == 2
+                shared = certifier._miranda_verdicts(Recording(), IDENTITY, 2, *both, z)
+                assert len(seen) == len(built) == 1
                 block = seen[0]
                 assert block.shape == (260 * 36, 2 + len(z)) and block.flags["F_CONTIGUOUS" if not z else "C_CONTIGUOUS"]
-                assert all(np.shares_memory(rows, block) for rows in built)
+                assert np.shares_memory(built[0], block)
                 assert np.array_equal(block[:, :2], fresh) and (block[:, 2:] == 0.5).all()
-                assert shared[1].all() and np.array_equal(shared[2], bare[2])
-        assert bare[2].all()  # every level-2 cube of F verifies
+                assert shared[:4].all() and np.array_equal(shared[4:], bare)
+        assert bare.all()  # every level-2 cube of F verifies
 
     @staticmethod
     def _rippled(d, q, p):
@@ -550,26 +555,40 @@ class TestMirandaKernel:
         rng = np.random.default_rng(3)
         live = {n: np.sort(rng.choice(2 ** (q * n * n), min(2 ** (q * n * n), 40), replace=False))
                 for n in range(1, 4 - q)}
-        want = {n: certifier._miranda_verdicts(h, IDENTITY, q, {n: ranks}, z, p)[n] for n, ranks in live.items()}
+        want = {n: certifier._miranda_verdicts(h, IDENTITY, q, np.full(len(ranks), n), ranks, z, p)
+                for n, ranks in live.items()}
         assert all(0 < w.sum() < len(w) for w in list(want.values())[1:])  # a mix of passes and failures
+        levels = np.concatenate([np.full(len(ranks), n) for n, ranks in live.items()])
         blocks = []
         real = certifier.evaluate_rows
         with mock.patch.object(certifier, "SCAN_BLOCK_POINTS", block or certifier.SCAN_BLOCK_POINTS), \
                 mock.patch.object(certifier, "evaluate_rows", lambda h, pts: blocks.append(len(pts)) or real(h, pts)):
-            got = certifier._miranda_verdicts(h, IDENTITY, q, live, z, p)
+            got = certifier._miranda_verdicts(h, IDENTITY, q, levels, np.concatenate(list(live.values())), z, p)
         rows = 2 * q * 9 ** (q - 1)
         step = max(1, (block or certifier.SCAN_BLOCK_POINTS) // rows)
-        cubes = sum(len(ranks) for ranks in live.values())
-        assert blocks == [rows * min(step, cubes - lo) for lo in range(0, cubes, step)]
-        assert list(got) == list(live)
-        assert all(got[n].tolist() == want[n].tolist() for n in live)
+        assert blocks == [rows * min(step, len(levels) - lo) for lo in range(0, len(levels), step)]
+        assert got.tolist() == np.concatenate(list(want.values())).tolist()
+
+    def test_each_cube_meets_its_own_levels_slack(self):
+        # F's signs at magnitude 2**-8, between the level-2 slack 2**-10 and
+        # the level-1 slack 2**-6: in one call over both levels, the level-1
+        # cubes fail and the level-2 cubes pass
+        F = ExtremalFunction(beta=IDENTITY, d=1, q=1)
+
+        class Signs:
+            def evaluate_many(self, pts):
+                return 2.0**-8 * np.sign(F.evaluate_many(pts))
+
+        levels, ranks = np.repeat([1, 2, 1], [1, 16, 1]), np.r_[0, np.arange(16), 1]
+        got = certifier._miranda_verdicts(Signs(), IDENTITY, 1, levels, ranks)
+        assert got.tolist() == [False] + [True] * 16 + [False]
 
     def test_slack_unchanged_up_to_q5(self):
         # sqrt(q-1)/2 <= 1 keeps the slack at beta(scale/4) bit for bit
         for q in (1, 2, 3, 4, 5):
             seen = []
             beta = lambda s: seen.append(s) or 1.0
-            certifier._miranda_verdicts(lambda x: np.ones(q), beta, q, {1: np.array([], dtype=int)})
+            certifier._miranda_verdicts(lambda x: np.ones(q), beta, q, np.array([1]), np.array([0]))
             assert seen == [2.0**-6]
 
 
@@ -832,9 +851,9 @@ class TestCertify:
 
         verdicts = certifier._miranda_verdicts
 
-        def counted(h, beta, q, live, *args):
-            made.append(tuple(live))
-            return verdicts(h, beta, q, live, *args)
+        def counted(h, beta, q, levels, ranks, *args):
+            made.append(tuple(np.unique(levels).tolist()))
+            return verdicts(h, beta, q, levels, ranks, *args)
 
         monkeypatch.setattr(certifier, "_miranda_verdicts", counted)
         cert = certify(F, eps, h=Vanishing(), z_grid=z_grid)
@@ -894,6 +913,14 @@ class TestCertify:
             cert = certify(F, eps, h=h)
         assert [(c.n, c.verified, c.total) for c in cert.per_level_counts] == [(1, 4, 4), (2, 256, 256)]
         assert blocks == [9360]
+
+    def test_empirical_counts_are_python_ints(self):
+        # the verified counts are tallied in numpy and reach the certificate as ints
+        F = ExtremalFunction(beta=IDENTITY, d=2, q=1)
+        cert = certify(F, 2.0**-12, h=F, z_grid=2)
+        assert [lc.verified for lc in cert.per_level_counts] == [2, 16] and cert.certified_count == 18
+        assert all(type(lc.verified) is int for lc in cert.per_level_counts)
+        assert type(cert.certified_count) is int
 
     @pytest.mark.parametrize("z_grid", [2.5, 2.0, "3", None, np.float64(3.0)])
     def test_z_grid_that_is_no_integer_is_refused_before_any_work(self, monkeypatch, z_grid):

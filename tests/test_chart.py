@@ -55,6 +55,14 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             affine_chart(np.eye(2), b=[1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_affine_non_finite_numbers_refused(self, bad):
+        # a NaN matrix reached the SVD and raised LinAlgError; a NaN or inf offset built a chart
+        with pytest.raises(DomainError, match="^affine chart needs finite numbers"):
+            affine_chart([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError, match="^affine chart needs finite numbers"):
+            affine_chart(np.eye(2), b=[bad, 0.0])
+
     def test_affine_round_trip(self):
         chart = affine_chart(np.array([[2.0, 1.0], [0.0, 1.0]]), b=[0.5, -0.5])
         y = np.array([0.3, 0.7])
@@ -80,6 +88,13 @@ class TestBuiltins:
             polar_demo_chart(rho=0.9)
         with pytest.raises(DomainError):
             polar_demo_chart(r0=5.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_polar_radius_that_is_not_positive_and_finite_refused(self, radius):
+        # NaN and inf passed both `radius <= 0` and `r0 >= pi*radius/2`
+        message = "^" + re.escape(f"radius must be positive and finite, got {radius}") + "$"
+        with pytest.raises(DomainError, match=message):
+            polar_demo_chart(radius=radius)
 
     def test_chart_constant_order(self):
         with pytest.raises(DomainError):

@@ -281,6 +281,24 @@ class TestCertifyCommand:
             *["0.0078125,1,2,2,1.1503246070171784,theoretical"] * 2,
         ]
 
+    def test_csv_of_another_command_is_refused_untouched(self, capsys, tmp_path):
+        # a sweep CSV got a 6-cell certificate row appended, and the command exited 0
+        csv_path = tmp_path / "sweep.csv"
+        csv_path.write_text("eps,n0,certified_lb,theory_lb\n0.5,0,0,0\n")
+        code, out, err = run(capsys, "certify", "--eps", "0.0078125", "--csv", str(csv_path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {csv_path} is not a certify CSV: its first line is 'eps,n0,certified_lb,theory_lb', "
+                       "not 'eps,n0,certified_count,paper_bound,theory_bound,mode'\n")
+        assert csv_path.read_text() == "eps,n0,certified_lb,theory_lb\n0.5,0,0,0\n"
+
+    @pytest.mark.parametrize("matrix,offset", [("nan,0,0,1", "0,0"), ("1,0,0,1", "nan,0"), ("1,0,0,1", "0,inf")])
+    def test_affine_chart_with_non_finite_numbers_is_clean_error(self, capsys, matrix, offset):
+        # a NaN matrix exited 1 with a LinAlgError traceback; a NaN or inf offset certified and exited 0
+        code, out, err = run(capsys, "certify", "--d", "2", "--m", "2", "--eps", "0.01",
+                             "--chart", f"affine:{matrix},{offset}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: affine chart needs finite numbers")
+
     @pytest.mark.parametrize("r0", ["nan", "0", "-1"])
     def test_chart_half_width_that_is_not_positive_is_clean_error(self, capsys, r0):
         # --r0 nan exited 0 with n0=0 and vacuous=true

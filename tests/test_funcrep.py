@@ -294,7 +294,7 @@ class TestFlatGather:
         h = F.sample(2.0**-10)
         eps = 2.0**-12
         n0 = resolve_depth(F.beta, 2, eps)
-        faces = [_face_points(n, 2, np.arange(2 ** (2 * n * n))) for n in range(1, n0 + 1)]
+        faces = [_face_points(2, np.full(2 ** (2 * n * n), n), np.arange(2 ** (2 * n * n))) for n in range(1, n0 + 1)]
         corners = np.array([[0.0, 1.0], [1.0, -0.0], [1.0, 1.0]])
         pts = np.concatenate(faces + [corners])
         want = tuple_index_evaluate_many(h, pts)
@@ -327,7 +327,7 @@ class TestComponentMajorSums:
         base = F.sample(2.0**-10)
         rng = np.random.default_rng(12)
         h = base.with_values(signed_zeros(base.values + rng.uniform(-2.0**-12, 2.0**-12, base.values.shape), rng))
-        faces = [_face_points(n, 2, np.arange(2 ** (2 * n * n))) for n in (1, 2)]
+        faces = [_face_points(2, np.full(2 ** (2 * n * n), n), np.arange(2 ** (2 * n * n))) for n in (1, 2)]
         ends = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [-0.0, 0.5], [0.5, -0.0]])
         for pts in faces + [ends]:
             got = h.evaluate_many(pts)
@@ -426,7 +426,7 @@ class TestKnotRule:
         base = F.sample(2.0**-10)
         rng = np.random.default_rng(28)
         h = base.with_values(signed_zeros(base.values + rng.uniform(-2.0**-12, 2.0**-12, base.values.shape), rng))
-        faces = [_face_points(n, 2, np.arange(2 ** (2 * n * n))) for n in (1, 2)]
+        faces = [_face_points(2, np.full(2 ** (2 * n * n), n), np.arange(2 ** (2 * n * n))) for n in (1, 2)]
         want = [tuple_index_evaluate_many(h, pts) for pts in faces]
         monkeypatch.setattr(np, "multiply", lambda *args, **kwargs: pytest.fail("a corner was weighed"))
         for pts, expected in zip(faces, want):
