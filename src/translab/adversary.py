@@ -8,28 +8,34 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   unit-slope ramps, and re-interpolates the remaining intervals
   piecewise-linearly on ceil(3/C) subintervals.  The result stays
   within eps of f and carries at most 2 zeros per lifted interval.
-  ``flatten_arrays`` builds the lifts at several budgets from one table
-  of their partition intervals, a group of budgets at a time, calling f
-  once per stage for each group, drops each row's redundant breakpoints
-  by a rule local to the row, and yields each lift as bare
-  (breakpoints, values) arrays.  ``flatten_perturbation`` wraps
-  ``flatten_arrays``' lift at one budget, so both give the same lift
-  bit for bit.
+  ``flatten_arrays`` builds the lifts at several budgets, a group of
+  budgets at a time: it classifies the group's partition intervals
+  together, calling f once per stage for the whole group, then lays
+  out the lifts' rows a run of budgets at a time, drops each row's
+  redundant breakpoints by a rule local to the row, and yields each
+  lift as bare (breakpoints, values) arrays.  ``flatten_perturbation``
+  wraps ``flatten_arrays``' lift at one budget, so both give the same
+  lift bit for bit.
 
 * ``refine_interpolant`` interpolates f on the uniform mesh of
   ceil(4/eps) subintervals (mesh <= eps/4) and nudges knot zeros away,
   so each subinterval carries at most one zero and the distance stays
   within eps/8 + 2e-12; a subinterval holding a point where |f| > eps/2
-  ends up zero-free.
+  ends up zero-free.  Its knot values come from ``refine_values``,
+  which fills one array a block of ``_KNOT_BLOCK`` knots at a time, so
+  no temporary outgrows a block: the sweep counts that bare array, and
+  ``refine_interpolant`` wraps it with its knots.
 
 ``iterate_improvement`` repeats the re-interpolation down a geometric
 budget ladder eps0/4**k and reports each interpolant's zero count, read
-exactly off its knot signs by ``count_zero_components``, for comparison
-with the contradiction envelope (1 - 7 C^2/36)**k * 4**k / eps0.
+exactly off ``refine_values``' knot signs by ``count_value_zeros``, for
+comparison with the contradiction envelope (1 - 7 C^2/36)**k * 4**k / eps0.
 
 Every construction calls f on 1-D float arrays of points, so f must
 broadcast the way numpy functions do (``np.sin``, not ``math.sin``); a
-callable returning a constant is broadcast to the array's shape.  f
+callable returning a constant is broadcast to the array's shape, and a
+result that does not broadcast to it, such as an (N, 1) column, is
+refused with ``ShapeError``.  f
 must also give the same value at a point whichever array holds it:
 flatten classifies intervals by the partition-point values it reuses,
 and reuses them again at the ends of each re-interpolation mesh.
@@ -58,7 +64,7 @@ flatten's breakpoint table (partition intervals times the breakpoints
 each one may hold) at any one budget.  A group of
 ``flatten_arrays`` holds at most max(the largest budget's intervals,
 ``SCAN_BLOCK_POINTS``) intervals and ``MESH_CAP`` cells, so a short
-budget list is one table and a long one splits at its largest budget.
+budget list is one group and a long one splits at its largest budget.
 """
 
 from __future__ import annotations
@@ -68,11 +74,14 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, check_work, count_zero_components
+from .errors import DomainError, ShapeError
+from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, check_work, count_value_zeros
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
+# Knots per call of f in refine: 64 KiB per float temporary, under glibc's
+# default mmap threshold of 128 KiB, as in profile_many's blocks.
+_KNOT_BLOCK = 2**13
 
 
 def target_refusal(target, name: str = "the target") -> Optional[str]:
@@ -119,16 +128,32 @@ def _check_budget(eps: float, C: float) -> None:
 
 
 def _partition(eps: float, C: float) -> np.ndarray:
-    k0 = math.ceil(C / (3.0 * eps))
-    return np.linspace(0.0, 1.0, k0 + 1)
+    return _uniform(math.ceil(C / (3.0 * eps)))
+
+
+def _uniform(cells: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """Knots lo..hi-1 (all by default) of np.linspace(0, 1, cells + 1), bit for bit:
+    linspace makes knot i as i * (1/cells) + 0.0, rounded once, and the last exactly 1."""
+    hi = cells + 1 if hi is None else hi
+    xs = np.arange(lo, hi, dtype=float)
+    xs *= 1.0 / cells
+    if hi == cells + 1:
+        xs[-1] = 1.0
+    return xs
 
 
 def _values(f: Callable, xs: np.ndarray) -> np.ndarray:
     """f on a 1-D float array, broadcast to its shape (constant callables included).
 
-    A NaN or infinite value is refused, naming the first point that gave it.
+    A result that does not broadcast to that shape, such as an (N, 1)
+    column, is refused with ``ShapeError`` naming both shapes.  A NaN or
+    infinite value is refused, naming the first point that gave it.
     """
-    vs = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    r = np.asarray(f(xs), dtype=float)
+    try:
+        vs = np.broadcast_to(r, xs.shape)
+    except ValueError:
+        raise ShapeError(f"target returned shape {r.shape} on points of shape {xs.shape}") from None
     if not np.isfinite(vs).all():
         i = int(np.argmin(np.isfinite(vs)))
         raise DomainError(f"target must be finite, got {vs[i]} at {xs[i]}")
@@ -209,13 +234,15 @@ def flatten_arrays(
     ``SCAN_BLOCK_POINTS``) partition intervals and its table at most
     ``MESH_CAP`` cells: j = 6..14 at C = 1 (10 906 intervals) is one
     group, and a list past 2**15 intervals splits at its largest budget,
-    whose table alone is as large.  A group's intervals form one table
-    with a budget, a scan step, a threshold and a plateau per interval,
-    and f is called once per stage for the whole group: partition points,
-    ``peak_from`` probes, scan blocks, re-interpolation points.  The
-    iterator builds a group when it reaches the group's first budget, so
-    a caller that takes one lift per step pays for each group at its
-    first budget.
+    whose table alone is as large.  f is called once per stage for the
+    whole group, when the caller asks for the group's first lift:
+    partition points, ``peak_from`` probes, scan blocks, re-interpolation
+    points.  The rows are then laid out a run of consecutive budgets at a
+    time, a run holding no more intervals than the group's largest
+    budget, when the caller reaches the run's first budget (j = 6..14
+    lays out j = 6..13, then j = 14).  Between runs the group keeps only
+    f at its partition points, the lifted flags and f at the
+    re-interpolation points, so a pass of lifts keeps its heap small.
 
     Intervals are classified by a sampled maximum with a Lipschitz
     safety margin of half the scan step, so a lifted interval truly
@@ -265,68 +292,140 @@ def _lift_groups(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[
     sizes = [math.ceil(C / (3.0 * eps)) for eps in budgets]
     # the largest budget's own table is within MESH_CAP, checked by flatten_arrays
     most = max(max(sizes, default=0), min(SCAN_BLOCK_POINTS, MESH_CAP // (math.ceil(3.0 / C) + 1)))
+    for lo, hi in _runs(sizes, most):
+        yield from _lift_table(f, budgets[lo:hi], C)
+
+
+def _runs(sizes: list[int], most: int) -> Iterator[tuple[int, int]]:
+    """Slices [lo, hi) of consecutive sizes, each growing while its total stays within most (one size at least)."""
     lo = 0
-    while lo < len(budgets):
+    while lo < len(sizes):
         hi, total = lo + 1, sizes[lo]
-        while hi < len(budgets) and total + sizes[hi] <= most:
+        while hi < len(sizes) and total + sizes[hi] <= most:
             total += sizes[hi]
             hi += 1
-        yield from _lift_table(f, budgets[lo:hi], C)
+        yield lo, hi
         lo = hi
 
 
-def _lift_table(f: Callable, budgets: list[float], C: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """flatten's lifts at a group of budgets, from one table of their partition intervals."""
-    cuts = [_partition(eps, C) for eps in budgets]
-    pts = np.concatenate(cuts)
-    fc = _values(f, pts)
-    left = np.ones(len(pts) - 1, dtype=bool)  # a cut that starts an interval, ended by the next cut
-    left[np.cumsum([len(c) for c in cuts])[:-1] - 1] = False  # not a budget's last cut
-    a, b, fa, fb = pts[:-1][left], pts[1:][left], fc[:-1][left], fc[1:][left]
-    rows = np.cumsum([0] + [len(c) - 1 for c in cuts])
-    eps = np.repeat(budgets, np.diff(rows))
-    step = eps / SCAN_STEP_DIVISOR
-    thr = eps / 2.0 - step / 2.0
-    half = eps / 2.0
-    lifted = (np.abs(fa) <= thr) & (np.abs(fb) <= thr)
-    scan = lifted.copy()
-    sup_from = getattr(f, "sup_from", None)
-    if sup_from is not None:
-        scan[lifted] = sup_from(a[lifted]) > thr[lifted]  # a bound at or below thr settles the lift
-    peak_from = getattr(f, "peak_from", None)
-    if peak_from is not None and scan.any():
-        k = np.flatnonzero(scan)
-        high = k[_probe(f, a[k], b[k], step[k], peak_from(a[k])) > thr[k]]  # one sample above thr settles the rejection
-        lifted[high] = scan[high] = False
-    lifted[scan] = _scan(f, a[scan], b[scan], step[scan]) <= thr[scan]
-    # every row starts as f interpolated on k1 equal subintervals; linspace
-    # puts a and b exactly at the mesh ends, where fa and fb hold f already
+def _lift_table(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """flatten's lifts at a group of budgets: f at each stage for the whole group, then rows a run at a time."""
+    pts, fc, lifted, starts = _classify(f, budgets, C)
     k1 = math.ceil(3.0 / C)
-    xs = np.linspace(a, b, k1 + 1, axis=1).copy()  # row-major, as the table is read
-    vs = np.empty_like(xs)
-    vs[:, 0], vs[:, k1] = fa, fb
-    # lifted rows: two unit-slope ramps onto the plateau eps/2, then b and its copies
-    up = np.flatnonzero(lifted)
-    xs[up, 1] = a[up] - fa[up] + half[up]
-    xs[up, 2] = b[up] + fb[up] - half[up]
-    xs[up, 3:] = b[up, None]
-    vs[up, 1:3] = half[up, None]
-    vs[up, 3:k1] = fb[up, None]
+    lifted[starts[1:] - 1] = True  # a budget's last cut starts no row: no interior to evaluate there
     rest = np.flatnonzero(~lifted)
-    if len(rest):
-        inner = xs[rest, 1:k1]
-        vs[rest, 1:k1] = _values(f, inner.ravel()).reshape(inner.shape)
+    inner = _interior(pts[rest], pts[rest + 1], k1, np.empty((len(rest), k1 - 1)))
+    del pts, rest  # the cuts are rebuilt per run: f's temporaries on the interiors peak the group's heap
+    inner = _values(f, inner.ravel()).reshape(inner.shape)
+    sizes = np.diff(starts).tolist()
+    used = 0
+    for lo, hi in _runs(sizes, max(sizes)):
+        run = slice(starts[lo], starts[hi])
+        n = sum(sizes[lo:hi]) - np.count_nonzero(lifted[run])
+        yield from _lifts(budgets[lo:hi], C, fc[run], lifted[run], inner[used : used + n], k1)
+        used += n
+
+
+def _lifts(budgets: list[float], C: float, fc: np.ndarray, up: np.ndarray, inner: np.ndarray, k1: int):
+    """The lifts of a run of budgets, from a table with a row from each of its cuts to the next.
+
+    fc holds f at the cuts, up is set at each lifted row and each budget's
+    last cut, whose row (to the next budget's first cut) keeps no
+    breakpoint, and inner holds f at the mesh interiors of the other rows.
+    """
+    cuts = [_partition(eps, C) for eps in budgets]
+    sizes = [len(c) for c in cuts]
+    pts = np.concatenate(cuts)
+    del cuts
+    a, b, fa, fb = pts[:-1], pts[1:], fc[:-1], fc[1:]
+    rest, up = np.flatnonzero(~up[:-1]), np.flatnonzero(up[:-1])
+    half = np.repeat(np.divide(budgets, 2.0), sizes)[up]
+    # every row starts as f interpolated on k1 equal subintervals; a lifted row
+    # is a, two unit-slope ramps onto the plateau eps/2, then b and its copies
+    xs = _mesh(a, b, k1)
+    xs[up, 1] = a[up] - fa[up] + half
+    xs[up, 2] = b[up] + fb[up] - half
+    xs[up, 3:] = b[up, None]
     # every breakpoint of a row lies in [a, b] and the row ends at b, the next
     # row's a: past a budget's first row, a is dropped, and every other
     # breakpoint need only lie right of the earlier ones of its own row
     keep = np.empty(xs.shape, dtype=bool)
     keep[:, 0] = False
-    keep[rows[:-1], 0] = True
+    first = np.cumsum([0] + sizes[:-1])  # each budget's first row; the row before it is the previous budget's last cut
+    keep[first, 0] = True
     top = xs[:, 0]
     for c in range(1, k1 + 1):  # column by column: numpy accumulates along short rows slowly
         np.greater(xs[:, c], top, out=keep[:, c])
         top = np.maximum(top, xs[:, c])
-    return [(xs[lo:hi][keep[lo:hi]], vs[lo:hi][keep[lo:hi]]) for lo, hi in zip(rows[:-1], rows[1:])]
+    keep[first[1:] - 1] = False  # the rows between budgets
+    split = np.cumsum([np.count_nonzero(keep[lo:hi]) for lo, hi in zip(first[:-1], first[1:])], dtype=np.int64)
+    keep = keep.ravel()
+    x = xs.ravel()[keep]
+    del xs, top
+    vs = np.empty((len(a), k1 + 1))  # laid out once the breakpoint table is freed
+    vs[:, 0], vs[:, k1] = fa, fb
+    vs[up, 1:3] = half[:, None]
+    vs[up, 3:k1] = fb[up, None]
+    vs[rest, 1:k1] = inner
+    return list(zip(np.split(x, split), np.split(vs.ravel()[keep], split)))
+
+
+def _classify(f: Callable, budgets: list[float], C: float):
+    """A group's cuts, f there, the lifted flag of the interval each cut starts, and each budget's first cut.
+
+    Budget i's cuts are pts[starts[i]:starts[i + 1]]; its last cut starts
+    no interval and is never flagged.  Each budget has one scan step and
+    one threshold, gathered per interval only for the intervals that
+    ``sup_from``, ``_probe`` or ``_scan`` read.
+    """
+    cuts = [_partition(eps, C) for eps in budgets]
+    starts = np.cumsum([0] + [len(c) for c in cuts])
+    pts = np.concatenate(cuts)
+    del cuts
+    fc = _values(f, pts)
+    steps = np.divide(budgets, SCAN_STEP_DIVISOR)
+    thrs = np.divide(budgets, 2.0) - steps / 2.0
+    low = np.empty(len(pts), dtype=bool)
+    for thr, lo, hi in zip(thrs, starts[:-1], starts[1:]):
+        np.less_equal(np.abs(fc[lo:hi]), thr, out=low[lo:hi])
+    lifted = np.zeros(len(pts), dtype=bool)
+    np.logical_and(low[:-1], low[1:], out=lifted[:-1])
+    lifted[starts[1:] - 1] = False
+
+    def budget(k):  # each interval's budget, by its first cut
+        return np.searchsorted(starts, k, side="right") - 1
+
+    scan = lifted.copy()
+    sup_from = getattr(f, "sup_from", None)
+    if sup_from is not None:
+        k = np.flatnonzero(lifted)
+        scan[k] = sup_from(pts[k]) > thrs[budget(k)]  # a bound at or below thr settles the lift
+    peak_from = getattr(f, "peak_from", None)
+    if peak_from is not None and scan.any():
+        k = np.flatnonzero(scan)
+        i = budget(k)
+        high = k[_probe(f, pts[k], pts[k + 1], steps[i], peak_from(pts[k])) > thrs[i]]  # one sample above thr settles the rejection
+        lifted[high] = scan[high] = False
+    k = np.flatnonzero(scan)
+    i = budget(k)
+    lifted[k] = _scan(f, pts[k], pts[k + 1], steps[i]) <= thrs[i]
+    return pts, fc, lifted, starts
+
+
+def _interior(a: np.ndarray, b: np.ndarray, k1: int, out: np.ndarray) -> np.ndarray:
+    """Columns 1..k1-1 of np.linspace(a, b, k1 + 1, axis=1) into out, bit for bit: c * ((b - a) / k1) + a."""
+    width = (b - a) / k1
+    for c in range(1, k1):
+        np.add(np.multiply(width, c, out=out[:, c - 1]), a, out=out[:, c - 1])
+    return out
+
+
+def _mesh(a: np.ndarray, b: np.ndarray, k1: int) -> np.ndarray:
+    """np.linspace(a, b, k1 + 1, axis=1), row-major, bit for bit: a and b at the ends, the interior column by column."""
+    xs = np.empty((len(a), k1 + 1))
+    xs[:, 0], xs[:, k1] = a, b
+    _interior(a, b, k1, xs[:, 1:k1])
+    return xs
 
 
 def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
@@ -345,6 +444,27 @@ def _refine_cells(eps: float) -> int:
     return math.ceil(4.0 / eps)
 
 
+def refine_values(f: Callable, eps: float) -> np.ndarray:
+    """The knot values of ``refine_interpolant(f, eps)``, as one bare array.
+
+    The array is allocated once and filled a block of ``_KNOT_BLOCK``
+    knots at a time: each block's knots are built, f is called on them
+    and its values are copied in and nudged, so no mesh-sized temporary
+    is made.  Each block's result is checked as it comes: a result of
+    the wrong shape is refused with ``ShapeError``, and a non-finite
+    value names its knot.  Every knot and value is computed on its own,
+    so the blocks change no bit.  A mesh of more than ``MESH_CAP`` cells
+    is refused before f is called.
+    """
+    cells = _refine_cells(eps)
+    vals = np.empty(cells + 1)
+    for lo in range(0, cells + 1, _KNOT_BLOCK):
+        block = vals[lo : lo + _KNOT_BLOCK]
+        block[...] = _values(f, _uniform(cells, lo, lo + len(block)))
+        _nudge(block, NUDGE_ETA)
+    return vals
+
+
 def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     """Piecewise-linear interpolant of f on the mesh of ceil(4/eps) cells.
 
@@ -354,13 +474,11 @@ def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
     width h <= eps/4 interpolation errs by at most 2t(1 - t)h <= h/2 at
     a + t*h, and the nudge moves a knot value by under 2e-12.  A mesh of
     more than ``MESH_CAP`` cells is refused before f is called.  The
-    nudge is made on a private copy of f's values, with the rule of
-    ``nudge_knot_zeros``, and the result is validated once.
+    values are ``refine_values``', nudged with the rule of
+    ``nudge_knot_zeros`` on a private array, never on f's result.
     """
-    knots = np.linspace(0.0, 1.0, _refine_cells(eps) + 1)
-    vals = _values(f, knots).copy()  # f's result may be its argument, or read-only
-    _nudge(vals, NUDGE_ETA)
-    return SampledFunction(grid=(knots,), values=vals[:, None])
+    vals = refine_values(f, eps)
+    return SampledFunction(grid=(_uniform(len(vals) - 1),), values=vals[:, None])
 
 
 def improvement_envelope(eps0: float, C: float, k: int) -> float:
@@ -393,8 +511,7 @@ def iterate_improvement(
     out: list[tuple[float, int]] = []
     scale = eps0
     for k in range(1, rounds + 1):
-        g = refine_interpolant(f, scale)
-        count = count_zero_components(g).component_count
+        count = count_value_zeros(refine_values(f, scale)).component_count
         out.append((eps0 / 4.0**k, count))
         scale /= 4.0
     return out

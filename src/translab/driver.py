@@ -21,8 +21,8 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .adversary import check_budget, flatten_arrays, refine_interpolant, target_refusal
-from .adversary import flatten_perturbation  # noqa: F401  perfbench's tracer wraps driver.flatten_perturbation by name
+from .adversary import check_budget, flatten_arrays, refine_values, target_refusal
+from .adversary import flatten_perturbation, refine_interpolant  # noqa: F401  perfbench's tracer wraps these driver names
 from .certifier import certify, theory_upper_curve
 from .errors import ConfigError, DomainError, TranslabError
 from .extremal import ExtremalFunction
@@ -138,24 +138,27 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
 
     With the adversary on, a row's achieved count is the smaller zero
     count of flatten's lift and refine's interpolant at its budget, each
-    read by ``count_value_zeros`` off a bare value array.  flatten's lifts
-    come from one ``flatten_arrays`` call over every budget, built a
-    group of rows at a time (a j = 6..14 sweep is one group), each bit for
-    bit the one ``flatten_perturbation`` builds at that budget alone; a
-    group's work lands in the ``wall_ms`` of its first row.  Row j_min
-    takes its lift before refine's mesh is built, so the lift table's
-    temporaries are freed before the mesh's 2**(j_max + 2) + 1 knots are
-    allocated.
+    read by ``count_value_zeros`` off a bare value array.  Row j_min
+    counts refine's mesh for every row, then makes flatten's calls of F
+    for a group of rows; its ``wall_ms`` holds that work.
 
-    refine's interpolant is built once, at 2**-j_max, in the first row,
-    and row j counts the view ``finest.values[::s, 0]``, s = 2**(j_max - j),
-    which holds bit for bit the values ``refine_interpolant`` builds at
-    2**-j.  That mesh has K = 2**(j + 2) cells, and np.linspace(0, 1, K + 1)
-    puts knot i at i * (1/K) rounded once; 1/(K/s) is exactly s * (1/K)
-    for a power of two s, so each coarse knot is the same double as the
-    fine knot i * s, and f and the knot nudge act point by point (the
-    nudge leaves its own output alone).  An empty range builds no mesh
-    and calls F for neither construction.
+    refine's knot values are built once, by ``refine_values`` at
+    2**-j_max, and every row's count is read off them before anything
+    else is built: row j counts ``finest[::s]``, s = 2**(j_max - j), which
+    holds bit for bit the values ``refine_interpolant`` builds at 2**-j.
+    That mesh has K = 2**(j + 2) cells, and np.linspace(0, 1, K + 1) puts
+    knot i at i * (1/K) rounded once; 1/(K/s) is exactly s * (1/K) for a
+    power of two s, so each coarse knot is the same double as the fine
+    knot i * s, and f and the knot nudge act point by point.  The value
+    array is then dropped, so the 2**(j_max + 2) + 1 values are freed
+    before flatten's lift table is built.
+
+    flatten's lifts come from one ``flatten_arrays`` call over every
+    budget, each bit for bit the one ``flatten_perturbation`` builds at
+    that budget alone.  f is called for a whole group of rows (a j =
+    6..14 sweep is one group) at its first row, and each lift is laid
+    out from those values when its row is reached.  An empty range
+    builds no mesh and calls F for neither construction.
     """
     cfg.validate()
     if chart is not None and cfg.adversary:
@@ -165,17 +168,18 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
     if cfg.adversary:
         scalar = fn.as_scalar()
         lifts = flatten_arrays(scalar, budgets, cfg.C)
-    finest = None
+    refined: list[float] = []
     records = []
     for j, eps in enumerate(budgets, start=cfg.j_min):
         t0 = time.perf_counter()
         cert = certify(fn, eps, chart=chart)
         ub: Optional[int] = None
         if cfg.adversary:
-            flattened = count_value_zeros(next(lifts)[1]).h0  # before the mesh: the lift table's temporaries go first
-            if finest is None:
-                finest = refine_interpolant(scalar, 2.0**-cfg.j_max)
-            best = min(flattened, count_value_zeros(finest.values[:: 2 ** (cfg.j_max - j), 0]).h0)
+            if not refined:  # every row's count off one mesh, freed before the lift table is built
+                finest = refine_values(scalar, budgets[-1])
+                refined = [count_value_zeros(finest[:: 2**k]).h0 for k in range(cfg.j_max - cfg.j_min, -1, -1)]
+                del finest
+            best = min(count_value_zeros(next(lifts)[1]).h0, refined[j - cfg.j_min])
             ub = int(best) if math.isfinite(best) else None
         records.append(
             SweepRecord(

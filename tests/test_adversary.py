@@ -11,6 +11,7 @@ from translab import (
     ExtremalFunction,
     ModulusSpec,
     SampledFunction,
+    ShapeError,
     certify,
     count_zero_components,
     flatten_perturbation,
@@ -789,6 +790,121 @@ class TestRefine:
             refine_interpolant(lambda s: s, math.nan)
         with pytest.raises(DomainError, match="budget must be finite, got inf"):
             refine_interpolant(lambda s: s, math.inf)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def refine_cells_eps(K):
+    """A budget whose refine mesh has exactly K cells."""
+    eps = 4.0 / (K - 0.5)
+    assert math.ceil(4.0 / eps) == K
+    return eps
+
+
+class TestRefineCore:
+    """refine_values fills one array a block of knots at a time; knots and values are refine's, bit for bit."""
+
+    BLOCK = adversary._KNOT_BLOCK
+
+    @staticmethod
+    def parent_refine(f, K):
+        # refine_interpolant as it was before the core: linspace knots, f on
+        # all of them at once, a nudged copy, one validating wrap
+        knots = np.linspace(0.0, 1.0, K + 1)
+        vals = np.broadcast_to(np.asarray(f(knots), dtype=float), knots.shape)
+        return nudge_knot_zeros(SampledFunction(grid=(knots,), values=vals[:, None]), 1e-12)
+
+    @pytest.mark.parametrize("K", [3, 49, 1000, 2**13 - 1, 2**13 + 1, 2**16])  # 49 * (1/49) rounds below 1.0
+    @pytest.mark.parametrize(
+        "f",
+        [scalar_extremal(), wave, lambda s: s, lambda s: 0.25, lambda s: 0.0],
+        ids=["extremal", "wave", "identity", "constant", "zero"],
+    )
+    def test_knots_and_values_are_the_parent_refines(self, f, K):
+        want, points = self.parent_refine(f, K), []
+        vals = adversary.refine_values(recording(f, points), refine_cells_eps(K))
+        assert [len(p) for p in points] == [min(self.BLOCK, K + 1 - lo) for lo in range(0, K + 1, self.BLOCK)]
+        assert np.array_equal(bits(np.concatenate(points)), bits(want.grid[0]))  # the last knot is exactly 1.0
+        assert np.array_equal(bits(vals), bits(want.values[:, 0]))
+        assert same_output(refine_interpolant(f, refine_cells_eps(K)), want)
+
+    def test_nan_in_the_third_block_names_its_knot(self):
+        K = 2**16
+        x = (2 * self.BLOCK + 5) / K
+        points = []
+        with pytest.raises(DomainError, match=rf"got nan at {re.escape(str(x))}$"):
+            adversary.refine_values(recording(at_points({x: math.nan}), points), refine_cells_eps(K))
+        assert len(points) == 3
+
+    def test_iterate_counts_bare_values(self, monkeypatch):
+        # every round counts refine's values directly, with no SampledFunction built
+        scales = [2.0**-6 / 4.0**k for k in range(4)]  # round k re-interpolates at scales[k - 1]
+        counts = [count_zero_components(refine_interpolant(wave, s)).component_count for s in scales[:3]]
+        want = list(zip(scales[1:], counts))
+
+        def untouchable(*args, **kwargs):
+            raise AssertionError("a SampledFunction was built")
+
+        monkeypatch.setattr(adversary, "SampledFunction", untouchable)
+        assert iterate_improvement(wave, 2.0**-6, 1.0, 3) == want
+
+
+class TestTargetShape:
+    """A target whose result does not broadcast to its points' shape is refused with ShapeError, naming both."""
+
+    @staticmethod
+    def column(s):
+        return s[:, None]  # the (N, 1) shape evaluate_many returns
+
+    def test_refine(self):
+        with pytest.raises(ShapeError, match=r"target returned shape \(17, 1\) on points of shape \(17,\)"):
+            refine_interpolant(self.column, 0.25)
+
+    def test_flatten(self):
+        with pytest.raises(ShapeError, match=r"target returned shape \(23, 1\) on points of shape \(23,\)"):
+            flatten_perturbation(self.column, 2.0**-6, 1.0)
+
+    def test_iterate(self):
+        with pytest.raises(ShapeError, match=r"\(65, 1\) on points of shape \(65,\)"):
+            iterate_improvement(self.column, 2.0**-4, 1.0, 1)
+
+    def test_a_block_past_the_first(self):
+        # f is well shaped on the first two blocks of knots; each block is checked
+        block, points = adversary._KNOT_BLOCK, []
+        f = recording(lambda s: self.column(s) if s[0] >= 2 * block / 2**16 else s, points)
+        with pytest.raises(ShapeError, match=rf"\({block}, 1\) on points of shape \({block},\)"):
+            adversary.refine_values(f, refine_cells_eps(2**16))
+        assert len(points) == 3
+
+    def test_wrong_length(self):
+        with pytest.raises(ShapeError, match=r"shape \(16,\) on points of shape \(17,\)"):
+            refine_interpolant(lambda s: s[1:], 0.25)
+
+
+class TestColumnMesh:
+    """flatten's mesh and partition are built with linspace's arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("C", [1.0, 0.5, 0.3, 0.11])
+    @pytest.mark.parametrize("scale", [1.0, 0.77], ids=["dyadic", "non-dyadic"])
+    @pytest.mark.parametrize("j", [6, 9, 14])
+    def test_mesh_is_linspace(self, C, scale, j):
+        eps = scale * 2.0**-j
+        assert eps <= C / 6.0
+        k0, k1 = math.ceil(C / (3.0 * eps)), math.ceil(3.0 / C)
+        cuts = adversary._partition(eps, C)
+        assert np.array_equal(bits(cuts), bits(np.linspace(0.0, 1.0, k0 + 1)))
+        a, b = cuts[:-1], cuts[1:]
+        want = np.linspace(a, b, k1 + 1, axis=1)
+        assert np.array_equal(bits(adversary._mesh(a, b, k1)), bits(want))
+
+    @pytest.mark.parametrize("k1", [3, 4, 6, 10, 28])
+    def test_mesh_on_random_intervals(self, k1):
+        rng = np.random.default_rng(k1)
+        a = np.sort(rng.uniform(0.0, 1.0, 4096))
+        b = a + rng.uniform(2.0**-30, 2.0**-4, a.shape)
+        assert np.array_equal(bits(adversary._mesh(a, b, k1)), bits(np.linspace(a, b, k1 + 1, axis=1)))
 
 
 class TestNestedRefineMeshes:

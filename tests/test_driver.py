@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from translab import (
 )
 from translab import adversary
 from translab.driver import CSV_HEADER
+from translab.funcrep import count_value_zeros
 
 from closed_form import holder_lower_bound
 
@@ -126,19 +128,19 @@ class TestSharedRefineMesh:
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_rows_count_what_a_per_row_rebuild_counts(self, monkeypatch, lam):
-        # the moduli a sweep runs the adversary at; each row counts flatten's
-        # lift, then refine's strided values, and keeps the smaller count
+        # the moduli a sweep runs the adversary at; the first row counts
+        # refine's strided values for every row, then each row counts
+        # flatten's lift, and keeps the smaller count
         counted, count = [], driver.count_value_zeros
         monkeypatch.setattr(driver, "count_value_zeros", lambda v: counted.append(count(v)) or counted[-1])
         records = sweep(replace(BASE, lam=lam, adversary=True))  # j = 6..16
         scalar = ExtremalFunction(beta=ModulusSpec.power(lam, 1.0), d=1, q=1).as_scalar()
-        want = []
+        flats, refineds = [], []
         for j in range(6, 17):
-            flat = count_zero_components(flatten_perturbation(scalar, 2.0**-j, 1.0))
-            refined = count_zero_components(refine_interpolant(scalar, 2.0**-j))
-            want += [flat, refined]
-            assert records[j - 6].adversary_ub == min(flat.component_count, refined.component_count)
-        assert counted == want
+            flats.append(count_zero_components(flatten_perturbation(scalar, 2.0**-j, 1.0)))
+            refineds.append(count_zero_components(refine_interpolant(scalar, 2.0**-j)))
+            assert records[j - 6].adversary_ub == min(flats[-1].component_count, refineds[-1].component_count)
+        assert counted == refineds + flats
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
     @pytest.mark.parametrize("lam", [1.0, 8.0])
@@ -154,7 +156,8 @@ class TestSharedRefineMesh:
 
     def test_one_mesh_at_the_finest_budget(self, monkeypatch):
         built = []
-        monkeypatch.setattr(driver, "refine_interpolant", lambda f, eps: built.append(eps) or refine_interpolant(f, eps))
+        refine_values = adversary.refine_values
+        monkeypatch.setattr(driver, "refine_values", lambda f, eps: built.append(eps) or refine_values(f, eps))
         sweep(replace(BASE, j_max=10, adversary=True))
         assert built == [2.0**-10]
 
@@ -163,26 +166,49 @@ class TestSharedRefineMesh:
         # own refine mesh (130 825 knots, 65 537 distinct) and the flatten
         # scans sent the partition points again; then 96 348 points in 28
         # calls while flatten ran once per row, and in 9 calls while
-        # the batched flatten built two groups (rows 6..13, row 14).  One group now
+        # the batched flatten built two groups (rows 6..13, row 14).  One group
         # sends them in one call per stage (partition, probe, scan and
-        # re-interpolation), and refine's mesh in one more
+        # re-interpolation), 4 calls, and refine's 65 537 knots go in blocks of
+        # 8192, 9 calls (the last holds the knot 1.0 alone), where one call
+        # took the whole mesh
         calls, profile_many = [], extremal.profile_many
         monkeypatch.setattr(extremal, "profile_many", lambda beta, s: calls.append(np.size(s)) or profile_many(beta, s))
         sweep(replace(BASE, j_max=14, adversary=True))
-        assert (sum(calls), len(calls)) == (96348, 5)
+        assert (sum(calls), len(calls)) == (96348, 13)
+        assert calls[:9] == [8192] * 8 + [1]
 
-    def test_lift_table_is_built_before_the_mesh(self, monkeypatch):
+    def test_mesh_is_counted_and_freed_before_the_lift_table(self, monkeypatch):
+        # refine's value array goes before flatten lays out its table, so the
+        # two never share the heap
         events, lift_table = [], adversary._lift_table
         monkeypatch.setattr(adversary, "_lift_table", lambda f, b, C: events.append("table") or lift_table(f, b, C))
-        monkeypatch.setattr(driver, "refine_interpolant", lambda f, eps: events.append("mesh") or refine_interpolant(f, eps))
+        refine_values = adversary.refine_values
+        monkeypatch.setattr(driver, "refine_values", lambda f, eps: events.append("mesh") or refine_values(f, eps))
+        monkeypatch.setattr(driver, "count_value_zeros", lambda v: events.append(len(v)) or count_value_zeros(v))
         sweep(replace(BASE, j_max=14, adversary=True))
-        assert events == ["table", "mesh"]
+        refined = [2 ** (j + 2) + 1 for j in range(6, 15)]
+        assert events[: len(refined) + 2] == ["mesh"] + refined + ["table"]
+
+    def test_traced_peak_of_a_default_adversary_sweep(self):
+        # the parent of the blockwise refine core read 2.48 MiB, with its lift
+        # table, lifts and knot array live together.  Past about 1 MiB of
+        # transient heap, glibc hands a pass's pages back at its end and the
+        # next pass faults them in again; this sweep stays near 1.0 MiB
+        cfg = replace(BASE, j_max=14, adversary=True)
+        sweep(cfg)
+        tracemalloc.start()
+        try:
+            sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2**20
 
     def test_empty_range_builds_no_mesh(self, monkeypatch):
         def untouchable(*args):
             raise AssertionError("a mesh was built, or F called")
 
-        monkeypatch.setattr(driver, "refine_interpolant", untouchable)
+        monkeypatch.setattr(driver, "refine_values", untouchable)
         monkeypatch.setattr(extremal, "profile_many", untouchable)
         assert sweep(replace(BASE, j_min=15, j_max=14, adversary=True)) == []
 
