@@ -74,6 +74,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .certifier import _double_or_exp2
 from .errors import DomainError, ShapeError
 from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, check_work, count_value_zeros
 
@@ -240,9 +241,9 @@ def flatten_arrays(
     points.  The rows are then laid out a run of consecutive budgets at a
     time, a run holding no more intervals than the group's largest
     budget, when the caller reaches the run's first budget (j = 6..14
-    lays out j = 6..13, then j = 14).  Between runs the group keeps only
-    f at its partition points, the lifted flags and f at the
-    re-interpolation points, so a pass of lifts keeps its heap small.
+    lays out j = 6..13, then j = 14).  Between runs the group keeps its
+    cuts, the re-interpolation points, f at both and the lifted flags,
+    and fills each run's rows from them, computing nothing twice.
 
     Intervals are classified by a sampled maximum with a Lipschitz
     safety margin of half the scan step, so a lifted interval truly
@@ -314,38 +315,38 @@ def _lift_table(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[n
     k1 = math.ceil(3.0 / C)
     lifted[starts[1:] - 1] = True  # a budget's last cut starts no row: no interior to evaluate there
     rest = np.flatnonzero(~lifted)
-    inner = _interior(pts[rest], pts[rest + 1], k1, np.empty((len(rest), k1 - 1)))
-    del pts, rest  # the cuts are rebuilt per run: f's temporaries on the interiors peak the group's heap
-    inner = _values(f, inner.ravel()).reshape(inner.shape)
+    mesh = _interior(pts[rest], pts[rest + 1], k1, np.empty((len(rest), k1 - 1)))
+    del rest
+    inner = _values(f, mesh.ravel()).reshape(mesh.shape)
     sizes = np.diff(starts).tolist()
     used = 0
     for lo, hi in _runs(sizes, max(sizes)):
         run = slice(starts[lo], starts[hi])
         n = sum(sizes[lo:hi]) - np.count_nonzero(lifted[run])
-        yield from _lifts(budgets[lo:hi], C, fc[run], lifted[run], inner[used : used + n], k1)
+        rows = slice(used, used + n)
+        yield from _lifts(budgets[lo:hi], sizes[lo:hi], pts[run], fc[run], lifted[run], mesh[rows], inner[rows], k1)
         used += n
 
 
-def _lifts(budgets: list[float], C: float, fc: np.ndarray, up: np.ndarray, inner: np.ndarray, k1: int):
+def _lifts(budgets: list[float], sizes: list[int], pts: np.ndarray, fc: np.ndarray, up: np.ndarray,
+           mesh: np.ndarray, inner: np.ndarray, k1: int):
     """The lifts of a run of budgets, from a table with a row from each of its cuts to the next.
 
-    fc holds f at the cuts, up is set at each lifted row and each budget's
-    last cut, whose row (to the next budget's first cut) keeps no
-    breakpoint, and inner holds f at the mesh interiors of the other rows.
+    Budget i holds sizes[i] of the cuts pts, f there is fc, and up is set at each lifted row and each
+    budget's last cut, whose row (to the next budget's first cut) keeps no breakpoint; mesh holds the
+    re-interpolation interiors of the other rows, and inner f there.
     """
-    cuts = [_partition(eps, C) for eps in budgets]
-    sizes = [len(c) for c in cuts]
-    pts = np.concatenate(cuts)
-    del cuts
     a, b, fa, fb = pts[:-1], pts[1:], fc[:-1], fc[1:]
     rest, up = np.flatnonzero(~up[:-1]), np.flatnonzero(up[:-1])
     half = np.repeat(np.divide(budgets, 2.0), sizes)[up]
-    # every row starts as f interpolated on k1 equal subintervals; a lifted row
+    # a re-interpolated row is its mesh of k1 equal subintervals; a lifted row
     # is a, two unit-slope ramps onto the plateau eps/2, then b and its copies
-    xs = _mesh(a, b, k1)
+    xs = np.empty((len(a), k1 + 1))
+    xs[:, 0], xs[:, k1] = a, b
+    xs[rest, 1:k1] = mesh
     xs[up, 1] = a[up] - fa[up] + half
     xs[up, 2] = b[up] + fb[up] - half
-    xs[up, 3:] = b[up, None]
+    xs[up, 3:k1] = b[up, None]
     # every breakpoint of a row lies in [a, b] and the row ends at b, the next
     # row's a: past a budget's first row, a is dropped, and every other
     # breakpoint need only lie right of the earlier ones of its own row
@@ -420,14 +421,6 @@ def _interior(a: np.ndarray, b: np.ndarray, k1: int, out: np.ndarray) -> np.ndar
     return out
 
 
-def _mesh(a: np.ndarray, b: np.ndarray, k1: int) -> np.ndarray:
-    """np.linspace(a, b, k1 + 1, axis=1), row-major, bit for bit: a and b at the ends, the interior column by column."""
-    xs = np.empty((len(a), k1 + 1))
-    xs[:, 0], xs[:, k1] = a, b
-    _interior(a, b, k1, xs[:, 1:k1])
-    return xs
-
-
 def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     """The zero-removing lift of f at budget eps: ``flatten_arrays``' lift at that one budget."""
     x, v = next(flatten_arrays(f, (eps,), C))
@@ -482,8 +475,10 @@ def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
 
 
 def improvement_envelope(eps0: float, C: float, k: int) -> float:
-    """The contradiction envelope (1 - 7C^2/36)**k * 4**k / eps0."""
-    return (1.0 - 7.0 * C * C / 36.0) ** k * 4.0**k / eps0
+    """The contradiction envelope (1 - 7C^2/36)**k * 4**k / eps0, in log2 where it overflows; eps0, C as iterate's."""
+    _check_budget(eps0, C)
+    return _double_or_exp2(lambda: (1.0 - 7.0 * C * C / 36.0) ** k * 4.0**k / eps0,
+                           lambda: k * math.log2(4.0 - 7.0 * C * C / 9.0) - math.log2(eps0))
 
 
 def iterate_improvement(

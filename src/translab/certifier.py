@@ -18,8 +18,9 @@ envelope
     (16 / Psi(gamma * eps))**(m-p) * 2**(-4 (m-p) sqrt(|log2 Psi(gamma*eps)|)).
 
 The adversary's reference curve cw * (norm/eps)**((m-p)/alpha) lives
-here too, and both envelopes share one range rule, ``_double_or_exp2``:
-the direct formula where it is finite, else log2, so inf only past 2**1024.
+here too, and every envelope, the adversary's improvement envelope
+included, keeps one range rule, ``_double_or_exp2``: the direct formula
+where it is finite, else log2, so inf only past 2**1024.
 
 The face test is sound for evaluators that admit the stated modulus up
 to an eps-bounded deviation from the extremal map; it is not an
@@ -67,10 +68,16 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     tile with shared endpoints, and a shared endpoint resolves to the
     shallower level (each band owns its lower edge).  Returns 0 when
     even level 1 fails, i.e. the budget is too large and the
-    certificate is vacuous.
+    certificate is vacuous.  A q that is not an integer >= 1 is refused.
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
+    try:
+        q = operator.index(q)
+    except TypeError:
+        raise DomainError(f"q must be an integer, got {q!r}") from None
+    if q < 1:
+        raise DomainError(f"need q >= 1, got {q}")
     root = 2.0 * math.sqrt(q)
     if eps > beta(level_schedule(1).scale / 2.0) / root:
         return 0
@@ -195,7 +202,7 @@ class Certificate:
 
 
 def _double_or_exp2(direct: Optional[Callable[[], float]], log2: Callable[[], float]) -> float:
-    """direct() where it is finite, its bits kept, else 2**log2(): the one range rule of both envelopes."""
+    """direct() where it is finite, its bits kept, else 2**log2(): the one range rule of every envelope."""
     try:
         value = direct() if direct is not None else math.inf
     except OverflowError:

@@ -201,11 +201,11 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
         xb, ob = x[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
         n, p, a, u = _locate(xb, "profile argument")
         u -= np.floor(u, out=a)  # offset within the bump, in [0, 1)
-        sign = np.copysign(0.5, np.subtract(0.5, u, out=a))
+        np.copysign(0.5, np.subtract(0.5, u, out=a), out=ob)  # the sign, times beta below
         np.minimum(np.abs(a, out=a), 1.0 - u, out=a)
         np.minimum(u, a, out=u)
         np.ldexp(u, np.negative(p, out=p), out=u)  # back to units of length
-        np.multiply(beta.many(u), sign, out=ob)
+        ob *= beta.many(u)
         if n.max() > MAX_LEVEL:
             deep = n > MAX_LEVEL
             first_deep = xb[deep][0] if first_deep is None else first_deep

@@ -883,6 +883,17 @@ class TestTargetShape:
             refine_interpolant(lambda s: s[1:], 0.25)
 
 
+def interior(a, b, k1):
+    return adversary._interior(a, b, k1, np.empty((len(a), k1 - 1)))
+
+
+def linspace_rows(a, b, k1):
+    """Columns 1..k1-1 of np.linspace(a, b, k1 + 1, axis=1), whose ends are a and b exactly."""
+    rows = np.linspace(a, b, k1 + 1, axis=1)
+    assert np.array_equal(bits(rows[:, 0]), bits(a)) and np.array_equal(bits(rows[:, k1]), bits(b))
+    return rows[:, 1:k1]
+
+
 class TestColumnMesh:
     """flatten's mesh and partition are built with linspace's arithmetic, bit for bit."""
 
@@ -896,15 +907,14 @@ class TestColumnMesh:
         cuts = adversary._partition(eps, C)
         assert np.array_equal(bits(cuts), bits(np.linspace(0.0, 1.0, k0 + 1)))
         a, b = cuts[:-1], cuts[1:]
-        want = np.linspace(a, b, k1 + 1, axis=1)
-        assert np.array_equal(bits(adversary._mesh(a, b, k1)), bits(want))
+        assert np.array_equal(bits(interior(a, b, k1)), bits(linspace_rows(a, b, k1)))
 
     @pytest.mark.parametrize("k1", [3, 4, 6, 10, 28])
     def test_mesh_on_random_intervals(self, k1):
         rng = np.random.default_rng(k1)
         a = np.sort(rng.uniform(0.0, 1.0, 4096))
         b = a + rng.uniform(2.0**-30, 2.0**-4, a.shape)
-        assert np.array_equal(bits(adversary._mesh(a, b, k1)), bits(np.linspace(a, b, k1 + 1, axis=1)))
+        assert np.array_equal(bits(interior(a, b, k1)), bits(linspace_rows(a, b, k1)))
 
 
 class TestNestedRefineMeshes:
@@ -945,6 +955,27 @@ class TestIterate:
     def test_rounds_validation(self):
         with pytest.raises(DomainError):
             iterate_improvement(lambda s: 0.0, 2.0**-4, 1.0, 0)
+
+    @pytest.mark.parametrize("eps0, C", [(2.0**-4, 1.0), (1.0 / 6.0, 1.0), (2.0**-10, 0.3), (1e-300, 0.11)])
+    def test_envelope_keeps_the_direct_bits(self, eps0, C):
+        for k in range(512):
+            assert improvement_envelope(eps0, C, k) == (1.0 - 7.0 * C * C / 36.0) ** k * 4.0**k / eps0
+
+    def test_envelope_past_the_direct_range(self):
+        # 4**512 overflows a double, but the envelope is 2**868.3 there and stays finite up to k = 604
+        for k in range(512, 605):
+            value = improvement_envelope(2.0**-4, 1.0, k)
+            assert value == pytest.approx(2.0 ** (k * math.log2(29.0 / 9.0) + 4.0), rel=1e-9)
+        assert improvement_envelope(2.0**-4, 1.0, 512) == pytest.approx(2.3973424413546e261, rel=1e-12)
+        assert improvement_envelope(2.0**-4, 1.0, 700) == math.inf
+
+    @pytest.mark.parametrize("eps0, C", [(0.0, 1.0), (-2.0**-4, 1.0), (math.nan, 1.0), (0.25, 1.0), (2.0**-4, 0.0),
+                                         (2.0**-4, 1.5)])
+    def test_envelope_refuses_what_iterate_refuses(self, eps0, C):
+        with pytest.raises(DomainError):
+            iterate_improvement(lambda s: 0.0, eps0, C, 1)
+        with pytest.raises(DomainError):
+            improvement_envelope(eps0, C, 1)
 
 
 class TestPreconditions:

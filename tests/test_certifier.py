@@ -248,6 +248,12 @@ class TestResolveDepth:
         with pytest.raises(DomainError, match="got nan"):
             resolve_depth(IDENTITY, 1, math.nan)
 
+    @pytest.mark.parametrize("q, why", [(0, "need q >= 1, got 0"), (-1, "need q >= 1, got -1"),
+                                        (1.5, "q must be an integer, got 1.5")])
+    def test_q_validation(self, q, why):
+        with pytest.raises(DomainError, match=re.escape(why)):
+            resolve_depth(IDENTITY, q, 2.0**-8)
+
 
 class TestCubes:
     def test_level_one_q_one(self):

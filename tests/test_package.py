@@ -115,6 +115,34 @@ def test_imported_modules_sees_relative_imports(tmp_path):
     assert list(imported_modules(path)) == ["os", ".adversary", ".driver", "..pkg.sub"]
 
 
+def dead_private_helpers(paths):
+    """The private functions and classes defined in the files that no name or attribute there reads, as "file: name"."""
+    defined, read = [], set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{file}: {name}" for file, name in defined if name not in read]
+
+
+def test_every_private_helper_is_used():
+    # a helper is private to the package, so a name nothing in it reads is dead code
+    assert len(SOURCES) > 1 and dead_private_helpers(SOURCES) == []
+
+
+def test_dead_private_helpers_sees_functions_classes_and_methods(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def _used():\n    pass\ndef _dead():\n    pass\n"
+                    "class _Dead:\n    def _method(self):\n        pass\n    def __init__(self):\n        pass\n"
+                    "class A:\n    def _called(self):\n        return _used()\nA()._called()\n")
+    assert dead_private_helpers([path]) == ["m.py: _dead", "m.py: _Dead", "m.py: _method"]
+
+
 LOADED = """
 import json, sys
 def loaded():
