@@ -22,9 +22,9 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   so each subinterval carries at most one zero and the distance stays
   within eps/8 + 2e-12; a subinterval holding a point where |f| > eps/2
   ends up zero-free.  Its knot values come from ``refine_values``,
-  which fills one array a block of ``_KNOT_BLOCK`` knots at a time, so
-  no temporary outgrows a block: the sweep counts that bare array, and
-  ``refine_interpolant`` wraps it with its knots.
+  which fills one array a block of at most ``_KNOT_BLOCK`` + 1 knots
+  at a time, so no temporary outgrows a block: the sweep counts that
+  bare array, and ``refine_interpolant`` wraps it with its knots.
 
 ``iterate_improvement`` repeats the re-interpolation down a geometric
 budget ladder eps0/4**k and reports each interpolant's zero count, read
@@ -80,8 +80,9 @@ from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, check
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
-# Knots per call of f in refine: 64 KiB per float temporary, under glibc's
-# default mmap threshold of 128 KiB, as in profile_many's blocks.
+# Knots per call of f in refine, plus at most one: about 64 KiB per float
+# temporary, under glibc's default mmap threshold of 128 KiB, as in
+# profile_many's blocks.
 _KNOT_BLOCK = 2**13
 
 
@@ -440,20 +441,25 @@ def _refine_cells(eps: float) -> int:
 def refine_values(f: Callable, eps: float) -> np.ndarray:
     """The knot values of ``refine_interpolant(f, eps)``, as one bare array.
 
-    The array is allocated once and filled a block of ``_KNOT_BLOCK``
-    knots at a time: each block's knots are built, f is called on them
-    and its values are copied in and nudged, so no mesh-sized temporary
-    is made.  Each block's result is checked as it comes: a result of
-    the wrong shape is refused with ``ShapeError``, and a non-finite
-    value names its knot.  Every knot and value is computed on its own,
+    The array is allocated once and filled a block of knots at a time:
+    the cells + 1 knots split into ceil(cells / ``_KNOT_BLOCK``) blocks
+    of near-equal length, at most ``_KNOT_BLOCK`` + 1 each, so a mesh of
+    8 * 8192 cells takes 8 calls of f, not a ninth on the knot 1.0
+    alone.  Each block's knots are built, f is called on them and its
+    values are copied in and nudged, so no mesh-sized temporary is made.
+    Each block's result is checked as it comes: a result of the wrong
+    shape is refused with ``ShapeError``, and a non-finite value names
+    its knot.  Every knot and value is computed on its own,
     so the blocks change no bit.  A mesh of more than ``MESH_CAP`` cells
     is refused before f is called.
     """
     cells = _refine_cells(eps)
     vals = np.empty(cells + 1)
-    for lo in range(0, cells + 1, _KNOT_BLOCK):
-        block = vals[lo : lo + _KNOT_BLOCK]
-        block[...] = _values(f, _uniform(cells, lo, lo + len(block)))
+    count = -(-cells // _KNOT_BLOCK)  # cells <= count * _KNOT_BLOCK, so no block holds more than _KNOT_BLOCK + 1 knots
+    bounds = [(cells + 1) * b // count for b in range(count + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = vals[lo:hi]
+        block[...] = _values(f, _uniform(cells, lo, hi))
         _nudge(block, NUDGE_ETA)
     return vals
 

@@ -142,6 +142,13 @@ def _miranda_verdicts(
     NaN or infinite values reject the cube.  Returns one verdict per
     cube, in the order of the two parallel arrays.
 
+    The signs are booleans: a value is clear when slack < |v| < inf,
+    which also rules out NaN, and its oriented sign is (v > 0) flipped
+    on the hi face.  A clear value is nonzero, so there the boolean is
+    its sign; a cube passes when every value is clear and every oriented
+    sign on an axis equals that axis's first one.  An unclear first
+    value fails the cube by itself, so it needs no sign of its own.
+
     The cubes form one list, whatever their levels, and h sees their
     points (z appended) in blocks of whole cubes: consecutive slices of
     the list, at most SCAN_BLOCK_POINTS points unless one cube has more.
@@ -156,7 +163,7 @@ def _miranda_verdicts(
     widen = max(1.0, math.sqrt(q - 1) / 2.0)
     used = np.bincount(levels).tolist()  # one slack, so one beta call, per level present
     slack = np.array([beta(level_schedule(n).scale / 4.0 * widen) if k else 0.0 for n, k in enumerate(used)])
-    side = np.array([1.0, -1.0])[:, None]
+    flip = np.array([False, True])[:, None]  # the hi face's sign, read as the lo face's
     verdicts = np.empty(len(ranks), dtype=bool)
     for lo in range(0, len(ranks), step):
         cubes = slice(lo, lo + step)
@@ -172,9 +179,10 @@ def _miranda_verdicts(
             )
         vals = vals.reshape(-1, q, 2, FACE_LATTICE_POINTS ** (q - 1), p + q)
         v = np.stack([vals[:, axis, :, :, p + axis] for axis in range(q)], axis=1)
-        oriented = np.sign(v) * side
-        clear = np.isfinite(v) & (np.abs(v) > slack[levels[cubes], None, None, None])
-        consistent = oriented == oriented[:, :, :1, :1]
+        up = (v > 0.0) ^ flip  # where v is clear, its sign oriented by face
+        mag = np.abs(v)
+        clear = (mag < math.inf) & (mag > slack[levels[cubes], None, None, None])
+        consistent = up == up[:, :, :1, :1]
         verdicts[cubes] = (clear & consistent).all(axis=(1, 2, 3))
     return verdicts
 

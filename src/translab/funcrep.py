@@ -21,6 +21,15 @@ knots and x * K are exact, so no row fails and nothing is searched.  On
 an irregular grid most rows may fail; each of them then pays for the
 guess and its check on top of the search.
 
+The clip and the last-cell exemption matter only for x = 1.0.  A double
+x < 1.0 is at most 1 - 2**-53, and x * K then rounds below K (exact for
+K a power of two, else more than half an ulp below K), so only 1.0
+guesses the cell K; and only 1.0 lies in its cell at x = knots[i + 1].
+The range test reads the block's min and max, one whole-block reduction
+each, which also tells whether 1.0 is in the block; a block without it
+skips the clip and the exemption.  The row mask that names the first
+point outside [0, 1] is built only once the range test fails.
+
 ``evaluate_many`` is a flat gather.  Each point's cell is folded into
 one row index of the values viewed as a (knot tuples, m) table, so each
 of the 2^d cell corners costs one ``take`` of rows at a fixed offset.
@@ -40,9 +49,13 @@ place of 2^d gathers, multiplies and adds.  The result keeps every bit:
 values are finite, so a dropped hi-corner term is w * value = +-0.0; a
 sum that starts at +0.0 can never become -0.0, so adding +-0.0 to it
 changes nothing; and the dropped factor 1 - 0 is exactly 1.0.  The
-check reads row 0's w per axis and scans the whole axis with ``w.any()``
-only when that w is 0, so a block off the knots nearly always pays one
-scalar read per axis and nothing else.
+check runs on the offsets x - knots[i], which are 0 exactly where w is
+(the width knots[i + 1] - knots[i] is at most 1.0, so the quotient
+never underflows), and the offsets become w in place, divided by the
+widths, only on an axis that keeps its factors.  It reads row 0's
+offset per axis and scans the whole axis with ``any()`` only when that
+offset is 0, so a block off the knots nearly always pays one scalar
+read per axis and nothing else.
 
 The sums run component-major.  The output is an (m, N) C-order buffer.
 Each corner's gathered (N, m) rows are read transposed and multiplied
@@ -168,6 +181,9 @@ class SampledFunction:
         kept where k[i] <= x and, below the last cell, x < k[i+1], which
         makes it that last knot; only the rows that fail the check are
         binary-searched (see the module docstring for why and at what cost).
+        The block's min and max decide the range test, and the clip to
+        K - 1 and the last-cell exemption run only when 1.0 is in the
+        block, the one point that needs them.
         The cells fold into a flat row index, and each corner gathers its
         rows with one ``take`` at that index plus the corner's offset.
         Its weight is the product of w or 1 - w over the axes in axis
@@ -175,8 +191,9 @@ class SampledFunction:
         into a zeroed output, corners in ``itertools.product((0, 1),
         repeat=d)`` order.  The zero start turns a -0.0 sum into +0.0.
         An axis where w is 0 on every row keeps only its lo corners and
-        leaves out its factor 1 - w = 1.0, which changes no bit (the
-        module docstring says why and what the check costs).  The
+        leaves out its factor 1 - w = 1.0, which changes no bit; there
+        the offsets x - k[i] are never divided by the widths (the module
+        docstring says why and what the check costs).  The
         output accumulates as an (m, N) C-order block, so the returned
         (N, m) block is Fortran-ordered (see the module docstring).  An
         empty (0, d) block gives (0, m).
@@ -184,25 +201,31 @@ class SampledFunction:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ShapeError(f"expected points of shape (N, {self.d}), got {pts.shape}")
-        inside = (pts >= 0.0) & (pts <= 1.0)  # NaN fails both comparisons
-        if not inside.all():
+        top = pts.max(initial=0.0)  # whole-block reductions: along axis 0 of a C-order block numpy crawls
+        if not (pts.min(initial=0.0) >= 0.0 and top <= 1.0):  # NaN propagates into both
+            inside = (pts >= 0.0) & (pts <= 1.0)  # NaN fails both comparisons
             row = int(np.argmin(inside.all(axis=1)))
             raise DomainError(f"point {tuple(pts[row].tolist())} (row {row}) outside [0,1]^{self.d}")
+        ends = top == 1.0  # only x = 1.0 guesses last + 1, and only it lies in its cell at x = hi
         base = 0
         frac = []
         for axis, knots in enumerate(self.grid):
             x = pts[:, axis]
             last = len(knots) - 2  # the last cell
             i = (x * (last + 1)).astype(np.intp)  # truncation is floor on [0, 1], -0.0 included
-            np.minimum(i, last, out=i)
-            lo, hi = knots.take(i), knots.take(i + 1)
-            miss = (lo > x) | (x >= hi) & (i < last)
+            if ends:
+                np.minimum(i, last, out=i)
+            lo, hi = knots.take(i), knots[1:].take(i)
+            miss = (lo > x) | (x >= hi) & (i < last) if ends else (lo > x) | (x >= hi)
             if miss.any():  # a search below 1.0 lands in [0, last], so needs no clip
                 i[miss] = np.searchsorted(knots, x[miss], side="right") - 1
-                lo, hi = knots.take(i), knots.take(i + 1)
-            w = (x - lo) / (hi - lo)
+                lo, hi = knots.take(i), knots[1:].take(i)
+            w = x - lo  # the offset, 0 exactly where w / (hi - lo) is: a quotient by at most 1.0 never underflows
             # None: every w is 0, each point on a knot of this axis; row 0 settles most other blocks
-            frac.append((1.0 - w, w) if len(w) and w[0] or w.any() else None)
+            live = len(w) and w[0] or w.any()
+            if live:
+                w /= np.subtract(hi, lo, out=hi)
+            frac.append((1.0 - w, w) if live else None)
             base = base * len(knots) + i
         rows = self.values.reshape(-1, self.m)  # a view: values is C-contiguous
         lens = self.values.shape[:-1]

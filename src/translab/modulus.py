@@ -112,8 +112,12 @@ class ModulusSpec:
         s**alpha is numpy's power, whose call on a float runs the loop of
         a block, and s itself at alpha = 1.  The sum with 0.0 maps -0.0 to
         +0.0 and leaves every other value as it is (NaN and inf included).
+        It goes into the product's own array, so a block call holds one
+        temporary, not two; on a float ``+=`` simply rebinds.
         """
-        return (s if self.alpha == 1.0 else np.power(s, self.alpha)) * self.lam + 0.0
+        r = (s if self.alpha == 1.0 else np.power(s, self.alpha)) * self.lam
+        r += 0.0
+        return r
 
     @property
     def saturation(self) -> float:

@@ -807,6 +807,8 @@ class TestRefineCore:
     """refine_values fills one array a block of knots at a time; knots and values are refine's, bit for bit."""
 
     BLOCK = adversary._KNOT_BLOCK
+    # K cells give K + 1 knots in ceil(K / 8192) near-equal blocks of at most 8193
+    BLOCK_SIZES = {3: [4], 49: [50], 1000: [1001], 2**13 - 1: [8192], 2**13 + 1: [4097, 4097], 2**16: [8192] * 7 + [8193]}
 
     @staticmethod
     def parent_refine(f, K):
@@ -825,7 +827,7 @@ class TestRefineCore:
     def test_knots_and_values_are_the_parent_refines(self, f, K):
         want, points = self.parent_refine(f, K), []
         vals = adversary.refine_values(recording(f, points), refine_cells_eps(K))
-        assert [len(p) for p in points] == [min(self.BLOCK, K + 1 - lo) for lo in range(0, K + 1, self.BLOCK)]
+        assert [len(p) for p in points] == self.BLOCK_SIZES[K]
         assert np.array_equal(bits(np.concatenate(points)), bits(want.grid[0]))  # the last knot is exactly 1.0
         assert np.array_equal(bits(vals), bits(want.values[:, 0]))
         assert same_output(refine_interpolant(f, refine_cells_eps(K)), want)

@@ -376,6 +376,55 @@ def miranda_cases(draw):
     return h, n, q, z, p
 
 
+class Planted:
+    """h with values planted at face points (keyed by their first q coordinates), per component, via evaluate_many.
+
+    ``SampledFunction`` refuses non-finite values, so a NaN or an inf can
+    reach the face test only through a wrapper like this one.
+    """
+
+    def __init__(self, h, q, plants):
+        self.h, self.q, self.plants = h, q, plants
+
+    def evaluate_many(self, pts):
+        vals = np.array(self.h.evaluate_many(pts))
+        for row, point in enumerate(np.asarray(pts)[:, : self.q].tolist()):
+            for comp, value in self.plants.get(tuple(point), {}).items():
+                vals[row, comp] = value
+        return vals
+
+    def __call__(self, x):
+        return self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0]
+
+
+@st.composite
+def planted_cases(draw):
+    """F's sample, sign-flipped per component, with NaN, +-inf, +-0.0, +-slack or a neighbour of +-slack planted.
+
+    Each plant goes into the active component of the face its point was
+    drawn from, so the face test reads it.
+    """
+    q = draw(st.sampled_from([1, 2]))
+    p = draw(st.integers(0, 1))
+    d = q + draw(st.integers(0, 1))
+    n = draw(st.sampled_from([1, 2])) if d == 1 else 1
+    base = _sampled(d, q, p)
+    h = base.with_values(base.values * np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=p + q, max_size=p + q))))
+    cubes = oracle_cubes(n, q)
+    slack = IDENTITY(float(cubes[0].scale / 4))
+    edges = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    for s in (slack, -slack):
+        edges += [s, float(np.nextafter(s, 0.0)), float(np.nextafter(s, math.copysign(math.inf, s)))]
+    rows = 2 * q * 9 ** (q - 1)
+    plants = {}
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.integers(0, rows - 1))
+        point = list(oracle_face_points(cubes[draw(st.integers(0, len(cubes) - 1))]))[row]
+        plants.setdefault(tuple(map(float, point)), {})[p + row // (rows // q)] = draw(st.sampled_from(edges))
+    z = tuple(draw(st.lists(st.floats(0.01, 0.99), min_size=d - q, max_size=d - q)))
+    return Planted(h, q, plants), n, q, z, p
+
+
 class TestMirandaKernel:
     @pytest.mark.parametrize("q,deepest", [(1, 4), (2, 3)])
     def test_face_points_match_fraction_lattice(self, q, deepest):
@@ -418,6 +467,22 @@ class TestMirandaKernel:
         assert not miranda_verdict(h, IDENTITY, cube)
         cert = certify(F, 2.0**-7, h=h)
         assert cert.per_level_counts[0].verified == 1
+
+    @given(case=planted_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_planted_edge_values(self, case):
+        # a cube with a non-finite value in an active component is rejected;
+        # with finite plants only, the kernel gives the per-point loop's verdict
+        h, n, q, z, p = case
+        cubes = oracle_cubes(n, q)
+        got = certifier._miranda_verdicts(h, IDENTITY, q, np.full(len(cubes), n), np.arange(len(cubes)), z, p)
+        for cube, verdict in zip(cubes, got.tolist()):
+            planted = [v for pt in oracle_face_points(cube) for v in h.plants.get(tuple(map(float, pt)), {}).values()]
+            if not all(map(math.isfinite, planted)):
+                assert not verdict
+            else:
+                assert verdict == oracle_verify(h, IDENTITY, cube, z, p)
+                assert verdict or planted  # F's own faces pass: a rejection comes from a plant
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_every_lattice_point_is_evaluated(self, q):

@@ -168,14 +168,14 @@ class TestSharedRefineMesh:
         # calls while flatten ran once per row, and in 9 calls while
         # the batched flatten built two groups (rows 6..13, row 14).  One group
         # sends them in one call per stage (partition, probe, scan and
-        # re-interpolation), 4 calls, and refine's 65 537 knots go in blocks of
-        # 8192, 9 calls (the last holds the knot 1.0 alone), where one call
-        # took the whole mesh
+        # re-interpolation), 4 calls.  Refine's 65 537 knots went in blocks of
+        # 8192, 9 calls (the last held the knot 1.0 alone), and now go in 8
+        # near-equal blocks, the last of 8193; one call once took the whole mesh
         calls, profile_many = [], extremal.profile_many
         monkeypatch.setattr(extremal, "profile_many", lambda beta, s: calls.append(np.size(s)) or profile_many(beta, s))
         sweep(replace(BASE, j_max=14, adversary=True))
-        assert (sum(calls), len(calls)) == (96348, 13)
-        assert calls[:9] == [8192] * 8 + [1]
+        assert (sum(calls), len(calls)) == (96348, 12)
+        assert calls[:8] == [8192] * 7 + [8193]
 
     def test_mesh_is_counted_and_freed_before_the_lift_table(self, monkeypatch):
         # refine's value array goes before flatten lays out its table, so the

@@ -530,6 +530,22 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_one_block_footprint(self):
+        # one 8192-point call at alpha = 1 peaked at 449 KiB with the sign
+        # in its own array, 385 KiB with the sign written into the output,
+        # and 321 KiB with beta's + 0.0 formed in the product's array
+        xs = mixed_points(_BLOCK, 6)
+        want = whole_array_profile_many(IDENTITY, xs)
+        profile_many(IDENTITY, xs)
+        tracemalloc.start()
+        try:
+            got = profile_many(IDENTITY, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(got, want)
+        assert peak <= 340 * 2**10
+
 
 class TestExtremalFunction:
     def test_scalar_case(self):

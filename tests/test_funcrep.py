@@ -119,7 +119,8 @@ class TestEvaluate:
     def test_empty_block(self):
         knots = np.array([0.0, 0.5, 1.0])
         h = SampledFunction(grid=(knots, knots), values=np.ones((3, 3, 2)))
-        assert h.evaluate_many(np.empty((0, 2))).shape == (0, 2)
+        got = h.evaluate_many(np.empty((0, 2)))
+        assert got.shape == (0, 2) and same_bits(got, tuple_index_evaluate_many(h, np.empty((0, 2))))
 
     def test_grid_needs_an_axis(self):
         with pytest.raises(ShapeError, match="at least one axis"):
@@ -456,8 +457,61 @@ class TestKnotRule:
         assert evaluated == [h3, h3]  # only the function off the merged grid is evaluated
 
 
+class TestLookupBranches:
+    """The range test on the block's min and max, the clip only with 1.0 in the block, the offsets divided only off knots."""
+
+    @staticmethod
+    def function(rng):
+        grid = (np.linspace(0.0, 1.0, 9), np.unique(np.r_[0.0, rng.uniform(0.0, 1.0, 6), 1.0]))
+        return SampledFunction(grid=grid, values=signed_zeros(rng.normal(size=tuple(map(len, grid)) + (2,)), rng))
+
+    @staticmethod
+    def block(h, rng, top, axes, order):
+        """Points off and on the knots, with ``top`` on the given axes of a few rows and below it elsewhere."""
+        pts = rng.uniform(0.0, np.nextafter(1.0, 0.0), (300, 2))
+        near = [k[k < 1.0] for k in map(leaning_points, h.grid)]
+        pts[:100] = np.stack([rng.choice(k, 100) for k in near], axis=1)
+        for axis in axes:
+            pts[rng.integers(0, 300, 5), axis] = top
+        return np.asarray(pts, order=order)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)])
+    @pytest.mark.parametrize("top", [1.0, np.nextafter(1.0, 0.0)], ids=["1.0", "below 1.0"])
+    def test_block_max_at_and_below_one(self, top, axes, order):
+        rng = np.random.default_rng(len(axes))
+        h = self.function(rng)
+        pts = self.block(h, rng, top, axes, order)
+        assert pts.max() == top
+        assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
+
+    @pytest.mark.parametrize("top", [1.0, np.nextafter(1.0, 0.0)], ids=["1.0", "below 1.0"])
+    @pytest.mark.parametrize("on", [0, 1])
+    def test_one_axis_on_knots_the_other_off(self, on, top):
+        rng = np.random.default_rng(on)
+        h = self.function(rng)
+        pts = self.block(h, rng, top, (1 - on,), "F")
+        pts[:, on] = on_knots(h.grid[on], len(pts), rng)
+        assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
+
+    @pytest.mark.parametrize("bad", [math.nan, np.nextafter(1.0, 2.0), -5e-324], ids=["nan", "1 + ulp", "-ulp"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_first_bad_row_message(self, bad, axis):
+        h = self.function(np.random.default_rng(1))
+        pts = np.full((6, 2), 0.5)
+        pts[0] = 1.0  # the block reaches 1.0 before the bad row
+        pts[3, axis] = bad
+        pts[5, 1 - axis] = 2.0
+        with pytest.raises(DomainError) as got:
+            h.evaluate_many(pts)
+        with pytest.raises(DomainError) as want:
+            tuple_index_evaluate_many(h, pts)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"point {tuple(pts[3].tolist())} (row 3) outside [0,1]^2")
+
+
 class TestEvaluateRows:
-    PTS = np.array([[0.0, 0.25], [0.5, 1.0], [0.75, 0.125]])
+    PTS =np.array([[0.0, 0.25], [0.5, 1.0], [0.75, 0.125]])
 
     @pytest.mark.parametrize(
         "h",
