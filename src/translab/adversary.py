@@ -22,9 +22,9 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   so each subinterval carries at most one zero and the distance stays
   within eps/8 + 2e-12; a subinterval holding a point where |f| > eps/2
   ends up zero-free.  Its knot values come from ``refine_values``,
-  which fills one array a block of at most ``_KNOT_BLOCK`` + 1 knots
-  at a time, so no temporary outgrows a block: the sweep counts that
-  bare array, and ``refine_interpolant`` wraps it with its knots.
+  which fills one array a block of knots at a time, cut by
+  ``funcrep.blocks`` as ``profile_many``'s points are, so no temporary
+  outgrows a block: the sweep counts that bare array.
 
 ``iterate_improvement`` repeats the re-interpolation down a geometric
 budget ladder eps0/4**k and reports each interpolant's zero count, read
@@ -76,14 +76,10 @@ import numpy as np
 
 from .certifier import _double_or_exp2
 from .errors import DomainError, ShapeError
-from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, check_work, count_value_zeros
+from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, blocks, check_work, count_value_zeros
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
-# Knots per call of f in refine, plus at most one: about 64 KiB per float
-# temporary, under glibc's default mmap threshold of 128 KiB, as in
-# profile_many's blocks.
-_KNOT_BLOCK = 2**13
 
 
 def target_refusal(target, name: str = "the target") -> Optional[str]:
@@ -201,12 +197,9 @@ def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step) -> np.ndarray:
     """
     counts, delta = _samples(a, b, step)
     inner = np.maximum(counts - 2, 0)  # samples 1 .. counts - 2
-    ends = np.cumsum(inner)
+    first = np.cumsum(inner) - inner  # each interval's first sample, counted from the first interval's
     peak = np.zeros(len(a))
-    lo = 0
-    while lo < len(a):
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + SCAN_BLOCK_POINTS, side="right")))
+    for lo, hi in _runs(inner, SCAN_BLOCK_POINTS):
         cnt = inner[lo:hi]
         some = cnt > 0
         if some.any():
@@ -214,8 +207,7 @@ def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step) -> np.ndarray:
             grid = a[lo:hi, None] + i * delta[lo:hi, None]  # row k: interval lo + k, padded
             xs = grid[i <= cnt[:, None]]
             # reduceat would read a segment of none as its next point, so only non-empty segments go in
-            peak[lo:hi][some] = np.maximum.reduceat(np.abs(_values(f, xs)), (ends[lo:hi] - cnt - base)[some])
-        lo = hi
+            peak[lo:hi][some] = np.maximum.reduceat(np.abs(_values(f, xs)), (first[lo:hi] - first[lo])[some])
     return peak
 
 
@@ -298,14 +290,12 @@ def _lift_groups(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[
         yield from _lift_table(f, budgets[lo:hi], C)
 
 
-def _runs(sizes: list[int], most: int) -> Iterator[tuple[int, int]]:
-    """Slices [lo, hi) of consecutive sizes, each growing while its total stays within most (one size at least)."""
+def _runs(sizes, most: int) -> Iterator[tuple[int, int]]:
+    """Slices [lo, hi) of consecutive sizes (each >= 0), each growing while its total stays within most (one size at least)."""
+    ends = np.cumsum(sizes)  # never falls, so a slice ends before the first end past its start plus most
     lo = 0
-    while lo < len(sizes):
-        hi, total = lo + 1, sizes[lo]
-        while hi < len(sizes) and total + sizes[hi] <= most:
-            total += sizes[hi]
-            hi += 1
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + most, side="right")))
         yield lo, hi
         lo = hi
 
@@ -441,11 +431,10 @@ def _refine_cells(eps: float) -> int:
 def refine_values(f: Callable, eps: float) -> np.ndarray:
     """The knot values of ``refine_interpolant(f, eps)``, as one bare array.
 
-    The array is allocated once and filled a block of knots at a time:
-    the cells + 1 knots split into ceil(cells / ``_KNOT_BLOCK``) blocks
-    of near-equal length, at most ``_KNOT_BLOCK`` + 1 each, so a mesh of
-    8 * 8192 cells takes 8 calls of f, not a ninth on the knot 1.0
-    alone.  Each block's knots are built, f is called on them and its
+    The array is allocated once and filled a block of knots at a time,
+    cut by ``funcrep.blocks``: ceil(cells / ``BLOCK_POINTS``) blocks, so
+    a mesh of 8 * 8192 cells takes 8 calls of f, not a ninth on the knot
+    1.0 alone.  Each block's knots are built, f is called on them and its
     values are copied in and nudged, so no mesh-sized temporary is made.
     Each block's result is checked as it comes: a result of the wrong
     shape is refused with ``ShapeError``, and a non-finite value names
@@ -455,9 +444,7 @@ def refine_values(f: Callable, eps: float) -> np.ndarray:
     """
     cells = _refine_cells(eps)
     vals = np.empty(cells + 1)
-    count = -(-cells // _KNOT_BLOCK)  # cells <= count * _KNOT_BLOCK, so no block holds more than _KNOT_BLOCK + 1 knots
-    bounds = [(cells + 1) * b // count for b in range(count + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in blocks(cells + 1):
         block = vals[lo:hi]
         block[...] = _values(f, _uniform(cells, lo, hi))
         _nudge(block, NUDGE_ETA)

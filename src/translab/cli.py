@@ -152,13 +152,12 @@ def _cmd_certify(args) -> int:
     print(f"vacuous={str(cert.vacuous).lower()}")
     print(f"envelope_ok={str(cert.envelope_ok).lower()}")
     if args.csv:
-        with open(args.csv, "a") as fh:
-            if fh.tell() == 0:  # a new or empty file: append mode starts at the end
-                fh.write(CERTIFY_CSV_HEADER + "\n")
-            fh.write(
-                f"{cert.eps:.17g},{cert.n0},{cert.certified_count},"
-                f"{cert.paper_bound},{cert.theory_bound:.17g},{cert.mode}\n"
-            )
+        with open(args.csv, "ab+") as fh:  # writes go to the end, and reads may seek back
+            fh.seek(max(fh.tell() - 1, 0))
+            last = fh.read(1)  # the file's last byte, b"" if it is new or empty
+            lead = CERTIFY_CSV_HEADER + "\n" if not last else "" if last == b"\n" else "\n"  # the row starts its own line
+            fh.write(f"{lead}{cert.eps:.17g},{cert.n0},{cert.certified_count},"
+                     f"{cert.paper_bound},{cert.theory_bound:.17g},{cert.mode}\n".encode())
     return 0
 
 

@@ -61,14 +61,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .funcrep import MESH_CAP, SampledFunction, check_work
+from .funcrep import MESH_CAP, SampledFunction, blocks, check_work
 from .modulus import ModulusSpec, require_modulus
 
 MAX_LEVEL = 30
-# Points per block of profile_many: 64 KiB per float temporary, under
-# glibc's default mmap threshold of 128 KiB, so blocks reuse freed heap
-# memory; the kernel writes into the temporaries it has.
-_BLOCK = 2**13
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 
@@ -188,8 +184,8 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     exactly a double, and a point outside [0, 1] or NaN, naming the
     first; a refusal raises before any warning.
 
-    The output is allocated once and filled in blocks of ``_BLOCK``
-    points, so each temporary stays small and a large call does not
+    The output is allocated once and filled a ``funcrep.blocks`` block
+    at a time, so each temporary stays small and a large call does not
     grow the heap by several copies of its input.  Every point is
     computed on its own, so the blocks change no bit of the result.
     """
@@ -197,8 +193,8 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     x = s.ravel()
     out = np.empty(x.shape)
     deep_count, first_deep = 0, None
-    for lo in range(0, len(x), _BLOCK):
-        xb, ob = x[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
+    for lo, hi in blocks(len(x)):
+        xb, ob = x[lo:hi], out[lo:hi]
         n, p, a, u = _locate(xb, "profile argument")
         u -= np.floor(u, out=a)  # offset within the bump, in [0, 1)
         np.copysign(0.5, np.subtract(0.5, u, out=a), out=ob)  # the sign, times beta below

@@ -90,6 +90,16 @@ from .errors import DomainError, EnumerationCapError, ShapeError
 # they live here so that the certify path never imports the adversary.
 SCAN_BLOCK_POINTS = 2**15  # points per call of f in a block scan (flatten, Miranda faces)
 MESH_CAP = 2**24  # refine, flatten-table or sample cells, or cubes per certify level; refine reaches it at eps = 2**-22
+# Points per block of profile_many and of refine's calls of f: 64 KiB per float temporary,
+# under glibc's default mmap threshold of 128 KiB, so blocks reuse freed heap memory.
+BLOCK_POINTS = 2**13
+
+
+def blocks(count: int) -> list[tuple[int, int]]:
+    """Blocks [lo, hi) covering range(count) in order, each of ``BLOCK_POINTS`` points but the last, which takes in
+    a lone last point: n >= 2 points make ceil((n - 1) / ``BLOCK_POINTS``) blocks, none of one point."""
+    edges = [0, *range(BLOCK_POINTS, count - 1, BLOCK_POINTS), count] if count else []
+    return list(zip(edges, edges[1:]))
 
 
 def check_work(count, cap, what: str, unit: str = "cells") -> None:

@@ -1,11 +1,14 @@
 """flatten as it was built one budget at a time, kept verbatim as a test oracle.
 
 ``flatten_arrays`` lays several budgets out in one interval table; this is
-the per-budget body it replaced, with its own F calls per stage.
+the per-budget body it replaced, with its own F calls per stage.  ``runs``
+is the greedy grouping loop that flatten's groups, runs and scan blocks
+used before ``adversary._runs`` wrote it with ``cumsum`` and
+``searchsorted``.
 """
 
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -85,3 +88,15 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     earlier = np.concatenate(([-np.inf], np.maximum.accumulate(xs)[:-1]))
     keep = xs > earlier
     return SampledFunction(grid=(xs[keep],), values=vs[keep][:, None])
+
+
+def runs(sizes: list[int], most: int) -> Iterator[tuple[int, int]]:
+    """Slices [lo, hi) of consecutive sizes, each growing while its total stays within most (one size at least)."""
+    lo = 0
+    while lo < len(sizes):
+        hi, total = lo + 1, sizes[lo]
+        while hi < len(sizes) and total + sizes[hi] <= most:
+            total += sizes[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi

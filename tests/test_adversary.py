@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from translab import (
     DomainError,
@@ -25,10 +27,11 @@ from translab import (
 )
 from translab import adversary
 from translab.adversary import flatten_arrays
-from translab.funcrep import check_work
+from translab.funcrep import BLOCK_POINTS, check_work
 
 from closed_form import upper_curve_log2
 from flatten_oracle import flatten_perturbation as flatten_oracle
+from flatten_oracle import runs as runs_oracle
 from zero_oracle import zero_components
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
@@ -584,6 +587,29 @@ class TestFlatten:
 ORACLE_MODULI = [ModulusSpec.power(lam, alpha) for alpha in (0.25, 0.5, 0.75, 1.0) for lam in (1.0, 2.0, 8.0)]
 
 
+class TestRuns:
+    """_runs, the one grouping of flatten's groups, runs and scan blocks, is the greedy loop it replaced."""
+
+    @given(sizes=st.lists(st.integers(0, 40), max_size=24), most=st.integers(0, 60))
+    @example(sizes=[], most=5)
+    @example(sizes=[0, 0, 7, 0, 9, 0], most=7)
+    @example(sizes=[50, 3, 61, 0], most=10)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop(self, sizes, most):
+        want = list(runs_oracle(sizes, most))
+        assert list(adversary._runs(sizes, most)) == want
+        assert list(adversary._runs(np.array(sizes, dtype=np.int64), most)) == want  # as _scan passes them
+
+    def test_scan_blocks(self, monkeypatch):
+        # _scan calls f once per run of whole intervals, at most the block's points unless one interval has more
+        monkeypatch.setattr(adversary, "SCAN_BLOCK_POINTS", 10)
+        a = np.array([0.0, 0.25, 0.5, 0.625, 0.75])
+        b = np.array([0.25, 0.5, 0.625, 0.75, 1.0])
+        points = []
+        adversary._scan(recording(wave, points), a, b, 1.0 / 32)  # 7, 7, 3, 3 and 7 interior samples
+        assert [len(p) for p in points] == [7, 7 + 3, 3 + 7]
+
+
 class TestFlattenArrays:
     """flatten_arrays builds, per budget, bit for bit the lift flatten built one budget at a time."""
 
@@ -806,9 +832,9 @@ def refine_cells_eps(K):
 class TestRefineCore:
     """refine_values fills one array a block of knots at a time; knots and values are refine's, bit for bit."""
 
-    BLOCK = adversary._KNOT_BLOCK
-    # K cells give K + 1 knots in ceil(K / 8192) near-equal blocks of at most 8193
-    BLOCK_SIZES = {3: [4], 49: [50], 1000: [1001], 2**13 - 1: [8192], 2**13 + 1: [4097, 4097], 2**16: [8192] * 7 + [8193]}
+    BLOCK = BLOCK_POINTS
+    # K cells give K + 1 knots in ceil(K / 8192) blocks: 8192 each, the last of at most 8193
+    BLOCK_SIZES = {3: [4], 49: [50], 1000: [1001], 2**13 - 1: [8192], 2**13 + 1: [8192, 2], 2**16: [8192] * 7 + [8193]}
 
     @staticmethod
     def parent_refine(f, K):
@@ -874,7 +900,7 @@ class TestTargetShape:
 
     def test_a_block_past_the_first(self):
         # f is well shaped on the first two blocks of knots; each block is checked
-        block, points = adversary._KNOT_BLOCK, []
+        block, points = BLOCK_POINTS, []
         f = recording(lambda s: self.column(s) if s[0] >= 2 * block / 2**16 else s, points)
         with pytest.raises(ShapeError, match=rf"\({block}, 1\) on points of shape \({block},\)"):
             adversary.refine_values(f, refine_cells_eps(2**16))

@@ -281,6 +281,19 @@ class TestCertifyCommand:
             *["0.0078125,1,2,2,1.1503246070171784,theoretical"] * 2,
         ]
 
+    @pytest.mark.parametrize("rows", [[], ["0.5,0,0,0,0,theoretical"]], ids=["header_only", "header_and_row"])
+    def test_csv_without_a_final_newline_gets_the_row_on_its_own_line(self, capsys, tmp_path, rows):
+        # the row was glued onto the last line: "...theoretical0.0078125,1,2,..."
+        csv_path = tmp_path / "cert.csv"
+        csv_path.write_text("\n".join(["eps,n0,certified_count,paper_bound,theory_bound,mode", *rows]))
+        code, _, _ = run(capsys, "certify", "--eps", "0.0078125", "--csv", str(csv_path))
+        assert code == 0
+        assert csv_path.read_text() == "\n".join([
+            "eps,n0,certified_count,paper_bound,theory_bound,mode",
+            *rows,
+            "0.0078125,1,2,2,1.1503246070171784,theoretical\n",
+        ])
+
     def test_csv_of_another_command_is_refused_untouched(self, capsys, tmp_path):
         # a sweep CSV got a 6-cell certificate row appended, and the command exited 0
         csv_path = tmp_path / "sweep.csv"

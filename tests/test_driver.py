@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -170,12 +171,33 @@ class TestSharedRefineMesh:
         # sends them in one call per stage (partition, probe, scan and
         # re-interpolation), 4 calls.  Refine's 65 537 knots went in blocks of
         # 8192, 9 calls (the last held the knot 1.0 alone), and now go in 8
-        # near-equal blocks, the last of 8193; one call once took the whole mesh
+        # blocks, the knot 1.0 joined to the last; one call once took the whole mesh
         calls, profile_many = [], extremal.profile_many
         monkeypatch.setattr(extremal, "profile_many", lambda beta, s: calls.append(np.size(s)) or profile_many(beta, s))
         sweep(replace(BASE, j_max=14, adversary=True))
         assert (sum(calls), len(calls)) == (96348, 12)
         assert calls[:8] == [8192] * 7 + [8193]
+
+    def test_beta_calls_per_sweep(self, monkeypatch):
+        # j = 6..14: 17 calls while profile_many cut fixed blocks of its own,
+        # so refine's last block of 8193 knots reached beta as 8192 + 1
+        sizes, many = [], ModulusSpec.many
+        monkeypatch.setattr(ModulusSpec, "many", lambda beta, s: sizes.append(np.size(s)) or many(beta, s))
+        sweep(replace(BASE, j_max=14, adversary=True))
+        assert len(sizes) == 16 and min(sizes) > 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's minor fault count")
+    def test_minor_faults_per_warm_sweep(self, tmp_path):
+        # a warm pass reuses the heap it freed, so it faults in almost no
+        # pages: about 0.01 per pass once the lift table stopped growing it
+        resource = pytest.importorskip("resource")
+        cfg, path, passes = replace(BASE, j_max=14, adversary=True), tmp_path / "sweep.csv", 50
+        for _ in range(5):
+            write_csv(sweep(cfg), path)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(passes):
+            write_csv(sweep(cfg), path)
+        assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / passes < 5
 
     def test_mesh_is_counted_and_freed_before_the_lift_table(self, monkeypatch):
         # refine's value array goes before flatten lays out its table, so the

@@ -24,7 +24,8 @@ from translab import (
     resolve_depth,
 )
 from translab import extremal
-from translab.extremal import _BLOCK, MAX_LEVEL, _as_doubles
+from translab.extremal import MAX_LEVEL, _as_doubles
+from translab.funcrep import BLOCK_POINTS
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
 
@@ -472,9 +473,10 @@ def same_bits(a, b):
 
 
 class TestBlockedKernel:
-    """profile_many runs in blocks of _BLOCK points and gives the whole-array kernel's bits and warnings."""
+    """profile_many runs in blocks of BLOCK_POINTS points and gives the whole-array kernel's bits and warnings."""
 
-    @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize(
+        "size", [BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 1, 3 * BLOCK_POINTS + 7])
     @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
     def test_bit_identical_to_whole_array_kernel(self, beta, size):
         xs = mixed_points(size, size)
@@ -490,27 +492,28 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("beta", ORACLE_MODULI, ids=repr)
     def test_shapes(self, beta):
         for xs in (0.0625, np.float64(0.75 + 2.0**-14), np.array(0.3), np.array([]), np.empty((0, 3)),
-                   mixed_points(2 * _BLOCK + 6, 1).reshape(2, -1), mixed_points(3 * _BLOCK, 2).reshape(_BLOCK, 3)):
+                   mixed_points(2 * BLOCK_POINTS + 6, 1).reshape(2, -1),
+                   mixed_points(3 * BLOCK_POINTS, 2).reshape(BLOCK_POINTS, 3)):
             got, want = profile_many(beta, xs), whole_array_profile_many(beta, xs)
             assert np.shape(got) == np.shape(want) == np.shape(xs)
             assert np.ndim(got) or isinstance(got, np.float64)
             assert same_bits(got, want)
 
     def test_one_warning_for_deep_points_in_two_blocks(self):
-        xs = mixed_points(3 * _BLOCK, 3)
+        xs = mixed_points(3 * BLOCK_POINTS, 3)
         first, second, third = 1.0 - 2.0**-33, 1.0 - 2.0**-40, 1.0 - 2.0**-31
-        xs[[_BLOCK + 3, _BLOCK + 9, 2 * _BLOCK + 5]] = [first, second, third]  # none in block 0
+        xs[[BLOCK_POINTS + 3, BLOCK_POINTS + 9, 2 * BLOCK_POINTS + 5]] = [first, second, third]  # none in block 0
         got, warned = with_warnings(profile_many, IDENTITY, xs)
         assert warned == [(ResolutionWarning, f"3 points lie beyond level {MAX_LEVEL}, the first at {first}; returning 0")]
-        assert got[_BLOCK + 3] == got[_BLOCK + 9] == got[2 * _BLOCK + 5] == 0.0
+        assert got[BLOCK_POINTS + 3] == got[BLOCK_POINTS + 9] == got[2 * BLOCK_POINTS + 5] == 0.0
         want, want_warned = with_warnings(whole_array_profile_many, IDENTITY, xs)
         assert same_bits(got, want) and warned == want_warned
 
     @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
     def test_refusal_in_a_later_block_warns_nothing(self, bad):
-        xs = mixed_points(3 * _BLOCK, 4)
+        xs = mixed_points(3 * BLOCK_POINTS, 4)
         xs[7] = 1.0 - 2.0**-35  # deep, in block 0
-        xs[[2 * _BLOCK + 1, 2 * _BLOCK + 2]] = [bad, 2.0]  # the first offending point is named
+        xs[[2 * BLOCK_POINTS + 1, 2 * BLOCK_POINTS + 2]] = [bad, 2.0]  # the first offending point is named
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             with pytest.raises(DomainError, match=rf"must lie in \[0, 1\], got {bad}$"):
@@ -534,7 +537,7 @@ class TestBlockedKernel:
         # one 8192-point call at alpha = 1 peaked at 449 KiB with the sign
         # in its own array, 385 KiB with the sign written into the output,
         # and 321 KiB with beta's + 0.0 formed in the product's array
-        xs = mixed_points(_BLOCK, 6)
+        xs = mixed_points(BLOCK_POINTS, 6)
         want = whole_array_profile_many(IDENTITY, xs)
         profile_many(IDENTITY, xs)
         tracemalloc.start()
@@ -802,7 +805,7 @@ class TestHintFormulas:
     def test_edges_and_mixed_points(self, beta):
         f = ExtremalFunction(beta=beta, d=1, q=1).as_scalar()
         edges = np.array([nudged(x, ulps) for x in EDGE_POINTS for ulps in (-1, 0, 1)])
-        mixed = mixed_points(3 * _BLOCK + 7, 6)
+        mixed = mixed_points(3 * BLOCK_POINTS + 7, 6)
         np.random.default_rng(6).shuffle(mixed)
         for xs in (edges, mixed):
             assert same_bits(f.sup_from(xs), reference_sup_from(beta, xs))

@@ -23,7 +23,7 @@ from translab import (
 )
 from translab import funcrep
 from translab.certifier import _face_points
-from translab.funcrep import _nudge, count_value_zeros, evaluate_rows
+from translab.funcrep import BLOCK_POINTS, _nudge, blocks, count_value_zeros, evaluate_rows
 
 from zero_oracle import count_and_flat
 
@@ -824,6 +824,33 @@ class TestCountValueZeros:
     def test_all_zero_is_one_interval(self, zero, n):
         summary = count_value_zeros(np.full(2 * n, zero)[::2])
         assert (summary.component_count, summary.has_flat_zero_interval, summary.h0) == (1, True, math.inf)
+
+
+class TestBlocks:
+    """blocks, the one cut of profile_many and refine: fixed blocks in order, a lone last point joined."""
+
+    @given(n=st.integers(0, 9 * BLOCK_POINTS + 3))
+    @example(n=0)
+    @example(n=1)
+    @example(n=2)
+    @example(n=BLOCK_POINTS)
+    @example(n=BLOCK_POINTS + 1)  # refine's mesh of 2**13 cells: one block, not 8192 + 1
+    @example(n=BLOCK_POINTS + 2)
+    @example(n=8 * BLOCK_POINTS + 1)  # the knots of a default sweep's refine mesh
+    @settings(max_examples=300, deadline=None)
+    def test_layout(self, n):
+        got = blocks(n)
+        if n == 0:
+            assert got == []
+            return
+        assert [lo for lo, _ in got] == [0] + [hi for _, hi in got[:-1]]  # in order, no gap and no overlap
+        assert got[-1][1] == n
+        sizes = [hi - lo for lo, hi in got]
+        assert sizes[:-1] == [BLOCK_POINTS] * (len(got) - 1)
+        assert 1 <= sizes[-1] <= BLOCK_POINTS + 1
+        assert sizes[-1] >= 2 or len(got) == 1
+        if n >= 2:
+            assert len(got) == math.ceil((n - 1) / BLOCK_POINTS)  # refine's ceil(cells / BLOCK_POINTS) calls
 
 
 class TestNudge:
