@@ -11,9 +11,9 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   ``flatten_arrays`` builds the lifts at several budgets, a group of
   budgets at a time: it classifies the group's partition intervals
   together, calling f once per stage for the whole group, then lays
-  out the lifts' rows a run of budgets at a time, drops each row's
-  redundant breakpoints by a rule local to the row, and yields each
-  lift as bare (breakpoints, values) arrays.  ``flatten_perturbation``
+  out the lifts' rows a run of budgets at a time, keeps each row's
+  breakpoints by the row's kind, and yields each lift as bare
+  (breakpoints, values) arrays.  ``flatten_perturbation``
   wraps ``flatten_arrays``' lift at one budget, so both give the same
   lift bit for bit.
 
@@ -263,15 +263,13 @@ def flatten_arrays(
     re-interpolation mesh, linspace(a, b, k1 + 1), whose ends are exactly
     its partition points, so f is called only at the mesh's interior
     points and the ends reuse the partition values.  A lifted row holds
-    a, the two ramp ends and b, padded with copies of b.  A breakpoint
-    that does not lie strictly right of every earlier one of its budget
-    (a padded copy, a duplicate or a collapsed ramp) is dropped, so the
-    first value at a point wins.  Every breakpoint of a row lies in
-    [a, b] (the ramp ends lie within eps of a and of b, on an interval at
-    least 2 eps long) and the row ends at b, the next row's a, so the
-    rule is applied row by row: a breakpoint is kept when it lies
-    strictly right of the earlier ones of its own row, and each row's a
-    is dropped except in a budget's first row.
+    a, the two ramp ends and b.  Each row keeps its breakpoints by its
+    kind: a re-interpolated row its mesh interior and b, a lifted row its
+    ramp ends and b, and a budget's first row its a too.  These are the
+    breakpoints that lie strictly right of every earlier one of their
+    budget, the per-budget construction's rule: every breakpoint of a
+    row but a and b lies strictly inside (a, b), by margins far above
+    rounding (README, "Soundness notes").
     """
     budgets = list(budgets)
     for eps in budgets:
@@ -326,38 +324,37 @@ def _lifts(budgets: list[float], sizes: list[int], pts: np.ndarray, fc: np.ndarr
     Budget i holds sizes[i] of the cuts pts, f there is fc, and up is set at each lifted row and each
     budget's last cut, whose row (to the next budget's first cut) keeps no breakpoint; mesh holds the
     re-interpolation interiors of the other rows, and inner f there.
+
+    A row's kind fixes what it keeps: a re-interpolated row columns 1..k1, a lifted row 1, 2 and k1,
+    and a budget's first row column 0, its a, too.  Column k1 is b, the next row's a, and the others lie
+    strictly inside (a, b): mesh steps are >= eps/2, and as b - a >= 2 eps and |fa|, |fb| <= eps/2 - eps/128,
+    the ramp ends lie >= eps/128 inside and >= eps/64 apart, far above two roundings of 2**-52 each for
+    every budget MESH_CAP admits (eps/128 >= 2**-31).  So no kept breakpoint needs comparing.
     """
     a, b, fa, fb = pts[:-1], pts[1:], fc[:-1], fc[1:]
     rest, up = np.flatnonzero(~up[:-1]), np.flatnonzero(up[:-1])
     half = np.repeat(np.divide(budgets, 2.0), sizes)[up]
     # a re-interpolated row is its mesh of k1 equal subintervals; a lifted row
-    # is a, two unit-slope ramps onto the plateau eps/2, then b and its copies
+    # is a, two unit-slope ramps onto the plateau eps/2, then b in column k1
     xs = np.empty((len(a), k1 + 1))
     xs[:, 0], xs[:, k1] = a, b
     xs[rest, 1:k1] = mesh
     xs[up, 1] = a[up] - fa[up] + half
     xs[up, 2] = b[up] + fb[up] - half
-    xs[up, 3:k1] = b[up, None]
-    # every breakpoint of a row lies in [a, b] and the row ends at b, the next
-    # row's a: past a budget's first row, a is dropped, and every other
-    # breakpoint need only lie right of the earlier ones of its own row
-    keep = np.empty(xs.shape, dtype=bool)
+    # a row keeps what lies strictly inside (a, b) and its b; a budget's first row keeps its a too
+    keep = np.ones(xs.shape, dtype=bool)
     keep[:, 0] = False
+    keep[up, 3:k1] = False  # a lifted row's unused columns
     first = np.cumsum([0] + sizes[:-1])  # each budget's first row; the row before it is the previous budget's last cut
     keep[first, 0] = True
-    top = xs[:, 0]
-    for c in range(1, k1 + 1):  # column by column: numpy accumulates along short rows slowly
-        np.greater(xs[:, c], top, out=keep[:, c])
-        top = np.maximum(top, xs[:, c])
     keep[first[1:] - 1] = False  # the rows between budgets
     split = np.cumsum([np.count_nonzero(keep[lo:hi]) for lo, hi in zip(first[:-1], first[1:])], dtype=np.int64)
     keep = keep.ravel()
     x = xs.ravel()[keep]
-    del xs, top
+    del xs
     vs = np.empty((len(a), k1 + 1))  # laid out once the breakpoint table is freed
     vs[:, 0], vs[:, k1] = fa, fb
     vs[up, 1:3] = half[:, None]
-    vs[up, 3:k1] = fb[up, None]
     vs[rest, 1:k1] = inner
     return list(zip(np.split(x, split), np.split(vs.ravel()[keep], split)))
 

@@ -127,8 +127,8 @@ def polar_demo_chart(rho: float = 2.0, radius: float = 1.0, r0: float = 1.0) -> 
     The image is the open rectangle (-pi*radius/2, pi*radius/2) x
     (radius/rho - radius, radius*rho - radius), which is convex.
     """
-    if rho <= 1.0:
-        raise DomainError(f"annulus ratio must exceed 1, got {rho}")
+    if not 1.0 < rho < math.inf:  # NaN too
+        raise DomainError(f"annulus ratio must be finite and exceed 1, got {rho}")
     if not 0.0 < radius < math.inf:  # NaN too
         raise DomainError(f"radius must be positive and finite, got {radius}")
     if r0 >= math.pi * radius / 2.0:

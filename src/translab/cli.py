@@ -133,8 +133,9 @@ def _cmd_build(args) -> int:
 def _cmd_certify(args) -> int:
     if args.csv and os.path.exists(args.csv):  # refused before any work, so nothing lands in a foreign file
         with open(args.csv) as fh:
-            first = fh.readline().rstrip("\n")
-        if first not in ("", CERTIFY_CSV_HEADER):  # an empty file gets the header below
+            line = fh.readline()
+        first = line.rstrip("\n")
+        if line and first != CERTIFY_CSV_HEADER:  # only an empty file gets the header below
             raise TranslabError(f"{args.csv} is not a certify CSV: its first line is {first!r}, "
                                 f"not {CERTIFY_CSV_HEADER!r}")
     fn = _extremal_from_args(args)

@@ -587,6 +587,32 @@ class TestFlatten:
 ORACLE_MODULI = [ModulusSpec.power(lam, alpha) for alpha in (0.25, 0.5, 0.75, 1.0) for lam in (1.0, 2.0, 8.0)]
 
 
+def band_edge_budgets(C):
+    """flatten's budgets at the edge of eps <= C/6 and of the table cap, by name.
+
+    C/6 itself, the double below it, C/(3 * 2.0001) (K = 3 intervals,
+    leaving b - a closest to 2 eps/C), and the smallest power of two
+    whose breakpoint table the cap admits.
+    """
+    def cells(eps):
+        return math.ceil(C / (3.0 * eps)) * (math.ceil(3.0 / C) + 1)
+
+    j = 3
+    while cells(2.0 ** -(j + 1)) <= adversary.MESH_CAP:
+        j += 1
+    return {"C_over_6": C / 6.0, "below_C_over_6": float(np.nextafter(C / 6.0, 0.0)),
+            "K_3": C / (3.0 * 2.0001), "smallest_dyadic": 2.0**-j}
+
+
+# f at a budget from its lift threshold thr, and whether every row lifts
+BAND_TARGETS = {
+    "minus_thr": (lambda thr, s: np.full(np.shape(s), -thr), True),
+    "plus_thr": (lambda thr, s: np.full(np.shape(s), thr), True),
+    "thr_cos": (lambda thr, s: thr * np.cos(2000.0 * s), True),
+    "two_thr": (lambda thr, s: np.full(np.shape(s), 2.0 * thr), False),
+}
+
+
 class TestRuns:
     """_runs, the one grouping of flatten's groups, runs and scan blocks, is the greedy loop it replaced."""
 
@@ -632,11 +658,41 @@ class TestFlattenArrays:
 
     @pytest.mark.parametrize("f", [ExtremalFunction(beta=beta, d=1, q=1).as_scalar() for beta in ORACLE_MODULI] + [wave, interior_spikes])
     def test_matches_the_per_budget_oracle_where_rows_are_mostly_padding(self, f):
-        # C = 0.01: k1 = 300, so a lifted row holds a, two ramp ends and b,
-        # then 297 copies of b that only the row-local rule drops
+        # C = 0.01: k1 = 300, so a lifted row's table row has 301 columns, of
+        # which it keeps its two ramp ends and b
         budgets = [2.0**-j for j in range(10, 17)]
         for pair, eps in zip(flatten_arrays(f, budgets, 0.01), budgets, strict=True):
             assert same_lift(pair, flatten_oracle(f, eps, 0.01))
+
+    @pytest.mark.parametrize("target", BAND_TARGETS)
+    @pytest.mark.parametrize("edge", ["C_over_6", "below_C_over_6", "K_3", "smallest_dyadic"])
+    @pytest.mark.parametrize("C", [1.0, 0.5, 0.3, 0.01])
+    def test_row_kinds_match_the_oracle_at_the_band_edge(self, C, edge, target):
+        # each row keeps its breakpoints by its kind alone, which the oracle's
+        # comparison rule confirms only while the ramp ends stay eps/128 inside
+        # (a, b) and eps/64 apart: +thr puts them nearest a and b, -thr nearest
+        # each other, and at K = 3 intervals b - a is closest to 2 eps/C
+        eps = band_edge_budgets(C)[edge]
+        thr = lift_threshold(eps)
+        level, lifts = BAND_TARGETS[target]
+
+        def f(s):
+            return level(thr, s)
+
+        f.sup_from = lambda s: np.full(np.shape(s), thr if lifts else 2.0 * thr)  # spares the scan its 192 samples a row
+        pair = next(flatten_arrays(f, [eps], C))
+        assert same_lift(pair, flatten_oracle(f, eps, C))
+        rows, k1 = math.ceil(C / (3.0 * eps)), math.ceil(3.0 / C)
+        assert len(pair[0]) == 1 + rows * (3 if lifts else k1)
+
+    def test_band_edge_budgets(self):
+        # the smallest dyadic budget the table cap admits is 2**-23 at every C
+        # tested, where eps/128 = 2**-30 still dwarfs a rounding of 2**-52
+        for C in (1.0, 0.5, 0.3, 0.01):
+            budgets = band_edge_budgets(C)
+            assert [math.ceil(C / (3.0 * eps)) for eps in budgets.values()][:3] == [2, 3, 3]
+            assert budgets["below_C_over_6"] < budgets["C_over_6"] == C / 6.0
+            assert budgets["smallest_dyadic"] == 2.0**-23
 
     @pytest.mark.parametrize("js", [[10, 6, 10, 8, 8], [14, 13, 12, 6, 7], [9]])
     def test_any_order_and_repeats(self, js):

@@ -96,6 +96,13 @@ class TestBuiltins:
         with pytest.raises(DomainError, match=message):
             polar_demo_chart(radius=radius)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 1.0, 0.5, -math.inf])
+    def test_polar_annulus_ratio_that_is_not_finite_above_one_refused(self, rho):
+        # NaN and inf passed `rho <= 1`, and Chart refused them naming lam1 and lam2, not rho
+        message = "^" + re.escape(f"annulus ratio must be finite and exceed 1, got {rho}") + "$"
+        with pytest.raises(DomainError, match=message):
+            polar_demo_chart(rho=rho)
+
     def test_chart_constant_order(self):
         with pytest.raises(DomainError):
             identity_chart(1, r0=-1.0)

@@ -304,6 +304,16 @@ class TestCertifyCommand:
                        "not 'eps,n0,certified_count,paper_bound,theory_bound,mode'\n")
         assert csv_path.read_text() == "eps,n0,certified_lb,theory_lb\n0.5,0,0,0\n"
 
+    def test_csv_with_a_blank_first_line_is_refused_untouched(self, capsys, tmp_path):
+        # the row was appended with no header; only a truly empty file gets one
+        csv_path = tmp_path / "cert.csv"
+        csv_path.write_text("\n")
+        code, out, err = run(capsys, "certify", "--eps", "0.0078125", "--csv", str(csv_path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {csv_path} is not a certify CSV: its first line is '', "
+                       "not 'eps,n0,certified_count,paper_bound,theory_bound,mode'\n")
+        assert csv_path.read_text() == "\n"
+
     @pytest.mark.parametrize("matrix,offset", [("nan,0,0,1", "0,0"), ("1,0,0,1", "nan,0"), ("1,0,0,1", "0,inf")])
     def test_affine_chart_with_non_finite_numbers_is_clean_error(self, capsys, matrix, offset):
         # a NaN matrix exited 1 with a LinAlgError traceback; a NaN or inf offset certified and exited 0
