@@ -11,11 +11,11 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   ``flatten_arrays`` builds the lifts at several budgets, a group of
   budgets at a time: it classifies the group's partition intervals
   together, calling f once per stage for the whole group, then lays
-  out the lifts' rows a run of budgets at a time, keeps each row's
-  breakpoints by the row's kind, and yields each lift as bare
-  (breakpoints, values) arrays.  ``flatten_perturbation``
-  wraps ``flatten_arrays``' lift at one budget, so both give the same
-  lift bit for bit.
+  out the lifts' rows a run of budgets at a time, writes each row's
+  breakpoints, as many as the row's kind keeps, straight to their
+  places, and yields each lift as bare (breakpoints, values) slices.
+  ``flatten_perturbation`` wraps ``flatten_arrays``' lift at one
+  budget, so both give the same lift bit for bit.
 
 * ``refine_interpolant`` interpolates f on the uniform mesh of
   ceil(4/eps) subintervals (mesh <= eps/4) and nudges knot zeros away,
@@ -69,6 +69,7 @@ budget list is one group and a long one splits at its largest budget.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -147,67 +148,84 @@ def _values(f: Callable, xs: np.ndarray) -> np.ndarray:
     column, is refused with ``ShapeError`` naming both shapes.  A NaN or
     infinite value is refused, naming the first point that gave it.
     """
-    r = np.asarray(f(xs), dtype=float)
-    try:
-        vs = np.broadcast_to(r, xs.shape)
-    except ValueError:
-        raise ShapeError(f"target returned shape {r.shape} on points of shape {xs.shape}") from None
-    if not np.isfinite(vs).all():
+    vs = np.asarray(f(xs), dtype=float)
+    if vs.shape != xs.shape:
+        try:
+            vs = np.broadcast_to(vs, xs.shape)
+        except ValueError:
+            raise ShapeError(f"target returned shape {vs.shape} on points of shape {xs.shape}") from None
+    if not (-math.inf < vs.min(initial=0.0) and vs.max(initial=0.0) < math.inf):  # NaN too: min and max carry it
         i = int(np.argmin(np.isfinite(vs)))
         raise DomainError(f"target must be finite, got {vs[i]} at {xs[i]}")
     return vs
 
 
 def _samples(a: np.ndarray, b: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
-    """Scan samples per interval [a[k], b[k]] and their spacing: sample i
-    is a + i * delta, the last one b, as numpy's arange lays them out.
-    step is one float or one per interval, here and in the scans below."""
-    return np.maximum(np.ceil((b - a) / step), 0.0).astype(np.int64) + 1, (a + step) - a
+    """The scan samples strictly inside each interval [a[k], b[k]], as their
+    count and spacing: sample i is a + i * delta, i = 0, 1, .., as numpy's
+    arange lays them out, and the samples inside are i = 1..count; with a
+    and b they are the interval's scan samples.  step is one float or one
+    per interval, here and in the scans below.
+
+    arange takes ceil((b - a) / step) samples, and as delta may round up
+    from step its last one may land at or past b; it is dropped, as b is
+    sampled anyway.  Only that one can: the sample before it lies about a
+    step below b, and the roundings of a + i * delta are far below a step.
+    With fewer than two arange samples the test reads sample 0 (a) or
+    below, left of b, and drops none.
+    """
+    last = np.ceil((b - a) / step) - 1.0  # arange's last sample
+    delta = (a + step) - a
+    last -= a + last * delta >= b
+    return np.maximum(last, 0.0).astype(np.int64), delta
 
 
 def _probe(f: Callable, a: np.ndarray, b: np.ndarray, step, hint) -> np.ndarray:
-    """Max |f| over the two scan samples of each interval that start at
-    the last sample at or left of hint[k].
+    """Max |f| over the two scan samples of each interval, left of b[k], that
+    start at the last sample at or left of hint[k].
 
     A hint that is NaN or off [a[k], b[k]] is moved to the nearer end, so
-    every point f sees is a sample that ``_scan`` would take.
+    every point f sees is a sample that ``_scan`` would take, or a[k].
+    b[k] is never probed: the caller holds f there already.
     """
-    counts, delta = _samples(a, b, step)
-    last = counts - 1
+    top, delta = _samples(a, b, step)  # the last sample left of b
     x = np.fmin(np.fmax(hint, a), b)  # fmax turns NaN into a
-    i = np.minimum(np.floor((x - a) / delta), last)
-    i = np.stack([i, np.minimum(i + 1.0, last)], axis=1)
-    xs = np.where(i == last[:, None], b[:, None], a[:, None] + i * delta[:, None])
-    return np.abs(_values(f, xs.ravel())).reshape(i.shape).max(axis=1)
+    xs = np.empty(2 * len(a))  # the two samples of interval k at 2k and 2k + 1
+    i, j = xs[0::2], xs[1::2]
+    np.minimum(np.floor((x - a) / delta), top, out=i)
+    np.minimum(i + 1.0, top, out=j)
+    for col in (i, j):
+        col *= delta
+        col += a
+    v = np.abs(_values(f, xs))
+    return np.maximum(v[0::2], v[1::2])
 
 
 def _scan(f: Callable, a: np.ndarray, b: np.ndarray, step) -> np.ndarray:
     """Sampled max |f| over the interior scan samples of each interval [a[k], b[k]].
 
-    Interval k is sampled at np.arange(a[k], b[k], step) followed by
-    b[k], built the way numpy's arange builds it (a + i * ((a + step) - a)),
-    so its first and last samples are exactly a[k] and b[k].  Only the
-    samples between those two ends are sent to f: the caller holds f at
-    the ends already.  An interval with no interior sample gets 0, so its
-    ends settle it.  f is called once per block of whole intervals, about
-    SCAN_BLOCK_POINTS points each, so memory stays flat however fine the
-    step.  A block is built as one row per interval, padded to its
-    longest row, which costs little for intervals of about equal length,
-    as flatten's are.
+    Interval k is sampled at the points of np.arange(a[k], b[k], step)
+    below b[k], built the way numpy's arange builds them (a + i * ((a +
+    step) - a)), followed by b[k], so its first and last samples are
+    exactly a[k] and b[k] (see ``_samples``).  Only the samples between
+    those two ends are sent to f: the caller holds f at the ends already.
+    An interval with no interior sample gets 0, so its ends settle it.  f
+    is called once per block of whole intervals, about SCAN_BLOCK_POINTS
+    points each, so memory stays flat however fine the step.  A block is
+    built as one row per interval, padded to its longest row, which costs
+    little for intervals of about equal length, as flatten's are; |f| goes
+    back into the rows, padded with 0, and each row's max is its peak.
     """
-    counts, delta = _samples(a, b, step)
-    inner = np.maximum(counts - 2, 0)  # samples 1 .. counts - 2
-    first = np.cumsum(inner) - inner  # each interval's first sample, counted from the first interval's
+    inner, delta = _samples(a, b, step)
     peak = np.zeros(len(a))
     for lo, hi in _runs(inner, SCAN_BLOCK_POINTS):
-        cnt = inner[lo:hi]
-        some = cnt > 0
-        if some.any():
-            i = np.arange(1, cnt.max() + 1)
-            grid = a[lo:hi, None] + i * delta[lo:hi, None]  # row k: interval lo + k, padded
-            xs = grid[i <= cnt[:, None]]
-            # reduceat would read a segment of none as its next point, so only non-empty segments go in
-            peak[lo:hi][some] = np.maximum.reduceat(np.abs(_values(f, xs)), (first[lo:hi] - first[lo])[some])
+        i = np.arange(1, inner[lo:hi].max() + 1)
+        if len(i):
+            on = i <= inner[lo:hi, None]  # row k: interval lo + k's samples, padded
+            grid = a[lo:hi, None] + i * delta[lo:hi, None]
+            v = np.zeros(grid.shape)
+            v[on] = np.abs(_values(f, grid[on]))
+            v.max(axis=1, out=peak[lo:hi])
     return peak
 
 
@@ -258,14 +276,17 @@ def flatten_arrays(
     the scan's points, and any ``ResolutionWarning`` or refusal of a
     non-finite value they would raise, are skipped.
 
-    Every interval is laid out as a row of k1 + 1 breakpoints, k1 =
-    ceil(3/C) >= 3.  An interval that is not lifted keeps its
-    re-interpolation mesh, linspace(a, b, k1 + 1), whose ends are exactly
-    its partition points, so f is called only at the mesh's interior
-    points and the ends reuse the partition values.  A lifted row holds
-    a, the two ramp ends and b.  Each row keeps its breakpoints by its
-    kind: a re-interpolated row its mesh interior and b, a lifted row its
-    ramp ends and b, and a budget's first row its a too.  These are the
+    Every interval is a row from its a to its b.  An interval that is
+    not lifted keeps its re-interpolation mesh, linspace(a, b, k1 + 1)
+    with k1 = ceil(3/C) >= 3, whose ends are exactly its partition points,
+    so f is called only at the mesh's interior points and the ends reuse
+    the partition values.  A lifted row holds a, the two ramp ends and b.
+    Each row keeps a count of breakpoints fixed by its kind: k1 for a
+    re-interpolated row (its mesh interior and b), 3 for a lifted row
+    (its ramp ends and b), none for the row between two budgets, and one
+    more, its a, for a budget's first row.  A cumsum of those counts
+    gives each breakpoint's place in one output array, where it is
+    written directly, and each lift is a slice of it.  These are the
     breakpoints that lie strictly right of every earlier one of their
     budget, the per-budget construction's rule: every breakpoint of a
     row but a and b lies strictly inside (a, b), by margins far above
@@ -304,7 +325,8 @@ def _lift_table(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[n
     k1 = math.ceil(3.0 / C)
     lifted[starts[1:] - 1] = True  # a budget's last cut starts no row: no interior to evaluate there
     rest = np.flatnonzero(~lifted)
-    mesh = _interior(pts[rest], pts[rest + 1], k1, np.empty((len(rest), k1 - 1)))
+    mesh = np.empty((k1 - 1, len(rest)))  # row c - 1: mesh point c of every such row
+    _interior(pts[rest], pts[rest + 1], k1, mesh.T)
     del rest
     inner = _values(f, mesh.ravel()).reshape(mesh.shape)
     sizes = np.diff(starts).tolist()
@@ -313,7 +335,7 @@ def _lift_table(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[n
         run = slice(starts[lo], starts[hi])
         n = sum(sizes[lo:hi]) - np.count_nonzero(lifted[run])
         rows = slice(used, used + n)
-        yield from _lifts(budgets[lo:hi], sizes[lo:hi], pts[run], fc[run], lifted[run], mesh[rows], inner[rows], k1)
+        yield from _lifts(budgets[lo:hi], sizes[lo:hi], pts[run], fc[run], lifted[run], mesh[:, rows], inner[:, rows], k1)
         used += n
 
 
@@ -323,40 +345,39 @@ def _lifts(budgets: list[float], sizes: list[int], pts: np.ndarray, fc: np.ndarr
 
     Budget i holds sizes[i] of the cuts pts, f there is fc, and up is set at each lifted row and each
     budget's last cut, whose row (to the next budget's first cut) keeps no breakpoint; mesh holds the
-    re-interpolation interiors of the other rows, and inner f there.
+    re-interpolation interiors of the other rows, one column per row, and inner f there.
 
-    A row's kind fixes what it keeps: a re-interpolated row columns 1..k1, a lifted row 1, 2 and k1,
-    and a budget's first row column 0, its a, too.  Column k1 is b, the next row's a, and the others lie
-    strictly inside (a, b): mesh steps are >= eps/2, and as b - a >= 2 eps and |fa|, |fb| <= eps/2 - eps/128,
-    the ramp ends lie >= eps/128 inside and >= eps/64 apart, far above two roundings of 2**-52 each for
-    every budget MESH_CAP admits (eps/128 >= 2**-31).  So no kept breakpoint needs comparing.
+    Every cut is kept, and a row's kind fixes how many breakpoints it keeps after its a, its b included:
+    k1 for a re-interpolated row (its mesh interior and b), 3 for a lifted row (its ramp ends and b), and 1
+    for a row between budgets (its b, the next budget's first cut).  A cumsum of those counts places every
+    cut, each row's other breakpoints follow its a, and each budget is a slice.  Every kept breakpoint but
+    a and b lies strictly inside (a, b): mesh steps are >= eps/2, and as b - a >= 2 eps and
+    |fa|, |fb| <= eps/2 - eps/128, the ramp ends lie >= eps/128 inside and >= eps/64 apart, far above two
+    roundings of 2**-52 each for every budget MESH_CAP admits (eps/128 >= 2**-31).  So no kept breakpoint
+    needs comparing.
     """
-    a, b, fa, fb = pts[:-1], pts[1:], fc[:-1], fc[1:]
-    rest, up = np.flatnonzero(~up[:-1]), np.flatnonzero(up[:-1])
-    half = np.repeat(np.divide(budgets, 2.0), sizes)[up]
-    # a re-interpolated row is its mesh of k1 equal subintervals; a lifted row
-    # is a, two unit-slope ramps onto the plateau eps/2, then b in column k1
-    xs = np.empty((len(a), k1 + 1))
-    xs[:, 0], xs[:, k1] = a, b
-    xs[rest, 1:k1] = mesh
-    xs[up, 1] = a[up] - fa[up] + half
-    xs[up, 2] = b[up] + fb[up] - half
-    # a row keeps what lies strictly inside (a, b) and its b; a budget's first row keeps its a too
-    keep = np.ones(xs.shape, dtype=bool)
-    keep[:, 0] = False
-    keep[up, 3:k1] = False  # a lifted row's unused columns
-    first = np.cumsum([0] + sizes[:-1])  # each budget's first row; the row before it is the previous budget's last cut
-    keep[first, 0] = True
-    keep[first[1:] - 1] = False  # the rows between budgets
-    split = np.cumsum([np.count_nonzero(keep[lo:hi]) for lo, hi in zip(first[:-1], first[1:])], dtype=np.int64)
-    keep = keep.ravel()
-    x = xs.ravel()[keep]
-    del xs
-    vs = np.empty((len(a), k1 + 1))  # laid out once the breakpoint table is freed
-    vs[:, 0], vs[:, k1] = fa, fb
-    vs[up, 1:3] = half[:, None]
-    vs[rest, 1:k1] = inner
-    return list(zip(np.split(x, split), np.split(vs.ravel()[keep], split)))
+    first = list(itertools.accumulate(sizes[:-1], initial=0))  # each budget's first cut
+    between = [i - 1 for i in first[1:]]
+    lifted = up[:-1].copy()
+    lifted[between] = False
+    rows = np.flatnonzero(lifted)
+    kept = np.where(up[:-1], 3, k1)
+    kept[between] = 1
+    at = np.zeros(len(pts), dtype=np.int64)  # each cut's place
+    np.cumsum(kept, out=at[1:])
+    x, v = np.empty(at[-1] + 1), np.empty(at[-1] + 1)
+    x[at], v[at] = pts, fc
+    after = at[:-1][~up[:-1]] + np.arange(1, k1)[:, None]  # a re-interpolated row's places after its a, a column each
+    x[after], v[after] = mesh, inner
+    # a lifted row's two unit-slope ramps onto the plateau eps/2
+    half = np.repeat(np.divide(budgets, 2.0), sizes)[rows]
+    ramps = np.empty((2, len(rows)))
+    np.add(pts[rows] - fc[rows], half, out=ramps[0])
+    np.subtract(pts[rows + 1] + fc[rows + 1], half, out=ramps[1])
+    after = at[rows] + np.arange(1, 3)[:, None]
+    x[after], v[after] = ramps, half
+    ends = at[first].tolist() + [len(x)]
+    return [(x[lo:hi], v[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def _classify(f: Callable, budgets: list[float], C: float):
@@ -374,9 +395,7 @@ def _classify(f: Callable, budgets: list[float], C: float):
     fc = _values(f, pts)
     steps = np.divide(budgets, SCAN_STEP_DIVISOR)
     thrs = np.divide(budgets, 2.0) - steps / 2.0
-    low = np.empty(len(pts), dtype=bool)
-    for thr, lo, hi in zip(thrs, starts[:-1], starts[1:]):
-        np.less_equal(np.abs(fc[lo:hi]), thr, out=low[lo:hi])
+    low = np.abs(fc) <= np.repeat(thrs, np.diff(starts))
     lifted = np.zeros(len(pts), dtype=bool)
     np.logical_and(low[:-1], low[1:], out=lifted[:-1])
     lifted[starts[1:] - 1] = False

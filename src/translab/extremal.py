@@ -36,7 +36,8 @@ float arithmetic that never rounds:
   [1/2, 1] (Sterbenz), so each term is exact where it is the least.  The
   value is beta of that offset times 2**-p, an ``ldexp`` that cannot
   round (the true product is the same fold in units of length), times
-  copysign(1/2, 1/2 - f), which is negative on the bump's second half.
+  the sign 1/2 - (f > 1/2), a comparison: -1/2 on the bump's second
+  half, where 1/2 - f < 0, and 1/2 elsewhere.
 
 Doubles are the only number type here; a number that is not exactly a
 double is refused, not rounded.  From level 7 on the bump period
@@ -143,11 +144,12 @@ def profile(beta: ModulusSpec, s) -> float:
 
 
 def _locate(x: np.ndarray, what: str):
-    """(n, p, start, u) for a flat float64 block: each point's level n
-    (past ``MAX_LEVEL`` as it is) and, on level c = min(n, ``MAX_LEVEL``),
-    the period exponent p = c*c + c, start_c and the exact offset u =
-    ldexp(x - start_c, p) in periods.  Refuses a point outside [0, 1] or
-    NaN, naming the first.
+    """(n, p, start, u) for a flat float64 block: on level c = min(n,
+    ``MAX_LEVEL``), n each point's level, the period exponent p = c*c + c,
+    start_c and the exact offset u = ldexp(x - start_c, p) in periods.
+    n is the level array as it is, past ``MAX_LEVEL`` too, when some point
+    may lie past ``MAX_LEVEL``, and None when none can.  Refuses a point
+    outside [0, 1] or NaN, naming the first.
     """
     hi = x.max(initial=0.0)  # an empty block passes
     if not (x.min(initial=0.0) >= 0.0 and hi <= 1.0):  # false for NaN too
@@ -156,10 +158,11 @@ def _locate(x: np.ndarray, what: str):
     t *= _BELOW_ONE
     start, k = np.frexp(t, out=(t, None))  # 2**(k-1) < 1 - x <= 2**k: level 1 - k
     k *= x >= 0.5  # level 1 below 1/2, where 1 - x may round up to 1/2
-    n = c = 1 - k
+    n = None
+    c = 1 - k
     if hi >= 1.0 - 2.0**-MAX_LEVEL:  # some point may lie past MAX_LEVEL
         np.maximum(k, 1 - MAX_LEVEL, out=k)
-        c = 1 - k
+        n, c = c, 1 - k
     p = c + 1
     p *= c
     np.subtract(1.0, np.ldexp(1.0, k, out=start), out=start)
@@ -174,9 +177,11 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
     Returns an array of the input's shape (a numpy scalar for 0-d input).
     ``_locate`` gives each point's level and its offset in bump periods,
     a floor remainder reduces the offset to one period, min(f, |1/2 - f|,
-    1 - f) mirrors it onto the rising quarter and copysign(1/2, 1/2 - f)
-    gives the sign, with no branch and no mask; beta is called once per
-    block.  Every step but beta is exact (see the module docstring), and
+    1 - f) mirrors it onto the rising quarter and the comparison
+    1/2 - (f > 1/2) gives the sign, with no branch and no mask; beta is
+    called once per block, and the levels are searched for points past
+    ``MAX_LEVEL`` only in a block that ``_locate`` says may hold one.
+    Every step but beta is exact (see the module docstring), and
     ``beta.many`` equals ``beta`` bit for bit, so the result equals
     ``profile`` bit for bit.  Points beyond ``MAX_LEVEL`` evaluate to 0
     with one ``ResolutionWarning`` per call, naming their total count and
@@ -197,12 +202,12 @@ def profile_many(beta: ModulusSpec, s) -> np.ndarray:
         xb, ob = x[lo:hi], out[lo:hi]
         n, p, a, u = _locate(xb, "profile argument")
         u -= np.floor(u, out=a)  # offset within the bump, in [0, 1)
-        np.copysign(0.5, np.subtract(0.5, u, out=a), out=ob)  # the sign, times beta below
-        np.minimum(np.abs(a, out=a), 1.0 - u, out=a)
+        np.subtract(0.5, u > 0.5, out=ob)  # the sign, times beta below: -1/2 on the bump's second half
+        np.minimum(np.abs(np.subtract(0.5, u, out=a), out=a), 1.0 - u, out=a)
         np.minimum(u, a, out=u)
         np.ldexp(u, np.negative(p, out=p), out=u)  # back to units of length
         ob *= beta.many(u)
-        if n.max() > MAX_LEVEL:
+        if n is not None and n.max() > MAX_LEVEL:
             deep = n > MAX_LEVEL
             first_deep = xb[deep][0] if first_deep is None else first_deep
             deep_count += np.count_nonzero(deep)
@@ -328,7 +333,8 @@ class ExtremalFunction:
             s = _as_doubles(s, "sup_from argument")
             n, p, _, _ = _locate(s.ravel(), "sup_from argument")
             scale = np.ldexp(0.25, -p)  # scale_n, a quarter period
-            scale[n > MAX_LEVEL] = 0.0
+            if n is not None:
+                scale[n > MAX_LEVEL] = 0.0
             return (0.5 * beta.many(scale)).reshape(s.shape)[()]
 
         def peak_from(s):

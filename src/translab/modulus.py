@@ -100,7 +100,7 @@ class ModulusSpec:
     def many(self, s: np.ndarray) -> np.ndarray:
         """beta elementwise on a float array, as a new array equal to ``beta(s)`` at each element, bit for bit."""
         s = np.asarray(s, dtype=float)
-        if not np.all(s >= 0.0):  # NaN too
+        if not s.min(initial=0.0) >= 0.0:  # NaN too, as min carries it
             raise DomainError(f"modulus argument must be nonnegative, got {s[~(s >= 0.0)].flat[0]}")
         if self.kind == "power":
             return np.asarray(self._power(s))  # 0-d input gives a 0-d array
@@ -112,10 +112,15 @@ class ModulusSpec:
         s**alpha is numpy's power, whose call on a float runs the loop of
         a block, and s itself at alpha = 1.  The sum with 0.0 maps -0.0 to
         +0.0 and leaves every other value as it is (NaN and inf included).
-        It goes into the product's own array, so a block call holds one
-        temporary, not two; on a float ``+=`` simply rebinds.
+        The product, or the power scaled in place, is the one array a block
+        call makes, and the sum goes into it; on a float ``*=`` and ``+=``
+        simply rebind.
         """
-        r = (s if self.alpha == 1.0 else np.power(s, self.alpha)) * self.lam
+        if self.alpha == 1.0:
+            r = s * self.lam
+        else:
+            r = np.power(s, self.alpha)
+            r *= self.lam
         r += 0.0
         return r
 

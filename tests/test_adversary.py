@@ -451,11 +451,15 @@ def test_scan_blocks_match_repeat_oracle(monkeypatch, block, C, j):
 
 
 def test_scan_points_follow_arange():
-    # a + step rounds here, so numpy's arange steps by (a + step) - a, not step
+    # a + step rounds here, so numpy's arange steps by (a + step) - a, not step;
+    # on [0.5 - 2**-54, 0.75] that spacing rounds up, and arange's last sample,
+    # 0.7500000000000142, lies past b: the scan drops it
     cuts, step = np.array([0.0, 0.5 - 2.0**-54, 0.75, 1.0]), 2.0**-10
     seen = []
     adversary._scan(lambda xs: seen.append(xs.copy()) or xs, cuts[:-1], cuts[1:], step)
-    want = [np.arange(a, b, step)[1:] for a, b in zip(cuts[:-1], cuts[1:])]  # the interior samples
+    spans = [np.arange(a, b, step)[1:] for a, b in zip(cuts[:-1], cuts[1:])]
+    want = [xs[xs < b] for xs, b in zip(spans, cuts[1:])]  # the interior samples
+    assert [len(xs) for xs in spans] == [511, 256, 255] and [len(xs) for xs in want] == [511, 255, 255]
     assert np.array_equal(np.concatenate(seen), np.concatenate(want))
 
 
@@ -501,6 +505,43 @@ class TestNonFiniteTarget:
     def test_iterate_refuses_constant_nan(self):
         with pytest.raises(DomainError, match=r"got nan at 0.0$"):
             iterate_improvement(lambda s: math.nan, 2.0**-4, 1.0, 1)
+
+    @pytest.mark.parametrize("vals, bad", [((-math.inf, math.nan), "-inf at 0.25"), ((math.nan, -math.inf), "nan at 0.25"),
+                                           ((1.0, math.inf), "inf at 0.5"), ((-1.0, -math.inf), "-inf at 0.5")])
+    def test_values_names_the_first_bad_point(self, vals, bad):
+        # min and max only tell that some value is bad; the first is named
+        with pytest.raises(DomainError, match=rf"^target must be finite, got {bad}$"):
+            adversary._values(lambda s: np.array(vals), np.array([0.25, 0.5]))
+
+
+class TestSamplesBelowB:
+    """arange's last sample may round onto or past b: neither the scan nor the probe sends it to f."""
+
+    def test_hintless_extremal_at_an_overshooting_budget(self):
+        # on the last interval [2/3, 1] at eps = 0.08333333333333331, C = 1/2,
+        # (b - a)/step lies just above 256, and arange's sample 256 rounded to
+        # 1.0000000000000093, which F refuses
+        f, eps, seen = scalar_extremal(), 0.08333333333333331, []
+        h = flatten_perturbation(recording(lambda s: f(s), seen), eps, 0.5)
+        assert max(xs.max(initial=0.0) for xs in seen) <= 1.0
+        assert distance_to(f, h) <= eps
+
+    def test_scan_and_probe_samples_lie_in_the_interval(self):
+        # steps of (b - a)/n, so that (b - a)/step often lands just above n
+        rng = np.random.default_rng(11)
+        a = rng.uniform(0.0, 1.0, 1000)
+        b = np.minimum(a + rng.uniform(2.0**-12, 2.0**-4, a.shape), 1.0)
+        step = (b - a) / rng.integers(1, 300, a.shape)
+        spans = [np.arange(lo, hi, st)[1:] for lo, hi, st in zip(a, b, step)]
+        assert sum(bool(len(xs)) and xs[-1] >= hi for xs, hi in zip(spans, b)) > 10
+        seen = []
+        adversary._scan(lambda xs: seen.append(xs.copy()) or xs, a, b, step)
+        assert np.array_equal(np.concatenate(seen), np.concatenate([xs[xs < hi] for xs, hi in zip(spans, b)]))
+        for hint in (a, b, np.nextafter(b, 0.0), rng.uniform(a, b)):
+            seen = []
+            adversary._probe(lambda xs: seen.append(xs.copy()) or xs, a, b, step, hint)
+            pts = seen[0].reshape(len(a), 2)
+            assert ((a[:, None] <= pts) & (pts < b[:, None])).all()
 
 
 class TestFlatten:

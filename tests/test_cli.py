@@ -529,6 +529,15 @@ class TestPerturbCommand:
                          "--func", str(fpath), "--out", str(out_path))
         assert code == 0 and out_path.exists()
 
+    def test_flatten_of_a_function_file_at_an_overshooting_budget(self, capsys, tmp_path):
+        # the scan of [2/3, 1] once sent the grid function 1.0000000000000093, which it refused
+        fpath, out_path, eps = tmp_path / "F.txt", tmp_path / "h.txt", "0.08333333333333331"
+        run(capsys, "build", "--d", "1", "--m", "1", "--sample", "0.0009765625", "--out", str(fpath))
+        code, out, err = run(capsys, "perturb", "--mode", "flatten", "--eps", eps, "--C", "0.5",
+                             "--func", str(fpath), "--out", str(out_path))
+        assert code == 0 and err == ""
+        assert translab.sup_distance(SampledFunction.load(out_path), SampledFunction.load(fpath)) <= float(eps)
+
     @pytest.mark.parametrize("d, m", [(1, 2), (2, 1)])
     def test_function_file_that_is_not_scalar_is_refused(self, capsys, tmp_path, d, m):
         path = tmp_path / "f.txt"

@@ -399,6 +399,19 @@ class TestProfileKernel:
         assert got.shape == (3, 4)
         assert np.array_equal(got.ravel(), scalar_profiles(IDENTITY, xs.ravel()))
 
+    def test_zero_d_empty_and_one_point_inputs(self):
+        # a numpy scalar for 0-d input, an empty array of the input's shape, a 1-point array
+        for s in (0.3, np.float64(0.0625), np.array(0.75), 1.0):
+            got = profile_many(IDENTITY, s)
+            assert type(got) is np.float64 and got == profile(IDENTITY, float(s))
+        for shape in ((0,), (0, 3)):
+            got = profile_many(IDENTITY, np.empty(shape))
+            assert got.shape == shape and got.dtype == np.float64
+        assert profile_many(IDENTITY, [0.0625]).tolist() == [0.03125]
+        assert profile_many(IDENTITY, np.array([[0.3]])).tolist() == [[profile(IDENTITY, 0.3)]]
+        with pytest.warns(ResolutionWarning, match="^1 points lie beyond level 30"):
+            assert profile_many(IDENTITY, 1.0 - 2.0**-40) == 0.0
+
     def test_non_doubles_are_refused(self):
         # as in profile: a number a double cannot hold is refused, not rounded
         lev = level_schedule(7)
@@ -548,6 +561,23 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert same_bits(got, want)
         assert peak <= 340 * 2**10
+
+    def test_power_below_one_holds_one_block(self):
+        # alpha = 1/2 peaked at 385 KiB, against 321 KiB at alpha = 1, while
+        # np.power's block and the product were held at once
+        xs = mixed_points(BLOCK_POINTS, 7)
+
+        def peak(alpha):
+            beta = ModulusSpec.power(1.0, alpha)
+            profile_many(beta, xs)
+            tracemalloc.start()
+            try:
+                profile_many(beta, xs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(0.5) <= peak(1.0) + 8 * 2**10
 
 
 class TestExtremalFunction:

@@ -93,6 +93,17 @@ class TestEval:
             with pytest.raises(DomainError, match=message):
                 beta.many(block)
 
+    @pytest.mark.parametrize("beta", [ModulusSpec.power(1.0, 1.0), ModulusSpec.power(1.0, 0.5),
+                                      ModulusSpec.table([(0.5, 0.25), (1.0, 0.5)])], ids=repr)
+    def test_many_refusal_read_off_the_minimum(self, beta):
+        # NaN and the negative subnormal are refused, naming the value; -0.0 and no value at all pass
+        for bad, text in ((math.nan, "nan"), (-5e-324, "-5e-324")):
+            with pytest.raises(DomainError, match=rf"^modulus argument must be nonnegative, got {text}$"):
+                beta.many(np.array([0.25, bad]))
+        assert beta.many(np.array([-0.0])).view(np.uint64) == np.array([beta(0.0)]).view(np.uint64)
+        empty = beta.many(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
     def test_table_interpolates_from_origin(self):
         beta = ModulusSpec.table([(0.5, 1.0)])
         assert beta(0.25) == pytest.approx(0.5)
