@@ -9,11 +9,12 @@ Two constructions for scalar 1-Lipschitz targets f on [0,1]:
   piecewise-linearly on ceil(3/C) subintervals.  The result stays
   within eps of f and carries at most 2 zeros per lifted interval.
   ``flatten_arrays`` builds the lifts at several budgets, a group of
-  budgets at a time: it classifies the group's partition intervals
-  together, calling f once per stage for the whole group, then lays
-  out the lifts' rows a run of budgets at a time, writes each row's
-  breakpoints, as many as the row's kind keeps, straight to their
-  places, and yields each lift as bare (breakpoints, values) slices.
+  budgets at a time: it classifies the group's partition points
+  together, calling f once per stage for the whole group, naming each
+  point's row ``MESH``, ``LIFT`` or ``END`` (a budget's last cut), then
+  lays out the rows a run of budgets at a time, writes each row's
+  breakpoints, as many as its kind keeps, straight to their places, and
+  yields each lift as bare (breakpoints, values) slices.
   ``flatten_perturbation`` wraps ``flatten_arrays``' lift at one
   budget, so both give the same lift bit for bit.
 
@@ -81,6 +82,7 @@ from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, block
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
+MESH, LIFT, END = 0, 1, 2  # flatten's row kinds: re-interpolated, lifted, a budget's last cut
 
 
 def target_refusal(target, name: str = "the target") -> Optional[str]:
@@ -253,7 +255,7 @@ def flatten_arrays(
     time, a run holding no more intervals than the group's largest
     budget, when the caller reaches the run's first budget (j = 6..14
     lays out j = 6..13, then j = 14).  Between runs the group keeps its
-    cuts, the re-interpolation points, f at both and the lifted flags,
+    cuts, the re-interpolation points, f at both and the cuts' kinds,
     and fills each run's rows from them, computing nothing twice.
 
     Intervals are classified by a sampled maximum with a Lipschitz
@@ -276,37 +278,32 @@ def flatten_arrays(
     the scan's points, and any ``ResolutionWarning`` or refusal of a
     non-finite value they would raise, are skipped.
 
-    Every interval is a row from its a to its b.  An interval that is
-    not lifted keeps its re-interpolation mesh, linspace(a, b, k1 + 1)
-    with k1 = ceil(3/C) >= 3, whose ends are exactly its partition points,
-    so f is called only at the mesh's interior points and the ends reuse
-    the partition values.  A lifted row holds a, the two ramp ends and b.
-    Each row keeps a count of breakpoints fixed by its kind: k1 for a
-    re-interpolated row (its mesh interior and b), 3 for a lifted row
-    (its ramp ends and b), none for the row between two budgets, and one
-    more, its a, for a budget's first row.  A cumsum of those counts
-    gives each breakpoint's place in one output array, where it is
-    written directly, and each lift is a slice of it.  These are the
-    breakpoints that lie strictly right of every earlier one of their
-    budget, the per-budget construction's rule: every breakpoint of a
-    row but a and b lies strictly inside (a, b), by margins far above
-    rounding (README, "Soundness notes").
+    Every cut starts a row to the next cut, of one kind fixed by the
+    classification.  A ``MESH`` row keeps its re-interpolation mesh,
+    linspace(a, b, k1 + 1) with k1 = ceil(3/C) >= 3, whose ends are
+    exactly its partition points, so f is called only at the mesh's
+    interior points and the ends reuse the partition values.  A ``LIFT``
+    row holds a, the two ramp ends and b.  An ``END`` cut, a budget's
+    last, reaches the next budget's first cut.  Every cut is kept, and
+    after it a row keeps k1 breakpoints if ``MESH`` (its mesh interior
+    and b), 3 if ``LIFT`` (its ramp ends and b) and 1 if ``END`` (the
+    next budget's first cut).  A cumsum of those counts gives each
+    breakpoint's place in one output array, where it is written
+    directly, and each lift is the slice that ends at its ``END`` cut.
+    These are the breakpoints that lie strictly right of every earlier
+    one of their budget, the per-budget construction's rule: every
+    breakpoint of a row but a and b lies strictly inside (a, b), by
+    margins far above rounding (README, "Soundness notes").
     """
     budgets = list(budgets)
     for eps in budgets:
         _check_budget(eps, C)
         cells = np.ceil(C / (3.0 * eps)) * (np.ceil(3.0 / C) + 1.0)  # in floats: inf, not an error, for subnormals
         check_work(cells, MESH_CAP, f"flatten_perturbation at eps = {eps!r}, C = {C!r}")
-    return _lift_groups(f, budgets, C)
-
-
-def _lift_groups(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The lifts, built a group of consecutive budgets at a time as the caller reaches the group."""
     sizes = [math.ceil(C / (3.0 * eps)) for eps in budgets]
-    # the largest budget's own table is within MESH_CAP, checked by flatten_arrays
+    # the largest budget's own table is within MESH_CAP, checked above
     most = max(max(sizes, default=0), min(SCAN_BLOCK_POINTS, MESH_CAP // (math.ceil(3.0 / C) + 1)))
-    for lo, hi in _runs(sizes, most):
-        yield from _lift_table(f, budgets[lo:hi], C)
+    return itertools.chain.from_iterable(_lift_table(f, budgets[lo:hi], C) for lo, hi in _runs(sizes, most))
 
 
 def _runs(sizes, most: int) -> Iterator[tuple[int, int]]:
@@ -321,11 +318,10 @@ def _runs(sizes, most: int) -> Iterator[tuple[int, int]]:
 
 def _lift_table(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """flatten's lifts at a group of budgets: f at each stage for the whole group, then rows a run at a time."""
-    pts, fc, lifted, starts = _classify(f, budgets, C)
+    pts, fc, kind, starts = _classify(f, budgets, C)
     k1 = math.ceil(3.0 / C)
-    lifted[starts[1:] - 1] = True  # a budget's last cut starts no row: no interior to evaluate there
-    rest = np.flatnonzero(~lifted)
-    mesh = np.empty((k1 - 1, len(rest)))  # row c - 1: mesh point c of every such row
+    rest = np.flatnonzero(kind == MESH)
+    mesh = np.empty((k1 - 1, len(rest)))  # row c - 1: mesh point c of every MESH row
     _interior(pts[rest], pts[rest + 1], k1, mesh.T)
     del rest
     inner = _values(f, mesh.ravel()).reshape(mesh.shape)
@@ -333,60 +329,57 @@ def _lift_table(f: Callable, budgets: list[float], C: float) -> Iterator[tuple[n
     used = 0
     for lo, hi in _runs(sizes, max(sizes)):
         run = slice(starts[lo], starts[hi])
-        n = sum(sizes[lo:hi]) - np.count_nonzero(lifted[run])
-        rows = slice(used, used + n)
-        yield from _lifts(budgets[lo:hi], sizes[lo:hi], pts[run], fc[run], lifted[run], mesh[:, rows], inner[:, rows], k1)
-        used += n
+        rows = slice(used, used + np.count_nonzero(kind[run] == MESH))
+        yield from _lifts(budgets[lo:hi], pts[run], fc[run], kind[run], mesh[:, rows], inner[:, rows], k1)
+        used = rows.stop
 
 
-def _lifts(budgets: list[float], sizes: list[int], pts: np.ndarray, fc: np.ndarray, up: np.ndarray,
+def _lifts(budgets: list[float], pts: np.ndarray, fc: np.ndarray, kind: np.ndarray,
            mesh: np.ndarray, inner: np.ndarray, k1: int):
     """The lifts of a run of budgets, from a table with a row from each of its cuts to the next.
 
-    Budget i holds sizes[i] of the cuts pts, f there is fc, and up is set at each lifted row and each
-    budget's last cut, whose row (to the next budget's first cut) keeps no breakpoint; mesh holds the
-    re-interpolation interiors of the other rows, one column per row, and inner f there.
+    f at the cuts pts is fc, and kind names each cut's row: ``MESH``, ``LIFT`` or, at each budget's last
+    cut, ``END``, whose row (to the next budget's first cut) keeps no breakpoint but that cut.  mesh holds
+    the re-interpolation interiors of the ``MESH`` rows, one column per row, and inner f there.
 
     Every cut is kept, and a row's kind fixes how many breakpoints it keeps after its a, its b included:
-    k1 for a re-interpolated row (its mesh interior and b), 3 for a lifted row (its ramp ends and b), and 1
-    for a row between budgets (its b, the next budget's first cut).  A cumsum of those counts places every
-    cut, each row's other breakpoints follow its a, and each budget is a slice.  Every kept breakpoint but
+    k1 for ``MESH`` (its mesh interior and b), 3 for ``LIFT`` (its ramp ends and b), and 1 for ``END`` (its
+    b, the next budget's first cut).  A cumsum of those counts places every cut, each row's other
+    breakpoints follow its a, and each budget is the slice up to its ``END`` cut; a ``LIFT`` row's plateau
+    is its budget's eps/2, that budget counted by the ``END`` cuts before it.  Every kept breakpoint but
     a and b lies strictly inside (a, b): mesh steps are >= eps/2, and as b - a >= 2 eps and
     |fa|, |fb| <= eps/2 - eps/128, the ramp ends lie >= eps/128 inside and >= eps/64 apart, far above two
     roundings of 2**-52 each for every budget MESH_CAP admits (eps/128 >= 2**-31).  So no kept breakpoint
     needs comparing.
     """
-    first = list(itertools.accumulate(sizes[:-1], initial=0))  # each budget's first cut
-    between = [i - 1 for i in first[1:]]
-    lifted = up[:-1].copy()
-    lifted[between] = False
-    rows = np.flatnonzero(lifted)
-    kept = np.where(up[:-1], 3, k1)
-    kept[between] = 1
     at = np.zeros(len(pts), dtype=np.int64)  # each cut's place
-    np.cumsum(kept, out=at[1:])
+    np.cumsum(np.array([k1, 3, 1])[kind[:-1]], out=at[1:])  # kept counts by kind: MESH, LIFT, END
     x, v = np.empty(at[-1] + 1), np.empty(at[-1] + 1)
     x[at], v[at] = pts, fc
-    after = at[:-1][~up[:-1]] + np.arange(1, k1)[:, None]  # a re-interpolated row's places after its a, a column each
+    after = at[kind == MESH] + np.arange(1, k1)[:, None]  # a MESH row's places after its a, a column each
     x[after], v[after] = mesh, inner
-    # a lifted row's two unit-slope ramps onto the plateau eps/2
-    half = np.repeat(np.divide(budgets, 2.0), sizes)[rows]
+    # a LIFT row's two unit-slope ramps onto the plateau eps/2
+    ends = np.flatnonzero(kind == END)
+    rows = np.flatnonzero(kind == LIFT)
+    half = np.divide(budgets, 2.0)[np.searchsorted(ends, rows)]
     ramps = np.empty((2, len(rows)))
     np.add(pts[rows] - fc[rows], half, out=ramps[0])
     np.subtract(pts[rows + 1] + fc[rows + 1], half, out=ramps[1])
     after = at[rows] + np.arange(1, 3)[:, None]
     x[after], v[after] = ramps, half
-    ends = at[first].tolist() + [len(x)]
-    return [(x[lo:hi], v[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+    stops = (at[ends] + 1).tolist()
+    return [(x[lo:hi], v[lo:hi]) for lo, hi in zip([0] + stops, stops)]
 
 
 def _classify(f: Callable, budgets: list[float], C: float):
-    """A group's cuts, f there, the lifted flag of the interval each cut starts, and each budget's first cut.
+    """A group's cuts, f there, the kind of the row each cut starts, and each budget's first cut.
 
-    Budget i's cuts are pts[starts[i]:starts[i + 1]]; its last cut starts
-    no interval and is never flagged.  Each budget has one scan step and
-    one threshold, gathered per interval only for the intervals that
-    ``sup_from``, ``_probe`` or ``_scan`` read.
+    Budget i's cuts are pts[starts[i]:starts[i + 1]].  A cut's kind is
+    ``LIFT`` if its interval is lifted, ``MESH`` if it is re-interpolated,
+    and ``END`` at a budget's last cut, which starts no interval; nothing
+    rewrites it later.  Each budget has one scan step and one threshold,
+    gathered per interval only for the intervals that ``sup_from``,
+    ``_probe`` or ``_scan`` read.
     """
     cuts = [_partition(eps, C) for eps in budgets]
     starts = np.cumsum([0] + [len(c) for c in cuts])
@@ -396,28 +389,28 @@ def _classify(f: Callable, budgets: list[float], C: float):
     steps = np.divide(budgets, SCAN_STEP_DIVISOR)
     thrs = np.divide(budgets, 2.0) - steps / 2.0
     low = np.abs(fc) <= np.repeat(thrs, np.diff(starts))
-    lifted = np.zeros(len(pts), dtype=bool)
-    np.logical_and(low[:-1], low[1:], out=lifted[:-1])
-    lifted[starts[1:] - 1] = False
+    kind = np.empty(len(pts), dtype=np.int8)
+    kind[:-1] = low[:-1] & low[1:]  # LIFT (1) where both ends are low, else MESH (0)
+    kind[starts[1:] - 1] = END
 
     def budget(k):  # each interval's budget, by its first cut
         return np.searchsorted(starts, k, side="right") - 1
 
-    scan = lifted.copy()
+    scan = kind == LIFT
     sup_from = getattr(f, "sup_from", None)
     if sup_from is not None:
-        k = np.flatnonzero(lifted)
+        k = np.flatnonzero(scan)
         scan[k] = sup_from(pts[k]) > thrs[budget(k)]  # a bound at or below thr settles the lift
     peak_from = getattr(f, "peak_from", None)
     if peak_from is not None and scan.any():
         k = np.flatnonzero(scan)
         i = budget(k)
         high = k[_probe(f, pts[k], pts[k + 1], steps[i], peak_from(pts[k])) > thrs[i]]  # one sample above thr settles the rejection
-        lifted[high] = scan[high] = False
+        kind[high], scan[high] = MESH, False
     k = np.flatnonzero(scan)
     i = budget(k)
-    lifted[k] = _scan(f, pts[k], pts[k + 1], steps[i]) <= thrs[i]
-    return pts, fc, lifted, starts
+    kind[k[_scan(f, pts[k], pts[k + 1], steps[i]) > thrs[i]]] = MESH
+    return pts, fc, kind, starts
 
 
 def _interior(a: np.ndarray, b: np.ndarray, k1: int, out: np.ndarray) -> np.ndarray:

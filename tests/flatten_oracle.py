@@ -1,7 +1,11 @@
-"""flatten as it was built one budget at a time, kept verbatim as a test oracle.
+"""flatten as it was built one budget at a time, kept as a test oracle.
 
 ``flatten_arrays`` lays several budgets out in one interval table; this is
-the per-budget body it replaced, with its own F calls per stage.  ``runs``
+the per-budget body it replaced, with its own F calls per stage.  Its
+table is laid out in blocks of whole intervals, about 2**18 cells each,
+and the running maximum of the breakpoints carries the comparison rule
+from block to block, so the lift is the one-table lift bit for bit while
+memory stays flat at the finest budgets the cap admits.  ``runs``
 is the greedy grouping loop that flatten's groups, runs and scan blocks
 used before ``adversary._runs`` wrote it with ``cumsum`` and
 ``searchsorted``.
@@ -66,9 +70,23 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
         high = k[_probe(f, a[k], b[k], step, peak_from(a[k])) > thr]  # one sample above thr settles the rejection
         lifted[high] = scan[high] = False
     lifted[scan] = _scan(f, a[scan], b[scan], step) <= thr
-    half = np.full(len(a), eps / 2.0)
     k1 = math.ceil(3.0 / C)
     width = max(4, k1 + 1)
+    per = max(1, 2**18 // width)  # intervals per block of the table
+    top, kept = -np.inf, []
+    for lo in range(0, len(a), per):
+        xs, vs = _layout(f, *(c[lo:lo + per] for c in (a, b, fa, fb, lifted)), eps, k1, width)
+        earlier = np.maximum.accumulate(np.concatenate(([top], xs)))  # the largest breakpoint before each
+        keep = xs > earlier[:-1]
+        kept.append((xs[keep], vs[keep]))
+        top = earlier[-1]
+    xs, vs = (np.concatenate(c) for c in zip(*kept))
+    return SampledFunction(grid=(xs,), values=vs[:, None])
+
+
+def _layout(f, a, b, fa, fb, lifted, eps, k1, width):
+    """The candidate breakpoints and values of a block of intervals, interval by interval."""
+    half = np.full(len(a), eps / 2.0)
     xs, vs = np.zeros((len(a), width)), np.zeros((len(a), width))
     used = np.zeros((len(a), width), dtype=bool)
     # lifted intervals: two unit-slope ramps onto the plateau eps/2
@@ -84,10 +102,7 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
     vs[rest, 0], vs[rest, k1] = fa[rest], fb[rest]
     vs[rest, 1:k1] = _values(f, inner.ravel()).reshape(inner.shape)
     used[rest, : k1 + 1] = True
-    xs, vs = xs[used], vs[used]
-    earlier = np.concatenate(([-np.inf], np.maximum.accumulate(xs)[:-1]))
-    keep = xs > earlier
-    return SampledFunction(grid=(xs[keep],), values=vs[keep][:, None])
+    return xs[used], vs[used]
 
 
 def runs(sizes: list[int], most: int) -> Iterator[tuple[int, int]]:

@@ -1234,3 +1234,23 @@ class TestEmpiricalGuarantee:
             assert sup_distance(h, base) <= eps
             assert all(miranda_verdict(h, IDENTITY, cube) for cube in cubes)
             assert count_zero_components(h).component_count >= 2
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 7: the lattice face test's slack beta(scale/4) swallows F's own face values at "
+        "alpha <= 1/2 (q = 1) and alpha <= 3/4 (q = 2), so certify(F, eps, h=F) verifies no cube there",
+    )
+    @pytest.mark.parametrize("q,alpha,depths", [(1, 0.25, 3), (1, 0.5, 3), (2, 0.25, 2), (2, 0.5, 2), (2, 0.75, 2)])
+    def test_the_target_verifies_every_cube_of_its_own_certificate(self, q, alpha, depths):
+        # h = F is at distance 0 from F, so each of its cubes must pass the
+        # face test at every budget of depth 1..depths; alpha = 1, and 3/4 at
+        # q = 1, already do
+        beta = ModulusSpec.power(1.0, alpha)
+        F = ExtremalFunction(beta=beta, d=q, q=q)
+        budgets = [2.0**-j for j in range(1, 40) if 1 <= resolve_depth(beta, q, 2.0**-j) <= depths]
+        if not budgets:  # not an AssertionError, so an empty list fails instead of counting as the known defect
+            pytest.fail(f"no budget of depth 1..{depths}")
+        for eps in budgets:
+            cert = certify(F, eps, h=F)
+            assert [lc.verified for lc in cert.per_level_counts] == [lc.total for lc in cert.per_level_counts], eps
