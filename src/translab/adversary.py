@@ -77,7 +77,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .certifier import _double_or_exp2
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_int
 from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, blocks, check_work, count_value_zeros
 
 NUDGE_ETA = 1e-12
@@ -492,10 +492,11 @@ def iterate_improvement(
     of a 1-Lipschitz f; every round the cap admits has s >= 4/MESH_CAP =
     2**-22, so that is within eps0/4**k = s/4, and its zero count is an
     achieved value at that budget.  Returns (budget, count) pairs.  A
-    ladder whose finest round would lay out more than ``MESH_CAP`` cells
-    is refused before f is called.
+    rounds that is not an integer >= 1 is refused, and so is a ladder
+    whose finest round would lay out more than ``MESH_CAP`` cells, both
+    before f is called.
     """
-    if rounds < 1:
+    if require_int(rounds, "rounds") < 1:
         raise DomainError(f"need rounds >= 1, got {rounds}")
     _check_budget(eps0, C)
     finest = eps0

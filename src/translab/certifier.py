@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -40,10 +39,10 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .chart import Chart, gamma_w, identity_chart, pullback_perturbation
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_int
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
 from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, check_work, evaluate_rows
-from .modulus import ModulusSpec, require_modulus
+from .modulus import ModulusSpec
 
 EVALUATION_CAP = 2**30   # evaluations per empirical certify: 13 min at 722 ns a point (d = q = 6, 2 vCPUs)
 SLICE_CAP = 2**23        # level slices (n0 times z-slices) per empirical certify: 13 min at 90 us a depth-1 slice (d = 2, q = 1, h = F, 2 vCPUs)
@@ -72,10 +71,7 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
-    try:
-        q = operator.index(q)
-    except TypeError:
-        raise DomainError(f"q must be an integer, got {q!r}") from None
+    q = require_int(q, "q")
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
     root = 2.0 * math.sqrt(q)
@@ -277,7 +273,6 @@ def certify(
 ) -> Certificate:
     """Certify a zero-count lower bound at budget eps.
 
-    A beta that is not a modulus of continuity is refused first.
     Theoretical mode (no ``h``): every cube of every level n <= n0 is
     verified by construction and the counts are arithmetic.  Empirical
     mode applies the Poincare-Miranda face test of ``_miranda_verdicts``
@@ -315,10 +310,7 @@ def certify(
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
-    try:
-        z_grid = operator.index(z_grid)
-    except TypeError:
-        raise DomainError(f"z-grid must be an integer, got {z_grid!r}") from None
+    z_grid = require_int(z_grid, "z-grid")
     if z_grid < 1:
         raise DomainError(f"z-grid must be >= 1, got {z_grid}")
     beta, q, p, d = f.beta, f.q, f.p, f.d
@@ -326,14 +318,13 @@ def certify(
         raise DomainError(f"z-grid {z_grid} slices the free coordinates, but d = q = {q} leaves none")
     if z_grid > 1 and h is None:
         raise DomainError(f"z-grid {z_grid} slices the empirical test, but theoretical mode (no h) runs none")
-    require_modulus(beta)
     m = f.m
     evaluator = h if chart is None or h is None else pullback_perturbation(chart, h)[0]
     if chart is None:
         chart = identity_chart(m, r0=math.inf)
     if chart.m != m:
         raise DomainError(f"chart dimension {chart.m} does not match map codomain {m}")
-    gamma = gamma_w(chart, m, p)
+    gamma = gamma_w(chart, p)
     eps_flat = chart.distortion * eps
     rectangle_ok = p == 0 or eps <= chart.r0
 

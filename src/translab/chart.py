@@ -169,11 +169,11 @@ def polar_demo_chart(rho: float = 2.0, radius: float = 1.0, r0: float = 1.0) -> 
     )
 
 
-def gamma_w(chart: Chart, m: int, p: int) -> float:
-    """Distortion constant 2*sqrt(m - p) * lam2/lam1 of the flattening."""
-    if p >= m:
-        raise DomainError(f"need p < m, got p={p}, m={m}")
-    return 2.0 * math.sqrt(m - p) * chart.lam2 / chart.lam1
+def gamma_w(chart: Chart, p: int) -> float:
+    """Distortion constant 2*sqrt(m - p) * lam2/lam1 of the flattening, m the chart's dimension."""
+    if p >= chart.m:
+        raise DomainError(f"need p < m, got p={p}, m={chart.m}")
+    return 2.0 * math.sqrt(chart.m - p) * chart.lam2 / chart.lam1
 
 
 def _require(inside, vals: np.ndarray, pts, what: str, region: str) -> None:

@@ -8,7 +8,8 @@ dyadic grid keeps depth resolution exact at band edges.
 
 Configuration is a plain-text key=value file; unknown or repeated keys
 are errors.  Keys, read in lower case: alpha, lambda, d, m, p, j_min,
-j_max, adversary, c, cw.
+j_max, adversary, c, cw.  A ``SweepConfig`` is checked when it is built,
+from a file or in code, and ``sweep`` trusts it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .adversary import check_budget, flatten_arrays, refine_values, target_refusal
 from .adversary import flatten_perturbation, refine_interpolant  # noqa: F401  perfbench's tracer wraps these driver names
 from .certifier import certify, theory_upper_curve
-from .errors import ConfigError, DomainError, TranslabError
+from .errors import ConfigError, DomainError, TranslabError, require_int
 from .extremal import ExtremalFunction
 from .funcrep import count_value_zeros
 from .funcrep import count_zero_components  # noqa: F401  perfbench's tracer wraps driver.count_zero_components by name
@@ -33,6 +34,8 @@ from .modulus import ModulusSpec
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep's settings, checked when built, so ``sweep`` trusts them: an invalid config raises ``ConfigError``."""
+
     alpha: float
     lam: float
     d: int
@@ -44,7 +47,9 @@ class SweepConfig:
     C: float = 1.0
     cw: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("d", "m", "p", "j_min", "j_max"):
+            require_int(getattr(self, name), name, ConfigError)
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (0.0 < self.lam < math.inf):
@@ -112,9 +117,7 @@ def parse_config(text: str) -> SweepConfig:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
     if "C" in seen and not seen.get("adversary", False):
         raise ConfigError(f"line {lines['c']}: key 'c' sets flatten's partition constant, but the adversary is off")
-    cfg = SweepConfig(**seen)  # type: ignore[arg-type]
-    cfg.validate()
-    return cfg
+    return SweepConfig(**seen)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,6 @@ def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:
     out from those values when its row is reached.  An empty range
     builds no mesh and calls F for neither construction.
     """
-    cfg.validate()
     if chart is not None and cfg.adversary:
         raise ConfigError("adversary runs are flat-model only; drop the chart")
     fn = cfg.extremal()

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule of every count."""
+
+import operator
 
 
 class TranslabError(Exception):
@@ -23,3 +25,11 @@ class RangeEscapeError(TranslabError, RuntimeError):
 
 class ConfigError(TranslabError, ValueError):
     """A sweep configuration is malformed or inconsistent."""
+
+
+def require_int(value, name: str, error: type = DomainError) -> int:
+    """value as an int if ``operator.index`` takes it (a numpy integer does), else ``error`` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 from .funcrep import MESH_CAP, SampledFunction, blocks, check_work
 from .modulus import ModulusSpec, require_modulus
 
@@ -227,7 +227,8 @@ class ExtremalFunction:
 
     Components are p leading zeros followed by profile(x_i)/sqrt(q) for
     i = 1..q; only the first q domain coordinates matter.  The map
-    admits beta as a modulus of continuity.
+    admits beta as a modulus of continuity: a table that is not one, and
+    a d, q or p that is not an integer, are refused when F is built.
     """
 
     beta: ModulusSpec
@@ -236,12 +237,15 @@ class ExtremalFunction:
     p: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("d", "q", "p"):
+            require_int(getattr(self, name), name)
         if self.d < 1:
             raise DomainError(f"domain dimension must be >= 1, got {self.d}")
         if not (1 <= self.q <= self.d):
             raise DomainError(f"need 1 <= q <= d, got q={self.q}, d={self.d}")
         if self.p < 0:
             raise DomainError(f"padding dimension must be >= 0, got {self.p}")
+        require_modulus(self.beta)
 
     @property
     def m(self) -> int:
@@ -297,7 +301,6 @@ class ExtremalFunction:
     def as_scalar(self):
         """The active profile as a callable on floats and float arrays (d = q = 1 maps).
 
-        A table that is not a modulus of continuity is refused first.
         For the power modulus with alpha = 1, the one the adversary
         accepts, f carries two hints that let flatten skip scans (see
         ``adversary``); for any other modulus it carries none.
@@ -321,7 +324,6 @@ class ExtremalFunction:
         if self.q != 1 or self.p != 0 or self.d != 1:
             raise DomainError("as_scalar needs d = q = 1 and p = 0")
         beta = self.beta
-        require_modulus(beta)
 
         def f(s):
             return profile_many(beta, s)

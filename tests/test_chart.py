@@ -31,19 +31,19 @@ IDENTITY = ModulusSpec.power(1.0, 1.0)
 
 class TestGamma:
     def test_identity_scalar(self):
-        assert gamma_w(identity_chart(1), 1, 0) == 2.0
+        assert gamma_w(identity_chart(1), 0) == 2.0
 
     def test_identity_codim_two(self):
-        assert gamma_w(identity_chart(3), 3, 1) == pytest.approx(2.0 * math.sqrt(2.0))
+        assert gamma_w(identity_chart(3), 1) == pytest.approx(2.0 * math.sqrt(2.0))
 
     def test_affine_ratio(self):
         chart = affine_chart(np.diag([3.0, 1.0]))
         assert chart.lam1 == 1.0 and chart.lam2 == 3.0
-        assert gamma_w(chart, 2, 1) == pytest.approx(6.0)
+        assert gamma_w(chart, 1) == pytest.approx(6.0)
 
     def test_degenerate_codim(self):
         with pytest.raises(DomainError):
-            gamma_w(identity_chart(2), 2, 2)
+            gamma_w(identity_chart(2), 2)
 
 
 class TestBuiltins:

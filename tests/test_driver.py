@@ -317,13 +317,13 @@ class TestConfig:
 
     def test_field_validation_messages(self):
         with pytest.raises(ConfigError, match="alpha"):
-            SweepConfig(alpha=2.0, lam=1.0, d=1, m=1, p=0, j_min=6, j_max=8).validate()
+            SweepConfig(alpha=2.0, lam=1.0, d=1, m=1, p=0, j_min=6, j_max=8)
         with pytest.raises(ConfigError, match="lambda"):
-            SweepConfig(alpha=1.0, lam=0.0, d=1, m=1, p=0, j_min=6, j_max=8).validate()
+            SweepConfig(alpha=1.0, lam=0.0, d=1, m=1, p=0, j_min=6, j_max=8)
         with pytest.raises(ConfigError, match="d >= m - p >= 1"):
-            SweepConfig(alpha=1.0, lam=1.0, d=1, m=3, p=0, j_min=6, j_max=8).validate()
+            SweepConfig(alpha=1.0, lam=1.0, d=1, m=3, p=0, j_min=6, j_max=8)
         with pytest.raises(ConfigError, match="adversary"):
-            SweepConfig(alpha=1.0, lam=1.0, d=2, m=2, p=0, j_min=6, j_max=8, adversary=True).validate()
+            SweepConfig(alpha=1.0, lam=1.0, d=2, m=2, p=0, j_min=6, j_max=8, adversary=True)
 
     @pytest.mark.parametrize(
         "alpha,lam,why",
@@ -336,28 +336,22 @@ class TestConfig:
             (1.0, 2.0000000000000004, "F's Lipschitz constant at lambda = 2.0000000000000004 is lambda/2 = 1.0000000000000002"),
         ],
     )
-    def test_adversary_needs_a_1_lipschitz_target(self, monkeypatch, alpha, lam, why):
-        # outside alpha = 1, lambda <= 2 flatten and refine were measured up to 32 eps from F
-        def untouchable(*args, **kwargs):
-            raise AssertionError("the sweep started")
-
-        monkeypatch.setattr(driver, "certify", untouchable)
+    def test_adversary_needs_a_1_lipschitz_target(self, alpha, lam, why):
+        # outside alpha = 1, lambda <= 2 flatten and refine were measured up to 32 eps from F;
+        # the config is refused when built, so no sweep can start on it
         message = "^" + re.escape(f"adversary runs need a 1-Lipschitz F (alpha = 1, lambda <= 2); {why}") + "$"
-        cfg = replace(BASE, alpha=alpha, lam=lam, adversary=True)
         with pytest.raises(ConfigError, match=message):
-            cfg.validate()
+            replace(BASE, alpha=alpha, lam=lam, adversary=True)
         with pytest.raises(ConfigError, match=message):
-            sweep(cfg)
-        with pytest.raises(ConfigError, match=message):
-            sweep(replace(cfg, j_min=9, j_max=8))  # refused even with no budget to sweep
+            replace(BASE, alpha=alpha, lam=lam, adversary=True, j_min=9, j_max=8)  # refused even with no budget to sweep
         text = BASE_TEXT.replace("alpha=1\nlambda=1\n", f"alpha={alpha!r}\nlambda={lam!r}\n") + "adversary=true\n"
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
-        replace(cfg, adversary=False).validate()  # the certifier alone takes any modulus
+        replace(BASE, alpha=alpha, lam=lam)  # the certifier alone takes any modulus
 
     @pytest.mark.parametrize("lam", [2.0**-20, 0.5, 1.0, 2.0])
     def test_adversary_accepts_lambda_up_to_2(self, lam):
-        replace(BASE, lam=lam, adversary=True).validate()
+        replace(BASE, lam=lam, adversary=True)
 
     @pytest.mark.parametrize("j_max", [23, 40])
     def test_adversary_past_the_mesh_cap_rejected(self, j_max):
@@ -365,40 +359,33 @@ class TestConfig:
         message = ("adversary runs at j = 23, C = 1.0: refine_interpolant at eps = 1.1920928955078125e-07 "
                    "needs 33554432 cells, over the cap of 16777216")
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
-            replace(BASE, j_max=j_max, adversary=True).validate()
-        replace(BASE, j_max=j_max).validate()  # the certifier alone is not capped here
-        replace(BASE, j_max=22, adversary=True).validate()
+            replace(BASE, j_max=j_max, adversary=True)
+        replace(BASE, j_max=j_max)  # the certifier alone is not capped here
+        replace(BASE, j_max=22, adversary=True)
 
     def test_adversary_empty_range_checks_no_budget(self):
         # j = 30..25 sweeps no budget, so no refine mesh is laid out and none is refused
         cfg = SweepConfig(alpha=1, lam=1, d=1, m=1, p=0, j_min=30, j_max=25, adversary=True)
-        cfg.validate()
         assert sweep(cfg) == []
         assert parse_config(BASE_TEXT.replace("j_min=6", "j_min=30").replace("j_max=8", "j_max=25") + "adversary=true\n") == cfg
 
     @pytest.mark.parametrize("j_min,C", [(2, 1.0), (-3, 1.0), (-1023, 1.0), (5, 0.1), (3, 0.5), (4, 0.1875)])
-    def test_adversary_first_budget_over_c_over_6_refused(self, monkeypatch, j_min, C):
-        # flatten needs eps <= C/6 at every budget; the first one is the largest
-        def untouchable(*args, **kwargs):
-            raise AssertionError("the sweep started")
-
-        monkeypatch.setattr(driver, "certify", untouchable)
+    def test_adversary_first_budget_over_c_over_6_refused(self, j_min, C):
+        # flatten needs eps <= C/6 at every budget; the first one is the largest.
+        # The config is refused when built, so no sweep can start on it
         message = "^" + re.escape(f"adversary runs at j = {j_min}, C = {C!r}: need 0 < eps <= C/6 = {C / 6.0!r}, "
                                   f"got {2.0**-j_min!r}") + "$"
-        cfg = replace(BASE, j_min=j_min, j_max=8, adversary=True, C=C)
         with pytest.raises(ConfigError, match=message):
-            cfg.validate()
-        with pytest.raises(ConfigError, match=message):
-            sweep(cfg)
+            replace(BASE, j_min=j_min, j_max=8, adversary=True, C=C)
         text = BASE_TEXT.replace("j_min=6", f"j_min={j_min}") + f"adversary=true\nC={C!r}\n"
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
         if C == 1.0:
-            replace(cfg, adversary=False).validate()  # the certifier alone has no such bound
+            replace(BASE, j_min=j_min, j_max=8)  # the certifier alone has no such bound
         else:
             with pytest.raises(ConfigError, match="but the adversary is off$"):
-                replace(cfg, adversary=False).validate()  # only flatten reads C
-        replace(cfg, j_max=j_min - 1).validate()  # an empty range sweeps no budget
+                replace(BASE, j_min=j_min, j_max=8, C=C)  # only flatten reads C
+        replace(BASE, j_min=j_min, j_max=j_min - 1, adversary=True, C=C)  # an empty range sweeps no budget
 
     @pytest.mark.parametrize(
         "j_min,j_max,message",
@@ -412,16 +399,13 @@ class TestConfig:
     @pytest.mark.parametrize("adversary", [False, True])
     def test_budgets_that_are_not_finite_positive_doubles_refused(self, monkeypatch, j_min, j_max, message, adversary):
         # 2**-j must be a finite positive double at every j of the range; the
-        # range is refused before any budget list is built or any row runs
+        # range is refused when the config is built, before any budget is listed
         def untouchable(*args, **kwargs):
-            raise AssertionError("the sweep started")
+            raise AssertionError("a budget list was built")
 
-        monkeypatch.setattr(driver, "certify", untouchable)
-        monkeypatch.setattr(driver, "range", untouchable, raising=False)  # the budget list is built over range()
-        cfg = replace(BASE, j_min=j_min, j_max=j_max, adversary=adversary)
-        for call in (cfg.validate, lambda: sweep(cfg)):
-            with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
-                call()
+        monkeypatch.setattr(driver, "range", untouchable, raising=False)  # the budgets are listed over range()
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            replace(BASE, j_min=j_min, j_max=j_max, adversary=adversary)
         text = BASE_TEXT.replace("j_min=6", f"j_min={j_min}").replace("j_max=8", f"j_max={j_max}")
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             parse_config(text + f"adversary={adversary}\n")
@@ -435,7 +419,7 @@ class TestConfig:
     @pytest.mark.parametrize("j_min,C", [(3, 1.0), (7, 0.1), (5, 0.1875)])
     def test_adversary_budgets_at_or_under_c_over_6_accepted(self, j_min, C):
         # C = 0.1875 puts C/6 at 2**-5 exactly, and the bound is inclusive
-        replace(BASE, j_min=j_min, j_max=8, adversary=True, C=C).validate()
+        replace(BASE, j_min=j_min, j_max=8, adversary=True, C=C)
         assert 2.0**-j_min <= C / 6.0
 
     @pytest.mark.parametrize("key,field,value", [
@@ -445,7 +429,7 @@ class TestConfig:
     def test_non_finite_or_non_positive_scales_refused(self, key, field, value):
         fields = dict(alpha=1.0, lam=1.0, d=1, m=1, p=0, j_min=6, j_max=8)
         with pytest.raises(ConfigError, match=rf"^{key} must be positive and finite"):
-            SweepConfig(**{**fields, field: value}).validate()
+            SweepConfig(**{**fields, field: value})
         if field == "lam":
             text = BASE_TEXT.replace("lambda=1\n", f"lambda={value}\n")
         else:
@@ -475,19 +459,13 @@ class TestConfig:
             parse_config(f"{BASE_TEXT}C=0.5\nc=0.25\n")
 
     @pytest.mark.parametrize("C", [0.5, 0.1875, math.nextafter(1.0, 0.0)])
-    def test_c_without_the_adversary_refused_in_code(self, monkeypatch, C):
+    def test_c_without_the_adversary_refused_in_code(self, C):
         # a config built in code obeys the file rule: C would be accepted and ignored
-        def untouchable(*args, **kwargs):
-            raise AssertionError("the sweep started")
-
-        monkeypatch.setattr(driver, "certify", untouchable)
-        cfg = replace(BASE, C=C)
         message = "^" + re.escape(f"C = {C!r} sets flatten's partition constant, but the adversary is off") + "$"
-        for call in (cfg.validate, lambda: sweep(cfg)):
-            with pytest.raises(ConfigError, match=message):
-                call()
-        replace(cfg, adversary=True).validate()
-        replace(BASE, C=1.0).validate()
+        with pytest.raises(ConfigError, match=message):
+            replace(BASE, C=C)
+        replace(BASE, C=C, adversary=True)
+        replace(BASE, C=1.0)
 
     @pytest.mark.parametrize("extra,line", [("C=0.5\n", 8), ("c = 1\nadversary = no\n", 8), ("adversary=false\nC=1\n", 9)])
     def test_key_c_without_the_adversary_is_error(self, extra, line):

@@ -23,7 +23,7 @@ from translab import (
     profile_many,
     resolve_depth,
 )
-from translab import extremal
+from translab import extremal, modulus
 from translab.extremal import MAX_LEVEL, _as_doubles
 from translab.funcrep import BLOCK_POINTS
 
@@ -611,6 +611,25 @@ class TestExtremalFunction:
         with pytest.raises(DomainError):
             F([0.1, 0.2])
 
+    def test_the_axiom_check_runs_once_when_f_is_built(self, monkeypatch):
+        # F checks a table modulus when it is built; as_scalar and certify never check it again
+        checked = []
+        check = modulus.check_modulus_axioms
+
+        def counted(beta):
+            checked.append(beta)
+            return check(beta)
+
+        monkeypatch.setattr(modulus, "check_modulus_axioms", counted)
+        xs = np.linspace(0.0, 1.0, 30)
+        beta = ModulusSpec.table(zip(xs.tolist(), np.sqrt(xs).tolist()))  # concave, so a modulus
+        F = ExtremalFunction(beta=beta, d=1, q=1)
+        assert checked == [beta]
+        F.as_scalar()
+        for j in range(6, 15):
+            assert certify(F, 2.0**-j).mode == "theoretical"
+        assert checked == [beta]
+
     @pytest.mark.parametrize("d,q,p", [(1, 1, 0), (2, 1, 1), (3, 2, 0), (3, 1, 2)])
     def test_nan_in_any_coordinate_is_refused(self, d, q, p):
         F = ExtremalFunction(beta=IDENTITY, d=d, q=q, p=p)
@@ -742,9 +761,8 @@ class TestSupFrom:
         ids=repr,
     )
     def test_tables_that_are_not_moduli_are_refused(self, beta, reason):
-        F = ExtremalFunction(beta=beta, d=1, q=1)
         with pytest.raises(DomainError, match=re.escape(f"beta is not a modulus of continuity: {reason}")):
-            F.as_scalar()
+            ExtremalFunction(beta=beta, d=1, q=1)  # refused when F is built, before any as_scalar
         xs = np.array([0.0625, 0.5 + 2.0**-8, 1.0])  # the profile itself still takes the table
         assert np.array_equal(profile_many(beta, xs), [profile(beta, x) for x in xs])
 

@@ -29,6 +29,22 @@ EXPORTS = {
     "modulus": ["AxiomReport", "ModulusSpec", "check_modulus_axioms"],
 }
 README = Path(__file__).resolve().parent.parent / "README.md"
+IDENTITY = translab.ModulusSpec.power(1.0, 1.0)
+CONFIG = dict(alpha=1.0, lam=1.0, d=1, m=1, p=0, j_min=6, j_max=8)
+# every entry point that takes a count: (the name its refusal gives, its error, a call with the count)
+COUNTS = {
+    "F.d": ("d", translab.DomainError, lambda v: translab.ExtremalFunction(beta=IDENTITY, d=v, q=1)),
+    "F.q": ("q", translab.DomainError, lambda v: translab.ExtremalFunction(beta=IDENTITY, d=2, q=v)),
+    "F.p": ("p", translab.DomainError, lambda v: translab.ExtremalFunction(beta=IDENTITY, d=1, q=1, p=v)),
+    **{f"SweepConfig.{name}": (name, translab.ConfigError,
+                               lambda v, name=name: translab.SweepConfig(**{**CONFIG, name: v}))
+       for name in ("d", "m", "p", "j_min", "j_max")},
+    "iterate_improvement.rounds": ("rounds", translab.DomainError,
+                                   lambda v: translab.iterate_improvement(lambda s: s - 0.5, 2.0**-6, 1.0, v)),
+    "certify.z_grid": ("z-grid", translab.DomainError, lambda v: translab.certify(
+        translab.ExtremalFunction(beta=IDENTITY, d=2, q=1), 2.0**-7, h=lambda x: [0.0], z_grid=v)),
+    "resolve_depth.q": ("q", translab.DomainError, lambda v: translab.resolve_depth(IDENTITY, v, 2.0**-8)),
+}
 
 
 def readme_commands():
@@ -280,3 +296,12 @@ def test_readme_command_parses(line):
     # a renamed or removed flag makes argparse exit here instead of misleading a reader
     args = cli.build_parser().parse_args(shlex.split(line)[1:])
     assert args.handler.__name__ == f"_cmd_{args.command}"
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("entry", COUNTS)
+def test_every_count_refuses_a_non_integer(entry, value):
+    # one rule, one message shape: a float or a string is a package error, never a TypeError
+    name, error, call = COUNTS[entry]
+    with pytest.raises(error, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+        call(value)
