@@ -78,7 +78,7 @@ import numpy as np
 
 from .certifier import _double_or_exp2
 from .errors import DomainError, ShapeError, require_int
-from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, blocks, check_work, count_value_zeros
+from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, _uniform, blocks, check_work, count_value_zeros
 
 NUDGE_ETA = 1e-12
 SCAN_STEP_DIVISOR = 64  # interval maxima sampled at step eps/64
@@ -130,17 +130,6 @@ def _check_budget(eps: float, C: float) -> None:
 
 def _partition(eps: float, C: float) -> np.ndarray:
     return _uniform(math.ceil(C / (3.0 * eps)))
-
-
-def _uniform(cells: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-    """Knots lo..hi-1 (all by default) of np.linspace(0, 1, cells + 1), bit for bit:
-    linspace makes knot i as i * (1/cells) + 0.0, rounded once, and the last exactly 1."""
-    hi = cells + 1 if hi is None else hi
-    xs = np.arange(lo, hi, dtype=float)
-    xs *= 1.0 / cells
-    if hi == cells + 1:
-        xs[-1] = 1.0
-    return xs
 
 
 def _values(f: Callable, xs: np.ndarray) -> np.ndarray:

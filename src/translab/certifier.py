@@ -53,6 +53,7 @@ FACE_LATTICE_POINTS = 9  # side 2*scale scanned at step scale/4
 # perfbench's tracer wraps certifier.enumerate_cubes by name
 def enumerate_cubes(n: int, q: int) -> Iterator[tuple[int, ...]]:
     """Every level-n cube index tuple in rank order (2**(q*n*n) of them, at most ``MESH_CAP``)."""
+    n, q = require_int(n, "n"), require_int(q, "q")
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
     lev = level_schedule(n)
@@ -242,6 +243,7 @@ def theory_lower_bound(beta: ModulusSpec, eps: float, m: int, p: int, gamma: flo
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
+    m, p = require_int(m, "m"), require_int(p, "p")
     if not (0 <= p < m):
         raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
     if not gamma > 0.0:
@@ -255,6 +257,7 @@ def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw
         raise DomainError(f"budget must be positive, got {eps}")
     if not 0.0 < alpha <= 1.0:  # NaN too
         raise DomainError(f"need 0 < alpha <= 1, got alpha={alpha}")
+    m, p = require_int(m, "m"), require_int(p, "p")
     if not (0 <= p < m):
         raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
     if not (0.0 < norm < math.inf and 0.0 < cw < math.inf):

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RangeEscapeError
+from .errors import DomainError, RangeEscapeError, require_int
 from .funcrep import evaluate_rows
 
 
@@ -171,6 +171,7 @@ def polar_demo_chart(rho: float = 2.0, radius: float = 1.0, r0: float = 1.0) -> 
 
 def gamma_w(chart: Chart, p: int) -> float:
     """Distortion constant 2*sqrt(m - p) * lam2/lam1 of the flattening, m the chart's dimension."""
+    p = require_int(p, "p")
     if p >= chart.m:
         raise DomainError(f"need p < m, got p={p}, m={chart.m}")
     return 2.0 * math.sqrt(chart.m - p) * chart.lam2 / chart.lam1

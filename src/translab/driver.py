@@ -133,7 +133,8 @@ class SweepRecord:
 
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
-_CSV_TYPES = tuple(get_type_hints(SweepRecord)[name] for name in CSV_HEADER)
+_RECORD_TYPES = get_type_hints(SweepRecord)
+_CSV_TYPES = tuple(_RECORD_TYPES[name] for name in CSV_HEADER)
 
 
 def sweep(cfg: SweepConfig, chart=None) -> list[SweepRecord]:

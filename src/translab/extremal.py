@@ -227,8 +227,9 @@ class ExtremalFunction:
 
     Components are p leading zeros followed by profile(x_i)/sqrt(q) for
     i = 1..q; only the first q domain coordinates matter.  The map
-    admits beta as a modulus of continuity: a table that is not one, and
-    a d, q or p that is not an integer, are refused when F is built.
+    admits beta as a modulus of continuity: a table that is not one, a
+    beta that is no modulus spec at all, and a d, q or p that is not an
+    integer, are refused when F is built.
     """
 
     beta: ModulusSpec
@@ -365,7 +366,7 @@ class ExtremalFunction:
         count = round(1.0 / step)
         if not math.isclose(count * step, 1.0, rel_tol=0, abs_tol=1e-12):
             raise DomainError(f"step must divide 1 exactly, got {step}")
-        knots = np.linspace(0.0, 1.0, count + 1)
+        knots = np.linspace(0.0, 1.0, count + 1).copy()  # owned, not a view, so evaluate_many flags it dyadic
         root = math.sqrt(self.q)
         line = profile_many(self.beta, knots) / root
         lens = (len(knots),) * self.d

@@ -15,11 +15,24 @@ x < knots[i + 1].  Knots increase strictly, so such an i is the last
 knot at or below x, clipped to the last cell: the cell that
 ``searchsorted(knots, x, side="right") - 1``, clipped, returns.  So the
 cells, and every bit that follows from them, do not depend on which
-rows were guessed.  Only the rows whose guess fails are searched.  On a
-uniform grid of 2**k cells, such as ``F.sample``'s at a dyadic step,
-knots and x * K are exact, so no row fails and nothing is searched.  On
+rows were guessed.  Only the rows whose guess fails are searched.  On
 an irregular grid most rows may fail; each of them then pays for the
 guess and its check on top of the search.
+
+A dyadic axis skips the check as well as the search, and reads no
+knot: one of K = 2**k cells whose knot i is exactly i / K, bit for bit
+``np.linspace(0, 1, K + 1)``, as ``F.sample`` builds at a dyadic step
+and ``refine_interpolant`` at a dyadic budget.  There t = x * K is
+exact, since it scales by a power of two, so the guess is the cell, and
+w = t - i is (x - knots[i]) / (knots[i + 1] - knots[i]) bit for bit.
+For i >= 1, i / K <= x <= 2 * i / K, so x - i / K is exact (Sterbenz);
+for i = 0 it is x itself.  The width is exactly 1 / K, and dividing by
+it is the exact scaling by K, which keeps a -0.0; t - i is that same
+exact value.  Which axes are dyadic is decided once, when the function
+is built, against linspace's knots a block of ``BLOCK_POINTS`` at a
+time, and only for a knot array that owns its data: a view's knots can
+still change through its base, which would leave the decision stale,
+while the guess and its check read the knots as they are on each call.
 
 The clip and the last-cell exemption matter only for x = 1.0.  A double
 x < 1.0 is at most 1 - 2**-53, and x * K then rounds below K (exact for
@@ -48,11 +61,12 @@ cube on ``F.sample``'s grid, costs one ``take`` of rows and one add in
 place of 2^d gathers, multiplies and adds.  The result keeps every bit:
 values are finite, so a dropped hi-corner term is w * value = +-0.0; a
 sum that starts at +0.0 can never become -0.0, so adding +-0.0 to it
-changes nothing; and the dropped factor 1 - 0 is exactly 1.0.  The
-check runs on the offsets x - knots[i], which are 0 exactly where w is
-(the width knots[i + 1] - knots[i] is at most 1.0, so the quotient
-never underflows), and the offsets become w in place, divided by the
-widths, only on an axis that keeps its factors.  It reads row 0's
+changes nothing; and the dropped factor 1 - 0 is exactly 1.0.  Off a
+dyadic axis the check runs on the offsets x - knots[i], which are 0
+exactly where w is (the width knots[i + 1] - knots[i] is at most 1.0,
+so the quotient never underflows), and the offsets become w in place,
+divided by the widths, only on an axis that keeps its factors; a
+dyadic axis checks w itself, which divides nothing.  It reads row 0's
 offset per axis and scans the whole axis with ``any()`` only when that
 offset is 0, so a block off the knots nearly always pays one scalar
 read per axis and nothing else.
@@ -79,8 +93,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -100,6 +114,27 @@ def blocks(count: int) -> list[tuple[int, int]]:
     a lone last point: n >= 2 points make ceil((n - 1) / ``BLOCK_POINTS``) blocks, none of one point."""
     edges = [0, *range(BLOCK_POINTS, count - 1, BLOCK_POINTS), count] if count else []
     return list(zip(edges, edges[1:]))
+
+
+def _uniform(cells: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """Knots lo..hi-1 (all by default) of np.linspace(0, 1, cells + 1), bit for bit, in a new array:
+    linspace makes knot i as i * (1/cells) + 0.0, rounded once, and the last exactly 1."""
+    hi = cells + 1 if hi is None else hi
+    xs = np.arange(lo, hi, dtype=float)
+    xs *= 1.0 / cells
+    if hi == cells + 1:
+        xs[-1] = 1.0
+    return xs
+
+
+def _dyadic(knots: np.ndarray) -> bool:
+    """Whether knots own their data and are, bit for bit, _uniform(K) with K = len(knots) - 1 a power of two,
+    so that knot i is exactly i / K; compared a block of ``BLOCK_POINTS`` knots at a time."""
+    cells = len(knots) - 1
+    if not knots.flags.owndata or cells & (cells - 1):
+        return False
+    return all(np.array_equal(knots[lo:hi].view(np.uint64), _uniform(cells, lo, hi).view(np.uint64))
+               for lo, hi in blocks(cells + 1))
 
 
 def check_work(count, cap, what: str, unit: str = "cells") -> None:
@@ -150,10 +185,19 @@ class SampledFunction:
     array, writing to the base still changes the grid after validation,
     so pass arrays that own their data or that no one writes to again.
     Values are always copied into a C-contiguous read-only array.
+
+    An axis that owns its knots is flagged dyadic when they are those
+    of ``np.linspace(0, 1, K + 1)``, bit for bit, with K a power of two;
+    ``evaluate_many`` then finds its cells by arithmetic alone (see the
+    module docstring).  A view is never flagged, since a later write to
+    its base would leave the flag stale; ``np.linspace`` itself returns
+    a view of its own arange, so pass ``np.linspace(...).copy()``.  The
+    flag also assumes that no view made earlier writes to an owned axis.
     """
 
     grid: tuple[np.ndarray, ...]
     values: np.ndarray
+    _dyadic: tuple[bool, ...] = field(init=False, repr=False)  # per axis: evaluate_many finds cells by arithmetic
 
     def __post_init__(self) -> None:
         grid = _as_grid(self.grid)
@@ -173,6 +217,7 @@ class SampledFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_dyadic", tuple(map(_dyadic, grid)))
 
     @property
     def d(self) -> int:
@@ -191,6 +236,8 @@ class SampledFunction:
         kept where k[i] <= x and, below the last cell, x < k[i+1], which
         makes it that last knot; only the rows that fail the check are
         binary-searched (see the module docstring for why and at what cost).
+        On a dyadic axis (see the class docstring) t = x * K is exact and
+        w = t - i bit for bit, so no knot is read, checked or divided by.
         The block's min and max decide the range test, and the clip to
         K - 1 and the last-cell exemption run only when 1.0 is in the
         block, the one point that needs them.
@@ -219,21 +266,25 @@ class SampledFunction:
         ends = top == 1.0  # only x = 1.0 guesses last + 1, and only it lies in its cell at x = hi
         base = 0
         frac = []
-        for axis, knots in enumerate(self.grid):
+        for axis, (knots, dyadic) in enumerate(zip(self.grid, self._dyadic)):
             x = pts[:, axis]
             last = len(knots) - 2  # the last cell
-            i = (x * (last + 1)).astype(np.intp)  # truncation is floor on [0, 1], -0.0 included
+            t = x * (last + 1)
+            i = t.astype(np.intp)  # truncation is floor on [0, 1], -0.0 included
             if ends:
                 np.minimum(i, last, out=i)
-            lo, hi = knots.take(i), knots[1:].take(i)
-            miss = (lo > x) | (x >= hi) & (i < last) if ends else (lo > x) | (x >= hi)
-            if miss.any():  # a search below 1.0 lands in [0, last], so needs no clip
-                i[miss] = np.searchsorted(knots, x[miss], side="right") - 1
+            if dyadic:  # t is exact, and t - i is w bit for bit (module docstring): no knot is read
+                w = np.subtract(t, i, out=t)
+            else:
                 lo, hi = knots.take(i), knots[1:].take(i)
-            w = x - lo  # the offset, 0 exactly where w / (hi - lo) is: a quotient by at most 1.0 never underflows
+                miss = (lo > x) | (x >= hi) & (i < last) if ends else (lo > x) | (x >= hi)
+                if miss.any():  # a search below 1.0 lands in [0, last], so needs no clip
+                    i[miss] = np.searchsorted(knots, x[miss], side="right") - 1
+                    lo, hi = knots.take(i), knots[1:].take(i)
+                w = x - lo  # the offset, 0 exactly where w / (hi - lo) is: a quotient by at most 1.0 never underflows
             # None: every w is 0, each point on a knot of this axis; row 0 settles most other blocks
             live = len(w) and w[0] or w.any()
-            if live:
+            if live and not dyadic:
                 w /= np.subtract(hi, lo, out=hi)
             frac.append((1.0 - w, w) if live else None)
             base = base * len(knots) + i

@@ -21,7 +21,8 @@ last node whose value is <= s (0 if there is none).
 
 Tables need not be moduli, so adversarial tables remain representable;
 ``check_modulus_axioms`` decides the three axioms exactly, and
-``require_modulus`` refuses a table that fails them.
+``require_modulus`` refuses a table that fails them, and a beta that is
+no modulus spec at all.
 """
 
 from __future__ import annotations
@@ -204,7 +205,13 @@ def check_modulus_axioms(beta: ModulusSpec) -> AxiomReport:
 
 
 def require_modulus(beta: ModulusSpec) -> None:
-    """Refuse with ``DomainError`` a table that is not a modulus of continuity; beta is never called."""
+    """Refuse with ``DomainError`` a table that is not a modulus of continuity; beta is never called.
+
+    A beta with no ``kind``, so neither a ``ModulusSpec`` nor a delegate
+    of one, is refused first, naming its type.
+    """
+    if not hasattr(beta, "kind"):
+        raise DomainError(f"beta must be a ModulusSpec, got {type(beta).__name__}")
     failure = check_modulus_axioms(beta).failure
     if failure:
         raise DomainError(f"beta is not a modulus of continuity: {failure}")

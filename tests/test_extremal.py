@@ -751,6 +751,11 @@ class TestSupFrom:
         xs = np.array([0.0625, 0.5 + 2.0**-8, 1.0])
         assert np.array_equal(f(xs), profile_many(beta, xs))
 
+    @pytest.mark.parametrize("beta", [lambda s: s, None, 1.0], ids=["function", "None", "float"])
+    def test_a_beta_with_no_kind_is_refused_naming_its_type(self, beta):
+        with pytest.raises(DomainError, match=f"^beta must be a ModulusSpec, got {type(beta).__name__}$"):
+            ExtremalFunction(beta=beta, d=1, q=1)
+
     @pytest.mark.parametrize(
         "beta, reason",
         [  # a table that rises and falls back, and one with beta(0) != 0 that turns negative

@@ -18,6 +18,7 @@ from translab import (
     certify,
     count_zero_components,
     nudge_knot_zeros,
+    refine_interpolant,
     resolve_depth,
     sup_distance,
 )
@@ -508,6 +509,93 @@ class TestLookupBranches:
             tuple_index_evaluate_many(h, pts)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(f"point {tuple(pts[3].tolist())} (row 3) outside [0,1]^2")
+
+
+def moved_one_ulp():
+    knots = np.linspace(0.0, 1.0, 1025).copy()
+    knots[512] = np.nextafter(0.5, 1.0)
+    return knots
+
+
+def base_view():
+    base = np.linspace(0.0, 1.0, 2049).copy()  # writable, and every other knot is linspace's at K = 1024
+    return base[::2]
+
+
+def signed_zero_start():
+    knots = np.linspace(0.0, 1.0, 5).copy()
+    knots[0] = -0.0  # equal to 0.0, not its bits
+    return knots
+
+
+@st.composite
+def dyadic_cases(draw):
+    """A function on a dyadic grid, d in {1, 2, 3}, and a block of points on, beside and between its knots.
+
+    Points are knots, their nextafter neighbours (kept in [0, 1]), 1.0,
+    -0.0, subnormals and arbitrary floats in [0, 1]; the block may be
+    empty, and is C- or F-ordered.
+    """
+    d = draw(st.integers(1, 3))
+    top = (10, 6, 4)[d - 1]  # at most 2**12 knot tuples
+    grid = [np.linspace(0.0, 1.0, 2 ** draw(st.integers(0, top)) + 1).copy() for _ in range(d)]
+    m = draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    h = SampledFunction(grid=grid, values=draw(arrays(np.float64, tuple(map(len, grid)) + (m,), elements=value)))
+    tiny = [5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022]
+
+    def coordinate(knots):
+        near = leaning_points(knots).tolist() + tiny + [-0.0, 1.0]
+        return st.one_of(st.sampled_from(near), st.floats(0.0, 1.0))
+
+    rows = draw(st.lists(st.tuples(*map(coordinate, grid)), max_size=16))
+    pts = np.array(rows, dtype=float).reshape(-1, d)
+    return h, np.asarray(pts, order=draw(st.sampled_from("CF")))
+
+
+class TestDyadicAxes:
+    """An owned axis of 2**k cells with knot i exactly i / 2**k finds its cells by arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "knots, dyadic",
+        [
+            *[(lambda K=K: np.linspace(0.0, 1.0, K + 1).copy(), True) for K in (1, 2, 4, 1024)],
+            (lambda: refine_interpolant(lambda s: s - 0.5, 2.0**-6).grid[0], True),
+            *[(lambda K=K: np.linspace(0.0, 1.0, K + 1).copy(), False) for K in (3, 5, 1000)],
+            (moved_one_ulp, False),
+            (lambda: np.unique(np.r_[0.0, np.random.default_rng(3).uniform(0.0, 1.0, 15), 1.0]), False),
+            (base_view, False),
+            (lambda: np.linspace(0.0, 1.0, 1025), False),  # linspace's result is a view of its own arange
+            (signed_zero_start, False),
+        ],
+        ids=[*(f"linspace K={K}" for K in (1, 2, 4, 1024)), "refine 2**-6", *(f"linspace K={K}" for K in (3, 5, 1000)),
+             "one knot moved one ulp", "irregular", "view of a writable base", "linspace itself", "knot 0 is -0.0"],
+    )
+    def test_which_axes_are_flagged(self, knots, dyadic):
+        axis = knots()
+        assert SampledFunction(grid=(axis,), values=np.zeros(len(axis)))._dyadic == (dyadic,)
+
+    def test_f_sample_axes_are_flagged(self):
+        h = ExtremalFunction(beta=ModulusSpec.power(1.0, 1.0), d=2, q=2).sample(2.0**-10)
+        assert h._dyadic == (True, True)
+        assert h.with_values(h.values + 1.0)._dyadic == h.component(1)._dyadic == (True, True)
+
+    @given(case=dyadic_cases())
+    @settings(max_examples=300, deadline=None)
+    @example(case=(SampledFunction(grid=(np.linspace(0.0, 1.0, 3).copy(),), values=np.arange(3.0)), np.empty((0, 1))))
+    def test_matches_tuple_index_kernel(self, case):
+        h, pts = case
+        assert all(h._dyadic)
+        assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
+
+    def test_writes_through_the_base_of_a_view_axis_are_followed(self):
+        base = np.linspace(0.0, 1.0, 9).copy()
+        h = SampledFunction(grid=(base[:],), values=np.arange(9.0)[:, None])
+        base[3] = 0.3  # 0.375 before: the axis is no longer uniform
+        pts = np.array([[0.3], [0.33], [0.375], [1.0]])
+        got = h.evaluate_many(pts)
+        assert got[0, 0] == 3.0  # the new knot 3
+        assert same_bits(got, tuple_index_evaluate_many(h, pts))
 
 
 class TestEvaluateRows:

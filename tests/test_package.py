@@ -44,6 +44,17 @@ COUNTS = {
     "certify.z_grid": ("z-grid", translab.DomainError, lambda v: translab.certify(
         translab.ExtremalFunction(beta=IDENTITY, d=2, q=1), 2.0**-7, h=lambda x: [0.0], z_grid=v)),
     "resolve_depth.q": ("q", translab.DomainError, lambda v: translab.resolve_depth(IDENTITY, v, 2.0**-8)),
+    "theory_lower_bound.m": ("m", translab.DomainError,
+                             lambda v: translab.theory_lower_bound(IDENTITY, 2.0**-8, v, 0, 2.0)),
+    "theory_lower_bound.p": ("p", translab.DomainError,
+                             lambda v: translab.theory_lower_bound(IDENTITY, 2.0**-8, 3, v, 2.0)),
+    "theory_upper_curve.m": ("m", translab.DomainError,
+                             lambda v: translab.theory_upper_curve(1.0, 2.0**-8, 1.0, v, 0)),
+    "theory_upper_curve.p": ("p", translab.DomainError,
+                             lambda v: translab.theory_upper_curve(1.0, 2.0**-8, 1.0, 3, v)),
+    "gamma_w.p": ("p", translab.DomainError, lambda v: translab.gamma_w(translab.identity_chart(3), v)),
+    "enumerate_cubes.n": ("n", translab.DomainError, lambda v: translab.enumerate_cubes(v, 1)),
+    "enumerate_cubes.q": ("q", translab.DomainError, lambda v: translab.enumerate_cubes(1, v)),
 }
 
 
