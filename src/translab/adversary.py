@@ -77,7 +77,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .certifier import _double_or_exp2
-from .errors import DomainError, ShapeError, require_int
+from .errors import DomainError, ShapeError, require_count
 from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, _uniform, blocks, check_work, count_value_zeros
 
 NUDGE_ETA = 1e-12
@@ -466,7 +466,9 @@ def refine_interpolant(f: Callable, eps: float) -> SampledFunction:
 
 
 def improvement_envelope(eps0: float, C: float, k: int) -> float:
-    """The contradiction envelope (1 - 7C^2/36)**k * 4**k / eps0, in log2 where it overflows; eps0, C as iterate's."""
+    """The contradiction envelope (1 - 7C^2/36)**k * 4**k / eps0, in log2 where it overflows; eps0, C as iterate's,
+    and k an integer >= 0 (k = 0 gives 1 / eps0)."""
+    require_count(k, "k", 0)
     _check_budget(eps0, C)
     return _double_or_exp2(lambda: (1.0 - 7.0 * C * C / 36.0) ** k * 4.0**k / eps0,
                            lambda: k * math.log2(4.0 - 7.0 * C * C / 9.0) - math.log2(eps0))
@@ -485,8 +487,7 @@ def iterate_improvement(
     whose finest round would lay out more than ``MESH_CAP`` cells, both
     before f is called.
     """
-    if require_int(rounds, "rounds") < 1:
-        raise DomainError(f"need rounds >= 1, got {rounds}")
+    require_count(rounds, "rounds", 1)
     _check_budget(eps0, C)
     finest = eps0
     for _ in range(rounds - 1):

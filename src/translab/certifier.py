@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .chart import Chart, gamma_w, identity_chart, pullback_perturbation
-from .errors import DomainError, ShapeError, require_int
+from .errors import DomainError, ShapeError, require_codim, require_count, require_int
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
 from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, check_work, evaluate_rows
 from .modulus import ModulusSpec
@@ -53,9 +53,7 @@ FACE_LATTICE_POINTS = 9  # side 2*scale scanned at step scale/4
 # perfbench's tracer wraps certifier.enumerate_cubes by name
 def enumerate_cubes(n: int, q: int) -> Iterator[tuple[int, ...]]:
     """Every level-n cube index tuple in rank order (2**(q*n*n) of them, at most ``MESH_CAP``)."""
-    n, q = require_int(n, "n"), require_int(q, "q")
-    if q < 1:
-        raise DomainError(f"need q >= 1, got {q}")
+    n, q = require_int(n, "n"), require_count(q, "q", 1)
     lev = level_schedule(n)
     check_work(lev.bump_count**q, MESH_CAP, f"level {n} at q = {q}", "cubes")
     return itertools.product(range(lev.bump_count), repeat=q)
@@ -72,9 +70,7 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
-    q = require_int(q, "q")
-    if q < 1:
-        raise DomainError(f"need q >= 1, got {q}")
+    q = require_count(q, "q", 1)
     root = 2.0 * math.sqrt(q)
     if eps > beta(level_schedule(1).scale / 2.0) / root:
         return 0
@@ -243,12 +239,10 @@ def theory_lower_bound(beta: ModulusSpec, eps: float, m: int, p: int, gamma: flo
     """
     if not eps > 0.0:  # NaN too
         raise DomainError(f"budget must be positive, got {eps}")
-    m, p = require_int(m, "m"), require_int(p, "p")
-    if not (0 <= p < m):
-        raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
+    codim = require_codim(m, p)
     if not gamma > 0.0:
         raise DomainError(f"need gamma > 0, got {gamma}")
-    return _lower_envelope(beta, eps, m - p, gamma)[0]
+    return _lower_envelope(beta, eps, codim, gamma)[0]
 
 
 def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw: float = 1.0) -> float:
@@ -257,12 +251,10 @@ def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw
         raise DomainError(f"budget must be positive, got {eps}")
     if not 0.0 < alpha <= 1.0:  # NaN too
         raise DomainError(f"need 0 < alpha <= 1, got alpha={alpha}")
-    m, p = require_int(m, "m"), require_int(p, "p")
-    if not (0 <= p < m):
-        raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
+    codim = require_codim(m, p)
     if not (0.0 < norm < math.inf and 0.0 < cw < math.inf):
         raise DomainError(f"norm and cw must be positive and finite, got norm = {norm}, cw = {cw}")
-    power = (m - p) / alpha
+    power = codim / alpha
     return _double_or_exp2(lambda: cw * (norm / eps) ** power,
                            lambda: math.log2(cw) + power * (math.log2(norm) - math.log2(eps)))
 

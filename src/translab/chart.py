@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RangeEscapeError, require_int
+from .errors import DomainError, RangeEscapeError, require_codim, require_count
 from .funcrep import evaluate_rows
 
 
@@ -64,6 +64,7 @@ class Chart:
     in_image: Callable[[np.ndarray], np.ndarray] = field(default=_everywhere)
 
     def __post_init__(self) -> None:
+        require_count(self.m, "m", 1)
         if not (0.0 < self.lam1 <= self.lam2 < math.inf):
             raise DomainError(f"need 0 < lam1 <= lam2 < inf, got {self.lam1}, {self.lam2}")
         if not self.r0 > 0.0:  # false for NaN; inf stays allowed, as certify's default identity chart has it
@@ -95,8 +96,8 @@ def _rows_times(mat: np.ndarray, y) -> np.ndarray:
 def affine_chart(A, b=None, r0: float = 1.0) -> Chart:
     """phi(y) = A y + b with Lipschitz constants from the singular values of A."""
     mat = np.asarray(A, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError(f"affine chart needs a square matrix, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise DomainError(f"affine chart needs a nonempty square matrix, got shape {mat.shape}")
     m = mat.shape[0]
     off = np.zeros(m) if b is None else np.asarray(b, dtype=float)
     if off.shape != (m,):
@@ -170,11 +171,8 @@ def polar_demo_chart(rho: float = 2.0, radius: float = 1.0, r0: float = 1.0) -> 
 
 
 def gamma_w(chart: Chart, p: int) -> float:
-    """Distortion constant 2*sqrt(m - p) * lam2/lam1 of the flattening, m the chart's dimension."""
-    p = require_int(p, "p")
-    if p >= chart.m:
-        raise DomainError(f"need p < m, got p={p}, m={chart.m}")
-    return 2.0 * math.sqrt(chart.m - p) * chart.lam2 / chart.lam1
+    """Distortion constant 2*sqrt(m - p) * lam2/lam1 of the flattening, m the chart's dimension and 0 <= p < m."""
+    return 2.0 * math.sqrt(require_codim(chart.m, p)) * chart.lam2 / chart.lam1
 
 
 def _require(inside, vals: np.ndarray, pts, what: str, region: str) -> None:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer rule of every count."""
+"""Exception types shared across the package, and the rules every count and every codimension m - p follow."""
 
 import operator
 
@@ -33,3 +33,19 @@ def require_int(value, name: str, error: type = DomainError) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_count(value, name: str, least: int) -> int:
+    """value as an int under ``require_int``, else ``DomainError`` when it is below least."""
+    count = require_int(value, name)
+    if count < least:
+        raise DomainError(f"need {name} >= {least}, got {count}")
+    return count
+
+
+def require_codim(m, p) -> int:
+    """The codimension m - p of counts m and p with 0 <= p < m, each under ``require_int``, else ``DomainError``."""
+    m, p = require_int(m, "m"), require_int(p, "p")
+    if not 0 <= p < m:
+        raise DomainError(f"need 0 <= p < m, got p={p}, m={m}")
+    return m - p

@@ -366,7 +366,7 @@ class ExtremalFunction:
         count = round(1.0 / step)
         if not math.isclose(count * step, 1.0, rel_tol=0, abs_tol=1e-12):
             raise DomainError(f"step must divide 1 exactly, got {step}")
-        knots = np.linspace(0.0, 1.0, count + 1).copy()  # owned, not a view, so evaluate_many flags it dyadic
+        knots = np.linspace(0.0, 1.0, count + 1)
         root = math.sqrt(self.q)
         line = profile_many(self.beta, knots) / root
         lens = (len(knots),) * self.d

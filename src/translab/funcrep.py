@@ -30,9 +30,8 @@ for i = 0 it is x itself.  The width is exactly 1 / K, and dividing by
 it is the exact scaling by K, which keeps a -0.0; t - i is that same
 exact value.  Which axes are dyadic is decided once, when the function
 is built, against linspace's knots a block of ``BLOCK_POINTS`` at a
-time, and only for a knot array that owns its data: a view's knots can
-still change through its base, which would leave the decision stale,
-while the guess and its check read the knots as they are on each call.
+time.  The axes are the function's own read-only copies, so no later
+write can leave the decision stale.
 
 The clip and the last-cell exemption matter only for x = 1.0.  A double
 x < 1.0 is at most 1 - 2**-53, and x * K then rounds below K (exact for
@@ -128,10 +127,10 @@ def _uniform(cells: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
 
 
 def _dyadic(knots: np.ndarray) -> bool:
-    """Whether knots own their data and are, bit for bit, _uniform(K) with K = len(knots) - 1 a power of two,
+    """Whether knots are, bit for bit, np.linspace(0, 1, K + 1)'s with K = len(knots) - 1 a power of two,
     so that knot i is exactly i / K; compared a block of ``BLOCK_POINTS`` knots at a time."""
     cells = len(knots) - 1
-    if not knots.flags.owndata or cells & (cells - 1):
+    if cells & (cells - 1):
         return False
     return all(np.array_equal(knots[lo:hi].view(np.uint64), _uniform(cells, lo, hi).view(np.uint64))
                for lo, hi in blocks(cells + 1))
@@ -148,7 +147,7 @@ def check_work(count, cap, what: str, unit: str = "cells") -> None:
 def _as_grid(grid: Iterable[Sequence[float]]) -> tuple[np.ndarray, ...]:
     axes = []
     for knots in grid:
-        k = np.asarray(knots, dtype=float)
+        k = np.array(knots, dtype=float)  # a copy, so no caller can write to an axis
         if k.ndim != 1 or len(k) < 2:
             raise ShapeError("each axis needs at least two knots")
         if k[0] != 0.0 or k[-1] != 1.0:
@@ -178,21 +177,11 @@ class SampledFunction:
     construction, naming the first knot that holds it, since multilinear
     weights would spread it to the neighbouring knots (0 * NaN = NaN).
 
-    Knots are shared, not copied: a float64 knot array passed in is made
-    read-only in place and kept as the grid axis, while any other input
-    (a list, an int array) is converted to a new array.  Read-only stops
-    writes through that array only.  If it is a view of a writable base
-    array, writing to the base still changes the grid after validation,
-    so pass arrays that own their data or that no one writes to again.
-    Values are always copied into a C-contiguous read-only array.
-
-    An axis that owns its knots is flagged dyadic when they are those
-    of ``np.linspace(0, 1, K + 1)``, bit for bit, with K a power of two;
-    ``evaluate_many`` then finds its cells by arithmetic alone (see the
-    module docstring).  A view is never flagged, since a later write to
-    its base would leave the flag stale; ``np.linspace`` itself returns
-    a view of its own arange, so pass ``np.linspace(...).copy()``.  The
-    flag also assumes that no view made earlier writes to an owned axis.
+    Knots and values are copied into new read-only arrays, so a later
+    write to the caller's arrays changes nothing here.  An axis is
+    flagged dyadic when its knots are ``np.linspace(0, 1, K + 1)``'s,
+    bit for bit, with K a power of two; ``evaluate_many`` then finds its
+    cells by arithmetic alone (see the module docstring).
     """
 
     grid: tuple[np.ndarray, ...]

@@ -1094,6 +1094,12 @@ class TestIterate:
         assert improvement_envelope(2.0**-4, 1.0, 512) == pytest.approx(2.3973424413546e261, rel=1e-12)
         assert improvement_envelope(2.0**-4, 1.0, 700) == math.inf
 
+    @pytest.mark.parametrize("k", [-1, -700])
+    def test_envelope_refuses_a_negative_k(self, k):
+        # k = -1 returned 79.45, an envelope for a round that never ran
+        with pytest.raises(DomainError, match="^" + re.escape(f"need k >= 0, got {k}") + "$"):
+            improvement_envelope(2.0**-4, 1.0, k)
+
     @pytest.mark.parametrize("eps0, C", [(0.0, 1.0), (-2.0**-4, 1.0), (math.nan, 1.0), (0.25, 1.0), (2.0**-4, 0.0),
                                          (2.0**-4, 1.5)])
     def test_envelope_refuses_what_iterate_refuses(self, eps0, C):

@@ -45,6 +45,11 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_w(identity_chart(2), 2)
 
+    def test_negative_p_refused(self):
+        # p = -1 returned 2*sqrt(3) as though the target had dimension -1
+        with pytest.raises(DomainError, match="^" + re.escape("need 0 <= p < m, got p=-1, m=2") + "$"):
+            gamma_w(identity_chart(2), -1)
+
 
 class TestBuiltins:
     def test_affine_validation(self):
@@ -62,6 +67,18 @@ class TestBuiltins:
             affine_chart([[bad, 0.0], [0.0, 1.0]])
         with pytest.raises(DomainError, match="^affine chart needs finite numbers"):
             affine_chart(np.eye(2), b=[bad, 0.0])
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_chart_dimension_below_one_refused(self, m):
+        # identity_chart(0) built a chart, and gamma_w(identity_chart(0), -1) returned 2.0
+        with pytest.raises(DomainError, match="^" + re.escape(f"need m >= 1, got {m}") + "$"):
+            identity_chart(m)
+
+    def test_affine_empty_matrix_refused(self):
+        # an empty matrix reached svals[-1] and leaked IndexError
+        message = "^" + re.escape("affine chart needs a nonempty square matrix, got shape (0, 0)") + "$"
+        with pytest.raises(DomainError, match=message):
+            affine_chart(np.zeros((0, 0)))
 
     def test_affine_round_trip(self):
         chart = affine_chart(np.array([[2.0, 1.0], [0.0, 1.0]]), b=[0.5, -0.5])

@@ -53,6 +53,8 @@ COUNTS = {
     "theory_upper_curve.p": ("p", translab.DomainError,
                              lambda v: translab.theory_upper_curve(1.0, 2.0**-8, 1.0, 3, v)),
     "gamma_w.p": ("p", translab.DomainError, lambda v: translab.gamma_w(translab.identity_chart(3), v)),
+    "Chart.m": ("m", translab.DomainError, lambda v: translab.identity_chart(v)),
+    "improvement_envelope.k": ("k", translab.DomainError, lambda v: translab.improvement_envelope(2.0**-4, 1.0, v)),
     "enumerate_cubes.n": ("n", translab.DomainError, lambda v: translab.enumerate_cubes(v, 1)),
     "enumerate_cubes.q": ("q", translab.DomainError, lambda v: translab.enumerate_cubes(1, v)),
 }
