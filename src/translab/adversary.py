@@ -77,7 +77,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .certifier import _double_or_exp2
-from .errors import DomainError, ShapeError, require_count
+from .errors import DomainError, ShapeError, require_budget, require_count
 from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, SampledFunction, _nudge, _uniform, blocks, check_work, count_value_zeros
 
 NUDGE_ETA = 1e-12
@@ -418,8 +418,7 @@ def flatten_perturbation(f: Callable, eps: float, C: float) -> SampledFunction:
 
 def _refine_cells(eps: float) -> int:
     """The cell count ceil(4/eps) of refine's mesh, refused past ``MESH_CAP``."""
-    if not eps > 0.0:
-        raise DomainError(f"budget must be positive, got {eps}")
+    require_budget(eps)
     if eps == math.inf:
         raise DomainError(f"budget must be finite, got {eps}")
     check_work(np.ceil(4.0 / eps), MESH_CAP, f"refine_interpolant at eps = {eps!r}")  # inf, not an error, if subnormal

@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .chart import Chart, gamma_w, identity_chart, pullback_perturbation
-from .errors import DomainError, ShapeError, require_codim, require_count, require_int
+from .errors import DomainError, ShapeError, require_budget, require_codim, require_count, require_int
 from .extremal import MAX_LEVEL, ExtremalFunction, level_schedule
 from .funcrep import MESH_CAP, SCAN_BLOCK_POINTS, check_work, evaluate_rows
 from .modulus import ModulusSpec
@@ -68,8 +68,7 @@ def resolve_depth(beta: ModulusSpec, q: int, eps: float) -> int:
     even level 1 fails, i.e. the budget is too large and the
     certificate is vacuous.  A q that is not an integer >= 1 is refused.
     """
-    if not eps > 0.0:  # NaN too
-        raise DomainError(f"budget must be positive, got {eps}")
+    require_budget(eps)
     q = require_count(q, "q", 1)
     root = 2.0 * math.sqrt(q)
     if eps > beta(level_schedule(1).scale / 2.0) / root:
@@ -237,8 +236,7 @@ def theory_lower_bound(beta: ModulusSpec, eps: float, m: int, p: int, gamma: flo
     inf only past the double range: the product is formed in log2 where
     it overflows, and so is psi where a power's inverse leaves the normal range.
     """
-    if not eps > 0.0:  # NaN too
-        raise DomainError(f"budget must be positive, got {eps}")
+    require_budget(eps)
     codim = require_codim(m, p)
     if not gamma > 0.0:
         raise DomainError(f"need gamma > 0, got {gamma}")
@@ -247,8 +245,7 @@ def theory_lower_bound(beta: ModulusSpec, eps: float, m: int, p: int, gamma: flo
 
 def theory_upper_curve(norm: float, eps: float, alpha: float, m: int, p: int, cw: float = 1.0) -> float:
     """Reference upper envelope cw * (norm/eps)**((m-p)/alpha), formed in log2 where that overflows."""
-    if not eps > 0.0:
-        raise DomainError(f"budget must be positive, got {eps}")
+    require_budget(eps)
     if not 0.0 < alpha <= 1.0:  # NaN too
         raise DomainError(f"need 0 < alpha <= 1, got alpha={alpha}")
     codim = require_codim(m, p)
@@ -303,8 +300,7 @@ def certify(
     its identity pullback: that pullback returns h's values unchanged,
     so the certificate is the same, and h's shape is still checked.
     """
-    if not eps > 0.0:  # NaN too
-        raise DomainError(f"budget must be positive, got {eps}")
+    require_budget(eps)
     z_grid = require_int(z_grid, "z-grid")
     if z_grid < 1:
         raise DomainError(f"z-grid must be >= 1, got {z_grid}")

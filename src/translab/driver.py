@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence, get_type_hints
@@ -50,6 +51,11 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for name in ("d", "m", "p", "j_min", "j_max"):
             require_int(getattr(self, name), name, ConfigError)
+        for key, value in (("alpha", self.alpha), ("lambda", self.lam), ("C", self.C), ("cw", self.cw)):
+            if not isinstance(value, numbers.Real):  # a str or None would leak TypeError from a comparison
+                raise ConfigError(f"{key} must be a real number, got {value!r}")
+        if not isinstance(self.adversary, (bool, np.bool_)):  # a truthy "false" would run the adversary
+            raise ConfigError(f"adversary must be a bool, got {self.adversary!r}")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (0.0 < self.lam < math.inf):

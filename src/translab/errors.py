@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rules every count and every codimension m - p follow."""
+"""Exception types shared across the package, and the rules every count, budget and codimension m - p follow."""
 
 import operator
 
@@ -41,6 +41,12 @@ def require_count(value, name: str, least: int) -> int:
     if count < least:
         raise DomainError(f"need {name} >= {least}, got {count}")
     return count
+
+
+def require_budget(eps) -> None:
+    """``DomainError`` unless eps > 0; NaN is refused too."""
+    if not eps > 0.0:
+        raise DomainError(f"budget must be positive, got {eps}")
 
 
 def require_codim(m, p) -> int:

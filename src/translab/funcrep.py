@@ -8,39 +8,35 @@ exact zero-component counting of scalar functions on [0,1] from knot
 signs, knot-zero nudging, and ``evaluate_rows``, the one place that
 tells an evaluator with ``evaluate_many`` from a per-point callable.
 
-``evaluate_many`` finds each point's cell per axis without a search
-when it can.  On K cells it guesses i = min(floor(x * K), K - 1) and
-keeps the guess where knots[i] <= x and, below the last cell,
-x < knots[i + 1].  Knots increase strictly, so such an i is the last
-knot at or below x, clipped to the last cell: the cell that
-``searchsorted(knots, x, side="right") - 1``, clipped, returns.  So the
-cells, and every bit that follows from them, do not depend on which
-rows were guessed.  Only the rows whose guess fails are searched.  On
-an irregular grid most rows may fail; each of them then pays for the
-guess and its check on top of the search.
+``evaluate_many`` finds each point's cell per axis by one of two rules,
+fixed per axis when the function is built.  A point's cell i is the last
+knot at or below x, clipped to the last cell for x = 1.0, and its
+fraction is w = (x - knots[i]) / (knots[i + 1] - knots[i]).  On K cells
+of any axis but a dyadic one, that is what it computes: one
+``searchsorted(knots, x, side="right") - 1`` over every row, clipped to
+K - 1, then the offset x - knots[i] divided by the width.
 
-A dyadic axis skips the check as well as the search, and reads no
-knot: one of K = 2**k cells whose knot i is exactly i / K, bit for bit
-``np.linspace(0, 1, K + 1)``, as ``F.sample`` builds at a dyadic step
-and ``refine_interpolant`` at a dyadic budget.  There t = x * K is
-exact, since it scales by a power of two, so the guess is the cell, and
-w = t - i is (x - knots[i]) / (knots[i + 1] - knots[i]) bit for bit.
-For i >= 1, i / K <= x <= 2 * i / K, so x - i / K is exact (Sterbenz);
-for i = 0 it is x itself.  The width is exactly 1 / K, and dividing by
-it is the exact scaling by K, which keeps a -0.0; t - i is that same
-exact value.  Which axes are dyadic is decided once, when the function
-is built, against linspace's knots a block of ``BLOCK_POINTS`` at a
-time.  The axes are the function's own read-only copies, so no later
-write can leave the decision stale.
+A dyadic axis reads no knot: one of K = 2**k cells whose knot i is
+exactly i / K, bit for bit ``np.linspace(0, 1, K + 1)``, as
+``F.sample`` builds at a dyadic step and ``refine_interpolant`` at a
+dyadic budget.  There t = x * K is exact, since it scales by a power of
+two, so its truncation i is the cell, and w = t - i is
+(x - knots[i]) / (knots[i + 1] - knots[i]) bit for bit.  For i >= 1,
+i / K <= x <= 2 * i / K, so x - i / K is exact (Sterbenz); for i = 0 it
+is x itself.  The width is exactly 1 / K, and dividing by it is the
+exact scaling by K, which keeps a -0.0; t - i is that same exact value.
+Which axes are dyadic is decided once, when the function is built,
+against linspace's knots a block of ``BLOCK_POINTS`` at a time.  The
+axes are the function's own read-only copies, so no later write can
+leave the decision stale.
 
-The clip and the last-cell exemption matter only for x = 1.0.  A double
-x < 1.0 is at most 1 - 2**-53, and x * K then rounds below K (exact for
-K a power of two, else more than half an ulp below K), so only 1.0
-guesses the cell K; and only 1.0 lies in its cell at x = knots[i + 1].
-The range test reads the block's min and max, one whole-block reduction
-each, which also tells whether 1.0 is in the block; a block without it
-skips the clip and the exemption.  The row mask that names the first
-point outside [0, 1] is built only once the range test fails.
+The clip matters only for x = 1.0: the search returns K for it, and on
+a dyadic axis so does t = x * K, while a double x < 1.0 is at most
+1 - 2**-53 and makes t < K.  The search clips every row.  The range
+test reads the block's min and max, one whole-block reduction each,
+which also tells whether 1.0 is in the block; a block without it skips
+the dyadic clip.  The row mask that names the first point outside
+[0, 1] is built only once the range test fails.
 
 ``evaluate_many`` is a flat gather.  Each point's cell is folded into
 one row index of the values viewed as a (knot tuples, m) table, so each
@@ -61,14 +57,11 @@ place of 2^d gathers, multiplies and adds.  The result keeps every bit:
 values are finite, so a dropped hi-corner term is w * value = +-0.0; a
 sum that starts at +0.0 can never become -0.0, so adding +-0.0 to it
 changes nothing; and the dropped factor 1 - 0 is exactly 1.0.  Off a
-dyadic axis the check runs on the offsets x - knots[i], which are 0
-exactly where w is (the width knots[i + 1] - knots[i] is at most 1.0,
-so the quotient never underflows), and the offsets become w in place,
-divided by the widths, only on an axis that keeps its factors; a
-dyadic axis checks w itself, which divides nothing.  It reads row 0's
-offset per axis and scans the whole axis with ``any()`` only when that
-offset is 0, so a block off the knots nearly always pays one scalar
-read per axis and nothing else.
+dyadic axis w is the offset x - knots[i] divided by a width of at most
+1.0, which never turns a nonzero offset into 0, so w is 0 exactly where
+x = knots[i].  The check reads row 0's w per axis and scans the whole
+axis with ``any()`` only when that w is 0, so a block off the knots
+nearly always pays one scalar read per axis and nothing else.
 
 The sums run component-major.  The output is an (m, N) C-order buffer.
 Each corner's gathered (N, m) rows are read transposed and multiplied
@@ -221,15 +214,13 @@ class SampledFunction:
 
         Per axis, a point's cell is the last knot at or below it (the
         last cell for 1.0) and its fraction is w = (x - k[i]) / (k[i+1] - k[i]).
-        The cell is guessed as min(floor(x * K), K - 1) on K cells and
-        kept where k[i] <= x and, below the last cell, x < k[i+1], which
-        makes it that last knot; only the rows that fail the check are
-        binary-searched (see the module docstring for why and at what cost).
-        On a dyadic axis (see the class docstring) t = x * K is exact and
-        w = t - i bit for bit, so no knot is read, checked or divided by.
-        The block's min and max decide the range test, and the clip to
-        K - 1 and the last-cell exemption run only when 1.0 is in the
-        block, the one point that needs them.
+        A dyadic axis (see the class docstring) finds them by arithmetic:
+        t = x * K on K cells, i = trunc(t), clipped to K - 1 only when
+        the block holds 1.0, and w = t - i, which is exact, so no knot
+        is read.  Any other axis binary-searches every row once,
+        i = min(searchsorted(k, x, "right") - 1, K - 1), and divides the
+        offset x - k[i] by the width.  The block's min and max decide
+        the range test.
         The cells fold into a flat row index, and each corner gathers its
         rows with one ``take`` at that index plus the corner's offset.
         Its weight is the product of w or 1 - w over the axes in axis
@@ -237,9 +228,7 @@ class SampledFunction:
         into a zeroed output, corners in ``itertools.product((0, 1),
         repeat=d)`` order.  The zero start turns a -0.0 sum into +0.0.
         An axis where w is 0 on every row keeps only its lo corners and
-        leaves out its factor 1 - w = 1.0, which changes no bit; there
-        the offsets x - k[i] are never divided by the widths (the module
-        docstring says why and what the check costs).  The
+        leaves out its factor 1 - w = 1.0, which changes no bit.  The
         output accumulates as an (m, N) C-order block, so the returned
         (N, m) block is Fortran-ordered (see the module docstring).  An
         empty (0, d) block gives (0, m).
@@ -252,29 +241,24 @@ class SampledFunction:
             inside = (pts >= 0.0) & (pts <= 1.0)  # NaN fails both comparisons
             row = int(np.argmin(inside.all(axis=1)))
             raise DomainError(f"point {tuple(pts[row].tolist())} (row {row}) outside [0,1]^{self.d}")
-        ends = top == 1.0  # only x = 1.0 guesses last + 1, and only it lies in its cell at x = hi
+        ends = top == 1.0  # only x = 1.0 makes t = K on a dyadic axis
         base = 0
         frac = []
         for axis, (knots, dyadic) in enumerate(zip(self.grid, self._dyadic)):
             x = pts[:, axis]
             last = len(knots) - 2  # the last cell
-            t = x * (last + 1)
-            i = t.astype(np.intp)  # truncation is floor on [0, 1], -0.0 included
-            if ends:
-                np.minimum(i, last, out=i)
             if dyadic:  # t is exact, and t - i is w bit for bit (module docstring): no knot is read
+                t = x * (last + 1)
+                i = t.astype(np.intp)  # truncation is floor on [0, 1], -0.0 included
+                if ends:
+                    np.minimum(i, last, out=i)
                 w = np.subtract(t, i, out=t)
-            else:
-                lo, hi = knots.take(i), knots[1:].take(i)
-                miss = (lo > x) | (x >= hi) & (i < last) if ends else (lo > x) | (x >= hi)
-                if miss.any():  # a search below 1.0 lands in [0, last], so needs no clip
-                    i[miss] = np.searchsorted(knots, x[miss], side="right") - 1
-                    lo, hi = knots.take(i), knots[1:].take(i)
-                w = x - lo  # the offset, 0 exactly where w / (hi - lo) is: a quotient by at most 1.0 never underflows
+            else:  # the last knot at or below x, clipped to the last cell for x = 1.0
+                i = np.minimum(np.searchsorted(knots, x, side="right") - 1, last)
+                lo = knots.take(i)  # w is 0 only where x = lo: a quotient by a width of at most 1.0 never underflows
+                w = (x - lo) / (knots[1:].take(i) - lo)
             # None: every w is 0, each point on a knot of this axis; row 0 settles most other blocks
             live = len(w) and w[0] or w.any()
-            if live and not dyadic:
-                w /= np.subtract(hi, lo, out=hi)
             frac.append((1.0 - w, w) if live else None)
             base = base * len(knots) + i
         rows = self.values.reshape(-1, self.m)  # a view: values is C-contiguous

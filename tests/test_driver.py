@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +437,27 @@ class TestConfig:
             text = f"{BASE_TEXT}cw={value}\n"
         with pytest.raises(ConfigError, match=rf"^{key} must be positive and finite"):
             parse_config(text)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("adversary", "false", "adversary must be a bool, got 'false'"),
+        ("adversary", 1, "adversary must be a bool, got 1"),
+        ("adversary", None, "adversary must be a bool, got None"),
+        ("alpha", "1", "alpha must be a real number, got '1'"),
+        ("alpha", 1j, "alpha must be a real number, got 1j"),
+        ("lam", None, "lambda must be a real number, got None"),
+        ("C", "0.5", "C must be a real number, got '0.5'"),
+        ("cw", [1.0], "cw must be a real number, got [1.0]"),
+    ])
+    def test_wrong_types_refused(self, field, value, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            replace(BASE, **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("adversary", np.True_), ("adversary", np.False_), ("alpha", np.float64(0.5)), ("alpha", Fraction(1, 2)),
+        ("lam", 2), ("lam", np.int64(1)), ("cw", np.float32(0.5)),
+    ])
+    def test_numpy_and_exact_types_accepted(self, field, value):
+        assert getattr(replace(BASE, **{field: value}), field) is value
 
     def test_bad_value_reported_with_line(self):
         with pytest.raises(ConfigError, match="line 1"):

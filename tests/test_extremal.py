@@ -28,6 +28,9 @@ from translab.extremal import MAX_LEVEL, _as_doubles
 from translab.funcrep import BLOCK_POINTS
 
 IDENTITY = ModulusSpec.power(1.0, 1.0)
+# power moduli over the alpha, lambda grid, and a table of sqrt at s = 4**-k, k <= 24, that passes the axiom check
+ADMITTED = [ModulusSpec.power(lam, alpha) for alpha in (0.25, 0.5, 0.75, 1.0) for lam in (0.5, 1.0, 2.0)] + [
+    ModulusSpec.table([(0.0, 0.0), *((4.0**-k, 2.0**-k) for k in range(24, -1, -1))])]
 
 
 def rational_profile(beta, s):
@@ -689,6 +692,36 @@ class TestExtremalFunction:
         for x, y in xs:
             osc = abs(F([x])[0] - F([y])[0])
             assert osc <= beta(abs(x - y)) + 1e-12
+
+    @pytest.mark.parametrize("beta", ADMITTED, ids=repr)
+    def test_modulus_admission_at_the_worst_pairs(self, beta):
+        # on a bump of quarter-width s the oscillation over a gap is largest from a zero to the next
+        # peak (beta(s)/2 over s) and from a peak to the next trough (beta(s) over 2 s); the third pair
+        # spans a level boundary, from level n's last trough to level n + 1's first peak (a double for n + 1 <= 6)
+        assert modulus.check_modulus_axioms(beta).all_hold
+        F = ExtremalFunction(beta=beta, d=1, q=1)
+
+        def value(x):
+            assert Fraction(float(x)) == x  # every point is a double
+            return Fraction(F([float(x)])[0])
+
+        def admitted(x, y):
+            osc = abs(value(x) - value(y))
+            assert osc <= Fraction(beta(float(y - x)))  # the gap is a power of two or a sum of two, exact
+            return osc
+
+        for n in range(1, 7):
+            lev = level_schedule(n)
+            s = Fraction(lev.scale)
+            peak = Fraction(beta(lev.scale)) / 2
+            for k in (0, lev.bump_count // 2, lev.bump_count - 1):
+                zero = Fraction(lev.start) + 4 * k * s
+                assert admitted(zero, zero + s) == peak
+                assert admitted(zero + s, zero + 3 * s) == 2 * peak
+            if n < 6:
+                nxt = level_schedule(n + 1)
+                trough, next_peak = Fraction(nxt.start) - s, Fraction(nxt.start) + Fraction(nxt.scale)
+                assert admitted(trough, next_peak) == peak + Fraction(beta(nxt.scale)) / 2
 
     def test_modulus_admission_2d(self):
         beta = ModulusSpec.power(1.0, 0.5)

@@ -209,8 +209,9 @@ def same_bits(a, b):
 def uniform_cases():
     """linspace grids, alone and with one knot moved by an ulp either way.
 
-    A moved knot makes ``evaluate_many``'s cell guess miss on the rows
-    near it, so guessed and searched rows share one block.
+    A moved knot makes an axis of K = 2**k cells non-dyadic, so
+    ``evaluate_many`` searches it; the points one ulp either side of the
+    moved knot check that the search finds the moved cell.
     """
     for K in (1, 2, 3, 7, 1000, 1024):
         knots = np.linspace(0.0, 1.0, K + 1)
@@ -275,23 +276,26 @@ class TestFlatGather:
         assert same_bits(h.evaluate_many(pts), tuple_index_evaluate_many(h, pts))
         assert same_bits(h.evaluate_many(pts[:, ::-1].copy()[:, ::-1]), tuple_index_evaluate_many(h, pts))  # strided
 
-    def test_moved_knot_mixes_guessed_and_searched_rows(self, monkeypatch):
+    def test_non_dyadic_axis_searches_every_row_once(self, monkeypatch):
         knots = np.linspace(0.0, 1.0, 9)
-        knots[4] = np.nextafter(0.5, 1.0)  # x = 0.5 guesses cell 4, which now starts one ulp above it
-        h = SampledFunction(grid=(knots,), values=np.arange(9.0)[:, None])
-        pts = np.array([[0.125], [0.5], [0.75], [1.0]])
+        knots[4] = np.nextafter(0.5, 1.0)  # x = 0.5 now lies in cell 3, one ulp below knot 4
+        other = np.linspace(0.0, 1.0, 5)  # dyadic: found by arithmetic
+        h = SampledFunction(grid=(knots, other), values=np.arange(45.0).reshape(9, 5, 1))
+        pts = np.array([[0.125, 0.5], [0.5, 0.3], [0.75, 1.0], [1.0, 0.0], [knots[4], -0.0]])
         want = tuple_index_evaluate_many(h, pts)
         searched = []
         search = np.searchsorted
 
         def spy(a, v, side="left"):
-            searched.append(np.asarray(v).tolist())
+            searched.append((np.asarray(a).tolist(), np.asarray(v).tolist(), side))
             return search(a, v, side=side)
 
         monkeypatch.setattr(np, "searchsorted", spy)
         got = h.evaluate_many(pts)
-        assert searched == [[0.5]]  # only the missed row is searched
+        assert searched == [(knots.tolist(), pts[:, 0].tolist(), "right")]  # one search, over every row
         assert same_bits(got, want)
+        searched.clear()
+        assert same_bits(h.evaluate_many(pts[:0]), want[:0]) and len(searched) == 1
 
     def test_dyadic_grid_never_searches(self, monkeypatch):
         """At every face point of an empirical q = 2 certify, a grid sample of F finds its cells without a search."""

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import re
 import shlex
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import translab
@@ -57,6 +59,14 @@ COUNTS = {
     "improvement_envelope.k": ("k", translab.DomainError, lambda v: translab.improvement_envelope(2.0**-4, 1.0, v)),
     "enumerate_cubes.n": ("n", translab.DomainError, lambda v: translab.enumerate_cubes(v, 1)),
     "enumerate_cubes.q": ("q", translab.DomainError, lambda v: translab.enumerate_cubes(1, v)),
+}
+# every entry point that takes a budget eps, with a call at that budget
+BUDGETS = {
+    "resolve_depth": lambda eps: translab.resolve_depth(IDENTITY, 1, eps),
+    "theory_lower_bound": lambda eps: translab.theory_lower_bound(IDENTITY, eps, 1, 0, 2.0),
+    "theory_upper_curve": lambda eps: translab.theory_upper_curve(1.0, eps, 1.0, 1, 0),
+    "certify": lambda eps: translab.certify(translab.ExtremalFunction(beta=IDENTITY, d=1, q=1), eps),
+    "refine_interpolant": lambda eps: translab.refine_interpolant(np.sin, eps),
 }
 
 
@@ -318,3 +328,14 @@ def test_every_count_refuses_a_non_integer(entry, value):
     name, error, call = COUNTS[entry]
     with pytest.raises(error, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
         call(value)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan], ids=repr)
+@pytest.mark.parametrize("entry", BUDGETS)
+def test_every_budget_refuses_a_non_positive_one(entry, eps):
+    with pytest.raises(translab.DomainError, match=f"^{re.escape(f'budget must be positive, got {eps}')}$"):
+        BUDGETS[entry](eps)
+
+
+def test_the_budget_rule_is_written_once():
+    assert sum(path.read_text().count("budget must be positive") for path in SOURCES) == 1
